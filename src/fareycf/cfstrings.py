@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import groupby
 
 from . import words
-from .exactnum import IDENTITY, Mobius, digit_matrix
+from .exactnum import Mobius, digits_matrix
 
 CFString = tuple[int, ...]
 
@@ -30,18 +30,13 @@ def _check(S, nonempty: bool = True) -> CFString:
 
 def matrix_of(S) -> Mobius:
     """Product of the digit matrices [[0,1],[1,a]]; identity for the empty string."""
-    m = IDENTITY
-    for a in _check(S, nonempty=False):
-        m = m * digit_matrix(a)
-    return m
+    return digits_matrix(_check(S, nonempty=False))
 
 
 def value_of(S) -> Fraction:
     """[0; S] as an exact rational (empty string gives 0)."""
-    v = Fraction(0)
-    for a in reversed(_check(S, nonempty=False)):
-        v = 1 / (a + v)
-    return v
+    m = matrix_of(S)  # [0; S] is m applied to 0; det +-1 keeps b/d reduced
+    return Fraction(m.b, m.d)
 
 
 def denominator(S) -> int:
@@ -225,13 +220,6 @@ def farey_structure(S) -> FareyStructure:
 
 def format_cfstring(S) -> str:
     return "[" + ",".join(str(a) for a in _check(S, nonempty=False)) + "]"
-
-
-def parse_cfstring(text: str) -> CFString:
-    text = text.strip().strip("[]")
-    if not text:
-        return ()
-    return _check(int(part) for part in text.split(","))
 
 
 def selftest() -> list[tuple[str, bool]]:

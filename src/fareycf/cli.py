@@ -367,8 +367,15 @@ def cmd_probe(args) -> int:
         _emit(args, "\n".join(lines))
         return 0
     if args.action == "zeta":
-        total = bf.zeta_partial(args.s, args.depth, variant=args.variant)
-        _emit(args, f"zeta_partial(s={args.s}, depth={args.depth}, {args.variant})={total!r}")
+        window, label = None, args.variant
+        if args.window is not None:
+            lo, hi = (ex.parse_fraction(t) for t in args.window)
+            if not 0 <= lo < hi <= 1:
+                raise ValueError("--window needs 0 <= LO < HI <= 1")
+            window = (lo, hi)
+            label += f", window=[{ex.format_exact(lo)}, {ex.format_exact(hi)}]"
+        total = bf.zeta_partial(args.s, args.depth, window, variant=args.variant)
+        _emit(args, f"zeta_partial(s={args.s}, depth={args.depth}, {label})={total!r}")
         return 0
     raise ValueError("probe needs an action: asymptotic, slope or zeta")
 
@@ -452,6 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=0.25)
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--variant", choices=["qumterval", "binary"], default="qumterval")
+    p.add_argument("--window", nargs=2, metavar=("LO", "HI"), default=None, help="zeta: keep intervals meeting (LO, HI)")
     common(p)
 
     return parser

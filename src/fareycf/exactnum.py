@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Union
 
 import mpmath
-from sympy import factorint
 
 Exact = Union[int, Fraction, "QuadSurd"]
 
@@ -36,50 +35,53 @@ def _sgn(n) -> int:
 
 
 _FULL_FACTOR_BOUND = 4 * 10**12  # covers discriminants of qumtervals with q(S) <= 10^6
+_PARTIAL_PRIME_BOUND = 2048  # square factors looked for at and above the bound
+
+
+def _primes_below(n: int) -> list[int]:
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(n - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n, i)))
+    return [i for i, flag in enumerate(sieve) if flag]
+
+
+_PRIMES = _primes_below(16000)  # 16000**3 > _FULL_FACTOR_BOUND
+_SMALL_PRIMES = [p for p in _PRIMES if p < _PARTIAL_PRIME_BOUND]
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """n = s*s*d with d square-reduced (n >= 0).
+    """n = s*s*d with d square-reduced (n >= 0); d = 1 exactly when n is a square.
 
-    d is squarefree whenever n is small enough to factor outright; for the
-    huge discriminants of deep periodic expansions only square factors found
-    within a factoring budget are extracted.  Nothing downstream relies on
+    Below `_FULL_FACTOR_BOUND` d is the squarefree part of n: trial division
+    by every prime p with p**3 <= the cofactor leaves a cofactor with at most
+    two prime factors, which is a square or squarefree.  At and above the
+    bound only the squares of primes below `_PARTIAL_PRIME_BOUND` and a
+    square cofactor are extracted.  Nothing downstream relies on
     squarefreeness: d is always a non-square, which keeps floors and sign
-    tests exact.
+    tests exact, and the same n always gives the same d.
     """
     if n == 0:
         return 1, 0
+    primes, power = (_PRIMES, 3) if n < _FULL_FACTOR_BOUND else (_SMALL_PRIMES, 2)
+    s = d = 1
+    for p in primes:
+        if p**power > n:
+            break
+        if n % p == 0:
+            n //= p
+            e = 1
+            while n % p == 0:
+                n //= p
+                e += 1
+            s *= p ** (e // 2)
+            if e % 2:
+                d *= p
     root = math.isqrt(n)
     if root * root == n:
-        return root, 1
-    limit = None if n < _FULL_FACTOR_BOUND else 2048
-    try:
-        factors = factorint(n, limit=limit)
-    except ValueError:  # sympy's limited factorint chokes on some perfect powers
-        factors = _trial_factor(n, 2048)
-    s = d = 1
-    for p, e in factors.items():
-        p, e = int(p), int(e)  # sympy may hand back gmpy2-backed integers
-        s *= p ** (e // 2)
-        if e % 2:
-            d *= p
-    root = math.isqrt(d)
-    if root * root == d:  # composite cofactors can still hide a full square
-        return s * root, 1
-    return s, d
-
-
-def _trial_factor(n: int, limit: int) -> dict[int, int]:
-    factors: dict[int, int] = {}
-    for p in range(2, limit):
-        if p * p > n:
-            break
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
+        return s * root, d
+    return s, d * n
 
 
 def _sign_single(a: int, b: int, D: int) -> int:
@@ -129,7 +131,13 @@ def _sign_mixed(A: int, B: int, d1: int, C: int, d2: int) -> int:
 
 
 def make_surd(p: int, q: int, r: int, d: int) -> Exact:
-    """Normalized value (p + q*sqrt(d))/r; collapses to Fraction when rational."""
+    """Normalized value (p + q*sqrt(d))/r; collapses to Fraction when rational.
+
+    The radicand is reduced by `_squarefree_split`, so equal d always give
+    the same reduced radicand and the text form is canonical per field: the
+    radicand is squarefree below `_FULL_FACTOR_BOUND` and free of the squares
+    of primes below `_PARTIAL_PRIME_BOUND` above it.
+    """
     if r == 0:
         raise ZeroDivisionError("surd denominator is zero")
     if d < 0:
@@ -148,10 +156,11 @@ def make_surd(p: int, q: int, r: int, d: int) -> Exact:
 class QuadSurd:
     """Irrational element (p + q*sqrt(d))/r of a real quadratic field.
 
-    Invariants: d > 1 and not a perfect square (squarefree when within the
-    factoring budget of make_surd), q != 0, r > 0, gcd(p, q, r) = 1.  Build
-    instances through `make_surd` or `from_quadratic`; ordering and equality
-    are decided by value, never by representation.
+    Invariants: d > 1 and not a perfect square (squarefree below
+    `_FULL_FACTOR_BOUND`, see `_squarefree_split`), q != 0, r > 0,
+    gcd(p, q, r) = 1.  Build instances through `make_surd` or
+    `from_quadratic`; ordering and equality are decided by value, never by
+    representation.
     """
 
     __slots__ = ("p", "q", "r", "d")
@@ -163,7 +172,7 @@ class QuadSurd:
 
     @classmethod
     def _reduced(cls, p: int, q: int, r: int, d: int) -> Exact:
-        # d already squarefree > 1; q may be 0 after cancellations
+        # d already reduced by _squarefree_split; q may be 0 after cancellations
         if q == 0:
             return Fraction(p, r)
         if r < 0:
@@ -306,7 +315,7 @@ class QuadSurd:
         return NotImplemented
 
     def __hash__(self):
-        # representation hash: values past the factoring budget could in
+        # representation hash: values at or above _FULL_FACTOR_BOUND could in
         # principle compare equal across differently reduced radicands while
         # hashing apart; such pairs never share a container here
         return hash((self.p, self.q, self.r, self.d))
@@ -353,7 +362,7 @@ def floor_exact(x: Exact) -> int:
     if isinstance(x, QuadSurd):
         n = x.q * x.q * x.d
         s = math.isqrt(n)
-        # d squarefree > 1 and q != 0, so n is never a perfect square
+        # d > 1 is not a square and q != 0, so n is never a perfect square
         f = s if x.q > 0 else -(s + 1)
         return (x.p + f) // x.r
     return math.floor(x)
@@ -450,29 +459,43 @@ def mobius_apply(m: Mobius, x: Exact | Infinity):
     return num / den
 
 
-def digit_matrix(a: int) -> Mobius:
-    """Matrix [[0, 1], [1, a]] of one continued-fraction digit."""
-    return Mobius(0, 1, 1, a)
+def digits_matrix(digits) -> Mobius:
+    """Product of the digit matrices [[0, 1], [1, a]] of `digits`, left to
+    right; IDENTITY when empty.
+
+    Neighbours are multiplied pairwise as a balanced tree, so long strings
+    cost a few products of large entries instead of one big-integer
+    determinant check per digit.
+    """
+    level = [(0, 1, 1, a) for a in digits]
+    if not level:
+        return IDENTITY
+    while len(level) > 1:
+        paired = [
+            (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            for (a, b, c, d), (e, f, g, h) in zip(level[::2], level[1::2])
+        ]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return Mobius(*level[0])
 
 
 def surd_from_periodic_cf(pre: tuple[int, ...], period: tuple[int, ...]) -> Exact:
     """Value [0; pre, period, period, ...] with all digits >= 1.
 
     The repeating tail is the attracting fixed point in (0, 1) of the
-    period's digit-matrix product; the preperiod is then applied exactly.
+    period's digit-matrix product; the preperiod is then applied exactly, as
+    the one Mobius map of its digit-matrix product.
     """
     if not period:
         raise ValueError("period must be nonempty")
     if any(a < 1 for a in period) or any(a < 1 for a in pre):
         raise ValueError("continued-fraction digits must be positive")
-    m = IDENTITY
-    for a in period:
-        m = m * digit_matrix(a)
+    m = digits_matrix(period)
     # fixed point: c y^2 + (d - a) y - b = 0, positive root (unique: b, c >= 1)
     y = QuadSurd.from_quadratic(m.c, m.d - m.a, -m.b)
-    for a in reversed(pre):
-        y = mobius_apply(digit_matrix(a), y)
-    return y
+    return mobius_apply(digits_matrix(pre), y) if pre else y
 
 
 def format_exact(x: Exact | Infinity) -> str:
@@ -492,12 +515,6 @@ def to_mpf(x: Exact) -> mpmath.mpf:
     if isinstance(x, Fraction):
         return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
     return mpmath.mpf(x)
-
-
-def approx_str(x: Exact, digits: int = 50) -> str:
-    """Decimal approximation with the requested number of significant digits."""
-    with mpmath.workprec(int(digits * 3.33) + 24):
-        return mpmath.nstr(to_mpf(x), digits, strip_zeros=False)
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -16,7 +16,6 @@ The entropy then follows from the identity  h * area = pi^2 / 3  where
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -359,6 +358,9 @@ def entropy_curve(
     """Entropy along a rational grid in (start, stop), endpoints avoided."""
     grid = entropy_grid(start, stop, samples)
     if jobs > 1:
+        # imported here: it pulls in multiprocessing, which every cold start would pay
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(
                 pool.map(

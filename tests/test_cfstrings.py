@@ -46,6 +46,14 @@ class TestDenominators:
         s = (3, 1, 2, 1, 2, 1)
         assert cfs.denominator(s) == cfs.value_of(s).denominator
 
+    def test_value_matches_back_to_front_fold(self):
+        rng = random.Random(29)
+        for s in [()] + [random_string(rng, max_len=60, max_digit=50) for _ in range(2000)]:
+            v = Fraction(0)
+            for a in reversed(s):
+                v = 1 / (a + v)
+            assert cfs.value_of(s) == v
+
     def test_supermultiplicative_bounds(self):
         rng = random.Random(5)
         for _ in range(500):

@@ -1,5 +1,10 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
+import fareycf
 from fareycf.cli import main
 
 
@@ -112,6 +117,13 @@ class TestSubcommands:
         code, out, _ = run(capsys, "probe", "zeta", "--s", "1.0", "--depth", "10", "--variant", "binary")
         assert code == 0 and "zeta_partial" in out
 
+    def test_probe_zeta_window(self, capsys):
+        code, out, _ = run(capsys, "probe", "zeta", "--s", "0.25", "--depth", "14", "--window", "1/3", "1/2")
+        assert code == 0
+        assert out == "zeta_partial(s=0.25, depth=14, qumterval, window=[1/3, 1/2])=2.486031236895033\n"
+        assert run(capsys, "probe", "zeta", "--window", "1/2", "1/3")[0] == 2
+        assert run(capsys, "probe", "zeta", "--window", "0", "3/2")[0] == 2
+
 
 class TestBehaviour:
     def test_deterministic_reruns(self, capsys):
@@ -137,3 +149,21 @@ class TestBehaviour:
     def test_unknown_flag_exits_2(self, capsys):
         code, _, err = run(capsys, "farey", "--bogus")
         assert code == 2 and "usage" in err
+
+
+class TestRegressionPins:
+    def test_atlas_json_bytes(self, capsys):
+        code, out, _ = run(capsys, "qumterval", "atlas", "--max-len", "12", "--format", "json")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "794b7907cf4c85dc9e7f5f028acad4cac59c99d7637a8fa64e763f36baa2d318"
+
+    def test_cli_import_skips_sympy_and_process_pool(self):
+        src = os.path.dirname(os.path.dirname(fareycf.__file__))
+        code = (
+            "import sys, fareycf.cli; "
+            "print(sorted({'sympy', 'concurrent.futures.process'} & set(sys.modules)))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -15,7 +15,10 @@ from fareycf.exactnum import (
     QuadSurd,
     S,
     T,
-    digit_matrix,
+    _FULL_FACTOR_BOUND,
+    _PARTIAL_PRIME_BOUND,
+    _squarefree_split,
+    digits_matrix,
     floor_exact,
     format_exact,
     make_surd,
@@ -23,6 +26,13 @@ from fareycf.exactnum import (
     parse_fraction,
     surd_from_periodic_cf,
 )
+
+
+def _is_prime(n):
+    return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+
+_SMALL_PRIMES = [p for p in range(2, _PARTIAL_PRIME_BOUND) if _is_prime(p)]
 
 
 def mpf_value(p, q, r, d, dps=100):
@@ -180,3 +190,75 @@ class TestTextForms:
         assert parse_fraction("4/15") == Fraction(4, 15)
         assert parse_fraction(" 3 ") == Fraction(3)
         assert parse_fraction("0.45") == Fraction(9, 20)
+
+
+class TestSquarefreeSplit:
+    @given(st.integers(0, 10**300))
+    def test_split_reassembles_with_nonsquare_radicand(self, n):
+        s, d = _squarefree_split(n)
+        assert s * s * d == n
+        if n:
+            assert (d == 1) == (math.isqrt(n) ** 2 == n)
+            assert d == 1 or math.isqrt(d) ** 2 != d
+
+    def test_squarefree_below_a_million_by_brute_force(self):
+        N = 10**6
+        core = list(range(N))  # n with every square factor divided out
+        for k in range(2, math.isqrt(N - 1) + 1):
+            sq = k * k
+            for m in range(sq, N, sq):
+                while core[m] % sq == 0:
+                    core[m] //= sq
+        for n in range(1, N):
+            s, d = _squarefree_split(n)
+            assert d == core[n] and s * s * d == n, n
+
+    def test_square_of_a_prime_above_the_cube_root(self):
+        # p^2 q with p > (p^2 q)^(1/3): trial division stops before reaching p
+        cases = [(range(20_000, 20_100), [2053, 7919]),
+                 (range(40_000, 40_100), [2053, 2477]),
+                 (range(100_000, 100_100), [2, 3, 6, 7, 30, 97, 398, 399]),
+                 (range(1_000_000, 1_000_100), [2, 3]),
+                 (range(1_999_000, 1_999_990), [1])]
+        for ps, qs in cases:
+            for p in filter(_is_prime, ps):
+                for q in qs:
+                    n = p * p * q
+                    assert n < _FULL_FACTOR_BOUND and p**3 > n
+                    assert _squarefree_split(n) == (p, q)
+        big = [p for p in range(16001, 16200) if _is_prime(p)]
+        for p, r in zip(big, big[1:]):
+            assert _squarefree_split(p * r * 11 * 11) == (11, p * r)
+            # p^2 r is past the bound, where only squares of small primes go
+            assert p * p * r >= _FULL_FACTOR_BOUND
+            assert _squarefree_split(p * p * r) == (1, p * p * r)
+
+    @given(st.integers(_FULL_FACTOR_BOUND, 10**400), st.integers(1, 10**6))
+    def test_small_prime_squares_removed_above_the_bound(self, m, k):
+        n = m * k * k
+        s, d = _squarefree_split(n)
+        assert s * s * d == n
+        assert d == 1 or math.isqrt(d) ** 2 != d
+        for p in _SMALL_PRIMES:
+            assert d % (p * p), p
+
+
+class TestDigitsMatrix:
+    @given(st.lists(st.integers(1, 10**6), max_size=70))
+    def test_equals_left_to_right_product(self, ds):
+        m = IDENTITY
+        for a in ds:
+            m = m * Mobius(0, 1, 1, a)
+        got = digits_matrix(tuple(ds))
+        assert (got.a, got.b, got.c, got.d) == (m.a, m.b, m.c, m.d)
+
+    def test_long_preperiod_matches_digit_by_digit(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            pre = tuple(rng.randint(1, 9) for _ in range(rng.randint(40, 120)))
+            period = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 30)))
+            y = surd_from_periodic_cf((), period)
+            for a in reversed(pre):
+                y = mobius_apply(Mobius(0, 1, 1, a), y)
+            x = surd_from_periodic_cf(pre, period)
+            assert x == y and str(x) == str(y)
