@@ -200,7 +200,7 @@ class Qumterval:
         return self.alpha_plus - self.alpha_minus
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def qumterval_of(w: str) -> Qumterval:
     if not words.is_nondegenerate_farey(w):
         raise ValueError(f"degenerate or invalid word: {w!r}")

@@ -10,6 +10,7 @@ by integer sign computations, never by floating point.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -32,6 +33,38 @@ INF = Infinity()
 
 def _sgn(n) -> int:
     return (n > 0) - (n < 0)
+
+
+def _decimal(n: int) -> str:
+    """Decimal text of an integer of any size.
+
+    Python refuses int -> str beyond `sys.get_int_max_str_digits()` digits
+    (4300 by default), a guard meant for parsing untrusted input; exact
+    output values can be longer, so the limit is lifted for this one
+    conversion and put back.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+if hasattr(Fraction, "_from_coprime_ints"):  # Python >= 3.12
+
+    def coprime_fraction(n: int, d: int) -> Fraction:
+        """n/d for coprime integers with d > 0, built without a gcd."""
+        return Fraction._from_coprime_ints(n, d)
+
+else:
+
+    def coprime_fraction(n: int, d: int) -> Fraction:
+        """n/d for coprime integers with d > 0, built without a gcd."""
+        return Fraction(n, d, _normalize=False)
 
 
 _FULL_FACTOR_BOUND = 4 * 10**12  # covers discriminants of qumtervals with q(S) <= 10^6
@@ -322,9 +355,12 @@ class QuadSurd:
 
     # -- conversions ---------------------------------------------------------
 
-    def to_mpf(self) -> mpmath.mpf:
-        """Value at the current mpmath working precision."""
-        return (mpmath.mpf(self.p) + mpmath.mpf(self.q) * mpmath.sqrt(mpmath.mpf(self.d))) / mpmath.mpf(self.r)
+    def to_mpf(self, root: mpmath.mpf | None = None) -> mpmath.mpf:
+        """Value at the current mpmath working precision; `root` may pass in
+        sqrt(d), already rounded at that precision."""
+        if root is None:
+            root = mpmath.sqrt(mpmath.mpf(self.d))
+        return (mpmath.mpf(self.p) + mpmath.mpf(self.q) * root) / mpmath.mpf(self.r)
 
     def __float__(self):
         with mpmath.workprec(80):
@@ -332,10 +368,12 @@ class QuadSurd:
 
     def __str__(self):
         sign = "+" if self.q >= 0 else "-"
-        return f"({self.p}{sign}{abs(self.q)}*sqrt({self.d}))/{self.r}"
+        p, q, d, r = (_decimal(v) for v in (self.p, abs(self.q), self.d, self.r))
+        return f"({p}{sign}{q}*sqrt({d}))/{r}"
 
     def __repr__(self):
-        return f"QuadSurd({self.p}, {self.q}, {self.r}, {self.d})"
+        p, q, r, d = (_decimal(v) for v in (self.p, self.q, self.r, self.d))
+        return f"QuadSurd({p}, {q}, {r}, {d})"
 
     def cf_expansion(self, max_digits: int = 100_000) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Continued fraction of a surd in (0, 1) as (preperiod, period) of [0; ...]."""
@@ -505,7 +543,7 @@ def format_exact(x: Exact | Infinity) -> str:
     if isinstance(x, QuadSurd):
         return str(x)
     x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
 def to_mpf(x: Exact) -> mpmath.mpf:

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import cfstrings as cfs
 from . import words
 from .bifurcation import qumterval_of
-from .exactnum import E, Exact, Mobius, S, T, floor_exact
+from .exactnum import E, Exact, Mobius, S, T, coprime_fraction, floor_exact
 
 ZERO = Fraction(0)
 
@@ -47,41 +48,73 @@ def _check_in_interval(alpha, x) -> None:
 
 @dataclass(frozen=True)
 class OrbitRecord:
-    """Exact orbit with digits and cumulative inverse matrices.
+    """Exact orbit with its digits.
 
-    matrices[k] recovers the start from points[k+1]; once the orbit hits 0
-    it stays there, digits become None and matrices stop extending."""
+    Once the orbit hits 0 it stays there and digits become None.  The
+    cumulative inverse matrices are derived from the digits on first access:
+    matrices[k] recovers the start from points[k+1], and they stop extending
+    at 0."""
 
     start: Exact
     points: tuple[Exact, ...]
     digits: tuple[int | None, ...]
-    matrices: tuple[Mobius, ...]
     hit_zero: bool
 
+    @cached_property
+    def matrices(self) -> tuple[Mobius, ...]:
+        out: list[Mobius] = []
+        for c in self.digits:
+            if c is None:
+                break
+            step_m = Mobius(0, -1, 1, c)
+            out.append(out[-1] * step_m if out else step_m)
+        return tuple(out)
 
-def orbit(alpha, x, steps: int) -> OrbitRecord:
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    _check_in_interval(alpha, x)
-    points = [x]
+
+def _rational_orbit(alpha: Fraction, x: Fraction, steps: int) -> tuple[list[Exact], list[int | None]]:
+    """Points and digits of a rational orbit in integers.
+
+    With alpha = P/Q and x = a/b (b > 0) the digit is
+    floor((-bQ + aQ - aP) / (aQ)) and the next point (-b - c a)/a, already
+    in lowest terms because gcd(-b - c a, a) = gcd(a, b) = 1."""
+    P, Q = alpha.numerator, alpha.denominator
+    a, b = x.numerator, x.denominator
+    points: list[Exact] = []
     digits: list[int | None] = []
-    matrices: list[Mobius] = []
-    running = None
-    hit_zero = x == 0
     for _ in range(steps):
-        cur = points[-1]
-        if cur == 0:
-            hit_zero = True
+        if a == 0:
             points.append(ZERO)
             digits.append(None)
             continue
-        nxt, c = k_step(alpha, cur)
-        points.append(nxt)
+        if not ((P - Q) * b <= a * Q <= P * b):
+            raise ValueError(f"point {a}/{b} outside [alpha-1, alpha] for alpha={alpha}")
+        aQ = a * Q
+        c = (aQ - a * P - b * Q) // aQ
+        a, b = -b - c * a, a
+        if b < 0:
+            a, b = -a, -b
+        points.append(coprime_fraction(a, b))
         digits.append(c)
-        step_m = Mobius(0, -1, 1, c)
-        running = step_m if running is None else running * step_m
-        matrices.append(running)
-    return OrbitRecord(x, tuple(points), tuple(digits), tuple(matrices), hit_zero)
+    return points, digits
+
+
+def orbit(alpha, x, steps: int) -> OrbitRecord:
+    """The first `steps` iterates of x.  Rational parameters and points step
+    in integers; quadratic ones go through `k_step`."""
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    _check_in_interval(alpha, x)
+    if isinstance(alpha, (int, Fraction)) and isinstance(x, (int, Fraction)):
+        points, digits = _rational_orbit(Fraction(alpha), Fraction(x), steps)
+    else:
+        points, digits = [], []
+        cur = x
+        for _ in range(steps):
+            cur, c = k_step(alpha, cur)
+            points.append(cur)
+            digits.append(c)
+    hit_zero = x == 0 or None in digits
+    return OrbitRecord(x, (x, *points), tuple(digits), hit_zero)
 
 
 # ---------------------------------------------------------------------------

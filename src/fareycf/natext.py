@@ -9,16 +9,23 @@ boundary segments is checked exactly; only the final mass integrals
 (closed-form logs of the invariant density) are floating, at a configurable
 precision with a stated error bound.
 
+The exact pass is integer arithmetic throughout: the endpoint orbits step in
+integers (`kdynamics.orbit`), each abscissa push is one surd reduction, the
+density-pole test of a rectangle corner is one integer sign test, and the
+rectangles come from one merge of the two level-sorted boundaries.  The mass
+rounds each distinct coordinate once and is kept on the attractor, per
+precision, for `density_slice` and `measure_interval`.
+
 The entropy then follows from the identity  h * area = pi^2 / 3  where
 "area" is the mass of the attractor under dx dy / (1 + x y)^2.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import pairwise
 
 import mpmath
 
@@ -35,6 +42,7 @@ from .exactnum import (
     QuadSurd,
     S,
     T,
+    _sign_single,
     mobius_apply,
     surd_from_periodic_cf,
     to_mpf,
@@ -59,8 +67,20 @@ class Rect:
             raise ValueError("degenerate rectangle")
         for xc in (self.x_lo, self.x_hi):
             for yc in (self.y_lo, self.y_hi):
-                if not 1 + xc * yc > 0:
+                if not _pole_free(xc, yc):
                     raise ValueError("density pole inside rectangle")
+
+
+def _pole_free(x: Exact, y: Exact) -> bool:
+    """1 + x*y > 0.  For a surd x = (p + q sqrt d)/r (r > 0) and a rational
+    y = n/m (m > 0) this is the sign of m r + n p + n q sqrt d, one integer
+    test; other pairs use exact arithmetic."""
+    if isinstance(y, QuadSurd) and not isinstance(x, QuadSurd):
+        x, y = y, x
+    if isinstance(x, QuadSurd) and not isinstance(y, QuadSurd):
+        n, m = y.numerator, y.denominator
+        return _sign_single(m * x.r + n * x.p, n * x.q, x.d) > 0
+    return 1 + x * y > 0
 
 
 @dataclass(frozen=True)
@@ -83,6 +103,8 @@ class Attractor:
     h_levels_high: tuple[Exact, ...]
     lower_segments: tuple[Segment, ...]  # sorted by level, bound from below
     upper_segments: tuple[Segment, ...]  # sorted by level descending, bound from above
+    # (mass, error bound) by precision in bits, filled by attractor_mass
+    mass_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def v_levels(self) -> tuple[Exact, ...]:
@@ -96,7 +118,7 @@ class Attractor:
         return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def attractor_corners(w: str) -> tuple[Exact, Exact]:
     """Upper-right abscissa x and lower-left abscissa y of the attractor for
     any parameter in the qumterval of w (side-0 words only).
@@ -116,9 +138,13 @@ def attractor_corners(w: str) -> tuple[Exact, Exact]:
     return x, y
 
 
-def _xi_step(c: int, xi: Exact) -> Exact:
-    # the abscissa update of the extension map for branch digit c
-    return mobius_apply(S * T**-c, xi)
+def _xi_step(c: int, xi: QuadSurd) -> Exact:
+    """The abscissa update S T^-c of the extension map for branch digit c:
+    xi -> 1/(c - xi).  With xi = (p + q sqrt d)/r and u = c r - p this is
+    r (u + q sqrt d) / (u^2 - q^2 d), reduced once."""
+    p, q, r, d = xi.p, xi.q, xi.r, xi.d
+    u = c * r - p
+    return QuadSurd._reduced(r * u, r * q, u * u - q * q * d, d)
 
 
 def _push_segments(start: Segment, levels, digits) -> list[Segment]:
@@ -172,16 +198,10 @@ def build_attractor(alpha, word: str | None = None) -> Attractor:
     if lower[-1].right != x or upper[-1].left != y:
         raise AttractorError("staircase does not close at the far corner")
 
-    low_levels = [s.level for s in lower]
-    high_levels = [s.level for s in upper][::-1]  # ascending
-    high_lefts = [s.left for s in upper][::-1]
-    all_levels = sorted(set(low_levels) | set(high_levels))
-
-    rects = []
-    for lo_lvl, hi_lvl in zip(all_levels, all_levels[1:]):
-        right = lower[bisect_right(low_levels, lo_lvl) - 1].right
-        left = high_lefts[bisect_left(high_levels, hi_lvl)]
-        rects.append(Rect(left, right, lo_lvl, hi_lvl))
+    rects = [
+        Rect(left, right, lo_lvl, hi_lvl)
+        for (lo_lvl, right, _), (hi_lvl, _, left) in pairwise(_staircase(lower, upper[::-1]))
+    ]
 
     return Attractor(
         word=q.word,
@@ -194,6 +214,30 @@ def build_attractor(alpha, word: str | None = None) -> Attractor:
         lower_segments=tuple(lower),
         upper_segments=tuple(upper),
     )
+
+
+def _staircase(lower: list[Segment], upper: list[Segment]):
+    """Merge two level-sorted boundaries (both ascending) into one staircase.
+
+    Yields (level, right, left) for each distinct level: `right` is the
+    right end of the last lower segment at or below the level, `left` the
+    left end of the first upper segment at or above it.  A level in both
+    lists is taken once.  Both exist at every level because the lowest
+    level is lower[0]'s and the highest upper[-1]'s (checked by the caller).
+    """
+    i = j = 0
+    n_lo, n_hi = len(lower), len(upper)
+    while i < n_lo or j < n_hi:
+        if j == n_hi or (i < n_lo and lower[i].level < upper[j].level):
+            level = lower[i].level
+        else:
+            level = upper[j].level
+        left = upper[j].left
+        while i < n_lo and lower[i].level == level:
+            i += 1
+        while j < n_hi and upper[j].level == level:
+            j += 1
+        yield level, lower[i - 1].right, left
 
 
 def corner_system_residues(w: str):
@@ -227,28 +271,62 @@ def rect_mass(rect: Rect, precision: int | None = None) -> mpmath.mpf:
     return _rect_mass_err(rect, precision)[0]
 
 
+def _log_ratio(xl, xh, yl, yh) -> mpmath.mpf:
+    return mpmath.log(((1 + xh * yh) * (1 + xl * yl)) / ((1 + xh * yl) * (1 + xl * yh)))
+
+
+def _mass_err(unit, mass) -> mpmath.mpf:
+    # a handful of exactly-rounded operations: crude outward bound
+    return unit * (32 + 8 * abs(mass))
+
+
 def _rect_mass_err(rect: Rect, precision: int | None = None):
     bits = checked_precision(precision)
     with working_precision(bits):
-        xl, xh = to_mpf(rect.x_lo), to_mpf(rect.x_hi)
-        yl, yh = to_mpf(rect.y_lo), to_mpf(rect.y_hi)
-        ratio = ((1 + xh * yh) * (1 + xl * yl)) / ((1 + xh * yl) * (1 + xl * yh))
-        mass = mpmath.log(ratio)
-        # a handful of exactly-rounded operations: crude outward bound
-        err = mpmath.mpf(2) ** (-bits) * (32 + 8 * abs(mass))
-        return mass, err
+        mass = _log_ratio(to_mpf(rect.x_lo), to_mpf(rect.x_hi), to_mpf(rect.y_lo), to_mpf(rect.y_hi))
+        return mass, _mass_err(mpmath.mpf(2) ** (-bits), mass)
 
 
 def attractor_mass(attr: Attractor, precision: int | None = None):
-    """(area integral, error bound) summed over the rectangles."""
-    with working_precision(precision):
-        total = mpmath.mpf(0)
-        err = mpmath.mpf(0)
+    """(area integral, error bound) summed over the rectangles; computed once
+    per precision and kept on the attractor.
+
+    Rectangles share their coordinate objects, so each is rounded to mpf
+    once, found by identity (hashing a Fraction with a large denominator
+    costs a modular inverse); sqrt(d) is taken once per field.  The values
+    are those of `to_mpf`, so every rectangle's mass is that of `rect_mass`.
+    """
+    bits = checked_precision(precision)
+    cached = attr.mass_cache.get(bits)
+    if cached is not None:
+        return cached
+    with working_precision(bits):
+        mpf = mpmath.mpf
+        roots: dict[int, mpmath.mpf] = {}
+        values: dict[int, mpmath.mpf] = {}
+
+        def value(v: Exact) -> mpmath.mpf:
+            got = values.get(id(v))
+            if got is None:
+                if isinstance(v, QuadSurd):
+                    root = roots.get(v.d)
+                    if root is None:
+                        root = roots[v.d] = mpmath.sqrt(mpf(v.d))
+                    got = v.to_mpf(root)
+                else:
+                    got = to_mpf(v)
+                values[id(v)] = got
+            return got
+
+        unit = mpf(2) ** (-bits)
+        total = mpf(0)
+        err = mpf(0)
         for rect in attr.rects:
-            m, e = _rect_mass_err(rect, precision)
+            m = _log_ratio(value(rect.x_lo), value(rect.x_hi), value(rect.y_lo), value(rect.y_hi))
             total += m
-            err += e
-        return total, err
+            err += _mass_err(unit, m)
+    mass = attr.mass_cache[bits] = total, err
+    return mass
 
 
 @dataclass(frozen=True)

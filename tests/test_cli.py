@@ -4,8 +4,13 @@ import os
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import fareycf
+from fareycf import bifurcation as bf
+from fareycf import words as wd
 from fareycf.cli import main
+from fareycf.exactnum import format_exact
 
 
 def run(capsys, *argv):
@@ -157,6 +162,28 @@ class TestRegressionPins:
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "794b7907cf4c85dc9e7f5f028acad4cac59c99d7637a8fa64e763f36baa2d318"
+
+    def test_attractor_json_bytes(self, capsys):
+        code, out, _ = run(capsys, "attractor", "--alpha", "123457/524288", "--json")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "8f42f30cf2bd5fce35c78455a05d38b8d1162969372426bc22e3385f8becef9a"
+
+    def test_endpoints_beyond_the_int_digit_limit(self):
+        # the endpoints of the word of slope 4181/10946 have more than 4300 digits
+        w = wd.word_from_rational(Fraction(4181, 10946))
+        src = os.path.dirname(os.path.dirname(fareycf.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-m", "fareycf", "qumterval", "info", "--word", w],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        alpha_plus = format_exact(bf.qumterval_of(w).alpha_plus)
+        assert len(alpha_plus) > 4300
+        assert f"alpha_plus={alpha_plus}" in out.stdout.splitlines()
 
     def test_cli_import_skips_sympy_and_process_pool(self):
         src = os.path.dirname(os.path.dirname(fareycf.__file__))

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -18,6 +19,7 @@ from fareycf.exactnum import (
     _FULL_FACTOR_BOUND,
     _PARTIAL_PRIME_BOUND,
     _squarefree_split,
+    coprime_fraction,
     digits_matrix,
     floor_exact,
     format_exact,
@@ -186,10 +188,44 @@ class TestTextForms:
         assert format_exact(make_surd(2, -1, 1, 3)) == "(2-1*sqrt(3))/1"
         assert format_exact(INF) == "inf"
 
+    def test_beyond_the_int_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        digits = "7" + "0" * (limit + 499) + "1"
+        big = 7 * 10 ** (limit + 500) + 1
+        assert format_exact(Fraction(big, 3)) == digits + "/3"
+        assert format_exact(make_surd(big, 1, 2, 5)) == f"({digits}+1*sqrt(5))/2"
+        assert sys.get_int_max_str_digits() == limit
+        with pytest.raises(ValueError):  # parsing keeps the limit
+            parse_fraction("1" * (limit + 1))
+
     def test_parse_fraction(self):
         assert parse_fraction("4/15") == Fraction(4, 15)
         assert parse_fraction(" 3 ") == Fraction(3)
         assert parse_fraction("0.45") == Fraction(9, 20)
+
+
+class TestConversions:
+    @given(st.integers(-10**60, 10**60), st.integers(1, 10**60))
+    def test_coprime_fraction_equals_fraction(self, n, d):
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+        f = coprime_fraction(n, d)
+        assert f == Fraction(n, d) and hash(f) == hash(Fraction(n, d))
+        assert (f.numerator, f.denominator) == (n, d)
+
+    @given(
+        st.integers(-10**40, 10**40),
+        st.integers(-10**40, 10**40).filter(bool),
+        st.integers(1, 10**40),
+        st.sampled_from([2, 3, 5, 21, 10**12 + 39]),
+        st.sampled_from([64, 128, 300]),
+    )
+    def test_to_mpf_with_a_given_root(self, p, q, r, d, bits):
+        x = make_surd(p, q, r, d)
+        if isinstance(x, Fraction):
+            return
+        with mpmath.workprec(bits):
+            assert x.to_mpf(mpmath.sqrt(mpmath.mpf(x.d))) == x.to_mpf()
 
 
 class TestSquarefreeSplit:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fareycf import bifurcation as bf
 from fareycf import kdynamics as kd
@@ -23,6 +25,33 @@ def alphas_inside(q, per_side=2):
         out.append(r)
         hi = r
     return sorted(set(out))
+
+
+def k_step_fold(alpha, x, steps):
+    """Reference orbit: `k_step` applied `steps` times, with the running
+    product of the digit matrices and whether the start or a point stepped
+    from was 0."""
+    points, digits, matrices = [x], [], []
+    for _ in range(steps):
+        nxt, c = kd.k_step(alpha, points[-1])
+        points.append(nxt)
+        digits.append(c)
+        if c is not None:
+            m = Mobius(0, -1, 1, c)
+            matrices.append(matrices[-1] * m if matrices else m)
+    return tuple(points), tuple(digits), tuple(matrices), x == 0 or 0 in points[:-1]
+
+
+@st.composite
+def rational_start(draw):
+    """A parameter in (0, 1) and a point of [alpha - 1, alpha]; small
+    denominators make orbits that reach 0 within the steps drawn."""
+    big = draw(st.booleans())
+    q = draw(st.integers(2, 10**40 if big else 60))
+    alpha = Fraction(draw(st.integers(1, q - 1)), q)
+    b = draw(st.integers(1, 10**40 if big else 60))
+    x = alpha - Fraction(draw(st.integers(0, b)), b)
+    return alpha, x
 
 
 class TestStep:
@@ -60,6 +89,39 @@ class TestStep:
 
 
 class TestOrbit:
+    @given(rational_start(), st.integers(0, 40))
+    def test_rational_orbit_equals_k_step_fold(self, start, steps):
+        alpha, x = start
+        rec = kd.orbit(alpha, x, steps)
+        points, digits, matrices, hit_zero = k_step_fold(alpha, x, steps)
+        assert rec.points == points
+        # lowest terms with a positive denominator, as Fraction builds them
+        assert [(p.numerator, p.denominator) for p in rec.points] == [
+            (p.numerator, p.denominator) for p in points
+        ]
+        assert rec.digits == digits
+        assert rec.hit_zero == hit_zero
+        assert rec.matrices == matrices
+
+    def test_orbits_reaching_zero(self):
+        rec = kd.orbit(Fraction(2, 5), Fraction(-3, 5), 6)
+        assert rec.hit_zero and rec.points[-1] == 0 and rec.digits[-1] is None
+        assert (rec.points, rec.digits, rec.matrices, True) == k_step_fold(
+            Fraction(2, 5), Fraction(-3, 5), 6
+        )
+        assert kd.orbit(Fraction(1, 3), 0, 2).hit_zero
+        assert kd.orbit(Fraction(1, 3), Fraction(0), 0).hit_zero
+        assert not kd.orbit(Fraction(1, 2), Fraction(1, 2), 1).hit_zero
+
+    def test_quadratic_orbit_equals_k_step_fold(self):
+        alpha = bf.qumterval_of("001").alpha_plus
+        rec = kd.orbit(alpha, alpha - 1, 6)
+        assert (rec.points, rec.digits, rec.matrices, rec.hit_zero) == k_step_fold(alpha, alpha - 1, 6)
+
+    def test_point_outside_rejected(self):
+        with pytest.raises(ValueError):
+            kd.orbit(Fraction(1, 3), Fraction(1, 2), 3)
+
     def test_inverse_property(self):
         rng = random.Random(14)
         for _ in range(100):

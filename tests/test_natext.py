@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fareycf import bifurcation as bf
 from fareycf import kdynamics as kd
 from fareycf import natext as nx
 from fareycf import words as wd
-from fareycf.exactnum import make_surd, surd_from_periodic_cf, to_mpf
+from fareycf.exactnum import QuadSurd, S, T, make_surd, mobius_apply, surd_from_periodic_cf, to_mpf
 from fareycf.lyapunov import lyapunov_estimate
 from fareycf.precision import working_precision
 
@@ -17,6 +19,40 @@ G = surd_from_periodic_cf((), (1,))  # golden mean
 
 def side0_words(max_len):
     return [w for w in wd.words_of_length_up_to(max_len) if wd.farey_side(w) == 0]
+
+
+surds = st.builds(
+    make_surd,
+    st.integers(-10**30, 10**30),
+    st.integers(-10**30, 10**30).filter(bool),
+    st.integers(1, 10**30),
+    st.sampled_from([2, 3, 5, 13, 21, 10**12 + 39]),
+).filter(lambda v: isinstance(v, QuadSurd))
+rationals = st.fractions(max_denominator=10**30).filter(lambda v: abs(v) < 10**6)
+
+
+class TestRewrittenSteps:
+    @given(st.integers(-10**6, 10**6), surds)
+    def test_xi_step_equals_mobius_action(self, c, xi):
+        got = nx._xi_step(c, xi)
+        want = mobius_apply(S * T**-c, xi)
+        assert isinstance(got, QuadSurd)
+        assert (got.p, got.q, got.r, got.d) == (want.p, want.q, want.r, want.d)
+
+    @given(surds, st.one_of(rationals, surds), st.booleans())
+    def test_pole_test_equals_arithmetic(self, x, y, swap):
+        if isinstance(y, QuadSurd) and y.d != x.d:
+            y = Fraction(y.p, y.r)  # surds of two fields do not multiply
+        if swap:
+            x, y = y, x
+        assert nx._pole_free(x, y) == (1 + x * y > 0)
+
+    @given(st.integers(-10**6, 10**6).filter(bool))
+    def test_corner_on_the_pole_refused(self, k):
+        # only rational corners can sit on the pole 1 + x y = 0
+        assert not nx._pole_free(Fraction(-1, k), Fraction(k))
+        with pytest.raises(ValueError):
+            nx.Rect(Fraction(-1, abs(k)), Fraction(1), Fraction(0), Fraction(abs(k)))
 
 
 class TestCorners:
@@ -103,7 +139,86 @@ class TestBuild:
         assert attr.lower_segments[0].left == y == -surd_from_periodic_cf((), (4, 1))
 
 
+class TestCheckedConstruction:
+    @pytest.mark.parametrize("corner", [0, 1])
+    def test_corrupted_corner_is_caught(self, monkeypatch, corner):
+        # the seam and closure checks must see a corner moved by 1e-6
+        corners = nx.attractor_corners
+
+        def shifted(w):
+            xy = list(corners(w))
+            xy[corner] += Fraction(1, 10**6)
+            return tuple(xy)
+
+        nx.build_attractor(Fraction(337, 1000))  # the intact corners pass
+        monkeypatch.setattr(nx, "attractor_corners", shifted)
+        with pytest.raises(nx.AttractorError):
+            nx.build_attractor(Fraction(337, 1000))
+
+
+class TestPins:
+    # recorded before the integer orbit, the one-reduction abscissa update,
+    # the integer pole test, the merged staircase and the cached conversions
+    @pytest.mark.parametrize(
+        "alpha, word_start, pins",
+        [
+            (
+                Fraction(1, 259),
+                "0" * 20,
+                (
+                    "mpf('4.5702848444751987496381363907392673599672')",
+                    "mpf('0.71983875089829880165274022778304671951976')",
+                    "mpf('4.6054486352263192091375880764175303003986e-36')",
+                ),
+            ),
+            (
+                # pseudocenter of the word of slope 107/259
+                Fraction(
+                    2558211997996751098631242859837758125077741899063613,
+                    6735751276583987121998828910203031785614683891743592,
+                ),
+                "00101001010010101001",
+                (
+                    "mpf('0.96419729294377152694345216755203214969227')",
+                    "mpf('3.4120279716324675429429504595191253922111')",
+                    "mpf('8.7022550975369568734112555707754762100403e-35')",
+                ),
+            ),
+        ],
+    )
+    def test_entropy_reprs(self, alpha, word_start, pins):
+        s = nx.entropy_at(alpha)
+        assert len(s.word) == 259 and s.word.startswith(word_start)
+        with working_precision(None):
+            assert (repr(s.A), repr(s.h), repr(s.err_bound)) == pins
+
+
 class TestMasses:
+    def test_mass_kept_per_precision(self):
+        attr = nx.build_attractor(Fraction(337, 1000))
+        twin = nx.build_attractor(Fraction(337, 1000))
+        first = nx.attractor_mass(attr)
+        assert nx.attractor_mass(attr) is first
+        assert attr == twin  # the kept mass is not part of the value
+        fine = nx.attractor_mass(attr, 160)
+        assert fine is not first and nx.attractor_mass(attr, 160) is fine
+        nx.density_slice(twin, Fraction(0))
+        nx.measure_interval(twin, Fraction(-1, 2), Fraction(1, 4))
+        assert list(twin.mass_cache) == [128] and twin.mass_cache[128] == first
+
+    @pytest.mark.parametrize("alpha", [Fraction(9, 20), Fraction(337, 1000), Fraction(1, 40)])
+    @pytest.mark.parametrize("bits", [64, 128, 300])
+    def test_mass_is_the_ordered_sum_of_rect_masses(self, alpha, bits):
+        attr = nx.build_attractor(alpha)
+        with working_precision(bits):
+            total = err = mpmath.mpf(0)
+            for r in attr.rects:
+                m, e = nx._rect_mass_err(r, bits)
+                total += m
+                err += e
+        A, E = nx.attractor_mass(attr, bits)
+        assert (A.man, A.exp, E.man, E.exp) == (total.man, total.exp, err.man, err.exp)
+
     def test_unit_square(self):
         r = nx.Rect(Fraction(0), Fraction(1), Fraction(0), Fraction(1))
         with working_precision(None):
