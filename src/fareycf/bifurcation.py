@@ -18,7 +18,6 @@ from . import words
 from .exactnum import (
     Exact,
     QuadSurd,
-    _sign_single,
     floor_exact,
     surd_from_periodic_cf,
     to_mpf,
@@ -218,39 +217,6 @@ def qumterval_of(w: str) -> Qumterval:
     )
 
 
-# -- fast un-normalized surds for the tree descent --------------------------
-# (p, q, r, D): value (p + q sqrt(D)) / r with r > 0, D not assumed squarefree.
-
-
-def _raw_reduce(p: int, q: int, r: int, D: int):
-    if r < 0:
-        p, q, r = -p, -q, -r
-    g = math.gcd(math.gcd(abs(p), abs(q)), r)
-    if g > 1:
-        p, q, r = p // g, q // g, r // g
-    return p, q, r, D
-
-
-def _raw_periodic(pre: cfs.CFString, period: cfs.CFString):
-    m = cfs.matrix_of(period)
-    B = m.d - m.a
-    raw = _raw_reduce(-B, 1, 2 * m.c, B * B + 4 * m.b * m.c)
-    if pre:
-        n = cfs.matrix_of(pre)
-        p, q, r, D = raw
-        np_, nq = n.a * p + n.b * r, n.a * q
-        dp, dq = n.c * p + n.d * r, n.c * q
-        raw = _raw_reduce(
-            np_ * dp - nq * dq * D, nq * dp - np_ * dq, dp * dp - dq * dq * D, D
-        )
-    return raw
-
-
-def _raw_cmp_fraction(raw, x: Fraction) -> int:
-    p, q, r, D = raw
-    return _sign_single(p * x.denominator - x.numerator * r, q * x.denominator, D)
-
-
 def _mediant_runs(u, v):
     """Run-length string of the concatenated words, carried as (runs, first)."""
     runs_u, first_u = u
@@ -270,31 +236,26 @@ def locate_qumterval(alpha) -> Qumterval:
     """The unique qumterval whose closure contains a rational parameter.
 
     Rational parameters never hit the quadratic endpoints, so the answer is
-    always an interior point; the search descends the mediant tree with
-    exact sign tests against the candidate endpoints.
+    always an interior point.  The search descends the mediant tree and
+    compares the digits of alpha with those of the candidate endpoints
+    alpha_plus = [0; S, S, ...] and alpha_minus = [0; S', S^T, S^T, ...]
+    (`cfstrings.compare_periodic`); only the answer builds its surds.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError("0 and 1 belong to the bifurcation set, not to any qumterval")
+    digits = cfs.cf_of_fraction(alpha)
     u = ((1,), "0")
     v = ((1,), "1")
     for _ in range(_LOCATE_LIMIT):
         mid = _mediant_runs(u, v)
         S = mid[0]
-        c_plus = _raw_cmp_fraction(_raw_periodic((), S), alpha)
-        if c_plus == 0:
-            raise AssertionError("rational parameter on a quadratic endpoint")
-        if c_plus > 0:
-            c_minus = _raw_cmp_fraction(
-                _raw_periodic(cfs.right_conjugate(S), cfs.transpose_string(S)), alpha
-            )
-            if c_minus == 0:
-                raise AssertionError("rational parameter on a quadratic endpoint")
-            if c_minus < 0:
-                return qumterval_of(cfs.runlength_inverse(S, "0"))
+        if cfs.compare_periodic(digits, (), S) > 0:
+            u = mid  # alpha above the candidate interval
+        elif cfs.compare_periodic(digits, cfs.right_conjugate(S), cfs.transpose_string(S)) < 0:
             v = mid  # alpha below the candidate interval
         else:
-            u = mid  # alpha above the candidate interval
+            return qumterval_of(cfs.runlength_inverse(S, "0"))
     raise AssertionError("tree descent failed to terminate")
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, cycle, groupby
 
 from . import words
 from .exactnum import Mobius, digits_matrix
@@ -80,20 +80,36 @@ def alt_lex_lt(S, T) -> bool:
     S, T = _check(S), _check(T)
     if len(S) != len(T):
         raise ValueError("alternate order compares equal lengths only")
+    return string_ll(S, T)
+
+
+def _first_difference(S, T) -> int:
+    """The alternate order read at the first differing digit: -1 when S is
+    below T there, +1 when above (a larger digit lowers the value at even,
+    0-based, positions and raises it at odd ones); 0 when one digit sequence
+    is a prefix of the other."""
     for i, (a, b) in enumerate(zip(S, T)):
         if a != b:
-            return a > b if i % 2 == 0 else a < b
-    return False
+            return -1 if (a > b) == (i % 2 == 0) else 1
+    return 0
 
 
 def string_ll(S, T) -> bool:
     """Partial order through truncations: some equal-length prefixes already
     compare strictly, so appending anything preserves the value order."""
-    S, T = _check(S), _check(T)
-    for i, (a, b) in enumerate(zip(S, T)):
-        if a != b:
-            return a > b if i % 2 == 0 else a < b
-    return False
+    return _first_difference(_check(S), _check(T)) < 0
+
+
+def compare_periodic(S, pre, period) -> int:
+    """Sign of [0; S] - [0; pre, period, period, ...] for a finite string S.
+
+    Never 0, because the periodic value is irrational.  If S ends first, its
+    value is the limit of a digit growing without bound at index len(S), so
+    it lies below the periodic value when len(S) is even and above it when
+    len(S) is odd."""
+    if not period:
+        raise ValueError("period must be nonempty")
+    return _first_difference(S, chain(pre, cycle(period))) or (1 if len(S) % 2 else -1)
 
 
 def string_lemma_check(S, T) -> bool:

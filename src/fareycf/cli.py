@@ -265,18 +265,18 @@ def cmd_attractor(args) -> int:
     return 0
 
 
-def _sample_row(s: nx.EntropySample) -> str:
-    return ",".join(
-        [
-            ex.format_exact(s.alpha),
-            s.word,
-            str(s.m0),
-            str(s.m1),
-            mpmath.nstr(s.A, 30, strip_zeros=False),
-            mpmath.nstr(s.h, 30, strip_zeros=False),
-            mpmath.nstr(s.err_bound, 5),
-        ]
-    )
+def _sample_fields(s: nx.EntropySample) -> dict:
+    """The printed fields of an entropy sample, in output order; the digit
+    counts stay integers."""
+    return {
+        "alpha": ex.format_exact(s.alpha),
+        "word": s.word,
+        "m0": s.m0,
+        "m1": s.m1,
+        "A": mpmath.nstr(s.A, 30, strip_zeros=False),
+        "h": mpmath.nstr(s.h, 30, strip_zeros=False),
+        "err_bound": mpmath.nstr(s.err_bound, 5),
+    }
 
 
 def cmd_entropy(args) -> int:
@@ -286,20 +286,10 @@ def cmd_entropy(args) -> int:
     if args.action == "point":
         if args.alpha is None:
             raise ValueError("entropy point needs --alpha")
-        s = nx.entropy_at(ex.parse_fraction(args.alpha), precision)
-        _emit(
-            args,
-            "\n".join(
-                [
-                    f"alpha={ex.format_exact(s.alpha)}",
-                    f"word={s.word}",
-                    f"m0={s.m0} m1={s.m1}",
-                    f"A={mpmath.nstr(s.A, 30, strip_zeros=False)}",
-                    f"h={mpmath.nstr(s.h, 30, strip_zeros=False)}",
-                    f"err_bound={mpmath.nstr(s.err_bound, 5)}",
-                ]
-            ),
-        )
+        f = _sample_fields(nx.entropy_at(ex.parse_fraction(args.alpha), precision))
+        lines = [f"alpha={f['alpha']}", f"word={f['word']}", f"m0={f['m0']} m1={f['m1']}"]
+        lines += [f"{k}={f[k]}" for k in ("A", "h", "err_bound")]
+        _emit(args, "\n".join(lines))
         return 0
     if args.action == "curve":
         if args.start is None or args.stop is None or args.samples is None:
@@ -311,27 +301,12 @@ def cmd_entropy(args) -> int:
             precision,
             jobs=args.jobs,
         )
+        fields = [_sample_fields(s) for s in rows]
         if args.format == "json":
-            payload = [
-                {
-                    "alpha": ex.format_exact(s.alpha),
-                    "word": s.word,
-                    "m0": s.m0,
-                    "m1": s.m1,
-                    "A": mpmath.nstr(s.A, 30, strip_zeros=False),
-                    "h": mpmath.nstr(s.h, 30, strip_zeros=False),
-                    "err_bound": mpmath.nstr(s.err_bound, 5),
-                }
-                for s in rows
-            ]
-            _emit(args, json.dumps(payload, indent=2))
+            _emit(args, json.dumps(fields, indent=2))
         else:
-            _emit(
-                args,
-                "\n".join(
-                    ["alpha,word,m0,m1,A,h,err_bound"] + [_sample_row(s) for s in rows]
-                ),
-            )
+            header = "alpha,word,m0,m1,A,h,err_bound"
+            _emit(args, "\n".join([header] + [",".join(map(str, f.values())) for f in fields]))
         return 0
     raise ValueError("entropy needs an action: point or curve")
 

@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fareycf import bifurcation as bf
 from fareycf import cfstrings as cfs
 from fareycf import words as wd
 from fareycf.exactnum import QuadSurd, make_surd, surd_from_periodic_cf
+
+_WORDS_UP_TO_11 = list(wd.words_of_length_up_to(11))
 
 
 class TestBinIntervals:
@@ -131,28 +135,63 @@ class TestQumtervals:
             with pytest.raises(ValueError):
                 bf.locate_qumterval(bad)
 
-    def test_raw_endpoint_comparisons_match_normalized(self):
-        # the tree descent compares against un-normalized surds; their signs
-        # must agree with the fully normalized qumterval endpoints
-        from fareycf import cfstrings as cfs_mod
+    @staticmethod
+    def _endpoint_digits(w):
+        """(pre, period) of the digits of alpha_plus and of alpha_minus."""
+        s = cfs.runlength(w)
+        return ((), s), (cfs.right_conjugate(s), cfs.transpose_string(s))
 
+    @staticmethod
+    def _sign_of_difference(x, surd):
+        return (surd < x) - (x < surd)
+
+    def _assert_digit_signs(self, w, x):
+        q = bf.qumterval_of(w)
+        plus, minus = self._endpoint_digits(w)
+        digits = cfs.cf_of_fraction(x)
+        assert cfs.compare_periodic(digits, *plus) == self._sign_of_difference(x, q.alpha_plus)
+        assert cfs.compare_periodic(digits, *minus) == self._sign_of_difference(x, q.alpha_minus)
+
+    def test_digit_comparison_matches_endpoints(self):
+        # the tree descent compares digits; the signs must agree with the
+        # exact surd endpoints of the qumterval
         rng = random.Random(55)
         for w in wd.words_of_length_up_to(9):
-            q = bf.qumterval_of(w)
-            s = cfs_mod.runlength(w)
-            raw_plus = bf._raw_periodic((), s)
-            raw_minus = bf._raw_periodic(
-                cfs_mod.right_conjugate(s), cfs_mod.transpose_string(s)
-            )
             for _ in range(8):
-                x = Fraction(rng.randint(1, 999), 1000)
-                assert bf._raw_cmp_fraction(raw_plus, x) == q.alpha_plus._cmp(x)
-                assert bf._raw_cmp_fraction(raw_minus, x) == q.alpha_minus._cmp(x)
+                self._assert_digit_signs(w, Fraction(rng.randint(1, 999), 1000))
+
+    def test_digit_comparison_on_truncations(self):
+        # x is a truncation of an endpoint's own digits: the digits agree
+        # until x ends, so the parity of the truncation length decides
+        for w in wd.words_of_length_up_to(7):
+            q = bf.qumterval_of(w)
+            for (pre, period), surd in zip(self._endpoint_digits(w), (q.alpha_plus, q.alpha_minus)):
+                stream = pre + period * 4
+                for n in range(1, len(pre) + 2 * len(period) + 2):
+                    head = stream[:n]
+                    x = cfs.value_of(head)
+                    if x == 1:
+                        continue
+                    want = self._sign_of_difference(x, surd)
+                    assert want == (1 if n % 2 else -1)
+                    assert cfs.compare_periodic(head, pre, period) == want
+                    assert cfs.compare_periodic(cfs.cf_of_fraction(x), pre, period) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, len(_WORDS_UP_TO_11) - 1),
+        st.integers(1, 10**9),
+        st.integers(1, 10**9),
+    )
+    def test_digit_comparison_hypothesis(self, index, a, b):
+        assume(a != b)
+        self._assert_digit_signs(_WORDS_UP_TO_11[index], Fraction(min(a, b), max(a, b)))
 
     def test_locate_consistent_with_membership(self):
         rng = random.Random(4)
-        for _ in range(200):
-            alpha = Fraction(rng.randint(1, 999), 1000)
+        alphas = [Fraction(rng.randint(1, 999), 1000) for _ in range(200)]
+        alphas += [Fraction(p, q) for q in range(2, 121) for p in range(1, q)]
+        for alpha in alphas:
             q = bf.locate_qumterval(alpha)
             assert alpha in q
 

@@ -93,6 +93,19 @@ class TestOrders:
         # appending anything preserves it
         assert cfs.string_ll((2, 1), (1, 9)) and cfs.string_ll((2, 1, 7), (1, 9))
 
+    def test_compare_periodic_examples(self):
+        # [0; 1, 1, 1, ...] = 0.618...
+        assert cfs.compare_periodic((2,), (), (1,)) == -1  # 1/2
+        assert cfs.compare_periodic((1, 2), (), (1,)) == 1  # 2/3
+        # a string that ends first: even length below, odd length above
+        assert cfs.compare_periodic((1, 1), (), (1,)) == -1  # 1/2
+        assert cfs.compare_periodic((1, 1, 1), (), (1,)) == 1  # 2/3
+        # the preperiod is read before the period: [0; 3, 1, 2, 1, 2, ...]
+        assert cfs.compare_periodic((3,), (3,), (1, 2)) == 1
+        assert cfs.compare_periodic((3, 1, 2, 2), (3,), (1, 2)) == 1
+        with pytest.raises(ValueError):
+            cfs.compare_periodic((1, 2), (1,), ())
+
     def test_string_ll_bounds_values(self):
         rng = random.Random(9)
         for _ in range(1000):

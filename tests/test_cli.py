@@ -169,6 +169,26 @@ class TestRegressionPins:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "8f42f30cf2bd5fce35c78455a05d38b8d1162969372426bc22e3385f8becef9a"
 
+    def test_entropy_point_bytes(self, capsys):
+        code, out, _ = run(capsys, "entropy", "point", "--alpha", "4/15")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "b27c47efea71f45ee6112392520a21d9ac2e3f8619a6e6cf2eaf46bc2e82411d"
+
+    def test_entropy_curve_csv_bytes(self, capsys):
+        code, out, _ = run(capsys, "entropy", "curve", "--from", "1/20", "--to", "19/20", "--samples", "40")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "66635b116eba9ef4c4a1b97e2ac9ea032fb55e992ea420e482fbe1cb8a127e40"
+
+    def test_entropy_curve_json_bytes(self, capsys):
+        code, out, _ = run(
+            capsys, "entropy", "curve", "--from", "1/20", "--to", "19/20", "--samples", "40", "--format", "json"
+        )
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "aa18bffbdaf02bc09886d10330cf65ffa3354fbbe7d6c8dc69fb086333e2c0f1"
+
     def test_endpoints_beyond_the_int_digit_limit(self):
         # the endpoints of the word of slope 4181/10946 have more than 4300 digits
         w = wd.word_from_rational(Fraction(4181, 10946))

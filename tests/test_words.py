@@ -183,6 +183,25 @@ class TestStandardFactorization:
             ]
             assert splits == [len(w1)]
 
+    def test_farey_parents_are_neighbours_with_mediant_r(self):
+        for q in range(2, 61):
+            for p in range(1, q):
+                r = Fraction(p, q)
+                if r.denominator != q:
+                    continue
+                r1, r2 = wd.farey_parents(r)
+                p1, q1 = r1.numerator, r1.denominator
+                p2, q2 = r2.numerator, r2.denominator
+                assert r1 < r < r2
+                assert (p1 + p2, q1 + q2) == (p, q)
+                assert q1 * p - p1 * q == 1
+                assert p2 * q1 - p1 * q2 == 1
+
+    def test_farey_parents_reject_integers(self):
+        for r in (0, 1, Fraction(2)):
+            with pytest.raises(ValueError):
+                wd.farey_parents(r)
+
 
 class TestRotationSets:
     def test_examples(self):
