@@ -11,13 +11,21 @@ precision with a stated error bound.
 
 The exact pass is integer arithmetic throughout: the endpoint orbits step in
 integers (`kdynamics.orbit`), each abscissa push is one surd reduction, the
-density-pole test of a rectangle corner is one integer sign test, and the
-rectangles come from one merge of the two level-sorted boundaries.  The mass
-rounds each distinct coordinate once and is kept on the attractor, per
-precision, for `density_slice` and `measure_interval`.
+density-pole test is one integer sign test, and the rectangles come from one
+merge of the two level-sorted boundaries.  What depends on the qumterval
+alone, the endpoint digits, the order of each orbit and the pushed abscissae
+with their seams, is one `_Skeleton`; `build_attractor` is a skeleton plus
+the staircase of one parameter.  The rectangle mass rounds each distinct
+coordinate once and is kept on the attractor, per precision, with the
+rounded coordinates, for `density_slice` and `measure_interval`.
 
 The entropy then follows from the identity  h * area = pi^2 / 3  where
-"area" is the mass of the attractor under dx dy / (1 + x y)^2.
+"area" is the mass of the attractor under dx dy / (1 + x y)^2.  The entropy
+path builds no rectangles: it integrates along the two staircase boundaries,
+one log of a product of boundary factors per parameter, after checking the
+parameter's orbits against the skeleton of its word (digits, orbit order,
+non-empty rectangles, no density pole).  `entropy_curve` keeps one skeleton
+per word for the length of the call; `entropy_at` builds its own.
 """
 
 from __future__ import annotations
@@ -105,6 +113,8 @@ class Attractor:
     upper_segments: tuple[Segment, ...]  # sorted by level descending, bound from above
     # (mass, error bound) by precision in bits, filled by attractor_mass
     mass_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # rounded (x_lo, x_hi, y_lo, y_hi) of every rectangle, by precision in bits
+    coords_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def v_levels(self) -> tuple[Exact, ...]:
@@ -147,13 +157,151 @@ def _xi_step(c: int, xi: QuadSurd) -> Exact:
     return QuadSurd._reduced(r * u, r * q, u * u - q * q * d, d)
 
 
-def _push_segments(start: Segment, levels, digits) -> list[Segment]:
-    segs = [start]
-    left, right = start.left, start.right
-    for level, c in zip(levels[1:], digits):
+def _push(start: tuple[Exact, Exact], digits) -> list[tuple[Exact, Exact]]:
+    """(left, right) ends of the boundary segment at each orbit index."""
+    left, right = start
+    ends = [start]
+    for c in digits:
         left, right = _xi_step(c, left), _xi_step(c, right)  # increasing map
-        segs.append(Segment(level, left, right))
-    return segs
+        ends.append((left, right))
+    return ends
+
+
+@dataclass(eq=False)
+class _Skeleton:
+    """The exact data of the attractor shared by every rational parameter of
+    one qumterval.
+
+    The endpoint digits are fixed on a qumterval (the matching condition), so
+    the pushed abscissae do not depend on the parameter; neither, on every
+    qumterval tried, does the level order within each orbit.  Only the
+    levels themselves and the interleaving of the two orbits move.  The
+    seam, closure and extremal checks need abscissae and order alone and run
+    once, in `_skeleton`; `fit` runs the checks that need the levels.
+    """
+
+    corner_x: Exact
+    corner_y: Exact
+    low_digits: tuple[int, ...]
+    high_digits: tuple[int, ...]
+    low_order: tuple[int, ...]  # orbit indices of the lower segments, levels ascending
+    high_order: tuple[int, ...]  # orbit indices of the upper segments, levels ascending
+    low_x: tuple[tuple[Exact, Exact], ...]  # (left, right) of each lower segment, in low_order
+    high_x: tuple[tuple[Exact, Exact], ...]  # (left, right) of each upper segment, in high_order
+    # (i, j) pairs checked: left end of upper segment j < right end of lower segment i
+    wide_pairs: set = field(default_factory=set, init=False, repr=False)
+    # (right ends of the lower segments, left ends of the upper ones) rounded, by bits
+    ends_cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def fit(self, alpha: Fraction, low, high):
+        """Check one parameter's endpoint orbits against the skeleton.
+
+        Returns the levels of the lower and of the upper segments, both
+        ascending, and the number of rectangles; None when the digits or the
+        order of an orbit differ from the skeleton's.  Raises AttractorError
+        when a rectangle of the staircase would be empty or reach a pole of
+        the density.
+        """
+        if low.digits != self.low_digits or high.digits != self.high_digits:
+            return None
+        lo = [low.points[k] for k in self.low_order]
+        hi = [high.points[k] for k in self.high_order]
+        if not (_increasing(lo) and _increasing(hi)):
+            return None
+        rects = 0
+        for _, y_hi, i, j in _staircase(lo, hi):
+            if (i, j) not in self.wide_pairs:
+                if not self.high_x[j][0] < self.low_x[i][1]:
+                    raise AttractorError(f"empty rectangle below level {y_hi}")
+                self.wide_pairs.add((i, j))
+            rects += 1
+        # 1 + x y is linear in y: positive at both ends of a segment's span,
+        # it is positive at every rectangle corner on that side
+        for (_, right), y0, y1 in zip(self.low_x, lo, lo[1:] + [alpha]):
+            if not (_pole_free(right, y0) and _pole_free(right, y1)):
+                raise AttractorError(f"density pole on the lower boundary at level {y0}")
+        for (left, _), y0, y1 in zip(self.high_x, [alpha - 1] + hi[:-1], hi):
+            if not (_pole_free(left, y0) and _pole_free(left, y1)):
+                raise AttractorError(f"density pole on the upper boundary at level {y1}")
+        return lo, hi, rects
+
+    def mass(self, lo, hi, rects: int, bits: int):
+        """(area integral, error bound) from the two boundaries.
+
+        The integral of dx/(1+xy)^2 from L to R is R/(1+Ry) - L/(1+Ly), whose
+        integral in y is a log, so a lower segment with right end R over
+        [y0, y1] gives log((1+R y1)/(1+R y0)) and an upper one with left end
+        L gives log((1+L y0)/(1+L y1)).  One log of the product of all
+        factors is the sum of the rectangle masses; the error estimate is
+        theirs, summed in closed form.
+        """
+        rights, lefts = self.rounded_ends(bits)
+        with working_precision(bits):
+            ys_lo = [to_mpf(v) for v in lo]
+            ys_hi = [to_mpf(v) for v in hi]
+            ys_lo.append(ys_hi[-1])  # alpha closes the lower boundary
+            ys_hi.insert(0, ys_lo[0])  # alpha - 1 opens the upper one
+            num = den = mpmath.mpf(1)
+            for k, right in enumerate(rights):
+                num *= 1 + right * ys_lo[k + 1]
+                den *= 1 + right * ys_lo[k]
+            for k, left in enumerate(lefts):
+                num *= 1 + left * ys_hi[k]
+                den *= 1 + left * ys_hi[k + 1]
+            A = mpmath.log(num / den)
+            return A, mpmath.mpf(2) ** (-bits) * (32 * rects + 8 * A)
+
+    def rounded_ends(self, bits: int):
+        got = self.ends_cache.get(bits)
+        if got is None:
+            with working_precision(bits):
+                got = self.ends_cache[bits] = (
+                    _rounded([right for _, right in self.low_x]),
+                    _rounded([left for left, _ in self.high_x]),
+                )
+        return got
+
+
+def _increasing(values) -> bool:
+    return all(a < b for a, b in pairwise(values))
+
+
+def _skeleton(word: str, low, high) -> _Skeleton:
+    """The skeleton of the qumterval of a side-0 word, from the endpoint
+    orbits at one parameter inside it; every seam is checked exactly."""
+    x, y = attractor_corners(word)
+    if None in low.digits or None in high.digits:
+        raise AttractorError("endpoint orbit hit zero before the matching time")
+    lower = _push((y, x / (1 + x)), low.digits)
+    upper = _push((y / (1 - y), x), high.digits)
+    low_order = sorted(range(len(lower)), key=low.points.__getitem__)
+    high_order = sorted(range(len(upper)), key=high.points.__getitem__)
+    if low_order[0] != 0 or high_order[-1] != 0:
+        raise AttractorError("endpoint level is not extremal in its orbit")
+    low_x = [lower[k] for k in low_order]
+    high_x = [upper[k] for k in high_order]
+    for k, ((_, right), (left, _)) in enumerate(pairwise(low_x), start=1):
+        if left != right:
+            raise AttractorError(
+                f"lower seam open at level {low.points[low_order[k]]}: {left} != {right}"
+            )
+    for k, ((_, right), (left, _)) in enumerate(pairwise(high_x)):
+        if right != left:
+            raise AttractorError(
+                f"upper seam open at level {high.points[high_order[k]]}: {right} != {left}"
+            )
+    if low_x[-1][1] != x or high_x[0][0] != y:
+        raise AttractorError("staircase does not close at the far corner")
+    return _Skeleton(
+        corner_x=x,
+        corner_y=y,
+        low_digits=low.digits,
+        high_digits=high.digits,
+        low_order=tuple(low_order),
+        high_order=tuple(high_order),
+        low_x=tuple(low_x),
+        high_x=tuple(high_x),
+    )
 
 
 def build_attractor(alpha, word: str | None = None) -> Attractor:
@@ -168,76 +316,54 @@ def build_attractor(alpha, word: str | None = None) -> Attractor:
         raise ValueError(f"alpha={alpha} is not inside the qumterval of {q.word!r}")
     if words.farey_side(q.word) == 1:
         raise ValueError("parameters above 1/2: reflect with alpha -> 1 - alpha")
-    x, y = attractor_corners(q.word)
-
     low = orbit(alpha, alpha - 1, q.m0)
     high = orbit(alpha, alpha, q.m1)
-    if None in low.digits or None in high.digits:
-        raise AttractorError("endpoint orbit hit zero before the matching time")
-
-    lower = _push_segments(
-        Segment(alpha - 1, y, x / (1 + x)), low.points, low.digits
-    )
-    upper = _push_segments(Segment(alpha, y / (1 - y), x), high.points, high.digits)
-
-    lower.sort(key=lambda s: s.level)
-    upper.sort(key=lambda s: s.level, reverse=True)
-
-    if lower[0].level != alpha - 1 or upper[0].level != alpha:
-        raise AttractorError("endpoint level is not extremal in its orbit")
-    for prev, cur in zip(lower, lower[1:]):
-        if cur.left != prev.right:
-            raise AttractorError(
-                f"lower seam open at level {cur.level}: {cur.left} != {prev.right}"
-            )
-    for prev, cur in zip(upper, upper[1:]):
-        if cur.right != prev.left:
-            raise AttractorError(
-                f"upper seam open at level {cur.level}: {cur.right} != {prev.left}"
-            )
-    if lower[-1].right != x or upper[-1].left != y:
-        raise AttractorError("staircase does not close at the far corner")
-
+    skel = _skeleton(q.word, low, high)
+    lo = [low.points[k] for k in skel.low_order]
+    hi = [high.points[k] for k in skel.high_order]
     rects = [
-        Rect(left, right, lo_lvl, hi_lvl)
-        for (lo_lvl, right, _), (hi_lvl, _, left) in pairwise(_staircase(lower, upper[::-1]))
+        Rect(skel.high_x[j][0], skel.low_x[i][1], y_lo, y_hi)
+        for y_lo, y_hi, i, j in _staircase(lo, hi)
     ]
-
     return Attractor(
         word=q.word,
         alpha=alpha,
         rects=tuple(rects),
-        corner_x=x,
-        corner_y=y,
+        corner_x=skel.corner_x,
+        corner_y=skel.corner_y,
         h_levels_low=tuple(low.points),
         h_levels_high=tuple(high.points),
-        lower_segments=tuple(lower),
-        upper_segments=tuple(upper),
+        lower_segments=tuple(Segment(v, *ends) for v, ends in zip(lo, skel.low_x)),
+        upper_segments=tuple(Segment(v, *ends) for v, ends in zip(hi, skel.high_x))[::-1],
     )
 
 
-def _staircase(lower: list[Segment], upper: list[Segment]):
-    """Merge two level-sorted boundaries (both ascending) into one staircase.
+def _staircase(lo: list, hi: list):
+    """Merge the ascending levels of the lower and the upper boundary into
+    the rectangles between them.
 
-    Yields (level, right, left) for each distinct level: `right` is the
-    right end of the last lower segment at or below the level, `left` the
-    left end of the first upper segment at or above it.  A level in both
-    lists is taken once.  Both exist at every level because the lowest
-    level is lower[0]'s and the highest upper[-1]'s (checked by the caller).
+    Yields (y_lo, y_hi, i, j) for each pair of consecutive distinct levels:
+    the rectangle's right end is that of lower segment i, the last at or
+    below y_lo, and its left end that of upper segment j, the first at or
+    above y_hi.  A level in both lists is taken once.  Both segments exist
+    because lo[0] = alpha - 1 is the lowest level and hi[-1] = alpha the
+    highest (checked by `_skeleton`).
     """
     i = j = 0
-    n_lo, n_hi = len(lower), len(upper)
+    n_lo, n_hi = len(lo), len(hi)
+    below = None
     while i < n_lo or j < n_hi:
-        if j == n_hi or (i < n_lo and lower[i].level < upper[j].level):
-            level = lower[i].level
+        if j == n_hi or (i < n_lo and lo[i] < hi[j]):
+            level = lo[i]
         else:
-            level = upper[j].level
-        left = upper[j].left
-        while i < n_lo and lower[i].level == level:
+            level = hi[j]
+        if below is not None:
+            yield below, level, i_below, j
+        while i < n_lo and lo[i] == level:
             i += 1
-        while j < n_hi and upper[j].level == level:
+        while j < n_hi and hi[j] == level:
             j += 1
-        yield level, lower[i - 1].right, left
+        below, i_below = level, i - 1
 
 
 def corner_system_residues(w: str):
@@ -287,42 +413,61 @@ def _rect_mass_err(rect: Rect, precision: int | None = None):
         return mass, _mass_err(mpmath.mpf(2) ** (-bits), mass)
 
 
+def _rounded(values) -> list[mpmath.mpf]:
+    """Each exact value rounded at the current precision, as `to_mpf` rounds
+    it; sqrt(d) is taken once per field."""
+    roots: dict[int, mpmath.mpf] = {}
+    out = []
+    for v in values:
+        if isinstance(v, QuadSurd):
+            root = roots.get(v.d)
+            if root is None:
+                root = roots[v.d] = mpmath.sqrt(mpmath.mpf(v.d))
+            out.append(v.to_mpf(root))
+        else:
+            out.append(to_mpf(v))
+    return out
+
+
+def _rect_coords(attr: Attractor, bits: int) -> list[tuple[mpmath.mpf, ...]]:
+    """(x_lo, x_hi, y_lo, y_hi) of every rectangle rounded at `bits`; computed
+    once per precision and kept on the attractor.
+
+    Rectangles share their coordinate objects, so each is rounded once,
+    found by identity (hashing a Fraction with a large denominator costs a
+    modular inverse).
+    """
+    coords = attr.coords_cache.get(bits)
+    if coords is None:
+        distinct = {id(v): v for r in attr.rects for v in (r.x_lo, r.x_hi, r.y_lo, r.y_hi)}
+        with working_precision(bits):
+            value = dict(zip(distinct, _rounded(distinct.values())))
+        coords = attr.coords_cache[bits] = [
+            (value[id(r.x_lo)], value[id(r.x_hi)], value[id(r.y_lo)], value[id(r.y_hi)])
+            for r in attr.rects
+        ]
+    return coords
+
+
 def attractor_mass(attr: Attractor, precision: int | None = None):
     """(area integral, error bound) summed over the rectangles; computed once
     per precision and kept on the attractor.
 
-    Rectangles share their coordinate objects, so each is rounded to mpf
-    once, found by identity (hashing a Fraction with a large denominator
-    costs a modular inverse); sqrt(d) is taken once per field.  The values
-    are those of `to_mpf`, so every rectangle's mass is that of `rect_mass`.
+    The coordinates are those of `to_mpf`, so every rectangle's mass is that
+    of `rect_mass`.  The entropy takes the same integral from the two
+    boundaries instead (`_Skeleton.mass`); this sum is its test oracle.
     """
     bits = checked_precision(precision)
     cached = attr.mass_cache.get(bits)
     if cached is not None:
         return cached
+    coords = _rect_coords(attr, bits)
     with working_precision(bits):
-        mpf = mpmath.mpf
-        roots: dict[int, mpmath.mpf] = {}
-        values: dict[int, mpmath.mpf] = {}
-
-        def value(v: Exact) -> mpmath.mpf:
-            got = values.get(id(v))
-            if got is None:
-                if isinstance(v, QuadSurd):
-                    root = roots.get(v.d)
-                    if root is None:
-                        root = roots[v.d] = mpmath.sqrt(mpf(v.d))
-                    got = v.to_mpf(root)
-                else:
-                    got = to_mpf(v)
-                values[id(v)] = got
-            return got
-
-        unit = mpf(2) ** (-bits)
-        total = mpf(0)
-        err = mpf(0)
-        for rect in attr.rects:
-            m = _log_ratio(value(rect.x_lo), value(rect.x_hi), value(rect.y_lo), value(rect.y_hi))
+        unit = mpmath.mpf(2) ** (-bits)
+        total = mpmath.mpf(0)
+        err = mpmath.mpf(0)
+        for xl, xh, yl, yh in coords:
+            m = _log_ratio(xl, xh, yl, yh)
             total += m
             err += _mass_err(unit, m)
     mass = attr.mass_cache[bits] = total, err
@@ -340,6 +485,9 @@ class EntropySample:
     err_bound: mpmath.mpf
 
 
+_HALF = Fraction(1, 2)
+
+
 def entropy_at(alpha, precision: int | None = None) -> EntropySample:
     """Metric entropy at a rational parameter through the exact attractor and
     h = pi^2 / (3 A); parameters above 1/2 are reflected (measurable
@@ -347,13 +495,34 @@ def entropy_at(alpha, precision: int | None = None) -> EntropySample:
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError("entropy is computed for parameters strictly inside (0, 1)")
-    base = alpha if alpha <= Fraction(1, 2) else 1 - alpha
-    attr = build_attractor(base)
-    A, err = attractor_mass(attr, precision)
-    with working_precision(precision):
+    base = alpha if alpha <= _HALF else 1 - alpha
+    return _entropy_sample(alpha, base, locate_qumterval(base), {}, precision)
+
+
+def _entropy_sample(
+    alpha: Fraction, base: Fraction, q: Qumterval, skeletons: dict, precision: int | None
+) -> EntropySample:
+    """The entropy at alpha, whose reflection `base` <= 1/2 lies in q.
+
+    The mass comes from the skeleton of q's word in `skeletons`.  A missing
+    skeleton, or one these orbits do not fit, is replaced by one built from
+    these orbits, so no orbit is computed twice.
+    """
+    bits = checked_precision(precision)
+    low = orbit(base, base - 1, q.m0)
+    high = orbit(base, base, q.m1)
+    skel = skeletons.get(q.word)
+    fit = None if skel is None else skel.fit(base, low, high)
+    if fit is None:
+        skel = skeletons[q.word] = _skeleton(q.word, low, high)
+        fit = skel.fit(base, low, high)
+        if fit is None:
+            raise AttractorError("an endpoint orbit repeats a level before the matching time")
+    A, err = skel.mass(*fit, bits)
+    with working_precision(bits):
         h = mpmath.pi**2 / (3 * A)
-        h_err = h * (err / A) + mpmath.mpf(2) ** (8 - checked_precision(precision))
-    word = attr.word if alpha <= Fraction(1, 2) else words.transpose(words.negate(attr.word))
+        h_err = h * (err / A) + mpmath.mpf(2) ** (8 - bits)
+    word = q.word if alpha == base else words.transpose(words.negate(q.word))
     return EntropySample(
         alpha=alpha,
         word=word,
@@ -375,13 +544,13 @@ def density_slice(attr: Attractor, t, precision: int | None = None) -> mpmath.mp
     if not attr.alpha - 1 <= t <= attr.alpha:
         raise ValueError("height outside the interval")
     A, _ = attractor_mass(attr, precision)
+    coords = _rect_coords(attr, checked_precision(precision))
     top = attr.alpha
     with working_precision(precision):
         tm = to_mpf(t)
         total = mpmath.mpf(0)
-        for rect in attr.rects:
+        for rect, (xl, xh, _, _) in zip(attr.rects, coords):
             if rect.y_lo <= t < rect.y_hi or (t == top and rect.y_hi == top):
-                xl, xh = to_mpf(rect.x_lo), to_mpf(rect.x_hi)
                 total += (xh - xl) / ((1 + xl * tm) * (1 + xh * tm))
         return total / A
 
@@ -410,11 +579,6 @@ def measure_interval(attr: Attractor, lo, hi, precision: int | None = None) -> m
 _GRID_DEN = 2**19  # dyadic sample grid; denominators stay below 10**6
 
 
-def _entropy_worker(args):
-    alpha, precision = args
-    return entropy_at(alpha, precision)
-
-
 def entropy_grid(start, stop, samples: int) -> list[Fraction]:
     start, stop = Fraction(start), Fraction(stop)
     if not 0 < start < stop < 1:
@@ -433,21 +597,37 @@ def entropy_grid(start, stop, samples: int) -> list[Fraction]:
 def entropy_curve(
     start, stop, samples: int, precision: int | None = None, jobs: int = 1
 ) -> list[EntropySample]:
-    """Entropy along a rational grid in (start, stop), endpoints avoided."""
+    """Entropy along a rational grid in (start, stop), endpoints avoided.
+
+    The samples equal those of `entropy_at`.  With jobs > 1 contiguous chunks
+    of the grid go to worker processes, each through the same loop.
+    """
     grid = entropy_grid(start, stop, samples)
     if jobs > 1:
         # imported here: it pulls in multiprocessing, which every cold start would pay
         from concurrent.futures import ProcessPoolExecutor
 
+        size = -(-len(grid) // (4 * jobs))
+        chunks = [grid[k : k + size] for k in range(0, len(grid), size)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(
-                pool.map(
-                    _entropy_worker,
-                    [(a, precision) for a in grid],
-                    chunksize=max(1, len(grid) // (4 * jobs)),
-                )
-            )
-    return [entropy_at(a, precision) for a in grid]
+            parts = pool.map(_entropy_run, chunks, [precision] * len(chunks))
+            return [s for part in parts for s in part]
+    return _entropy_run(grid, precision)
+
+
+def _entropy_run(grid, precision: int | None) -> list[EntropySample]:
+    """The entropy at each parameter of the grid.  Parameters of one
+    qumterval share a skeleton, kept for this call only, and the qumterval
+    of the previous parameter is tried before a descent."""
+    skeletons: dict[str, _Skeleton] = {}
+    q = None
+    out = []
+    for alpha in grid:
+        base = alpha if alpha <= _HALF else 1 - alpha
+        if q is None or base not in q:
+            q = locate_qumterval(base)
+        out.append(_entropy_sample(alpha, base, q, skeletons, precision))
+    return out
 
 
 def asymptotic_probe(n_values, precision: int | None = None) -> list[dict]:

@@ -1,9 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fareycf import bifurcation as bf
@@ -155,21 +156,162 @@ class TestCheckedConstruction:
         with pytest.raises(nx.AttractorError):
             nx.build_attractor(Fraction(337, 1000))
 
+    @pytest.mark.parametrize("corner", [0, 1])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: nx.entropy_at(Fraction(337, 1000)),
+            lambda: nx.entropy_curve(Fraction(33, 100), Fraction(34, 100), 5),
+        ],
+        ids=["entropy_at", "entropy_curve"],
+    )
+    def test_corrupted_corner_is_caught_on_the_entropy_path(self, monkeypatch, corner, run):
+        corners = nx.attractor_corners
+
+        def shifted(w):
+            xy = list(corners(w))
+            xy[corner] += Fraction(1, 10**6)
+            return tuple(xy)
+
+        run()  # the intact corners pass
+        monkeypatch.setattr(nx, "attractor_corners", shifted)
+        with pytest.raises(nx.AttractorError):
+            run()
+
+
+class TestSkeletonChecks:
+    # a skeleton that does not belong to a sample must be rebuilt or refused
+    alpha = Fraction(337, 1000)  # word 001: two lower levels above alpha - 1
+
+    def sample_with(self, change):
+        """The sample at alpha, computed once with its own skeleton and once
+        more with that skeleton changed; returns both samples, the skeleton,
+        its changed copy and the skeleton left in the dict."""
+        q = bf.locate_qumterval(self.alpha)
+        skeletons = {}
+        want = nx._entropy_sample(self.alpha, self.alpha, q, skeletons, None)
+        skel = skeletons[q.word]
+        bad = skeletons[q.word] = change(skel)
+        got = nx._entropy_sample(self.alpha, self.alpha, q, skeletons, None)
+        return want, got, skel, bad, skeletons[q.word]
+
+    def test_changed_order_is_rebuilt(self):
+        def swap(skel):
+            o = skel.low_order
+            return dataclasses.replace(skel, low_order=(o[0], o[2], o[1]))
+
+        want, got, skel, bad, kept = self.sample_with(swap)
+        assert got == want and kept is not bad and kept.low_order == skel.low_order
+
+    def test_changed_digits_are_rebuilt(self):
+        def bump(skel):
+            return dataclasses.replace(skel, high_digits=(skel.high_digits[0] + 1,) + skel.high_digits[1:])
+
+        want, got, skel, bad, kept = self.sample_with(bump)
+        assert got == want and kept is not bad and kept.high_digits == skel.high_digits
+
+    def test_empty_rectangle_is_refused(self):
+        # the lowest rectangle's left end is the corner y: a right end at y empties it
+        def shrink(skel):
+            (left, _), *rest = skel.low_x
+            return dataclasses.replace(skel, low_x=((left, skel.corner_y), *rest))
+
+        with pytest.raises(nx.AttractorError, match="empty rectangle"):
+            self.sample_with(shrink)
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_pole_on_the_boundary_is_refused(self, side):
+        # 1 + x y < 0 at y = alpha - 1 for x = 10^6 and at y = alpha for
+        # x = -10^6, while every rectangle only widens
+        def widen(skel):
+            if side == "lower":
+                (left, _), *rest = skel.low_x
+                return dataclasses.replace(skel, low_x=((left, Fraction(10**6)), *rest))
+            *rest, (_, right) = skel.high_x
+            return dataclasses.replace(skel, high_x=(*rest, (Fraction(-(10**6)), right)))
+
+        with pytest.raises(nx.AttractorError, match="density pole"):
+            self.sample_with(widen)
+
+
+def boundary_mass(alpha, bits):
+    """(A, error bound) of the entropy path at a parameter up to 1/2."""
+    q = bf.locate_qumterval(alpha)
+    low = kd.orbit(alpha, alpha - 1, q.m0)
+    high = kd.orbit(alpha, alpha, q.m1)
+    skel = nx._skeleton(q.word, low, high)
+    return skel.mass(*skel.fit(alpha, low, high), bits)
+
+
+def rational_inside(q, toward_plus, depth, k):
+    """A rational of q: `depth` simplest-rational steps from the pseudocenter
+    toward one endpoint, then the dyadic point k/2^20 of the way between the
+    last two rationals."""
+    end = q.alpha_plus if toward_plus else q.alpha_minus
+    inner = outer = q.pseudocenter
+    for _ in range(depth + 1):
+        lo, hi = (outer, end) if toward_plus else (end, outer)
+        inner, outer = outer, bf.simplest_rational_between(lo, hi)
+    return inner + (outer - inner) * Fraction(k, 2**20)
+
+
+class TestBoundaryMass:
+    @staticmethod
+    def check(alpha):
+        A, err = boundary_mass(alpha, 128)
+        attr = nx.build_attractor(alpha)
+        A_rects, err_rects = nx.attractor_mass(attr, 128)
+        A_512, _ = nx.attractor_mass(attr, 512)
+        with working_precision(512):
+            assert abs(A - A_rects) <= err + err_rects
+            assert abs(A - A_512) <= err
+            assert abs(A_rects - A_512) <= err_rects
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(side0_words(14)),
+        st.booleans(),
+        st.integers(0, 6),
+        st.integers(1, 2**20 - 1),
+    )
+    def test_random_qumtervals(self, word, toward_plus, depth, k):
+        self.check(rational_inside(bf.qumterval_of(word), toward_plus, depth, k))
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(2, 3000), st.booleans(), st.integers(0, 3), st.integers(1, 2**20 - 1))
+    @example(3000, False, 0, 2**19)
+    def test_single_block_family(self, n, toward_plus, depth, k):
+        self.check(rational_inside(bf.qumterval_of("0" * n + "1"), toward_plus, depth, k))
+
+    @pytest.mark.parametrize(
+        "start, stop, samples",
+        [
+            (Fraction(1, 50), Fraction(49, 50), 400),  # 67 words, reflected above 1/2
+            (Fraction(1, 200), Fraction(1, 20), 200),  # 91 words, up to 200 letters
+            (Fraction(35, 100), Fraction(65, 100), 30),  # the plateau ends and 1/2
+            (Fraction(36443, 100000), Fraction(36763, 100000), 100),  # zooms at alpha+ of 001
+            (Fraction(36593, 100000), Fraction(36613, 100000), 100),
+            (Fraction(63387, 100000), Fraction(63407, 100000), 100),  # and at its mirror image
+        ],
+    )
+    def test_curve_equals_pointwise_entropy(self, start, stop, samples):
+        grid = nx.entropy_grid(start, stop, samples)
+        assert nx.entropy_curve(start, stop, samples) == [nx.entropy_at(a) for a in grid]
+
 
 class TestPins:
-    # recorded before the integer orbit, the one-reduction abscissa update,
-    # the integer pole test, the merged staircase and the cached conversions
+    # the printed strings of reprs recorded before the integer orbit, the
+    # one-reduction abscissa update, the integer pole test, the merged
+    # staircase, the cached conversions and the boundary mass; the full reprs
+    # moved in their last digits when the mass became one log of the
+    # boundary product
     @pytest.mark.parametrize(
         "alpha, word_start, pins",
         [
             (
                 Fraction(1, 259),
                 "0" * 20,
-                (
-                    "mpf('4.5702848444751987496381363907392673599672')",
-                    "mpf('0.71983875089829880165274022778304671951976')",
-                    "mpf('4.6054486352263192091375880764175303003986e-36')",
-                ),
+                ("4.57028484447519874963813639074", "0.719838750898298801652740227783", "4.6054e-36"),
             ),
             (
                 # pseudocenter of the word of slope 107/259
@@ -178,11 +320,7 @@ class TestPins:
                     6735751276583987121998828910203031785614683891743592,
                 ),
                 "00101001010010101001",
-                (
-                    "mpf('0.96419729294377152694345216755203214969227')",
-                    "mpf('3.4120279716324675429429504595191253922111')",
-                    "mpf('8.7022550975369568734112555707754762100403e-35')",
-                ),
+                ("0.964197292943771526943452167552", "3.41202797163246754294295045952", "8.7023e-35"),
             ),
         ],
     )
@@ -190,7 +328,15 @@ class TestPins:
         s = nx.entropy_at(alpha)
         assert len(s.word) == 259 and s.word.startswith(word_start)
         with working_precision(None):
-            assert (repr(s.A), repr(s.h), repr(s.err_bound)) == pins
+            printed = (
+                mpmath.nstr(s.A, 30, strip_zeros=False),
+                mpmath.nstr(s.h, 30, strip_zeros=False),
+                mpmath.nstr(s.err_bound, 5),
+            )
+        assert printed == pins
+        A512, _ = nx.attractor_mass(nx.build_attractor(alpha), 512)
+        with working_precision(512):
+            assert abs(s.h - mpmath.pi**2 / (3 * A512)) <= s.err_bound
 
 
 class TestMasses:
@@ -313,6 +459,20 @@ class TestDensityAndMeasure:
                     lambda t: nx.density_slice(attr, t), [to_mpf(lo), to_mpf(hi)]
                 )
             assert abs(total - 1) < mpmath.mpf(10) ** -10
+
+    def test_density_rounds_as_to_mpf_once_per_precision(self):
+        attr = nx.build_attractor(Fraction(337, 1000))
+        t = Fraction(1, 7)
+        got = nx.density_slice(attr, t)
+        assert list(attr.coords_cache) == [128] and nx.density_slice(attr, t) == got
+        with working_precision(None):
+            A, _ = nx.attractor_mass(attr)
+            tm, total = to_mpf(t), mpmath.mpf(0)
+            for r in attr.rects:
+                if r.y_lo <= t < r.y_hi:
+                    xl, xh = to_mpf(r.x_lo), to_mpf(r.x_hi)
+                    total += (xh - xl) / ((1 + xl * tm) * (1 + xh * tm))
+            assert got == total / A
 
     def test_density_lower_bound(self):
         attr = nx.build_attractor(Fraction(4, 15))
