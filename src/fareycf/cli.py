@@ -44,7 +44,7 @@ def _emit(args, text: str) -> None:
 
 
 def _nstr(x, digits: int) -> str:
-    with prec.working_precision(max(prec.DEFAULT_PRECISION, int(digits * 3.4) + 16)):
+    with prec.working_precision(max(prec.checked_precision(None), int(digits * 3.4) + 16)):
         return mpmath.nstr(ex.to_mpf(x), digits, strip_zeros=False)
 
 

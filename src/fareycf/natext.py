@@ -7,7 +7,9 @@ lines come from pushing the two corner abscissae (quadratic surds fixed by
 the qumterval) through the extension map.  Every seam between consecutive
 boundary segments is checked exactly; only the final mass integrals
 (closed-form logs of the invariant density) are floating, at a configurable
-precision with a stated error bound.
+precision with a stated error bound.  The entropy path's mass is integer
+arithmetic up to its one log: the boundary product is taken in Python
+integers at a binary scale `_GUARD` bits finer than that precision.
 
 The exact pass is integer arithmetic throughout: the endpoint orbits step in
 integers (`kdynamics.orbit`), each abscissa push is one surd reduction, the
@@ -24,8 +26,11 @@ The entropy then follows from the identity  h * area = pi^2 / 3  where
 path builds no rectangles: it integrates along the two staircase boundaries,
 one log of a product of boundary factors per parameter, after checking the
 parameter's orbits against the skeleton of its word (digits, orbit order,
-non-empty rectangles, no density pole).  `entropy_curve` keeps one skeleton
-per word for the length of the call; `entropy_at` builds its own.
+non-empty rectangles, no density pole).  Each level turns once into an
+integer at that scale, and the pair (integer, level) is its order key: the
+integers decide the sort and the merge, the exact levels only their ties.
+`entropy_curve` keeps one skeleton per word for the length of the call;
+`entropy_at` builds its own.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import pairwise
+from itertools import chain, pairwise
+from math import isqrt
 
 import mpmath
 
@@ -56,7 +62,11 @@ from .exactnum import (
     to_mpf,
 )
 from .kdynamics import orbit, orbit_order_extremes
-from .precision import checked_precision, working_precision
+from .precision import MIN_PRECISION, checked_precision, working_precision
+
+
+# guard bits of the entropy path's integer scale W = bits + _GUARD (`_Skeleton.mass`)
+_GUARD = 40
 
 
 class AttractorError(AssertionError):
@@ -190,13 +200,14 @@ class _Skeleton:
     high_x: tuple[tuple[Exact, Exact], ...]  # (left, right) of each upper segment, in high_order
     # (i, j) pairs checked: left end of upper segment j < right end of lower segment i
     wide_pairs: set = field(default_factory=set, init=False, repr=False)
-    # (right ends of the lower segments, left ends of the upper ones) rounded, by bits
+    # (right ends of the lower segments, left ends of the upper ones) scaled, by scale
     ends_cache: dict = field(default_factory=dict, init=False, repr=False)
 
-    def fit(self, alpha: Fraction, low, high):
+    def fit(self, alpha: Fraction, low, high, keys):
         """Check one parameter's endpoint orbits against the skeleton.
 
-        Returns the levels of the lower and of the upper segments, both
+        `keys` holds the order keys of the two orbits' points (`_level_keys`).
+        Returns the keys of the lower and of the upper segments' levels, both
         ascending, and the number of rectangles; None when the digits or the
         order of an orbit differ from the skeleton's.  Raises AttractorError
         when a rectangle of the staircase would be empty or reach a pole of
@@ -204,12 +215,13 @@ class _Skeleton:
         """
         if low.digits != self.low_digits or high.digits != self.high_digits:
             return None
-        lo = [low.points[k] for k in self.low_order]
-        hi = [high.points[k] for k in self.high_order]
+        low_keys, high_keys = keys
+        lo = [low_keys[k] for k in self.low_order]
+        hi = [high_keys[k] for k in self.high_order]
         if not (_increasing(lo) and _increasing(hi)):
             return None
         rects = 0
-        for _, y_hi, i, j in _staircase(lo, hi):
+        for _, (_, y_hi), i, j in _staircase(lo, hi):
             if (i, j) not in self.wide_pairs:
                 if not self.high_x[j][0] < self.low_x[i][1]:
                     raise AttractorError(f"empty rectangle below level {y_hi}")
@@ -217,10 +229,12 @@ class _Skeleton:
             rects += 1
         # 1 + x y is linear in y: positive at both ends of a segment's span,
         # it is positive at every rectangle corner on that side
-        for (_, right), y0, y1 in zip(self.low_x, lo, lo[1:] + [alpha]):
+        ys_lo = [y for _, y in lo]
+        ys_hi = [y for _, y in hi]
+        for (_, right), y0, y1 in zip(self.low_x, ys_lo, ys_lo[1:] + [alpha]):
             if not (_pole_free(right, y0) and _pole_free(right, y1)):
                 raise AttractorError(f"density pole on the lower boundary at level {y0}")
-        for (left, _), y0, y1 in zip(self.high_x, [alpha - 1] + hi[:-1], hi):
+        for (left, _), y0, y1 in zip(self.high_x, [alpha - 1] + ys_hi[:-1], ys_hi):
             if not (_pole_free(left, y0) and _pole_free(left, y1)):
                 raise AttractorError(f"density pole on the upper boundary at level {y1}")
         return lo, hi, rects
@@ -234,31 +248,47 @@ class _Skeleton:
         L gives log((1+L y0)/(1+L y1)).  One log of the product of all
         factors is the sum of the rectangle masses; the error estimate is
         theirs, summed in closed form.
+
+        The product is taken in integers at the scale W = bits + _GUARD: the
+        levels' keys `lo` and `hi` hold their values times 2^W (rounded
+        down) and `rounded_ends` the segment ends', so a factor is
+        2^W + (R Y >> W).  Numerator and denominator shift right together
+        once both pass 2W bits, which keeps the smaller at W bits, and one
+        log of their ratio is taken at `bits`.
         """
-        rights, lefts = self.rounded_ends(bits)
+        scale = bits + _GUARD
+        rights, lefts = self.rounded_ends(scale)
+        one = 1 << scale
+        ys_lo = [Y for Y, _ in lo]
+        ys_hi = [Y for Y, _ in hi]
+        ys_lo.append(ys_hi[-1])  # alpha closes the lower boundary
+        ys_hi.insert(0, ys_lo[0])  # alpha - 1 opens the upper one
+        factors = chain(
+            ((one + (R * y1 >> scale), one + (R * y0 >> scale)) for R, y0, y1 in zip(rights, ys_lo, ys_lo[1:])),
+            ((one + (L * y0 >> scale), one + (L * y1 >> scale)) for L, y0, y1 in zip(lefts, ys_hi, ys_hi[1:])),
+        )
+        num = den = 1
+        for up, down in factors:
+            num *= up
+            den *= down
+            extra = min(num.bit_length(), den.bit_length()) - scale
+            if extra > scale:
+                num >>= extra
+                den >>= extra
         with working_precision(bits):
-            ys_lo = [to_mpf(v) for v in lo]
-            ys_hi = [to_mpf(v) for v in hi]
-            ys_lo.append(ys_hi[-1])  # alpha closes the lower boundary
-            ys_hi.insert(0, ys_lo[0])  # alpha - 1 opens the upper one
-            num = den = mpmath.mpf(1)
-            for k, right in enumerate(rights):
-                num *= 1 + right * ys_lo[k + 1]
-                den *= 1 + right * ys_lo[k]
-            for k, left in enumerate(lefts):
-                num *= 1 + left * ys_hi[k]
-                den *= 1 + left * ys_hi[k + 1]
-            A = mpmath.log(num / den)
+            A = mpmath.log(mpmath.mpf(num) / mpmath.mpf(den))
             return A, mpmath.mpf(2) ** (-bits) * (32 * rects + 8 * A)
 
-    def rounded_ends(self, bits: int):
-        got = self.ends_cache.get(bits)
+    def rounded_ends(self, scale: int):
+        """The right ends of the lower segments and the left ends of the
+        upper ones, times 2^scale and rounded down (`_scaled`); kept per
+        scale."""
+        got = self.ends_cache.get(scale)
         if got is None:
-            with working_precision(bits):
-                got = self.ends_cache[bits] = (
-                    _rounded([right for _, right in self.low_x]),
-                    _rounded([left for left, _ in self.high_x]),
-                )
+            got = self.ends_cache[scale] = (
+                _scaled([right for _, right in self.low_x], scale),
+                _scaled([left for left, _ in self.high_x], scale),
+            )
         return got
 
 
@@ -266,16 +296,28 @@ def _increasing(values) -> bool:
     return all(a < b for a, b in pairwise(values))
 
 
-def _skeleton(word: str, low, high) -> _Skeleton:
+def _level_keys(points, scale: int) -> list[tuple[int, Fraction]]:
+    """The order key (Y, y) of each level y = n/m, with Y = floor(y 2^scale).
+
+    Keys compare as their levels do at any scale: the integers decide, and
+    the exact levels only when two integers tie.  At the entropy's scale Y is
+    also the level rounded for the boundary product (`_Skeleton.mass`).
+    """
+    return [((y.numerator << scale) // y.denominator, y) for y in points]
+
+
+def _skeleton(word: str, low, high, keys) -> _Skeleton:
     """The skeleton of the qumterval of a side-0 word, from the endpoint
-    orbits at one parameter inside it; every seam is checked exactly."""
+    orbits at one parameter inside it and their order keys; every seam is
+    checked exactly."""
     x, y = attractor_corners(word)
     if None in low.digits or None in high.digits:
         raise AttractorError("endpoint orbit hit zero before the matching time")
     lower = _push((y, x / (1 + x)), low.digits)
     upper = _push((y / (1 - y), x), high.digits)
-    low_order = sorted(range(len(lower)), key=low.points.__getitem__)
-    high_order = sorted(range(len(upper)), key=high.points.__getitem__)
+    low_keys, high_keys = keys
+    low_order = sorted(range(len(lower)), key=low_keys.__getitem__)
+    high_order = sorted(range(len(upper)), key=high_keys.__getitem__)
     if low_order[0] != 0 or high_order[-1] != 0:
         raise AttractorError("endpoint level is not extremal in its orbit")
     low_x = [lower[k] for k in low_order]
@@ -318,12 +360,14 @@ def build_attractor(alpha, word: str | None = None) -> Attractor:
         raise ValueError("parameters above 1/2: reflect with alpha -> 1 - alpha")
     low = orbit(alpha, alpha - 1, q.m0)
     high = orbit(alpha, alpha, q.m1)
-    skel = _skeleton(q.word, low, high)
-    lo = [low.points[k] for k in skel.low_order]
-    hi = [high.points[k] for k in skel.high_order]
+    # any scale orders the levels exactly; this one keeps ties rare
+    keys = _level_keys(low.points, MIN_PRECISION), _level_keys(high.points, MIN_PRECISION)
+    skel = _skeleton(q.word, low, high, keys)
+    lo = [keys[0][k] for k in skel.low_order]
+    hi = [keys[1][k] for k in skel.high_order]
     rects = [
         Rect(skel.high_x[j][0], skel.low_x[i][1], y_lo, y_hi)
-        for y_lo, y_hi, i, j in _staircase(lo, hi)
+        for (_, y_lo), (_, y_hi), i, j in _staircase(lo, hi)
     ]
     return Attractor(
         word=q.word,
@@ -333,14 +377,15 @@ def build_attractor(alpha, word: str | None = None) -> Attractor:
         corner_y=skel.corner_y,
         h_levels_low=tuple(low.points),
         h_levels_high=tuple(high.points),
-        lower_segments=tuple(Segment(v, *ends) for v, ends in zip(lo, skel.low_x)),
-        upper_segments=tuple(Segment(v, *ends) for v, ends in zip(hi, skel.high_x))[::-1],
+        lower_segments=tuple(Segment(v, *ends) for (_, v), ends in zip(lo, skel.low_x)),
+        upper_segments=tuple(Segment(v, *ends) for (_, v), ends in zip(hi, skel.high_x))[::-1],
     )
 
 
 def _staircase(lo: list, hi: list):
     """Merge the ascending levels of the lower and the upper boundary into
-    the rectangles between them.
+    the rectangles between them; the levels may be given by their order
+    keys (`_level_keys`), which the merge then yields.
 
     Yields (y_lo, y_hi, i, j) for each pair of consecutive distinct levels:
     the rectangle's right end is that of lower segment i, the last at or
@@ -429,6 +474,23 @@ def _rounded(values) -> list[mpmath.mpf]:
     return out
 
 
+def _scaled(values, scale: int) -> list[int]:
+    """Each exact value times 2^scale, rounded down: n/m as (n << scale) // m
+    and a surd (p + q sqrt d)/r as ((p << scale) + q isqrt(d << 2 scale)) // r,
+    within |q|/r + 1 units, with one isqrt per field."""
+    roots: dict[int, int] = {}
+    out = []
+    for v in values:
+        if isinstance(v, QuadSurd):
+            root = roots.get(v.d)
+            if root is None:
+                root = roots[v.d] = isqrt(v.d << 2 * scale)
+            out.append(((v.p << scale) + v.q * root) // v.r)
+        else:
+            out.append((v.numerator << scale) // v.denominator)
+    return out
+
+
 def _rect_coords(attr: Attractor, bits: int) -> list[tuple[mpmath.mpf, ...]]:
     """(x_lo, x_hi, y_lo, y_hi) of every rectangle rounded at `bits`; computed
     once per precision and kept on the attractor.
@@ -511,11 +573,13 @@ def _entropy_sample(
     bits = checked_precision(precision)
     low = orbit(base, base - 1, q.m0)
     high = orbit(base, base, q.m1)
+    scale = bits + _GUARD
+    keys = _level_keys(low.points, scale), _level_keys(high.points, scale)
     skel = skeletons.get(q.word)
-    fit = None if skel is None else skel.fit(base, low, high)
+    fit = None if skel is None else skel.fit(base, low, high, keys)
     if fit is None:
-        skel = skeletons[q.word] = _skeleton(q.word, low, high)
-        fit = skel.fit(base, low, high)
+        skel = skeletons[q.word] = _skeleton(q.word, low, high, keys)
+        fit = skel.fit(base, low, high, keys)
         if fit is None:
             raise AttractorError("an endpoint orbit repeats a level before the matching time")
     A, err = skel.mass(*fit, bits)
@@ -557,18 +621,25 @@ def density_slice(attr: Attractor, t, precision: int | None = None) -> mpmath.mp
 
 def measure_interval(attr: Attractor, lo, hi, precision: int | None = None) -> mpmath.mpf:
     """Invariant measure of [lo, hi] (inside the map's interval), by clipping
-    the rectangles and taking closed-form masses over the attractor mass."""
+    the rectangles and taking closed-form masses over the attractor mass.
+
+    A clipped rectangle lies inside a checked one, and 1 + x y is linear in
+    y, so it reaches no pole: its mass is `rect_mass` of the clipped
+    rectangle, from the kept rounded coordinates and lo and hi rounded once.
+    """
     if not (attr.alpha - 1 <= lo <= hi <= attr.alpha):
         raise ValueError("interval must sit inside [alpha-1, alpha]")
-    A, _ = attractor_mass(attr, precision)
-    with working_precision(precision):
+    bits = checked_precision(precision)
+    A, _ = attractor_mass(attr, bits)
+    coords = _rect_coords(attr, bits)
+    with working_precision(bits):
+        lo_m, hi_m = to_mpf(lo), to_mpf(hi)
         total = mpmath.mpf(0)
-        for rect in attr.rects:
-            ylo = rect.y_lo if rect.y_lo > lo else lo
-            yhi = rect.y_hi if rect.y_hi < hi else hi
+        for rect, (xl, xh, yl, yh) in zip(attr.rects, coords):
+            ylo, yl = (rect.y_lo, yl) if rect.y_lo > lo else (lo, lo_m)
+            yhi, yh = (rect.y_hi, yh) if rect.y_hi < hi else (hi, hi_m)
             if ylo < yhi:
-                m, _ = _rect_mass_err(Rect(rect.x_lo, rect.x_hi, ylo, yhi), precision)
-                total += m
+                total += _log_ratio(xl, xh, yl, yh)
         return total / A
 
 

@@ -3,7 +3,8 @@
 All geometry upstream is exact; floats appear only in final log and pi^2
 evaluations and in decimal output columns.  Precision is in bits (mpmath
 semantics), at least 64, default 128, overridable through the
-FAREYCF_PRECISION environment variable.
+FAREYCF_PRECISION environment variable, which is read when a default
+precision is needed, never at import.
 """
 
 from __future__ import annotations
@@ -14,13 +15,23 @@ from contextlib import contextmanager
 import mpmath
 
 MIN_PRECISION = 64
-DEFAULT_PRECISION = int(os.environ.get("FAREYCF_PRECISION", "128"))
+DEFAULT_PRECISION = 128  # without FAREYCF_PRECISION
 
 
 def checked_precision(bits: int | None) -> int:
-    bits = DEFAULT_PRECISION if bits is None else bits
+    """`bits`, or the default precision when it is None, checked against
+    MIN_PRECISION; a malformed FAREYCF_PRECISION raises ValueError."""
+    name = "precision_bits"
+    if bits is None:
+        name, text = "FAREYCF_PRECISION", os.environ.get("FAREYCF_PRECISION")
+        if text is None:
+            return DEFAULT_PRECISION
+        try:
+            bits = int(text)
+        except ValueError:
+            raise ValueError(f"{name} must be a whole number of bits, not {text!r}") from None
     if bits < MIN_PRECISION:
-        raise ValueError(f"precision_bits must be >= {MIN_PRECISION}")
+        raise ValueError(f"{name} must be >= {MIN_PRECISION}")
     return bits
 
 

@@ -6,6 +6,8 @@ import sys
 
 from fractions import Fraction
 
+import pytest
+
 import fareycf
 from fareycf import bifurcation as bf
 from fareycf import words as wd
@@ -144,6 +146,22 @@ class TestBehaviour:
 
     def test_precision_floor(self, capsys):
         assert run(capsys, "entropy", "point", "--alpha", "1/2", "--precision", "32")[0] == 2
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("abc", "FAREYCF_PRECISION must be a whole number of bits, not 'abc'"), ("32", "FAREYCF_PRECISION must be >= 64")],
+    )
+    def test_precision_variable_checked(self, value, message):
+        # a bad default precision is a validation error of the call, not a crash at import
+        src = os.path.dirname(os.path.dirname(fareycf.__file__))
+        env = dict(os.environ, PYTHONPATH=src, FAREYCF_PRECISION=value)
+        out = subprocess.run(
+            [sys.executable, "-m", "fareycf", "entropy", "point", "--alpha", "1/3"],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {message}\n")
 
     def test_selftests(self, capsys):
         for cmd in ("farey", "qumterval", "ebif", "cardioid", "orbit", "match", "attractor", "entropy", "probe"):

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import combinations, pairwise
 
 import mpmath
 import pytest
@@ -239,8 +240,10 @@ def boundary_mass(alpha, bits):
     q = bf.locate_qumterval(alpha)
     low = kd.orbit(alpha, alpha - 1, q.m0)
     high = kd.orbit(alpha, alpha, q.m1)
-    skel = nx._skeleton(q.word, low, high)
-    return skel.mass(*skel.fit(alpha, low, high), bits)
+    scale = bits + nx._GUARD
+    keys = nx._level_keys(low.points, scale), nx._level_keys(high.points, scale)
+    skel = nx._skeleton(q.word, low, high, keys)
+    return skel.mass(*skel.fit(alpha, low, high, keys), bits)
 
 
 def rational_inside(q, toward_plus, depth, k):
@@ -284,6 +287,24 @@ class TestBoundaryMass:
         self.check(rational_inside(bf.qumterval_of("0" * n + "1"), toward_plus, depth, k))
 
     @pytest.mark.parametrize(
+        "alpha",
+        [
+            lambda: rational_inside(bf.qumterval_of("0" * 3000 + "1"), False, 0, 2**19),
+            # short runs: levels closer than 2^-168 to each other, denominators near 1400 bits
+            lambda: bf.qumterval_of(wd.word_from_rational(Fraction(853, 2048))).pseudocenter,
+        ],
+        ids=["N=3000", "short-run-2048"],
+    )
+    def test_integer_product_far_inside_the_bound(self, alpha):
+        # the guard bits of the integer product leave its rounding a
+        # thousandth of the error bound; without them it is 0.003 to 0.1 of it
+        alpha = alpha()
+        A, err = boundary_mass(alpha, 128)
+        A_512, _ = nx.attractor_mass(nx.build_attractor(alpha), 512)
+        with working_precision(512):
+            assert abs(A - A_512) <= err / 1000
+
+    @pytest.mark.parametrize(
         "start, stop, samples",
         [
             (Fraction(1, 50), Fraction(49, 50), 400),  # 67 words, reflected above 1/2
@@ -297,6 +318,53 @@ class TestBoundaryMass:
     def test_curve_equals_pointwise_entropy(self, start, stop, samples):
         grid = nx.entropy_grid(start, stop, samples)
         assert nx.entropy_curve(start, stop, samples) == [nx.entropy_at(a) for a in grid]
+
+
+class TestLevelKeys:
+    # at scale 0 a level in [-1, 1) keys to -1 or 0, so nearly every order
+    # decision falls to the exact levels
+    @staticmethod
+    def orbits(alpha):
+        q = bf.locate_qumterval(alpha)
+        return q, kd.orbit(alpha, alpha - 1, q.m0), kd.orbit(alpha, alpha, q.m1)
+
+    @staticmethod
+    def merged(lo, hi):
+        return [(yl, yh, i, j) for (_, yl), (_, yh), i, j in nx._staircase(lo, hi)]
+
+    def test_tied_keys_order_and_merge_as_fractions(self):
+        alpha = bf.qumterval_of(wd.word_from_rational(Fraction(107, 259))).pseudocenter
+        q, low, high = self.orbits(alpha)
+        lo_f, hi_f = sorted(low.points), sorted(high.points)
+        fraction_run = list(nx._staircase(lo_f, hi_f))
+        for scale in (0, 168):
+            keys = nx._level_keys(low.points, scale), nx._level_keys(high.points, scale)
+            if scale == 0:
+                assert len({Y for Y, _ in keys[0]}) <= 2 < len(keys[0])
+            skel = nx._skeleton(q.word, low, high, keys)
+            lo, hi, rects = skel.fit(alpha, low, high, keys)
+            assert [y for _, y in lo] == lo_f and [y for _, y in hi] == hi_f
+            assert self.merged(lo, hi) == fraction_run and rects == len(fraction_run)
+
+    def test_shared_level_taken_once(self):
+        lo = [Fraction(-1, 2), Fraction(1, 5), Fraction(1, 3)]
+        hi = [Fraction(1, 5), Fraction(1, 4), Fraction(1, 2)]
+        got = self.merged(nx._level_keys(lo, 0), nx._level_keys(hi, 0))
+        assert got == list(nx._staircase(lo, hi))
+        assert [(yl, yh) for yl, yh, _, _ in got] == list(pairwise(sorted(set(lo + hi))))
+
+    def test_equal_levels_refused(self):
+        alpha = Fraction(337, 1000)
+        q, low, high = self.orbits(alpha)
+        keys = nx._level_keys(low.points, 0), nx._level_keys(high.points, 0)
+        skel = nx._skeleton(q.word, low, high, keys)
+        assert skel.fit(alpha, low, high, keys) is not None
+        # the second-lowest lower level repeated, as an equal but distinct Fraction
+        low_keys = list(keys[0])
+        first, second = skel.low_order[1], skel.low_order[2]
+        Y, y = low_keys[first]
+        low_keys[second] = (Y, Fraction(y.numerator, y.denominator))
+        assert skel.fit(alpha, low, high, (low_keys, keys[1])) is None
 
 
 class TestPins:
@@ -491,6 +559,22 @@ class TestDensityAndMeasure:
                 if r.y_lo <= 0 < r.y_hi:
                     expected = (to_mpf(r.x_hi) - to_mpf(r.x_lo)) / a
                     assert abs(nx.density_slice(attr, Fraction(0)) - expected) < mpmath.mpf(10) ** -30
+
+    @pytest.mark.parametrize("alpha", [Fraction(2, 5), Fraction(337, 1000), Fraction(4, 15)])
+    def test_measure_is_the_sum_of_clipped_rect_masses(self, alpha):
+        # bit for bit the masses of the clipped rectangles, each rounded afresh
+        attr = nx.build_attractor(alpha)
+        A, _ = nx.attractor_mass(attr)
+        levels = sorted({r.y_lo for r in attr.rects} | {r.y_hi for r in attr.rects})
+        cuts = sorted({alpha - 1, levels[1], (levels[1] + levels[2]) / 2, Fraction(1, 7), alpha})
+        for lo, hi in combinations(cuts, 2):
+            total = mpmath.mpf(0)
+            with working_precision(None):
+                for r in attr.rects:
+                    ylo, yhi = max(r.y_lo, lo), min(r.y_hi, hi)
+                    if ylo < yhi:
+                        total += nx._rect_mass_err(nx.Rect(r.x_lo, r.x_hi, ylo, yhi))[0]
+                assert nx.measure_interval(attr, lo, hi) == total / A
 
     def test_full_interval_measure(self):
         attr = nx.build_attractor(Fraction(2, 5))
