@@ -229,7 +229,7 @@ def _mediant_runs(u, v):
     return merged, first_u
 
 
-_LOCATE_LIMIT = 10**6
+_LOCATE_LIMIT = 10**6  # work budget of one descent, in mediant steps
 
 
 def locate_qumterval(alpha) -> Qumterval:
@@ -239,7 +239,8 @@ def locate_qumterval(alpha) -> Qumterval:
     always an interior point.  The search descends the mediant tree and
     compares the digits of alpha with those of the candidate endpoints
     alpha_plus = [0; S, S, ...] and alpha_minus = [0; S', S^T, S^T, ...]
-    (`cfstrings.compare_periodic`); only the answer builds its surds.
+    (`cfstrings.compare_periodic`); only the answer builds its surds.  A
+    descent longer than `_LOCATE_LIMIT` steps raises ValueError.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
@@ -256,7 +257,7 @@ def locate_qumterval(alpha) -> Qumterval:
             v = mid  # alpha below the candidate interval
         else:
             return qumterval_of(cfs.runlength_inverse(S, "0"))
-    raise AssertionError("tree descent failed to terminate")
+    raise ValueError(f"locating alpha={alpha} needs more than the step budget of {_LOCATE_LIMIT} mediant steps")
 
 
 def atlas(max_len: int) -> list[Qumterval]:

@@ -31,7 +31,7 @@ def _parse_word(text: str) -> str:
 
 
 def _open_out(args):
-    return open(args.out, "w") if getattr(args, "out", None) else sys.stdout
+    return open(args.out, "w") if args.out else sys.stdout
 
 
 def _emit(args, text: str) -> None:
@@ -367,12 +367,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, out=True):
-        p.add_argument("--precision", type=int, default=None, help="working precision in bits (>= 64)")
-        p.add_argument("--decimals", type=int, default=None, help="append decimal approximations")
+    def common(p, *, precision=False, decimals=False):
+        """The flags of every subcommand, plus --precision and --decimals
+        where the handler reads them."""
+        if precision:
+            p.add_argument("--precision", type=int, default=None, help="working precision in bits (>= 64)")
+        if decimals:
+            p.add_argument("--decimals", type=int, default=None, help="append decimal approximations")
         p.add_argument("--selftest", action="store_true", help="run the module invariant suite")
-        if out:
-            p.add_argument("--out", default=None, help="write output to a file instead of stdout")
+        p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
     p = sub.add_parser("farey", help="word lists and the slope bijection")
     p.add_argument("action", nargs="?", choices=["list", "word"])
@@ -386,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default=None)
     p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    common(p)
+    common(p, decimals=True)
 
     p = sub.add_parser("ebif", help="the doubling-map constraint set")
     p.add_argument("action", nargs="?", choices=["check", "interval"])
@@ -402,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default=None)
     p.add_argument("--x", default=None)
     p.add_argument("--steps", type=int, default=None)
-    common(p)
+    common(p, decimals=True)
 
     p = sub.add_parser("match", help="matching certificates")
     p.add_argument("action", nargs="?", choices=["verify"], default="verify")
@@ -413,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attractor", help="exact rectangle decomposition")
     p.add_argument("--alpha", default=None)
     p.add_argument("--json", action="store_true")
-    common(p)
+    common(p, decimals=True)
 
     p = sub.add_parser("entropy", help="entropy at a point or along a curve")
     p.add_argument("action", nargs="?", choices=["point", "curve"])
@@ -421,9 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="start", default=None)
     p.add_argument("--to", dest="stop", default=None)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--jobs", "--parallelism", dest="jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    common(p)
+    common(p, precision=True)
 
     p = sub.add_parser("probe", help="asymptotic, slope-growth and zeta probes")
     p.add_argument("action", nargs="?", choices=["asymptotic", "slope", "zeta"])
@@ -435,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--variant", choices=["qumterval", "binary"], default="qumterval")
     p.add_argument("--window", nargs=2, metavar=("LO", "HI"), default=None, help="zeta: keep intervals meeting (LO, HI)")
-    common(p)
+    common(p, precision=True)
 
     return parser
 

@@ -16,21 +16,24 @@ integers (`kdynamics.orbit`), each abscissa push is one surd reduction, the
 density-pole test is one integer sign test, and the rectangles come from one
 merge of the two level-sorted boundaries.  What depends on the qumterval
 alone, the endpoint digits, the order of each orbit and the pushed abscissae
-with their seams, is one `_Skeleton`; `build_attractor` is a skeleton plus
-the staircase of one parameter.  The rectangle mass rounds each distinct
-coordinate once and is kept on the attractor, per precision, with the
-rounded coordinates, for `density_slice` and `measure_interval`.
+with their seams, is one `_Skeleton`.  Every parameter takes one path to it
+(`_fitted`): its endpoint orbits, their order keys, the skeleton of its word
+(kept or built from these orbits) and the skeleton's fit, which checks the
+digits, the order of each orbit, that no rectangle is empty and that none
+reaches a density pole.  `build_attractor` turns the fit into rectangles.
 
 The entropy then follows from the identity  h * area = pi^2 / 3  where
-"area" is the mass of the attractor under dx dy / (1 + x y)^2.  The entropy
-path builds no rectangles: it integrates along the two staircase boundaries,
-one log of a product of boundary factors per parameter, after checking the
-parameter's orbits against the skeleton of its word (digits, orbit order,
-non-empty rectangles, no density pole).  Each level turns once into an
-integer at that scale, and the pair (integer, level) is its order key: the
-integers decide the sort and the merge, the exact levels only their ties.
-`entropy_curve` keeps one skeleton per word for the length of the call;
-`entropy_at` builds its own.
+"area" is the mass of the attractor under dx dy / (1 + x y)^2.  That mass has
+one production path, `_Skeleton.mass`, taken by `entropy_at`, `entropy_curve`
+and `asymptotic_probe`: it builds no rectangles and integrates along the two
+staircase boundaries, one log of a product of boundary factors per
+parameter.  Each level turns once into an integer at that scale, and the pair
+(integer, level) is its order key: the integers decide the sort and the
+merge, the exact levels only their ties.  `entropy_curve` keeps one skeleton
+per word for the length of the call; the others build their own.  The
+rectangle sum `attractor_mass` is its test oracle and the normalization of
+`density_slice` and `measure_interval`; it rounds the coordinates it uses
+with `to_mpf` on every call and keeps only its result.
 """
 
 from __future__ import annotations
@@ -102,15 +105,6 @@ def _pole_free(x: Exact, y: Exact) -> bool:
 
 
 @dataclass(frozen=True)
-class Segment:
-    """Horizontal boundary piece at a given level."""
-
-    level: Exact
-    left: Exact
-    right: Exact
-
-
-@dataclass(frozen=True)
 class Attractor:
     word: str
     alpha: Fraction
@@ -119,23 +113,9 @@ class Attractor:
     corner_y: Exact
     h_levels_low: tuple[Exact, ...]
     h_levels_high: tuple[Exact, ...]
-    lower_segments: tuple[Segment, ...]  # sorted by level, bound from below
-    upper_segments: tuple[Segment, ...]  # sorted by level descending, bound from above
+    v_levels: tuple[Exact, ...]  # the distinct ends of the boundary segments, ascending
     # (mass, error bound) by precision in bits, filled by attractor_mass
     mass_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # rounded (x_lo, x_hi, y_lo, y_hi) of every rectangle, by precision in bits
-    coords_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    @property
-    def v_levels(self) -> tuple[Exact, ...]:
-        vals: list[Exact] = []
-        for seg in self.lower_segments + self.upper_segments:
-            vals.extend((seg.left, seg.right))
-        out: list[Exact] = []
-        for v in sorted(vals):
-            if not out or out[-1] != v:
-                out.append(v)
-        return tuple(out)
 
 
 @lru_cache(maxsize=1024)
@@ -346,11 +326,33 @@ def _skeleton(word: str, low, high, keys) -> _Skeleton:
     )
 
 
+def _fitted(alpha: Fraction, q: Qumterval, skeletons: dict, scale: int):
+    """The endpoint orbits of a parameter alpha <= 1/2 of q and their fit to
+    the skeleton of q's word in `skeletons`, with order keys at `scale`.
+
+    A missing skeleton, or one these orbits do not fit, is replaced by one
+    built from these orbits, so no orbit is computed twice.  Returns the
+    skeleton, the two orbits and the fit (`_Skeleton.fit`).
+    """
+    low = orbit(alpha, alpha - 1, q.m0)
+    high = orbit(alpha, alpha, q.m1)
+    keys = _level_keys(low.points, scale), _level_keys(high.points, scale)
+    skel = skeletons.get(q.word)
+    fit = None if skel is None else skel.fit(alpha, low, high, keys)
+    if fit is None:
+        skel = skeletons[q.word] = _skeleton(q.word, low, high, keys)
+        fit = skel.fit(alpha, low, high, keys)
+        if fit is None:
+            raise AttractorError("an endpoint orbit repeats a level before the matching time")
+    return skel, low, high, fit
+
+
 def build_attractor(alpha, word: str | None = None) -> Attractor:
     """Exact rectangle decomposition of the attractor at a rational parameter.
 
     Raises AttractorError with a diagnostic if any boundary seam fails to
-    close, which would indicate wrong orbit-ordering data.
+    close, a rectangle is empty or one reaches a density pole, which would
+    indicate wrong orbit-ordering data.
     """
     alpha = Fraction(alpha)
     q: Qumterval = locate_qumterval(alpha) if word is None else qumterval_of(word)
@@ -358,27 +360,21 @@ def build_attractor(alpha, word: str | None = None) -> Attractor:
         raise ValueError(f"alpha={alpha} is not inside the qumterval of {q.word!r}")
     if words.farey_side(q.word) == 1:
         raise ValueError("parameters above 1/2: reflect with alpha -> 1 - alpha")
-    low = orbit(alpha, alpha - 1, q.m0)
-    high = orbit(alpha, alpha, q.m1)
     # any scale orders the levels exactly; this one keeps ties rare
-    keys = _level_keys(low.points, MIN_PRECISION), _level_keys(high.points, MIN_PRECISION)
-    skel = _skeleton(q.word, low, high, keys)
-    lo = [keys[0][k] for k in skel.low_order]
-    hi = [keys[1][k] for k in skel.high_order]
-    rects = [
-        Rect(skel.high_x[j][0], skel.low_x[i][1], y_lo, y_hi)
-        for (_, y_lo), (_, y_hi), i, j in _staircase(lo, hi)
-    ]
+    skel, low, high, (lo, hi, _) = _fitted(alpha, q, {}, MIN_PRECISION)
+    ends = sorted(chain.from_iterable(skel.low_x + skel.high_x[::-1]))
     return Attractor(
         word=q.word,
         alpha=alpha,
-        rects=tuple(rects),
+        rects=tuple(
+            Rect(skel.high_x[j][0], skel.low_x[i][1], y_lo, y_hi)
+            for (_, y_lo), (_, y_hi), i, j in _staircase(lo, hi)
+        ),
         corner_x=skel.corner_x,
         corner_y=skel.corner_y,
         h_levels_low=tuple(low.points),
         h_levels_high=tuple(high.points),
-        lower_segments=tuple(Segment(v, *ends) for (_, v), ends in zip(lo, skel.low_x)),
-        upper_segments=tuple(Segment(v, *ends) for (_, v), ends in zip(hi, skel.high_x))[::-1],
+        v_levels=tuple(v for k, v in enumerate(ends) if k == 0 or ends[k - 1] != v),
     )
 
 
@@ -446,32 +442,12 @@ def _log_ratio(xl, xh, yl, yh) -> mpmath.mpf:
     return mpmath.log(((1 + xh * yh) * (1 + xl * yl)) / ((1 + xh * yl) * (1 + xl * yh)))
 
 
-def _mass_err(unit, mass) -> mpmath.mpf:
-    # a handful of exactly-rounded operations: crude outward bound
-    return unit * (32 + 8 * abs(mass))
-
-
 def _rect_mass_err(rect: Rect, precision: int | None = None):
     bits = checked_precision(precision)
     with working_precision(bits):
         mass = _log_ratio(to_mpf(rect.x_lo), to_mpf(rect.x_hi), to_mpf(rect.y_lo), to_mpf(rect.y_hi))
-        return mass, _mass_err(mpmath.mpf(2) ** (-bits), mass)
-
-
-def _rounded(values) -> list[mpmath.mpf]:
-    """Each exact value rounded at the current precision, as `to_mpf` rounds
-    it; sqrt(d) is taken once per field."""
-    roots: dict[int, mpmath.mpf] = {}
-    out = []
-    for v in values:
-        if isinstance(v, QuadSurd):
-            root = roots.get(v.d)
-            if root is None:
-                root = roots[v.d] = mpmath.sqrt(mpmath.mpf(v.d))
-            out.append(v.to_mpf(root))
-        else:
-            out.append(to_mpf(v))
-    return out
+        # a handful of exactly-rounded operations: crude outward bound
+        return mass, mpmath.mpf(2) ** (-bits) * (32 + 8 * abs(mass))
 
 
 def _scaled(values, scale: int) -> list[int]:
@@ -491,48 +467,25 @@ def _scaled(values, scale: int) -> list[int]:
     return out
 
 
-def _rect_coords(attr: Attractor, bits: int) -> list[tuple[mpmath.mpf, ...]]:
-    """(x_lo, x_hi, y_lo, y_hi) of every rectangle rounded at `bits`; computed
-    once per precision and kept on the attractor.
-
-    Rectangles share their coordinate objects, so each is rounded once,
-    found by identity (hashing a Fraction with a large denominator costs a
-    modular inverse).
-    """
-    coords = attr.coords_cache.get(bits)
-    if coords is None:
-        distinct = {id(v): v for r in attr.rects for v in (r.x_lo, r.x_hi, r.y_lo, r.y_hi)}
-        with working_precision(bits):
-            value = dict(zip(distinct, _rounded(distinct.values())))
-        coords = attr.coords_cache[bits] = [
-            (value[id(r.x_lo)], value[id(r.x_hi)], value[id(r.y_lo)], value[id(r.y_hi)])
-            for r in attr.rects
-        ]
-    return coords
-
-
 def attractor_mass(attr: Attractor, precision: int | None = None):
-    """(area integral, error bound) summed over the rectangles; computed once
-    per precision and kept on the attractor.
+    """(area integral, error bound): the ordered sum of `_rect_mass_err` over
+    the rectangles, computed once per precision and kept on the attractor.
 
-    The coordinates are those of `to_mpf`, so every rectangle's mass is that
-    of `rect_mass`.  The entropy takes the same integral from the two
-    boundaries instead (`_Skeleton.mass`); this sum is its test oracle.
+    No rounded coordinate is kept.  Every production mass, the entropy's
+    and `asymptotic_probe`'s, comes from the two boundaries instead
+    (`_Skeleton.mass`); this sum is its test oracle and the normalization of
+    `density_slice` and `measure_interval`.
     """
     bits = checked_precision(precision)
-    cached = attr.mass_cache.get(bits)
-    if cached is not None:
-        return cached
-    coords = _rect_coords(attr, bits)
-    with working_precision(bits):
-        unit = mpmath.mpf(2) ** (-bits)
-        total = mpmath.mpf(0)
-        err = mpmath.mpf(0)
-        for xl, xh, yl, yh in coords:
-            m = _log_ratio(xl, xh, yl, yh)
-            total += m
-            err += _mass_err(unit, m)
-    mass = attr.mass_cache[bits] = total, err
+    mass = attr.mass_cache.get(bits)
+    if mass is None:
+        with working_precision(bits):
+            total = err = mpmath.mpf(0)
+            for rect in attr.rects:
+                m, e = _rect_mass_err(rect, bits)
+                total += m
+                err += e
+        mass = attr.mass_cache[bits] = total, err
     return mass
 
 
@@ -566,22 +519,10 @@ def _entropy_sample(
 ) -> EntropySample:
     """The entropy at alpha, whose reflection `base` <= 1/2 lies in q.
 
-    The mass comes from the skeleton of q's word in `skeletons`.  A missing
-    skeleton, or one these orbits do not fit, is replaced by one built from
-    these orbits, so no orbit is computed twice.
+    The mass comes from the skeleton of q's word in `skeletons` (`_fitted`).
     """
     bits = checked_precision(precision)
-    low = orbit(base, base - 1, q.m0)
-    high = orbit(base, base, q.m1)
-    scale = bits + _GUARD
-    keys = _level_keys(low.points, scale), _level_keys(high.points, scale)
-    skel = skeletons.get(q.word)
-    fit = None if skel is None else skel.fit(base, low, high, keys)
-    if fit is None:
-        skel = skeletons[q.word] = _skeleton(q.word, low, high, keys)
-        fit = skel.fit(base, low, high, keys)
-        if fit is None:
-            raise AttractorError("an endpoint orbit repeats a level before the matching time")
+    skel, _, _, fit = _fitted(base, q, skeletons, bits + _GUARD)
     A, err = skel.mass(*fit, bits)
     with working_precision(bits):
         h = mpmath.pi**2 / (3 * A)
@@ -608,13 +549,13 @@ def density_slice(attr: Attractor, t, precision: int | None = None) -> mpmath.mp
     if not attr.alpha - 1 <= t <= attr.alpha:
         raise ValueError("height outside the interval")
     A, _ = attractor_mass(attr, precision)
-    coords = _rect_coords(attr, checked_precision(precision))
     top = attr.alpha
     with working_precision(precision):
         tm = to_mpf(t)
         total = mpmath.mpf(0)
-        for rect, (xl, xh, _, _) in zip(attr.rects, coords):
+        for rect in attr.rects:
             if rect.y_lo <= t < rect.y_hi or (t == top and rect.y_hi == top):
+                xl, xh = to_mpf(rect.x_lo), to_mpf(rect.x_hi)
                 total += (xh - xl) / ((1 + xl * tm) * (1 + xh * tm))
         return total / A
 
@@ -625,21 +566,18 @@ def measure_interval(attr: Attractor, lo, hi, precision: int | None = None) -> m
 
     A clipped rectangle lies inside a checked one, and 1 + x y is linear in
     y, so it reaches no pole: its mass is `rect_mass` of the clipped
-    rectangle, from the kept rounded coordinates and lo and hi rounded once.
+    rectangle, without the checks of a new `Rect`.
     """
     if not (attr.alpha - 1 <= lo <= hi <= attr.alpha):
         raise ValueError("interval must sit inside [alpha-1, alpha]")
     bits = checked_precision(precision)
     A, _ = attractor_mass(attr, bits)
-    coords = _rect_coords(attr, bits)
     with working_precision(bits):
-        lo_m, hi_m = to_mpf(lo), to_mpf(hi)
         total = mpmath.mpf(0)
-        for rect, (xl, xh, yl, yh) in zip(attr.rects, coords):
-            ylo, yl = (rect.y_lo, yl) if rect.y_lo > lo else (lo, lo_m)
-            yhi, yh = (rect.y_hi, yh) if rect.y_hi < hi else (hi, hi_m)
+        for rect in attr.rects:
+            ylo, yhi = max(rect.y_lo, lo), min(rect.y_hi, hi)
             if ylo < yhi:
-                total += _log_ratio(xl, xh, yl, yh)
+                total += _log_ratio(to_mpf(rect.x_lo), to_mpf(rect.x_hi), to_mpf(ylo), to_mpf(yhi))
         return total / A
 
 
@@ -703,16 +641,19 @@ def _entropy_run(grid, precision: int | None) -> list[EntropySample]:
 
 def asymptotic_probe(n_values, precision: int | None = None) -> list[dict]:
     """Entropy against pi^2/(3 log(N+1)) at the parameters 1/(N+1) whose
-    qumtervals have runlength (N, 1); the attractor mass grows like log N."""
+    qumtervals have runlength (N, 1); the attractor mass grows like log N.
+
+    A and its error bound come from `_Skeleton.mass`, so A is that of
+    `entropy_at`."""
+    bits = checked_precision(precision)
     rows = []
     for n in n_values:
         if n < 2:
             raise ValueError("N must be at least 2")
-        word = "0" * n + "1"
-        q = qumterval_of(word)
-        attr = build_attractor(q.pseudocenter, word)
-        A, err = attractor_mass(attr, precision)
-        with working_precision(precision):
+        q = qumterval_of("0" * n + "1")
+        skel, _, _, fit = _fitted(q.pseudocenter, q, {}, bits + _GUARD)
+        A, err = skel.mass(*fit, bits)
+        with working_precision(bits):
             h = mpmath.pi**2 / (3 * A)
             log_n1 = mpmath.log(n + 1)
             target = mpmath.pi**2 / (3 * log_n1)

@@ -135,6 +135,12 @@ class TestQumtervals:
             with pytest.raises(ValueError):
                 bf.locate_qumterval(bad)
 
+    def test_locate_over_its_step_budget_is_a_validation_error(self, monkeypatch):
+        # the word of 1/100 is 0^99 1, about a hundred mediant steps deep
+        monkeypatch.setattr(bf, "_LOCATE_LIMIT", 50)
+        with pytest.raises(ValueError, match="50 mediant steps"):
+            bf.locate_qumterval(Fraction(1, 100))
+
     @staticmethod
     def _endpoint_digits(w):
         """(pre, period) of the digits of alpha_plus and of alpha_minus."""

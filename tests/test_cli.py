@@ -1,17 +1,19 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import fareycf
 from fareycf import bifurcation as bf
 from fareycf import words as wd
-from fareycf.cli import main
+from fareycf.cli import build_parser, main
 from fareycf.exactnum import format_exact
 
 
@@ -144,6 +146,12 @@ class TestBehaviour:
         assert run(capsys, "qumterval", "info", "--word", "0011")[0] == 2
         assert run(capsys, "entropy", "point")[0] == 2
 
+    def test_descent_over_its_step_budget_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(bf, "_LOCATE_LIMIT", 50)
+        for argv in (("qumterval", "info"), ("entropy", "point")):
+            code, out, err = run(capsys, *argv, "--alpha", "1/100")
+            assert (code, out) == (2, "") and "step budget" in err, argv
+
     def test_precision_floor(self, capsys):
         assert run(capsys, "entropy", "point", "--alpha", "1/2", "--precision", "32")[0] == 2
 
@@ -172,6 +180,33 @@ class TestBehaviour:
     def test_unknown_flag_exits_2(self, capsys):
         code, _, err = run(capsys, "farey", "--bogus")
         assert code == 2 and "usage" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("farey", "list", "--level", "2", "--precision", "80"),
+            ("cardioid", "--rational", "2/5", "--decimals", "5"),
+            ("entropy", "point", "--alpha", "9/20", "--decimals", "5"),
+            ("attractor", "--alpha", "9/20", "--precision", "80"),
+            ("entropy", "curve", "--from", "1/5", "--to", "1/4", "--samples", "2", "--parallelism", "2"),
+        ],
+    )
+    def test_flags_only_where_read(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "unrecognized arguments" in err
+
+    def test_readme_examples_parse(self):
+        # every `fareycf ...` line of README's "Command line" block parses; none runs
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+        lines = [line for line in block.splitlines() if line.startswith("fareycf ")]
+        assert len(lines) >= 10
+        parser = build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {line}")
 
 
 class TestRegressionPins:

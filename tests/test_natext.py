@@ -138,7 +138,7 @@ class TestBuild:
         x, y = attr.corner_x, attr.corner_y
         assert x == surd_from_periodic_cf((), (1, 4))
         # left end of the lowest boundary is the corner y = -[0;(4,1) repeated]
-        assert attr.lower_segments[0].left == y == -surd_from_periodic_cf((), (4, 1))
+        assert attr.v_levels[0] == y == -surd_from_periodic_cf((), (4, 1))
 
 
 class TestCheckedConstruction:
@@ -233,6 +233,24 @@ class TestSkeletonChecks:
 
         with pytest.raises(nx.AttractorError, match="density pole"):
             self.sample_with(widen)
+
+    @pytest.mark.parametrize("fault", ["empty rectangle", "density pole"])
+    def test_attractor_runs_the_fit_checks(self, monkeypatch, fault):
+        # build_attractor fits its orbits as the entropy path does, so a bad
+        # skeleton fails its checks before any Rect is made
+        build = nx._skeleton
+
+        def changed(*args):
+            skel = build(*args)
+            if fault == "empty rectangle":
+                (left, _), *rest = skel.low_x
+                return dataclasses.replace(skel, low_x=((left, skel.corner_y), *rest))
+            *rest, (_, right) = skel.high_x
+            return dataclasses.replace(skel, high_x=(*rest, (Fraction(-(10**6)), right)))
+
+        monkeypatch.setattr(nx, "_skeleton", changed)
+        with pytest.raises(nx.AttractorError, match=fault):
+            nx.build_attractor(self.alpha)
 
 
 def boundary_mass(alpha, bits):
@@ -532,7 +550,7 @@ class TestDensityAndMeasure:
         attr = nx.build_attractor(Fraction(337, 1000))
         t = Fraction(1, 7)
         got = nx.density_slice(attr, t)
-        assert list(attr.coords_cache) == [128] and nx.density_slice(attr, t) == got
+        assert nx.density_slice(attr, t) == got
         with working_precision(None):
             A, _ = nx.attractor_mass(attr)
             tm, total = to_mpf(t), mpmath.mpf(0)
@@ -624,6 +642,18 @@ class TestCurveAndProbes:
             # inner/outer bounds from the square inclusion argument
             assert row["A_minus_log"] > -float(mpmath.log(4))
             assert row["A_minus_log"] < 1.0
+
+    def test_asymptotic_mass_is_the_entropy_mass(self):
+        # one production A: the probe's is that of entropy_at, inside the
+        # rectangle oracle's bound
+        rows = nx.asymptotic_probe([2, 10, 100, 1000])
+        for row in rows:
+            alpha = Fraction(1, row["N"] + 1)
+            s = nx.entropy_at(alpha)
+            assert row["alpha"] == alpha and (row["A"], row["h"]) == (s.A, s.h)
+            A_rects, err_rects = nx.attractor_mass(nx.build_attractor(alpha))
+            with working_precision(None):
+                assert abs(row["A"] - A_rects) <= row["err_bound"] + err_rects
 
     def test_slope_probe_monotone_data(self):
         rows = nx.slope_growth_probe("001", "plus", 4)
