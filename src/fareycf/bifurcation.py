@@ -323,18 +323,18 @@ def zeta_partial(
         raise ValueError("exponent must be positive")
     if depth > words.FAREY_LIST_CAP:
         raise ValueError(f"depth above cap {words.FAREY_LIST_CAP}")
+    if variant not in ("qumterval", "binary"):
+        raise ValueError("variant must be 'qumterval' or 'binary'")
     total = 0.0
     for w in words.words_of_length_up_to(depth):
         if variant == "qumterval":
             q = qumterval_of(w)
             lo, hi = q.alpha_minus, q.alpha_plus
             length = _outward(q.length)
-        elif variant == "binary":
+        else:
             b = bin_interval(w)
             lo, hi = b.a_minus, b.a_plus
             length = _outward(b.length)
-        else:
-            raise ValueError("variant must be 'qumterval' or 'binary'")
         if window is not None and not (lo < window[1] and hi > window[0]):
             continue
         total += length**s

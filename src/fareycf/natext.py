@@ -611,6 +611,8 @@ def entropy_curve(
     The samples equal those of `entropy_at`.  With jobs > 1 contiguous chunks
     of the grid go to worker processes, each through the same loop.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     grid = entropy_grid(start, stop, samples)
     if jobs > 1:
         # imported here: it pulls in multiprocessing, which every cold start would pay

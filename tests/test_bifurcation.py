@@ -288,6 +288,11 @@ class TestZeta:
         windowed = bf.zeta_partial(1.0, 8, window=(Fraction(1, 3), Fraction(1, 2)))
         assert 0 < windowed < full
 
+    def test_unknown_variant_raises_before_any_word(self):
+        # depth 1 has no words, so a check inside the loop would never run
+        with pytest.raises(ValueError, match="variant"):
+            bf.zeta_partial(1.0, 1, variant="bogus")
+
 
 class TestSimplestRational:
     def test_examples(self):

@@ -145,6 +145,15 @@ class TestBehaviour:
         assert run(capsys, "entropy", "point", "--alpha", "3/2")[0] == 2
         assert run(capsys, "qumterval", "info", "--word", "0011")[0] == 2
         assert run(capsys, "entropy", "point")[0] == 2
+        for argv in (
+            ("farey",),
+            ("farey", "--level", "3"),
+            ("ebif", "--x", "1/3"),
+            ("qumterval", "info", "--alpha", "1/3", "--word", "01"),
+            ("entropy", "curve", "--from", "1/5", "--to", "1/4", "--samples", "2", "--jobs", "0"),
+            ("entropy", "curve", "--from", "1/5", "--to", "1/4", "--samples", "2", "--jobs", "-4"),
+        ):
+            assert run(capsys, *argv)[:2] == (2, ""), argv
 
     def test_descent_over_its_step_budget_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(bf, "_LOCATE_LIMIT", 50)
@@ -177,6 +186,23 @@ class TestBehaviour:
             assert code == 0, (cmd, out)
             assert "FAIL" not in out
 
+    def test_closed_stdout_exits_141_quietly(self):
+        # the JSON at 1/300 (about 240 KB) is larger than a pipe buffer, so
+        # the writer meets the closed pipe
+        src = os.path.dirname(os.path.dirname(fareycf.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fareycf", "attractor", "--alpha", "1/300", "--json"],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b"")
+
     def test_unknown_flag_exits_2(self, capsys):
         code, _, err = run(capsys, "farey", "--bogus")
         assert code == 2 and "usage" in err
@@ -189,6 +215,10 @@ class TestBehaviour:
             ("entropy", "point", "--alpha", "9/20", "--decimals", "5"),
             ("attractor", "--alpha", "9/20", "--precision", "80"),
             ("entropy", "curve", "--from", "1/5", "--to", "1/4", "--samples", "2", "--parallelism", "2"),
+            ("entropy", "point", "--alpha", "1/3", "--samples", "5"),
+            ("qumterval", "atlas", "--max-len", "3", "--alpha", "1/3"),
+            ("probe", "zeta", "--N", "5"),
+            ("probe", "zeta", "--precision", "80"),
         ],
     )
     def test_flags_only_where_read(self, capsys, argv):
@@ -221,6 +251,12 @@ class TestRegressionPins:
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "8f42f30cf2bd5fce35c78455a05d38b8d1162969372426bc22e3385f8becef9a"
+
+    def test_attractor_text_bytes(self, capsys):
+        code, out, _ = run(capsys, "attractor", "--alpha", "123457/524288")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "2e05b5f933a6f3856ca23febe7f091b0986a57b900d11ad6891319cda56c512c"
 
     def test_entropy_point_bytes(self, capsys):
         code, out, _ = run(capsys, "entropy", "point", "--alpha", "4/15")
