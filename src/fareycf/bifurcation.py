@@ -317,10 +317,12 @@ def zeta_partial(
     only like 1/k^2.  A window keeps only the words whose interval meets it;
     it must stay away from 0 and 1 for the sum to converge (inside
     [1/(N+1), 1/N] the gaps decay like N^(-2|w|/(N+1))).  The binary gaps
-    1/(2(2^n - 1)) decay exponentially everywhere.  `depth` stops at
+    1/(2(2^n - 1)) decay exponentially everywhere.  `depth` runs from 1 to
     `words.FAREY_LIST_CAP`."""
     if s <= 0:
         raise ValueError("exponent must be positive")
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
     if depth > words.FAREY_LIST_CAP:
         raise ValueError(f"depth above cap {words.FAREY_LIST_CAP}")
     if variant not in ("qumterval", "binary"):

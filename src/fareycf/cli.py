@@ -71,6 +71,14 @@ def precision_bits(text: str) -> int:
     return bits
 
 
+def decimal_digits(text: str) -> int:
+    """The type of `--decimals`: a whole number of digits, at least 0."""
+    digits = int(text)
+    if digits < 0:
+        raise argparse.ArgumentTypeError("decimals must be >= 0")
+    return digits
+
+
 # ---------------------------------------------------------------------------
 # action handlers
 # ---------------------------------------------------------------------------
@@ -344,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         if precision:
             p.add_argument("--precision", type=precision_bits, help="working precision in bits (>= 64)")
         if decimals:
-            p.add_argument("--decimals", type=int, help="append decimal approximations")
+            p.add_argument("--decimals", type=decimal_digits, help="append decimal approximations")
         return p
 
     farey = actions("farey", "word lists and the slope bijection", wd)

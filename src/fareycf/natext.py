@@ -12,15 +12,18 @@ arithmetic up to its one log: the boundary product is taken in Python
 integers at a binary scale `_GUARD` bits finer than that precision.
 
 The exact pass is integer arithmetic throughout: the endpoint orbits step in
-integers (`kdynamics.orbit`), each abscissa push is one surd reduction, the
-density-pole test is one integer sign test, and the rectangles come from one
-merge of the two level-sorted boundaries.  What depends on the qumterval
-alone, the endpoint digits, the order of each orbit and the pushed abscissae
-with their seams, is one `_Skeleton`.  Every parameter takes one path to it
-(`_fitted`): its endpoint orbits, their order keys, the skeleton of its word
-(kept or built from these orbits) and the skeleton's fit, which checks the
-digits, the order of each orbit, that no rectangle is empty and that none
-reaches a density pole.  `build_attractor` turns the fit into rectangles.
+integers (`kdynamics.orbit`), each abscissa push is the classical surd
+recurrence, linear in the size of its numbers (`_abscissae`), the
+empty-rectangle and density-pole tests are decided on the integers of the
+mass with a proved margin, exactly only where the margin cannot decide, and
+the rectangles come from one merge of the two level-sorted boundaries.  What
+depends on the qumterval alone, the endpoint digits, the order of each orbit
+and the pushed abscissae with their seams, is one `_Skeleton`.  Every
+parameter takes one path to it (`_fitted`): its endpoint orbits, their order
+keys, the skeleton of its word (kept or built from these orbits) and the
+skeleton's fit, which checks the digits, the order of each orbit, that no
+rectangle is empty and that none reaches a density pole.  `build_attractor`
+turns the fit into rectangles.
 
 The entropy then follows from the identity  h * area = pi^2 / 3  where
 "area" is the mass of the attractor under dx dy / (1 + x y)^2.  That mass has
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, pairwise
-from math import isqrt
+from math import gcd, isqrt
 
 import mpmath
 
@@ -92,6 +95,24 @@ class Rect:
                     raise ValueError("density pole inside rectangle")
 
 
+def _below(left: Exact, right: Exact, X_left: int, X_right: int, slack: int) -> bool:
+    """left < right, for values rounded to X_left and X_right by `_scaled`
+    within `slack` units each: decided on the integers when
+    X_right - X_left >= 2 slack, else exactly (`_Skeleton.fit`)."""
+    return X_right - X_left >= 2 * slack or left < right
+
+
+def _pole_free_at(x: Exact, X: int, key: tuple[int, Exact], slack: int, scale: int) -> bool:
+    """`_pole_free(x, y)` for an end x rounded to X by `_scaled` within
+    `slack` units and the order key (Y, y) of a level |y| <= 1 at `scale`:
+    decided on the integers when the factor 2^W + (X Y >> W) of
+    `_Skeleton.mass` clears the margin (|X| >> W) + slack + 3 + (2 slack >> W)
+    proved in `_Skeleton.fit`, else exactly."""
+    Y, y = key
+    margin = (abs(X) >> scale) + slack + 3 + (2 * slack >> scale)
+    return (1 << scale) + (X * Y >> scale) > margin or _pole_free(x, y)
+
+
 def _pole_free(x: Exact, y: Exact) -> bool:
     """1 + x*y > 0.  For a surd x = (p + q sqrt d)/r (r > 0) and a rational
     y = n/m (m > 0) this is the sign of m r + n p + n q sqrt d, one integer
@@ -138,23 +159,49 @@ def attractor_corners(w: str) -> tuple[Exact, Exact]:
     return x, y
 
 
-def _xi_step(c: int, xi: QuadSurd) -> Exact:
-    """The abscissa update S T^-c of the extension map for branch digit c:
-    xi -> 1/(c - xi).  With xi = (p + q sqrt d)/r and u = c r - p this is
-    r (u + q sqrt d) / (u^2 - q^2 d), reduced once."""
+def _abscissae(xi: QuadSurd, digits):
+    """Yield xi and its images under the abscissa updates S T^-c of the
+    extension map, xi -> 1/(c - xi), for the branch digits c in turn.
+
+    The chain runs in the classical form (P + Q sqrt d)/R of continued
+    fractions, with R dividing P^2 - Q^2 d, and carries the previous
+    denominator R_, for which R R_ = P^2 - Q^2 d.  With P' = c R - P,
+
+        1/(c - xi) = R (P' + Q sqrt d) / (P'^2 - Q^2 d) = (P' + Q sqrt d) / R',
+
+    where R' = (P'^2 - Q^2 d)/R is an integer because P' = -P mod R, and
+    R' R = P'^2 - Q^2 d keeps the invariant.  Since P' + P = c R,
+    R (R' - R_) = P'^2 - P^2 = c R (P' - P), so
+
+        R' = c (P' - P) + R_,
+
+    and a step is two products of a number by the digit and three additions:
+    no product of two big numbers, no division and no big gcd.  Q never
+    changes.  A start (p + q sqrt d)/r with n = p^2 - q^2 d is lifted once
+    by k = r / gcd(r, n): then P, Q, R = k p, k q, k r, R divides
+    k^2 n, and R_ = n / gcd(r, n).  Each surd yielded is divided by
+    gcd(P, Q, R), taken through the small Q first, and given a positive
+    denominator, so it is the reduced surd: the same fields as reducing
+    1/(c - xi) in full.
+    """
     p, q, r, d = xi.p, xi.q, xi.r, xi.d
-    u = c * r - p
-    return QuadSurd._reduced(r * u, r * q, u * u - q * q * d, d)
+    n = p * p - q * q * d
+    g = gcd(r, n)
+    k = r // g
+    P, Q, R, R_ = k * p, k * q, k * r, n // g
+    yield xi
+    for c in digits:
+        P_ = c * R - P
+        P, R, R_ = P_, c * (P_ - P) + R_, R
+        g = gcd(gcd(P, Q), R)
+        s = g if R > 0 else -g
+        yield QuadSurd(P // s, Q // s, R // s, d)
 
 
-def _push(start: tuple[Exact, Exact], digits) -> list[tuple[Exact, Exact]]:
+def _push(start: tuple[QuadSurd, QuadSurd], digits) -> list[tuple[QuadSurd, QuadSurd]]:
     """(left, right) ends of the boundary segment at each orbit index."""
     left, right = start
-    ends = [start]
-    for c in digits:
-        left, right = _xi_step(c, left), _xi_step(c, right)  # increasing map
-        ends.append((left, right))
-    return ends
+    return list(zip(_abscissae(left, digits), _abscissae(right, digits)))  # increasing map
 
 
 @dataclass(eq=False)
@@ -178,20 +225,36 @@ class _Skeleton:
     high_order: tuple[int, ...]  # orbit indices of the upper segments, levels ascending
     low_x: tuple[tuple[Exact, Exact], ...]  # (left, right) of each lower segment, in low_order
     high_x: tuple[tuple[Exact, Exact], ...]  # (left, right) of each upper segment, in high_order
-    # (i, j) pairs checked: left end of upper segment j < right end of lower segment i
-    wide_pairs: set = field(default_factory=set, init=False, repr=False)
-    # (right ends of the lower segments, left ends of the upper ones) scaled, by scale
+    # (right ends of the lower segments, left ends of the upper ones) scaled, and their slack, by scale
     ends_cache: dict = field(default_factory=dict, init=False, repr=False)
 
-    def fit(self, alpha: Fraction, low, high, keys):
+    def fit(self, alpha: Fraction, low, high, keys, scale: int):
         """Check one parameter's endpoint orbits against the skeleton.
 
-        `keys` holds the order keys of the two orbits' points (`_level_keys`).
-        Returns the keys of the lower and of the upper segments' levels, both
-        ascending, and the number of rectangles; None when the digits or the
-        order of an orbit differ from the skeleton's.  Raises AttractorError
-        when a rectangle of the staircase would be empty or reach a pole of
-        the density.
+        `keys` holds the order keys of the two orbits' points at `scale`
+        (`_level_keys`).  Returns the keys of the lower and of the upper
+        segments' levels, both ascending, and the number of rectangles; None
+        when the digits or the order of an orbit differ from the skeleton's.
+        Raises AttractorError when a rectangle of the staircase would be
+        empty or reach a pole of the density.
+
+        Both checks are decided first on the integers of the mass, at
+        W = scale: the ends X = `rounded_ends(W)`, each within s units of
+        its value times 2^W (s = `_slack` of the ends), and the keys' Y =
+        floor(y 2^W).  Only a test the integers cannot decide takes the
+        exact one, so every outcome is the exact test's.
+          - Empty rectangle: the left end L of an upper segment must lie
+            below the right end R of a lower one.  (R - L) 2^W exceeds
+            X_R - X_L - 2s, so X_R - X_L >= 2s proves L < R.
+          - Pole: 1 + x y > 0 for an end x and a level y, |y| <= 1.  With
+            X = x 2^W + e (|e| < s) and Y = y 2^W - t (0 <= t < 1), the
+            factor F = 2^W + (X Y >> W) of `_Skeleton.mass` is
+            2^W (1 + x y) + e y - t x - e t / 2^W - f with 0 <= f < 1.
+            Here |e y| < s, |t x| < |x| < (|X| >> W) + 1 + s / 2^W and
+            |e t| / 2^W < s / 2^W, so F - 2^W (1 + x y) is below
+            M = (|X| >> W) + s + 3 + (2 s >> W) in size, and F > M proves
+            the test.  At W = 0 the factor 1 + X Y never exceeds 1 + |X| < M,
+            so every test falls back to the exact one.
         """
         if low.digits != self.low_digits or high.digits != self.high_digits:
             return None
@@ -200,23 +263,21 @@ class _Skeleton:
         hi = [high_keys[k] for k in self.high_order]
         if not (_increasing(lo) and _increasing(hi)):
             return None
+        rights, lefts, slack = self.rounded_ends(scale)
         rects = 0
         for _, (_, y_hi), i, j in _staircase(lo, hi):
-            if (i, j) not in self.wide_pairs:
-                if not self.high_x[j][0] < self.low_x[i][1]:
-                    raise AttractorError(f"empty rectangle below level {y_hi}")
-                self.wide_pairs.add((i, j))
+            if not _below(self.high_x[j][0], self.low_x[i][1], lefts[j], rights[i], slack):
+                raise AttractorError(f"empty rectangle below level {y_hi}")
             rects += 1
         # 1 + x y is linear in y: positive at both ends of a segment's span,
         # it is positive at every rectangle corner on that side
-        ys_lo = [y for _, y in lo]
-        ys_hi = [y for _, y in hi]
-        for (_, right), y0, y1 in zip(self.low_x, ys_lo, ys_lo[1:] + [alpha]):
-            if not (_pole_free(right, y0) and _pole_free(right, y1)):
-                raise AttractorError(f"density pole on the lower boundary at level {y0}")
-        for (left, _), y0, y1 in zip(self.high_x, [alpha - 1] + ys_hi[:-1], ys_hi):
-            if not (_pole_free(left, y0) and _pole_free(left, y1)):
-                raise AttractorError(f"density pole on the upper boundary at level {y1}")
+        top, bottom = _level_keys([alpha, alpha - 1], scale)
+        for X, (_, right), y0, y1 in zip(rights, self.low_x, lo, lo[1:] + [top]):
+            if not (_pole_free_at(right, X, y0, slack, scale) and _pole_free_at(right, X, y1, slack, scale)):
+                raise AttractorError(f"density pole on the lower boundary at level {y0[1]}")
+        for X, (left, _), y0, y1 in zip(lefts, self.high_x, [bottom] + hi[:-1], hi):
+            if not (_pole_free_at(left, X, y0, slack, scale) and _pole_free_at(left, X, y1, slack, scale)):
+                raise AttractorError(f"density pole on the upper boundary at level {y1[1]}")
         return lo, hi, rects
 
     def mass(self, lo, hi, rects: int, bits: int):
@@ -237,7 +298,7 @@ class _Skeleton:
         log of their ratio is taken at `bits`.
         """
         scale = bits + _GUARD
-        rights, lefts = self.rounded_ends(scale)
+        rights, lefts, _ = self.rounded_ends(scale)
         one = 1 << scale
         ys_lo = [Y for Y, _ in lo]
         ys_hi = [Y for Y, _ in hi]
@@ -261,13 +322,16 @@ class _Skeleton:
 
     def rounded_ends(self, scale: int):
         """The right ends of the lower segments and the left ends of the
-        upper ones, times 2^scale and rounded down (`_scaled`); kept per
-        scale."""
+        upper ones, times 2^scale and rounded down (`_scaled`), and the
+        bound on their rounding (`_slack`); kept per scale."""
         got = self.ends_cache.get(scale)
         if got is None:
+            rights = [right for _, right in self.low_x]
+            lefts = [left for left, _ in self.high_x]
             got = self.ends_cache[scale] = (
-                _scaled([right for _, right in self.low_x], scale),
-                _scaled([left for left, _ in self.high_x], scale),
+                _scaled(rights, scale),
+                _scaled(lefts, scale),
+                _slack(rights + lefts),
             )
         return got
 
@@ -338,10 +402,10 @@ def _fitted(alpha: Fraction, q: Qumterval, skeletons: dict, scale: int):
     high = orbit(alpha, alpha, q.m1)
     keys = _level_keys(low.points, scale), _level_keys(high.points, scale)
     skel = skeletons.get(q.word)
-    fit = None if skel is None else skel.fit(alpha, low, high, keys)
+    fit = None if skel is None else skel.fit(alpha, low, high, keys, scale)
     if fit is None:
         skel = skeletons[q.word] = _skeleton(q.word, low, high, keys)
-        fit = skel.fit(alpha, low, high, keys)
+        fit = skel.fit(alpha, low, high, keys, scale)
         if fit is None:
             raise AttractorError("an endpoint orbit repeats a level before the matching time")
     return skel, low, high, fit
@@ -416,13 +480,9 @@ def corner_system_residues(w: str):
     alpha = q.pseudocenter
     low = orbit(alpha, alpha - 1, j0)
     high = orbit(alpha, alpha, j1)
-    xi = x
-    for c in high.digits:
-        xi = _xi_step(c, xi)
+    *_, xi = _abscissae(x, high.digits)
     lhs1 = mobius_apply(S * T * S, y)
-    eta = y
-    for c in low.digits:
-        eta = _xi_step(c, eta)
+    *_, eta = _abscissae(y, low.digits)
     lhs2 = mobius_apply(S * T**-1 * S, x)
     return (lhs1, xi), (lhs2, eta)
 
@@ -465,6 +525,13 @@ def _scaled(values, scale: int) -> list[int]:
         else:
             out.append((v.numerator << scale) // v.denominator)
     return out
+
+
+def _slack(values) -> int:
+    """A whole number of units that bounds, strictly, the rounding of
+    `_scaled` over `values` at any scale: ceil(|q|/r) + 1 for a surd, 1 for
+    a rational."""
+    return max((-(-abs(v.q) // v.r) + 1 if isinstance(v, QuadSurd) else 1 for v in values), default=1)
 
 
 def attractor_mass(attr: Attractor, precision: int | None = None):

@@ -288,6 +288,13 @@ class TestZeta:
         windowed = bf.zeta_partial(1.0, 8, window=(Fraction(1, 3), Fraction(1, 2)))
         assert 0 < windowed < full
 
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_depth_below_one_raises(self, depth):
+        # an empty sum is no partial sum
+        for variant in ("qumterval", "binary"):
+            with pytest.raises(ValueError, match="depth"):
+                bf.zeta_partial(0.25, depth, variant=variant)
+
     def test_unknown_variant_raises_before_any_word(self):
         # depth 1 has no words, so a check inside the loop would never run
         with pytest.raises(ValueError, match="variant"):

@@ -152,6 +152,10 @@ class TestBehaviour:
             ("qumterval", "info", "--alpha", "1/3", "--word", "01"),
             ("entropy", "curve", "--from", "1/5", "--to", "1/4", "--samples", "2", "--jobs", "0"),
             ("entropy", "curve", "--from", "1/5", "--to", "1/4", "--samples", "2", "--jobs", "-4"),
+            ("qumterval", "info", "--alpha", "1/3", "--decimals", "-5"),
+            ("orbit", "--alpha", "1/3", "--x", "1/5", "--steps", "2", "--decimals", "-5"),
+            ("probe", "zeta", "--depth", "0"),
+            ("probe", "zeta", "--depth", "-3"),
         ):
             assert run(capsys, *argv)[:2] == (2, ""), argv
 

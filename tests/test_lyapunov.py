@@ -12,18 +12,43 @@ from fareycf import natext as nx
 PLATEAU = math.pi**2 / (6 * math.log((1 + math.sqrt(5)) / 2))
 
 
-def per_step_oracle(alpha, x0, steps, burn_in):
-    """The former kernel: one log per step; None where it nudged a point off 0."""
+def per_step_oracle(alpha, x0, steps, burn_in, rng=None):
+    """The former kernel, one log per step, with the kernel's restart out of a
+    float cycle: when a counted block of `ly._BLOCK` steps that does not end
+    the run ends at its own start, or at the anchor saved every
+    `ly._ANCHOR_EVERY` blocks, the orbit starts afresh from `rng` (default
+    ``random.Random(0)``, as in the kernel) and burns in again.  None where
+    the kernel would have restarted after a hit of 0."""
+    if rng is None:
+        rng = random.Random(0)
     x = x0
     acc = 0.0
-    for i in range(steps + burn_in):
-        if x == 0.0 or x != x:
-            return None
-        if i >= burn_in:
-            acc += -2.0 * math.log(abs(x))
-        u = -1.0 / x
-        x = u - math.floor(u + 1.0 - alpha)
-    return acc / steps
+    left = steps
+    while True:
+        for _ in range(burn_in):
+            if x == 0.0 or x != x:
+                return None
+            u = -1.0 / x
+            x = u - math.floor(u + 1.0 - alpha)
+        anchor = math.nan
+        blocks = 0
+        while True:
+            start = x
+            for _ in range(min(ly._BLOCK, left)):
+                if x == 0.0 or x != x:
+                    return None
+                acc += -2.0 * math.log(abs(x))
+                u = -1.0 / x
+                x = u - math.floor(u + 1.0 - alpha)
+            left -= min(ly._BLOCK, left)
+            if not left:
+                return acc / steps
+            if x == start or x == anchor:
+                break
+            blocks += 1
+            if not blocks % ly._ANCHOR_EVERY:
+                anchor = x
+        x = ly._random_start(rng, alpha)
 
 
 def test_kernel_and_fallback_agree_exactly():
@@ -48,6 +73,7 @@ def test_kernel_and_fallback_agree_exactly():
 @example(alpha=0.3, t=0.6, steps=17, burn_in=0)
 @example(alpha=0.71, t=0.2, steps=1999, burn_in=0)
 @example(alpha=0.5, t=0.1, steps=16, burn_in=7)
+@example(alpha=0.3125, t=0.0, steps=1073, burn_in=0)  # a 6-cycle from -11/16, left at step 1072
 def test_block_logs_equal_per_step_logs(alpha, t, steps, burn_in):
     x0 = alpha - 1.0 + t
     assume(abs(x0) >= 1e-6)

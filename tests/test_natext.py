@@ -2,6 +2,7 @@ import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations, pairwise
+from math import isqrt
 
 import mpmath
 import pytest
@@ -33,13 +34,33 @@ surds = st.builds(
 rationals = st.fractions(max_denominator=10**30).filter(lambda v: abs(v) < 10**6)
 
 
+def fields(v):
+    return (v.p, v.q, v.r, v.d)
+
+
+def xi_step(c, xi):
+    """The reference abscissa update xi -> 1/(c - xi): with xi = (p + q sqrt d)/r
+    and u = c r - p, r (u + q sqrt d) / (u^2 - q^2 d), reduced in full."""
+    p, q, r, d = xi.p, xi.q, xi.r, xi.d
+    u = c * r - p
+    return QuadSurd._reduced(r * u, r * q, u * u - q * q * d, d)
+
+
+def reference_chain(xi, digits):
+    """`nx._abscissae` by one full reduction per step."""
+    chain = [xi]
+    for c in digits:
+        chain.append(xi_step(c, chain[-1]))
+    return chain
+
+
 class TestRewrittenSteps:
     @given(st.integers(-10**6, 10**6), surds)
     def test_xi_step_equals_mobius_action(self, c, xi):
-        got = nx._xi_step(c, xi)
         want = mobius_apply(S * T**-c, xi)
-        assert isinstance(got, QuadSurd)
-        assert (got.p, got.q, got.r, got.d) == (want.p, want.q, want.r, want.d)
+        for got in (xi_step(c, xi), list(nx._abscissae(xi, [c]))[-1]):
+            assert isinstance(got, QuadSurd)
+            assert fields(got) == fields(want)
 
     @given(surds, st.one_of(rationals, surds), st.booleans())
     def test_pole_test_equals_arithmetic(self, x, y, swap):
@@ -55,6 +76,126 @@ class TestRewrittenSteps:
         assert not nx._pole_free(Fraction(-1, k), Fraction(k))
         with pytest.raises(ValueError):
             nx.Rect(Fraction(-1, abs(k)), Fraction(1), Fraction(0), Fraction(abs(k)))
+
+
+def skeleton_pushes(word):
+    """The two pushes of `nx._skeleton` for a side-0 word, at its pseudocenter:
+    (start, digits) of the lower and of the upper boundary."""
+    q = bf.qumterval_of(word)
+    alpha = q.pseudocenter
+    x, y = nx.attractor_corners(word)
+    low = kd.orbit(alpha, alpha - 1, q.m0)
+    high = kd.orbit(alpha, alpha, q.m1)
+    return [((y, x / (1 + x)), low.digits), ((y / (1 - y), x), high.digits)]
+
+
+def assert_pushes_field_identical(word):
+    for start, digits in skeleton_pushes(word):
+        got = nx._push(start, digits)
+        want = list(zip(*(reference_chain(end, digits) for end in start)))
+        assert len(got) == len(want) == len(digits) + 1
+        assert [tuple(map(fields, ends)) for ends in got] == [tuple(map(fields, ends)) for ends in want]
+
+
+class TestAbscissaChain:
+    # the recurrence yields the reduced surds of one full reduction per step
+    @settings(max_examples=200, deadline=None)
+    @given(surds, st.lists(st.integers(-50, 50), max_size=12))
+    def test_random_chains(self, xi, digits):
+        got = list(nx._abscissae(xi, digits))
+        assert list(map(fields, got)) == list(map(fields, reference_chain(xi, digits)))
+
+    def test_lifted_start(self):
+        # r = 7 does not divide p^2 - q^2 d = 1 - 2: the chain starts lifted by 7
+        xi = make_surd(1, 1, 7, 2)
+        assert (xi.p**2 - xi.q**2 * xi.d) % xi.r
+        digits = [3, -2, 5, 1, 1, -7]
+        assert list(map(fields, nx._abscissae(xi, digits))) == list(map(fields, reference_chain(xi, digits)))
+
+    @pytest.mark.parametrize("word", side0_words(14))
+    def test_short_words(self, word):
+        assert_pushes_field_identical(word)
+
+    @pytest.mark.parametrize(
+        "word",
+        [lambda: "0" * 3000 + "1", lambda: wd.word_from_rational(Fraction(853, 2048))],
+        ids=["N=3000", "slope-853/2048"],
+    )
+    def test_deep_words(self, word):
+        assert_pushes_field_identical(word())
+
+
+def scaled_key(y, scale):
+    return nx._level_keys([y], scale)[0]
+
+
+def near(value, j, d, scale):
+    """value + (j + sqrt(d) - isqrt(d)) / 2^scale: an irrational within
+    j to j + 1 units of 2^-scale of value."""
+    return value + (j - isqrt(d) + make_surd(0, 1, 1, d)) / 2**scale
+
+
+levels = st.fractions(-1, 1, max_denominator=10**12)
+scales = st.sampled_from([0, 1, 8, 64, 168])
+
+
+class TestFilteredPredicates:
+    # the integer filters of the fit give the exact tests' outcome
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(surds, rationals), levels, scales)
+    def test_pole_random_pairs(self, x, y, scale):
+        (X,) = nx._scaled([x], scale)
+        got = nx._pole_free_at(x, X, scaled_key(y, scale), nx._slack([x]), scale)
+        assert got == nx._pole_free(x, y) == (1 + x * y > 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(levels.filter(bool), st.integers(-6, 5), st.sampled_from([2, 3, 5, 13]), scales)
+    def test_pole_near_degenerate(self, y, j, d, scale):
+        # 1 + x y = y (j + theta) / 2^scale with 0 < theta < 1
+        x = near(-1 / y, j, d, scale)
+        (X,) = nx._scaled([x], scale)
+        got = nx._pole_free_at(x, X, scaled_key(y, scale), nx._slack([x]), scale)
+        assert got == (1 + x * y > 0) == ((y > 0) == (j >= 0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(surds, rationals), st.one_of(surds, rationals), scales)
+    def test_below_random_pairs(self, left, right, scale):
+        if isinstance(left, QuadSurd) and isinstance(right, QuadSurd) and left.d != right.d:
+            right = Fraction(right.p, right.r)  # surds of two fields do not compare cheaply
+        X_left, X_right = nx._scaled([left, right], scale)
+        got = nx._below(left, right, X_left, X_right, nx._slack([left, right]))
+        assert got == (left < right)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(surds, rationals), st.integers(-6, 5), st.sampled_from([2, 3, 5, 13]), scales)
+    def test_below_near_degenerate(self, left, j, d, scale):
+        # right - left = (j + theta) / 2^scale with 0 < theta < 1
+        if isinstance(left, QuadSurd):
+            d = left.d
+        right = near(left, j, d, scale)
+        X_left, X_right = nx._scaled([left, right], scale)
+        got = nx._below(left, right, X_left, X_right, nx._slack([left, right]))
+        assert got == (left < right) == (j >= 0)
+
+    @pytest.mark.parametrize("scale", [128 + nx._GUARD, 0], ids=["entropy-scale", "scale-0"])
+    def test_exact_tests_only_where_the_margin_fails(self, monkeypatch, scale):
+        # a 2048-letter short-run word: at the entropy's scale the integers
+        # decide every test of the fit; at scale 0 none
+        alpha = bf.qumterval_of(wd.word_from_rational(Fraction(853, 2048))).pseudocenter
+        q = bf.locate_qumterval(alpha)
+        low, high = kd.orbit(alpha, alpha - 1, q.m0), kd.orbit(alpha, alpha, q.m1)
+        keys = nx._level_keys(low.points, scale), nx._level_keys(high.points, scale)
+        skel = nx._skeleton(q.word, low, high, keys)
+        calls = []
+        pole_free, less = nx._pole_free, QuadSurd.__lt__
+        monkeypatch.setattr(nx, "_pole_free", lambda x, y: calls.append("pole") or pole_free(x, y))
+        monkeypatch.setattr(QuadSurd, "__lt__", lambda a, b: calls.append("below") or less(a, b))
+        _, _, rects = skel.fit(alpha, low, high, keys, scale)
+        if scale:
+            assert calls == []
+        else:  # every rectangle and both ends of every boundary span
+            poles = 2 * (len(skel.low_x) + len(skel.high_x))
+            assert calls.count("pole") == poles and calls.count("below") == rects
 
 
 class TestCorners:
@@ -261,7 +402,7 @@ def boundary_mass(alpha, bits):
     scale = bits + nx._GUARD
     keys = nx._level_keys(low.points, scale), nx._level_keys(high.points, scale)
     skel = nx._skeleton(q.word, low, high, keys)
-    return skel.mass(*skel.fit(alpha, low, high, keys), bits)
+    return skel.mass(*skel.fit(alpha, low, high, keys, scale), bits)
 
 
 def rational_inside(q, toward_plus, depth, k):
@@ -360,7 +501,7 @@ class TestLevelKeys:
             if scale == 0:
                 assert len({Y for Y, _ in keys[0]}) <= 2 < len(keys[0])
             skel = nx._skeleton(q.word, low, high, keys)
-            lo, hi, rects = skel.fit(alpha, low, high, keys)
+            lo, hi, rects = skel.fit(alpha, low, high, keys, scale)
             assert [y for _, y in lo] == lo_f and [y for _, y in hi] == hi_f
             assert self.merged(lo, hi) == fraction_run and rects == len(fraction_run)
 
@@ -376,13 +517,13 @@ class TestLevelKeys:
         q, low, high = self.orbits(alpha)
         keys = nx._level_keys(low.points, 0), nx._level_keys(high.points, 0)
         skel = nx._skeleton(q.word, low, high, keys)
-        assert skel.fit(alpha, low, high, keys) is not None
+        assert skel.fit(alpha, low, high, keys, 0) is not None
         # the second-lowest lower level repeated, as an equal but distinct Fraction
         low_keys = list(keys[0])
         first, second = skel.low_order[1], skel.low_order[2]
         Y, y = low_keys[first]
         low_keys[second] = (Y, Fraction(y.numerator, y.denominator))
-        assert skel.fit(alpha, low, high, (low_keys, keys[1])) is None
+        assert skel.fit(alpha, low, high, (low_keys, keys[1]), 0) is None
 
 
 class TestPins:
