@@ -72,10 +72,10 @@ def precision_bits(text: str) -> int:
 
 
 def decimal_digits(text: str) -> int:
-    """The type of `--decimals`: a whole number of digits, at least 0."""
+    """The type of `--decimals`: a whole number of digits, at least 1."""
     digits = int(text)
-    if digits < 0:
-        raise argparse.ArgumentTypeError("decimals must be >= 0")
+    if digits < 1:
+        raise argparse.ArgumentTypeError("decimals must be >= 1")
     return digits
 
 
@@ -167,7 +167,7 @@ def cmd_orbit(args) -> int:
     alpha = ex.parse_fraction(args.alpha)
     rec = kd.orbit(alpha, ex.parse_fraction(args.x), args.steps)
     digits = args.decimals or 50
-    lines = ["step,point_exact,point_decimal50,digit"]
+    lines = [f"step,point_exact,point_decimal{digits},digit"]
     for k, pt in enumerate(rec.points):
         digit = "" if k == 0 or rec.digits[k - 1] is None else str(rec.digits[k - 1])
         lines.append(f"{k},{ex.format_exact(pt)},{_nstr(pt, digits)},{digit}")

@@ -7,9 +7,9 @@ lines come from pushing the two corner abscissae (quadratic surds fixed by
 the qumterval) through the extension map.  Every seam between consecutive
 boundary segments is checked exactly; only the final mass integrals
 (closed-form logs of the invariant density) are floating, at a configurable
-precision with a stated error bound.  The entropy path's mass is integer
-arithmetic up to its one log: the boundary product is taken in Python
-integers at a binary scale `_GUARD` bits finer than that precision.
+precision with a stated error bound.  The mass is integer arithmetic up to
+its one log: the boundary product is taken in Python integers at a binary
+scale `_GUARD` bits finer than that precision.
 
 The exact pass is integer arithmetic throughout: the endpoint orbits step in
 integers (`kdynamics.orbit`), each abscissa push is the classical surd
@@ -27,20 +27,21 @@ turns the fit into rectangles.
 
 The entropy then follows from the identity  h * area = pi^2 / 3  where
 "area" is the mass of the attractor under dx dy / (1 + x y)^2.  That mass has
-one production path, `_Skeleton.mass`, taken by `entropy_at`, `entropy_curve`
-and `asymptotic_probe`: it builds no rectangles and integrates along the two
-staircase boundaries, one log of a product of boundary factors per
+one path, `_Skeleton.mass`: it builds no rectangles and integrates along the
+two staircase boundaries, one log of a product of boundary factors per
 parameter.  Each level turns once into an integer at that scale, and the pair
 (integer, level) is its order key: the integers decide the sort and the
 merge, the exact levels only their ties.  `entropy_curve` keeps one skeleton
-per word for the length of the call; the others build their own.  The
-rectangle sum `attractor_mass` is its test oracle and the normalization of
-`density_slice` and `measure_interval`; it rounds the coordinates it uses
-with `to_mpf` on every call and keeps only its result.
+per word for the length of the call; `entropy_at` and `asymptotic_probe`
+build their own, and an attractor keeps the one it was built from
+(`attractor_mass`, the normalization of `density_slice` and
+`measure_interval`).  The sum of the rectangles' closed-form masses is only
+the tests' oracle for this product.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -135,8 +136,7 @@ class Attractor:
     h_levels_low: tuple[Exact, ...]
     h_levels_high: tuple[Exact, ...]
     v_levels: tuple[Exact, ...]  # the distinct ends of the boundary segments, ascending
-    # (mass, error bound) by precision in bits, filled by attractor_mass
-    mass_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    skeleton: _Skeleton = field(compare=False, repr=False)  # the mass's boundaries (`attractor_mass`)
 
 
 @lru_cache(maxsize=1024)
@@ -258,9 +258,7 @@ class _Skeleton:
         """
         if low.digits != self.low_digits or high.digits != self.high_digits:
             return None
-        low_keys, high_keys = keys
-        lo = [low_keys[k] for k in self.low_order]
-        hi = [high_keys[k] for k in self.high_order]
+        lo, hi = self.ordered(keys)
         if not (_increasing(lo) and _increasing(hi)):
             return None
         rights, lefts, slack = self.rounded_ends(scale)
@@ -279,6 +277,10 @@ class _Skeleton:
             if not (_pole_free_at(left, X, y0, slack, scale) and _pole_free_at(left, X, y1, slack, scale)):
                 raise AttractorError(f"density pole on the upper boundary at level {y1[1]}")
         return lo, hi, rects
+
+    def ordered(self, keys):
+        """Both orbits' keys in the skeleton's segment order: (lower, upper)."""
+        return [keys[0][k] for k in self.low_order], [keys[1][k] for k in self.high_order]
 
     def mass(self, lo, hi, rects: int, bits: int):
         """(area integral, error bound) from the two boundaries.
@@ -439,6 +441,7 @@ def build_attractor(alpha, word: str | None = None) -> Attractor:
         h_levels_low=tuple(low.points),
         h_levels_high=tuple(high.points),
         v_levels=tuple(v for k, v in enumerate(ends) if k == 0 or ends[k - 1] != v),
+        skeleton=skel,
     )
 
 
@@ -492,22 +495,9 @@ def corner_system_residues(w: str):
 # ---------------------------------------------------------------------------
 
 
-def rect_mass(rect: Rect, precision: int | None = None) -> mpmath.mpf:
-    """Mass of a rectangle under dx dy / (1+xy)^2: the closed form
-    log((1+x_hi y_hi)(1+x_lo y_lo) / ((1+x_hi y_lo)(1+x_lo y_hi)))."""
-    return _rect_mass_err(rect, precision)[0]
-
-
 def _log_ratio(xl, xh, yl, yh) -> mpmath.mpf:
+    """The closed-form mass of [xl, xh] x [yl, yh] under dx dy / (1+xy)^2."""
     return mpmath.log(((1 + xh * yh) * (1 + xl * yl)) / ((1 + xh * yl) * (1 + xl * yh)))
-
-
-def _rect_mass_err(rect: Rect, precision: int | None = None):
-    bits = checked_precision(precision)
-    with working_precision(bits):
-        mass = _log_ratio(to_mpf(rect.x_lo), to_mpf(rect.x_hi), to_mpf(rect.y_lo), to_mpf(rect.y_hi))
-        # a handful of exactly-rounded operations: crude outward bound
-        return mass, mpmath.mpf(2) ** (-bits) * (32 + 8 * abs(mass))
 
 
 def _scaled(values, scale: int) -> list[int]:
@@ -535,25 +525,13 @@ def _slack(values) -> int:
 
 
 def attractor_mass(attr: Attractor, precision: int | None = None):
-    """(area integral, error bound): the ordered sum of `_rect_mass_err` over
-    the rectangles, computed once per precision and kept on the attractor.
-
-    No rounded coordinate is kept.  Every production mass, the entropy's
-    and `asymptotic_probe`'s, comes from the two boundaries instead
-    (`_Skeleton.mass`); this sum is its test oracle and the normalization of
-    `density_slice` and `measure_interval`.
-    """
+    """(area integral, error bound): the boundary product of the attractor's
+    skeleton (`_Skeleton.mass`), so `entropy_at(attr.alpha, precision).A`
+    bit for bit.  Nothing is kept between calls."""
     bits = checked_precision(precision)
-    mass = attr.mass_cache.get(bits)
-    if mass is None:
-        with working_precision(bits):
-            total = err = mpmath.mpf(0)
-            for rect in attr.rects:
-                m, e = _rect_mass_err(rect, bits)
-                total += m
-                err += e
-        mass = attr.mass_cache[bits] = total, err
-    return mass
+    skel = attr.skeleton
+    keys = [_level_keys(ys, bits + _GUARD) for ys in (attr.h_levels_low, attr.h_levels_high)]
+    return skel.mass(*skel.ordered(keys), len(attr.rects), bits)
 
 
 @dataclass(frozen=True)
@@ -607,33 +585,30 @@ def _entropy_sample(
 
 
 def density_slice(attr: Attractor, t, precision: int | None = None) -> mpmath.mpf:
-    """Invariant density at height t: per-slice exact antiderivative
-    (x_hi - x_lo)/((1+x_lo t)(1+x_hi t)) summed over the rectangles cut by t,
-    normalized by the attractor mass."""
+    """Invariant density at height t: the exact antiderivative
+    (x_hi - x_lo)/((1+x_lo t)(1+x_hi t)) of the one rectangle with
+    y_lo <= t < y_hi, found by bisection (the top one at t = alpha), over
+    `attractor_mass`."""
     if not isinstance(t, (int, Fraction, QuadSurd)):
         # quadrature callers pass floats; clamp their rounding slack
         t = min(max(Fraction(float(t)), attr.alpha - 1), attr.alpha)
     if not attr.alpha - 1 <= t <= attr.alpha:
         raise ValueError("height outside the interval")
     A, _ = attractor_mass(attr, precision)
-    top = attr.alpha
+    rect = attr.rects[bisect_right(attr.rects, t, key=lambda r: r.y_lo) - 1]
     with working_precision(precision):
         tm = to_mpf(t)
-        total = mpmath.mpf(0)
-        for rect in attr.rects:
-            if rect.y_lo <= t < rect.y_hi or (t == top and rect.y_hi == top):
-                xl, xh = to_mpf(rect.x_lo), to_mpf(rect.x_hi)
-                total += (xh - xl) / ((1 + xl * tm) * (1 + xh * tm))
-        return total / A
+        xl, xh = to_mpf(rect.x_lo), to_mpf(rect.x_hi)
+        return (xh - xl) / ((1 + xl * tm) * (1 + xh * tm)) / A
 
 
 def measure_interval(attr: Attractor, lo, hi, precision: int | None = None) -> mpmath.mpf:
-    """Invariant measure of [lo, hi] (inside the map's interval), by clipping
-    the rectangles and taking closed-form masses over the attractor mass.
+    """Invariant measure of [lo, hi] (inside the map's interval): the
+    closed-form masses of the rectangles clipped to [lo, hi] (`_log_ratio`)
+    over the attractor mass (`attractor_mass`).
 
     A clipped rectangle lies inside a checked one, and 1 + x y is linear in
-    y, so it reaches no pole: its mass is `rect_mass` of the clipped
-    rectangle, without the checks of a new `Rect`.
+    y, so it reaches no pole and needs none of the checks of a new `Rect`.
     """
     if not (attr.alpha - 1 <= lo <= hi <= attr.alpha):
         raise ValueError("interval must sit inside [alpha-1, alpha]")

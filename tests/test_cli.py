@@ -62,6 +62,8 @@ class TestSubcommands:
         assert lines[0] == "step,point_exact,point_decimal50,digit"
         assert lines[1].startswith("0,-2/3,")
         assert lines[2].startswith("1,-1/2,") and lines[2].endswith(",2")
+        _, out, _ = run(capsys, "orbit", "--alpha", "1/3", "--x=-2/3", "--steps", "2", "--decimals", "3")
+        assert out.splitlines()[:3] == ["step,point_exact,point_decimal3,digit", "0,-2/3,-0.667,", "1,-1/2,-0.500,2"]
 
     def test_qumterval_info_and_locate(self, capsys):
         _, out, _ = run(capsys, "qumterval", "info", "--word", "001")
@@ -154,6 +156,9 @@ class TestBehaviour:
             ("entropy", "curve", "--from", "1/5", "--to", "1/4", "--samples", "2", "--jobs", "-4"),
             ("qumterval", "info", "--alpha", "1/3", "--decimals", "-5"),
             ("orbit", "--alpha", "1/3", "--x", "1/5", "--steps", "2", "--decimals", "-5"),
+            ("qumterval", "info", "--alpha", "1/3", "--decimals", "0"),
+            ("orbit", "--alpha", "1/3", "--x", "1/5", "--steps", "2", "--decimals", "0"),
+            ("attractor", "--alpha", "1/3", "--json", "--decimals", "0"),
             ("probe", "zeta", "--depth", "0"),
             ("probe", "zeta", "--depth", "-3"),
         ):

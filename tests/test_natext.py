@@ -15,7 +15,7 @@ from fareycf import natext as nx
 from fareycf import words as wd
 from fareycf.exactnum import QuadSurd, S, T, make_surd, mobius_apply, surd_from_periodic_cf, to_mpf
 from fareycf.lyapunov import lyapunov_estimate
-from fareycf.precision import working_precision
+from fareycf.precision import checked_precision, working_precision
 
 G = surd_from_periodic_cf((), (1,))  # golden mean
 
@@ -405,6 +405,31 @@ def boundary_mass(alpha, bits):
     return skel.mass(*skel.fit(alpha, low, high, keys, scale), bits)
 
 
+def rect_mass(r, bits=None):
+    """(mass, error bound) of a rectangle under dx dy / (1+xy)^2: the closed
+    form log((1+x_hi y_hi)(1+x_lo y_lo) / ((1+x_hi y_lo)(1+x_lo y_hi))),
+    a handful of exactly-rounded operations with a crude outward bound."""
+    bits = checked_precision(bits)
+    with working_precision(bits):
+        xl, xh, yl, yh = (to_mpf(v) for v in (r.x_lo, r.x_hi, r.y_lo, r.y_hi))
+        mass = mpmath.log(((1 + xh * yh) * (1 + xl * yl)) / ((1 + xh * yl) * (1 + xl * yh)))
+        return mass, mpmath.mpf(2) ** (-bits) * (32 + 8 * abs(mass))
+
+
+def rect_sum(attr, bits=None):
+    """(A, error bound) as the ordered sum of the rectangles' closed forms:
+    the oracle of the boundary mass (`_Skeleton.mass`), which uses no
+    rectangle."""
+    bits = checked_precision(bits)
+    with working_precision(bits):
+        total = err = mpmath.mpf(0)
+        for r in attr.rects:
+            m, e = rect_mass(r, bits)
+            total += m
+            err += e
+        return total, err
+
+
 def rational_inside(q, toward_plus, depth, k):
     """A rational of q: `depth` simplest-rational steps from the pseudocenter
     toward one endpoint, then the dyadic point k/2^20 of the way between the
@@ -422,8 +447,8 @@ class TestBoundaryMass:
     def check(alpha):
         A, err = boundary_mass(alpha, 128)
         attr = nx.build_attractor(alpha)
-        A_rects, err_rects = nx.attractor_mass(attr, 128)
-        A_512, _ = nx.attractor_mass(attr, 512)
+        A_rects, err_rects = rect_sum(attr, 128)
+        A_512, _ = rect_sum(attr, 512)
         with working_precision(512):
             assert abs(A - A_rects) <= err + err_rects
             assert abs(A - A_512) <= err
@@ -459,7 +484,7 @@ class TestBoundaryMass:
         # thousandth of the error bound; without them it is 0.003 to 0.1 of it
         alpha = alpha()
         A, err = boundary_mass(alpha, 128)
-        A_512, _ = nx.attractor_mass(nx.build_attractor(alpha), 512)
+        A_512, _ = rect_sum(nx.build_attractor(alpha), 512)
         with working_precision(512):
             assert abs(A - A_512) <= err / 1000
 
@@ -561,48 +586,48 @@ class TestPins:
                 mpmath.nstr(s.err_bound, 5),
             )
         assert printed == pins
-        A512, _ = nx.attractor_mass(nx.build_attractor(alpha), 512)
+        A512, _ = rect_sum(nx.build_attractor(alpha), 512)
         with working_precision(512):
             assert abs(s.h - mpmath.pi**2 / (3 * A512)) <= s.err_bound
 
 
 class TestMasses:
-    def test_mass_kept_per_precision(self):
+    def test_skeleton_is_not_part_of_the_value(self):
+        # two builds keep two skeletons; they compare, hash and print alike,
+        # and each gives its mass afresh from its own
         attr = nx.build_attractor(Fraction(337, 1000))
         twin = nx.build_attractor(Fraction(337, 1000))
+        assert attr.skeleton is not twin.skeleton
+        assert attr == twin and hash(attr) == hash(twin) and repr(attr) == repr(twin)
+        assert "skeleton" not in repr(attr)
         first = nx.attractor_mass(attr)
-        assert nx.attractor_mass(attr) is first
-        assert attr == twin  # the kept mass is not part of the value
-        fine = nx.attractor_mass(attr, 160)
-        assert fine is not first and nx.attractor_mass(attr, 160) is fine
-        nx.density_slice(twin, Fraction(0))
-        nx.measure_interval(twin, Fraction(-1, 2), Fraction(1, 4))
-        assert list(twin.mass_cache) == [128] and twin.mass_cache[128] == first
+        assert nx.attractor_mass(attr) is not first
+        assert nx.attractor_mass(attr) == first == nx.attractor_mass(twin)
 
     @pytest.mark.parametrize("alpha", [Fraction(9, 20), Fraction(337, 1000), Fraction(1, 40)])
     @pytest.mark.parametrize("bits", [64, 128, 300])
     def test_mass_is_the_ordered_sum_of_rect_masses(self, alpha, bits):
+        # the attractor's mass is the entropy's A bit for bit, and within the
+        # two bounds of the ordered sum of the rectangles' closed forms
         attr = nx.build_attractor(alpha)
-        with working_precision(bits):
-            total = err = mpmath.mpf(0)
-            for r in attr.rects:
-                m, e = nx._rect_mass_err(r, bits)
-                total += m
-                err += e
         A, E = nx.attractor_mass(attr, bits)
-        assert (A.man, A.exp, E.man, E.exp) == (total.man, total.exp, err.man, err.exp)
+        s = nx.entropy_at(alpha, bits)
+        assert (A.man, A.exp) == (s.A.man, s.A.exp)
+        total, err = rect_sum(attr, bits)
+        with working_precision(bits):
+            assert abs(A - total) <= E + err
 
     def test_unit_square(self):
         r = nx.Rect(Fraction(0), Fraction(1), Fraction(0), Fraction(1))
         with working_precision(None):
-            assert abs(nx.rect_mass(r) - mpmath.log(2)) < mpmath.mpf(10) ** -30
+            assert abs(rect_mass(r)[0] - mpmath.log(2)) < mpmath.mpf(10) ** -30
 
     def test_symmetric_square(self):
         t = Fraction(3, 5)
         r = nx.Rect(Fraction(0), t, -t, Fraction(0))
         with working_precision(None):
             expected = -mpmath.log(1 - mpmath.mpf(9) / 25)
-            assert abs(nx.rect_mass(r) - expected) < mpmath.mpf(10) ** -30
+            assert abs(rect_mass(r)[0] - expected) < mpmath.mpf(10) ** -30
 
     def test_against_numeric_quadrature(self):
         rng = random.Random(6)
@@ -622,7 +647,7 @@ class TestMasses:
                     ),
                     [to_mpf(xl), to_mpf(xh)],
                 )
-                assert abs(nx.rect_mass(r) - numeric) < mpmath.mpf(10) ** -15
+                assert abs(rect_mass(r)[0] - numeric) < mpmath.mpf(10) ** -15
 
     def test_density_pole_rejected(self):
         with pytest.raises(ValueError):
@@ -688,18 +713,23 @@ class TestDensityAndMeasure:
             assert abs(total - 1) < mpmath.mpf(10) ** -10
 
     def test_density_rounds_as_to_mpf_once_per_precision(self):
-        attr = nx.build_attractor(Fraction(337, 1000))
-        t = Fraction(1, 7)
-        got = nx.density_slice(attr, t)
-        assert nx.density_slice(attr, t) == got
-        with working_precision(None):
+        # at alpha - 1, every level, 1/7 and alpha: bit for bit the scan of
+        # every rectangle in which t = alpha takes the top one
+        for alpha in (Fraction(337, 1000), Fraction(4, 15)):
+            attr = nx.build_attractor(alpha)
+            levels = sorted({r.y_lo for r in attr.rects} | {r.y_hi for r in attr.rects})
+            assert levels[0] == alpha - 1 and levels[-1] == alpha
             A, _ = nx.attractor_mass(attr)
-            tm, total = to_mpf(t), mpmath.mpf(0)
-            for r in attr.rects:
-                if r.y_lo <= t < r.y_hi:
-                    xl, xh = to_mpf(r.x_lo), to_mpf(r.x_hi)
-                    total += (xh - xl) / ((1 + xl * tm) * (1 + xh * tm))
-            assert got == total / A
+            for t in levels + [Fraction(1, 7)]:
+                got = nx.density_slice(attr, t)
+                assert nx.density_slice(attr, t) == got
+                with working_precision(None):
+                    tm, total = to_mpf(t), mpmath.mpf(0)
+                    for r in attr.rects:
+                        if r.y_lo <= t < r.y_hi or (t == alpha and r.y_hi == alpha):
+                            xl, xh = to_mpf(r.x_lo), to_mpf(r.x_hi)
+                            total += (xh - xl) / ((1 + xl * tm) * (1 + xh * tm))
+                    assert got == total / A, (alpha, t)
 
     def test_density_lower_bound(self):
         attr = nx.build_attractor(Fraction(4, 15))
@@ -732,7 +762,7 @@ class TestDensityAndMeasure:
                 for r in attr.rects:
                     ylo, yhi = max(r.y_lo, lo), min(r.y_hi, hi)
                     if ylo < yhi:
-                        total += nx._rect_mass_err(nx.Rect(r.x_lo, r.x_hi, ylo, yhi))[0]
+                        total += rect_mass(nx.Rect(r.x_lo, r.x_hi, ylo, yhi))[0]
                 assert nx.measure_interval(attr, lo, hi) == total / A
 
     def test_full_interval_measure(self):
@@ -792,7 +822,7 @@ class TestCurveAndProbes:
             alpha = Fraction(1, row["N"] + 1)
             s = nx.entropy_at(alpha)
             assert row["alpha"] == alpha and (row["A"], row["h"]) == (s.A, s.h)
-            A_rects, err_rects = nx.attractor_mass(nx.build_attractor(alpha))
+            A_rects, err_rects = rect_sum(nx.build_attractor(alpha))
             with working_precision(None):
                 assert abs(row["A"] - A_rects) <= row["err_bound"] + err_rects
 
