@@ -206,6 +206,8 @@ def cmd_match_verify(args) -> int:
 
 
 def cmd_attractor(args) -> int:
+    if args.decimals is not None and not args.json:
+        raise ValueError("--decimals needs --json: the text form prints exact values only")
     alpha = ex.parse_fraction(args.alpha)
     base = alpha if alpha <= Fraction(1, 2) else 1 - alpha
     attr = nx.build_attractor(base)

@@ -71,14 +71,24 @@ class OrbitRecord:
         return tuple(out)
 
 
-def _rational_orbit(alpha: Fraction, x: Fraction, steps: int) -> tuple[list[Exact], list[int | None]]:
-    """Points and digits of a rational orbit in integers.
+def _rational_orbit(
+    alpha: Fraction | int, x: Fraction | int, steps: int
+) -> tuple[list[Exact], list[int | None]]:
+    """Points and digits of a rational orbit in integers (an int is its own
+    numerator over 1).
 
     With alpha = P/Q and x = a/b (b > 0) the digit is
     floor((-bQ + aQ - aP) / (aQ)) and the next point (-b - c a)/a, already
-    in lowest terms because gcd(-b - c a, a) = gcd(a, b) = 1."""
+    in lowest terms because gcd(-b - c a, a) = gcd(a, b) = 1.
+
+    The start is checked once, in integers: (P - Q) b <= a Q <= P b.  Every
+    later point needs no check, because the floor puts it in
+    [alpha-1, alpha): with t = -1/x + 1 - alpha and c = floor(t), the next
+    point -1/x - c = t - c + alpha - 1 lies in [alpha-1, alpha)."""
     P, Q = alpha.numerator, alpha.denominator
     a, b = x.numerator, x.denominator
+    if not ((P - Q) * b <= a * Q <= P * b):
+        raise ValueError(f"point {x} outside [alpha-1, alpha] for alpha={alpha}")
     points: list[Exact] = []
     digits: list[int | None] = []
     for _ in range(steps):
@@ -86,8 +96,6 @@ def _rational_orbit(alpha: Fraction, x: Fraction, steps: int) -> tuple[list[Exac
             points.append(ZERO)
             digits.append(None)
             continue
-        if not ((P - Q) * b <= a * Q <= P * b):
-            raise ValueError(f"point {a}/{b} outside [alpha-1, alpha] for alpha={alpha}")
         aQ = a * Q
         c = (aQ - a * P - b * Q) // aQ
         a, b = -b - c * a, a
@@ -100,13 +108,16 @@ def _rational_orbit(alpha: Fraction, x: Fraction, steps: int) -> tuple[list[Exac
 
 def orbit(alpha, x, steps: int) -> OrbitRecord:
     """The first `steps` iterates of x.  Rational parameters and points step
-    in integers; quadratic ones go through `k_step`."""
+    in integers; quadratic ones go through `k_step`.
+
+    A start outside [alpha-1, alpha] raises ValueError, checked once: in
+    integers by `_rational_orbit` for rational inputs, here for the others."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    _check_in_interval(alpha, x)
     if isinstance(alpha, (int, Fraction)) and isinstance(x, (int, Fraction)):
-        points, digits = _rational_orbit(Fraction(alpha), Fraction(x), steps)
+        points, digits = _rational_orbit(alpha, x, steps)
     else:
+        _check_in_interval(alpha, x)
         points, digits = [], []
         cur = x
         for _ in range(steps):

@@ -37,6 +37,16 @@ build their own, and an attractor keeps the one it was built from
 (`attractor_mass`, the normalization of `density_slice` and
 `measure_interval`).  The sum of the rectangles' closed-form masses is only
 the tests' oracle for this product.
+
+The float tail of a sample is a few operations on raw `mpmath.libmp`
+values at the working precision, each rounded to nearest, with no
+precision context and no intermediate mpf: A = log(num / den) of the
+boundary product and its bound err = 2^-bits (32 rects + 8 A)
+(`_mass_of`), then h = pi^2 / (3 A) and its bound h (err / A) + 2^(8 - bits)
+(`_entropy_of`, shared by `entropy_at`, `entropy_curve` and
+`asymptotic_probe`).  Each result is wrapped as an mpf once.  The
+operations and their order are those of the mpf expressions written
+out, so every value is theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -49,6 +59,19 @@ from itertools import chain, pairwise
 from math import gcd, isqrt
 
 import mpmath
+from mpmath.libmp import (
+    fone,
+    from_int,
+    mpf_add,
+    mpf_div,
+    mpf_log,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pi,
+    mpf_pow_int,
+    mpf_shift,
+    round_nearest,
+)
 
 from . import cfstrings as cfs
 from . import words
@@ -297,7 +320,7 @@ class _Skeleton:
         down) and `rounded_ends` the segment ends', so a factor is
         2^W + (R Y >> W).  Numerator and denominator shift right together
         once both pass 2W bits, which keeps the smaller at W bits, and one
-        log of their ratio is taken at `bits`.
+        log of their ratio is taken at `bits` (`_mass_of`).
         """
         scale = bits + _GUARD
         rights, lefts, _ = self.rounded_ends(scale)
@@ -318,9 +341,7 @@ class _Skeleton:
             if extra > scale:
                 num >>= extra
                 den >>= extra
-        with working_precision(bits):
-            A = mpmath.log(mpmath.mpf(num) / mpmath.mpf(den))
-            return A, mpmath.mpf(2) ** (-bits) * (32 * rects + 8 * A)
+        return _mass_of(num, den, rects, bits)
 
     def rounded_ends(self, scale: int):
         """The right ends of the lower segments and the left ends of the
@@ -569,9 +590,7 @@ def _entropy_sample(
     bits = checked_precision(precision)
     skel, _, _, fit = _fitted(base, q, skeletons, bits + _GUARD)
     A, err = skel.mass(*fit, bits)
-    with working_precision(bits):
-        h = mpmath.pi**2 / (3 * A)
-        h_err = h * (err / A) + mpmath.mpf(2) ** (8 - bits)
+    h, h_err = _entropy_of(A, err, bits)
     word = q.word if alpha == base else words.transpose(words.negate(q.word))
     return EntropySample(
         alpha=alpha,
@@ -582,6 +601,29 @@ def _entropy_sample(
         h=h,
         err_bound=h_err,
     )
+
+
+def _mass_of(num: int, den: int, rects: int, bits: int) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """The mass A = log(num / den) of a boundary product and its bound
+    err = 2^-bits (32 rects + 8 A): num and den rounded to `bits`, then
+    each operation rounded to nearest at `bits`, in the order of these
+    expressions."""
+    n, d = from_int(num, bits, round_nearest), from_int(den, bits, round_nearest)
+    A = mpf_log(mpf_div(n, d, bits, round_nearest), bits, round_nearest)
+    err = mpf_shift(mpf_add(mpf_shift(A, 3), from_int(32 * rects), bits, round_nearest), -bits)
+    return mpmath.mp.make_mpf(A), mpmath.mp.make_mpf(err)
+
+
+def _entropy_of(A: mpmath.mpf, err: mpmath.mpf, bits: int) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """h = pi^2 / (3 A) and its bound h (err / A) + 2^(8 - bits), from the
+    mass A and its bound err (`_Skeleton.mass`): each operation rounded to
+    nearest at `bits`, in the order of these expressions."""
+    a = A._mpf_
+    pi2 = mpf_pow_int(mpf_pi(bits, round_nearest), 2, bits, round_nearest)
+    h = mpf_div(pi2, mpf_mul_int(a, 3, bits, round_nearest), bits, round_nearest)
+    rel = mpf_div(err._mpf_, a, bits, round_nearest)
+    h_err = mpf_add(mpf_mul(h, rel, bits, round_nearest), mpf_shift(fone, 8 - bits), bits, round_nearest)
+    return mpmath.mp.make_mpf(h), mpmath.mp.make_mpf(h_err)
 
 
 def density_slice(attr: Attractor, t, precision: int | None = None) -> mpmath.mpf:
@@ -631,17 +673,34 @@ _GRID_DEN = 2**19  # dyadic sample grid; denominators stay below 10**6
 
 
 def entropy_grid(start, stop, samples: int) -> list[Fraction]:
+    """The points start + (stop - start) i / (samples + 1), i = 1..samples,
+    rounded to the dyadic grid of step 2^-19, half to even as
+    `Fraction.__round__`; endpoints and repeats are dropped.
+
+    With start = sn/sd and stop = tn/td the numerator of point i is the
+    rounded quotient of (sn td (samples+1) + (tn sd - sn td) i) 2^19 by
+    sd td (samples+1), taken in integers; only a kept point becomes a
+    `Fraction`.
+    """
     start, stop = Fraction(start), Fraction(stop)
     if not 0 < start < stop < 1:
         raise ValueError("need 0 < start < stop < 1")
     if samples < 2:
         raise ValueError("need at least two samples")
+    sn, sd, tn, td = start.numerator, start.denominator, stop.numerator, stop.denominator
+    parts = samples + 1
+    den = sd * td * parts
+    base, step = sn * td * parts, tn * sd - sn * td
+    lo, hi = sn * _GRID_DEN, tn * _GRID_DEN
     grid = []
-    for i in range(1, samples + 1):
-        exact = start + (stop - start) * Fraction(i, samples + 1)
-        r = Fraction(round(exact * _GRID_DEN), _GRID_DEN)
-        if start < r < stop and (not grid or grid[-1] != r):
-            grid.append(r)
+    last = None
+    for i in range(1, parts):
+        k, rem = divmod((base + step * i) * _GRID_DEN, den)
+        if 2 * rem > den or (2 * rem == den and k & 1):
+            k += 1
+        if k * sd > lo and k * td < hi and k != last:
+            grid.append(Fraction(k, _GRID_DEN))
+            last = k
     return grid
 
 
@@ -697,8 +756,8 @@ def asymptotic_probe(n_values, precision: int | None = None) -> list[dict]:
         q = qumterval_of("0" * n + "1")
         skel, _, _, fit = _fitted(q.pseudocenter, q, {}, bits + _GUARD)
         A, err = skel.mass(*fit, bits)
+        h, _ = _entropy_of(A, err, bits)
         with working_precision(bits):
-            h = mpmath.pi**2 / (3 * A)
             log_n1 = mpmath.log(n + 1)
             target = mpmath.pi**2 / (3 * log_n1)
             rows.append(

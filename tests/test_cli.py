@@ -159,6 +159,7 @@ class TestBehaviour:
             ("qumterval", "info", "--alpha", "1/3", "--decimals", "0"),
             ("orbit", "--alpha", "1/3", "--x", "1/5", "--steps", "2", "--decimals", "0"),
             ("attractor", "--alpha", "1/3", "--json", "--decimals", "0"),
+            ("attractor", "--alpha", "1/3", "--decimals", "5"),
             ("probe", "zeta", "--depth", "0"),
             ("probe", "zeta", "--depth", "-3"),
         ):

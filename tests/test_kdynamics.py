@@ -119,8 +119,20 @@ class TestOrbit:
         assert (rec.points, rec.digits, rec.matrices, rec.hit_zero) == k_step_fold(alpha, alpha - 1, 6)
 
     def test_point_outside_rejected(self):
-        with pytest.raises(ValueError):
-            kd.orbit(Fraction(1, 3), Fraction(1, 2), 3)
+        # one start check per orbit, with the same text for Fraction and int
+        # starts and parameters, and with or without a step
+        for alpha, x in [
+            (Fraction(1, 3), Fraction(1, 2)),  # above alpha
+            (Fraction(1, 3), Fraction(-5, 6)),  # below alpha - 1
+            (Fraction(1, 3), Fraction(2)),  # an integer-valued Fraction
+            (Fraction(1, 3), 1),
+            (Fraction(1, 3), -1),
+            (1, Fraction(3, 2)),
+        ]:
+            for steps in (0, 1, 3):
+                with pytest.raises(ValueError) as info:
+                    kd.orbit(alpha, x, steps)
+                assert str(info.value) == f"point {x} outside [alpha-1, alpha] for alpha={alpha}", (x, steps)
 
     def test_inverse_property(self):
         rng = random.Random(14)

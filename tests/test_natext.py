@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, pairwise
@@ -15,7 +16,7 @@ from fareycf import natext as nx
 from fareycf import words as wd
 from fareycf.exactnum import QuadSurd, S, T, make_surd, mobius_apply, surd_from_periodic_cf, to_mpf
 from fareycf.lyapunov import lyapunov_estimate
-from fareycf.precision import checked_precision, working_precision
+from fareycf.precision import DEFAULT_PRECISION, checked_precision, working_precision
 
 G = surd_from_periodic_cf((), (1,))  # golden mean
 
@@ -591,6 +592,22 @@ class TestPins:
             assert abs(s.h - mpmath.pi**2 / (3 * A512)) <= s.err_bound
 
 
+    def test_curve_raw_values(self):
+        # SHA-256 of the raw (sign, mantissa, exponent, bitcount) of A, h and
+        # err_bound along a 60-point curve at 128 bits, recorded when the
+        # float tail was written as mpf expressions in a precision context
+        samples = nx.entropy_curve(Fraction(1, 50), Fraction(49, 50), 60, 128)
+        raw = [
+            tuple((sign, int(man), exp, bc) for sign, man, exp, bc in (s.A._mpf_, s.h._mpf_, s.err_bound._mpf_))
+            for s in samples
+        ]
+        assert len(raw) == 60
+        assert (
+            hashlib.sha256(repr(raw).encode()).hexdigest()
+            == "b8dc3703b01ed3733f28028cccbae9e0fb6df0497b89e8168491e05864499305"
+        )
+
+
 class TestMasses:
     def test_skeleton_is_not_part_of_the_value(self):
         # two builds keep two skeletons; they compare, hash and print alike,
@@ -787,6 +804,89 @@ class TestDensityAndMeasure:
                 attr_small = nx.build_attractor(a_small)
                 mu2 = nx.measure_interval(attr_small, a_small - 1, a_big - 1)
                 assert abs(s_small.h - (1 - mu2) * s_big.h) < mpmath.mpf(10) ** -20
+
+
+def tail_oracle(num, den, rects, bits):
+    """A, err, h and h_err as mpf expressions at `bits`: the reference of the
+    raw float tail (`_mass_of`, `_entropy_of`)."""
+    with mpmath.workprec(bits):
+        A = mpmath.log(mpmath.mpf(num) / mpmath.mpf(den))
+        err = mpmath.mpf(2) ** (-bits) * (32 * rects + 8 * A)
+        h = mpmath.pi**2 / (3 * A)
+        h_err = h * (err / A) + mpmath.mpf(2) ** (8 - bits)
+    return A, err, h, h_err
+
+
+@st.composite
+def raw_tails(draw):
+    """(num, den, rects, bits) as the boundary product leaves them: num and
+    den at the scale W = bits + _GUARD, and A = log(num / den) from about 2^-8
+    to 16 log 2 (the entropy's A is near 1 or above)."""
+    bits = draw(st.integers(64, 400))
+    scale = bits + nx._GUARD
+    den = draw(st.integers(1 << scale, 1 << 2 * scale))
+    num = draw(st.integers(den + (den >> 8), den << 16))
+    return num, den, draw(st.integers(1, 10**4)), bits
+
+
+def fraction_grid(start, stop, samples):
+    """`entropy_grid` as `Fraction` arithmetic per point: the reference of
+    its integer loop."""
+    grid = []
+    for i in range(1, samples + 1):
+        exact = start + (stop - start) * Fraction(i, samples + 1)
+        r = Fraction(round(exact * 2**19), 2**19)
+        if start < r < stop and (not grid or grid[-1] != r):
+            grid.append(r)
+    return grid
+
+
+class TestLeanSample:
+    W = DEFAULT_PRECISION + nx._GUARD
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_tails())
+    @example(((7 << W) + 12345, (3 << W) + 1, 42, DEFAULT_PRECISION))
+    def test_float_tail_bit_identical_to_mpf_expressions(self, tail):
+        num, den, rects, bits = tail
+        A, err = nx._mass_of(num, den, rects, bits)
+        h, h_err = nx._entropy_of(A, err, bits)
+        got = [v._mpf_ for v in (A, err, h, h_err)]
+        assert got == [v._mpf_ for v in tail_oracle(num, den, rects, bits)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.fractions(0, 1, max_denominator=10**12),
+        st.fractions(0, 1, max_denominator=10**12),
+        st.integers(2, 400),
+    )
+    def test_grid_equals_fraction_loop(self, a, b, samples):
+        start, stop = min(a, b), max(a, b)
+        if not 0 < start < stop < 1:
+            return
+        assert nx.entropy_grid(start, stop, samples) == fraction_grid(start, stop, samples)
+
+    def test_grid_rounds_half_to_even(self):
+        # every point sits half-way between two grid points: 1.5, 2.5, ...,
+        # 8.5 units of 2^-19 round to 2, 2, 4, 4, ..., 8, 8
+        unit = Fraction(1, 2**19)
+        start, stop = unit / 2, unit * 19 / 2
+        want = [k * unit for k in (2, 4, 6, 8)]
+        assert nx.entropy_grid(start, stop, 8) == fraction_grid(start, stop, 8) == want
+
+    def test_grid_denser_than_its_step_collapses(self):
+        start = Fraction(1, 3)
+        stop = start + Fraction(1, 2**17)
+        grid = nx.entropy_grid(start, stop, 50)
+        assert grid == fraction_grid(start, stop, 50)
+        assert len(grid) == 4 and all(a < b for a, b in pairwise(grid))
+
+    def test_grid_drops_endpoints(self):
+        # the first and last points round onto the dyadic endpoints
+        unit = Fraction(1, 2**19)
+        start, stop = Fraction(1, 4), Fraction(1, 4) + 3 * unit
+        grid = nx.entropy_grid(start, stop, 20)
+        assert grid == fraction_grid(start, stop, 20) == [start + unit, start + 2 * unit]
 
 
 class TestCurveAndProbes:
