@@ -167,10 +167,11 @@ def cmd_orbit(args) -> int:
     alpha = ex.parse_fraction(args.alpha)
     rec = kd.orbit(alpha, ex.parse_fraction(args.x), args.steps)
     digits = args.decimals or 50
+    zero = "0" + _nstr(1, digits)[1:]  # mpmath prints an exact 0 as 0.0 at any digits
     lines = [f"step,point_exact,point_decimal{digits},digit"]
     for k, pt in enumerate(rec.points):
         digit = "" if k == 0 or rec.digits[k - 1] is None else str(rec.digits[k - 1])
-        lines.append(f"{k},{ex.format_exact(pt)},{_nstr(pt, digits)},{digit}")
+        lines.append(f"{k},{ex.format_exact(pt)},{_nstr(pt, digits) if pt else zero},{digit}")
     _emit(args, "\n".join(lines))
     return 0
 

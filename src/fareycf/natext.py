@@ -27,16 +27,18 @@ turns the fit into rectangles.
 
 The entropy then follows from the identity  h * area = pi^2 / 3  where
 "area" is the mass of the attractor under dx dy / (1 + x y)^2.  That mass has
-one path, `_Skeleton.mass`: it builds no rectangles and integrates along the
-two staircase boundaries, one log of a product of boundary factors per
-parameter.  Each level turns once into an integer at that scale, and the pair
-(integer, level) is its order key: the integers decide the sort and the
-merge, the exact levels only their ties.  `entropy_curve` keeps one skeleton
-per word for the length of the call; `entropy_at` and `asymptotic_probe`
-build their own, and an attractor keeps the one it was built from
-(`attractor_mass`, the normalization of `density_slice` and
-`measure_interval`).  The sum of the rectangles' closed-form masses is only
-the tests' oracle for this product.
+one path: it builds no rectangles and integrates along the two staircase
+boundaries, one log of a product of boundary factors per parameter.  Each
+level turns once into an integer at that scale, and the pair (integer,
+level) is its order key: the integers decide the sort and the merge, the
+exact levels only their ties.  One helper builds the factors
+(`_Skeleton.factors`); the fit decides its pole tests on them and
+`_boundary_mass` multiplies the same list.  `entropy_curve` keeps one
+skeleton per word for the length of the call; `entropy_at` and
+`asymptotic_probe` build their own, and an attractor keeps the one it was
+built from: `attractor_mass` and the band masses of `measure_interval`
+(the same product over the levels clamped into the band) come from it.
+The sum of the rectangles' closed-form masses is only the tests' oracle.
 
 The float tail of a sample is a few operations on raw `mpmath.libmp`
 values at the working precision, each rounded to nearest, with no
@@ -95,7 +97,7 @@ from .kdynamics import orbit, orbit_order_extremes
 from .precision import MIN_PRECISION, checked_precision, working_precision
 
 
-# guard bits of the entropy path's integer scale W = bits + _GUARD (`_Skeleton.mass`)
+# guard bits of the entropy path's integer scale W = bits + _GUARD (`_boundary_mass`)
 _GUARD = 40
 
 
@@ -124,17 +126,6 @@ def _below(left: Exact, right: Exact, X_left: int, X_right: int, slack: int) -> 
     within `slack` units each: decided on the integers when
     X_right - X_left >= 2 slack, else exactly (`_Skeleton.fit`)."""
     return X_right - X_left >= 2 * slack or left < right
-
-
-def _pole_free_at(x: Exact, X: int, key: tuple[int, Exact], slack: int, scale: int) -> bool:
-    """`_pole_free(x, y)` for an end x rounded to X by `_scaled` within
-    `slack` units and the order key (Y, y) of a level |y| <= 1 at `scale`:
-    decided on the integers when the factor 2^W + (X Y >> W) of
-    `_Skeleton.mass` clears the margin (|X| >> W) + slack + 3 + (2 slack >> W)
-    proved in `_Skeleton.fit`, else exactly."""
-    Y, y = key
-    margin = (abs(X) >> scale) + slack + 3 + (2 * slack >> scale)
-    return (1 << scale) + (X * Y >> scale) > margin or _pole_free(x, y)
 
 
 def _pole_free(x: Exact, y: Exact) -> bool:
@@ -251,15 +242,16 @@ class _Skeleton:
     # (right ends of the lower segments, left ends of the upper ones) scaled, and their slack, by scale
     ends_cache: dict = field(default_factory=dict, init=False, repr=False)
 
-    def fit(self, alpha: Fraction, low, high, keys, scale: int):
+    def fit(self, low, high, keys, scale: int):
         """Check one parameter's endpoint orbits against the skeleton.
 
         `keys` holds the order keys of the two orbits' points at `scale`
         (`_level_keys`).  Returns the keys of the lower and of the upper
-        segments' levels, both ascending, and the number of rectangles; None
-        when the digits or the order of an orbit differ from the skeleton's.
-        Raises AttractorError when a rectangle of the staircase would be
-        empty or reach a pole of the density.
+        segments' levels, both ascending, their boundary factors
+        (`factors`) and the number of rectangles; None when the digits or
+        the order of an orbit differ from the skeleton's.  Raises
+        AttractorError when a rectangle of the staircase would be empty or
+        reach a pole of the density.
 
         Both checks are decided first on the integers of the mass, at
         W = scale: the ends X = `rounded_ends(W)`, each within s units of
@@ -271,7 +263,7 @@ class _Skeleton:
             X_R - X_L - 2s, so X_R - X_L >= 2s proves L < R.
           - Pole: 1 + x y > 0 for an end x and a level y, |y| <= 1.  With
             X = x 2^W + e (|e| < s) and Y = y 2^W - t (0 <= t < 1), the
-            factor F = 2^W + (X Y >> W) of `_Skeleton.mass` is
+            boundary factor F = 2^W + (X Y >> W) is
             2^W (1 + x y) + e y - t x - e t / 2^W - f with 0 <= f < 1.
             Here |e y| < s, |t x| < |x| < (|X| >> W) + 1 + s / 2^W and
             |e t| / 2^W < s / 2^W, so F - 2^W (1 + x y) is below
@@ -290,58 +282,42 @@ class _Skeleton:
             if not _below(self.high_x[j][0], self.low_x[i][1], lefts[j], rights[i], slack):
                 raise AttractorError(f"empty rectangle below level {y_hi}")
             rects += 1
+        factors = self.factors(lo, hi, scale)
         # 1 + x y is linear in y: positive at both ends of a segment's span,
-        # it is positive at every rectangle corner on that side
-        top, bottom = _level_keys([alpha, alpha - 1], scale)
-        for X, (_, right), y0, y1 in zip(rights, self.low_x, lo, lo[1:] + [top]):
-            if not (_pole_free_at(right, X, y0, slack, scale) and _pole_free_at(right, X, y1, slack, scale)):
-                raise AttractorError(f"density pole on the lower boundary at level {y0[1]}")
-        for X, (left, _), y0, y1 in zip(lefts, self.high_x, [bottom] + hi[:-1], hi):
-            if not (_pole_free_at(left, X, y0, slack, scale) and _pole_free_at(left, X, y1, slack, scale)):
-                raise AttractorError(f"density pole on the upper boundary at level {y1[1]}")
-        return lo, hi, rects
+        # it is positive at every rectangle corner on that side; the levels
+        # of each factor pair, (top, bottom) below and (bottom, top) above
+        ends = chain(zip(rights, (x for _, x in self.low_x)), zip(lefts, (x for x, _ in self.high_x)))
+        levels = chain(zip(lo[1:] + hi[-1:], lo), zip(lo[:1] + hi[:-1], hi))
+        for (X, x), (f0, f1), ((_, y0), (_, y1)) in zip(ends, factors, levels):
+            margin = (abs(X) >> scale) + slack + 3 + (2 * slack >> scale)
+            if not ((f0 > margin or _pole_free(x, y0)) and (f1 > margin or _pole_free(x, y1))):
+                raise AttractorError(f"density pole on a boundary segment at end {x}, levels {y0} and {y1}")
+        return lo, hi, factors, rects
 
     def ordered(self, keys):
         """Both orbits' keys in the skeleton's segment order: (lower, upper)."""
         return [keys[0][k] for k in self.low_order], [keys[1][k] for k in self.high_order]
 
-    def mass(self, lo, hi, rects: int, bits: int):
-        """(area integral, error bound) from the two boundaries.
+    def factors(self, lo, hi, scale: int) -> list[tuple[int, int]]:
+        """The boundary factors at W = `scale` over the ascending level keys
+        `lo` and `hi` of the lower and the upper segments (`ordered`).
 
         The integral of dx/(1+xy)^2 from L to R is R/(1+Ry) - L/(1+Ly), whose
         integral in y is a log, so a lower segment with right end R over
         [y0, y1] gives log((1+R y1)/(1+R y0)) and an upper one with left end
-        L gives log((1+L y0)/(1+L y1)).  One log of the product of all
-        factors is the sum of the rectangle masses; the error estimate is
-        theirs, summed in closed form.
-
-        The product is taken in integers at the scale W = bits + _GUARD: the
-        levels' keys `lo` and `hi` hold their values times 2^W (rounded
-        down) and `rounded_ends` the segment ends', so a factor is
-        2^W + (R Y >> W).  Numerator and denominator shift right together
-        once both pass 2W bits, which keeps the smaller at W bits, and one
-        log of their ratio is taken at `bits` (`_mass_of`).
+        L gives log((1+L y0)/(1+L y1)).  With the keys' Y and the ends' X
+        (`rounded_ends`) these are the pairs (2^W + (X Y1 >> W), 2^W +
+        (X Y0 >> W)) below, then (2^W + (X Y0 >> W), 2^W + (X Y1 >> W))
+        above; lo[0] (alpha - 1) opens the upper boundary and hi[-1] (alpha)
+        closes the lower one.
         """
-        scale = bits + _GUARD
         rights, lefts, _ = self.rounded_ends(scale)
         one = 1 << scale
-        ys_lo = [Y for Y, _ in lo]
-        ys_hi = [Y for Y, _ in hi]
-        ys_lo.append(ys_hi[-1])  # alpha closes the lower boundary
-        ys_hi.insert(0, ys_lo[0])  # alpha - 1 opens the upper one
-        factors = chain(
-            ((one + (R * y1 >> scale), one + (R * y0 >> scale)) for R, y0, y1 in zip(rights, ys_lo, ys_lo[1:])),
-            ((one + (L * y0 >> scale), one + (L * y1 >> scale)) for L, y0, y1 in zip(lefts, ys_hi, ys_hi[1:])),
-        )
-        num = den = 1
-        for up, down in factors:
-            num *= up
-            den *= down
-            extra = min(num.bit_length(), den.bit_length()) - scale
-            if extra > scale:
-                num >>= extra
-                den >>= extra
-        return _mass_of(num, den, rects, bits)
+        ys_lo = [Y for Y, _ in lo] + [hi[-1][0]]
+        ys_hi = [lo[0][0]] + [Y for Y, _ in hi]
+        return [
+            (one + (R * y1 >> scale), one + (R * y0 >> scale)) for R, y0, y1 in zip(rights, ys_lo, ys_lo[1:])
+        ] + [(one + (L * y0 >> scale), one + (L * y1 >> scale)) for L, y0, y1 in zip(lefts, ys_hi, ys_hi[1:])]
 
     def rounded_ends(self, scale: int):
         """The right ends of the lower segments and the left ends of the
@@ -368,7 +344,7 @@ def _level_keys(points, scale: int) -> list[tuple[int, Fraction]]:
 
     Keys compare as their levels do at any scale: the integers decide, and
     the exact levels only when two integers tie.  At the entropy's scale Y is
-    also the level rounded for the boundary product (`_Skeleton.mass`).
+    also the level rounded for the boundary factors (`_Skeleton.factors`).
     """
     return [((y.numerator << scale) // y.denominator, y) for y in points]
 
@@ -425,10 +401,10 @@ def _fitted(alpha: Fraction, q: Qumterval, skeletons: dict, scale: int):
     high = orbit(alpha, alpha, q.m1)
     keys = _level_keys(low.points, scale), _level_keys(high.points, scale)
     skel = skeletons.get(q.word)
-    fit = None if skel is None else skel.fit(alpha, low, high, keys, scale)
+    fit = None if skel is None else skel.fit(low, high, keys, scale)
     if fit is None:
         skel = skeletons[q.word] = _skeleton(q.word, low, high, keys)
-        fit = skel.fit(alpha, low, high, keys, scale)
+        fit = skel.fit(low, high, keys, scale)
         if fit is None:
             raise AttractorError("an endpoint orbit repeats a level before the matching time")
     return skel, low, high, fit
@@ -448,7 +424,7 @@ def build_attractor(alpha, word: str | None = None) -> Attractor:
     if words.farey_side(q.word) == 1:
         raise ValueError("parameters above 1/2: reflect with alpha -> 1 - alpha")
     # any scale orders the levels exactly; this one keeps ties rare
-    skel, low, high, (lo, hi, _) = _fitted(alpha, q, {}, MIN_PRECISION)
+    skel, low, high, (lo, hi, _, _) = _fitted(alpha, q, {}, MIN_PRECISION)
     ends = sorted(chain.from_iterable(skel.low_x + skel.high_x[::-1]))
     return Attractor(
         word=q.word,
@@ -516,11 +492,6 @@ def corner_system_residues(w: str):
 # ---------------------------------------------------------------------------
 
 
-def _log_ratio(xl, xh, yl, yh) -> mpmath.mpf:
-    """The closed-form mass of [xl, xh] x [yl, yh] under dx dy / (1+xy)^2."""
-    return mpmath.log(((1 + xh * yh) * (1 + xl * yl)) / ((1 + xh * yl) * (1 + xl * yh)))
-
-
 def _scaled(values, scale: int) -> list[int]:
     """Each exact value times 2^scale, rounded down: n/m as (n << scale) // m
     and a surd (p + q sqrt d)/r as ((p << scale) + q isqrt(d << 2 scale)) // r,
@@ -547,12 +518,12 @@ def _slack(values) -> int:
 
 def attractor_mass(attr: Attractor, precision: int | None = None):
     """(area integral, error bound): the boundary product of the attractor's
-    skeleton (`_Skeleton.mass`), so `entropy_at(attr.alpha, precision).A`
+    skeleton (`_boundary_mass`), so `entropy_at(attr.alpha, precision).A`
     bit for bit.  Nothing is kept between calls."""
     bits = checked_precision(precision)
-    skel = attr.skeleton
-    keys = [_level_keys(ys, bits + _GUARD) for ys in (attr.h_levels_low, attr.h_levels_high)]
-    return skel.mass(*skel.ordered(keys), len(attr.rects), bits)
+    scale, skel = bits + _GUARD, attr.skeleton
+    keys = [_level_keys(ys, scale) for ys in (attr.h_levels_low, attr.h_levels_high)]
+    return _boundary_mass(skel.factors(*skel.ordered(keys), scale), len(attr.rects), bits)
 
 
 @dataclass(frozen=True)
@@ -588,8 +559,8 @@ def _entropy_sample(
     The mass comes from the skeleton of q's word in `skeletons` (`_fitted`).
     """
     bits = checked_precision(precision)
-    skel, _, _, fit = _fitted(base, q, skeletons, bits + _GUARD)
-    A, err = skel.mass(*fit, bits)
+    _, _, _, (_, _, factors, rects) = _fitted(base, q, skeletons, bits + _GUARD)
+    A, err = _boundary_mass(factors, rects, bits)
     h, h_err = _entropy_of(A, err, bits)
     word = q.word if alpha == base else words.transpose(words.negate(q.word))
     return EntropySample(
@@ -601,6 +572,28 @@ def _entropy_sample(
         h=h,
         err_bound=h_err,
     )
+
+
+def _boundary_mass(factors, rects: int, bits: int) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """(area integral, error bound) from the boundary factors at the scale
+    W = bits + _GUARD (`_Skeleton.factors`).
+
+    One log of the ratio of the factors' products is the sum of the
+    rectangle masses; the error estimate is theirs, summed in closed form.
+    Numerator and denominator shift right together once both pass 2W bits,
+    which keeps the smaller at W bits, and one log of their ratio is taken
+    at `bits` (`_mass_of`).
+    """
+    scale = bits + _GUARD
+    num = den = 1
+    for up, down in factors:
+        num *= up
+        den *= down
+        extra = min(num.bit_length(), den.bit_length()) - scale
+        if extra > scale:
+            num >>= extra
+            den >>= extra
+    return _mass_of(num, den, rects, bits)
 
 
 def _mass_of(num: int, den: int, rects: int, bits: int) -> tuple[mpmath.mpf, mpmath.mpf]:
@@ -616,7 +609,7 @@ def _mass_of(num: int, den: int, rects: int, bits: int) -> tuple[mpmath.mpf, mpm
 
 def _entropy_of(A: mpmath.mpf, err: mpmath.mpf, bits: int) -> tuple[mpmath.mpf, mpmath.mpf]:
     """h = pi^2 / (3 A) and its bound h (err / A) + 2^(8 - bits), from the
-    mass A and its bound err (`_Skeleton.mass`): each operation rounded to
+    mass A and its bound err (`_boundary_mass`): each operation rounded to
     nearest at `bits`, in the order of these expressions."""
     a = A._mpf_
     pi2 = mpf_pow_int(mpf_pi(bits, round_nearest), 2, bits, round_nearest)
@@ -645,24 +638,25 @@ def density_slice(attr: Attractor, t, precision: int | None = None) -> mpmath.mp
 
 
 def measure_interval(attr: Attractor, lo, hi, precision: int | None = None) -> mpmath.mpf:
-    """Invariant measure of [lo, hi] (inside the map's interval): the
-    closed-form masses of the rectangles clipped to [lo, hi] (`_log_ratio`)
-    over the attractor mass (`attractor_mass`).
-
-    A clipped rectangle lies inside a checked one, and 1 + x y is linear in
-    y, so it reaches no pole and needs none of the checks of a new `Rect`.
-    """
+    """Invariant measure of [lo, hi], for rational bounds inside the map's
+    interval: the boundary product of the attractor's skeleton over its
+    level keys clamped into [lo, hi] (`_boundary_mass`), over the attractor
+    mass (`attractor_mass`), rounded to nearest at the working precision.
+    Clamped, a segment's span is its part of the band; a segment outside
+    the band has y0 = y1 and a pair of equal factors."""
+    for bound in (lo, hi):
+        if not isinstance(bound, (int, Fraction)):
+            raise ValueError(f"measure bounds must be rational, got {bound!r}")
     if not (attr.alpha - 1 <= lo <= hi <= attr.alpha):
         raise ValueError("interval must sit inside [alpha-1, alpha]")
     bits = checked_precision(precision)
+    scale, skel = bits + _GUARD, attr.skeleton
     A, _ = attractor_mass(attr, bits)
-    with working_precision(bits):
-        total = mpmath.mpf(0)
-        for rect in attr.rects:
-            ylo, yhi = max(rect.y_lo, lo), min(rect.y_hi, hi)
-            if ylo < yhi:
-                total += _log_ratio(to_mpf(rect.x_lo), to_mpf(rect.x_hi), to_mpf(ylo), to_mpf(yhi))
-        return total / A
+    bottom, top = _level_keys([lo, hi], scale)
+    levels = attr.h_levels_low, attr.h_levels_high
+    band = [[min(max(k, bottom), top) for k in _level_keys(ys, scale)] for ys in levels]
+    B, _ = _boundary_mass(skel.factors(*skel.ordered(band), scale), 0, bits)
+    return mpmath.mp.make_mpf(mpf_div(B._mpf_, A._mpf_, bits, round_nearest))
 
 
 # ---------------------------------------------------------------------------
@@ -746,16 +740,16 @@ def asymptotic_probe(n_values, precision: int | None = None) -> list[dict]:
     """Entropy against pi^2/(3 log(N+1)) at the parameters 1/(N+1) whose
     qumtervals have runlength (N, 1); the attractor mass grows like log N.
 
-    A and its error bound come from `_Skeleton.mass`, so A is that of
-    `entropy_at`."""
+    A and its error bound come from the fit's boundary factors
+    (`_boundary_mass`), so A is that of `entropy_at`."""
     bits = checked_precision(precision)
     rows = []
     for n in n_values:
         if n < 2:
             raise ValueError("N must be at least 2")
         q = qumterval_of("0" * n + "1")
-        skel, _, _, fit = _fitted(q.pseudocenter, q, {}, bits + _GUARD)
-        A, err = skel.mass(*fit, bits)
+        _, _, _, (_, _, factors, rects) = _fitted(q.pseudocenter, q, {}, bits + _GUARD)
+        A, err = _boundary_mass(factors, rects, bits)
         h, _ = _entropy_of(A, err, bits)
         with working_precision(bits):
             log_n1 = mpmath.log(n + 1)

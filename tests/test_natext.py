@@ -2,7 +2,7 @@ import dataclasses
 import hashlib
 import random
 from fractions import Fraction
-from itertools import combinations, pairwise
+from itertools import pairwise
 from math import isqrt
 
 import mpmath
@@ -136,6 +136,19 @@ def near(value, j, d, scale):
     return value + (j - isqrt(d) + make_surd(0, 1, 1, d)) / 2**scale
 
 
+def pole_decision(x, y, scale):
+    """The fit's pole test of an end x and a level y at `scale`, on a
+    one-segment skeleton whose two boundaries are x over the level y: the
+    boundary factor against the margin, exactly where the margin fails."""
+    skel = nx._Skeleton(x, x, (), (), (0,), (0,), ((x, x),), ((x, x),))
+    key = scaled_key(y, scale)
+    orbit = kd.OrbitRecord(start=y, points=(y,), digits=(), hit_zero=False)
+    try:
+        return skel.fit(orbit, orbit, ([key], [key]), scale) is not None
+    except nx.AttractorError:
+        return False
+
+
 levels = st.fractions(-1, 1, max_denominator=10**12)
 scales = st.sampled_from([0, 1, 8, 64, 168])
 
@@ -145,8 +158,7 @@ class TestFilteredPredicates:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(surds, rationals), levels, scales)
     def test_pole_random_pairs(self, x, y, scale):
-        (X,) = nx._scaled([x], scale)
-        got = nx._pole_free_at(x, X, scaled_key(y, scale), nx._slack([x]), scale)
+        got = pole_decision(x, y, scale)
         assert got == nx._pole_free(x, y) == (1 + x * y > 0)
 
     @settings(max_examples=300, deadline=None)
@@ -154,8 +166,7 @@ class TestFilteredPredicates:
     def test_pole_near_degenerate(self, y, j, d, scale):
         # 1 + x y = y (j + theta) / 2^scale with 0 < theta < 1
         x = near(-1 / y, j, d, scale)
-        (X,) = nx._scaled([x], scale)
-        got = nx._pole_free_at(x, X, scaled_key(y, scale), nx._slack([x]), scale)
+        got = pole_decision(x, y, scale)
         assert got == (1 + x * y > 0) == ((y > 0) == (j >= 0))
 
     @settings(max_examples=300, deadline=None)
@@ -191,7 +202,7 @@ class TestFilteredPredicates:
         pole_free, less = nx._pole_free, QuadSurd.__lt__
         monkeypatch.setattr(nx, "_pole_free", lambda x, y: calls.append("pole") or pole_free(x, y))
         monkeypatch.setattr(QuadSurd, "__lt__", lambda a, b: calls.append("below") or less(a, b))
-        _, _, rects = skel.fit(alpha, low, high, keys, scale)
+        _, _, _, rects = skel.fit(low, high, keys, scale)
         if scale:
             assert calls == []
         else:  # every rectangle and both ends of every boundary span
@@ -403,7 +414,8 @@ def boundary_mass(alpha, bits):
     scale = bits + nx._GUARD
     keys = nx._level_keys(low.points, scale), nx._level_keys(high.points, scale)
     skel = nx._skeleton(q.word, low, high, keys)
-    return skel.mass(*skel.fit(alpha, low, high, keys, scale), bits)
+    _, _, factors, rects = skel.fit(low, high, keys, scale)
+    return nx._boundary_mass(factors, rects, bits)
 
 
 def rect_mass(r, bits=None):
@@ -489,6 +501,16 @@ class TestBoundaryMass:
         with working_precision(512):
             assert abs(A - A_512) <= err / 1000
 
+    def test_entropy_takes_each_factor_once(self, monkeypatch):
+        # the fit builds the boundary factors for its pole tests, and the
+        # mass multiplies that same list
+        built, multiplied = [], []
+        factors, mass = nx._Skeleton.factors, nx._boundary_mass
+        monkeypatch.setattr(nx._Skeleton, "factors", lambda skel, *a: built.append(factors(skel, *a)) or built[-1])
+        monkeypatch.setattr(nx, "_boundary_mass", lambda f, *a: multiplied.append(f) or mass(f, *a))
+        nx.entropy_at(Fraction(337, 1000))
+        assert len(built) == len(multiplied) == 1 and built[0] is multiplied[0]
+
     @pytest.mark.parametrize(
         "start, stop, samples",
         [
@@ -527,7 +549,7 @@ class TestLevelKeys:
             if scale == 0:
                 assert len({Y for Y, _ in keys[0]}) <= 2 < len(keys[0])
             skel = nx._skeleton(q.word, low, high, keys)
-            lo, hi, rects = skel.fit(alpha, low, high, keys, scale)
+            lo, hi, _, rects = skel.fit(low, high, keys, scale)
             assert [y for _, y in lo] == lo_f and [y for _, y in hi] == hi_f
             assert self.merged(lo, hi) == fraction_run and rects == len(fraction_run)
 
@@ -543,13 +565,13 @@ class TestLevelKeys:
         q, low, high = self.orbits(alpha)
         keys = nx._level_keys(low.points, 0), nx._level_keys(high.points, 0)
         skel = nx._skeleton(q.word, low, high, keys)
-        assert skel.fit(alpha, low, high, keys, 0) is not None
+        assert skel.fit(low, high, keys, 0) is not None
         # the second-lowest lower level repeated, as an equal but distinct Fraction
         low_keys = list(keys[0])
         first, second = skel.low_order[1], skel.low_order[2]
         Y, y = low_keys[first]
         low_keys[second] = (Y, Fraction(y.numerator, y.denominator))
-        assert skel.fit(alpha, low, high, (low_keys, keys[1]), 0) is None
+        assert skel.fit(low, high, (low_keys, keys[1]), 0) is None
 
 
 class TestPins:
@@ -766,21 +788,41 @@ class TestDensityAndMeasure:
                     expected = (to_mpf(r.x_hi) - to_mpf(r.x_lo)) / a
                     assert abs(nx.density_slice(attr, Fraction(0)) - expected) < mpmath.mpf(10) ** -30
 
-    @pytest.mark.parametrize("alpha", [Fraction(2, 5), Fraction(337, 1000), Fraction(4, 15)])
-    def test_measure_is_the_sum_of_clipped_rect_masses(self, alpha):
-        # bit for bit the masses of the clipped rectangles, each rounded afresh
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(side0_words(14)),
+        st.booleans(),
+        st.integers(0, 6),
+        st.integers(1, 2**20 - 1),
+        st.data(),
+    )
+    def test_measure_matches_the_clipped_rect_oracle(self, word, toward_plus, depth, k, data):
+        # between two cuts, each a level of the attractor or a random
+        # rational, against the 512-bit sum of the clipped rectangles'
+        # closed-form masses over the sum of all of them
+        alpha = rational_inside(bf.qumterval_of(word), toward_plus, depth, k)
         attr = nx.build_attractor(alpha)
-        A, _ = nx.attractor_mass(attr)
         levels = sorted({r.y_lo for r in attr.rects} | {r.y_hi for r in attr.rects})
-        cuts = sorted({alpha - 1, levels[1], (levels[1] + levels[2]) / 2, Fraction(1, 7), alpha})
-        for lo, hi in combinations(cuts, 2):
-            total = mpmath.mpf(0)
-            with working_precision(None):
-                for r in attr.rects:
-                    ylo, yhi = max(r.y_lo, lo), min(r.y_hi, hi)
-                    if ylo < yhi:
-                        total += rect_mass(nx.Rect(r.x_lo, r.x_hi, ylo, yhi))[0]
-                assert nx.measure_interval(attr, lo, hi) == total / A
+        cut = st.one_of(
+            st.sampled_from(levels), st.fractions(0, 1, max_denominator=10**6).map(lambda t: alpha - 1 + t)
+        )
+        lo, hi = sorted([data.draw(cut), data.draw(cut)])
+        mu = nx.measure_interval(attr, lo, hi, 128)
+        with working_precision(512):
+            band = mpmath.mpf(0)
+            for r in attr.rects:
+                ylo, yhi = max(r.y_lo, lo), min(r.y_hi, hi)
+                if ylo < yhi:
+                    band += rect_mass(nx.Rect(r.x_lo, r.x_hi, ylo, yhi), 512)[0]
+            mu_512 = band / rect_sum(attr, 512)[0]
+            assert abs(mu - mu_512) <= mpmath.mpf(2) ** -100
+
+    def test_measure_bounds_rational_and_inside(self):
+        attr = nx.build_attractor(Fraction(337, 1000))
+        with pytest.raises(ValueError, match=r"rational, got QuadSurd\(-3, 1, 2, 5\)"):
+            nx.measure_interval(attr, attr.alpha - 1, G - 1)
+        with pytest.raises(ValueError, match="inside"):
+            nx.measure_interval(attr, attr.alpha - 2, attr.alpha)
 
     def test_full_interval_measure(self):
         attr = nx.build_attractor(Fraction(2, 5))
