@@ -2,7 +2,7 @@ import dataclasses
 import hashlib
 import random
 from fractions import Fraction
-from itertools import pairwise
+from itertools import combinations, pairwise
 from math import isqrt
 
 import mpmath
@@ -816,6 +816,25 @@ class TestDensityAndMeasure:
                     band += rect_mass(nx.Rect(r.x_lo, r.x_hi, ylo, yhi), 512)[0]
             mu_512 = band / rect_sum(attr, 512)[0]
             assert abs(mu - mu_512) <= mpmath.mpf(2) ** -100
+
+    @pytest.mark.parametrize("alpha", [Fraction(2, 5), Fraction(337, 1000), Fraction(4, 15)])
+    def test_measure_is_the_sum_of_clipped_rect_masses(self, alpha):
+        # between every two of five cuts (the ends, a level, a point between
+        # two levels and 1/7), within four units of 2^-128 of the 512-bit sum
+        # of the clipped rectangles' closed-form masses over the sum of all
+        attr = nx.build_attractor(alpha)
+        levels = sorted({r.y_lo for r in attr.rects} | {r.y_hi for r in attr.rects})
+        cuts = sorted({alpha - 1, levels[1], (levels[1] + levels[2]) / 2, Fraction(1, 7), alpha})
+        A_512, _ = rect_sum(attr, 512)
+        for lo, hi in combinations(cuts, 2):
+            mu = nx.measure_interval(attr, lo, hi, 128)
+            with working_precision(512):
+                band = mpmath.mpf(0)
+                for r in attr.rects:
+                    ylo, yhi = max(r.y_lo, lo), min(r.y_hi, hi)
+                    if ylo < yhi:
+                        band += rect_mass(nx.Rect(r.x_lo, r.x_hi, ylo, yhi), 512)[0]
+                assert abs(mu - band / A_512) <= mpmath.mpf(2) ** -126, (lo, hi)
 
     def test_measure_bounds_rational_and_inside(self):
         attr = nx.build_attractor(Fraction(337, 1000))
