@@ -319,8 +319,8 @@ def zeta_partial(
     [1/(N+1), 1/N] the gaps decay like N^(-2|w|/(N+1))).  The binary gaps
     1/(2(2^n - 1)) decay exponentially everywhere.  `depth` runs from 1 to
     `words.FAREY_LIST_CAP`."""
-    if s <= 0:
-        raise ValueError("exponent must be positive")
+    if not 0 < s < math.inf:  # also refuses nan
+        raise ValueError("exponent must be positive and finite")
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if depth > words.FAREY_LIST_CAP:

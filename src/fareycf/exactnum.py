@@ -296,9 +296,6 @@ class QuadSurd:
     def __rtruediv__(self, other):
         return self._inverse() * other
 
-    def conjugate(self) -> "QuadSurd":
-        return QuadSurd(self.p, -self.q, self.r, self.d)
-
     # -- total order ---------------------------------------------------------
 
     def _cmp(self, other) -> int:
@@ -355,11 +352,9 @@ class QuadSurd:
 
     # -- conversions ---------------------------------------------------------
 
-    def to_mpf(self, root: mpmath.mpf | None = None) -> mpmath.mpf:
-        """Value at the current mpmath working precision; `root` may pass in
-        sqrt(d), already rounded at that precision."""
-        if root is None:
-            root = mpmath.sqrt(mpmath.mpf(self.d))
+    def to_mpf(self) -> mpmath.mpf:
+        """Value at the current mpmath working precision."""
+        root = mpmath.sqrt(mpmath.mpf(self.d))
         return (mpmath.mpf(self.p) + mpmath.mpf(self.q) * root) / mpmath.mpf(self.r)
 
     def __float__(self):
@@ -420,14 +415,6 @@ class Mobius:
             raise ValueError("Mobius matrices here must have determinant +/-1")
         self.a, self.b, self.c, self.d = a, b, c, d
 
-    @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    @property
-    def trace(self) -> int:
-        return self.a + self.d
-
     def normalized(self) -> tuple[int, int, int, int]:
         t = (self.a, self.b, self.c, self.d)
         for entry in t:
@@ -444,8 +431,6 @@ class Mobius:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    __matmul__ = __mul__
 
     def inverse(self) -> "Mobius":
         # adjugate; projectively the inverse since det = +/-1

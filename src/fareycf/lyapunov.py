@@ -10,8 +10,9 @@ block of 16 steps and takes one log per block.  The product cannot
 underflow: off 0 every point has |u| = 1/|x| > 1, so x = u - n is exact and
 |x| >= 2^-53, and 16 points multiply to at least 2^-848, still a normal
 float.  The orbit restarts from a fresh random start, with the burn-in run
-again and not counted, in two cases: it hits 0 exactly (``-1/x`` raises),
-or it enters a float cycle, seen when the end of a block equals the end of
+again and not counted, in two cases: it hits 0 exactly (``-1/x`` raises,
+before the 0 joins the product, so the block's points before it are
+counted as they are), or it enters a float cycle, seen when the end of a block equals the end of
 the block before it or an anchor saved every 64 blocks.  A cycle of floats
 is an artefact of rounding, and averaging over it gives a wrong number (at
 alpha = 23/146 a 4-cycle near +-2^-12 would read 5.83 against h = 2.48).
@@ -37,18 +38,6 @@ def _random_start(rng: random.Random, alpha: float) -> float:
     while abs(x) < 1e-6:
         x = rng.uniform(alpha - 1.0, alpha)
     return x
-
-
-def _points_before_zero(alpha: float, x: float) -> tuple[int, float]:
-    """Count the points of the orbit from x before it hits 0, with the log of their product."""
-    floor = math.floor
-    n, p = 0, 1.0
-    while x != 0.0:
-        n += 1
-        p *= x
-        u = -1.0 / x
-        x = u - floor(u + 1.0 - alpha)
-    return n, math.log(abs(p))
 
 
 def birkhoff_log_deriv(
@@ -85,9 +74,9 @@ def birkhoff_log_deriv(
                 start = x
                 todo = block if left >= _BLOCK else range(left)
                 p = 1.0
-                for _ in todo:
-                    p *= x
+                for n in todo:
                     u = -1.0 / x
+                    p *= x
                     x = u - floor(u + 1.0 - alpha)
                 acc += log(abs(p))
                 left -= len(todo)
@@ -98,10 +87,9 @@ def birkhoff_log_deriv(
                 blocks += 1
                 if not blocks % _ANCHOR_EVERY:
                     anchor = x
-        except ZeroDivisionError:  # an exact hit of 0
-            if start is not None:  # count the block's points before it
-                n, log_p = _points_before_zero(alpha, start)
-                acc += log_p
+        except ZeroDivisionError:  # an exact hit of 0, at point n of the block
+            if start is not None:  # p holds the n points before it
+                acc += log(abs(p))
                 left -= n
         x = _random_start(rng, alpha)
 

@@ -18,9 +18,10 @@ empty-rectangle and density-pole tests are decided on the integers of the
 mass with a proved margin, exactly only where the margin cannot decide, and
 the rectangles come from one merge of the two level-sorted boundaries.  What
 depends on the qumterval alone, the endpoint digits, the order of each orbit
-and the pushed abscissae with their seams, is one `_Skeleton`.  Every
-parameter takes one path to it (`_fitted`): its endpoint orbits, their order
-keys, the skeleton of its word (kept or built from these orbits) and the
+and one end of each boundary segment (both pushed, every seam checked, then
+each staircase corner kept once) is one `_Skeleton`.  Every parameter
+takes one path to it (`_fitted`): its endpoint orbits, their order keys,
+the skeleton of its word (kept or built from these orbits) and the
 skeleton's fit, which checks the digits, the order of each orbit, that no
 rectangle is empty and that none reaches a density pole.  `build_attractor`
 turns the fit into rectangles.
@@ -212,12 +213,6 @@ def _abscissae(xi: QuadSurd, digits):
         yield QuadSurd(P // s, Q // s, R // s, d)
 
 
-def _push(start: tuple[QuadSurd, QuadSurd], digits) -> list[tuple[QuadSurd, QuadSurd]]:
-    """(left, right) ends of the boundary segment at each orbit index."""
-    left, right = start
-    return list(zip(_abscissae(left, digits), _abscissae(right, digits)))  # increasing map
-
-
 @dataclass(eq=False)
 class _Skeleton:
     """The exact data of the attractor shared by every rational parameter of
@@ -228,18 +223,17 @@ class _Skeleton:
     qumterval tried, does the level order within each orbit.  Only the
     levels themselves and the interleaving of the two orbits move.  The
     seam, closure and extremal checks need abscissae and order alone and run
-    once, in `_skeleton`; `fit` runs the checks that need the levels.
+    once, in `_skeleton`; past the seams one end per segment holds them all.
+    `fit` runs the checks that need the levels.
     """
 
-    corner_x: Exact
-    corner_y: Exact
     low_digits: tuple[int, ...]
     high_digits: tuple[int, ...]
     low_order: tuple[int, ...]  # orbit indices of the lower segments, levels ascending
     high_order: tuple[int, ...]  # orbit indices of the upper segments, levels ascending
-    low_x: tuple[tuple[Exact, Exact], ...]  # (left, right) of each lower segment, in low_order
-    high_x: tuple[tuple[Exact, Exact], ...]  # (left, right) of each upper segment, in high_order
-    # (right ends of the lower segments, left ends of the upper ones) scaled, and their slack, by scale
+    rights: tuple[Exact, ...]  # right end of each lower segment, in low_order; the last is corner x
+    lefts: tuple[Exact, ...]  # left end of each upper segment, in high_order; the first is corner y
+    # (rights, lefts) scaled, and their slack, by scale
     ends_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def fit(self, low, high, keys, scale: int):
@@ -276,17 +270,17 @@ class _Skeleton:
         lo, hi = self.ordered(keys)
         if not (_increasing(lo) and _increasing(hi)):
             return None
-        rights, lefts, slack = self.rounded_ends(scale)
+        X_rights, X_lefts, slack = self.rounded_ends(scale)
         rects = 0
         for _, (_, y_hi), i, j in _staircase(lo, hi):
-            if not _below(self.high_x[j][0], self.low_x[i][1], lefts[j], rights[i], slack):
+            if not _below(self.lefts[j], self.rights[i], X_lefts[j], X_rights[i], slack):
                 raise AttractorError(f"empty rectangle below level {y_hi}")
             rects += 1
         factors = self.factors(lo, hi, scale)
         # 1 + x y is linear in y: positive at both ends of a segment's span,
         # it is positive at every rectangle corner on that side; the levels
         # of each factor pair, (top, bottom) below and (bottom, top) above
-        ends = chain(zip(rights, (x for _, x in self.low_x)), zip(lefts, (x for x, _ in self.high_x)))
+        ends = zip(X_rights + X_lefts, self.rights + self.lefts)
         levels = chain(zip(lo[1:] + hi[-1:], lo), zip(lo[:1] + hi[:-1], hi))
         for (X, x), (f0, f1), ((_, y0), (_, y1)) in zip(ends, factors, levels):
             margin = (abs(X) >> scale) + slack + 3 + (2 * slack >> scale)
@@ -325,12 +319,10 @@ class _Skeleton:
         bound on their rounding (`_slack`); kept per scale."""
         got = self.ends_cache.get(scale)
         if got is None:
-            rights = [right for _, right in self.low_x]
-            lefts = [left for left, _ in self.high_x]
             got = self.ends_cache[scale] = (
-                _scaled(rights, scale),
-                _scaled(lefts, scale),
-                _slack(rights + lefts),
+                _scaled(self.rights, scale),
+                _scaled(self.lefts, scale),
+                _slack(self.rights + self.lefts),
             )
         return got
 
@@ -351,13 +343,15 @@ def _level_keys(points, scale: int) -> list[tuple[int, Fraction]]:
 
 def _skeleton(word: str, low, high, keys) -> _Skeleton:
     """The skeleton of the qumterval of a side-0 word, from the endpoint
-    orbits at one parameter inside it and their order keys; every seam is
-    checked exactly."""
+    orbits at one parameter inside it and their order keys: both ends of
+    every segment are pushed and each seam and the closure are checked
+    exactly, then one end per segment is kept."""
     x, y = attractor_corners(word)
     if None in low.digits or None in high.digits:
         raise AttractorError("endpoint orbit hit zero before the matching time")
-    lower = _push((y, x / (1 + x)), low.digits)
-    upper = _push((y / (1 - y), x), high.digits)
+    # (left, right) ends of the segment at each orbit index; the map is increasing
+    lower = list(zip(_abscissae(y, low.digits), _abscissae(x / (1 + x), low.digits)))
+    upper = list(zip(_abscissae(y / (1 - y), high.digits), _abscissae(x, high.digits)))
     low_keys, high_keys = keys
     low_order = sorted(range(len(lower)), key=low_keys.__getitem__)
     high_order = sorted(range(len(upper)), key=high_keys.__getitem__)
@@ -378,14 +372,12 @@ def _skeleton(word: str, low, high, keys) -> _Skeleton:
     if low_x[-1][1] != x or high_x[0][0] != y:
         raise AttractorError("staircase does not close at the far corner")
     return _Skeleton(
-        corner_x=x,
-        corner_y=y,
         low_digits=low.digits,
         high_digits=high.digits,
         low_order=tuple(low_order),
         high_order=tuple(high_order),
-        low_x=tuple(low_x),
-        high_x=tuple(high_x),
+        rights=tuple(right for _, right in low_x),
+        lefts=tuple(left for left, _ in high_x),
     )
 
 
@@ -425,19 +417,19 @@ def build_attractor(alpha, word: str | None = None) -> Attractor:
         raise ValueError("parameters above 1/2: reflect with alpha -> 1 - alpha")
     # any scale orders the levels exactly; this one keeps ties rare
     skel, low, high, (lo, hi, _, _) = _fitted(alpha, q, {}, MIN_PRECISION)
-    ends = sorted(chain.from_iterable(skel.low_x + skel.high_x[::-1]))
     return Attractor(
         word=q.word,
         alpha=alpha,
         rects=tuple(
-            Rect(skel.high_x[j][0], skel.low_x[i][1], y_lo, y_hi)
+            Rect(skel.lefts[j], skel.rights[i], y_lo, y_hi)
             for (_, y_lo), (_, y_hi), i, j in _staircase(lo, hi)
         ),
-        corner_x=skel.corner_x,
-        corner_y=skel.corner_y,
+        corner_x=skel.rights[-1],
+        corner_y=skel.lefts[0],
         h_levels_low=tuple(low.points),
         h_levels_high=tuple(high.points),
-        v_levels=tuple(v for k, v in enumerate(ends) if k == 0 or ends[k - 1] != v),
+        # by the seams, every segment end is in one of the two tuples
+        v_levels=tuple(sorted(set(skel.rights + skel.lefts))),
         skeleton=skel,
     )
 
@@ -800,6 +792,8 @@ def slope_growth_probe(
     """
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
+    if halvings < 0:
+        raise ValueError("halvings must be >= 0")
     q0 = qumterval_of(word)
     target = q0.alpha_plus if side == "plus" else q0.alpha_minus
     w1, w2 = words.standard_factorization(word)

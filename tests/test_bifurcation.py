@@ -295,6 +295,12 @@ class TestZeta:
             with pytest.raises(ValueError, match="depth"):
                 bf.zeta_partial(0.25, depth, variant=variant)
 
+    @pytest.mark.parametrize("s", [0.0, -1.0, float("nan"), float("inf")])
+    def test_exponent_outside_zero_to_infinity_raises(self, s):
+        # nan compares false both ways and inf sums every length to 0
+        with pytest.raises(ValueError, match="exponent"):
+            bf.zeta_partial(s, 3)
+
     def test_unknown_variant_raises_before_any_word(self):
         # depth 1 has no words, so a check inside the loop would never run
         with pytest.raises(ValueError, match="variant"):

@@ -17,6 +17,14 @@ from fareycf.cli import build_parser, main
 from fareycf.exactnum import format_exact
 
 
+def child_env(**extra):
+    """The environment of a child interpreter: this checkout's `src` ahead of
+    the inherited PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(fareycf.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -167,6 +175,9 @@ class TestBehaviour:
             ("attractor", "--alpha", "1/3", "--decimals", "5"),
             ("probe", "zeta", "--depth", "0"),
             ("probe", "zeta", "--depth", "-3"),
+            ("probe", "zeta", "--s", "nan", "--depth", "3"),
+            ("probe", "zeta", "--s", "inf", "--depth", "3"),
+            ("probe", "slope", "--word", "001", "--halvings", "-1"),
         ):
             assert run(capsys, *argv)[:2] == (2, ""), argv
 
@@ -185,8 +196,7 @@ class TestBehaviour:
     )
     def test_precision_variable_checked(self, value, message):
         # a bad default precision is a validation error of the call, not a crash at import
-        src = os.path.dirname(os.path.dirname(fareycf.__file__))
-        env = dict(os.environ, PYTHONPATH=src, FAREYCF_PRECISION=value)
+        env = child_env(FAREYCF_PRECISION=value)
         out = subprocess.run(
             [sys.executable, "-m", "fareycf", "entropy", "point", "--alpha", "1/3"],
             env=env,
@@ -204,8 +214,7 @@ class TestBehaviour:
     def test_closed_stdout_exits_141_quietly(self):
         # the JSON at 1/300 (about 240 KB) is larger than a pipe buffer, so
         # the writer meets the closed pipe
-        src = os.path.dirname(os.path.dirname(fareycf.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
+        env = child_env()
         proc = subprocess.Popen(
             [sys.executable, "-m", "fareycf", "attractor", "--alpha", "1/300", "--json"],
             env=env,
@@ -296,8 +305,7 @@ class TestRegressionPins:
     def test_endpoints_beyond_the_int_digit_limit(self):
         # the endpoints of the word of slope 4181/10946 have more than 4300 digits
         w = wd.word_from_rational(Fraction(4181, 10946))
-        src = os.path.dirname(os.path.dirname(fareycf.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
+        env = child_env()
         out = subprocess.run(
             [sys.executable, "-m", "fareycf", "qumterval", "info", "--word", w],
             env=env,
@@ -310,11 +318,10 @@ class TestRegressionPins:
         assert f"alpha_plus={alpha_plus}" in out.stdout.splitlines()
 
     def test_cli_import_skips_sympy_and_process_pool(self):
-        src = os.path.dirname(os.path.dirname(fareycf.__file__))
         code = (
             "import sys, fareycf.cli; "
             "print(sorted({'sympy', 'concurrent.futures.process'} & set(sys.modules)))"
         )
-        env = dict(os.environ, PYTHONPATH=src)
+        env = child_env()
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"

@@ -213,20 +213,6 @@ class TestConversions:
         assert f == Fraction(n, d) and hash(f) == hash(Fraction(n, d))
         assert (f.numerator, f.denominator) == (n, d)
 
-    @given(
-        st.integers(-10**40, 10**40),
-        st.integers(-10**40, 10**40).filter(bool),
-        st.integers(1, 10**40),
-        st.sampled_from([2, 3, 5, 21, 10**12 + 39]),
-        st.sampled_from([64, 128, 300]),
-    )
-    def test_to_mpf_with_a_given_root(self, p, q, r, d, bits):
-        x = make_surd(p, q, r, d)
-        if isinstance(x, Fraction):
-            return
-        with mpmath.workprec(bits):
-            assert x.to_mpf(mpmath.sqrt(mpmath.mpf(x.d))) == x.to_mpf()
-
 
 class TestSquarefreeSplit:
     @given(st.integers(0, 10**300))

@@ -3,7 +3,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, pairwise
-from math import isqrt
+from math import gcd, isqrt
 
 import mpmath
 import pytest
@@ -14,7 +14,7 @@ from fareycf import bifurcation as bf
 from fareycf import kdynamics as kd
 from fareycf import natext as nx
 from fareycf import words as wd
-from fareycf.exactnum import QuadSurd, S, T, make_surd, mobius_apply, surd_from_periodic_cf, to_mpf
+from fareycf.exactnum import QuadSurd, S, T, format_exact, make_surd, mobius_apply, surd_from_periodic_cf, to_mpf
 from fareycf.lyapunov import lyapunov_estimate
 from fareycf.precision import DEFAULT_PRECISION, checked_precision, working_precision
 
@@ -92,7 +92,7 @@ def skeleton_pushes(word):
 
 def assert_pushes_field_identical(word):
     for start, digits in skeleton_pushes(word):
-        got = nx._push(start, digits)
+        got = list(zip(*(nx._abscissae(end, digits) for end in start)))
         want = list(zip(*(reference_chain(end, digits) for end in start)))
         assert len(got) == len(want) == len(digits) + 1
         assert [tuple(map(fields, ends)) for ends in got] == [tuple(map(fields, ends)) for ends in want]
@@ -140,7 +140,7 @@ def pole_decision(x, y, scale):
     """The fit's pole test of an end x and a level y at `scale`, on a
     one-segment skeleton whose two boundaries are x over the level y: the
     boundary factor against the margin, exactly where the margin fails."""
-    skel = nx._Skeleton(x, x, (), (), (0,), (0,), ((x, x),), ((x, x),))
+    skel = nx._Skeleton((), (), (0,), (0,), rights=(x,), lefts=(x,))
     key = scaled_key(y, scale)
     orbit = kd.OrbitRecord(start=y, points=(y,), digits=(), hit_zero=False)
     try:
@@ -206,7 +206,7 @@ class TestFilteredPredicates:
         if scale:
             assert calls == []
         else:  # every rectangle and both ends of every boundary span
-            poles = 2 * (len(skel.low_x) + len(skel.high_x))
+            poles = 2 * (len(skel.rights) + len(skel.lefts))
             assert calls.count("pole") == poles and calls.count("below") == rects
 
 
@@ -367,8 +367,7 @@ class TestSkeletonChecks:
     def test_empty_rectangle_is_refused(self):
         # the lowest rectangle's left end is the corner y: a right end at y empties it
         def shrink(skel):
-            (left, _), *rest = skel.low_x
-            return dataclasses.replace(skel, low_x=((left, skel.corner_y), *rest))
+            return dataclasses.replace(skel, rights=(skel.lefts[0], *skel.rights[1:]))
 
         with pytest.raises(nx.AttractorError, match="empty rectangle"):
             self.sample_with(shrink)
@@ -379,10 +378,8 @@ class TestSkeletonChecks:
         # x = -10^6, while every rectangle only widens
         def widen(skel):
             if side == "lower":
-                (left, _), *rest = skel.low_x
-                return dataclasses.replace(skel, low_x=((left, Fraction(10**6)), *rest))
-            *rest, (_, right) = skel.high_x
-            return dataclasses.replace(skel, high_x=(*rest, (Fraction(-(10**6)), right)))
+                return dataclasses.replace(skel, rights=(Fraction(10**6), *skel.rights[1:]))
+            return dataclasses.replace(skel, lefts=(*skel.lefts[:-1], Fraction(-(10**6))))
 
         with pytest.raises(nx.AttractorError, match="density pole"):
             self.sample_with(widen)
@@ -396,10 +393,8 @@ class TestSkeletonChecks:
         def changed(*args):
             skel = build(*args)
             if fault == "empty rectangle":
-                (left, _), *rest = skel.low_x
-                return dataclasses.replace(skel, low_x=((left, skel.corner_y), *rest))
-            *rest, (_, right) = skel.high_x
-            return dataclasses.replace(skel, high_x=(*rest, (Fraction(-(10**6)), right)))
+                return dataclasses.replace(skel, rights=(skel.lefts[0], *skel.rights[1:]))
+            return dataclasses.replace(skel, lefts=(*skel.lefts[:-1], Fraction(-(10**6))))
 
         monkeypatch.setattr(nx, "_skeleton", changed)
         with pytest.raises(nx.AttractorError, match=fault):
@@ -628,6 +623,24 @@ class TestPins:
             hashlib.sha256(repr(raw).encode()).hexdigest()
             == "b8dc3703b01ed3733f28028cccbae9e0fb6df0497b89e8168491e05864499305"
         )
+
+    def test_attractor_geometry_sweep(self):
+        # SHA-256 of the exact text of both corners, every vertical level and
+        # every rectangle end, one line per reduced p/q <= 1/2 with q < 90,
+        # recorded while the skeleton stored both ends of every segment
+        digest = hashlib.sha256()
+        count = 0
+        for den in range(2, 90):
+            for num in range(1, den // 2 + 1):
+                if gcd(num, den) != 1:
+                    continue
+                attr = nx.build_attractor(Fraction(num, den))
+                count += 1
+                ends = [v for r in attr.rects for v in (r.x_lo, r.x_hi)]
+                values = [attr.corner_x, attr.corner_y, *attr.v_levels, *ends]
+                digest.update((" ".join(map(format_exact, values)) + "\n").encode())
+        assert count == 1228
+        assert digest.hexdigest() == "3837a6732082779cea043caef81c7ce52c853e646d822e532490bd63ce4a17d4"
 
 
 class TestMasses:
@@ -991,6 +1004,11 @@ class TestCurveAndProbes:
         rows = nx.slope_growth_probe("001", "plus", 4)
         assert rows[-1]["excess_zeros"] >= rows[0]["excess_zeros"]
         assert abs(rows[-1]["slope"]) >= abs(rows[0]["slope"])
+
+    def test_slope_probe_refuses_negative_halvings(self):
+        # no window at all is no probe
+        with pytest.raises(ValueError, match="halvings"):
+            nx.slope_growth_probe("001", "plus", -1)
 
     def test_plateau_slope_is_zero(self):
         info = nx.qumterval_slope(bf.qumterval_of("01"))
