@@ -20,9 +20,7 @@ from .exactnum import (
     QuadSurd,
     floor_exact,
     surd_from_periodic_cf,
-    to_mpf,
 )
-from .precision import working_precision
 
 # ---------------------------------------------------------------------------
 # binary side
@@ -297,9 +295,7 @@ def cardioid_angles(r) -> tuple[Fraction, Fraction]:
 
 
 def _outward(x: Exact) -> float:
-    with working_precision(80):
-        f = float(to_mpf(x))
-    return math.nextafter(f, math.inf)
+    return math.nextafter(float(x), math.inf)
 
 
 def zeta_partial(

@@ -8,6 +8,7 @@ forms), decimal columns on request, no timestamps.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -32,12 +33,14 @@ def _parse_word(text: str) -> str:
 
 
 def _emit(args, text: str) -> None:
-    out = open(args.out, "w") if args.out else sys.stdout
-    out.write(text)
-    if not text.endswith("\n"):
-        out.write("\n")
-    if out is not sys.stdout:
-        out.close()
+    try:
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:  # a path that cannot be written is bad input
+        raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
+    with out as f:
+        f.write(text)
+        if not text.endswith("\n"):
+            f.write("\n")
 
 
 def _nstr(x, digits: int) -> str:

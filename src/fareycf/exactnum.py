@@ -186,6 +186,9 @@ def make_surd(p: int, q: int, r: int, d: int) -> Exact:
     return QuadSurd._reduced(p, q, r, d0)
 
 
+_CF_MAX_DIGITS = 100_000  # digits `QuadSurd.cf_expansion` reads before giving up on a period
+
+
 class QuadSurd:
     """Irrational element (p + q*sqrt(d))/r of a real quadratic field.
 
@@ -370,14 +373,14 @@ class QuadSurd:
         p, q, r, d = (_decimal(v) for v in (self.p, self.q, self.r, self.d))
         return f"QuadSurd({p}, {q}, {r}, {d})"
 
-    def cf_expansion(self, max_digits: int = 100_000) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def cf_expansion(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Continued fraction of a surd in (0, 1) as (preperiod, period) of [0; ...]."""
         if not (0 < self < 1):
             raise ValueError("cf_expansion expects a value in (0, 1)")
         x: QuadSurd = self
         seen: dict[tuple[int, int, int, int], int] = {}
         digits: list[int] = []
-        while len(digits) < max_digits:
+        while len(digits) < _CF_MAX_DIGITS:
             key = (x.p, x.q, x.r, x.d)
             if key in seen:
                 i = seen[key]

@@ -14,17 +14,18 @@ scale `_GUARD` bits finer than that precision.
 The exact pass is integer arithmetic throughout: the endpoint orbits step in
 integers (`kdynamics.orbit`), each abscissa push is the classical surd
 recurrence, linear in the size of its numbers (`_abscissae`), the
-empty-rectangle and density-pole tests are decided on the integers of the
-mass with a proved margin, exactly only where the margin cannot decide, and
-the rectangles come from one merge of the two level-sorted boundaries.  What
-depends on the qumterval alone, the endpoint digits, the order of each orbit
-and one end of each boundary segment (both pushed, every seam checked, then
-each staircase corner kept once) is one `_Skeleton`.  Every parameter
-takes one path to it (`_fitted`): its endpoint orbits, their order keys,
-the skeleton of its word (kept or built from these orbits) and the
-skeleton's fit, which checks the digits, the order of each orbit, that no
-rectangle is empty and that none reaches a density pole.  `build_attractor`
-turns the fit into rectangles.
+empty-rectangle test and the check that every segment end lies in (-1, 1)
+(so the attractor lies in the open square (-1, 1)^2, off the density's
+poles) are decided on the integers of the mass with a proved margin, exactly
+only where the margin cannot decide, and the rectangles come from one merge
+of the two level-sorted boundaries.  What depends on the qumterval alone,
+the endpoint digits, the order of each orbit and one end of each boundary
+segment (both pushed, every seam checked, then each staircase corner kept
+once) is one `_Skeleton`, which checks the square once per scale.  Every
+parameter takes one path to it (`_fitted`): its endpoint orbits, their order
+keys, the skeleton of its word (kept or built from these orbits) and the
+skeleton's fit, which checks the digits, the order of each orbit and that
+no rectangle is empty.  `build_attractor` turns the fit into rectangles.
 
 The entropy then follows from the identity  h * area = pi^2 / 3  where
 "area" is the mass of the attractor under dx dy / (1 + x y)^2.  That mass has
@@ -33,8 +34,8 @@ boundaries, one log of a product of boundary factors per parameter.  Each
 level turns once into an integer at that scale, and the pair (integer,
 level) is its order key: the integers decide the sort and the merge, the
 exact levels only their ties.  One helper builds the factors
-(`_Skeleton.factors`); the fit decides its pole tests on them and
-`_boundary_mass` multiplies the same list.  `entropy_curve` keeps one
+(`_Skeleton.factors`); the fit returns them and `_boundary_mass`
+multiplies that list.  `entropy_curve` keeps one
 skeleton per word for the length of the call; `entropy_at` and
 `asymptotic_probe` build their own, and an attractor keeps the one it was
 built from: `attractor_mass` and the band masses of `measure_interval`
@@ -58,7 +59,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, pairwise
+from itertools import pairwise
 from math import gcd, isqrt
 
 import mpmath
@@ -224,7 +225,8 @@ class _Skeleton:
     levels themselves and the interleaving of the two orbits move.  The
     seam, closure and extremal checks need abscissae and order alone and run
     once, in `_skeleton`; past the seams one end per segment holds them all.
-    `fit` runs the checks that need the levels.
+    That every end lies in (-1, 1) is checked once per scale
+    (`rounded_ends`); `fit` runs the checks that need the levels.
     """
 
     low_digits: tuple[int, ...]
@@ -245,25 +247,15 @@ class _Skeleton:
         (`factors`) and the number of rectangles; None when the digits or
         the order of an orbit differ from the skeleton's.  Raises
         AttractorError when a rectangle of the staircase would be empty or
-        reach a pole of the density.
+        an end lies outside (-1, 1) (`rounded_ends`).  With every level in
+        [alpha - 1, alpha], inside (-1, 1), an end in (-1, 1) gives
+        1 + x y > 0: no rectangle reaches a pole of the density.
 
-        Both checks are decided first on the integers of the mass, at
-        W = scale: the ends X = `rounded_ends(W)`, each within s units of
-        its value times 2^W (s = `_slack` of the ends), and the keys' Y =
-        floor(y 2^W).  Only a test the integers cannot decide takes the
-        exact one, so every outcome is the exact test's.
-          - Empty rectangle: the left end L of an upper segment must lie
-            below the right end R of a lower one.  (R - L) 2^W exceeds
-            X_R - X_L - 2s, so X_R - X_L >= 2s proves L < R.
-          - Pole: 1 + x y > 0 for an end x and a level y, |y| <= 1.  With
-            X = x 2^W + e (|e| < s) and Y = y 2^W - t (0 <= t < 1), the
-            boundary factor F = 2^W + (X Y >> W) is
-            2^W (1 + x y) + e y - t x - e t / 2^W - f with 0 <= f < 1.
-            Here |e y| < s, |t x| < |x| < (|X| >> W) + 1 + s / 2^W and
-            |e t| / 2^W < s / 2^W, so F - 2^W (1 + x y) is below
-            M = (|X| >> W) + s + 3 + (2 s >> W) in size, and F > M proves
-            the test.  At W = 0 the factor 1 + X Y never exceeds 1 + |X| < M,
-            so every test falls back to the exact one.
+        The left end L of an upper segment must lie below the right end R of
+        a lower one.  With the ends X = `rounded_ends(W)` at W = scale, each
+        within s units of its value times 2^W, (R - L) 2^W exceeds
+        X_R - X_L - 2s, so X_R - X_L >= 2s proves L < R; only where the
+        integers cannot decide is the test exact.
         """
         if low.digits != self.low_digits or high.digits != self.high_digits:
             return None
@@ -276,17 +268,7 @@ class _Skeleton:
             if not _below(self.lefts[j], self.rights[i], X_lefts[j], X_rights[i], slack):
                 raise AttractorError(f"empty rectangle below level {y_hi}")
             rects += 1
-        factors = self.factors(lo, hi, scale)
-        # 1 + x y is linear in y: positive at both ends of a segment's span,
-        # it is positive at every rectangle corner on that side; the levels
-        # of each factor pair, (top, bottom) below and (bottom, top) above
-        ends = zip(X_rights + X_lefts, self.rights + self.lefts)
-        levels = chain(zip(lo[1:] + hi[-1:], lo), zip(lo[:1] + hi[:-1], hi))
-        for (X, x), (f0, f1), ((_, y0), (_, y1)) in zip(ends, factors, levels):
-            margin = (abs(X) >> scale) + slack + 3 + (2 * slack >> scale)
-            if not ((f0 > margin or _pole_free(x, y0)) and (f1 > margin or _pole_free(x, y1))):
-                raise AttractorError(f"density pole on a boundary segment at end {x}, levels {y0} and {y1}")
-        return lo, hi, factors, rects
+        return lo, hi, self.factors(lo, hi, scale), rects
 
     def ordered(self, keys):
         """Both orbits' keys in the skeleton's segment order: (lower, upper)."""
@@ -316,14 +298,26 @@ class _Skeleton:
     def rounded_ends(self, scale: int):
         """The right ends of the lower segments and the left ends of the
         upper ones, times 2^scale and rounded down (`_scaled`), and the
-        bound on their rounding (`_slack`); kept per scale."""
+        bound s on their rounding (`_slack`); kept per scale.
+
+        The first call at a scale checks that each end x lies in (-1, 1), on
+        the integers when |X| + s < 2^scale, else exactly.  True ends always
+        do: they start there (corner x in (0, 1), corner y in (-1, 0),
+        x/(1 + x) and y/(1 - y) between), and a push xi -> 1/(c - xi) keeps
+        them there, since each digit c = floor(-1/t + 1 - alpha) of an orbit
+        point t has |c| >= 2: for t < 0, -1/t + 1 - alpha >= 1/(1 - alpha) +
+        (1 - alpha) >= 2; for t > 0, -1/t + 1 - alpha <= 1 - (alpha +
+        1/alpha) < -1.
+        """
         got = self.ends_cache.get(scale)
         if got is None:
-            got = self.ends_cache[scale] = (
-                _scaled(self.rights, scale),
-                _scaled(self.lefts, scale),
-                _slack(self.rights + self.lefts),
-            )
+            ends = self.rights + self.lefts
+            X, slack = _scaled(ends, scale), _slack(ends)
+            for X_end, x in zip(X, ends):
+                if not (abs(X_end) + slack < 1 << scale or -1 < x < 1):
+                    raise AttractorError(f"density pole: end {x} lies outside (-1, 1)")
+            n = len(self.rights)
+            got = self.ends_cache[scale] = X[:n], X[n:], slack
         return got
 
 
@@ -777,11 +771,13 @@ def qumterval_slope(q: Qumterval, precision: int | None = None) -> dict:
     }
 
 
+_SLOPE_WINDOW = Fraction(1, 8)  # half-width of the first window of `slope_growth_probe`
+
+
 def slope_growth_probe(
     word: str,
     side: str = "plus",
     halvings: int = 8,
-    delta0: Fraction = Fraction(1, 8),
     precision: int | None = None,
 ) -> list[dict]:
     """Max sampled entropy slope over qumtervals inside shrinking windows
@@ -803,7 +799,7 @@ def slope_growth_probe(
     mediant = u + v
     best = None
     for k in range(halvings + 1):
-        delta = delta0 / 2**k
+        delta = _SLOPE_WINDOW / 2**k
         lo, hi = target - delta, target + delta
         while True:
             qm = qumterval_of(mediant)

@@ -155,7 +155,7 @@ class TestBehaviour:
         b = run(capsys, "entropy", "point", "--alpha", "4/15")
         assert a == b
 
-    def test_validation_errors_exit_2(self, capsys):
+    def test_validation_errors_exit_2(self, capsys, tmp_path):
         assert run(capsys, "farey", "list", "--level", "99")[0] == 2
         assert run(capsys, "entropy", "point", "--alpha", "3/2")[0] == 2
         assert run(capsys, "qumterval", "info", "--word", "0011")[0] == 2
@@ -178,6 +178,8 @@ class TestBehaviour:
             ("probe", "zeta", "--s", "nan", "--depth", "3"),
             ("probe", "zeta", "--s", "inf", "--depth", "3"),
             ("probe", "slope", "--word", "001", "--halvings", "-1"),
+            ("farey", "list", "--level", "2", "--out", str(tmp_path / "missing" / "x")),
+            ("farey", "list", "--level", "2", "--out", str(tmp_path)),
         ):
             assert run(capsys, *argv)[:2] == (2, ""), argv
 

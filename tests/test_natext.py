@@ -137,9 +137,9 @@ def near(value, j, d, scale):
 
 
 def pole_decision(x, y, scale):
-    """The fit's pole test of an end x and a level y at `scale`, on a
-    one-segment skeleton whose two boundaries are x over the level y: the
-    boundary factor against the margin, exactly where the margin fails."""
+    """The fit's square test of an end x at `scale`, on a one-segment
+    skeleton whose two boundaries are x over the level y: |X| + slack against
+    2^scale, exactly where the integers cannot decide."""
     skel = nx._Skeleton((), (), (0,), (0,), rights=(x,), lefts=(x,))
     key = scaled_key(y, scale)
     orbit = kd.OrbitRecord(start=y, points=(y,), digits=(), hit_zero=False)
@@ -158,16 +158,21 @@ class TestFilteredPredicates:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(surds, rationals), levels, scales)
     def test_pole_random_pairs(self, x, y, scale):
+        # the fit refuses exactly the ends outside (-1, 1); an end it keeps
+        # is off the pole at any level of [-1, 1]
         got = pole_decision(x, y, scale)
-        assert got == nx._pole_free(x, y) == (1 + x * y > 0)
+        assert got == (-1 < x < 1)
+        if got:
+            assert nx._pole_free(x, y)
 
     @settings(max_examples=300, deadline=None)
     @given(levels.filter(bool), st.integers(-6, 5), st.sampled_from([2, 3, 5, 13]), scales)
     def test_pole_near_degenerate(self, y, j, d, scale):
-        # 1 + x y = y (j + theta) / 2^scale with 0 < theta < 1
-        x = near(-1 / y, j, d, scale)
+        # x = -sign(y) + (j + theta) / 2^scale with 0 < theta < 1: an end
+        # within j units of 2^-scale of the side of the square the level faces
+        x = near(Fraction(-1 if y > 0 else 1), j, d, scale)
         got = pole_decision(x, y, scale)
-        assert got == (1 + x * y > 0) == ((y > 0) == (j >= 0))
+        assert got == (-1 < x < 1)
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(surds, rationals), st.one_of(surds, rationals), scales)
@@ -192,22 +197,28 @@ class TestFilteredPredicates:
     @pytest.mark.parametrize("scale", [128 + nx._GUARD, 0], ids=["entropy-scale", "scale-0"])
     def test_exact_tests_only_where_the_margin_fails(self, monkeypatch, scale):
         # a 2048-letter short-run word: at the entropy's scale the integers
-        # decide every test of the fit; at scale 0 none
+        # decide every test of the fit and the square; at scale 0 none
         alpha = bf.qumterval_of(wd.word_from_rational(Fraction(853, 2048))).pseudocenter
         q = bf.locate_qumterval(alpha)
         low, high = kd.orbit(alpha, alpha - 1, q.m0), kd.orbit(alpha, alpha, q.m1)
         keys = nx._level_keys(low.points, scale), nx._level_keys(high.points, scale)
         skel = nx._skeleton(q.word, low, high, keys)
         calls = []
-        pole_free, less = nx._pole_free, QuadSurd.__lt__
-        monkeypatch.setattr(nx, "_pole_free", lambda x, y: calls.append("pole") or pole_free(x, y))
-        monkeypatch.setattr(QuadSurd, "__lt__", lambda a, b: calls.append("below") or less(a, b))
+        for name in ("__lt__", "__gt__"):
+            compare = getattr(QuadSurd, name)
+
+            def record(a, b, compare=compare):
+                # every end is a surd: a comparison with an int is the square's
+                calls.append(b if isinstance(b, int) else "below")
+                return compare(a, b)
+
+            monkeypatch.setattr(QuadSurd, name, record)
         _, _, _, rects = skel.fit(low, high, keys, scale)
         if scale:
             assert calls == []
-        else:  # every rectangle and both ends of every boundary span
-            poles = 2 * (len(skel.rights) + len(skel.lefts))
-            assert calls.count("pole") == poles and calls.count("below") == rects
+        else:  # -1 < x < 1 for every end and one `_below` per rectangle
+            ends = len(skel.rights) + len(skel.lefts)
+            assert calls.count(-1) == calls.count(1) == ends and calls.count("below") == rects
 
 
 class TestCorners:
@@ -398,6 +409,78 @@ class TestSkeletonChecks:
 
         monkeypatch.setattr(nx, "_skeleton", changed)
         with pytest.raises(nx.AttractorError, match=fault):
+            nx.build_attractor(self.alpha)
+
+
+class TestConstructionChecks:
+    # each check of `_skeleton` and `_fitted` refuses its own fault, named in
+    # its message, on word 001 at 337/1000: lower orbit indices in level
+    # order (0, 1, 2), upper (1, 0)
+    alpha = Fraction(337, 1000)
+
+    def orbits(self):
+        q = bf.locate_qumterval(self.alpha)
+        low, high = kd.orbit(self.alpha, self.alpha - 1, q.m0), kd.orbit(self.alpha, self.alpha, q.m1)
+        return q.word, low, high
+
+    def skeleton(self, word, low, high):
+        keys = nx._level_keys(low.points, 64), nx._level_keys(high.points, 64)
+        return nx._skeleton(word, low, high, keys)
+
+    def test_orbit_hitting_zero_is_refused(self):
+        word, low, high = self.orbits()
+        low = dataclasses.replace(low, digits=(*low.digits[:-1], None))
+        with pytest.raises(nx.AttractorError, match="hit zero"):
+            self.skeleton(word, low, high)
+
+    def test_endpoint_level_not_extremal_is_refused(self):
+        # the start alpha - 1 raised above every other lower level
+        word, low, high = self.orbits()
+        low = dataclasses.replace(low, points=(Fraction(1, 2), *low.points[1:]))
+        with pytest.raises(nx.AttractorError, match="not extremal"):
+            self.skeleton(word, low, high)
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_open_seam_is_refused(self, side):
+        # a changed last digit moves both ends of one segment
+        word, low, high = self.orbits()
+        if side == "lower":
+            low = dataclasses.replace(low, digits=(*low.digits[:-1], low.digits[-1] + 1))
+        else:
+            high = dataclasses.replace(high, digits=(*high.digits[:-1], high.digits[-1] - 1))
+        with pytest.raises(nx.AttractorError, match=f"{side} seam open"):
+            self.skeleton(word, low, high)
+
+    def test_open_closure_is_refused(self, monkeypatch):
+        # only the right end of the top lower segment moves, so every seam holds
+        word, low, high = self.orbits()
+        top = self.skeleton(word, low, high).low_order[-1]
+        x, _ = nx.attractor_corners(word)
+        abscissae = nx._abscissae
+
+        def moved(xi, digits):
+            chain = list(abscissae(xi, digits))
+            if xi == x / (1 + x):
+                chain[top] += Fraction(1, 10**6)
+            return chain
+
+        monkeypatch.setattr(nx, "_abscissae", moved)
+        with pytest.raises(nx.AttractorError, match="does not close"):
+            self.skeleton(word, low, high)
+
+    def test_repeated_level_is_refused(self, monkeypatch):
+        # the second lower level set to alpha - 1: the level order and every
+        # seam hold, so the skeleton builds, but its fit cannot order the levels
+        orbit = nx.orbit
+
+        def repeated(alpha, x, steps):
+            got = orbit(alpha, x, steps)
+            if x != alpha - 1:
+                return got
+            return dataclasses.replace(got, points=(got.points[0], got.points[0], *got.points[2:]))
+
+        monkeypatch.setattr(nx, "orbit", repeated)
+        with pytest.raises(nx.AttractorError, match="repeats a level"):
             nx.build_attractor(self.alpha)
 
 
