@@ -215,7 +215,7 @@ def qumterval_of(w: str) -> Qumterval:
     )
 
 
-def _mediant_runs(u, v):
+def _concat_runs(u, v):
     """Run-length string of the concatenated words, carried as (runs, first)."""
     runs_u, first_u = u
     runs_v, first_v = v
@@ -227,6 +227,47 @@ def _mediant_runs(u, v):
     return merged, first_u
 
 
+def _power(w, k: int):
+    """The word w repeated k >= 1 times, as (runs, first), by doubling."""
+    out = None
+    while True:
+        if k & 1:
+            out = w if out is None else _concat_runs(out, w)
+        k >>= 1
+        if not k:
+            return out
+        w = _concat_runs(w, w)
+
+
+def _run_end(candidate, moves, first, budget: int):
+    """The end of a run of one-direction mediant moves.
+
+    The candidates candidate(k), k = 1, 2, ..., are the mediants the one-step
+    descent would visit while it keeps moving the same way; `moves` holds
+    for a prefix of them (it is monotone in k) and holds at first =
+    candidate(1).  Returns (k, candidate(k - 1), candidate(k)) for the least
+    k with `moves` false, found by an exponential and then a binary search;
+    None when `moves` still holds at k = budget.
+    """
+    lo, at_lo = 1, first
+    while True:  # moves(at_lo) holds
+        hi = min(2 * lo, budget)
+        if hi == lo:
+            return None
+        at_hi = candidate(hi)
+        if not moves(at_hi):
+            break
+        lo, at_lo = hi, at_hi
+    while hi - lo > 1:  # moves(at_lo) holds, moves(at_hi) does not
+        mid = (lo + hi) // 2
+        at_mid = candidate(mid)
+        if moves(at_mid):
+            lo, at_lo = mid, at_mid
+        else:
+            hi, at_hi = mid, at_mid
+    return hi, at_lo, at_hi
+
+
 _LOCATE_LIMIT = 10**6  # work budget of one descent, in mediant steps
 
 
@@ -234,27 +275,49 @@ def locate_qumterval(alpha) -> Qumterval:
     """The unique qumterval whose closure contains a rational parameter.
 
     Rational parameters never hit the quadratic endpoints, so the answer is
-    always an interior point.  The search descends the mediant tree and
-    compares the digits of alpha with those of the candidate endpoints
-    alpha_plus = [0; S, S, ...] and alpha_minus = [0; S', S^T, S^T, ...]
-    (`cfstrings.compare_periodic`); only the answer builds its surds.  A
+    always an interior point.  The search descends the mediant tree from
+    the Farey neighbours u = 0 and v = 1 and compares the digits of alpha
+    with those of the candidate u v's endpoints alpha_plus = [0; S, S, ...]
+    and alpha_minus = [0; S', S^T, S^T, ...] (`cfstrings.compare_periodic`);
+    only the answer builds its surds.  Moves in one direction come in runs:
+    moving right visits u v^k and moving left u^k v, monotone in k, so each
+    run ends where an exponential and then a binary search on k find it
+    (`_run_end`), with the powers built by doubling (`_power`).  The steps
+    are still counted one per mediant of the one-step descent, and a
     descent longer than `_LOCATE_LIMIT` steps raises ValueError.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError("0 and 1 belong to the bifurcation set, not to any qumterval")
     digits = cfs.cf_of_fraction(alpha)
+
+    def above(w) -> bool:  # alpha above the qumterval of w
+        return cfs.compare_periodic(digits, (), w[0]) > 0
+
+    def below(w) -> bool:  # alpha below the qumterval of w
+        S = w[0]
+        return cfs.compare_periodic(digits, cfs.right_conjugate(S), cfs.transpose_string(S)) < 0
+
     u = ((1,), "0")
     v = ((1,), "1")
-    for _ in range(_LOCATE_LIMIT):
-        mid = _mediant_runs(u, v)
-        S = mid[0]
-        if cfs.compare_periodic(digits, (), S) > 0:
-            u = mid  # alpha above the candidate interval
-        elif cfs.compare_periodic(digits, cfs.right_conjugate(S), cfs.transpose_string(S)) < 0:
-            v = mid  # alpha below the candidate interval
+    steps = 0
+    while steps < _LOCATE_LIMIT:
+        mid = _concat_runs(u, v)
+        if above(mid):  # moving right: u v^k while alpha lies above it
+            run = _run_end(lambda k: _concat_runs(u, _power(v, k)), above, mid, _LOCATE_LIMIT - steps)
+            turn = below
+        elif below(mid):  # moving left: u^k v while alpha lies below it
+            run = _run_end(lambda k: _concat_runs(_power(u, k), v), below, mid, _LOCATE_LIMIT - steps)
+            turn = above
         else:
-            return qumterval_of(cfs.runlength_inverse(S, "0"))
+            return qumterval_of(cfs.runlength_inverse(mid[0], "0"))
+        if run is None:
+            break
+        k, prev, mid = run
+        if not turn(mid):
+            return qumterval_of(cfs.runlength_inverse(mid[0], "0"))
+        u, v = (prev, mid) if turn is below else (mid, prev)
+        steps += k
     raise ValueError(f"locating alpha={alpha} needs more than the step budget of {_LOCATE_LIMIT} mediant steps")
 
 

@@ -31,9 +31,11 @@ The entropy then follows from the identity  h * area = pi^2 / 3  where
 "area" is the mass of the attractor under dx dy / (1 + x y)^2.  That mass has
 one path: it builds no rectangles and integrates along the two staircase
 boundaries, one log of a product of boundary factors per parameter.  Each
-level turns once into an integer at that scale, and the pair (integer,
-level) is its order key: the integers decide the sort and the merge, the
-exact levels only their ties.  One helper builds the factors
+level turns once into an integer, its order key, at a scale fine enough to
+separate any two distinct levels (`_level_keys`): the sort, the order check
+and the merge compare integers only, never two exact levels, and a key
+shifted down to the mass's scale is the level rounded for its boundary
+factors.  One helper builds the factors
 (`_Skeleton.factors`); the fit returns them and `_boundary_mass`
 multiplies that list.  `entropy_curve` keeps one
 skeleton per word for the length of the call; `entropy_at` and
@@ -242,10 +244,11 @@ class _Skeleton:
         """Check one parameter's endpoint orbits against the skeleton.
 
         `keys` holds the order keys of the two orbits' points at `scale`
-        (`_level_keys`).  Returns the keys of the lower and of the upper
-        segments' levels, both ascending, their boundary factors
-        (`factors`) and the number of rectangles; None when the digits or
-        the order of an orbit differ from the skeleton's.  Raises
+        (`_level_keys`, at the separating scale of the orbits' start).
+        Returns the keys of the lower and of the upper segments' levels,
+        both ascending, their boundary factors at `scale` (`factors`) and
+        the number of rectangles; None when the digits or the order of an
+        orbit differ from the skeleton's.  Raises
         AttractorError when a rectangle of the staircase would be empty or
         an end lies outside (-1, 1) (`rounded_ends`).  With every level in
         [alpha - 1, alpha], inside (-1, 1), an end in (-1, 1) gives
@@ -264,19 +267,26 @@ class _Skeleton:
             return None
         X_rights, X_lefts, slack = self.rounded_ends(scale)
         rects = 0
-        for _, (_, y_hi), i, j in _staircase(lo, hi):
+        for _, y_hi, i, j in _staircase(lo, hi):
             if not _below(self.lefts[j], self.rights[i], X_lefts[j], X_rights[i], slack):
-                raise AttractorError(f"empty rectangle below level {y_hi}")
+                # the key is that of the next upper level, or else of the next lower one
+                if j < len(hi) and hi[j] == y_hi:
+                    top = high.points[self.high_order[j]]
+                else:
+                    top = low.points[self.low_order[i + 1]]
+                raise AttractorError(f"empty rectangle below level {top}")
             rects += 1
-        return lo, hi, self.factors(lo, hi, scale), rects
+        return lo, hi, self.factors(lo, hi, scale, _key_scale(low.points[0], scale) - scale), rects
 
     def ordered(self, keys):
         """Both orbits' keys in the skeleton's segment order: (lower, upper)."""
         return [keys[0][k] for k in self.low_order], [keys[1][k] for k in self.high_order]
 
-    def factors(self, lo, hi, scale: int) -> list[tuple[int, int]]:
+    def factors(self, lo, hi, scale: int, shift: int) -> list[tuple[int, int]]:
         """The boundary factors at W = `scale` over the ascending level keys
-        `lo` and `hi` of the lower and the upper segments (`ordered`).
+        `lo` and `hi` of the lower and the upper segments (`ordered`), taken
+        at the scale W + `shift`: Y = K >> shift is the level times 2^W,
+        rounded down, exactly.
 
         The integral of dx/(1+xy)^2 from L to R is R/(1+Ry) - L/(1+Ly), whose
         integral in y is a log, so a lower segment with right end R over
@@ -289,8 +299,10 @@ class _Skeleton:
         """
         rights, lefts, _ = self.rounded_ends(scale)
         one = 1 << scale
-        ys_lo = [Y for Y, _ in lo] + [hi[-1][0]]
-        ys_hi = [lo[0][0]] + [Y for Y, _ in hi]
+        if shift:
+            lo, hi = [K >> shift for K in lo], [K >> shift for K in hi]
+        ys_lo = lo + [hi[-1]]
+        ys_hi = [lo[0]] + hi
         return [
             (one + (R * y1 >> scale), one + (R * y0 >> scale)) for R, y0, y1 in zip(rights, ys_lo, ys_lo[1:])
         ] + [(one + (L * y0 >> scale), one + (L * y1 >> scale)) for L, y0, y1 in zip(lefts, ys_hi, ys_hi[1:])]
@@ -325,14 +337,29 @@ def _increasing(values) -> bool:
     return all(a < b for a, b in pairwise(values))
 
 
-def _level_keys(points, scale: int) -> list[tuple[int, Fraction]]:
-    """The order key (Y, y) of each level y = n/m, with Y = floor(y 2^scale).
+def _key_scale(start: Fraction, scale: int) -> int:
+    """The scale S = max(scale, 2 b + 2) of the order keys of an orbit from
+    `start`, b the bit length of its denominator (`_level_keys`)."""
+    return max(scale, 2 * start.denominator.bit_length() + 2)
 
-    Keys compare as their levels do at any scale: the integers decide, and
-    the exact levels only when two integers tie.  At the entropy's scale Y is
-    also the level rounded for the boundary factors (`_Skeleton.factors`).
+
+def _level_keys(points, scale: int) -> list[int]:
+    """The order key K = floor(y 2^S) of each level y = n/m of an orbit, at
+    the separating scale S = `_key_scale(points[0], scale)`.
+
+    With alpha = P/Q the start, alpha - 1 or alpha, has denominator Q, and
+    along the orbit the next denominator is |a| < b for the point a/b
+    (`kdynamics._rational_orbit`), since |a/b| < 1: every level has
+    denominator at most Q.  Two distinct levels then differ by at least
+    1/Q^2 > 4 / 2^S, so their keys differ, and equal levels have equal
+    keys: keys of both orbits compare as their levels do, with no tie.
+    K >> (S - scale) is floor(y 2^scale) exactly, at the entropy's scale
+    the level rounded for the boundary factors (`_Skeleton.factors`).
+    Where S = scale, as at every grid point of `entropy_curve` and every
+    denominator below 2^((scale - 2) / 2), the keys are those integers.
     """
-    return [((y.numerator << scale) // y.denominator, y) for y in points]
+    S = _key_scale(points[0], scale)
+    return [(y.numerator << S) // y.denominator for y in points]
 
 
 def _skeleton(word: str, low, high, keys) -> _Skeleton:
@@ -409,14 +436,17 @@ def build_attractor(alpha, word: str | None = None) -> Attractor:
         raise ValueError(f"alpha={alpha} is not inside the qumterval of {q.word!r}")
     if words.farey_side(q.word) == 1:
         raise ValueError("parameters above 1/2: reflect with alpha -> 1 - alpha")
-    # any scale orders the levels exactly; this one keeps ties rare
+    # the keys order the levels at any scale; this one sets the integers of the fit's rectangle tests
     skel, low, high, (lo, hi, _, _) = _fitted(alpha, q, {}, MIN_PRECISION)
+    # distinct levels have distinct keys, so a key names its level
+    level = dict(zip(lo, map(low.points.__getitem__, skel.low_order)))
+    level.update(zip(hi, map(high.points.__getitem__, skel.high_order)))
     return Attractor(
         word=q.word,
         alpha=alpha,
         rects=tuple(
-            Rect(skel.lefts[j], skel.rights[i], y_lo, y_hi)
-            for (_, y_lo), (_, y_hi), i, j in _staircase(lo, hi)
+            Rect(skel.lefts[j], skel.rights[i], level[y_lo], level[y_hi])
+            for y_lo, y_hi, i, j in _staircase(lo, hi)
         ),
         corner_x=skel.rights[-1],
         corner_y=skel.lefts[0],
@@ -431,7 +461,7 @@ def build_attractor(alpha, word: str | None = None) -> Attractor:
 def _staircase(lo: list, hi: list):
     """Merge the ascending levels of the lower and the upper boundary into
     the rectangles between them; the levels may be given by their order
-    keys (`_level_keys`), which the merge then yields.
+    keys (`_level_keys`, integers), which the merge then yields.
 
     Yields (y_lo, y_hi, i, j) for each pair of consecutive distinct levels:
     the rectangle's right end is that of lower segment i, the last at or
@@ -508,8 +538,9 @@ def attractor_mass(attr: Attractor, precision: int | None = None):
     bit for bit.  Nothing is kept between calls."""
     bits = checked_precision(precision)
     scale, skel = bits + _GUARD, attr.skeleton
-    keys = [_level_keys(ys, scale) for ys in (attr.h_levels_low, attr.h_levels_high)]
-    return _boundary_mass(skel.factors(*skel.ordered(keys), scale), len(attr.rects), bits)
+    # the skeleton orders the levels; the factors need them rounded at the scale only
+    ys = [_scaled(levels, scale) for levels in (attr.h_levels_low, attr.h_levels_high)]
+    return _boundary_mass(skel.factors(*skel.ordered(ys), scale, 0), len(attr.rects), bits)
 
 
 @dataclass(frozen=True)
@@ -593,13 +624,18 @@ def _mass_of(num: int, den: int, rects: int, bits: int) -> tuple[mpmath.mpf, mpm
     return mpmath.mp.make_mpf(A), mpmath.mp.make_mpf(err)
 
 
+@lru_cache(maxsize=32)
+def _pi_squared(bits: int):
+    """pi^2 as a raw mpf: pi and its square each rounded to nearest at `bits`."""
+    return mpf_pow_int(mpf_pi(bits, round_nearest), 2, bits, round_nearest)
+
+
 def _entropy_of(A: mpmath.mpf, err: mpmath.mpf, bits: int) -> tuple[mpmath.mpf, mpmath.mpf]:
     """h = pi^2 / (3 A) and its bound h (err / A) + 2^(8 - bits), from the
     mass A and its bound err (`_boundary_mass`): each operation rounded to
     nearest at `bits`, in the order of these expressions."""
     a = A._mpf_
-    pi2 = mpf_pow_int(mpf_pi(bits, round_nearest), 2, bits, round_nearest)
-    h = mpf_div(pi2, mpf_mul_int(a, 3, bits, round_nearest), bits, round_nearest)
+    h = mpf_div(_pi_squared(bits), mpf_mul_int(a, 3, bits, round_nearest), bits, round_nearest)
     rel = mpf_div(err._mpf_, a, bits, round_nearest)
     h_err = mpf_add(mpf_mul(h, rel, bits, round_nearest), mpf_shift(fone, 8 - bits), bits, round_nearest)
     return mpmath.mp.make_mpf(h), mpmath.mp.make_mpf(h_err)
@@ -626,10 +662,13 @@ def density_slice(attr: Attractor, t, precision: int | None = None) -> mpmath.mp
 def measure_interval(attr: Attractor, lo, hi, precision: int | None = None) -> mpmath.mpf:
     """Invariant measure of [lo, hi], for rational bounds inside the map's
     interval: the boundary product of the attractor's skeleton over its
-    level keys clamped into [lo, hi] (`_boundary_mass`), over the attractor
+    levels clamped into [lo, hi] (`_boundary_mass`), over the attractor
     mass (`attractor_mass`), rounded to nearest at the working precision.
     Clamped, a segment's span is its part of the band; a segment outside
-    the band has y0 = y1 and a pair of equal factors."""
+    the band has y0 = y1 and a pair of equal factors.  The clamp is taken
+    on the levels and bounds rounded down at the mass's scale: rounding
+    down is monotone, so it gives the clamped levels rounded, and no two
+    exact values are compared."""
     for bound in (lo, hi):
         if not isinstance(bound, (int, Fraction)):
             raise ValueError(f"measure bounds must be rational, got {bound!r}")
@@ -638,10 +677,10 @@ def measure_interval(attr: Attractor, lo, hi, precision: int | None = None) -> m
     bits = checked_precision(precision)
     scale, skel = bits + _GUARD, attr.skeleton
     A, _ = attractor_mass(attr, bits)
-    bottom, top = _level_keys([lo, hi], scale)
+    bottom, top = _scaled([lo, hi], scale)
     levels = attr.h_levels_low, attr.h_levels_high
-    band = [[min(max(k, bottom), top) for k in _level_keys(ys, scale)] for ys in levels]
-    B, _ = _boundary_mass(skel.factors(*skel.ordered(band), scale), 0, bits)
+    band = [[min(max(Y, bottom), top) for Y in _scaled(ys, scale)] for ys in levels]
+    B, _ = _boundary_mass(skel.factors(*skel.ordered(band), scale, 0), 0, bits)
     return mpmath.mp.make_mpf(mpf_div(B._mpf_, A._mpf_, bits, round_nearest))
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -91,6 +92,23 @@ class TestPhiAndQuestionMark:
             assert bf.phi_map(b.a_minus) == q.alpha_minus
 
 
+def per_step_descent(alpha, limit=None):
+    """The former descent, one mediant per step: the word of the qumterval
+    of alpha, or None past `limit` steps (default `bf._LOCATE_LIMIT`)."""
+    digits = cfs.cf_of_fraction(alpha)
+    u, v = ((1,), "0"), ((1,), "1")
+    for _ in range(bf._LOCATE_LIMIT if limit is None else limit):
+        mid = bf._concat_runs(u, v)
+        S = mid[0]
+        if cfs.compare_periodic(digits, (), S) > 0:
+            u = mid
+        elif cfs.compare_periodic(digits, cfs.right_conjugate(S), cfs.transpose_string(S)) < 0:
+            v = mid
+        else:
+            return cfs.runlength_inverse(S, "0")
+    return None
+
+
 class TestQumtervals:
     def test_worked_examples(self):
         q = bf.qumterval_of("001")
@@ -140,6 +158,38 @@ class TestQumtervals:
         monkeypatch.setattr(bf, "_LOCATE_LIMIT", 50)
         with pytest.raises(ValueError, match="50 mediant steps"):
             bf.locate_qumterval(Fraction(1, 100))
+
+    def test_run_descent_equals_one_step_descent(self):
+        # every reduced p/q with q <= 300
+        for q in range(2, 301):
+            for p in range(1, q):
+                if math.gcd(p, q) == 1:
+                    alpha = Fraction(p, q)
+                    assert bf.locate_qumterval(alpha).word == per_step_descent(alpha), alpha
+
+    @staticmethod
+    def assert_same_descent(alpha, limit):
+        # under a budget of `limit` steps the descent fails exactly where the
+        # one-step descent runs out of steps, and finds its word elsewhere
+        want = per_step_descent(alpha, limit)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bf, "_LOCATE_LIMIT", limit)
+            if want is None:
+                with pytest.raises(ValueError, match=f"{limit} mediant steps"):
+                    bf.locate_qumterval(alpha)
+            else:
+                assert bf.locate_qumterval(alpha).word == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fractions(0, 1, max_denominator=10**12).filter(lambda x: 0 < x < 1))
+    def test_run_descent_equals_one_step_descent_hypothesis(self, alpha):
+        # a budget of 10^4 steps keeps the oracle fast on digits up to 10^12
+        self.assert_same_descent(alpha, 10**4)
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 49, 50, 97, 98, 99])
+    @pytest.mark.parametrize("alpha", [Fraction(1, 100), Fraction(99, 100), Fraction(3, 301), Fraction(37, 100)])
+    def test_run_descent_keeps_the_step_budget(self, limit, alpha):
+        self.assert_same_descent(alpha, limit)
 
     @staticmethod
     def _endpoint_digits(w):

@@ -606,16 +606,16 @@ class TestBoundaryMass:
 
 
 class TestLevelKeys:
-    # at scale 0 a level in [-1, 1) keys to -1 or 0, so nearly every order
-    # decision falls to the exact levels
+    # at scale 0 a level in [-1, 1) rounds to -1 or 0, yet the keys, taken at
+    # the orbits' separating scale, order and merge every level on integers
     @staticmethod
     def orbits(alpha):
         q = bf.locate_qumterval(alpha)
         return q, kd.orbit(alpha, alpha - 1, q.m0), kd.orbit(alpha, alpha, q.m1)
 
     @staticmethod
-    def merged(lo, hi):
-        return [(yl, yh, i, j) for (_, yl), (_, yh), i, j in nx._staircase(lo, hi)]
+    def merged(lo, hi, level):
+        return [(level[yl], level[yh], i, j) for yl, yh, i, j in nx._staircase(lo, hi)]
 
     def test_tied_keys_order_and_merge_as_fractions(self):
         alpha = bf.qumterval_of(wd.word_from_rational(Fraction(107, 259))).pseudocenter
@@ -625,16 +625,22 @@ class TestLevelKeys:
         for scale in (0, 168):
             keys = nx._level_keys(low.points, scale), nx._level_keys(high.points, scale)
             if scale == 0:
-                assert len({Y for Y, _ in keys[0]}) <= 2 < len(keys[0])
+                # the integers at scale 0 tie; the separating keys do not
+                shift = nx._key_scale(low.points[0], scale) - scale
+                assert len({K >> shift for K in keys[0]}) <= 2 < len(keys[0]) == len(set(keys[0]))
+            level = dict(zip(keys[0] + keys[1], low.points + high.points))
             skel = nx._skeleton(q.word, low, high, keys)
             lo, hi, _, rects = skel.fit(low, high, keys, scale)
-            assert [y for _, y in lo] == lo_f and [y for _, y in hi] == hi_f
-            assert self.merged(lo, hi) == fraction_run and rects == len(fraction_run)
+            assert [level[K] for K in lo] == lo_f and [level[K] for K in hi] == hi_f
+            assert self.merged(lo, hi, level) == fraction_run and rects == len(fraction_run)
 
     def test_shared_level_taken_once(self):
         lo = [Fraction(-1, 2), Fraction(1, 5), Fraction(1, 3)]
         hi = [Fraction(1, 5), Fraction(1, 4), Fraction(1, 2)]
-        got = self.merged(nx._level_keys(lo, 0), nx._level_keys(hi, 0))
+        # both lists keyed at the separating scale of the largest denominator
+        scale = nx._key_scale(Fraction(1, 5), 0)
+        lo_keys, hi_keys = nx._level_keys(lo, scale), nx._level_keys(hi, scale)
+        got = self.merged(lo_keys, hi_keys, dict(zip(lo_keys + hi_keys, lo + hi)))
         assert got == list(nx._staircase(lo, hi))
         assert [(yl, yh) for yl, yh, _, _ in got] == list(pairwise(sorted(set(lo + hi))))
 
@@ -645,11 +651,33 @@ class TestLevelKeys:
         skel = nx._skeleton(q.word, low, high, keys)
         assert skel.fit(low, high, keys, 0) is not None
         # the second-lowest lower level repeated, as an equal but distinct Fraction
-        low_keys = list(keys[0])
+        points = list(low.points)
         first, second = skel.low_order[1], skel.low_order[2]
-        Y, y = low_keys[first]
-        low_keys[second] = (Y, Fraction(y.numerator, y.denominator))
+        y = points[first]
+        points[second] = Fraction(y.numerator, y.denominator)
+        low_keys = nx._level_keys(points, 0)
         assert skel.fit(low, high, (low_keys, keys[1]), 0) is None
+
+    @pytest.mark.parametrize("scale", [0, 128 + nx._GUARD], ids=["scale-0", "entropy-scale"])
+    def test_no_two_fractions_are_ordered(self, monkeypatch, scale):
+        # a 2048-letter short-run word, whose levels lie closer than 2^-168:
+        # the keys, the skeleton's sorts, the fit's order check and the merge
+        # compare integers only
+        alpha = bf.qumterval_of(wd.word_from_rational(Fraction(853, 2048))).pseudocenter
+        q, low, high = self.orbits(alpha)
+        calls = []
+        for name in ("__lt__", "__gt__", "__le__", "__ge__"):
+            compare = getattr(Fraction, name)
+
+            def record(a, b, compare=compare, name=name):
+                calls.append(name)
+                return compare(a, b)
+
+            monkeypatch.setattr(Fraction, name, record)
+        keys = nx._level_keys(low.points, scale), nx._level_keys(high.points, scale)
+        skel = nx._skeleton(q.word, low, high, keys)
+        assert skel.fit(low, high, keys, scale) is not None
+        assert calls == []
 
 
 class TestPins:
