@@ -199,6 +199,9 @@ class Qumterval:
 
 @lru_cache(maxsize=1024)
 def qumterval_of(w: str) -> Qumterval:
+    """The qumterval of a nondegenerate word of the family: the one place
+    where a word is checked and its run-length string, endpoint surds and
+    digit counts are derived; consumers read them from here."""
     if not words.is_nondegenerate_farey(w):
         raise ValueError(f"degenerate or invalid word: {w!r}")
     S = cfs.runlength(w)
@@ -322,7 +325,10 @@ def locate_qumterval(alpha) -> Qumterval:
 
 
 def atlas(max_len: int) -> list[Qumterval]:
-    """All qumtervals with |word| <= max_len, ordered by pseudocenter."""
+    """All qumtervals with |word| <= max_len, ordered by pseudocenter;
+    `max_len` runs from 1 to `words.FAREY_LIST_CAP`."""
+    if not 1 <= max_len <= words.FAREY_LIST_CAP:
+        raise ValueError(f"max_len must lie in [1, {words.FAREY_LIST_CAP}]")
     out = [qumterval_of(w) for w in words.words_of_length_up_to(max_len)]
     out.sort(key=lambda q: q.pseudocenter)
     return out

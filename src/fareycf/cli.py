@@ -26,12 +26,6 @@ from . import precision as prec
 from . import words as wd
 
 
-def _parse_word(text: str) -> str:
-    if not wd.is_farey(text):
-        raise ValueError(f"{text!r} is not a word of the family")
-    return text
-
-
 def _emit(args, text: str) -> None:
     try:
         out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
@@ -126,7 +120,7 @@ def cmd_qumterval_atlas(args) -> int:
 
 def cmd_qumterval_info(args) -> int:
     if args.word is not None:
-        q = bf.qumterval_of(_parse_word(args.word))
+        q = bf.qumterval_of(args.word)
     else:
         q = bf.locate_qumterval(ex.parse_fraction(args.alpha))
     lines = [
@@ -151,7 +145,7 @@ def cmd_ebif_check(args) -> int:
 
 
 def cmd_ebif_interval(args) -> int:
-    b = bf.bin_interval(_parse_word(args.word))
+    b = bf.bin_interval(args.word)
     _emit(
         args,
         f"word={b.word} a_minus={ex.format_exact(b.a_minus)} "
@@ -180,9 +174,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_match_verify(args) -> int:
-    report = kd.verify_matching(
-        _parse_word(args.word), [ex.parse_fraction(a) for a in args.alpha]
-    )
+    report = kd.verify_matching(args.word, [ex.parse_fraction(a) for a in args.alpha])
     payload = {
         "word": report["word"],
         "M": _mobius_json(report["M"]),
@@ -298,7 +290,7 @@ def cmd_probe_asymptotic(args) -> int:
 
 def cmd_probe_slope(args) -> int:
     rows = nx.slope_growth_probe(
-        _parse_word(args.word), args.side, args.halvings, precision=args.precision
+        args.word, args.side, args.halvings, precision=args.precision
     )
     lines = ["halving,delta,word_length,excess_zeros,slope"]
     for r in rows:

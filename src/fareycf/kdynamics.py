@@ -169,15 +169,14 @@ def expected_digits_high(S_rl: cfs.CFString) -> tuple[int, ...]:
 def matching_matrices(w: str) -> MatchingCertificate:
     """The constant inverse-branch products M (orbit of alpha-1, m0 steps)
     and M' (orbit of alpha, m1 steps) attached to a word; side-1 words are
-    obtained from their mirror by conjugating with x -> -x."""
-    if not words.is_nondegenerate_farey(w):
-        raise ValueError(f"degenerate or invalid word: {w!r}")
-    m0, m1 = w.count("0"), w.count("1")
-    if words.farey_side(w) == 1:
+    obtained from their mirror by conjugating with x -> -x.  The word's
+    check, run-length string and digit counts are those of its qumterval
+    (`qumterval_of`)."""
+    q = qumterval_of(w)
+    if q.m1 > q.m0:
         mirror = matching_matrices(words.transpose(words.negate(w)))
-        return MatchingCertificate(w, E * mirror.M_prime * E, E * mirror.M * E, m0, m1)
-    S_rl = cfs.runlength(w)
-    a = S_rl[0::2]
+        return MatchingCertificate(w, E * mirror.M_prime * E, E * mirror.M * E, q.m0, q.m1)
+    a = q.S[0::2]
     ST2 = S * T * T
     M = ST2 ** a[0]
     for ak in a[1:]:
@@ -185,7 +184,7 @@ def matching_matrices(w: str) -> MatchingCertificate:
     M_prime = S * T ** (-a[0] - 1)
     for ak in a[1:]:
         M_prime = M_prime * S * T ** (-ak - 2)
-    return MatchingCertificate(w, M, M_prime, m0, m1)
+    return MatchingCertificate(w, M, M_prime, q.m0, q.m1)
 
 
 def verify_matching(w: str, alphas) -> dict:

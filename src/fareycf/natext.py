@@ -160,21 +160,18 @@ class Attractor:
 @lru_cache(maxsize=1024)
 def attractor_corners(w: str) -> tuple[Exact, Exact]:
     """Upper-right abscissa x and lower-left abscissa y of the attractor for
-    any parameter in the qumterval of w (side-0 words only).
+    any parameter in the qumterval of w (side-0 words only), both surds of
+    the qumterval: y = -alpha_plus and x = [0; S^T, S^T, ...], the periodic
+    tail of alpha_minus.  Both solve the corner fixed-point system.
 
-    x repeats the reversed block pattern (1, a_n, ..., 1, a_1); -y repeats
-    the runlength string itself.  Both solve the corner fixed-point system.
+    S has the form (a1, 1, ..., an, 1), so S^T = (1, an, ..., 1, a1): a
+    side-0 word of slope p/q <= 1/2 starts with 0 and ends with 1 (letter k
+    is floor(k p/q) - floor((k-1) p/q)), and no two ones meet, as 2 p/q <= 1.
     """
-    if words.farey_side(w) != 0:
+    q = qumterval_of(w)
+    if q.m1 > q.m0:
         raise ValueError("corners are built for side-0 words; reflect first")
-    S_rl = cfs.runlength(w)
-    if any(d != 1 for d in S_rl[1::2]):
-        raise ValueError(f"runlength of {w!r} is not of the form (a1,1,...,an,1)")
-    a = S_rl[0::2]
-    period_x = tuple(v for ak in reversed(a) for v in (1, ak))
-    x = surd_from_periodic_cf((), period_x)
-    y = -surd_from_periodic_cf((), S_rl)
-    return x, y
+    return surd_from_periodic_cf((), cfs.transpose_string(q.S)), -q.alpha_plus
 
 
 def _abscissae(xi: QuadSurd, digits):
@@ -423,18 +420,17 @@ def _fitted(alpha: Fraction, q: Qumterval, skeletons: dict, scale: int):
     return skel, low, high, fit
 
 
-def build_attractor(alpha, word: str | None = None) -> Attractor:
-    """Exact rectangle decomposition of the attractor at a rational parameter.
+def build_attractor(alpha) -> Attractor:
+    """Exact rectangle decomposition of the attractor at a rational parameter
+    in (0, 1/2], in the qumterval that `locate_qumterval` finds.
 
     Raises AttractorError with a diagnostic if any boundary seam fails to
     close, a rectangle is empty or one reaches a density pole, which would
     indicate wrong orbit-ordering data.
     """
     alpha = Fraction(alpha)
-    q: Qumterval = locate_qumterval(alpha) if word is None else qumterval_of(word)
-    if alpha not in q:
-        raise ValueError(f"alpha={alpha} is not inside the qumterval of {q.word!r}")
-    if words.farey_side(q.word) == 1:
+    q = locate_qumterval(alpha)
+    if q.m1 > q.m0:
         raise ValueError("parameters above 1/2: reflect with alpha -> 1 - alpha")
     # the keys order the levels at any scale; this one sets the integers of the fit's rectangle tests
     skel, low, high, (lo, hi, _, _) = _fitted(alpha, q, {}, MIN_PRECISION)
@@ -579,12 +575,14 @@ def _entropy_sample(
     _, _, _, (_, _, factors, rects) = _fitted(base, q, skeletons, bits + _GUARD)
     A, err = _boundary_mass(factors, rects, bits)
     h, h_err = _entropy_of(A, err, bits)
-    word = q.word if alpha == base else words.transpose(words.negate(q.word))
+    word, m0, m1 = q.word, q.m0, q.m1
+    if alpha != base:  # reported on the original side: the mirror word, counts swapped
+        word, m0, m1 = words.transpose(words.negate(word)), m1, m0
     return EntropySample(
         alpha=alpha,
         word=word,
-        m0=word.count("0"),
-        m1=word.count("1"),
+        m0=m0,
+        m1=m1,
         A=A,
         h=h,
         err_bound=h_err,

@@ -74,14 +74,17 @@ def strong_order_ll(u: Word, v: Word) -> bool:
 
 
 def word_from_rational(r) -> Word:
-    """The word of slope r (reduced p/q), of length exactly q."""
+    """The word of slope r (reduced p/q), of length exactly q, one run at a
+    time: the j-th one sits at ceil(j q/p), letter k being
+    floor(k p/q) - floor((k-1) p/q)."""
     r = Fraction(r)
     if not 0 <= r <= 1:
         raise ValueError("slope must lie in [0, 1]")
     p, q = r.numerator, r.denominator
     if q == 1:
         return "1" if p == 1 else "0"
-    return "".join(str((k * p) // q - ((k - 1) * p) // q) for k in range(1, q + 1))
+    ones = [-(-j * q // p) for j in range(p + 1)]
+    return "".join("0" * (b - a - 1) + "1" for a, b in zip(ones, ones[1:]))
 
 
 def phi_r_coding(r, side: str = "+") -> Word:

@@ -141,6 +141,11 @@ class TestQumtervals:
             assert a.pseudocenter < b.pseudocenter
             assert a.alpha_plus < b.alpha_minus  # cross-field exact comparison
 
+    @pytest.mark.parametrize("max_len", [0, -3, wd.FAREY_LIST_CAP + 1])
+    def test_atlas_length_range(self, max_len):
+        with pytest.raises(ValueError, match="max_len must lie in"):
+            bf.atlas(max_len)
+
     def test_locate_examples(self):
         assert bf.locate_qumterval(Fraction(1, 3)).word == "001"
         assert bf.locate_qumterval(Fraction(1, 2)).word == "01"

@@ -183,6 +183,19 @@ class TestBehaviour:
         ):
             assert run(capsys, *argv)[:2] == (2, ""), argv
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("qumterval", "info", "--word", "0102"), "degenerate or invalid word: '0102'"),
+            (("qumterval", "atlas", "--max-len", "0"), "max_len must lie in [1, 20]"),
+            (("qumterval", "atlas", "--max-len", "-3"), "max_len must lie in [1, 20]"),
+            (("qumterval", "atlas", "--max-len", "21"), "max_len must lie in [1, 20]"),
+        ],
+    )
+    def test_library_checks_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and message in err
+
     def test_descent_over_its_step_budget_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(bf, "_LOCATE_LIMIT", 50)
         for argv in (("qumterval", "info"), ("entropy", "point")):

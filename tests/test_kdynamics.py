@@ -205,6 +205,11 @@ class TestMatchingCertificates:
         for w in words8:
             assert kd.matching_matrices(w).identity_holds()
 
+    @pytest.mark.parametrize("word", ["0", "0101001"])
+    def test_degenerate_or_foreign_word_refused(self, word):
+        with pytest.raises(ValueError, match="degenerate or invalid word"):
+            kd.matching_matrices(word)
+
     def test_concatenation_of_left_sides(self):
         # the left side T*M of the identity concatenates along the standard
         # factorization

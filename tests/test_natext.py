@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fareycf import bifurcation as bf
+from fareycf import cfstrings as cfs
 from fareycf import kdynamics as kd
 from fareycf import natext as nx
 from fareycf import words as wd
@@ -221,7 +222,40 @@ class TestFilteredPredicates:
             assert calls.count(-1) == calls.count(1) == ends and calls.count("below") == rects
 
 
+def corners_by_blocks(w):
+    """The corners rebuilt from the word's own runs: x repeats the reversed
+    block pattern (1, a_n, ..., 1, a_1), -y repeats the run-length string."""
+    S_rl = cfs.runlength(w)
+    assert all(d == 1 for d in S_rl[1::2])
+    period_x = tuple(v for ak in reversed(S_rl[0::2]) for v in (1, ak))
+    return surd_from_periodic_cf((), period_x), -surd_from_periodic_cf((), S_rl)
+
+
+side0_slopes = st.integers(3, 2048).flatmap(
+    lambda q: st.integers(1, q // 2).map(lambda p: Fraction(p, q))
+)
+
+
 class TestCorners:
+    def test_surds_of_the_qumterval_match_the_block_rebuild(self):
+        for w in side0_words(199):
+            assert [fields(v) for v in nx.attractor_corners(w)] == [
+                fields(v) for v in corners_by_blocks(w)
+            ], w
+
+    @settings(max_examples=40, deadline=None)
+    @given(side0_slopes)
+    def test_long_words_match_the_block_rebuild(self, r):
+        w = wd.word_from_rational(r)
+        assert [fields(v) for v in nx.attractor_corners(w)] == [
+            fields(v) for v in corners_by_blocks(w)
+        ]
+
+    @pytest.mark.parametrize("word", ["0", "0101001"])
+    def test_degenerate_or_foreign_word_refused(self, word):
+        with pytest.raises(ValueError, match="degenerate or invalid word"):
+            nx.attractor_corners(word)
+
     def test_single_block_formula(self):
         for n in (1, 2, 3, 5):
             x, y = nx.attractor_corners("0" * n + "1")
@@ -250,12 +284,11 @@ class TestCorners:
 
 class TestBuild:
     def test_level_counts_at_figure_word(self):
-        attr = nx.build_attractor(Fraction(3, 8), "00101")
+        attr = nx.build_attractor(Fraction(3, 8))
+        assert attr.word == "00101"
         assert len(attr.h_levels_low) == 4 and len(attr.h_levels_high) == 3
 
     def test_alpha_outside_rejected(self):
-        with pytest.raises(ValueError):
-            nx.build_attractor(Fraction(4, 15), "00101")
         with pytest.raises(ValueError):
             nx.build_attractor(Fraction(2, 3))  # reflect first
 
@@ -281,7 +314,8 @@ class TestBuild:
         q = bf.qumterval_of("00101")
         a1 = bf.simplest_rational_between(q.alpha_minus, q.pseudocenter)
         a2 = bf.simplest_rational_between(q.pseudocenter, q.alpha_plus)
-        attr1, attr2 = nx.build_attractor(a1, "00101"), nx.build_attractor(a2, "00101")
+        attr1, attr2 = nx.build_attractor(a1), nx.build_attractor(a2)
+        assert attr1.word == attr2.word == "00101"
         assert attr1.v_levels == attr2.v_levels
         assert attr1.h_levels_low != attr2.h_levels_low
 

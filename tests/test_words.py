@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fareycf import words as wd
@@ -74,6 +74,24 @@ class TestSlopeBijection:
         assert wd.word_from_rational(Fraction(2, 5)) == "00101"
         assert wd.word_from_rational(Fraction(1, 1)) == "1"
         assert wd.word_from_rational(Fraction(3, 5)) == "01011"
+
+    @staticmethod
+    def word_by_letters(r):
+        """Letter k of the word of slope p/q is floor(k p/q) - floor((k-1) p/q)."""
+        p, q = r.numerator, r.denominator
+        return "".join(str((k * p) // q - ((k - 1) * p) // q) for k in range(1, q + 1))
+
+    def test_runs_equal_letters_up_to_300(self):
+        for q in range(1, 301):
+            for p in range(q + 1):
+                r = Fraction(p, q)
+                if r.denominator == q:
+                    assert wd.word_from_rational(r) == self.word_by_letters(r), r
+
+    @settings(deadline=None)
+    @given(st.integers(1, 10**4).flatmap(lambda q: st.integers(0, q).map(lambda p: Fraction(p, q))))
+    def test_runs_equal_letters(self, r):
+        assert wd.word_from_rational(r) == self.word_by_letters(r)
 
     def test_slope_inverse_up_to_200(self):
         for q in range(1, 201):
