@@ -219,10 +219,9 @@ class QuadSurd:
         return cls(p, q, r, d)
 
     @classmethod
-    def from_quadratic(cls, A: int, B: int, C: int, branch: int = 1) -> Exact:
-        """Root (-B + branch*sqrt(B*B - 4*A*C)) / (2*A) of A x^2 + B x + C."""
-        disc = B * B - 4 * A * C
-        return make_surd(-B, branch, 2 * A, disc)
+    def from_quadratic(cls, A: int, B: int, C: int) -> Exact:
+        """Root (-B + sqrt(B*B - 4*A*C)) / (2*A) of A x^2 + B x + C."""
+        return make_surd(-B, 1, 2 * A, B * B - 4 * A * C)
 
     # -- arithmetic (exact, within one field) --------------------------------
 

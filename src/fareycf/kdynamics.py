@@ -22,6 +22,7 @@ from .bifurcation import qumterval_of
 from .exactnum import E, Exact, Mobius, S, T, coprime_fraction, floor_exact
 
 ZERO = Fraction(0)
+_SLOW_MAX_STEPS = 10_000  # translations `slow_first_return` takes before giving up
 
 
 def digit_of(alpha, x) -> int:
@@ -256,7 +257,7 @@ def symmetry_conjugate(alpha, x) -> tuple[Fraction, Exact]:
     return 1 - alpha, -x
 
 
-def slow_first_return(alpha, x, max_steps: int = 10_000) -> Exact:
+def slow_first_return(alpha, x) -> Exact:
     """First return to [alpha-1, alpha) of the slow map (translations by +-1
     around an inversion); equals one step of the fast map."""
     alpha = Fraction(alpha)
@@ -264,7 +265,7 @@ def slow_first_return(alpha, x, max_steps: int = 10_000) -> Exact:
     if x == 0:
         return ZERO
     y = -1 / x
-    for _ in range(max_steps):
+    for _ in range(_SLOW_MAX_STEPS):
         if alpha - 1 <= y < alpha:
             return y
         y = y - 1 if y >= alpha else y + 1

@@ -61,7 +61,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import pairwise
+from itertools import groupby, pairwise
 from math import gcd, isqrt
 
 import mpmath
@@ -117,12 +117,13 @@ class Rect:
     y_hi: Exact
 
     def __post_init__(self):
+        """Refuse an empty box, or a corner where 1 + x y <= 0, so x y < 0.  A negative
+        product on a box is most negative at opposite signs and the largest magnitudes,
+        at (x_lo, y_hi) or (x_hi, y_lo): these two give the four-corner verdict on any box."""
         if not (self.x_lo < self.x_hi and self.y_lo < self.y_hi):
             raise ValueError("degenerate rectangle")
-        for xc in (self.x_lo, self.x_hi):
-            for yc in (self.y_lo, self.y_hi):
-                if not _pole_free(xc, yc):
-                    raise ValueError("density pole inside rectangle")
+        if not (_pole_free(self.x_lo, self.y_hi) and _pole_free(self.x_hi, self.y_lo)):
+            raise ValueError("density pole inside rectangle")
 
 
 def _below(left: Exact, right: Exact, X_left: int, X_right: int, slack: int) -> bool:
@@ -448,8 +449,9 @@ def build_attractor(alpha) -> Attractor:
         corner_y=skel.lefts[0],
         h_levels_low=tuple(low.points),
         h_levels_high=tuple(high.points),
-        # by the seams, every segment end is in one of the two tuples
-        v_levels=tuple(sorted(set(skel.rights + skel.lefts))),
+        # every segment end is in rights or lefts, each strictly ascending (increasing pushes
+        # from y < x/(1 + x) and y/(1 - y) < x, chained by the seams): sorted merges two runs
+        v_levels=tuple(v for v, _ in groupby(sorted(skel.rights + skel.lefts))),
         skeleton=skel,
     )
 

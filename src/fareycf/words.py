@@ -107,7 +107,7 @@ def phi_r_coding(r, side: str = "+") -> Word:
 def is_farey(w: Word) -> bool:
     if not w or w.strip("01"):
         return False
-    return word_from_rational(rho(w)) == w
+    return word_from_rational(Fraction(w.count("1"), len(w))) == w
 
 
 def is_nondegenerate_farey(w: Word) -> bool:

@@ -164,6 +164,16 @@ class TestQumtervals:
         with pytest.raises(ValueError, match="50 mediant steps"):
             bf.locate_qumterval(Fraction(1, 100))
 
+    def test_word_checked_binary_once_beyond_the_family_check(self, monkeypatch):
+        # the family check strips the word itself; only `cfs.runlength`, a
+        # public function, checks its input again
+        calls = []
+        check = wd._check_binary
+        monkeypatch.setattr(wd, "_check_binary", lambda w: calls.append(w) or check(w))
+        w = wd.word_from_rational(Fraction(37, 1001))
+        q = bf.qumterval_of.__wrapped__(w)  # a cold call, past the cache
+        assert q.word == w and calls == [w]
+
     def test_run_descent_equals_one_step_descent(self):
         # every reduced p/q with q <= 300
         for q in range(2, 301):

@@ -7,7 +7,7 @@ from math import gcd, isqrt
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fareycf import bifurcation as bf
@@ -339,6 +339,82 @@ class TestBuild:
         assert attr.v_levels[0] == y == -surd_from_periodic_cf((), (4, 1))
 
 
+def four_corner_verdict(x_lo, x_hi, y_lo, y_hi):
+    """The pole test `Rect` made before it took two corners: all four."""
+    return all(nx._pole_free(xc, yc) for xc in (x_lo, x_hi) for yc in (y_lo, y_hi))
+
+
+@st.composite
+def boxes(draw):
+    """Sorted corners (x_lo, x_hi, y_lo, y_hi), each rational or a surd of one
+    field; half of them with a corner on the pole 1 + x y = 0 or next to it."""
+    d = draw(st.sampled_from([2, 3, 5, 13]))
+    value = st.one_of(
+        st.fractions(-4, 4, max_denominator=60),
+        st.builds(make_surd, st.integers(-60, 60), st.integers(-30, 30).filter(bool), st.integers(1, 60), st.just(d)),
+    )
+    xs, ys = [draw(value), draw(value)], [draw(value), draw(value)]
+    if draw(st.booleans()):
+        y = draw(value.filter(bool))
+        ys[0], xs[0] = y, -1 / y + draw(st.sampled_from([0, Fraction(1, 10**6), Fraction(-1, 10**6)]))
+    xs.sort()
+    ys.sort()
+    assume(xs[0] != xs[1] and ys[0] != ys[1])
+    return (*xs, *ys)
+
+
+class TestLeanBuild:
+    """`build_attractor` takes what its fit proved: two pole tests per
+    rectangle and the vertical levels merged from the skeleton's two
+    ascending staircases."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(boxes())
+    def test_two_corners_give_the_four_corner_verdict(self, box):
+        try:
+            nx.Rect(*box)
+            accepted = True
+        except ValueError as exc:
+            assert str(exc) == "density pole inside rectangle"
+            accepted = False
+        assert accepted == four_corner_verdict(*box)
+
+    @staticmethod
+    def assert_v_levels_merge_the_staircases(attr):
+        skel = attr.skeleton
+        assert all(a < b for ends in (skel.rights, skel.lefts) for a, b in pairwise(ends))
+        assert list(attr.v_levels) == sorted(set(skel.rights + skel.lefts))
+
+    def test_v_levels_on_the_sweep(self):
+        for den in range(2, 90):
+            for num in range(1, den // 2 + 1):
+                if gcd(num, den) == 1:
+                    self.assert_v_levels_merge_the_staircases(nx.build_attractor(Fraction(num, den)))
+
+    @settings(max_examples=15, deadline=None)
+    @given(side0_slopes)
+    def test_v_levels_on_long_words(self, r):
+        alpha = bf.qumterval_of(wd.word_from_rational(r)).pseudocenter
+        self.assert_v_levels_merge_the_staircases(nx.build_attractor(alpha))
+
+    def test_two_pole_tests_per_rectangle(self, monkeypatch):
+        calls = []
+        pole_free = nx._pole_free
+        monkeypatch.setattr(nx, "_pole_free", lambda x, y: calls.append(1) or pole_free(x, y))
+        attr = nx.build_attractor(Fraction(1, 3001))
+        assert len(calls) == 2 * len(attr.rects) == 2 * 3001
+
+    def test_surd_comparisons_linear(self, monkeypatch):
+        alpha = Fraction(1, 3001)
+        nx.build_attractor(alpha)  # the word's qumterval and corners are cached
+        calls = []
+        compare = QuadSurd._cmp
+        monkeypatch.setattr(QuadSurd, "_cmp", lambda a, b: calls.append(1) or compare(a, b))
+        attr = nx.build_attractor(alpha)
+        ends = len(attr.skeleton.rights) + len(attr.skeleton.lefts)
+        assert len(calls) <= 3 * (len(attr.rects) + ends)
+
+
 class TestCheckedConstruction:
     @pytest.mark.parametrize("corner", [0, 1])
     def test_corrupted_corner_is_caught(self, monkeypatch, corner):
@@ -543,7 +619,7 @@ def rect_mass(r, bits=None):
 
 def rect_sum(attr, bits=None):
     """(A, error bound) as the ordered sum of the rectangles' closed forms:
-    the oracle of the boundary mass (`_Skeleton.mass`), which uses no
+    the oracle of the boundary mass (`_boundary_mass`), which uses no
     rectangle."""
     bits = checked_precision(bits)
     with working_precision(bits):
