@@ -11,14 +11,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import cfstrings as cfs
 from . import words
 from .exactnum import (
     Exact,
+    Mobius,
     QuadSurd,
+    _scaled,
+    _slack,
+    coprime_fraction,
+    digits_matrix,
     floor_exact,
+    make_surd,
+    mobius_apply,
     surd_from_periodic_cf,
 )
 
@@ -176,10 +183,15 @@ def minkowski_q(x) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+_CONTAINS_SCALE = 64  # binary scale of the integer bounds of `Qumterval.__contains__`
+
+
 @dataclass(frozen=True)
 class Qumterval:
     """Maximal parameter interval locked to a word: quadratic endpoints, a
-    least-denominator rational pseudocenter, and the digit counts of the word."""
+    least-denominator rational pseudocenter, the digit counts of the word
+    and the periodic tail x = [0; S^T, S^T, ...] of alpha_minus (the
+    attractor's corner x, `natext.attractor_corners`)."""
 
     word: str
     S: cfs.CFString
@@ -188,9 +200,37 @@ class Qumterval:
     pseudocenter: Fraction
     m0: int
     m1: int
+    tail: QuadSurd
 
     def __contains__(self, alpha) -> bool:
-        return self.alpha_minus < alpha < self.alpha_plus
+        """alpha_minus < alpha < alpha_plus.  A rational is decided on the
+        integers of its floor at `_CONTAINS_SCALE` against the endpoints'
+        (`_bounds`): with every value within s units, a gap of 2 s decides
+        either way; only a rational closer to an endpoint is compared
+        exactly."""
+        if not isinstance(alpha, (int, Fraction)):
+            return self.alpha_minus < alpha < self.alpha_plus
+        X_minus, X_plus, slack = self._bounds
+        A = (alpha.numerator << _CONTAINS_SCALE) // alpha.denominator
+        if A - X_minus >= slack:
+            above = True
+        elif X_minus - A >= slack:
+            return False
+        else:
+            above = self.alpha_minus < alpha
+        if X_plus - A >= slack:
+            return above
+        if A - X_plus >= slack:
+            return False
+        return above and alpha < self.alpha_plus
+
+    @cached_property
+    def _bounds(self) -> tuple[int, int, int]:
+        """alpha_minus and alpha_plus times 2^`_CONTAINS_SCALE`, rounded down
+        (`_scaled`), and twice the bound on their rounding (`_slack`)."""
+        ends = [self.alpha_minus, self.alpha_plus]
+        X_minus, X_plus = _scaled(ends, _CONTAINS_SCALE)
+        return X_minus, X_plus, 2 * _slack(ends)
 
     @property
     def length(self):
@@ -201,20 +241,33 @@ class Qumterval:
 def qumterval_of(w: str) -> Qumterval:
     """The qumterval of a nondegenerate word of the family: the one place
     where a word is checked and its run-length string, endpoint surds and
-    digit counts are derived; consumers read them from here."""
+    digit counts are derived; consumers read them from here.
+
+    One digit-matrix product M = M(S) = [[a, b], [c, d]] gives them all:
+    alpha_plus = [0; S, S, ...] is the fixed point of M in (0, 1), the root
+    (a - d + sqrt D)/(2 c) of c y^2 + (d - a) y - b, and the pseudocenter
+    [0; S] is b/d.  Digit matrices are symmetric, so M(S^T) = M^T and the
+    tail x = [0; S^T, S^T, ...] is (a - d + sqrt D)/(2 b), D = (d - a)^2 +
+    4 b c for both.  alpha_minus = [0; S', S^T, S^T, ...], with S' the right
+    conjugate of S, is M(S') applied to x, and M(S') = M [[-1, 0], [1, 1]]
+    whichever way S ends: ... a with a >= 2 becomes ... a-1, 1 and ... b, 1
+    becomes ... b+1."""
     if not words.is_nondegenerate_farey(w):
         raise ValueError(f"degenerate or invalid word: {w!r}")
     S = cfs.runlength(w)
-    alpha_plus = surd_from_periodic_cf((), S)
-    alpha_minus = surd_from_periodic_cf(cfs.right_conjugate(S), cfs.transpose_string(S))
+    M = digits_matrix(S)
+    a, b, c, d = M.a, M.b, M.c, M.d
+    root = make_surd(a - d, 1, 1, (d - a) ** 2 + 4 * b * c)
+    tail = root / (2 * b)
     return Qumterval(
         word=w,
         S=S,
-        alpha_minus=alpha_minus,
-        alpha_plus=alpha_plus,
-        pseudocenter=cfs.value_of(S),
+        alpha_minus=mobius_apply(Mobius(b - a, b, d - c, d), tail),
+        alpha_plus=root / (2 * c),
+        pseudocenter=coprime_fraction(b, d),
         m0=w.count("0"),
         m1=w.count("1"),
+        tail=tail,
     )
 
 
@@ -298,8 +351,11 @@ def locate_qumterval(alpha) -> Qumterval:
         return cfs.compare_periodic(digits, (), w[0]) > 0
 
     def below(w) -> bool:  # alpha below the qumterval of w
+        # alpha_minus = [0; S', S^T, ...] with S' the right conjugate of S, from the
+        # run tuple itself: the public operators would check every run again
         S = w[0]
-        return cfs.compare_periodic(digits, cfs.right_conjugate(S), cfs.transpose_string(S)) < 0
+        conjugate = S[:-1] + (S[-1] - 1, 1) if S[-1] > 1 else S[:-2] + (S[-2] + 1,)
+        return cfs.compare_periodic(digits, conjugate, S[::-1]) < 0
 
     u = ((1,), "0")
     v = ((1,), "1")

@@ -475,6 +475,12 @@ def mobius_apply(m: Mobius, x: Exact | Infinity):
     """Projective action of m; total on the extended line (INF handled)."""
     if isinstance(x, Infinity):
         return INF if m.c == 0 else Fraction(m.a, m.c)
+    if isinstance(x, QuadSurd):
+        # (u + v sqrt d)/(s + t sqrt d) over the common r, times the conjugate:
+        # one reduction; the image of an irrational is irrational, never INF
+        p, q, r, d = x.p, x.q, x.r, x.d
+        u, v, s, t = m.a * p + m.b * r, m.a * q, m.c * p + m.d * r, m.c * q
+        return QuadSurd._reduced(u * s - v * t * d, v * s - u * t, s * s - t * t * d, d)
     num = m.a * x + m.b
     den = m.c * x + m.d
     if den == 0:
@@ -521,6 +527,30 @@ def surd_from_periodic_cf(pre: tuple[int, ...], period: tuple[int, ...]) -> Exac
     # fixed point: c y^2 + (d - a) y - b = 0, positive root (unique: b, c >= 1)
     y = QuadSurd.from_quadratic(m.c, m.d - m.a, -m.b)
     return mobius_apply(digits_matrix(pre), y) if pre else y
+
+
+def _scaled(values, scale: int) -> list[int]:
+    """Each exact value times 2^scale, rounded down: n/m as (n << scale) // m
+    and a surd (p + q sqrt d)/r as ((p << scale) + q isqrt(d << 2 scale)) // r,
+    within |q|/r + 1 units, with one isqrt per field."""
+    roots: dict[int, int] = {}
+    out = []
+    for v in values:
+        if isinstance(v, QuadSurd):
+            root = roots.get(v.d)
+            if root is None:
+                root = roots[v.d] = math.isqrt(v.d << 2 * scale)
+            out.append(((v.p << scale) + v.q * root) // v.r)
+        else:
+            out.append((v.numerator << scale) // v.denominator)
+    return out
+
+
+def _slack(values) -> int:
+    """A whole number of units that bounds, strictly, the rounding of
+    `_scaled` over `values` at any scale: ceil(|q|/r) + 1 for a surd, 1 for
+    a rational."""
+    return max((-(-abs(v.q) // v.r) + 1 if isinstance(v, QuadSurd) else 1 for v in values), default=1)
 
 
 def format_exact(x: Exact | Infinity) -> str:

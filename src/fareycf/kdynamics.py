@@ -72,51 +72,70 @@ class OrbitRecord:
         return tuple(out)
 
 
-def _rational_orbit(
-    alpha: Fraction | int, x: Fraction | int, steps: int
-) -> tuple[list[Exact], list[int | None]]:
-    """Points and digits of a rational orbit in integers (an int is its own
-    numerator over 1).
+_POINT_SCALE = 64  # the scale s of `rational_orbit` when it returns exact points
 
-    With alpha = P/Q and x = a/b (b > 0) the digit is
-    floor((-bQ + aQ - aP) / (aQ)) and the next point (-b - c a)/a, already
-    in lowest terms because gcd(-b - c a, a) = gcd(a, b) = 1.
+
+def rational_orbit(alpha: Fraction | int, x: Fraction | int, steps: int, shift: int | None = None):
+    """(digits, levels) of a rational orbit, stepped in integers (an int is
+    its own numerator over 1): the digit of each step, then each point from
+    the start on, exactly as a `Fraction` or, with `shift` = s, as its key
+    floor(y 2^s).  This is the orbit's one step; asked for keys, it makes no
+    `Fraction` per point.
+
+    With alpha = P/Q = k + F/Q (k = floor(alpha)) and the point x = a/b
+    (b > 0), one division gives floor(-b 2^s / a) = f 2^s + T: f =
+    floor(-1/x), and T = floor(t 2^s) for t = -1/x - f in [0, 1).  The
+    digit floor(-1/x + 1 - alpha) is f - e with e = k - 1 when t >= F/Q and
+    e = k otherwise, and the next point -1/x - (f - e) is t + e, in
+    [alpha - 1, alpha), with numerator -b - (f - e) a over a (in lowest
+    terms: that numerator is -b mod a, and gcd(b, a) = 1) and key T + e 2^s.
+    With A = floor(2^s F/Q), T > A proves t > F/Q and T < A proves t < F/Q;
+    only T = A, t within 2^-s of F/Q, takes the exact comparison of t = r/a
+    with F/Q, for r = -b - f a.  So the digit is exact at any scale; at the
+    separating scale of `natext._key_scale` the keys of distinct points
+    differ and T = A only at t = F/Q.  Exact points are stepped at s =
+    `_POINT_SCALE`.
 
     The start is checked once, in integers: (P - Q) b <= a Q <= P b.  Every
-    later point needs no check, because the floor puts it in
-    [alpha-1, alpha): with t = -1/x + 1 - alpha and c = floor(t), the next
-    point -1/x - c = t - c + alpha - 1 lies in [alpha-1, alpha)."""
+    later point needs no check.  Once the orbit hits 0 it stays there, with
+    digit None."""
     P, Q = alpha.numerator, alpha.denominator
     a, b = x.numerator, x.denominator
     if not ((P - Q) * b <= a * Q <= P * b):
         raise ValueError(f"point {x} outside [alpha-1, alpha] for alpha={alpha}")
-    points: list[Exact] = []
+    k, F = divmod(P, Q)
+    s = _POINT_SCALE if shift is None else shift
+    one = 1 << s
+    mask, A = one - 1, (F << s) // Q
     digits: list[int | None] = []
+    levels: list = [coprime_fraction(a, b) if shift is None else (a << s) // b]
     for _ in range(steps):
         if a == 0:
-            points.append(ZERO)
             digits.append(None)
+            levels.append(levels[-1])
             continue
-        aQ = a * Q
-        c = (aQ - a * P - b * Q) // aQ
-        a, b = -b - c * a, a
-        if b < 0:
-            a, b = -a, -b
-        points.append(coprime_fraction(a, b))
-        digits.append(c)
-    return points, digits
+        T = (-b << s) // a
+        f, T = T >> s, T & mask
+        r = -b - f * a
+        e = k - 1 if T > A or (T == A and (r * Q >= F * a if a > 0 else r * Q <= F * a)) else k
+        r += e * a
+        a, b = (r, a) if a > 0 else (-r, -a)
+        digits.append(f - e)
+        levels.append(coprime_fraction(a, b) if shift is None else T + e * one)
+    return digits, levels
 
 
 def orbit(alpha, x, steps: int) -> OrbitRecord:
     """The first `steps` iterates of x.  Rational parameters and points step
-    in integers; quadratic ones go through `k_step`.
+    in integers (`rational_orbit`); quadratic ones go through `k_step`.
 
     A start outside [alpha-1, alpha] raises ValueError, checked once: in
-    integers by `_rational_orbit` for rational inputs, here for the others."""
+    integers by `rational_orbit` for rational inputs, here for the others."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if isinstance(alpha, (int, Fraction)) and isinstance(x, (int, Fraction)):
-        points, digits = _rational_orbit(alpha, x, steps)
+        digits, points = rational_orbit(alpha, x, steps)
+        del points[0]
     else:
         _check_in_interval(alpha, x)
         points, digits = [], []

@@ -11,38 +11,45 @@ precision with a stated error bound.  The mass is integer arithmetic up to
 its one log: the boundary product is taken in Python integers at a binary
 scale `_GUARD` bits finer than that precision.
 
-The exact pass is integer arithmetic throughout: the endpoint orbits step in
-integers (`kdynamics.orbit`), each abscissa push is the classical surd
-recurrence, linear in the size of its numbers (`_abscissae`), the
-empty-rectangle test and the check that every segment end lies in (-1, 1)
-(so the attractor lies in the open square (-1, 1)^2, off the density's
-poles) are decided on the integers of the mass with a proved margin, exactly
-only where the margin cannot decide, and the rectangles come from one merge
-of the two level-sorted boundaries.  What depends on the qumterval alone,
-the endpoint digits, the order of each orbit and one end of each boundary
-segment (both pushed, every seam checked, then each staircase corner kept
-once) is one `_Skeleton`, which checks the square once per scale.  Every
-parameter takes one path to it (`_fitted`): its endpoint orbits, their order
-keys, the skeleton of its word (kept or built from these orbits) and the
+The exact pass is integer arithmetic throughout, and a sample makes no
+exact level: the endpoint orbits step in integers to their digits and the
+order keys of their points (`kdynamics.rational_orbit`), each abscissa push
+is the classical surd recurrence, linear in the size of its numbers, on
+integer pairs over one Q in one field (`_abscissae`), so every seam and the
+closure compare integers, the empty-rectangle test and the check that every
+segment end lies in (-1, 1) (so the attractor lies in the open square
+(-1, 1)^2, off the density's poles) are decided on the integers of the mass
+with a proved margin, exactly only where the margin cannot decide, and the
+rectangles come from one merge of the two level-sorted boundaries.  What
+depends on the qumterval alone, the endpoint digits, the order of each
+orbit and one end of each boundary segment (both pushed, every seam
+checked, then each staircase corner kept once as a surd) is one
+`_Skeleton`, which checks the square once per scale.  Every parameter
+takes one path to it (`_fitted`): the digits and order keys of its endpoint
+orbits, the skeleton of its word (kept or built from these orbits) and the
 skeleton's fit, which checks the digits, the order of each orbit and that
-no rectangle is empty.  `build_attractor` turns the fit into rectangles.
+no rectangle is empty as it merges the staircase.  Exact levels are made
+only where they are read: `build_attractor` turns the fit into rectangles
+over the exact orbits, and an error message names its level.
 
 The entropy then follows from the identity  h * area = pi^2 / 3  where
 "area" is the mass of the attractor under dx dy / (1 + x y)^2.  That mass has
 one path: it builds no rectangles and integrates along the two staircase
 boundaries, one log of a product of boundary factors per parameter.  Each
-level turns once into an integer, its order key, at a scale fine enough to
-separate any two distinct levels (`_level_keys`): the sort, the order check
-and the merge compare integers only, never two exact levels, and a key
-shifted down to the mass's scale is the level rounded for its boundary
-factors.  One helper builds the factors
-(`_Skeleton.factors`); the fit returns them and `_boundary_mass`
-multiplies that list.  `entropy_curve` keeps one
-skeleton per word for the length of the call; `entropy_at` and
-`asymptotic_probe` build their own, and an attractor keeps the one it was
-built from: `attractor_mass` and the band masses of `measure_interval`
-(the same product over the levels clamped into the band) come from it.
-The sum of the rectangles' closed-form masses is only the tests' oracle.
+level is an integer, its order key, at a scale fine enough to separate any
+two distinct levels (`_key_scale`): the sort, the order check and the merge
+compare integers only, never two exact levels, and a key shifted down to
+the mass's scale is the level rounded for its boundary factors.  One helper
+builds the factors and multiplies them as it forms them
+(`_Skeleton.product`), for the entropy (`_sample_mass`), `attractor_mass`
+and `measure_interval` alike.  `entropy_curve` keeps one skeleton per word
+for the length of the call; `entropy_at` and `asymptotic_probe` build their
+own, and an attractor keeps the one it was built from: `attractor_mass`
+and the band masses of `measure_interval` (the same product over the
+levels clamped into the band) come from it, and the density and the
+measure take A, and the density each rectangle's abscissae, rounded once
+per attractor and precision.  The sum of the
+rectangles' closed-form masses is only the tests' oracle.
 
 The float tail of a sample is a few operations on raw `mpmath.libmp`
 values at the working precision, each rounded to nearest, with no
@@ -61,8 +68,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, pairwise
-from math import gcd, isqrt
+from itertools import chain, groupby, pairwise
+from math import gcd, lcm
 
 import mpmath
 from mpmath.libmp import (
@@ -79,7 +86,6 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from . import cfstrings as cfs
 from . import words
 from .bifurcation import (
     Qumterval,
@@ -92,16 +98,18 @@ from .exactnum import (
     QuadSurd,
     S,
     T,
+    _scaled,
     _sign_single,
+    _slack,
     mobius_apply,
     surd_from_periodic_cf,
     to_mpf,
 )
-from .kdynamics import orbit, orbit_order_extremes
+from .kdynamics import orbit, orbit_order_extremes, rational_orbit
 from .precision import MIN_PRECISION, checked_precision, working_precision
 
 
-# guard bits of the entropy path's integer scale W = bits + _GUARD (`_boundary_mass`)
+# guard bits of the entropy path's integer scale W = bits + _GUARD (`_sample_mass`)
 _GUARD = 40
 
 
@@ -156,6 +164,9 @@ class Attractor:
     h_levels_high: tuple[Exact, ...]
     v_levels: tuple[Exact, ...]  # the distinct ends of the boundary segments, ascending
     skeleton: _Skeleton = field(compare=False, repr=False)  # the mass's boundaries (`attractor_mass`)
+    # values rounded at a precision of bits: A by bits (`_kept_mass`), and each
+    # rectangle's (x_lo, x_hi) by (bits, index) (`density_slice`)
+    rounded: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @lru_cache(maxsize=1024)
@@ -163,7 +174,8 @@ def attractor_corners(w: str) -> tuple[Exact, Exact]:
     """Upper-right abscissa x and lower-left abscissa y of the attractor for
     any parameter in the qumterval of w (side-0 words only), both surds of
     the qumterval: y = -alpha_plus and x = [0; S^T, S^T, ...], the periodic
-    tail of alpha_minus.  Both solve the corner fixed-point system.
+    tail of alpha_minus (`Qumterval.tail`).  Both solve the corner
+    fixed-point system.
 
     S has the form (a1, 1, ..., an, 1), so S^T = (1, an, ..., 1, a1): a
     side-0 word of slope p/q <= 1/2 starts with 0 and ends with 1 (letter k
@@ -172,12 +184,21 @@ def attractor_corners(w: str) -> tuple[Exact, Exact]:
     q = qumterval_of(w)
     if q.m1 > q.m0:
         raise ValueError("corners are built for side-0 words; reflect first")
-    return surd_from_periodic_cf((), cfs.transpose_string(q.S)), -q.alpha_plus
+    return q.tail, -q.alpha_plus
 
 
-def _abscissae(xi: QuadSurd, digits):
-    """Yield xi and its images under the abscissa updates S T^-c of the
-    extension map, xi -> 1/(c - xi), for the branch digits c in turn.
+def _lift(xi: QuadSurd) -> int:
+    """The least positive Q with which a chain from xi = (p + q sqrt d)/r can
+    run (`_abscissae`): |q| k with k = r / gcd(r, p^2 - q^2 d)."""
+    p, q, r, d = xi.p, xi.q, xi.r, xi.d
+    return abs(q) * (r // gcd(r, p * p - q * q * d))
+
+
+def _abscissae(xi: QuadSurd, digits, Q: int) -> list[tuple[int, int]]:
+    """xi and its images under the abscissa updates S T^-c of the extension
+    map, xi -> 1/(c - xi), for the branch digits c in turn, each as the pair
+    (P, R) of (P + Q sqrt d)/R over xi's radicand d and the given Q, a
+    multiple of `_lift(xi)`.
 
     The chain runs in the classical form (P + Q sqrt d)/R of continued
     fractions, with R dividing P^2 - Q^2 d, and carries the previous
@@ -192,26 +213,40 @@ def _abscissae(xi: QuadSurd, digits):
         R' = c (P' - P) + R_,
 
     and a step is two products of a number by the digit and three additions:
-    no product of two big numbers, no division and no big gcd.  Q never
-    changes.  A start (p + q sqrt d)/r with n = p^2 - q^2 d is lifted once
-    by k = r / gcd(r, n): then P, Q, R = k p, k q, k r, R divides
-    k^2 n, and R_ = n / gcd(r, n).  Each surd yielded is divided by
-    gcd(P, Q, R), taken through the small Q first, and given a positive
-    denominator, so it is the reduced surd: the same fields as reducing
-    1/(c - xi) in full.
+    no product of two big numbers, no division and no gcd.  Q never changes.
+    The start (p + q sqrt d)/r, n = p^2 - q^2 d, is lifted once by k = Q/q,
+    a multiple of r / gcd(r, n): then P, R = k p, k r, R divides k^2 n, and
+    R_ = k n / r.  Over one Q a value has one pair, since the coefficient
+    Q/R of sqrt d fixes R: two values of the field are equal exactly when
+    their pairs over a common Q are.
     """
     p, q, r, d = xi.p, xi.q, xi.r, xi.d
-    n = p * p - q * q * d
-    g = gcd(r, n)
-    k = r // g
-    P, Q, R, R_ = k * p, k * q, k * r, n // g
-    yield xi
+    k = Q // q
+    P, R, R_ = k * p, k * r, k * (p * p - q * q * d) // r
+    out = [(P, R)]
     for c in digits:
         P_ = c * R - P
         P, R, R_ = P_, c * (P_ - P) + R_, R
-        g = gcd(gcd(P, Q), R)
-        s = g if R > 0 else -g
-        yield QuadSurd(P // s, Q // s, R // s, d)
+        out.append((P, R))
+    return out
+
+
+def _pair(xi: QuadSurd, Q: int) -> tuple[int, int]:
+    """The pair (P, R) of xi over Q (`_abscissae`), for a Q that q divides."""
+    k = Q // xi.q
+    return k * xi.p, k * xi.r
+
+
+def _surd(end: tuple[int, int], Q: int, d: int) -> QuadSurd:
+    """The reduced surd of the pair `end` over Q (`_abscissae`); no gcd or
+    division for Q = 1, the usual case."""
+    P, R = end
+    g = 1 if Q == 1 else gcd(Q, P, R)
+    if g > 1:
+        P, Q, R = P // g, Q // g, R // g
+    if R < 0:
+        P, Q, R = -P, -Q, -R
+    return QuadSurd(P, Q, R, d)
 
 
 @dataclass(eq=False)
@@ -226,7 +261,8 @@ class _Skeleton:
     seam, closure and extremal checks need abscissae and order alone and run
     once, in `_skeleton`; past the seams one end per segment holds them all.
     That every end lies in (-1, 1) is checked once per scale
-    (`rounded_ends`); `fit` runs the checks that need the levels.
+    (`rounded_ends`); `fit` runs the checks that need the levels, and
+    `product` is the one builder of the boundary factors.
     """
 
     low_digits: tuple[int, ...]
@@ -238,72 +274,95 @@ class _Skeleton:
     # (rights, lefts) scaled, and their slack, by scale
     ends_cache: dict = field(default_factory=dict, init=False, repr=False)
 
-    def fit(self, low, high, keys, scale: int):
+    def fit(self, alpha: Fraction, digits, keys, scale: int):
         """Check one parameter's endpoint orbits against the skeleton.
 
-        `keys` holds the order keys of the two orbits' points at `scale`
-        (`_level_keys`, at the separating scale of the orbits' start).
-        Returns the keys of the lower and of the upper segments' levels,
-        both ascending, their boundary factors at `scale` (`factors`) and
-        the number of rectangles; None when the digits or the order of an
-        orbit differ from the skeleton's.  Raises
-        AttractorError when a rectangle of the staircase would be empty or
-        an end lies outside (-1, 1) (`rounded_ends`).  With every level in
-        [alpha - 1, alpha], inside (-1, 1), an end in (-1, 1) gives
-        1 + x y > 0: no rectangle reaches a pole of the density.
+        `digits` holds the digit tuples of the orbits of alpha - 1 and alpha,
+        and `keys` the order keys of their points (`kdynamics.rational_orbit`
+        at the separating scale `_key_scale(alpha, scale)`).  Returns the
+        keys of the lower and of the upper segments' levels, both ascending,
+        and the number of rectangles; None when the digits or the order of
+        an orbit differ from the skeleton's.  Raises AttractorError when a
+        rectangle of the staircase would be empty or an end lies outside
+        (-1, 1) (`rounded_ends`).  With every level in [alpha - 1, alpha],
+        inside (-1, 1), an end in (-1, 1) gives 1 + x y > 0: no rectangle
+        reaches a pole of the density.
 
-        The left end L of an upper segment must lie below the right end R of
-        a lower one.  With the ends X = `rounded_ends(W)` at W = scale, each
-        within s units of its value times 2^W, (R - L) 2^W exceeds
-        X_R - X_L - 2s, so X_R - X_L >= 2s proves L < R; only where the
-        integers cannot decide is the test exact.
+        The rectangles are those of `_staircase`, merged here in the same
+        loop that tests them.  The left end L of an upper segment must lie
+        below the right end R of a lower one.  With the ends X =
+        `rounded_ends(W)` at W = scale, each within s units of its value
+        times 2^W, (R - L) 2^W exceeds X_R - X_L - 2s, so X_R - X_L >= 2s
+        proves L < R (`_below`); only where the integers cannot decide is
+        the test exact.
         """
-        if low.digits != self.low_digits or high.digits != self.high_digits:
+        if digits[0] != self.low_digits or digits[1] != self.high_digits:
             return None
         lo, hi = self.ordered(keys)
         if not (_increasing(lo) and _increasing(hi)):
             return None
         X_rights, X_lefts, slack = self.rounded_ends(scale)
-        rects = 0
-        for _, y_hi, i, j in _staircase(lo, hi):
-            if not _below(self.lefts[j], self.rights[i], X_lefts[j], X_rights[i], slack):
-                # the key is that of the next upper level, or else of the next lower one
-                if j < len(hi) and hi[j] == y_hi:
-                    top = high.points[self.high_order[j]]
-                else:
-                    top = low.points[self.low_order[i + 1]]
-                raise AttractorError(f"empty rectangle below level {top}")
-            rects += 1
-        return lo, hi, self.factors(lo, hi, scale, _key_scale(low.points[0], scale) - scale), rects
+        rights, lefts = self.rights, self.lefts
+        n_lo, n_hi = len(lo), len(hi)
+        rects = i = j = 0
+        i_below = None
+        while i < n_lo or j < n_hi:
+            if j == n_hi or (i < n_lo and lo[i] < hi[j]):
+                level = lo[i]
+            else:
+                level = hi[j]
+            if i_below is not None:
+                if not _below(lefts[j], rights[i_below], X_lefts[j], X_rights[i_below], slack):
+                    # the level is the next upper one, or else the next lower one
+                    if j < n_hi and hi[j] == level:
+                        top = _level(alpha, alpha, self.high_order[j])
+                    else:
+                        top = _level(alpha, alpha - 1, self.low_order[i])
+                    raise AttractorError(f"empty rectangle below level {top}")
+                rects += 1
+            # both lists strictly ascend: a level is at most once in each
+            if i < n_lo and lo[i] == level:
+                i += 1
+            if j < n_hi and hi[j] == level:
+                j += 1
+            i_below = i - 1
+        return lo, hi, rects
 
     def ordered(self, keys):
         """Both orbits' keys in the skeleton's segment order: (lower, upper)."""
         return [keys[0][k] for k in self.low_order], [keys[1][k] for k in self.high_order]
 
-    def factors(self, lo, hi, scale: int, shift: int) -> list[tuple[int, int]]:
-        """The boundary factors at W = `scale` over the ascending level keys
-        `lo` and `hi` of the lower and the upper segments (`ordered`), taken
-        at the scale W + `shift`: Y = K >> shift is the level times 2^W,
-        rounded down, exactly.
+    def product(self, lo, hi, scale: int, shift: int) -> tuple[int, int]:
+        """The boundary product (num, den) at W = `scale` over the ascending
+        level keys `lo` and `hi` of the lower and the upper segments
+        (`ordered`), taken at the scale W + `shift`: Y = K >> shift is the
+        level times 2^W, rounded down, exactly.
 
         The integral of dx/(1+xy)^2 from L to R is R/(1+Ry) - L/(1+Ly), whose
         integral in y is a log, so a lower segment with right end R over
         [y0, y1] gives log((1+R y1)/(1+R y0)) and an upper one with left end
         L gives log((1+L y0)/(1+L y1)).  With the keys' Y and the ends' X
-        (`rounded_ends`) these are the pairs (2^W + (X Y1 >> W), 2^W +
+        (`rounded_ends`) these are the factors (2^W + (X Y1 >> W), 2^W +
         (X Y0 >> W)) below, then (2^W + (X Y0 >> W), 2^W + (X Y1 >> W))
         above; lo[0] (alpha - 1) opens the upper boundary and hi[-1] (alpha)
-        closes the lower one.
+        closes the lower one.  Each factor is multiplied in as it is formed,
+        lower boundary first, and numerator and denominator shift right
+        together once both pass 2W bits, which keeps the smaller at W bits.
         """
         rights, lefts, _ = self.rounded_ends(scale)
         one = 1 << scale
         if shift:
             lo, hi = [K >> shift for K in lo], [K >> shift for K in hi]
-        ys_lo = lo + [hi[-1]]
-        ys_hi = [lo[0]] + hi
-        return [
-            (one + (R * y1 >> scale), one + (R * y0 >> scale)) for R, y0, y1 in zip(rights, ys_lo, ys_lo[1:])
-        ] + [(one + (L * y0 >> scale), one + (L * y1 >> scale)) for L, y0, y1 in zip(lefts, ys_hi, ys_hi[1:])]
+        ys_lo, ys_hi = lo + [hi[-1]], [lo[0]] + hi
+        num = den = 1
+        for X, y_num, y_den in chain(zip(rights, ys_lo[1:], ys_lo), zip(lefts, ys_hi, ys_hi[1:])):
+            num *= one + (X * y_num >> scale)
+            den *= one + (X * y_den >> scale)
+            extra = min(num.bit_length(), den.bit_length()) - scale
+            if extra > scale:
+                num >>= extra
+                den >>= extra
+        return num, den
 
     def rounded_ends(self, scale: int):
         """The right ends of the lower segments and the left ends of the
@@ -336,89 +395,96 @@ def _increasing(values) -> bool:
 
 
 def _key_scale(start: Fraction, scale: int) -> int:
-    """The scale S = max(scale, 2 b + 2) of the order keys of an orbit from
-    `start`, b the bit length of its denominator (`_level_keys`)."""
-    return max(scale, 2 * start.denominator.bit_length() + 2)
-
-
-def _level_keys(points, scale: int) -> list[int]:
-    """The order key K = floor(y 2^S) of each level y = n/m of an orbit, at
-    the separating scale S = `_key_scale(points[0], scale)`.
+    """The separating scale S = max(scale, 2 b + 2) of the order keys
+    floor(y 2^S) of an orbit from `start`, b the bit length of its
+    denominator.
 
     With alpha = P/Q the start, alpha - 1 or alpha, has denominator Q, and
     along the orbit the next denominator is |a| < b for the point a/b
-    (`kdynamics._rational_orbit`), since |a/b| < 1: every level has
+    (`kdynamics.rational_orbit`), since |a/b| < 1: every level has
     denominator at most Q.  Two distinct levels then differ by at least
     1/Q^2 > 4 / 2^S, so their keys differ, and equal levels have equal
     keys: keys of both orbits compare as their levels do, with no tie.
     K >> (S - scale) is floor(y 2^scale) exactly, at the entropy's scale
-    the level rounded for the boundary factors (`_Skeleton.factors`).
+    the level rounded for the boundary factors (`_Skeleton.product`).
     Where S = scale, as at every grid point of `entropy_curve` and every
     denominator below 2^((scale - 2) / 2), the keys are those integers.
     """
-    S = _key_scale(points[0], scale)
-    return [(y.numerator << S) // y.denominator for y in points]
+    return max(scale, 2 * start.denominator.bit_length() + 2)
 
 
-def _skeleton(word: str, low, high, keys) -> _Skeleton:
-    """The skeleton of the qumterval of a side-0 word, from the endpoint
-    orbits at one parameter inside it and their order keys: both ends of
-    every segment are pushed and each seam and the closure are checked
-    exactly, then one end per segment is kept."""
+def _level(alpha: Fraction, start: Fraction, index: int) -> Fraction:
+    """The exact level at `index` of the orbit of `start`, for a message."""
+    return orbit(alpha, start, index).points[index]
+
+
+def _skeleton(word: str, alpha: Fraction, digits, keys) -> _Skeleton:
+    """The skeleton of the qumterval of a side-0 word, from the digits and
+    order keys of the endpoint orbits at one parameter alpha inside it
+    (`_Skeleton.fit`): both ends of every segment are pushed as integer
+    pairs over one Q in one field (`_abscissae`), each seam and the closure
+    are checked on them exactly, then one end per segment becomes a surd."""
     x, y = attractor_corners(word)
-    if None in low.digits or None in high.digits:
+    low_digits, high_digits = digits
+    if None in low_digits or None in high_digits:
         raise AttractorError("endpoint orbit hit zero before the matching time")
-    # (left, right) ends of the segment at each orbit index; the map is increasing
-    lower = list(zip(_abscissae(y, low.digits), _abscissae(x / (1 + x), low.digits)))
-    upper = list(zip(_abscissae(y / (1 - y), high.digits), _abscissae(x, high.digits)))
+    if x.d != y.d:
+        raise AttractorError(f"corners {x} and {y} lie in two quadratic fields")
     low_keys, high_keys = keys
-    low_order = sorted(range(len(lower)), key=low_keys.__getitem__)
-    high_order = sorted(range(len(upper)), key=high_keys.__getitem__)
+    low_order = sorted(range(len(low_keys)), key=low_keys.__getitem__)
+    high_order = sorted(range(len(high_keys)), key=high_keys.__getitem__)
     if low_order[0] != 0 or high_order[-1] != 0:
         raise AttractorError("endpoint level is not extremal in its orbit")
-    low_x = [lower[k] for k in low_order]
-    high_x = [upper[k] for k in high_order]
-    for k, ((_, right), (left, _)) in enumerate(pairwise(low_x), start=1):
-        if left != right:
-            raise AttractorError(
-                f"lower seam open at level {low.points[low_order[k]]}: {left} != {right}"
-            )
-    for k, ((_, right), (left, _)) in enumerate(pairwise(high_x)):
-        if right != left:
-            raise AttractorError(
-                f"upper seam open at level {high.points[high_order[k]]}: {right} != {left}"
-            )
-    if low_x[-1][1] != x or high_x[0][0] != y:
+    # (left, right) ends of the segment at each orbit index, in level order; the map is increasing
+    starts = y, x / (1 + x), y / (1 - y), x
+    Q, d = lcm(*map(_lift, starts)), x.d
+    low_lefts, rights = ([ends[k] for k in low_order] for ends in (_abscissae(v, low_digits, Q) for v in starts[:2]))
+    lefts, high_rights = ([ends[k] for k in high_order] for ends in (_abscissae(v, high_digits, Q) for v in starts[2:]))
+    if rights[:-1] != low_lefts[1:]:
+        k = next(k for k in range(1, len(rights)) if rights[k - 1] != low_lefts[k])
+        raise AttractorError(
+            f"lower seam open at level {_level(alpha, alpha - 1, low_order[k])}: "
+            f"{_surd(low_lefts[k], Q, d)} != {_surd(rights[k - 1], Q, d)}"
+        )
+    if high_rights[:-1] != lefts[1:]:
+        k = next(k for k in range(len(lefts) - 1) if high_rights[k] != lefts[k + 1])
+        raise AttractorError(
+            f"upper seam open at level {_level(alpha, alpha, high_order[k])}: "
+            f"{_surd(high_rights[k], Q, d)} != {_surd(lefts[k + 1], Q, d)}"
+        )
+    if rights[-1] != _pair(x, Q) or lefts[0] != _pair(y, Q):
         raise AttractorError("staircase does not close at the far corner")
     return _Skeleton(
-        low_digits=low.digits,
-        high_digits=high.digits,
+        low_digits=low_digits,
+        high_digits=high_digits,
         low_order=tuple(low_order),
         high_order=tuple(high_order),
-        rights=tuple(right for _, right in low_x),
-        lefts=tuple(left for left, _ in high_x),
+        rights=tuple(_surd(end, Q, d) for end in rights),
+        lefts=tuple(_surd(end, Q, d) for end in lefts),
     )
 
 
 def _fitted(alpha: Fraction, q: Qumterval, skeletons: dict, scale: int):
-    """The endpoint orbits of a parameter alpha <= 1/2 of q and their fit to
-    the skeleton of q's word in `skeletons`, with order keys at `scale`.
+    """The fit of a parameter alpha <= 1/2 of q to the skeleton of q's word
+    in `skeletons`, with the boundary factors' scale `scale`.
 
+    The endpoint orbits are stepped once, in integers, to their digits and
+    order keys (`kdynamics.rational_orbit` at `_key_scale(alpha, scale)`).
     A missing skeleton, or one these orbits do not fit, is replaced by one
-    built from these orbits, so no orbit is computed twice.  Returns the
-    skeleton, the two orbits and the fit (`_Skeleton.fit`).
+    built from them.  Returns the skeleton and its fit (`_Skeleton.fit`).
     """
-    low = orbit(alpha, alpha - 1, q.m0)
-    high = orbit(alpha, alpha, q.m1)
-    keys = _level_keys(low.points, scale), _level_keys(high.points, scale)
+    shift = _key_scale(alpha, scale)
+    low_digits, low_keys = rational_orbit(alpha, alpha - 1, q.m0, shift)
+    high_digits, high_keys = rational_orbit(alpha, alpha, q.m1, shift)
+    digits, keys = (tuple(low_digits), tuple(high_digits)), (low_keys, high_keys)
     skel = skeletons.get(q.word)
-    fit = None if skel is None else skel.fit(low, high, keys, scale)
+    fit = None if skel is None else skel.fit(alpha, digits, keys, scale)
     if fit is None:
-        skel = skeletons[q.word] = _skeleton(q.word, low, high, keys)
-        fit = skel.fit(low, high, keys, scale)
+        skel = skeletons[q.word] = _skeleton(q.word, alpha, digits, keys)
+        fit = skel.fit(alpha, digits, keys, scale)
         if fit is None:
             raise AttractorError("an endpoint orbit repeats a level before the matching time")
-    return skel, low, high, fit
+    return skel, fit
 
 
 def build_attractor(alpha) -> Attractor:
@@ -434,7 +500,8 @@ def build_attractor(alpha) -> Attractor:
     if q.m1 > q.m0:
         raise ValueError("parameters above 1/2: reflect with alpha -> 1 - alpha")
     # the keys order the levels at any scale; this one sets the integers of the fit's rectangle tests
-    skel, low, high, (lo, hi, _, _) = _fitted(alpha, q, {}, MIN_PRECISION)
+    skel, (lo, hi, _) = _fitted(alpha, q, {}, MIN_PRECISION)
+    low, high = orbit(alpha, alpha - 1, q.m0), orbit(alpha, alpha, q.m1)
     # distinct levels have distinct keys, so a key names its level
     level = dict(zip(lo, map(low.points.__getitem__, skel.low_order)))
     level.update(zip(hi, map(high.points.__getitem__, skel.high_order)))
@@ -459,7 +526,7 @@ def build_attractor(alpha) -> Attractor:
 def _staircase(lo: list, hi: list):
     """Merge the ascending levels of the lower and the upper boundary into
     the rectangles between them; the levels may be given by their order
-    keys (`_level_keys`, integers), which the merge then yields.
+    keys (integers), which the merge then yields.
 
     Yields (y_lo, y_hi, i, j) for each pair of consecutive distinct levels:
     the rectangle's right end is that of lower segment i, the last at or
@@ -494,9 +561,9 @@ def corner_system_residues(w: str):
     alpha = q.pseudocenter
     low = orbit(alpha, alpha - 1, j0)
     high = orbit(alpha, alpha, j1)
-    *_, xi = _abscissae(x, high.digits)
+    xi = _surd(_abscissae(x, high.digits, _lift(x))[-1], _lift(x), x.d)
     lhs1 = mobius_apply(S * T * S, y)
-    *_, eta = _abscissae(y, low.digits)
+    eta = _surd(_abscissae(y, low.digits, _lift(y))[-1], _lift(y), y.d)
     lhs2 = mobius_apply(S * T**-1 * S, x)
     return (lhs1, xi), (lhs2, eta)
 
@@ -506,39 +573,25 @@ def corner_system_residues(w: str):
 # ---------------------------------------------------------------------------
 
 
-def _scaled(values, scale: int) -> list[int]:
-    """Each exact value times 2^scale, rounded down: n/m as (n << scale) // m
-    and a surd (p + q sqrt d)/r as ((p << scale) + q isqrt(d << 2 scale)) // r,
-    within |q|/r + 1 units, with one isqrt per field."""
-    roots: dict[int, int] = {}
-    out = []
-    for v in values:
-        if isinstance(v, QuadSurd):
-            root = roots.get(v.d)
-            if root is None:
-                root = roots[v.d] = isqrt(v.d << 2 * scale)
-            out.append(((v.p << scale) + v.q * root) // v.r)
-        else:
-            out.append((v.numerator << scale) // v.denominator)
-    return out
-
-
-def _slack(values) -> int:
-    """A whole number of units that bounds, strictly, the rounding of
-    `_scaled` over `values` at any scale: ceil(|q|/r) + 1 for a surd, 1 for
-    a rational."""
-    return max((-(-abs(v.q) // v.r) + 1 if isinstance(v, QuadSurd) else 1 for v in values), default=1)
-
-
 def attractor_mass(attr: Attractor, precision: int | None = None):
     """(area integral, error bound): the boundary product of the attractor's
-    skeleton (`_boundary_mass`), so `entropy_at(attr.alpha, precision).A`
+    skeleton (`_Skeleton.product`), so `entropy_at(attr.alpha, precision).A`
     bit for bit.  Nothing is kept between calls."""
     bits = checked_precision(precision)
     scale, skel = bits + _GUARD, attr.skeleton
     # the skeleton orders the levels; the factors need them rounded at the scale only
     ys = [_scaled(levels, scale) for levels in (attr.h_levels_low, attr.h_levels_high)]
-    return _boundary_mass(skel.factors(*skel.ordered(ys), scale, 0), len(attr.rects), bits)
+    num, den = skel.product(*skel.ordered(ys), scale, 0)
+    return _mass_of(num, den, len(attr.rects), bits)
+
+
+def _kept_mass(attr: Attractor, bits: int) -> mpmath.mpf:
+    """The attractor mass A at `bits` (`attractor_mass`), taken once per
+    attractor and precision for the density and the measure."""
+    A = attr.rounded.get(bits)
+    if A is None:
+        A = attr.rounded[bits] = attractor_mass(attr, bits)[0]
+    return A
 
 
 @dataclass(frozen=True)
@@ -574,8 +627,7 @@ def _entropy_sample(
     The mass comes from the skeleton of q's word in `skeletons` (`_fitted`).
     """
     bits = checked_precision(precision)
-    _, _, _, (_, _, factors, rects) = _fitted(base, q, skeletons, bits + _GUARD)
-    A, err = _boundary_mass(factors, rects, bits)
+    A, err = _sample_mass(base, q, skeletons, bits)
     h, h_err = _entropy_of(A, err, bits)
     word, m0, m1 = q.word, q.m0, q.m1
     if alpha != base:  # reported on the original side: the mirror word, counts swapped
@@ -591,25 +643,16 @@ def _entropy_sample(
     )
 
 
-def _boundary_mass(factors, rects: int, bits: int) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """(area integral, error bound) from the boundary factors at the scale
-    W = bits + _GUARD (`_Skeleton.factors`).
-
-    One log of the ratio of the factors' products is the sum of the
-    rectangle masses; the error estimate is theirs, summed in closed form.
-    Numerator and denominator shift right together once both pass 2W bits,
-    which keeps the smaller at W bits, and one log of their ratio is taken
-    at `bits` (`_mass_of`).
-    """
+def _sample_mass(alpha: Fraction, q: Qumterval, skeletons: dict, bits: int) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """(area integral, error bound) at a parameter alpha <= 1/2 of q: the
+    boundary product of its fit (`_fitted`, `_Skeleton.product`) at the
+    scale W = bits + _GUARD, its levels rounded from their order keys, and
+    one log of its ratio (`_mass_of`).  The log of the product is the sum of
+    the rectangle masses; the error estimate is theirs, summed in closed
+    form."""
     scale = bits + _GUARD
-    num = den = 1
-    for up, down in factors:
-        num *= up
-        den *= down
-        extra = min(num.bit_length(), den.bit_length()) - scale
-        if extra > scale:
-            num >>= extra
-            den >>= extra
+    skel, (lo, hi, rects) = _fitted(alpha, q, skeletons, scale)
+    num, den = skel.product(lo, hi, scale, _key_scale(alpha, scale) - scale)
     return _mass_of(num, den, rects, bits)
 
 
@@ -632,7 +675,7 @@ def _pi_squared(bits: int):
 
 def _entropy_of(A: mpmath.mpf, err: mpmath.mpf, bits: int) -> tuple[mpmath.mpf, mpmath.mpf]:
     """h = pi^2 / (3 A) and its bound h (err / A) + 2^(8 - bits), from the
-    mass A and its bound err (`_boundary_mass`): each operation rounded to
+    mass A and its bound err (`_sample_mass`): each operation rounded to
     nearest at `bits`, in the order of these expressions."""
     a = A._mpf_
     h = mpf_div(_pi_squared(bits), mpf_mul_int(a, 3, bits, round_nearest), bits, round_nearest)
@@ -645,25 +688,32 @@ def density_slice(attr: Attractor, t, precision: int | None = None) -> mpmath.mp
     """Invariant density at height t: the exact antiderivative
     (x_hi - x_lo)/((1+x_lo t)(1+x_hi t)) of the one rectangle with
     y_lo <= t < y_hi, found by bisection (the top one at t = alpha), over
-    `attractor_mass`."""
+    `attractor_mass`; A and the rectangle's abscissae are rounded once per
+    attractor and precision."""
     if not isinstance(t, (int, Fraction, QuadSurd)):
         # quadrature callers pass floats; clamp their rounding slack
         t = min(max(Fraction(float(t)), attr.alpha - 1), attr.alpha)
     if not attr.alpha - 1 <= t <= attr.alpha:
         raise ValueError("height outside the interval")
-    A, _ = attractor_mass(attr, precision)
-    rect = attr.rects[bisect_right(attr.rects, t, key=lambda r: r.y_lo) - 1]
-    with working_precision(precision):
+    bits = checked_precision(precision)
+    A = _kept_mass(attr, bits)
+    i = bisect_right(attr.rects, t, key=lambda r: r.y_lo) - 1
+    with working_precision(bits):
+        ends = attr.rounded.get((bits, i))
+        if ends is None:
+            rect = attr.rects[i]
+            ends = attr.rounded[bits, i] = to_mpf(rect.x_lo), to_mpf(rect.x_hi)
+        xl, xh = ends
         tm = to_mpf(t)
-        xl, xh = to_mpf(rect.x_lo), to_mpf(rect.x_hi)
         return (xh - xl) / ((1 + xl * tm) * (1 + xh * tm)) / A
 
 
 def measure_interval(attr: Attractor, lo, hi, precision: int | None = None) -> mpmath.mpf:
     """Invariant measure of [lo, hi], for rational bounds inside the map's
     interval: the boundary product of the attractor's skeleton over its
-    levels clamped into [lo, hi] (`_boundary_mass`), over the attractor
-    mass (`attractor_mass`), rounded to nearest at the working precision.
+    levels clamped into [lo, hi] (`_Skeleton.product`), over the attractor
+    mass (`attractor_mass`, taken once per attractor and precision), rounded
+    to nearest at the working precision.
     Clamped, a segment's span is its part of the band; a segment outside
     the band has y0 = y1 and a pair of equal factors.  The clamp is taken
     on the levels and bounds rounded down at the mass's scale: rounding
@@ -676,11 +726,11 @@ def measure_interval(attr: Attractor, lo, hi, precision: int | None = None) -> m
         raise ValueError("interval must sit inside [alpha-1, alpha]")
     bits = checked_precision(precision)
     scale, skel = bits + _GUARD, attr.skeleton
-    A, _ = attractor_mass(attr, bits)
+    A = _kept_mass(attr, bits)
     bottom, top = _scaled([lo, hi], scale)
     levels = attr.h_levels_low, attr.h_levels_high
     band = [[min(max(Y, bottom), top) for Y in _scaled(ys, scale)] for ys in levels]
-    B, _ = _boundary_mass(skel.factors(*skel.ordered(band), scale, 0), 0, bits)
+    B, _ = _mass_of(*skel.product(*skel.ordered(band), scale, 0), 0, bits)
     return mpmath.mp.make_mpf(mpf_div(B._mpf_, A._mpf_, bits, round_nearest))
 
 
@@ -765,16 +815,15 @@ def asymptotic_probe(n_values, precision: int | None = None) -> list[dict]:
     """Entropy against pi^2/(3 log(N+1)) at the parameters 1/(N+1) whose
     qumtervals have runlength (N, 1); the attractor mass grows like log N.
 
-    A and its error bound come from the fit's boundary factors
-    (`_boundary_mass`), so A is that of `entropy_at`."""
+    A and its error bound come from the fit's boundary product
+    (`_sample_mass`), so A is that of `entropy_at`."""
     bits = checked_precision(precision)
     rows = []
     for n in n_values:
         if n < 2:
             raise ValueError("N must be at least 2")
         q = qumterval_of("0" * n + "1")
-        _, _, _, (_, _, factors, rects) = _fitted(q.pseudocenter, q, {}, bits + _GUARD)
-        A, err = _boundary_mass(factors, rects, bits)
+        A, err = _sample_mass(q.pseudocenter, q, {}, bits)
         h, _ = _entropy_of(A, err, bits)
         with working_precision(bits):
             log_n1 = mpmath.log(n + 1)

@@ -124,6 +124,34 @@ class TestQumtervals:
         assert q3.alpha_plus == surd_from_periodic_cf((), (3, 1))
         assert q3.alpha_minus == surd_from_periodic_cf((4,), (1, 3))
 
+    @staticmethod
+    def assert_one_product(w):
+        # the surds and the pseudocenter of one digit-matrix product are,
+        # field for field, those of the periodic expansions
+        q = bf.qumterval_of.__wrapped__(w)  # a cold call, past the cache
+        S = q.S
+        want = (
+            surd_from_periodic_cf((), S),
+            surd_from_periodic_cf(cfs.right_conjugate(S), cfs.transpose_string(S)),
+            surd_from_periodic_cf((), cfs.transpose_string(S)),
+        )
+        for got, v in zip((q.alpha_plus, q.alpha_minus, q.tail), want):
+            assert isinstance(got, QuadSurd) and (got.p, got.q, got.r, got.d) == (v.p, v.q, v.r, v.d)
+        p = cfs.value_of(S)
+        assert (q.pseudocenter.numerator, q.pseudocenter.denominator) == (p.numerator, p.denominator)
+
+    def test_one_product_per_word_on_the_farey_list(self):
+        # every nondegenerate word of the level-10 list (1023 words)
+        words = [w for w in wd.farey_list(10) if wd.is_nondegenerate_farey(w)]
+        assert len(words) == 1023
+        for w in words:
+            self.assert_one_product(w)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(3, 4000).flatmap(lambda q: st.integers(1, q - 1).map(lambda p: Fraction(p, q))))
+    def test_one_product_per_word_on_long_words(self, r):
+        self.assert_one_product(wd.word_from_rational(r))
+
     def test_left_endpoint_reflection(self):
         for w in wd.words_of_length_up_to(10):
             q = bf.qumterval_of(w)
@@ -145,6 +173,40 @@ class TestQumtervals:
     def test_atlas_length_range(self, max_len):
         with pytest.raises(ValueError, match="max_len must lie in"):
             bf.atlas(max_len)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(wd.words_of_length_up_to(30)),
+        st.booleans(),
+        st.integers(-(2**40), 2**40),
+        st.integers(80, 120),
+    )
+    def test_containment_near_the_endpoints(self, w, plus, j, bits):
+        # a rational within 2^-80 of an endpoint: the integer bounds decide
+        # as the exact comparisons do, and refer the close calls to them
+        q = bf.qumterval_of(w)
+        end = q.alpha_plus if plus else q.alpha_minus
+        half = Fraction(1, 2 ** (bits + 1))
+        alpha = bf.simplest_rational_between(end - half, end + half) + Fraction(j, 2 ** (bits + 42))
+        assert -Fraction(1, 2**80) < alpha - end < Fraction(1, 2**80)
+        assert (alpha in q) == (q.alpha_minus < alpha < q.alpha_plus)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(wd.words_of_length_up_to(30)), st.fractions(0, 1, max_denominator=2**70))
+    def test_containment_equals_exact_comparisons(self, w, alpha):
+        q = bf.qumterval_of(w)
+        assert (alpha in q) == (q.alpha_minus < alpha < q.alpha_plus)
+
+    def test_containment_decided_on_integers_away_from_the_endpoints(self, monkeypatch):
+        # the exact comparison only within a few units of 2^-64 of an endpoint
+        q = bf.qumterval_of("001")
+        near = bf.simplest_rational_between(q.alpha_plus - Fraction(1, 2**70), q.alpha_plus)
+        compared = []
+        compare = QuadSurd._cmp
+        monkeypatch.setattr(QuadSurd, "_cmp", lambda a, b: compared.append(b) or compare(a, b))
+        assert Fraction(1, 3) in q and Fraction(1, 2) not in q and Fraction(1, 5) not in q
+        assert compared == []
+        assert near in q and compared == [near]
 
     def test_locate_examples(self):
         assert bf.locate_qumterval(Fraction(1, 3)).word == "001"

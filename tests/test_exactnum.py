@@ -2,6 +2,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import reduce
 
 import mpmath
 import pytest
@@ -178,6 +179,29 @@ class TestMobius:
             lhs = mobius_apply(m1 * m2, x)
             inner = mobius_apply(m2, x)
             assert lhs == mobius_apply(m1, inner)
+
+
+mobius_matrices = st.lists(st.sampled_from([S, T, T**-1, E]), min_size=1, max_size=12).map(
+    lambda ms: reduce(Mobius.__mul__, ms)
+)
+
+
+class TestMobiusOnSurds:
+    @given(
+        mobius_matrices,
+        st.integers(-10**20, 10**20),
+        st.integers(-10**20, 10**20).filter(bool),
+        st.integers(1, 10**20),
+        st.sampled_from([2, 3, 5, 13, 10**12 + 39]),
+    )
+    def test_one_reduction_equals_surd_arithmetic(self, m, p, q, r, d):
+        # the image of a surd in one reduction is, field for field, the
+        # quotient (a x + b) / (c x + d) of surd arithmetic
+        x = make_surd(p, q, r, d)
+        got = mobius_apply(m, x)
+        want = (m.a * x + m.b) / (m.c * x + m.d)
+        assert isinstance(got, QuadSurd) and isinstance(want, QuadSurd)
+        assert (got.p, got.q, got.r, got.d) == (want.p, want.q, want.r, want.d)
 
 
 class TestTextForms:

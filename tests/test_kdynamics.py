@@ -103,6 +103,40 @@ class TestOrbit:
         assert rec.hit_zero == hit_zero
         assert rec.matrices == matrices
 
+    @given(
+        st.fractions(-4, 4, max_denominator=60),
+        st.integers(0, 60),
+        st.integers(1, 60),
+        st.integers(0, 12),
+        st.one_of(st.none(), st.integers(0, 80)),
+    )
+    def test_any_rational_parameter_equals_k_step_fold(self, alpha, j, b, steps, shift):
+        # outside (0, 1) too, where a digit is not floor(-1/x) or one more
+        x = alpha - Fraction(min(j, b), b)
+        rec = kd.orbit(alpha, x, steps)
+        points, digits, _, hit_zero = k_step_fold(alpha, x, steps)
+        assert (rec.points, rec.digits, rec.hit_zero) == (points, digits, hit_zero)
+        got_digits, levels = kd.rational_orbit(alpha, x, steps, shift)
+        assert tuple(got_digits) == digits
+        if shift is not None:
+            assert levels == [(y.numerator << shift) // y.denominator for y in points]
+
+    @given(rational_start(), st.integers(0, 40), st.one_of(st.none(), st.integers(0, 300)))
+    def test_integer_kernel_equals_orbit(self, start, steps, shift):
+        # the kernel's digits are the orbit's, and its levels the orbit's
+        # points or their keys floor(y 2^shift), exact at every shift
+        alpha, x = start
+        rec = kd.orbit(alpha, x, steps)
+        digits, levels = kd.rational_orbit(alpha, x, steps, shift)
+        assert tuple(digits) == rec.digits and len(levels) == steps + 1
+        if shift is None:
+            assert levels == list(rec.points)
+            assert [(y.numerator, y.denominator) for y in levels] == [
+                (y.numerator, y.denominator) for y in rec.points
+            ]
+        else:
+            assert levels == [(y.numerator << shift) // y.denominator for y in rec.points]
+
     def test_orbits_reaching_zero(self):
         rec = kd.orbit(Fraction(2, 5), Fraction(-3, 5), 6)
         assert rec.hit_zero and rec.points[-1] == 0 and rec.digits[-1] is None

@@ -56,13 +56,38 @@ def reference_chain(xi, digits):
     return chain
 
 
+def pushed(xi, digits):
+    """The fields (p, q, r, d) of the chain `nx._abscissae` pushes as
+    integer pairs over one Q, each pair reduced (`nx._surd`)."""
+    Q = nx._lift(xi)
+    return [fields(nx._surd(end, Q, xi.d)) for end in nx._abscissae(xi, digits, Q)]
+
+
+def level_keys(points, scale):
+    """The order keys floor(y 2^S) of exact levels, at the separating scale
+    S of the first (`nx._key_scale`)."""
+    S = nx._key_scale(points[0], scale)
+    return [(y.numerator << S) // y.denominator for y in points]
+
+
+def kernel_orbits(alpha, q, scale):
+    """The digits and order keys of both endpoint orbits at alpha in q, as
+    `nx._fitted` takes them from the integer kernel."""
+    S = nx._key_scale(alpha, scale)
+    (low_digits, low_keys), (high_digits, high_keys) = (
+        kd.rational_orbit(alpha, start, steps, S) for start, steps in ((alpha - 1, q.m0), (alpha, q.m1))
+    )
+    return (tuple(low_digits), tuple(high_digits)), (low_keys, high_keys)
+
+
 class TestRewrittenSteps:
     @given(st.integers(-10**6, 10**6), surds)
     def test_xi_step_equals_mobius_action(self, c, xi):
         want = mobius_apply(S * T**-c, xi)
-        for got in (xi_step(c, xi), list(nx._abscissae(xi, [c]))[-1]):
-            assert isinstance(got, QuadSurd)
-            assert fields(got) == fields(want)
+        got = xi_step(c, xi)
+        assert isinstance(got, QuadSurd) and fields(got) == fields(want)
+        got = pushed(xi, [c])[-1]
+        assert got[1] != 0 and got == fields(want)
 
     @given(surds, st.one_of(rationals, surds), st.booleans())
     def test_pole_test_equals_arithmetic(self, x, y, swap):
@@ -93,10 +118,10 @@ def skeleton_pushes(word):
 
 def assert_pushes_field_identical(word):
     for start, digits in skeleton_pushes(word):
-        got = list(zip(*(nx._abscissae(end, digits) for end in start)))
+        got = list(zip(*(pushed(end, digits) for end in start)))
         want = list(zip(*(reference_chain(end, digits) for end in start)))
         assert len(got) == len(want) == len(digits) + 1
-        assert [tuple(map(fields, ends)) for ends in got] == [tuple(map(fields, ends)) for ends in want]
+        assert got == [tuple(map(fields, ends)) for ends in want]
 
 
 class TestAbscissaChain:
@@ -104,15 +129,14 @@ class TestAbscissaChain:
     @settings(max_examples=200, deadline=None)
     @given(surds, st.lists(st.integers(-50, 50), max_size=12))
     def test_random_chains(self, xi, digits):
-        got = list(nx._abscissae(xi, digits))
-        assert list(map(fields, got)) == list(map(fields, reference_chain(xi, digits)))
+        assert pushed(xi, digits) == list(map(fields, reference_chain(xi, digits)))
 
     def test_lifted_start(self):
         # r = 7 does not divide p^2 - q^2 d = 1 - 2: the chain starts lifted by 7
         xi = make_surd(1, 1, 7, 2)
         assert (xi.p**2 - xi.q**2 * xi.d) % xi.r
         digits = [3, -2, 5, 1, 1, -7]
-        assert list(map(fields, nx._abscissae(xi, digits))) == list(map(fields, reference_chain(xi, digits)))
+        assert pushed(xi, digits) == list(map(fields, reference_chain(xi, digits)))
 
     @pytest.mark.parametrize("word", side0_words(14))
     def test_short_words(self, word):
@@ -128,7 +152,7 @@ class TestAbscissaChain:
 
 
 def scaled_key(y, scale):
-    return nx._level_keys([y], scale)[0]
+    return level_keys([y], scale)[0]
 
 
 def near(value, j, d, scale):
@@ -143,9 +167,8 @@ def pole_decision(x, y, scale):
     2^scale, exactly where the integers cannot decide."""
     skel = nx._Skeleton((), (), (0,), (0,), rights=(x,), lefts=(x,))
     key = scaled_key(y, scale)
-    orbit = kd.OrbitRecord(start=y, points=(y,), digits=(), hit_zero=False)
     try:
-        return skel.fit(orbit, orbit, ([key], [key]), scale) is not None
+        return skel.fit(y, ((), ()), ([key], [key]), scale) is not None
     except nx.AttractorError:
         return False
 
@@ -201,9 +224,8 @@ class TestFilteredPredicates:
         # decide every test of the fit and the square; at scale 0 none
         alpha = bf.qumterval_of(wd.word_from_rational(Fraction(853, 2048))).pseudocenter
         q = bf.locate_qumterval(alpha)
-        low, high = kd.orbit(alpha, alpha - 1, q.m0), kd.orbit(alpha, alpha, q.m1)
-        keys = nx._level_keys(low.points, scale), nx._level_keys(high.points, scale)
-        skel = nx._skeleton(q.word, low, high, keys)
+        digits, keys = kernel_orbits(alpha, q, scale)
+        skel = nx._skeleton(q.word, alpha, digits, keys)
         calls = []
         for name in ("__lt__", "__gt__"):
             compare = getattr(QuadSurd, name)
@@ -214,7 +236,7 @@ class TestFilteredPredicates:
                 return compare(a, b)
 
             monkeypatch.setattr(QuadSurd, name, record)
-        _, _, _, rects = skel.fit(low, high, keys, scale)
+        _, _, rects = skel.fit(alpha, digits, keys, scale)
         if scale:
             assert calls == []
         else:  # -1 < x < 1 for every end and one `_below` per rectangle
@@ -530,66 +552,74 @@ class TestConstructionChecks:
 
     def orbits(self):
         q = bf.locate_qumterval(self.alpha)
-        low, high = kd.orbit(self.alpha, self.alpha - 1, q.m0), kd.orbit(self.alpha, self.alpha, q.m1)
-        return q.word, low, high
+        return (q.word, *kernel_orbits(self.alpha, q, 64))
 
-    def skeleton(self, word, low, high):
-        keys = nx._level_keys(low.points, 64), nx._level_keys(high.points, 64)
-        return nx._skeleton(word, low, high, keys)
+    def skeleton(self, word, digits, keys):
+        return nx._skeleton(word, self.alpha, digits, keys)
 
     def test_orbit_hitting_zero_is_refused(self):
-        word, low, high = self.orbits()
-        low = dataclasses.replace(low, digits=(*low.digits[:-1], None))
+        word, (low, high), keys = self.orbits()
+        low = (*low[:-1], None)
         with pytest.raises(nx.AttractorError, match="hit zero"):
-            self.skeleton(word, low, high)
+            self.skeleton(word, (low, high), keys)
 
     def test_endpoint_level_not_extremal_is_refused(self):
         # the start alpha - 1 raised above every other lower level
-        word, low, high = self.orbits()
-        low = dataclasses.replace(low, points=(Fraction(1, 2), *low.points[1:]))
+        word, digits, (low, high) = self.orbits()
+        low = [scaled_key(Fraction(1, 2), nx._key_scale(self.alpha, 64)), *low[1:]]
         with pytest.raises(nx.AttractorError, match="not extremal"):
-            self.skeleton(word, low, high)
+            self.skeleton(word, digits, (low, high))
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
     def test_open_seam_is_refused(self, side):
         # a changed last digit moves both ends of one segment
-        word, low, high = self.orbits()
+        word, (low, high), keys = self.orbits()
         if side == "lower":
-            low = dataclasses.replace(low, digits=(*low.digits[:-1], low.digits[-1] + 1))
+            low = (*low[:-1], low[-1] + 1)
         else:
-            high = dataclasses.replace(high, digits=(*high.digits[:-1], high.digits[-1] - 1))
+            high = (*high[:-1], high[-1] - 1)
         with pytest.raises(nx.AttractorError, match=f"{side} seam open"):
-            self.skeleton(word, low, high)
+            self.skeleton(word, (low, high), keys)
 
     def test_open_closure_is_refused(self, monkeypatch):
         # only the right end of the top lower segment moves, so every seam holds
-        word, low, high = self.orbits()
-        top = self.skeleton(word, low, high).low_order[-1]
+        word, digits, keys = self.orbits()
+        top = self.skeleton(word, digits, keys).low_order[-1]
         x, _ = nx.attractor_corners(word)
         abscissae = nx._abscissae
 
-        def moved(xi, digits):
-            chain = list(abscissae(xi, digits))
+        def moved(xi, digits, Q):
+            chain = abscissae(xi, digits, Q)
             if xi == x / (1 + x):
-                chain[top] += Fraction(1, 10**6)
+                P, R = chain[top]
+                chain[top] = P + 1, R  # the end moved by 1/R
             return chain
 
         monkeypatch.setattr(nx, "_abscissae", moved)
         with pytest.raises(nx.AttractorError, match="does not close"):
-            self.skeleton(word, low, high)
+            self.skeleton(word, digits, keys)
+
+    def test_corners_of_two_fields_are_refused(self, monkeypatch):
+        # the seams compare triples, which only one field makes comparable
+        word, digits, keys = self.orbits()
+        x, _ = nx.attractor_corners(word)
+        y = make_surd(-1, 1, 2, 5 if x.d != 5 else 13) - 1  # in (-1, 0)
+        monkeypatch.setattr(nx, "attractor_corners", lambda w: (x, y))
+        with pytest.raises(nx.AttractorError, match="two quadratic fields"):
+            self.skeleton(word, digits, keys)
 
     def test_repeated_level_is_refused(self, monkeypatch):
         # the second lower level set to alpha - 1: the level order and every
         # seam hold, so the skeleton builds, but its fit cannot order the levels
-        orbit = nx.orbit
+        kernel = nx.rational_orbit
 
-        def repeated(alpha, x, steps):
-            got = orbit(alpha, x, steps)
+        def repeated(alpha, x, steps, shift=None):
+            digits, levels = kernel(alpha, x, steps, shift)
             if x != alpha - 1:
-                return got
-            return dataclasses.replace(got, points=(got.points[0], got.points[0], *got.points[2:]))
+                return digits, levels
+            return digits, [levels[0], levels[0], *levels[2:]]
 
-        monkeypatch.setattr(nx, "orbit", repeated)
+        monkeypatch.setattr(nx, "rational_orbit", repeated)
         with pytest.raises(nx.AttractorError, match="repeats a level"):
             nx.build_attractor(self.alpha)
 
@@ -597,13 +627,12 @@ class TestConstructionChecks:
 def boundary_mass(alpha, bits):
     """(A, error bound) of the entropy path at a parameter up to 1/2."""
     q = bf.locate_qumterval(alpha)
-    low = kd.orbit(alpha, alpha - 1, q.m0)
-    high = kd.orbit(alpha, alpha, q.m1)
     scale = bits + nx._GUARD
-    keys = nx._level_keys(low.points, scale), nx._level_keys(high.points, scale)
-    skel = nx._skeleton(q.word, low, high, keys)
-    _, _, factors, rects = skel.fit(low, high, keys, scale)
-    return nx._boundary_mass(factors, rects, bits)
+    digits, keys = kernel_orbits(alpha, q, scale)
+    skel = nx._skeleton(q.word, alpha, digits, keys)
+    lo, hi, rects = skel.fit(alpha, digits, keys, scale)
+    num, den = skel.product(lo, hi, scale, nx._key_scale(alpha, scale) - scale)
+    return nx._mass_of(num, den, rects, bits)
 
 
 def rect_mass(r, bits=None):
@@ -619,7 +648,7 @@ def rect_mass(r, bits=None):
 
 def rect_sum(attr, bits=None):
     """(A, error bound) as the ordered sum of the rectangles' closed forms:
-    the oracle of the boundary mass (`_boundary_mass`), which uses no
+    the oracle of the boundary mass (`_Skeleton.product`), which uses no
     rectangle."""
     bits = checked_precision(bits)
     with working_precision(bits):
@@ -690,14 +719,14 @@ class TestBoundaryMass:
             assert abs(A - A_512) <= err / 1000
 
     def test_entropy_takes_each_factor_once(self, monkeypatch):
-        # the fit builds the boundary factors for its pole tests, and the
-        # mass multiplies that same list
-        built, multiplied = [], []
-        factors, mass = nx._Skeleton.factors, nx._boundary_mass
-        monkeypatch.setattr(nx._Skeleton, "factors", lambda skel, *a: built.append(factors(skel, *a)) or built[-1])
-        monkeypatch.setattr(nx, "_boundary_mass", lambda f, *a: multiplied.append(f) or mass(f, *a))
+        # the skeleton multiplies the boundary factors once, as it forms
+        # them, and the mass takes the log of that one product
+        built, logged = [], []
+        product, mass_of = nx._Skeleton.product, nx._mass_of
+        monkeypatch.setattr(nx._Skeleton, "product", lambda skel, *a: built.append(product(skel, *a)) or built[-1])
+        monkeypatch.setattr(nx, "_mass_of", lambda num, den, *a: logged.append((num, den)) or mass_of(num, den, *a))
         nx.entropy_at(Fraction(337, 1000))
-        assert len(built) == len(multiplied) == 1 and built[0] is multiplied[0]
+        assert len(built) == len(logged) == 1 and built[0] == logged[0]
 
     @pytest.mark.parametrize(
         "start, stop, samples",
@@ -733,14 +762,16 @@ class TestLevelKeys:
         lo_f, hi_f = sorted(low.points), sorted(high.points)
         fraction_run = list(nx._staircase(lo_f, hi_f))
         for scale in (0, 168):
-            keys = nx._level_keys(low.points, scale), nx._level_keys(high.points, scale)
+            digits, keys = kernel_orbits(alpha, q, scale)
+            # the kernel's keys are those of the exact levels
+            assert keys == (level_keys(low.points, scale), level_keys(high.points, scale))
             if scale == 0:
                 # the integers at scale 0 tie; the separating keys do not
-                shift = nx._key_scale(low.points[0], scale) - scale
+                shift = nx._key_scale(alpha, scale) - scale
                 assert len({K >> shift for K in keys[0]}) <= 2 < len(keys[0]) == len(set(keys[0]))
             level = dict(zip(keys[0] + keys[1], low.points + high.points))
-            skel = nx._skeleton(q.word, low, high, keys)
-            lo, hi, _, rects = skel.fit(low, high, keys, scale)
+            skel = nx._skeleton(q.word, alpha, digits, keys)
+            lo, hi, rects = skel.fit(alpha, digits, keys, scale)
             assert [level[K] for K in lo] == lo_f and [level[K] for K in hi] == hi_f
             assert self.merged(lo, hi, level) == fraction_run and rects == len(fraction_run)
 
@@ -749,32 +780,32 @@ class TestLevelKeys:
         hi = [Fraction(1, 5), Fraction(1, 4), Fraction(1, 2)]
         # both lists keyed at the separating scale of the largest denominator
         scale = nx._key_scale(Fraction(1, 5), 0)
-        lo_keys, hi_keys = nx._level_keys(lo, scale), nx._level_keys(hi, scale)
+        lo_keys, hi_keys = level_keys(lo, scale), level_keys(hi, scale)
         got = self.merged(lo_keys, hi_keys, dict(zip(lo_keys + hi_keys, lo + hi)))
         assert got == list(nx._staircase(lo, hi))
         assert [(yl, yh) for yl, yh, _, _ in got] == list(pairwise(sorted(set(lo + hi))))
 
     def test_equal_levels_refused(self):
         alpha = Fraction(337, 1000)
-        q, low, high = self.orbits(alpha)
-        keys = nx._level_keys(low.points, 0), nx._level_keys(high.points, 0)
-        skel = nx._skeleton(q.word, low, high, keys)
-        assert skel.fit(low, high, keys, 0) is not None
+        q, low, _ = self.orbits(alpha)
+        digits, keys = kernel_orbits(alpha, q, 0)
+        skel = nx._skeleton(q.word, alpha, digits, keys)
+        assert skel.fit(alpha, digits, keys, 0) is not None
         # the second-lowest lower level repeated, as an equal but distinct Fraction
         points = list(low.points)
         first, second = skel.low_order[1], skel.low_order[2]
         y = points[first]
         points[second] = Fraction(y.numerator, y.denominator)
-        low_keys = nx._level_keys(points, 0)
-        assert skel.fit(low, high, (low_keys, keys[1]), 0) is None
+        low_keys = level_keys(points, 0)
+        assert skel.fit(alpha, digits, (low_keys, keys[1]), 0) is None
 
     @pytest.mark.parametrize("scale", [0, 128 + nx._GUARD], ids=["scale-0", "entropy-scale"])
     def test_no_two_fractions_are_ordered(self, monkeypatch, scale):
         # a 2048-letter short-run word, whose levels lie closer than 2^-168:
-        # the keys, the skeleton's sorts, the fit's order check and the merge
-        # compare integers only
+        # the kernel's keys, the skeleton's sorts, the fit's order check and
+        # the merge compare integers only
         alpha = bf.qumterval_of(wd.word_from_rational(Fraction(853, 2048))).pseudocenter
-        q, low, high = self.orbits(alpha)
+        q = bf.locate_qumterval(alpha)
         calls = []
         for name in ("__lt__", "__gt__", "__le__", "__ge__"):
             compare = getattr(Fraction, name)
@@ -784,9 +815,9 @@ class TestLevelKeys:
                 return compare(a, b)
 
             monkeypatch.setattr(Fraction, name, record)
-        keys = nx._level_keys(low.points, scale), nx._level_keys(high.points, scale)
-        skel = nx._skeleton(q.word, low, high, keys)
-        assert skel.fit(low, high, keys, scale) is not None
+        digits, keys = kernel_orbits(alpha, q, scale)
+        skel = nx._skeleton(q.word, alpha, digits, keys)
+        assert skel.fit(alpha, digits, keys, scale) is not None
         assert calls == []
 
 
@@ -984,6 +1015,20 @@ class TestDensityAndMeasure:
                     lambda t: nx.density_slice(attr, t), [to_mpf(lo), to_mpf(hi)]
                 )
             assert abs(total - 1) < mpmath.mpf(10) ** -10
+
+    def test_mass_taken_once_per_attractor_and_precision(self, monkeypatch):
+        # the density and the measure read one A per attractor and precision,
+        # the one `attractor_mass` gives
+        attr = nx.build_attractor(Fraction(337, 1000))
+        want = {bits: nx.attractor_mass(attr, bits)[0] for bits in (80, 128)}
+        calls = []
+        mass = nx.attractor_mass
+        monkeypatch.setattr(nx, "attractor_mass", lambda a, bits: calls.append(bits) or mass(a, bits))
+        for bits in (80, 128, 80, 128):
+            for t in (attr.alpha - 1, Fraction(1, 7), attr.alpha):
+                nx.density_slice(attr, t, bits)
+            nx.measure_interval(attr, attr.alpha - 1, Fraction(1, 7), bits)
+        assert calls == [80, 128] and {bits: attr.rounded[bits] for bits in want} == want
 
     def test_density_rounds_as_to_mpf_once_per_precision(self):
         # at alpha - 1, every level, 1/7 and alpha: bit for bit the scan of
