@@ -561,9 +561,10 @@ def corner_system_residues(w: str):
     alpha = q.pseudocenter
     low = orbit(alpha, alpha - 1, j0)
     high = orbit(alpha, alpha, j1)
-    xi = _surd(_abscissae(x, high.digits, _lift(x))[-1], _lift(x), x.d)
+    Q = lcm(_lift(x), _lift(y))
+    xi = _surd(_abscissae(x, high.digits, Q)[-1], Q, x.d)
     lhs1 = mobius_apply(S * T * S, y)
-    eta = _surd(_abscissae(y, low.digits, _lift(y))[-1], _lift(y), y.d)
+    eta = _surd(_abscissae(y, low.digits, Q)[-1], Q, y.d)
     lhs2 = mobius_apply(S * T**-1 * S, x)
     return (lhs1, xi), (lhs2, eta)
 
