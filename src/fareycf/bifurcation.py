@@ -249,9 +249,8 @@ def qumterval_of(w: str) -> Qumterval:
     [0; S] is b/d.  Digit matrices are symmetric, so M(S^T) = M^T and the
     tail x = [0; S^T, S^T, ...] is (a - d + sqrt D)/(2 b), D = (d - a)^2 +
     4 b c for both.  alpha_minus = [0; S', S^T, S^T, ...], with S' the right
-    conjugate of S, is M(S') applied to x, and M(S') = M [[-1, 0], [1, 1]]
-    whichever way S ends: ... a with a >= 2 becomes ... a-1, 1 and ... b, 1
-    becomes ... b+1."""
+    conjugate of S (`cfstrings.right_conjugate`), is M(S') applied to x, and
+    M(S') = M [[-1, 0], [1, 1]] whichever way S ends."""
     if not words.is_nondegenerate_farey(w):
         raise ValueError(f"degenerate or invalid word: {w!r}")
     S = cfs.runlength(w)
@@ -351,11 +350,10 @@ def locate_qumterval(alpha) -> Qumterval:
         return cfs.compare_periodic(digits, (), w[0]) > 0
 
     def below(w) -> bool:  # alpha below the qumterval of w
-        # alpha_minus = [0; S', S^T, ...] with S' the right conjugate of S, from the
-        # run tuple itself: the public operators would check every run again
+        # alpha_minus = [0; S', S^T, ...] with S' the right conjugate of S; the run
+        # tuple is the descent's own, so the public operators' checks are skipped
         S = w[0]
-        conjugate = S[:-1] + (S[-1] - 1, 1) if S[-1] > 1 else S[:-2] + (S[-2] + 1,)
-        return cfs.compare_periodic(digits, conjugate, S[::-1]) < 0
+        return cfs.compare_periodic(digits, cfs._right_conjugate(S), S[::-1]) < 0
 
     u = ((1,), "0")
     v = ((1,), "1")

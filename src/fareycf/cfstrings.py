@@ -49,6 +49,11 @@ def right_conjugate(S) -> CFString:
     S = _check(S)
     if S == (1,):
         raise ValueError("(1,) has no distinct conjugate")
+    return _right_conjugate(S)
+
+
+def _right_conjugate(S: CFString) -> CFString:
+    """`right_conjugate` of a checked string other than (1,)."""
     if S[-1] >= 2:
         return S[:-1] + (S[-1] - 1, 1)
     return S[:-2] + (S[-2] + 1,)

@@ -47,8 +47,7 @@ for the length of the call; `entropy_at` and `asymptotic_probe` build their
 own, and an attractor keeps the one it was built from: `attractor_mass`
 and the band masses of `measure_interval` (the same product over the
 levels clamped into the band) come from it, and the density and the
-measure take A, and the density each rectangle's abscissae, rounded once
-per attractor and precision.  The sum of the
+measure take A once per attractor and precision.  The sum of the
 rectangles' closed-form masses is only the tests' oracle.
 
 The float tail of a sample is a few operations on raw `mpmath.libmp`
@@ -164,9 +163,7 @@ class Attractor:
     h_levels_high: tuple[Exact, ...]
     v_levels: tuple[Exact, ...]  # the distinct ends of the boundary segments, ascending
     skeleton: _Skeleton = field(compare=False, repr=False)  # the mass's boundaries (`attractor_mass`)
-    # values rounded at a precision of bits: A by bits (`_kept_mass`), and each
-    # rectangle's (x_lo, x_hi) by (bits, index) (`density_slice`)
-    rounded: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    masses: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # A by bits (`_kept_mass`)
 
 
 @lru_cache(maxsize=1024)
@@ -288,13 +285,12 @@ class _Skeleton:
         inside (-1, 1), an end in (-1, 1) gives 1 + x y > 0: no rectangle
         reaches a pole of the density.
 
-        The rectangles are those of `_staircase`, merged here in the same
-        loop that tests them.  The left end L of an upper segment must lie
-        below the right end R of a lower one.  With the ends X =
-        `rounded_ends(W)` at W = scale, each within s units of its value
-        times 2^W, (R - L) 2^W exceeds X_R - X_L - 2s, so X_R - X_L >= 2s
-        proves L < R (`_below`); only where the integers cannot decide is
-        the test exact.
+        The left end L of an upper segment must lie below the right end R of
+        a lower one, on each rectangle of the staircase (`_staircase`).
+        With the ends X = `rounded_ends(W)` at W = scale, each within s
+        units of its value times 2^W, (R - L) 2^W exceeds X_R - X_L - 2s,
+        so X_R - X_L >= 2s proves L < R (`_below`); only where the integers
+        cannot decide is the test exact.
         """
         if digits[0] != self.low_digits or digits[1] != self.high_digits:
             return None
@@ -302,30 +298,16 @@ class _Skeleton:
         if not (_increasing(lo) and _increasing(hi)):
             return None
         X_rights, X_lefts, slack = self.rounded_ends(scale)
-        rights, lefts = self.rights, self.lefts
-        n_lo, n_hi = len(lo), len(hi)
-        rects = i = j = 0
-        i_below = None
-        while i < n_lo or j < n_hi:
-            if j == n_hi or (i < n_lo and lo[i] < hi[j]):
-                level = lo[i]
-            else:
-                level = hi[j]
-            if i_below is not None:
-                if not _below(lefts[j], rights[i_below], X_lefts[j], X_rights[i_below], slack):
-                    # the level is the next upper one, or else the next lower one
-                    if j < n_hi and hi[j] == level:
-                        top = _level(alpha, alpha, self.high_order[j])
-                    else:
-                        top = _level(alpha, alpha - 1, self.low_order[i])
-                    raise AttractorError(f"empty rectangle below level {top}")
-                rects += 1
-            # both lists strictly ascend: a level is at most once in each
-            if i < n_lo and lo[i] == level:
-                i += 1
-            if j < n_hi and hi[j] == level:
-                j += 1
-            i_below = i - 1
+        rects = 0
+        for _, y_hi, i, j in _staircase(lo, hi):
+            if not _below(self.lefts[j], self.rights[i], X_lefts[j], X_rights[i], slack):
+                # the key is that of the next upper level, or else of the next lower one
+                if j < len(hi) and hi[j] == y_hi:
+                    top = _level(alpha, alpha, self.high_order[j])
+                else:
+                    top = _level(alpha, alpha - 1, self.low_order[i + 1])
+                raise AttractorError(f"empty rectangle below level {top}")
+            rects += 1
         return lo, hi, rects
 
     def ordered(self, keys):
@@ -589,9 +571,9 @@ def attractor_mass(attr: Attractor, precision: int | None = None):
 def _kept_mass(attr: Attractor, bits: int) -> mpmath.mpf:
     """The attractor mass A at `bits` (`attractor_mass`), taken once per
     attractor and precision for the density and the measure."""
-    A = attr.rounded.get(bits)
+    A = attr.masses.get(bits)
     if A is None:
-        A = attr.rounded[bits] = attractor_mass(attr, bits)[0]
+        A = attr.masses[bits] = attractor_mass(attr, bits)[0]
     return A
 
 
@@ -689,8 +671,7 @@ def density_slice(attr: Attractor, t, precision: int | None = None) -> mpmath.mp
     """Invariant density at height t: the exact antiderivative
     (x_hi - x_lo)/((1+x_lo t)(1+x_hi t)) of the one rectangle with
     y_lo <= t < y_hi, found by bisection (the top one at t = alpha), over
-    `attractor_mass`; A and the rectangle's abscissae are rounded once per
-    attractor and precision."""
+    `attractor_mass`, taken once per attractor and precision."""
     if not isinstance(t, (int, Fraction, QuadSurd)):
         # quadrature callers pass floats; clamp their rounding slack
         t = min(max(Fraction(float(t)), attr.alpha - 1), attr.alpha)
@@ -698,14 +679,10 @@ def density_slice(attr: Attractor, t, precision: int | None = None) -> mpmath.mp
         raise ValueError("height outside the interval")
     bits = checked_precision(precision)
     A = _kept_mass(attr, bits)
-    i = bisect_right(attr.rects, t, key=lambda r: r.y_lo) - 1
+    rect = attr.rects[bisect_right(attr.rects, t, key=lambda r: r.y_lo) - 1]
     with working_precision(bits):
-        ends = attr.rounded.get((bits, i))
-        if ends is None:
-            rect = attr.rects[i]
-            ends = attr.rounded[bits, i] = to_mpf(rect.x_lo), to_mpf(rect.x_hi)
-        xl, xh = ends
         tm = to_mpf(t)
+        xl, xh = to_mpf(rect.x_lo), to_mpf(rect.x_hi)
         return (xh - xl) / ((1 + xl * tm) * (1 + xh * tm)) / A
 
 

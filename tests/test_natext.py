@@ -1028,7 +1028,7 @@ class TestDensityAndMeasure:
             for t in (attr.alpha - 1, Fraction(1, 7), attr.alpha):
                 nx.density_slice(attr, t, bits)
             nx.measure_interval(attr, attr.alpha - 1, Fraction(1, 7), bits)
-        assert calls == [80, 128] and {bits: attr.rounded[bits] for bits in want} == want
+        assert calls == [80, 128] and {bits: attr.masses[bits] for bits in want} == want
 
     def test_density_rounds_as_to_mpf_once_per_precision(self):
         # at alpha - 1, every level, 1/7 and alpha: bit for bit the scan of
