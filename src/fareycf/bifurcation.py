@@ -469,16 +469,27 @@ def zeta_partial(
 
 def simplest_rational_between(lo, hi) -> Fraction:
     """Least-denominator rational strictly inside the open interval (lo, hi);
-    endpoints may be rationals or quadratic surds (hi=None means +infinity)."""
+    endpoints may be rationals or quadratic surds (hi=None means +infinity).
+
+    One continued-fraction digit per pass: while both ends share the floor
+    f, the answer is f + 1/x for the simplest x in (1/(hi - f), 1/(lo - f));
+    the last digit is floor(lo) + 1, and the digits fold into one fraction."""
     if hi is not None and not lo < hi:
         raise ValueError("empty interval")
-    fl = floor_exact(lo)
-    if hi is None or fl + 1 < hi:
-        return Fraction(fl + 1)  # fl + 1 > lo always holds
-    lo2 = lo - fl  # in [0, 1)
-    hi2 = hi - fl  # in (lo2, 1]
-    inner = simplest_rational_between(1 / hi2, None if lo2 == 0 else 1 / lo2)
-    return fl + 1 / inner
+    digits = []
+    while True:
+        fl = floor_exact(lo)
+        if hi is None or fl + 1 < hi:
+            digits.append(fl + 1)  # fl + 1 > lo always holds
+            break
+        digits.append(fl)
+        lo2 = lo - fl  # in [0, 1)
+        hi2 = hi - fl  # in (lo2, 1]
+        lo, hi = 1 / hi2, None if lo2 == 0 else 1 / lo2
+    num, den = 1, 0
+    for a in reversed(digits):
+        num, den = a * num + den, num
+    return Fraction(num, den)
 
 
 def selftest() -> list[tuple[str, bool]]:

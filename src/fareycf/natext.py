@@ -23,8 +23,9 @@ with a proved margin, exactly only where the margin cannot decide, and the
 rectangles come from one merge of the two level-sorted boundaries.  What
 depends on the qumterval alone, the endpoint digits, the order of each
 orbit and one end of each boundary segment (both pushed, every seam
-checked, then each staircase corner kept once as a surd) is one
-`_Skeleton`, which checks the square once per scale.  Every parameter
+checked, then each staircase corner kept once as an integer pair, made
+exact only where read) is one `_Skeleton`, which checks the square once
+per scale.  Every parameter
 takes one path to it (`_fitted`): the digits and order keys of its endpoint
 orbits, the skeleton of its word (kept or built from these orbits) and the
 skeleton's fit, which checks the digits, the order of each orbit and that
@@ -68,7 +69,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, groupby, pairwise
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import mpmath
 from mpmath.libmp import (
@@ -99,7 +100,6 @@ from .exactnum import (
     T,
     _scaled,
     _sign_single,
-    _slack,
     mobius_apply,
     surd_from_periodic_cf,
     to_mpf,
@@ -133,11 +133,11 @@ class Rect:
             raise ValueError("density pole inside rectangle")
 
 
-def _below(left: Exact, right: Exact, X_left: int, X_right: int, slack: int) -> bool:
-    """left < right, for values rounded to X_left and X_right by `_scaled`
-    within `slack` units each: decided on the integers when
+def _below(left, right, X_left: int, X_right: int, slack: int, value) -> bool:
+    """value(left) < value(right), for values rounded to X_left and X_right
+    by `_scaled` within `slack` units each: decided on the integers when
     X_right - X_left >= 2 slack, else exactly (`_Skeleton.fit`)."""
-    return X_right - X_left >= 2 * slack or left < right
+    return X_right - X_left >= 2 * slack or value(left) < value(right)
 
 
 def _pole_free(x: Exact, y: Exact) -> bool:
@@ -228,16 +228,12 @@ def _abscissae(xi: QuadSurd, digits, Q: int) -> list[tuple[int, int]]:
     return out
 
 
-def _pair(xi: QuadSurd, Q: int) -> tuple[int, int]:
-    """The pair (P, R) of xi over Q (`_abscissae`), for a Q that q divides."""
-    k = Q // xi.q
-    return k * xi.p, k * xi.r
-
-
-def _surd(end: tuple[int, int], Q: int, d: int) -> QuadSurd:
-    """The reduced surd of the pair `end` over Q (`_abscissae`); no gcd or
-    division for Q = 1, the usual case."""
+def _surd(end: tuple[int, int], Q: int, d: int) -> Exact:
+    """The reduced surd of the pair `end` over Q (`_abscissae`), the
+    rational P/R for Q = 0; no gcd or division for Q = 1."""
     P, R = end
+    if not Q:
+        return Fraction(P, R)
     g = 1 if Q == 1 else gcd(Q, P, R)
     if g > 1:
         P, Q, R = P // g, Q // g, R // g
@@ -256,20 +252,28 @@ class _Skeleton:
     qumterval tried, does the level order within each orbit.  Only the
     levels themselves and the interleaving of the two orbits move.  The
     seam, closure and extremal checks need abscissae and order alone and run
-    once, in `_skeleton`; past the seams one end per segment holds them all.
-    That every end lies in (-1, 1) is checked once per scale
-    (`rounded_ends`); `fit` runs the checks that need the levels, and
-    `product` is the one builder of the boundary factors.
+    once, in `_skeleton`; past the seams one end per segment holds them all,
+    kept as pairs (P, R) of (P + Q sqrt d)/R over one Q (`_abscissae`; Q = 0
+    for rationals) and made exact only where read (`value`).  That every end
+    lies in (-1, 1) is checked once per scale (`rounded_ends`); `fit` runs
+    the checks that need the levels, and `product` is the one builder of
+    the boundary factors.
     """
 
     low_digits: tuple[int, ...]
     high_digits: tuple[int, ...]
     low_order: tuple[int, ...]  # orbit indices of the lower segments, levels ascending
     high_order: tuple[int, ...]  # orbit indices of the upper segments, levels ascending
-    rights: tuple[Exact, ...]  # right end of each lower segment, in low_order; the last is corner x
-    lefts: tuple[Exact, ...]  # left end of each upper segment, in high_order; the first is corner y
+    rights: tuple[tuple[int, int], ...]  # right end of each lower segment, in low_order; the last is corner x
+    lefts: tuple[tuple[int, int], ...]  # left end of each upper segment, in high_order; the first is corner y
+    Q: int  # the ends' common coefficient of sqrt d
+    d: int
     # (rights, lefts) scaled, and their slack, by scale
     ends_cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def value(self, end: tuple[int, int]) -> Exact:
+        """The exact value of the end `end`."""
+        return _surd(end, self.Q, self.d)
 
     def fit(self, alpha: Fraction, digits, keys, scale: int):
         """Check one parameter's endpoint orbits against the skeleton.
@@ -300,7 +304,7 @@ class _Skeleton:
         X_rights, X_lefts, slack = self.rounded_ends(scale)
         rects = 0
         for _, y_hi, i, j in _staircase(lo, hi):
-            if not _below(self.lefts[j], self.rights[i], X_lefts[j], X_rights[i], slack):
+            if not _below(self.lefts[j], self.rights[i], X_lefts[j], X_rights[i], slack, self.value):
                 # the key is that of the next upper level, or else of the next lower one
                 if j < len(hi) and hi[j] == y_hi:
                     top = _level(alpha, alpha, self.high_order[j])
@@ -348,8 +352,11 @@ class _Skeleton:
 
     def rounded_ends(self, scale: int):
         """The right ends of the lower segments and the left ends of the
-        upper ones, times 2^scale and rounded down (`_scaled`), and the
-        bound s on their rounding (`_slack`); kept per scale.
+        upper ones, times 2^scale and rounded down, X = ((P << scale) + Q
+        isqrt(d << 2 scale)) // R, and the bound s = ceil(Q / min |R|) + 1 on
+        their rounding; kept per scale.  These are `_scaled` and `_slack` of
+        the reduced values bit for bit: a floor and the ratio |q|/r do not
+        change under a common factor or a sign flip.
 
         The first call at a scale checks that each end x lies in (-1, 1), on
         the integers when |X| + s < 2^scale, else exactly.  True ends always
@@ -363,10 +370,12 @@ class _Skeleton:
         got = self.ends_cache.get(scale)
         if got is None:
             ends = self.rights + self.lefts
-            X, slack = _scaled(ends, scale), _slack(ends)
-            for X_end, x in zip(X, ends):
-                if not (abs(X_end) + slack < 1 << scale or -1 < x < 1):
-                    raise AttractorError(f"density pole: end {x} lies outside (-1, 1)")
+            Q_root = self.Q * isqrt(self.d << 2 * scale)
+            X = [((P << scale) + Q_root) // R for P, R in ends]
+            slack = -(-self.Q // min(abs(R) for _, R in ends)) + 1
+            for X_end, end in zip(X, ends):
+                if not (abs(X_end) + slack < 1 << scale or -1 < self.value(end) < 1):
+                    raise AttractorError(f"density pole: end {self.value(end)} lies outside (-1, 1)")
             n = len(self.rights)
             got = self.ends_cache[scale] = X[:n], X[n:], slack
         return got
@@ -405,7 +414,7 @@ def _skeleton(word: str, alpha: Fraction, digits, keys) -> _Skeleton:
     order keys of the endpoint orbits at one parameter alpha inside it
     (`_Skeleton.fit`): both ends of every segment are pushed as integer
     pairs over one Q in one field (`_abscissae`), each seam and the closure
-    are checked on them exactly, then one end per segment becomes a surd."""
+    are checked on them exactly, then one end per segment is kept."""
     x, y = attractor_corners(word)
     low_digits, high_digits = digits
     if None in low_digits or None in high_digits:
@@ -434,16 +443,9 @@ def _skeleton(word: str, alpha: Fraction, digits, keys) -> _Skeleton:
             f"upper seam open at level {_level(alpha, alpha, high_order[k])}: "
             f"{_surd(high_rights[k], Q, d)} != {_surd(lefts[k + 1], Q, d)}"
         )
-    if rights[-1] != _pair(x, Q) or lefts[0] != _pair(y, Q):
+    if rights[-1] != _abscissae(x, (), Q)[0] or lefts[0] != _abscissae(y, (), Q)[0]:
         raise AttractorError("staircase does not close at the far corner")
-    return _Skeleton(
-        low_digits=low_digits,
-        high_digits=high_digits,
-        low_order=tuple(low_order),
-        high_order=tuple(high_order),
-        rights=tuple(_surd(end, Q, d) for end in rights),
-        lefts=tuple(_surd(end, Q, d) for end in lefts),
-    )
+    return _Skeleton(low_digits, high_digits, tuple(low_order), tuple(high_order), tuple(rights), tuple(lefts), Q, d)
 
 
 def _fitted(alpha: Fraction, q: Qumterval, skeletons: dict, scale: int):
@@ -484,6 +486,7 @@ def build_attractor(alpha) -> Attractor:
     # the keys order the levels at any scale; this one sets the integers of the fit's rectangle tests
     skel, (lo, hi, _) = _fitted(alpha, q, {}, MIN_PRECISION)
     low, high = orbit(alpha, alpha - 1, q.m0), orbit(alpha, alpha, q.m1)
+    rights, lefts = [skel.value(end) for end in skel.rights], [skel.value(end) for end in skel.lefts]
     # distinct levels have distinct keys, so a key names its level
     level = dict(zip(lo, map(low.points.__getitem__, skel.low_order)))
     level.update(zip(hi, map(high.points.__getitem__, skel.high_order)))
@@ -491,16 +494,15 @@ def build_attractor(alpha) -> Attractor:
         word=q.word,
         alpha=alpha,
         rects=tuple(
-            Rect(skel.lefts[j], skel.rights[i], level[y_lo], level[y_hi])
-            for y_lo, y_hi, i, j in _staircase(lo, hi)
+            Rect(lefts[j], rights[i], level[y_lo], level[y_hi]) for y_lo, y_hi, i, j in _staircase(lo, hi)
         ),
-        corner_x=skel.rights[-1],
-        corner_y=skel.lefts[0],
+        corner_x=rights[-1],
+        corner_y=lefts[0],
         h_levels_low=tuple(low.points),
         h_levels_high=tuple(high.points),
         # every segment end is in rights or lefts, each strictly ascending (increasing pushes
         # from y < x/(1 + x) and y/(1 - y) < x, chained by the seams): sorted merges two runs
-        v_levels=tuple(v for v, _ in groupby(sorted(skel.rights + skel.lefts))),
+        v_levels=tuple(v for v, _ in groupby(sorted(rights + lefts))),
         skeleton=skel,
     )
 

@@ -137,6 +137,14 @@ class TestSubcommands:
         assert lines[0].startswith("N,alpha,h,target,ratio")
         assert lines[1].startswith("10,1/11,")
 
+    def test_probe_slope_on_a_1500_letter_word(self, capsys):
+        # endpoints with more than a thousand continued-fraction digits
+        word = wd.word_from_rational(Fraction(601, 1500))
+        code, out, _ = run(capsys, "probe", "slope", "--word", word, "--halvings", "0")
+        assert code == 0
+        header, row = out.strip().splitlines()
+        assert header.startswith("halving,") and row.startswith("0,1/8,")
+
     def test_probe_zeta(self, capsys):
         code, out, _ = run(capsys, "probe", "zeta", "--s", "1.0", "--depth", "10", "--variant", "binary")
         assert code == 0 and "zeta_partial" in out

@@ -3,7 +3,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, pairwise
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import mpmath
 import pytest
@@ -15,7 +15,7 @@ from fareycf import cfstrings as cfs
 from fareycf import kdynamics as kd
 from fareycf import natext as nx
 from fareycf import words as wd
-from fareycf.exactnum import QuadSurd, S, T, format_exact, make_surd, mobius_apply, surd_from_periodic_cf, to_mpf
+from fareycf.exactnum import QuadSurd, S, T, _slack, format_exact, make_surd, mobius_apply, surd_from_periodic_cf, to_mpf
 from fareycf.lyapunov import lyapunov_estimate
 from fareycf.precision import DEFAULT_PRECISION, checked_precision, working_precision
 
@@ -161,11 +161,27 @@ def near(value, j, d, scale):
     return value + (j - isqrt(d) + make_surd(0, 1, 1, d)) / 2**scale
 
 
+def end_pair(x):
+    """An exact value as a skeleton end: (pair, Q, d) with x = (P + Q sqrt d)/R
+    (`nx._abscissae`), Q = |q| for a surd (p + q sqrt d)/r, Q = 0 (any d) for a rational."""
+    if isinstance(x, QuadSurd):
+        sign = 1 if x.q > 0 else -1
+        return (sign * x.p, sign * x.r), abs(x.q), x.d
+    return (x.numerator, x.denominator), 0, 2
+
+
+def shifted(end, k):
+    """The pair of a skeleton end plus the integer k, in the same field."""
+    P, R = end
+    return P + k * R, R
+
+
 def pole_decision(x, y, scale):
     """The fit's square test of an end x at `scale`, on a one-segment
     skeleton whose two boundaries are x over the level y: |X| + slack against
     2^scale, exactly where the integers cannot decide."""
-    skel = nx._Skeleton((), (), (0,), (0,), rights=(x,), lefts=(x,))
+    end, Q, d = end_pair(x)
+    skel = nx._Skeleton((), (), (0,), (0,), rights=(end,), lefts=(end,), Q=Q, d=d)
     key = scaled_key(y, scale)
     try:
         return skel.fit(y, ((), ()), ([key], [key]), scale) is not None
@@ -204,7 +220,7 @@ class TestFilteredPredicates:
         if isinstance(left, QuadSurd) and isinstance(right, QuadSurd) and left.d != right.d:
             right = Fraction(right.p, right.r)  # surds of two fields do not compare cheaply
         X_left, X_right = nx._scaled([left, right], scale)
-        got = nx._below(left, right, X_left, X_right, nx._slack([left, right]))
+        got = nx._below(left, right, X_left, X_right, _slack([left, right]), lambda v: v)
         assert got == (left < right)
 
     @settings(max_examples=300, deadline=None)
@@ -215,7 +231,7 @@ class TestFilteredPredicates:
             d = left.d
         right = near(left, j, d, scale)
         X_left, X_right = nx._scaled([left, right], scale)
-        got = nx._below(left, right, X_left, X_right, nx._slack([left, right]))
+        got = nx._below(left, right, X_left, X_right, _slack([left, right]), lambda v: v)
         assert got == (left < right) == (j >= 0)
 
     @pytest.mark.parametrize("scale", [128 + nx._GUARD, 0], ids=["entropy-scale", "scale-0"])
@@ -256,6 +272,79 @@ def corners_by_blocks(w):
 side0_slopes = st.integers(3, 2048).flatmap(
     lambda q: st.integers(1, q // 2).map(lambda p: Fraction(p, q))
 )
+
+
+class TestEndPairs:
+    # the skeleton keeps its ends as integer pairs over one Q; exact values
+    # are made only where an exact test or a rectangle reads them
+
+    @settings(max_examples=25, deadline=None)
+    @given(side0_slopes)
+    def test_rounded_pairs_equal_the_reduced_surds(self, r):
+        # every end of the four chains of the word, at the pseudocenter
+        word = wd.word_from_rational(r)
+        q = bf.qumterval_of(word)
+        x, y = nx.attractor_corners(word)
+        digits, _ = kernel_orbits(q.pseudocenter, q, 0)
+        starts = y, x / (1 + x), y / (1 - y), x  # two lower, then two upper chains
+        Q = lcm(*map(nx._lift, starts))
+        ends = [end for k, v in enumerate(starts) for end in nx._abscissae(v, digits[k // 2], Q)]
+        skel = nx._Skeleton((), (), (), (), rights=tuple(ends), lefts=(), Q=Q, d=x.d)
+        values = [make_surd(P, Q, R, x.d) for P, R in ends]
+        for scale in (0, 168, 552):
+            X, _, slack = skel.rounded_ends(scale)
+            assert X == nx._scaled(values, scale) and slack == _slack(values)
+
+    def test_no_surd_on_the_entropy_path(self, monkeypatch):
+        # a 2048-letter short-run word: its skeleton makes the surds of its
+        # starts, as many as the word 001 does, and none for its 2050 ends;
+        # at the entropy's scale the fit and the product make none
+        scale = 128 + nx._GUARD
+        made = []
+        init = QuadSurd.__init__
+        monkeypatch.setattr(QuadSurd, "__init__", lambda v, *args: made.append(args) or init(v, *args))
+        counts = []
+        for r in (Fraction(1, 3), Fraction(853, 2048)):
+            alpha = bf.qumterval_of(wd.word_from_rational(r)).pseudocenter
+            q = bf.locate_qumterval(alpha)
+            nx.attractor_corners(q.word)
+            digits, keys = kernel_orbits(alpha, q, scale)
+            made.clear()
+            skel = nx._skeleton(q.word, alpha, digits, keys)
+            counts.append(len(made))
+        made.clear()
+        lo, hi, rects = skel.fit(alpha, digits, keys, scale)
+        skel.product(lo, hi, scale, nx._key_scale(alpha, scale) - scale)
+        assert made == [] and rects == 2048 and counts[0] == counts[1] < 10
+
+
+def rotation_orders(m0, m1):
+    """The level orders of the lower and the upper orbit of a word with m0
+    zeros and m1 ones, as rotation orders."""
+    low = sorted(range(m0), key=lambda k: k * m1 % m0) + [m0]
+    high = sorted(range(m1), key=lambda k: k * (m0 - m1) % m1) + [m1]
+    return low, high[::-1]
+
+
+class TestRotationOrders:
+    @settings(max_examples=80, deadline=None)
+    @given(side0_slopes, st.integers(1, 16), st.integers(0, 15), st.booleans())
+    def test_key_sorted_orders_are_rotation_orders(self, r, n, k, at_minus):
+        # a rational in a random n-th of the qumterval, and one within
+        # 2^-100 of its width of an end
+        q = bf.qumterval_of(wd.word_from_rational(r))
+        width = q.alpha_plus - q.alpha_minus
+        k %= n
+        inside = bf.simplest_rational_between(q.alpha_minus + width * k / n, q.alpha_minus + width * (k + 1) / n)
+        eps = width / 2**100
+        end = (q.alpha_minus, q.alpha_minus + eps) if at_minus else (q.alpha_plus - eps, q.alpha_plus)
+        for alpha in (inside, bf.simplest_rational_between(*end)):
+            assert alpha in q
+            orders = []
+            for start, steps in ((alpha - 1, q.m0), (alpha, q.m1)):
+                _, keys = kd.rational_orbit(alpha, start, steps, nx._key_scale(alpha, 0))
+                orders.append(sorted(range(len(keys)), key=keys.__getitem__))
+            assert orders == list(rotation_orders(q.m0, q.m1))
 
 
 class TestCorners:
@@ -404,8 +493,9 @@ class TestLeanBuild:
     @staticmethod
     def assert_v_levels_merge_the_staircases(attr):
         skel = attr.skeleton
-        assert all(a < b for ends in (skel.rights, skel.lefts) for a, b in pairwise(ends))
-        assert list(attr.v_levels) == sorted(set(skel.rights + skel.lefts))
+        rights, lefts = ([skel.value(end) for end in ends] for ends in (skel.rights, skel.lefts))
+        assert all(a < b for ends in (rights, lefts) for a, b in pairwise(ends))
+        assert list(attr.v_levels) == sorted(set(rights + lefts))
 
     def test_v_levels_on_the_sweep(self):
         for den in range(2, 90):
@@ -517,12 +607,13 @@ class TestSkeletonChecks:
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
     def test_pole_on_the_boundary_is_refused(self, side):
-        # 1 + x y < 0 at y = alpha - 1 for x = 10^6 and at y = alpha for
-        # x = -10^6, while every rectangle only widens
+        # 1 + x y < 0 at y = alpha - 1 for x = 10^6 plus the lowest right end
+        # and at y = alpha for x = -10^6 plus the top left end, while every
+        # rectangle only widens
         def widen(skel):
             if side == "lower":
-                return dataclasses.replace(skel, rights=(Fraction(10**6), *skel.rights[1:]))
-            return dataclasses.replace(skel, lefts=(*skel.lefts[:-1], Fraction(-(10**6))))
+                return dataclasses.replace(skel, rights=(shifted(skel.rights[0], 10**6), *skel.rights[1:]))
+            return dataclasses.replace(skel, lefts=(*skel.lefts[:-1], shifted(skel.lefts[-1], -(10**6))))
 
         with pytest.raises(nx.AttractorError, match="density pole"):
             self.sample_with(widen)
@@ -537,7 +628,7 @@ class TestSkeletonChecks:
             skel = build(*args)
             if fault == "empty rectangle":
                 return dataclasses.replace(skel, rights=(skel.lefts[0], *skel.rights[1:]))
-            return dataclasses.replace(skel, lefts=(*skel.lefts[:-1], Fraction(-(10**6))))
+            return dataclasses.replace(skel, lefts=(*skel.lefts[:-1], shifted(skel.lefts[-1], -(10**6))))
 
         monkeypatch.setattr(nx, "_skeleton", changed)
         with pytest.raises(nx.AttractorError, match=fault):
@@ -1275,6 +1366,13 @@ class TestCurveAndProbes:
         # no window at all is no probe
         with pytest.raises(ValueError, match="halvings"):
             nx.slope_growth_probe("001", "plus", -1)
+
+    def test_slope_on_a_2048_letter_word(self):
+        # endpoints with more than a thousand continued-fraction digits
+        q = bf.qumterval_of(wd.word_from_rational(Fraction(853, 2048)))
+        assert bf.simplest_rational_between(q.alpha_minus, q.alpha_plus) == q.pseudocenter
+        info = nx.qumterval_slope(q)
+        assert q.alpha_minus < info["a"] < info["b"] < q.alpha_plus
 
     def test_plateau_slope_is_zero(self):
         info = nx.qumterval_slope(bf.qumterval_of("01"))
