@@ -255,13 +255,43 @@ def verify_matching(w: str, alphas) -> dict:
     }
 
 
+def rotation_orders(m0: int, m1: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The level orders of the endpoint orbits on the qumterval of a side-0
+    word with m0 zeros and m1 ones: the indices of the alpha - 1 orbit (m0
+    steps) and of the alpha orbit (m1 steps), levels ascending.
+
+    Both are orders of a rotation's points, as for Sturmian orbits (compare
+    the three-distance theorem; Sos 1958, Swierczkowski 1958).  The lower
+    orbit's digits (`expected_digits_low`) are m0 - m1 + 1 twos and m1 - 1
+    threes.  A digit c >= 2 puts its point below 0, where the digit does not
+    decrease and each branch x -> -1/x - c increases: the twos are the
+    lowest points before the matching point (index m0), the threes the
+    highest, and each block keeps its order.  With the threes' images below
+    the twos' (taken from the word's matching, not proved here), a two at
+    rank r goes to rank r + m1 and a three to r - (m0 - m1), an exchange of
+    two blocks: the rotation by m1 mod m0.  So index k < m0 has rank k m1
+    mod m0, the order is v m1^-1 mod m0 for v < m0, then m0.  The upper
+    orbit is the same with ranks counted down from alpha, a step moving a
+    rank by m0 - m1 mod m1.  The fit checks every parameter's key order
+    against these (`natext._Skeleton.fit`).  No sort: O(m0 + m1), and
+    gcd(m0, m1) = 1 makes both inverses exist.
+    """
+    step = pow(m1, -1, m0)
+    low = [v * step % m0 for v in range(m0)]
+    step = pow(m0 - m1, -1, m1)
+    high = [v * step % m1 for v in range(m1)]
+    return (*low, m0), (m1, *reversed(high))
+
+
 def orbit_order_extremes(w: str) -> tuple[int, int]:
     """(j0, j1): the iterate indices where the alpha-1 orbit is smallest and
-    the alpha orbit is largest, read off the standard factorization."""
+    the alpha orbit is largest, the second entries of the rotation orders
+    (`rotation_orders`) from either end."""
     if words.farey_side(w) != 0:
         raise ValueError("orbit order extremes are defined on side-0 words")
-    w1, w2 = words.standard_factorization(w)
-    return w1.count("0"), w2.count("1")
+    q = qumterval_of(w)
+    low, high = rotation_orders(q.m0, q.m1)
+    return low[1], high[-2]
 
 
 def symmetry_conjugate(alpha, x) -> tuple[Fraction, Exact]:

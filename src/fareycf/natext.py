@@ -21,17 +21,18 @@ segment end lies in (-1, 1) (so the attractor lies in the open square
 (-1, 1)^2, off the density's poles) are decided on the integers of the mass
 with a proved margin, exactly only where the margin cannot decide, and the
 rectangles come from one merge of the two level-sorted boundaries.  What
-depends on the qumterval alone, the endpoint digits, the order of each
-orbit and one end of each boundary segment (both pushed, every seam
-checked, then each staircase corner kept once as an integer pair, made
-exact only where read) is one `_Skeleton`, which checks the square once
-per scale.  Every parameter
-takes one path to it (`_fitted`): the digits and order keys of its endpoint
-orbits, the skeleton of its word (kept or built from these orbits) and the
-skeleton's fit, which checks the digits, the order of each orbit and that
-no rectangle is empty as it merges the staircase.  Exact levels are made
-only where they are read: `build_attractor` turns the fit into rectangles
-over the exact orbits, and an error message names its level.
+depends on the qumterval alone is one `_Skeleton`, built from its word
+(`_skeleton`): the digits of the word's block pattern, the rotation order
+of each orbit (`kdynamics.rotation_orders`) and one end of each boundary
+segment (both pushed, every seam and the closure checked, then each
+staircase corner kept once as an integer pair, made exact only where
+read); it checks the square once per scale.  Every parameter takes one
+path to it (`_fitted`): the digits and order keys of its endpoint orbits
+and the skeleton's fit, which refuses orbits whose digits or level order
+differ from the skeleton's and checks that no rectangle is empty as it
+merges the staircase.  Exact levels are made only where they are read:
+`build_attractor` turns the fit into rectangles over the exact orbits, and
+an error message names a level by its orbit index.
 
 The entropy then follows from the identity  h * area = pi^2 / 3  where
 "area" is the mass of the attractor under dx dy / (1 + x y)^2.  That mass has
@@ -104,7 +105,14 @@ from .exactnum import (
     surd_from_periodic_cf,
     to_mpf,
 )
-from .kdynamics import orbit, orbit_order_extremes, rational_orbit
+from .kdynamics import (
+    expected_digits_high,
+    expected_digits_low,
+    orbit,
+    orbit_order_extremes,
+    rational_orbit,
+    rotation_orders,
+)
 from .precision import MIN_PRECISION, checked_precision, working_precision
 
 
@@ -245,21 +253,23 @@ def _surd(end: tuple[int, int], Q: int, d: int) -> Exact:
 @dataclass(eq=False)
 class _Skeleton:
     """The exact data of the attractor shared by every rational parameter of
-    one qumterval.
+    one qumterval, a function of its word (`_skeleton`).
 
     The endpoint digits are fixed on a qumterval (the matching condition), so
-    the pushed abscissae do not depend on the parameter; neither, on every
-    qumterval tried, does the level order within each orbit.  Only the
-    levels themselves and the interleaving of the two orbits move.  The
-    seam, closure and extremal checks need abscissae and order alone and run
-    once, in `_skeleton`; past the seams one end per segment holds them all,
-    kept as pairs (P, R) of (P + Q sqrt d)/R over one Q (`_abscissae`; Q = 0
-    for rationals) and made exact only where read (`value`).  That every end
-    lies in (-1, 1) is checked once per scale (`rounded_ends`); `fit` runs
-    the checks that need the levels, and `product` is the one builder of
-    the boundary factors.
+    the pushed abscissae do not depend on the parameter; nor does the level
+    order within each orbit, a rotation order (`kdynamics.rotation_orders`).
+    Only the levels themselves and the interleaving of the two orbits move.
+    The seam and closure checks need abscissae and order alone and run once,
+    in `_skeleton`; past the seams one end per segment holds them all, kept
+    as pairs (P, R) of (P + Q sqrt d)/R over one Q (`_abscissae`; Q = 0 for
+    rationals) and made exact only where read (`value`).  That every end
+    lies in (-1, 1) is checked once per scale (`rounded_ends`); `fit` checks
+    a parameter's orbits against the digits and orders and runs the checks
+    that need the levels, and `product` is the one builder of the boundary
+    factors.
     """
 
+    word: str
     low_digits: tuple[int, ...]
     high_digits: tuple[int, ...]
     low_order: tuple[int, ...]  # orbit indices of the lower segments, levels ascending
@@ -282,12 +292,15 @@ class _Skeleton:
         and `keys` the order keys of their points (`kdynamics.rational_orbit`
         at the separating scale `_key_scale(alpha, scale)`).  Returns the
         keys of the lower and of the upper segments' levels, both ascending,
-        and the number of rectangles; None when the digits or the order of
-        an orbit differ from the skeleton's.  Raises AttractorError when a
-        rectangle of the staircase would be empty or an end lies outside
-        (-1, 1) (`rounded_ends`).  With every level in [alpha - 1, alpha],
-        inside (-1, 1), an end in (-1, 1) gives 1 + x y > 0: no rectangle
-        reaches a pole of the density.
+        and the number of rectangles.  Raises AttractorError, naming the
+        word and the orbit, when an orbit's digits differ from the
+        skeleton's (an orbit that hits zero has the digit None) or its keys
+        do not ascend in the skeleton's order (a changed order, a start that
+        is not extremal, a repeated level); and when a rectangle of the
+        staircase would be empty or an end lies outside (-1, 1)
+        (`rounded_ends`).  With every level in [alpha - 1, alpha], inside
+        (-1, 1), an end in (-1, 1) gives 1 + x y > 0: no rectangle reaches a
+        pole of the density.
 
         The left end L of an upper segment must lie below the right end R of
         a lower one, on each rectangle of the staircase (`_staircase`).
@@ -296,21 +309,26 @@ class _Skeleton:
         so X_R - X_L >= 2s proves L < R (`_below`); only where the integers
         cannot decide is the test exact.
         """
-        if digits[0] != self.low_digits or digits[1] != self.high_digits:
-            return None
         lo, hi = self.ordered(keys)
-        if not (_increasing(lo) and _increasing(hi)):
-            return None
+        orbits = zip(("alpha - 1", "alpha"), digits, (self.low_digits, self.high_digits), (lo, hi))
+        for start, got, want, levels in orbits:
+            if got != want:
+                fault = "hits zero before the matching time" if None in got else "leaves the word's digits"
+            elif not all(a < b for a, b in pairwise(levels)):
+                fault = "leaves the word's level order"
+            else:
+                continue
+            raise AttractorError(f"the orbit of {start} {fault} (word {self.word}, alpha = {alpha})")
         X_rights, X_lefts, slack = self.rounded_ends(scale)
         rects = 0
         for _, y_hi, i, j in _staircase(lo, hi):
             if not _below(self.lefts[j], self.rights[i], X_lefts[j], X_rights[i], slack, self.value):
                 # the key is that of the next upper level, or else of the next lower one
                 if j < len(hi) and hi[j] == y_hi:
-                    top = _level(alpha, alpha, self.high_order[j])
+                    top = f"index {self.high_order[j]} of the orbit of alpha"
                 else:
-                    top = _level(alpha, alpha - 1, self.low_order[i + 1])
-                raise AttractorError(f"empty rectangle below level {top}")
+                    top = f"index {self.low_order[i + 1]} of the orbit of alpha - 1"
+                raise AttractorError(f"empty rectangle below the level at {top} (word {self.word}, alpha = {alpha})")
             rects += 1
         return lo, hi, rects
 
@@ -381,10 +399,6 @@ class _Skeleton:
         return got
 
 
-def _increasing(values) -> bool:
-    return all(a < b for a, b in pairwise(values))
-
-
 def _key_scale(start: Fraction, scale: int) -> int:
     """The separating scale S = max(scale, 2 b + 2) of the order keys
     floor(y 2^S) of an orbit from `start`, b the bit length of its
@@ -404,28 +418,19 @@ def _key_scale(start: Fraction, scale: int) -> int:
     return max(scale, 2 * start.denominator.bit_length() + 2)
 
 
-def _level(alpha: Fraction, start: Fraction, index: int) -> Fraction:
-    """The exact level at `index` of the orbit of `start`, for a message."""
-    return orbit(alpha, start, index).points[index]
-
-
-def _skeleton(word: str, alpha: Fraction, digits, keys) -> _Skeleton:
-    """The skeleton of the qumterval of a side-0 word, from the digits and
-    order keys of the endpoint orbits at one parameter alpha inside it
-    (`_Skeleton.fit`): both ends of every segment are pushed as integer
-    pairs over one Q in one field (`_abscissae`), each seam and the closure
-    are checked on them exactly, then one end per segment is kept."""
+def _skeleton(q: Qumterval) -> _Skeleton:
+    """The skeleton of a side-0 qumterval, from its word alone: the digits of
+    the word's block pattern (`kdynamics.expected_digits_low` and `_high`)
+    and the rotation orders (`kdynamics.rotation_orders`).  Both ends of
+    every segment are pushed as integer pairs over one Q in one field
+    (`_abscissae`), each seam and the closure are checked on them exactly,
+    then one end per segment is kept.  No orbit is stepped here."""
+    word = q.word
     x, y = attractor_corners(word)
-    low_digits, high_digits = digits
-    if None in low_digits or None in high_digits:
-        raise AttractorError("endpoint orbit hit zero before the matching time")
     if x.d != y.d:
         raise AttractorError(f"corners {x} and {y} lie in two quadratic fields")
-    low_keys, high_keys = keys
-    low_order = sorted(range(len(low_keys)), key=low_keys.__getitem__)
-    high_order = sorted(range(len(high_keys)), key=high_keys.__getitem__)
-    if low_order[0] != 0 or high_order[-1] != 0:
-        raise AttractorError("endpoint level is not extremal in its orbit")
+    low_digits, high_digits = expected_digits_low(q.S), expected_digits_high(q.S)
+    low_order, high_order = rotation_orders(q.m0, q.m1)
     # (left, right) ends of the segment at each orbit index, in level order; the map is increasing
     starts = y, x / (1 + x), y / (1 - y), x
     Q, d = lcm(*map(_lift, starts)), x.d
@@ -434,41 +439,29 @@ def _skeleton(word: str, alpha: Fraction, digits, keys) -> _Skeleton:
     if rights[:-1] != low_lefts[1:]:
         k = next(k for k in range(1, len(rights)) if rights[k - 1] != low_lefts[k])
         raise AttractorError(
-            f"lower seam open at level {_level(alpha, alpha - 1, low_order[k])}: "
+            f"lower seam open at index {low_order[k]} of the orbit of alpha - 1 (word {word}): "
             f"{_surd(low_lefts[k], Q, d)} != {_surd(rights[k - 1], Q, d)}"
         )
     if high_rights[:-1] != lefts[1:]:
         k = next(k for k in range(len(lefts) - 1) if high_rights[k] != lefts[k + 1])
         raise AttractorError(
-            f"upper seam open at level {_level(alpha, alpha, high_order[k])}: "
+            f"upper seam open at index {high_order[k]} of the orbit of alpha (word {word}): "
             f"{_surd(high_rights[k], Q, d)} != {_surd(lefts[k + 1], Q, d)}"
         )
     if rights[-1] != _abscissae(x, (), Q)[0] or lefts[0] != _abscissae(y, (), Q)[0]:
-        raise AttractorError("staircase does not close at the far corner")
-    return _Skeleton(low_digits, high_digits, tuple(low_order), tuple(high_order), tuple(rights), tuple(lefts), Q, d)
+        raise AttractorError(f"staircase does not close at the far corner (word {word})")
+    return _Skeleton(word, low_digits, high_digits, low_order, high_order, tuple(rights), tuple(lefts), Q, d)
 
 
-def _fitted(alpha: Fraction, q: Qumterval, skeletons: dict, scale: int):
-    """The fit of a parameter alpha <= 1/2 of q to the skeleton of q's word
-    in `skeletons`, with the boundary factors' scale `scale`.
-
-    The endpoint orbits are stepped once, in integers, to their digits and
-    order keys (`kdynamics.rational_orbit` at `_key_scale(alpha, scale)`).
-    A missing skeleton, or one these orbits do not fit, is replaced by one
-    built from them.  Returns the skeleton and its fit (`_Skeleton.fit`).
-    """
+def _fitted(alpha: Fraction, skel: _Skeleton, scale: int):
+    """The fit of a parameter alpha <= 1/2 of the skeleton's qumterval
+    (`_Skeleton.fit`), with the boundary factors' scale `scale`: the
+    endpoint orbits are stepped once, in integers, to their digits and order
+    keys (`kdynamics.rational_orbit` at `_key_scale(alpha, scale)`)."""
     shift = _key_scale(alpha, scale)
-    low_digits, low_keys = rational_orbit(alpha, alpha - 1, q.m0, shift)
-    high_digits, high_keys = rational_orbit(alpha, alpha, q.m1, shift)
-    digits, keys = (tuple(low_digits), tuple(high_digits)), (low_keys, high_keys)
-    skel = skeletons.get(q.word)
-    fit = None if skel is None else skel.fit(alpha, digits, keys, scale)
-    if fit is None:
-        skel = skeletons[q.word] = _skeleton(q.word, alpha, digits, keys)
-        fit = skel.fit(alpha, digits, keys, scale)
-        if fit is None:
-            raise AttractorError("an endpoint orbit repeats a level before the matching time")
-    return skel, fit
+    low_digits, low_keys = rational_orbit(alpha, alpha - 1, len(skel.low_digits), shift)
+    high_digits, high_keys = rational_orbit(alpha, alpha, len(skel.high_digits), shift)
+    return skel.fit(alpha, (tuple(low_digits), tuple(high_digits)), (low_keys, high_keys), scale)
 
 
 def build_attractor(alpha) -> Attractor:
@@ -483,8 +476,9 @@ def build_attractor(alpha) -> Attractor:
     q = locate_qumterval(alpha)
     if q.m1 > q.m0:
         raise ValueError("parameters above 1/2: reflect with alpha -> 1 - alpha")
+    skel = _skeleton(q)
     # the keys order the levels at any scale; this one sets the integers of the fit's rectangle tests
-    skel, (lo, hi, _) = _fitted(alpha, q, {}, MIN_PRECISION)
+    lo, hi, _ = _fitted(alpha, skel, MIN_PRECISION)
     low, high = orbit(alpha, alpha - 1, q.m0), orbit(alpha, alpha, q.m1)
     rights, lefts = [skel.value(end) for end in skel.rights], [skel.value(end) for end in skel.lefts]
     # distinct levels have distinct keys, so a key names its level
@@ -517,7 +511,7 @@ def _staircase(lo: list, hi: list):
     below y_lo, and its left end that of upper segment j, the first at or
     above y_hi.  A level in both lists is taken once.  Both segments exist
     because lo[0] = alpha - 1 is the lowest level and hi[-1] = alpha the
-    highest (checked by `_skeleton`).
+    highest (the fit's order check, `_Skeleton.fit`).
     """
     i = j = 0
     n_lo, n_hi = len(lo), len(hi)
@@ -601,20 +595,16 @@ def entropy_at(alpha, precision: int | None = None) -> EntropySample:
     if not 0 < alpha < 1:
         raise ValueError("entropy is computed for parameters strictly inside (0, 1)")
     base = alpha if alpha <= _HALF else 1 - alpha
-    return _entropy_sample(alpha, base, locate_qumterval(base), {}, precision)
+    return _entropy_sample(alpha, base, _skeleton(locate_qumterval(base)), precision)
 
 
-def _entropy_sample(
-    alpha: Fraction, base: Fraction, q: Qumterval, skeletons: dict, precision: int | None
-) -> EntropySample:
-    """The entropy at alpha, whose reflection `base` <= 1/2 lies in q.
-
-    The mass comes from the skeleton of q's word in `skeletons` (`_fitted`).
-    """
+def _entropy_sample(alpha: Fraction, base: Fraction, skel: _Skeleton, precision: int | None) -> EntropySample:
+    """The entropy at alpha, whose reflection `base` <= 1/2 lies in the
+    qumterval of the skeleton `skel`, which gives the mass (`_fitted`)."""
     bits = checked_precision(precision)
-    A, err = _sample_mass(base, q, skeletons, bits)
+    A, err = _sample_mass(base, skel, bits)
     h, h_err = _entropy_of(A, err, bits)
-    word, m0, m1 = q.word, q.m0, q.m1
+    word, m0, m1 = skel.word, len(skel.low_digits), len(skel.high_digits)
     if alpha != base:  # reported on the original side: the mirror word, counts swapped
         word, m0, m1 = words.transpose(words.negate(word)), m1, m0
     return EntropySample(
@@ -628,15 +618,15 @@ def _entropy_sample(
     )
 
 
-def _sample_mass(alpha: Fraction, q: Qumterval, skeletons: dict, bits: int) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """(area integral, error bound) at a parameter alpha <= 1/2 of q: the
-    boundary product of its fit (`_fitted`, `_Skeleton.product`) at the
-    scale W = bits + _GUARD, its levels rounded from their order keys, and
-    one log of its ratio (`_mass_of`).  The log of the product is the sum of
-    the rectangle masses; the error estimate is theirs, summed in closed
-    form."""
+def _sample_mass(alpha: Fraction, skel: _Skeleton, bits: int) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """(area integral, error bound) at a parameter alpha <= 1/2 of the
+    skeleton's qumterval: the boundary product of its fit (`_fitted`,
+    `_Skeleton.product`) at the scale W = bits + _GUARD, its levels rounded
+    from their order keys, and one log of its ratio (`_mass_of`).  The log
+    of the product is the sum of the rectangle masses; the error estimate is
+    theirs, summed in closed form."""
     scale = bits + _GUARD
-    skel, (lo, hi, rects) = _fitted(alpha, q, skeletons, scale)
+    lo, hi, rects = _fitted(alpha, skel, scale)
     num, den = skel.product(lo, hi, scale, _key_scale(alpha, scale) - scale)
     return _mass_of(num, den, rects, bits)
 
@@ -787,7 +777,9 @@ def _entropy_run(grid, precision: int | None) -> list[EntropySample]:
         base = alpha if alpha <= _HALF else 1 - alpha
         if q is None or base not in q:
             q = locate_qumterval(base)
-        out.append(_entropy_sample(alpha, base, q, skeletons, precision))
+            if q.word not in skeletons:
+                skeletons[q.word] = _skeleton(q)
+        out.append(_entropy_sample(alpha, base, skeletons[q.word], precision))
     return out
 
 
@@ -803,7 +795,7 @@ def asymptotic_probe(n_values, precision: int | None = None) -> list[dict]:
         if n < 2:
             raise ValueError("N must be at least 2")
         q = qumterval_of("0" * n + "1")
-        A, err = _sample_mass(q.pseudocenter, q, {}, bits)
+        A, err = _sample_mass(q.pseudocenter, _skeleton(q), bits)
         h, _ = _entropy_of(A, err, bits)
         with working_precision(bits):
             log_n1 = mpmath.log(n + 1)
@@ -824,17 +816,24 @@ def asymptotic_probe(n_values, precision: int | None = None) -> list[dict]:
 
 
 def qumterval_slope(q: Qumterval, precision: int | None = None) -> dict:
-    """Difference quotient of the entropy across the inner 3/4 of a qumterval."""
+    """Difference quotient of the entropy across the inner 3/4 of a qumterval.
+
+    Off the plateau (m0 != m1) the entropy is strictly monotone on q, so two
+    entropies within their error bounds of each other (compared exactly)
+    differ by rounding only: ValueError, naming the precision, which on long
+    words must reach about the bits of the qumterval's width."""
     width = q.alpha_plus - q.alpha_minus
     p1 = simplest_rational_between(q.alpha_minus, q.alpha_minus + width / 8)
     p2 = simplest_rational_between(q.alpha_plus - width / 8, q.alpha_plus)
-    h1 = entropy_at(p1, precision).h
-    h2 = entropy_at(p2, precision).h
+    s1, s2 = entropy_at(p1, precision), entropy_at(p2, precision)
+    if q.m0 != q.m1 and abs(mpmath.fsub(s2.h, s1.h, exact=True)) <= mpmath.fadd(s1.err_bound, s2.err_bound, exact=True):
+        bits = checked_precision(precision)
+        raise ValueError(f"entropy difference below its error bound at {bits} bits: raise the precision")
     return {
         "word": q.word,
         "a": p1,
         "b": p2,
-        "slope": float((h2 - h1) / (p2 - p1)),
+        "slope": float((s2.h - s1.h) / (p2 - p1)),
         "excess_zeros": q.m0 - q.m1,
     }
 

@@ -215,6 +215,7 @@ class TestOrbit:
                     tuple(sorted(range(q.m1 + 1), key=lambda j: high.points[j]))
                 )
             assert len(perms) == 1 and len(perms_high) == 1
+            assert (*perms, *perms_high) == kd.rotation_orders(q.m0, q.m1)
 
 
 class TestMatchingCertificates:

@@ -181,7 +181,7 @@ def pole_decision(x, y, scale):
     skeleton whose two boundaries are x over the level y: |X| + slack against
     2^scale, exactly where the integers cannot decide."""
     end, Q, d = end_pair(x)
-    skel = nx._Skeleton((), (), (0,), (0,), rights=(end,), lefts=(end,), Q=Q, d=d)
+    skel = nx._Skeleton("", (), (), (0,), (0,), rights=(end,), lefts=(end,), Q=Q, d=d)
     key = scaled_key(y, scale)
     try:
         return skel.fit(y, ((), ()), ([key], [key]), scale) is not None
@@ -241,7 +241,7 @@ class TestFilteredPredicates:
         alpha = bf.qumterval_of(wd.word_from_rational(Fraction(853, 2048))).pseudocenter
         q = bf.locate_qumterval(alpha)
         digits, keys = kernel_orbits(alpha, q, scale)
-        skel = nx._skeleton(q.word, alpha, digits, keys)
+        skel = nx._skeleton(q)
         calls = []
         for name in ("__lt__", "__gt__"):
             compare = getattr(QuadSurd, name)
@@ -289,7 +289,7 @@ class TestEndPairs:
         starts = y, x / (1 + x), y / (1 - y), x  # two lower, then two upper chains
         Q = lcm(*map(nx._lift, starts))
         ends = [end for k, v in enumerate(starts) for end in nx._abscissae(v, digits[k // 2], Q)]
-        skel = nx._Skeleton((), (), (), (), rights=tuple(ends), lefts=(), Q=Q, d=x.d)
+        skel = nx._Skeleton("", (), (), (), (), rights=tuple(ends), lefts=(), Q=Q, d=x.d)
         values = [make_surd(P, Q, R, x.d) for P, R in ends]
         for scale in (0, 168, 552):
             X, _, slack = skel.rounded_ends(scale)
@@ -310,7 +310,7 @@ class TestEndPairs:
             nx.attractor_corners(q.word)
             digits, keys = kernel_orbits(alpha, q, scale)
             made.clear()
-            skel = nx._skeleton(q.word, alpha, digits, keys)
+            skel = nx._skeleton(q)
             counts.append(len(made))
         made.clear()
         lo, hi, rects = skel.fit(alpha, digits, keys, scale)
@@ -318,15 +318,17 @@ class TestEndPairs:
         assert made == [] and rects == 2048 and counts[0] == counts[1] < 10
 
 
-def rotation_orders(m0, m1):
-    """The level orders of the lower and the upper orbit of a word with m0
-    zeros and m1 ones, as rotation orders."""
-    low = sorted(range(m0), key=lambda k: k * m1 % m0) + [m0]
-    high = sorted(range(m1), key=lambda k: k * (m0 - m1) % m1) + [m1]
-    return low, high[::-1]
-
-
 class TestRotationOrders:
+    def test_rotation_orders_are_the_sorted_residues(self):
+        # index k of the lower orbit has rank k m1 mod m0, of the upper one
+        # rank k (m0 - m1) mod m1 counted down from alpha
+        for m0 in range(1, 150):
+            for m1 in range(1, m0 + 1):
+                if gcd(m0, m1) == 1:
+                    low = sorted(range(m0), key=lambda k: k * m1 % m0) + [m0]
+                    high = sorted(range(m1), key=lambda k: k * (m0 - m1) % m1) + [m1]
+                    assert kd.rotation_orders(m0, m1) == (tuple(low), tuple(high[::-1])), (m0, m1)
+
     @settings(max_examples=80, deadline=None)
     @given(side0_slopes, st.integers(1, 16), st.integers(0, 15), st.booleans())
     def test_key_sorted_orders_are_rotation_orders(self, r, n, k, at_minus):
@@ -343,8 +345,8 @@ class TestRotationOrders:
             orders = []
             for start, steps in ((alpha - 1, q.m0), (alpha, q.m1)):
                 _, keys = kd.rational_orbit(alpha, start, steps, nx._key_scale(alpha, 0))
-                orders.append(sorted(range(len(keys)), key=keys.__getitem__))
-            assert orders == list(rotation_orders(q.m0, q.m1))
+                orders.append(tuple(sorted(range(len(keys)), key=keys.__getitem__)))
+            assert tuple(orders) == kd.rotation_orders(q.m0, q.m1)
 
 
 class TestCorners:
@@ -567,35 +569,32 @@ class TestCheckedConstruction:
 
 
 class TestSkeletonChecks:
-    # a skeleton that does not belong to a sample must be rebuilt or refused
+    # a skeleton that does not belong to a sample is refused, never used
     alpha = Fraction(337, 1000)  # word 001: two lower levels above alpha - 1
 
     def sample_with(self, change):
-        """The sample at alpha, computed once with its own skeleton and once
-        more with that skeleton changed; returns both samples, the skeleton,
-        its changed copy and the skeleton left in the dict."""
-        q = bf.locate_qumterval(self.alpha)
-        skeletons = {}
-        want = nx._entropy_sample(self.alpha, self.alpha, q, skeletons, None)
-        skel = skeletons[q.word]
-        bad = skeletons[q.word] = change(skel)
-        got = nx._entropy_sample(self.alpha, self.alpha, q, skeletons, None)
-        return want, got, skel, bad, skeletons[q.word]
+        """The sample at alpha with its own skeleton, which fits, then with
+        that skeleton changed."""
+        skel = nx._skeleton(bf.locate_qumterval(self.alpha))
+        nx._entropy_sample(self.alpha, self.alpha, skel, None)
+        return nx._entropy_sample(self.alpha, self.alpha, change(skel), None)
 
-    def test_changed_order_is_rebuilt(self):
+    def test_changed_order_is_refused(self):
         def swap(skel):
             o = skel.low_order
             return dataclasses.replace(skel, low_order=(o[0], o[2], o[1]))
 
-        want, got, skel, bad, kept = self.sample_with(swap)
-        assert got == want and kept is not bad and kept.low_order == skel.low_order
+        refused = r"orbit of alpha - 1 leaves the word's level order \(word 001, alpha = 337/1000\)"
+        with pytest.raises(nx.AttractorError, match=refused):
+            self.sample_with(swap)
 
-    def test_changed_digits_are_rebuilt(self):
+    def test_changed_digits_are_refused(self):
         def bump(skel):
             return dataclasses.replace(skel, high_digits=(skel.high_digits[0] + 1,) + skel.high_digits[1:])
 
-        want, got, skel, bad, kept = self.sample_with(bump)
-        assert got == want and kept is not bad and kept.high_digits == skel.high_digits
+        refused = r"orbit of alpha leaves the word's digits \(word 001, alpha = 337/1000\)"
+        with pytest.raises(nx.AttractorError, match=refused):
+            self.sample_with(bump)
 
     def test_empty_rectangle_is_refused(self):
         # the lowest rectangle's left end is the corner y: a right end at y empties it
@@ -636,47 +635,54 @@ class TestSkeletonChecks:
 
 
 class TestConstructionChecks:
-    # each check of `_skeleton` and `_fitted` refuses its own fault, named in
-    # its message, on word 001 at 337/1000: lower orbit indices in level
+    # each check of `_skeleton` and of the fit refuses its own fault, named
+    # in its message, on word 001 at 337/1000: lower orbit indices in level
     # order (0, 1, 2), upper (1, 0)
     alpha = Fraction(337, 1000)
 
-    def orbits(self):
-        q = bf.locate_qumterval(self.alpha)
-        return (q.word, *kernel_orbits(self.alpha, q, 64))
+    def skeleton(self):
+        return nx._skeleton(bf.locate_qumterval(self.alpha))
 
-    def skeleton(self, word, digits, keys):
-        return nx._skeleton(word, self.alpha, digits, keys)
+    def build_with(self, monkeypatch, change):
+        """`build_attractor` at alpha with the kernel's orbit of alpha - 1
+        replaced by change(digits, levels)."""
+        kernel = nx.rational_orbit
 
-    def test_orbit_hitting_zero_is_refused(self):
-        word, (low, high), keys = self.orbits()
-        low = (*low[:-1], None)
-        with pytest.raises(nx.AttractorError, match="hit zero"):
-            self.skeleton(word, (low, high), keys)
+        def changed(alpha, x, steps, shift=None):
+            digits, levels = kernel(alpha, x, steps, shift)
+            return change(digits, levels) if x == alpha - 1 else (digits, levels)
 
-    def test_endpoint_level_not_extremal_is_refused(self):
+        monkeypatch.setattr(nx, "rational_orbit", changed)
+        return nx.build_attractor(self.alpha)
+
+    def test_orbit_hitting_zero_is_refused(self, monkeypatch):
+        with pytest.raises(nx.AttractorError, match="orbit of alpha - 1 hits zero"):
+            self.build_with(monkeypatch, lambda digits, levels: ([*digits[:-1], None], levels))
+
+    def test_endpoint_level_not_extremal_is_refused(self, monkeypatch):
         # the start alpha - 1 raised above every other lower level
-        word, digits, (low, high) = self.orbits()
-        low = [scaled_key(Fraction(1, 2), nx._key_scale(self.alpha, 64)), *low[1:]]
-        with pytest.raises(nx.AttractorError, match="not extremal"):
-            self.skeleton(word, digits, (low, high))
+        with pytest.raises(nx.AttractorError, match="orbit of alpha - 1 leaves the word's level order"):
+            self.build_with(monkeypatch, lambda digits, levels: (digits, [max(levels) + 1, *levels[1:]]))
+
+    def test_repeated_level_is_refused(self, monkeypatch):
+        # the second lower level set to alpha - 1: the digits hold, but the
+        # fit cannot order the levels
+        with pytest.raises(nx.AttractorError, match="orbit of alpha - 1 leaves the word's level order"):
+            self.build_with(monkeypatch, lambda digits, levels: (digits, [levels[0], levels[0], *levels[2:]]))
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
-    def test_open_seam_is_refused(self, side):
-        # a changed last digit moves both ends of one segment
-        word, (low, high), keys = self.orbits()
-        if side == "lower":
-            low = (*low[:-1], low[-1] + 1)
-        else:
-            high = (*high[:-1], high[-1] - 1)
-        with pytest.raises(nx.AttractorError, match=f"{side} seam open"):
-            self.skeleton(word, (low, high), keys)
+    def test_open_seam_is_refused(self, monkeypatch, side):
+        # a changed last digit of the word's pattern moves both ends of one segment
+        name, step = ("expected_digits_low", 1) if side == "lower" else ("expected_digits_high", -1)
+        pattern = getattr(nx, name)
+        monkeypatch.setattr(nx, name, lambda S: (*pattern(S)[:-1], pattern(S)[-1] + step))
+        with pytest.raises(nx.AttractorError, match=f"{side} seam open at index [0-9]+ of the orbit .*word 001"):
+            self.skeleton()
 
     def test_open_closure_is_refused(self, monkeypatch):
         # only the right end of the top lower segment moves, so every seam holds
-        word, digits, keys = self.orbits()
-        top = self.skeleton(word, digits, keys).low_order[-1]
-        x, _ = nx.attractor_corners(word)
+        top = self.skeleton().low_order[-1]
+        x, _ = nx.attractor_corners("001")
         abscissae = nx._abscissae
 
         def moved(xi, digits, Q):
@@ -688,31 +694,15 @@ class TestConstructionChecks:
 
         monkeypatch.setattr(nx, "_abscissae", moved)
         with pytest.raises(nx.AttractorError, match="does not close"):
-            self.skeleton(word, digits, keys)
+            self.skeleton()
 
     def test_corners_of_two_fields_are_refused(self, monkeypatch):
         # the seams compare triples, which only one field makes comparable
-        word, digits, keys = self.orbits()
-        x, _ = nx.attractor_corners(word)
+        x, _ = nx.attractor_corners("001")
         y = make_surd(-1, 1, 2, 5 if x.d != 5 else 13) - 1  # in (-1, 0)
         monkeypatch.setattr(nx, "attractor_corners", lambda w: (x, y))
         with pytest.raises(nx.AttractorError, match="two quadratic fields"):
-            self.skeleton(word, digits, keys)
-
-    def test_repeated_level_is_refused(self, monkeypatch):
-        # the second lower level set to alpha - 1: the level order and every
-        # seam hold, so the skeleton builds, but its fit cannot order the levels
-        kernel = nx.rational_orbit
-
-        def repeated(alpha, x, steps, shift=None):
-            digits, levels = kernel(alpha, x, steps, shift)
-            if x != alpha - 1:
-                return digits, levels
-            return digits, [levels[0], levels[0], *levels[2:]]
-
-        monkeypatch.setattr(nx, "rational_orbit", repeated)
-        with pytest.raises(nx.AttractorError, match="repeats a level"):
-            nx.build_attractor(self.alpha)
+            self.skeleton()
 
 
 def boundary_mass(alpha, bits):
@@ -720,7 +710,7 @@ def boundary_mass(alpha, bits):
     q = bf.locate_qumterval(alpha)
     scale = bits + nx._GUARD
     digits, keys = kernel_orbits(alpha, q, scale)
-    skel = nx._skeleton(q.word, alpha, digits, keys)
+    skel = nx._skeleton(q)
     lo, hi, rects = skel.fit(alpha, digits, keys, scale)
     num, den = skel.product(lo, hi, scale, nx._key_scale(alpha, scale) - scale)
     return nx._mass_of(num, den, rects, bits)
@@ -861,7 +851,7 @@ class TestLevelKeys:
                 shift = nx._key_scale(alpha, scale) - scale
                 assert len({K >> shift for K in keys[0]}) <= 2 < len(keys[0]) == len(set(keys[0]))
             level = dict(zip(keys[0] + keys[1], low.points + high.points))
-            skel = nx._skeleton(q.word, alpha, digits, keys)
+            skel = nx._skeleton(q)
             lo, hi, rects = skel.fit(alpha, digits, keys, scale)
             assert [level[K] for K in lo] == lo_f and [level[K] for K in hi] == hi_f
             assert self.merged(lo, hi, level) == fraction_run and rects == len(fraction_run)
@@ -880,7 +870,7 @@ class TestLevelKeys:
         alpha = Fraction(337, 1000)
         q, low, _ = self.orbits(alpha)
         digits, keys = kernel_orbits(alpha, q, 0)
-        skel = nx._skeleton(q.word, alpha, digits, keys)
+        skel = nx._skeleton(q)
         assert skel.fit(alpha, digits, keys, 0) is not None
         # the second-lowest lower level repeated, as an equal but distinct Fraction
         points = list(low.points)
@@ -888,13 +878,14 @@ class TestLevelKeys:
         y = points[first]
         points[second] = Fraction(y.numerator, y.denominator)
         low_keys = level_keys(points, 0)
-        assert skel.fit(alpha, digits, (low_keys, keys[1]), 0) is None
+        with pytest.raises(nx.AttractorError, match="orbit of alpha - 1 leaves the word's level order"):
+            skel.fit(alpha, digits, (low_keys, keys[1]), 0)
 
     @pytest.mark.parametrize("scale", [0, 128 + nx._GUARD], ids=["scale-0", "entropy-scale"])
     def test_no_two_fractions_are_ordered(self, monkeypatch, scale):
         # a 2048-letter short-run word, whose levels lie closer than 2^-168:
-        # the kernel's keys, the skeleton's sorts, the fit's order check and
-        # the merge compare integers only
+        # the kernel's keys, the fit's order check and the merge compare
+        # integers only
         alpha = bf.qumterval_of(wd.word_from_rational(Fraction(853, 2048))).pseudocenter
         q = bf.locate_qumterval(alpha)
         calls = []
@@ -907,7 +898,7 @@ class TestLevelKeys:
 
             monkeypatch.setattr(Fraction, name, record)
         digits, keys = kernel_orbits(alpha, q, scale)
-        skel = nx._skeleton(q.word, alpha, digits, keys)
+        skel = nx._skeleton(q)
         assert skel.fit(alpha, digits, keys, scale) is not None
         assert calls == []
 
@@ -1368,11 +1359,16 @@ class TestCurveAndProbes:
             nx.slope_growth_probe("001", "plus", -1)
 
     def test_slope_on_a_2048_letter_word(self):
-        # endpoints with more than a thousand continued-fraction digits
+        # endpoints with more than a thousand continued-fraction digits; at
+        # 128 bits the two entropies differ by about 1e-38 against error
+        # bounds near 7e-34 each, so the slope is refused, but not at 3000
         q = bf.qumterval_of(wd.word_from_rational(Fraction(853, 2048)))
         assert bf.simplest_rational_between(q.alpha_minus, q.alpha_plus) == q.pseudocenter
-        info = nx.qumterval_slope(q)
+        with pytest.raises(ValueError, match="below its error bound at 128 bits"):
+            nx.qumterval_slope(q, 128)
+        info = nx.qumterval_slope(q, 3000)
         assert q.alpha_minus < info["a"] < info["b"] < q.alpha_plus
+        assert f"{info['slope']:.9f}" == "979.517269976"
 
     def test_plateau_slope_is_zero(self):
         info = nx.qumterval_slope(bf.qumterval_of("01"))
