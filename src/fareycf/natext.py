@@ -31,8 +31,8 @@ path to it (`_fitted`): the digits and order keys of its endpoint orbits
 and the skeleton's fit, which refuses orbits whose digits or level order
 differ from the skeleton's and checks that no rectangle is empty as it
 merges the staircase.  Exact levels are made only where they are read:
-`build_attractor` turns the fit into rectangles over the exact orbits, and
-an error message names a level by its orbit index.
+`build_attractor` merges the exact levels, in the order the fit checked,
+into rectangles, and an error message names a level by its orbit index.
 
 The entropy then follows from the identity  h * area = pi^2 / 3  where
 "area" is the mass of the attractor under dx dy / (1 + x y)^2.  That mass has
@@ -43,14 +43,14 @@ two distinct levels (`_key_scale`): the sort, the order check and the merge
 compare integers only, never two exact levels, and a key shifted down to
 the mass's scale is the level rounded for its boundary factors.  One helper
 builds the factors and multiplies them as it forms them
-(`_Skeleton.product`), for the entropy (`_sample_mass`), `attractor_mass`
-and `measure_interval` alike.  `entropy_curve` keeps one skeleton per word
+(`_Skeleton.product`), for the entropy (`_sample_mass`) and the band
+masses of `measure_interval` (the same product over the fit's keys
+clamped into the band) alike.  `entropy_curve` keeps one skeleton per word
 for the length of the call; `entropy_at` and `asymptotic_probe` build their
-own, and an attractor keeps the one it was built from: `attractor_mass`
-and the band masses of `measure_interval` (the same product over the
-levels clamped into the band) come from it, and the density and the
-measure take A once per attractor and precision.  The sum of the
-rectangles' closed-form masses is only the tests' oracle.
+own, and an attractor keeps the one it was built from.  Its mass is the
+entropy's, taken once per precision and kept on it (`attractor_mass`),
+which the density and the measure divide by.  The sum of the rectangles'
+closed-form masses is only the tests' oracle.
 
 The float tail of a sample is a few operations on raw `mpmath.libmp`
 values at the working precision, each rounded to nearest, with no
@@ -171,7 +171,7 @@ class Attractor:
     h_levels_high: tuple[Exact, ...]
     v_levels: tuple[Exact, ...]  # the distinct ends of the boundary segments, ascending
     skeleton: _Skeleton = field(compare=False, repr=False)  # the mass's boundaries (`attractor_mass`)
-    masses: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # A by bits (`_kept_mass`)
+    masses: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # (A, err) by bits (`attractor_mass`)
 
 
 @lru_cache(maxsize=1024)
@@ -309,7 +309,7 @@ class _Skeleton:
         so X_R - X_L >= 2s proves L < R (`_below`); only where the integers
         cannot decide is the test exact.
         """
-        lo, hi = self.ordered(keys)
+        lo, hi = [keys[0][k] for k in self.low_order], [keys[1][k] for k in self.high_order]
         orbits = zip(("alpha - 1", "alpha"), digits, (self.low_digits, self.high_digits), (lo, hi))
         for start, got, want, levels in orbits:
             if got != want:
@@ -332,14 +332,10 @@ class _Skeleton:
             rects += 1
         return lo, hi, rects
 
-    def ordered(self, keys):
-        """Both orbits' keys in the skeleton's segment order: (lower, upper)."""
-        return [keys[0][k] for k in self.low_order], [keys[1][k] for k in self.high_order]
-
     def product(self, lo, hi, scale: int, shift: int) -> tuple[int, int]:
         """The boundary product (num, den) at W = `scale` over the ascending
         level keys `lo` and `hi` of the lower and the upper segments
-        (`ordered`), taken at the scale W + `shift`: Y = K >> shift is the
+        (`fit`), taken at the scale W + `shift`: Y = K >> shift is the
         level times 2^W, rounded down, exactly.
 
         The integral of dx/(1+xy)^2 from L to R is R/(1+Ry) - L/(1+Ly), whose
@@ -411,7 +407,8 @@ def _key_scale(start: Fraction, scale: int) -> int:
     1/Q^2 > 4 / 2^S, so their keys differ, and equal levels have equal
     keys: keys of both orbits compare as their levels do, with no tie.
     K >> (S - scale) is floor(y 2^scale) exactly, at the entropy's scale
-    the level rounded for the boundary factors (`_Skeleton.product`).
+    the level rounded for the boundary factors (`_Skeleton.product`), for
+    the mass and the measure alike: the measure rounds its bounds at S too.
     Where S = scale, as at every grid point of `entropy_curve` and every
     denominator below 2^((scale - 2) / 2), the keys are those integers.
     """
@@ -477,19 +474,16 @@ def build_attractor(alpha) -> Attractor:
     if q.m1 > q.m0:
         raise ValueError("parameters above 1/2: reflect with alpha -> 1 - alpha")
     skel = _skeleton(q)
-    # the keys order the levels at any scale; this one sets the integers of the fit's rectangle tests
-    lo, hi, _ = _fitted(alpha, skel, MIN_PRECISION)
+    # the checks only: the keys order the levels at any scale, this one sets the integers of the rectangle tests
+    _fitted(alpha, skel, MIN_PRECISION)
     low, high = orbit(alpha, alpha - 1, q.m0), orbit(alpha, alpha, q.m1)
     rights, lefts = [skel.value(end) for end in skel.rights], [skel.value(end) for end in skel.lefts]
-    # distinct levels have distinct keys, so a key names its level
-    level = dict(zip(lo, map(low.points.__getitem__, skel.low_order)))
-    level.update(zip(hi, map(high.points.__getitem__, skel.high_order)))
+    # the fit found each orbit's levels ascending in the skeleton's order
+    lo, hi = [low.points[k] for k in skel.low_order], [high.points[k] for k in skel.high_order]
     return Attractor(
         word=q.word,
         alpha=alpha,
-        rects=tuple(
-            Rect(lefts[j], rights[i], level[y_lo], level[y_hi]) for y_lo, y_hi, i, j in _staircase(lo, hi)
-        ),
+        rects=tuple(Rect(lefts[j], rights[i], y_lo, y_hi) for y_lo, y_hi, i, j in _staircase(lo, hi)),
         corner_x=rights[-1],
         corner_y=lefts[0],
         h_levels_low=tuple(low.points),
@@ -553,24 +547,15 @@ def corner_system_residues(w: str):
 
 
 def attractor_mass(attr: Attractor, precision: int | None = None):
-    """(area integral, error bound): the boundary product of the attractor's
-    skeleton (`_Skeleton.product`), so `entropy_at(attr.alpha, precision).A`
-    bit for bit.  Nothing is kept between calls."""
+    """(area integral, error bound): the entropy's own mass at the
+    attractor's parameter and skeleton (`_sample_mass`), so
+    `entropy_at(attr.alpha, precision).A` bit for bit; taken once per
+    precision and kept on the attractor (`Attractor.masses`)."""
     bits = checked_precision(precision)
-    scale, skel = bits + _GUARD, attr.skeleton
-    # the skeleton orders the levels; the factors need them rounded at the scale only
-    ys = [_scaled(levels, scale) for levels in (attr.h_levels_low, attr.h_levels_high)]
-    num, den = skel.product(*skel.ordered(ys), scale, 0)
-    return _mass_of(num, den, len(attr.rects), bits)
-
-
-def _kept_mass(attr: Attractor, bits: int) -> mpmath.mpf:
-    """The attractor mass A at `bits` (`attractor_mass`), taken once per
-    attractor and precision for the density and the measure."""
-    A = attr.masses.get(bits)
-    if A is None:
-        A = attr.masses[bits] = attractor_mass(attr, bits)[0]
-    return A
+    got = attr.masses.get(bits)
+    if got is None:
+        got = attr.masses[bits] = _sample_mass(attr.alpha, attr.skeleton, bits)
+    return got
 
 
 @dataclass(frozen=True)
@@ -663,14 +648,14 @@ def density_slice(attr: Attractor, t, precision: int | None = None) -> mpmath.mp
     """Invariant density at height t: the exact antiderivative
     (x_hi - x_lo)/((1+x_lo t)(1+x_hi t)) of the one rectangle with
     y_lo <= t < y_hi, found by bisection (the top one at t = alpha), over
-    `attractor_mass`, taken once per attractor and precision."""
+    `attractor_mass`, kept on the attractor."""
     if not isinstance(t, (int, Fraction, QuadSurd)):
         # quadrature callers pass floats; clamp their rounding slack
         t = min(max(Fraction(float(t)), attr.alpha - 1), attr.alpha)
     if not attr.alpha - 1 <= t <= attr.alpha:
         raise ValueError("height outside the interval")
     bits = checked_precision(precision)
-    A = _kept_mass(attr, bits)
+    A = attractor_mass(attr, bits)[0]
     rect = attr.rects[bisect_right(attr.rects, t, key=lambda r: r.y_lo) - 1]
     with working_precision(bits):
         tm = to_mpf(t)
@@ -680,15 +665,15 @@ def density_slice(attr: Attractor, t, precision: int | None = None) -> mpmath.mp
 
 def measure_interval(attr: Attractor, lo, hi, precision: int | None = None) -> mpmath.mpf:
     """Invariant measure of [lo, hi], for rational bounds inside the map's
-    interval: the boundary product of the attractor's skeleton over its
-    levels clamped into [lo, hi] (`_Skeleton.product`), over the attractor
-    mass (`attractor_mass`, taken once per attractor and precision), rounded
-    to nearest at the working precision.
+    interval: the boundary product of the attractor's fit over its keys
+    clamped into [lo, hi] (`_fitted`, `_Skeleton.product`), over the mass
+    (`attractor_mass`), rounded to nearest at the working precision.
     Clamped, a segment's span is its part of the band; a segment outside
-    the band has y0 = y1 and a pair of equal factors.  The clamp is taken
-    on the levels and bounds rounded down at the mass's scale: rounding
-    down is monotone, so it gives the clamped levels rounded, and no two
-    exact values are compared."""
+    the band has y0 = y1 and a pair of equal factors.  The bounds are
+    rounded down at the keys' scale S (`_key_scale`) and the product shifts
+    the clamped keys to the mass's scale, as the entropy's does: a floor
+    shift is monotone, so it commutes with the clamp, and no two exact
+    values are compared."""
     for bound in (lo, hi):
         if not isinstance(bound, (int, Fraction)):
             raise ValueError(f"measure bounds must be rational, got {bound!r}")
@@ -696,11 +681,11 @@ def measure_interval(attr: Attractor, lo, hi, precision: int | None = None) -> m
         raise ValueError("interval must sit inside [alpha-1, alpha]")
     bits = checked_precision(precision)
     scale, skel = bits + _GUARD, attr.skeleton
-    A = _kept_mass(attr, bits)
-    bottom, top = _scaled([lo, hi], scale)
-    levels = attr.h_levels_low, attr.h_levels_high
-    band = [[min(max(Y, bottom), top) for Y in _scaled(ys, scale)] for ys in levels]
-    B, _ = _mass_of(*skel.product(*skel.ordered(band), scale, 0), 0, bits)
+    A = attractor_mass(attr, bits)[0]
+    key_scale = _key_scale(attr.alpha, scale)
+    bottom, top = _scaled([lo, hi], key_scale)
+    band = [[min(max(K, bottom), top) for K in keys] for keys in _fitted(attr.alpha, skel, scale)[:2]]
+    B, _ = _mass_of(*skel.product(*band, scale, key_scale - scale), 0, bits)
     return mpmath.mp.make_mpf(mpf_div(B._mpf_, A._mpf_, bits, round_nearest))
 
 
@@ -820,8 +805,11 @@ def qumterval_slope(q: Qumterval, precision: int | None = None) -> dict:
 
     Off the plateau (m0 != m1) the entropy is strictly monotone on q, so two
     entropies within their error bounds of each other (compared exactly)
-    differ by rounding only: ValueError, naming the precision, which on long
-    words must reach about the bits of the qumterval's width."""
+    differ by rounding only: ValueError, naming the precision.  Without one
+    given it works at 2 b + 64 bits, if above the default, for a qumterval
+    about 2^-2b wide, b the bit length of its pseudocenter's denominator."""
+    if precision is None:
+        precision = max(checked_precision(None), 2 * q.pseudocenter.denominator.bit_length() + 64)
     width = q.alpha_plus - q.alpha_minus
     p1 = simplest_rational_between(q.alpha_minus, q.alpha_minus + width / 8)
     p2 = simplest_rational_between(q.alpha_plus - width / 8, q.alpha_plus)

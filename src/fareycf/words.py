@@ -10,7 +10,6 @@ one of them is Lyndon.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 Word = str
 
@@ -205,21 +204,26 @@ def compose_substitutions(U: tuple[Word, Word], V: tuple[Word, Word]) -> tuple[W
     return substitute(U[0], *V), substitute(U[1], *V)
 
 
-@lru_cache(maxsize=None)
-def _word_by_mediants(p: int, q: int) -> Word:
-    # Stern-Brocot-style construction; cross-checked against the direct formula
-    if q == 1:
-        return "1" if p == 1 else "0"
-    r1, r2 = farey_parents(Fraction(p, q))
-    return _word_by_mediants(r1.numerator, r1.denominator) + _word_by_mediants(
-        r2.numerator, r2.denominator
-    )
-
-
 def word_by_tree(r) -> Word:
-    """Tree-walk construction of word_from_rational (second, independent path)."""
+    """Tree-walk construction of word_from_rational (second, independent
+    path): from the ends 0/1 and 1/1, of words 0 and 1, each Stern-Brocot
+    step replaces the end on the far side of r by the mediant, whose word is
+    the left end's word followed by the right end's, until it is r."""
     r = Fraction(r)
-    return _word_by_mediants(r.numerator, r.denominator)
+    if not 0 <= r <= 1:
+        raise ValueError("slope must lie in [0, 1]")
+    p, q = r.numerator, r.denominator
+    if q == 1:
+        return "1" if p else "0"
+    left, right = (0, 1, "0"), (1, 1, "1")
+    while True:
+        a, b, w = left[0] + right[0], left[1] + right[1], left[2] + right[2]
+        if (a, b) == (p, q):
+            return w
+        if a * q < p * b:
+            left = a, b, w
+        else:
+            right = a, b, w
 
 
 def selftest() -> list[tuple[str, bool]]:

@@ -138,16 +138,17 @@ class TestSubcommands:
         assert lines[1].startswith("10,1/11,")
 
     def test_probe_slope_on_a_1500_letter_word(self, capsys):
-        # endpoints with more than a thousand continued-fraction digits; on
-        # the 2099-letter mediant the default precision cannot resolve the
-        # entropy difference, and the probe says so instead of printing 0
+        # endpoints with more than a thousand continued-fraction digits; the
+        # default precision follows the 2099-letter mediant, whose entropy
+        # difference 128 bits cannot resolve: the probe says so instead of
+        # printing 0
         word = wd.word_from_rational(Fraction(601, 1500))
-        code, out, err = run(capsys, "probe", "slope", "--word", word, "--halvings", "0")
-        assert code == 2 and out == "" and "error bound at 128 bits" in err
-        code, out, _ = run(capsys, "probe", "slope", "--word", word, "--halvings", "0", "--precision", "3000")
+        code, out, _ = run(capsys, "probe", "slope", "--word", word, "--halvings", "0")
         assert code == 0
         header, row = out.strip().splitlines()
         assert header.startswith("halving,") and row == "0,1/8,2099,417,1194.322569450"
+        code, out, err = run(capsys, "probe", "slope", "--word", word, "--halvings", "0", "--precision", "128")
+        assert code == 2 and out == "" and "error bound at 128 bits" in err
 
     def test_probe_zeta(self, capsys):
         code, out, _ = run(capsys, "probe", "zeta", "--s", "1.0", "--depth", "10", "--variant", "binary")

@@ -980,15 +980,16 @@ class TestPins:
 class TestMasses:
     def test_skeleton_is_not_part_of_the_value(self):
         # two builds keep two skeletons; they compare, hash and print alike,
-        # and each gives its mass afresh from its own
+        # and each keeps the mass it gives from its own
         attr = nx.build_attractor(Fraction(337, 1000))
         twin = nx.build_attractor(Fraction(337, 1000))
         assert attr.skeleton is not twin.skeleton
         assert attr == twin and hash(attr) == hash(twin) and repr(attr) == repr(twin)
         assert "skeleton" not in repr(attr)
         first = nx.attractor_mass(attr)
-        assert nx.attractor_mass(attr) is not first
-        assert nx.attractor_mass(attr) == first == nx.attractor_mass(twin)
+        assert nx.attractor_mass(attr) is first
+        second = nx.attractor_mass(twin)
+        assert second == first and second is not first
 
     @pytest.mark.parametrize("alpha", [Fraction(9, 20), Fraction(337, 1000), Fraction(1, 40)])
     @pytest.mark.parametrize("bits", [64, 128, 300])
@@ -1099,18 +1100,20 @@ class TestDensityAndMeasure:
             assert abs(total - 1) < mpmath.mpf(10) ** -10
 
     def test_mass_taken_once_per_attractor_and_precision(self, monkeypatch):
-        # the density and the measure read one A per attractor and precision,
-        # the one `attractor_mass` gives
+        # the density, the measure and direct calls read one mass per
+        # attractor and precision, the entropy's own, kept on the attractor
         attr = nx.build_attractor(Fraction(337, 1000))
-        want = {bits: nx.attractor_mass(attr, bits)[0] for bits in (80, 128)}
         calls = []
-        mass = nx.attractor_mass
-        monkeypatch.setattr(nx, "attractor_mass", lambda a, bits: calls.append(bits) or mass(a, bits))
+        sample = nx._sample_mass
+        monkeypatch.setattr(nx, "_sample_mass", lambda a, skel, bits: calls.append(bits) or sample(a, skel, bits))
         for bits in (80, 128, 80, 128):
             for t in (attr.alpha - 1, Fraction(1, 7), attr.alpha):
                 nx.density_slice(attr, t, bits)
             nx.measure_interval(attr, attr.alpha - 1, Fraction(1, 7), bits)
-        assert calls == [80, 128] and {bits: attr.masses[bits] for bits in want} == want
+            nx.attractor_mass(attr, bits)
+        assert calls == [80, 128]
+        twin = nx.build_attractor(Fraction(337, 1000))
+        assert {bits: attr.masses[bits] for bits in (80, 128)} == {bits: nx.attractor_mass(twin, bits) for bits in (80, 128)}
 
     def test_density_rounds_as_to_mpf_once_per_precision(self):
         # at alpha - 1, every level, 1/7 and alpha: bit for bit the scan of
@@ -1177,6 +1180,23 @@ class TestDensityAndMeasure:
                     band += rect_mass(nx.Rect(r.x_lo, r.x_hi, ylo, yhi), 512)[0]
             mu_512 = band / rect_sum(attr, 512)[0]
             assert abs(mu - mu_512) <= mpmath.mpf(2) ** -100
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(side0_words(12)), st.integers(0, 15))
+    def test_log_derivative_is_the_excess_times_the_density_at_alpha(self, word, k):
+        # (log h)' = (m0 - m1) rho(alpha): at the simplest rational of one
+        # sixteenth of the qumterval, the central difference over 2^-130 at
+        # 512 bits is h (m0 - m1) times the density at height alpha
+        q = bf.qumterval_of(word)
+        width = q.alpha_plus - q.alpha_minus
+        alpha = bf.simplest_rational_between(q.alpha_minus + width * k / 16, q.alpha_minus + width * (k + 1) / 16)
+        eps = Fraction(1, 2**130)
+        assume(q.alpha_minus < alpha - eps and alpha + eps < q.alpha_plus)
+        below, above, h = (nx.entropy_at(a, 512).h for a in (alpha - eps, alpha + eps, alpha))
+        with working_precision(512):
+            lhs = (above - below) * 2**129
+            rhs = h * (q.m0 - q.m1) * nx.density_slice(nx.build_attractor(alpha), alpha, 512)
+            assert abs(lhs - rhs) <= mpmath.mpf(2) ** -200 * max(1, abs(rhs))
 
     @pytest.mark.parametrize("alpha", [Fraction(2, 5), Fraction(337, 1000), Fraction(4, 15)])
     def test_measure_is_the_sum_of_clipped_rect_masses(self, alpha):
@@ -1369,6 +1389,8 @@ class TestCurveAndProbes:
         info = nx.qumterval_slope(q, 3000)
         assert q.alpha_minus < info["a"] < info["b"] < q.alpha_plus
         assert f"{info['slope']:.9f}" == "979.517269976"
+        # without a precision given, the slope works at 2 b + 64 = 2796 bits
+        assert f"{nx.qumterval_slope(q)['slope']:.9f}" == "979.517269976"
 
     def test_plateau_slope_is_zero(self):
         info = nx.qumterval_slope(bf.qumterval_of("01"))

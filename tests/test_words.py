@@ -112,6 +112,16 @@ class TestSlopeBijection:
                 r = Fraction(p, q)
                 if r.denominator == q:
                     assert wd.word_by_tree(r) == wd.word_from_rational(r)
+        # a loop, not a frame per Stern-Brocot step: 2000 steps down to
+        # 1/2000, and the Fibonacci slope 1597/2584 of 2584 letters
+        for r in (Fraction(1, 2000), Fraction(1597, 2584)):
+            assert wd.word_by_tree(r) == wd.word_from_rational(r)
+
+    @pytest.mark.parametrize("r", [Fraction(3, 2), Fraction(-1, 2), Fraction(5, 3)])
+    def test_both_constructions_refuse_slopes_outside_the_unit_interval(self, r):
+        for build in (wd.word_from_rational, wd.word_by_tree):
+            with pytest.raises(ValueError, match=r"slope must lie in \[0, 1\]"):
+                build(r)
 
 
 class TestCoding:
