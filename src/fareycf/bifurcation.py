@@ -283,15 +283,11 @@ def _concat_runs(u, v):
 
 
 def _power(w, k: int):
-    """The word w repeated k >= 1 times, as (runs, first), by doubling."""
-    out = None
-    while True:
-        if k & 1:
-            out = w if out is None else _concat_runs(out, w)
-        k >>= 1
-        if not k:
-            return out
-        w = _concat_runs(w, w)
+    """The word w of the descent repeated k >= 1 times, as (runs, first).
+    Every word of the descent but 0 and 1 starts with 0 and ends with 1, so
+    its copies never merge; 0 and 1 are one run each."""
+    runs, first = w
+    return ((runs[0] * k,) if len(runs) == 1 else runs * k, first)
 
 
 def _run_end(candidate, moves, first, budget: int):
@@ -337,7 +333,7 @@ def locate_qumterval(alpha) -> Qumterval:
     only the answer builds its surds.  Moves in one direction come in runs:
     moving right visits u v^k and moving left u^k v, monotone in k, so each
     run ends where an exponential and then a binary search on k find it
-    (`_run_end`), with the powers built by doubling (`_power`).  The steps
+    (`_run_end`), with the powers as run repetitions (`_power`).  The steps
     are still counted one per mediant of the one-step descent, and a
     descent longer than `_LOCATE_LIMIT` steps raises ValueError.
     """

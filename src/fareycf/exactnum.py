@@ -4,7 +4,8 @@ Values flow through the package as `fractions.Fraction` or `QuadSurd` and mix
 freely in arithmetic and comparisons, always exactly.  A `QuadSurd` is
 irrational by construction (rational results collapse to `Fraction` inside
 `make_surd`), so cross-type equality is always False and ordering is decided
-by integer sign computations, never by floating point.
+by integer sign computations, never by floating point.  Long products of
+integer matrices are one balanced tree (`matrix_product`).
 """
 
 from __future__ import annotations
@@ -490,15 +491,15 @@ def mobius_apply(m: Mobius, x: Exact | Infinity):
     return num / den
 
 
-def digits_matrix(digits) -> Mobius:
-    """Product of the digit matrices [[0, 1], [1, a]] of `digits`, left to
+def matrix_product(entries) -> Mobius:
+    """Product of the integer matrices (a, b, c, d) of `entries`, left to
     right; IDENTITY when empty.
 
-    Neighbours are multiplied pairwise as a balanced tree, so long strings
+    Neighbours are multiplied pairwise as a balanced tree, so long products
     cost a few products of large entries instead of one big-integer
-    determinant check per digit.
+    determinant check per factor.
     """
-    level = [(0, 1, 1, a) for a in digits]
+    level = list(entries)
     if not level:
         return IDENTITY
     while len(level) > 1:
@@ -510,6 +511,12 @@ def digits_matrix(digits) -> Mobius:
             paired.append(level[-1])
         level = paired
     return Mobius(*level[0])
+
+
+def digits_matrix(digits) -> Mobius:
+    """Product of the digit matrices [[0, 1], [1, a]] of `digits`, left to
+    right (`matrix_product`)."""
+    return matrix_product((0, 1, 1, a) for a in digits)
 
 
 def surd_from_periodic_cf(pre: tuple[int, ...], period: tuple[int, ...]) -> Exact:

@@ -19,7 +19,7 @@ from functools import cached_property
 from . import cfstrings as cfs
 from . import words
 from .bifurcation import qumterval_of
-from .exactnum import E, Exact, Mobius, S, T, coprime_fraction, floor_exact
+from .exactnum import E, Exact, Mobius, S, T, coprime_fraction, floor_exact, matrix_product
 
 ZERO = Fraction(0)
 _SLOW_MAX_STEPS = 10_000  # translations `slow_first_return` takes before giving up
@@ -129,8 +129,9 @@ def orbit(alpha, x, steps: int) -> OrbitRecord:
     """The first `steps` iterates of x.  Rational parameters and points step
     in integers (`rational_orbit`); quadratic ones go through `k_step`.
 
-    A start outside [alpha-1, alpha] raises ValueError, checked once: in
-    integers by `rational_orbit` for rational inputs, here for the others."""
+    A start outside [alpha-1, alpha] raises ValueError: for rational inputs
+    `rational_orbit` checks it once, in integers; for the others it is
+    checked here, and `k_step` checks every point again."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if isinstance(alpha, (int, Fraction)) and isinstance(x, (int, Fraction)):
@@ -188,22 +189,17 @@ def expected_digits_high(S_rl: cfs.CFString) -> tuple[int, ...]:
 
 def matching_matrices(w: str) -> MatchingCertificate:
     """The constant inverse-branch products M (orbit of alpha-1, m0 steps)
-    and M' (orbit of alpha, m1 steps) attached to a word; side-1 words are
-    obtained from their mirror by conjugating with x -> -x.  The word's
-    check, run-length string and digit counts are those of its qumterval
-    (`qumterval_of`)."""
+    and M' (orbit of alpha, m1 steps) attached to a word: the branches
+    (0, -1, 1, c) over the word's digit pattern (`expected_digits_low`,
+    `_high`).  Side-1 words are obtained from their mirror by conjugating
+    with x -> -x.  The word's check, run-length string and digit counts are
+    those of its qumterval (`qumterval_of`)."""
     q = qumterval_of(w)
     if q.m1 > q.m0:
         mirror = matching_matrices(words.transpose(words.negate(w)))
         return MatchingCertificate(w, E * mirror.M_prime * E, E * mirror.M * E, q.m0, q.m1)
-    a = q.S[0::2]
-    ST2 = S * T * T
-    M = ST2 ** a[0]
-    for ak in a[1:]:
-        M = M * T * ST2**ak
-    M_prime = S * T ** (-a[0] - 1)
-    for ak in a[1:]:
-        M_prime = M_prime * S * T ** (-ak - 2)
+    M = matrix_product((0, -1, 1, c) for c in expected_digits_low(q.S))
+    M_prime = matrix_product((0, -1, 1, c) for c in expected_digits_high(q.S))
     return MatchingCertificate(w, M, M_prime, q.m0, q.m1)
 
 

@@ -45,8 +45,9 @@ the mass's scale is the level rounded for its boundary factors.  One helper
 builds the factors and multiplies them as it forms them
 (`_Skeleton.product`), for the entropy (`_sample_mass`) and the band
 masses of `measure_interval` (the same product over the fit's keys
-clamped into the band) alike.  `entropy_curve` keeps one skeleton per word
-for the length of the call; `entropy_at` and `asymptotic_probe` build their
+clamped into the band) alike.  `entropy_at`, `entropy_curve` and
+`qumterval_slope` share one sample loop (`_entropy_run`), which keeps one
+skeleton per word for the length of the call; `asymptotic_probe` builds its
 own, and an attractor keeps the one it was built from.  Its mass is the
 entropy's, taken once per precision and kept on it (`attractor_mass`),
 which the density and the measure divide by.  The sum of the rectangles'
@@ -57,10 +58,10 @@ values at the working precision, each rounded to nearest, with no
 precision context and no intermediate mpf: A = log(num / den) of the
 boundary product and its bound err = 2^-bits (32 rects + 8 A)
 (`_mass_of`), then h = pi^2 / (3 A) and its bound h (err / A) + 2^(8 - bits)
-(`_entropy_of`, shared by `entropy_at`, `entropy_curve` and
-`asymptotic_probe`).  Each result is wrapped as an mpf once.  The
-operations and their order are those of the mpf expressions written
-out, so every value is theirs bit for bit.
+(`_entropy_of`, shared by `_entropy_run` and `asymptotic_probe`).  Each
+result is wrapped as an mpf once.  The operations and their order are
+those of the mpf expressions written out, so every value is theirs bit
+for bit.
 """
 
 from __future__ import annotations
@@ -236,20 +237,6 @@ def _abscissae(xi: QuadSurd, digits, Q: int) -> list[tuple[int, int]]:
     return out
 
 
-def _surd(end: tuple[int, int], Q: int, d: int) -> Exact:
-    """The reduced surd of the pair `end` over Q (`_abscissae`), the
-    rational P/R for Q = 0; no gcd or division for Q = 1."""
-    P, R = end
-    if not Q:
-        return Fraction(P, R)
-    g = 1 if Q == 1 else gcd(Q, P, R)
-    if g > 1:
-        P, Q, R = P // g, Q // g, R // g
-    if R < 0:
-        P, Q, R = -P, -Q, -R
-    return QuadSurd(P, Q, R, d)
-
-
 @dataclass(eq=False)
 class _Skeleton:
     """The exact data of the attractor shared by every rational parameter of
@@ -283,7 +270,8 @@ class _Skeleton:
 
     def value(self, end: tuple[int, int]) -> Exact:
         """The exact value of the end `end`."""
-        return _surd(end, self.Q, self.d)
+        P, R = end
+        return QuadSurd._reduced(P, self.Q, R, self.d)
 
     def fit(self, alpha: Fraction, digits, keys, scale: int):
         """Check one parameter's endpoint orbits against the skeleton.
@@ -433,21 +421,22 @@ def _skeleton(q: Qumterval) -> _Skeleton:
     Q, d = lcm(*map(_lift, starts)), x.d
     low_lefts, rights = ([ends[k] for k in low_order] for ends in (_abscissae(v, low_digits, Q) for v in starts[:2]))
     lefts, high_rights = ([ends[k] for k in high_order] for ends in (_abscissae(v, high_digits, Q) for v in starts[2:]))
+    skel = _Skeleton(word, low_digits, high_digits, low_order, high_order, tuple(rights), tuple(lefts), Q, d)
     if rights[:-1] != low_lefts[1:]:
         k = next(k for k in range(1, len(rights)) if rights[k - 1] != low_lefts[k])
         raise AttractorError(
             f"lower seam open at index {low_order[k]} of the orbit of alpha - 1 (word {word}): "
-            f"{_surd(low_lefts[k], Q, d)} != {_surd(rights[k - 1], Q, d)}"
+            f"{skel.value(low_lefts[k])} != {skel.value(rights[k - 1])}"
         )
     if high_rights[:-1] != lefts[1:]:
         k = next(k for k in range(len(lefts) - 1) if high_rights[k] != lefts[k + 1])
         raise AttractorError(
             f"upper seam open at index {high_order[k]} of the orbit of alpha (word {word}): "
-            f"{_surd(high_rights[k], Q, d)} != {_surd(lefts[k + 1], Q, d)}"
+            f"{skel.value(high_rights[k])} != {skel.value(lefts[k + 1])}"
         )
     if rights[-1] != _abscissae(x, (), Q)[0] or lefts[0] != _abscissae(y, (), Q)[0]:
         raise AttractorError(f"staircase does not close at the far corner (word {word})")
-    return _Skeleton(word, low_digits, high_digits, low_order, high_order, tuple(rights), tuple(lefts), Q, d)
+    return skel
 
 
 def _fitted(alpha: Fraction, skel: _Skeleton, scale: int):
@@ -534,9 +523,9 @@ def corner_system_residues(w: str):
     low = orbit(alpha, alpha - 1, j0)
     high = orbit(alpha, alpha, j1)
     Q = lcm(_lift(x), _lift(y))
-    xi = _surd(_abscissae(x, high.digits, Q)[-1], Q, x.d)
+    (P, R), (P_, R_) = _abscissae(x, high.digits, Q)[-1], _abscissae(y, low.digits, Q)[-1]
+    xi, eta = QuadSurd._reduced(P, Q, R, x.d), QuadSurd._reduced(P_, Q, R_, y.d)
     lhs1 = mobius_apply(S * T * S, y)
-    eta = _surd(_abscissae(y, low.digits, Q)[-1], Q, y.d)
     lhs2 = mobius_apply(S * T**-1 * S, x)
     return (lhs1, xi), (lhs2, eta)
 
@@ -573,34 +562,11 @@ _HALF = Fraction(1, 2)
 
 
 def entropy_at(alpha, precision: int | None = None) -> EntropySample:
-    """Metric entropy at a rational parameter through the exact attractor and
-    h = pi^2 / (3 A); parameters above 1/2 are reflected (measurable
-    conjugation), with the containing word reported on the original side."""
+    """Metric entropy at a rational parameter in (0, 1) (`_entropy_run`)."""
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError("entropy is computed for parameters strictly inside (0, 1)")
-    base = alpha if alpha <= _HALF else 1 - alpha
-    return _entropy_sample(alpha, base, _skeleton(locate_qumterval(base)), precision)
-
-
-def _entropy_sample(alpha: Fraction, base: Fraction, skel: _Skeleton, precision: int | None) -> EntropySample:
-    """The entropy at alpha, whose reflection `base` <= 1/2 lies in the
-    qumterval of the skeleton `skel`, which gives the mass (`_fitted`)."""
-    bits = checked_precision(precision)
-    A, err = _sample_mass(base, skel, bits)
-    h, h_err = _entropy_of(A, err, bits)
-    word, m0, m1 = skel.word, len(skel.low_digits), len(skel.high_digits)
-    if alpha != base:  # reported on the original side: the mirror word, counts swapped
-        word, m0, m1 = words.transpose(words.negate(word)), m1, m0
-    return EntropySample(
-        alpha=alpha,
-        word=word,
-        m0=m0,
-        m1=m1,
-        A=A,
-        h=h,
-        err_bound=h_err,
-    )
+    return _entropy_run([alpha], precision)[0]
 
 
 def _sample_mass(alpha: Fraction, skel: _Skeleton, bits: int) -> tuple[mpmath.mpf, mpmath.mpf]:
@@ -752,9 +718,14 @@ def entropy_curve(
 
 
 def _entropy_run(grid, precision: int | None) -> list[EntropySample]:
-    """The entropy at each parameter of the grid.  Parameters of one
-    qumterval share a skeleton, kept for this call only, and the qumterval
-    of the previous parameter is tried before a descent."""
+    """The entropy at each parameter of the grid, in (0, 1), through the
+    exact attractor: h = pi^2 / (3 A) from the mass A (`_sample_mass`,
+    `_entropy_of`).  Parameters above 1/2 are reflected (measurable
+    conjugation), with the containing word reported on the original side:
+    the mirror word, the counts swapped.  Parameters of one qumterval share
+    a skeleton, kept for this call only, and the qumterval of the previous
+    parameter is tried before a descent."""
+    bits = checked_precision(precision)
     skeletons: dict[str, _Skeleton] = {}
     q = None
     out = []
@@ -764,7 +735,12 @@ def _entropy_run(grid, precision: int | None) -> list[EntropySample]:
             q = locate_qumterval(base)
             if q.word not in skeletons:
                 skeletons[q.word] = _skeleton(q)
-        out.append(_entropy_sample(alpha, base, skeletons[q.word], precision))
+        A, err = _sample_mass(base, skeletons[q.word], bits)
+        h, h_err = _entropy_of(A, err, bits)
+        word, m0, m1 = q.word, q.m0, q.m1
+        if alpha != base:
+            word, m0, m1 = words.transpose(words.negate(word)), m1, m0
+        out.append(EntropySample(alpha=alpha, word=word, m0=m0, m1=m1, A=A, h=h, err_bound=h_err))
     return out
 
 
@@ -813,7 +789,7 @@ def qumterval_slope(q: Qumterval, precision: int | None = None) -> dict:
     width = q.alpha_plus - q.alpha_minus
     p1 = simplest_rational_between(q.alpha_minus, q.alpha_minus + width / 8)
     p2 = simplest_rational_between(q.alpha_plus - width / 8, q.alpha_plus)
-    s1, s2 = entropy_at(p1, precision), entropy_at(p2, precision)
+    s1, s2 = _entropy_run([p1, p2], precision)
     if q.m0 != q.m1 and abs(mpmath.fsub(s2.h, s1.h, exact=True)) <= mpmath.fadd(s1.err_bound, s2.err_bound, exact=True):
         bits = checked_precision(precision)
         raise ValueError(f"entropy difference below its error bound at {bits} bits: raise the precision")

@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 from fractions import Fraction
 
@@ -8,7 +10,12 @@ from hypothesis import strategies as st
 from fareycf import bifurcation as bf
 from fareycf import kdynamics as kd
 from fareycf import words as wd
-from fareycf.exactnum import Mobius, S, T, mobius_apply
+from fareycf.exactnum import IDENTITY, Mobius, S, T, matrix_product, mobius_apply
+
+
+def entries(m):
+    """The raw entries of a matrix; `Mobius` equality is up to sign."""
+    return m.a, m.b, m.c, m.d
 
 
 def alphas_inside(q, per_side=2):
@@ -239,6 +246,34 @@ class TestMatchingCertificates:
         assert len(words8) == 255
         for w in words8:
             assert kd.matching_matrices(w).identity_holds()
+
+    def test_certificate_is_the_closed_form(self):
+        # the paper's closed form over the zero runs a0, ..., an of the word:
+        # M = (S T^2)^a0 prod T (S T^2)^ak and M' = S T^(-a0-1) prod S T^(-ak-2),
+        # entry for entry
+        side0 = [w for w in wd.words_of_length_up_to(16) if wd.farey_side(w) == 0]
+        assert len(side0) == 40
+        for w in side0:
+            a = [len(run) for run in w.split("1") if run]
+            M, M_prime = (S * T**2) ** a[0], S * T ** (-a[0] - 1)
+            for ak in a[1:]:
+                M, M_prime = M * T * (S * T**2) ** ak, M_prime * S * T ** (-ak - 2)
+            cert = kd.matching_matrices(w)
+            assert entries(cert.M) == entries(M) and entries(cert.M_prime) == entries(M_prime), w
+
+    @given(st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(-9, 9)), max_size=40))
+    def test_matrix_product_is_the_left_to_right_product(self, factors):
+        # digit matrices (0, 1, 1, a) and inverse branches (0, -1, 1, c)
+        tuples = [(0, b, 1, c) for b, c in factors]
+        expected = functools.reduce(operator.mul, (Mobius(*t) for t in tuples), IDENTITY)
+        assert entries(matrix_product(tuples)) == entries(expected)
+        assert entries(matrix_product([])) == entries(IDENTITY)
+
+    def test_certificate_of_a_long_word(self):
+        # 28657 letters, far beyond the words the closed-form check reaches
+        w = wd.word_from_rational(Fraction(10946, 28657))
+        assert len(w) == 28657 and wd.farey_side(w) == 0
+        assert kd.matching_matrices(w).identity_holds()
 
     @pytest.mark.parametrize("word", ["0", "0101001"])
     def test_degenerate_or_foreign_word_refused(self, word):

@@ -58,9 +58,9 @@ def reference_chain(xi, digits):
 
 def pushed(xi, digits):
     """The fields (p, q, r, d) of the chain `nx._abscissae` pushes as
-    integer pairs over one Q, each pair reduced (`nx._surd`)."""
+    integer pairs over one Q, each pair reduced (`QuadSurd._reduced`)."""
     Q = nx._lift(xi)
-    return [fields(nx._surd(end, Q, xi.d)) for end in nx._abscissae(xi, digits, Q)]
+    return [fields(QuadSurd._reduced(P, Q, R, xi.d)) for P, R in nx._abscissae(xi, digits, Q)]
 
 
 def level_keys(points, scale):
@@ -573,11 +573,11 @@ class TestSkeletonChecks:
     alpha = Fraction(337, 1000)  # word 001: two lower levels above alpha - 1
 
     def sample_with(self, change):
-        """The sample at alpha with its own skeleton, which fits, then with
-        that skeleton changed."""
+        """The sample mass at alpha with its own skeleton, which fits, then
+        with that skeleton changed."""
         skel = nx._skeleton(bf.locate_qumterval(self.alpha))
-        nx._entropy_sample(self.alpha, self.alpha, skel, None)
-        return nx._entropy_sample(self.alpha, self.alpha, change(skel), None)
+        nx._sample_mass(self.alpha, skel, 128)
+        return nx._sample_mass(self.alpha, change(skel), 128)
 
     def test_changed_order_is_refused(self):
         def swap(skel):
