@@ -9,7 +9,7 @@ over 2^n - 1 on the binary side and quadratic surds on the parameter side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -17,6 +17,7 @@ from . import cfstrings as cfs
 from . import words
 from .exactnum import (
     Exact,
+    Frozen,
     Mobius,
     QuadSurd,
     _scaled,
@@ -34,14 +35,11 @@ from .exactnum import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BinInterval:
+class BinInterval(namedtuple("BinInterval", "word a_minus a_plus")):
     """Gap of the doubling-map constraint set labelled by a word w: the open
     interval (0.(transpose w repeated) - 1/2, 0.(w repeated))."""
 
-    word: str
-    a_minus: Fraction
-    a_plus: Fraction
+    __slots__ = ()
 
     @property
     def length(self) -> Fraction:
@@ -186,21 +184,11 @@ def minkowski_q(x) -> Fraction:
 _CONTAINS_SCALE = 64  # binary scale of the integer bounds of `Qumterval.__contains__`
 
 
-@dataclass(frozen=True)
-class Qumterval:
+class Qumterval(Frozen, namedtuple("Qumterval", "word S alpha_minus alpha_plus pseudocenter m0 m1 tail")):
     """Maximal parameter interval locked to a word: quadratic endpoints, a
     least-denominator rational pseudocenter, the digit counts of the word
     and the periodic tail x = [0; S^T, S^T, ...] of alpha_minus (the
     attractor's corner x, `natext.attractor_corners`)."""
-
-    word: str
-    S: cfs.CFString
-    alpha_minus: QuadSurd
-    alpha_plus: QuadSurd
-    pseudocenter: Fraction
-    m0: int
-    m1: int
-    tail: QuadSurd
 
     def __contains__(self, alpha) -> bool:
         """alpha_minus < alpha < alpha_plus.  A rational is decided on the

@@ -9,7 +9,7 @@ between binary words and strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, cycle, groupby
 
@@ -175,14 +175,11 @@ def cf_of_fraction(x, even_length: bool = False) -> CFString:
     return tuple(S)
 
 
-@dataclass(frozen=True)
-class FareyStructure:
-    """Block decomposition of the runlength string of a word of the family."""
+class FareyStructure(namedtuple("FareyStructure", "a skeleton side unique")):
+    """Block decomposition of the runlength string of a word of the family;
+    `side` (0 or 1) is the half of the family the source word lives in."""
 
-    a: int
-    skeleton: str
-    side: int  # 0 or 1: which half of the family the source word lives in
-    unique: bool
+    __slots__ = ()
 
     @property
     def blocks(self) -> tuple[CFString, CFString]:

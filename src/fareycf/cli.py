@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from fractions import Fraction
@@ -35,6 +34,12 @@ def _emit(args, text: str) -> None:
         f.write(text)
         if not text.endswith("\n"):
             f.write("\n")
+
+
+def _emit_json(args, payload) -> None:
+    import json  # only the actions that print JSON load it
+
+    _emit(args, json.dumps(payload, indent=2))
 
 
 def _nstr(x, digits: int) -> str:
@@ -106,7 +111,7 @@ def cmd_qumterval_atlas(args) -> int:
             }
             for q in rows
         ]
-        _emit(args, json.dumps(payload, indent=2))
+        _emit_json(args, payload)
     else:
         lines = ["word,S,alpha_minus,alpha_plus,pseudocenter,m0,m1"]
         for q in rows:
@@ -197,7 +202,7 @@ def cmd_match_verify(args) -> int:
         ],
         "all_exact": report["all_exact"],
     }
-    _emit(args, json.dumps(payload, indent=2))
+    _emit_json(args, payload)
     return 0 if report["all_exact"] else 1
 
 
@@ -232,7 +237,7 @@ def cmd_attractor(args) -> int:
         "v_levels": [cell(v) for v in attr.v_levels],
         "rects": [{k: cell(getattr(r, k)) for k in ("x_lo", "x_hi", "y_lo", "y_hi")} for r in attr.rects],
     }
-    _emit(args, json.dumps(payload, indent=2))
+    _emit_json(args, payload)
     return 0
 
 
@@ -268,7 +273,7 @@ def cmd_entropy_curve(args) -> int:
     )
     fields = [_sample_fields(s) for s in rows]
     if args.format == "json":
-        _emit(args, json.dumps(fields, indent=2))
+        _emit_json(args, fields)
     else:
         header = "alpha,word,m0,m1,A,h,err_bound"
         _emit(args, "\n".join([header] + [",".join(map(str, f.values())) for f in fields]))
@@ -320,100 +325,149 @@ def cmd_probe_zeta(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that declares its arguments when it first parses:
+    `declare(parser)` adds them.  A command's actions and an action's
+    options are built only when argparse reaches that command or action."""
+
+    def __init__(self, *args, declare=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._declare = declare
+
+    def parse_known_args(self, args=None, namespace=None):
+        declare, self._declare = self._declare, None
+        if declare is not None:
+            declare(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _option(*flags, **kwargs):
+    """The declaration of one option of an action."""
+    return lambda p: p.add_argument(*flags, **kwargs)
+
+
+def _one_of(*flags):
+    """The declaration of a required choice of one option among `flags`."""
+
+    def declare(p):
+        group = p.add_mutually_exclusive_group(required=True)
+        for flag in flags:
+            group.add_argument(flag)
+
+    return declare
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The parser: each action is one leaf, which registers only the options
-    its handler reads and names that handler as `run`."""
-    parser = argparse.ArgumentParser(
+    its handler reads and names that handler as `run`.  The commands are
+    declared here; the rest of each is declared when it is parsed
+    (`_Parser`), so a call builds the parsers and options of its own path."""
+    parser = _Parser(
         prog="fareycf",
         description="Exact Farey-word combinatorics, matching intervals and entropy",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, *modules):
-        """A subcommand; its --selftest runs the suites of `modules`."""
-        p = sub.add_parser(name, help=help)
-        p.add_argument(
-            "--selftest", action=_Selftest, nargs=0, const=modules, default=argparse.SUPPRESS,
-            help="run the module invariant suites and exit",
-        )
-        return p
+    def command(name, help, modules, declare):
+        """A subcommand: its --selftest runs the suites of `modules`, then
+        `declare` adds its actions or its options."""
 
-    def actions(name, help, *modules):
-        """A subcommand whose actions are leaves of their own."""
-        return command(name, help, *modules).add_subparsers(dest="action", required=True)
+        def declare_command(p):
+            p.add_argument(
+                "--selftest", action=_Selftest, nargs=0, const=modules, default=argparse.SUPPRESS,
+                help="run the module invariant suites and exit",
+            )
+            declare(p)
 
-    def leaf(p, run, *, precision=False, decimals=False):
+        sub.add_parser(name, help=help, declare=declare_command)
+
+    def actions(**leaves):
+        """The actions of a subcommand, each a leaf of its own."""
+
+        def declare(p):
+            group = p.add_subparsers(dest="action", required=True)
+            for name, declare_leaf in leaves.items():
+                group.add_parser(name, declare=declare_leaf)
+
+        return declare
+
+    def leaf(run, *options, precision=False, decimals=False):
         """An action: its handler, --out, and --precision or --decimals
-        where the handler reads them."""
-        p.set_defaults(run=run)
-        p.add_argument("--out", help="write output to a file instead of stdout")
-        if precision:
-            p.add_argument("--precision", type=precision_bits, help="working precision in bits (>= 64)")
-        if decimals:
-            p.add_argument("--decimals", type=decimal_digits, help="append decimal approximations")
-        return p
+        where the handler reads them, then `options`."""
 
-    farey = actions("farey", "word lists and the slope bijection", wd)
-    p = leaf(farey.add_parser("list"), cmd_farey_list)
-    p.add_argument("--level", type=int, required=True)
-    p = leaf(farey.add_parser("word"), cmd_farey_word)
-    p.add_argument("--rational", required=True)
+        def declare(p):
+            p.set_defaults(run=run)
+            p.add_argument("--out", help="write output to a file instead of stdout")
+            if precision:
+                p.add_argument("--precision", type=precision_bits, help="working precision in bits (>= 64)")
+            if decimals:
+                p.add_argument("--decimals", type=decimal_digits, help="append decimal approximations")
+            for option in options:
+                option(p)
 
-    qumterval = actions("qumterval", "parameter intervals of the matching words", bf)
-    p = leaf(qumterval.add_parser("info"), cmd_qumterval_info, decimals=True)
-    which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--word")
-    which.add_argument("--alpha")
-    p = leaf(qumterval.add_parser("atlas"), cmd_qumterval_atlas)
-    p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+        return declare
 
-    ebif = actions("ebif", "the doubling-map constraint set", bf)
-    p = leaf(ebif.add_parser("check"), cmd_ebif_check)
-    p.add_argument("--x", required=True)
-    p = leaf(ebif.add_parser("interval"), cmd_ebif_interval)
-    p.add_argument("--word", required=True)
-
-    p = leaf(command("cardioid", "angles of parameter rays on the main cardioid", bf), cmd_cardioid)
-    p.add_argument("--rational", required=True)
-
-    p = leaf(command("orbit", "exact orbit of a point (CSV)", kd), cmd_orbit, decimals=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--steps", type=int, required=True)
-
-    match = actions("match", "matching certificates", kd)
-    p = leaf(match.add_parser("verify"), cmd_match_verify)
-    p.add_argument("--word", required=True)
-    p.add_argument("--alpha", action="append", required=True)
-
-    p = leaf(command("attractor", "exact rectangle decomposition", nx), cmd_attractor, decimals=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--json", action="store_true")
-
-    entropy = actions("entropy", "entropy at a point or along a curve", nx)
-    p = leaf(entropy.add_parser("point"), cmd_entropy_point, precision=True)
-    p.add_argument("--alpha", required=True)
-    p = leaf(entropy.add_parser("curve"), cmd_entropy_curve, precision=True)
-    p.add_argument("--from", dest="start", required=True)
-    p.add_argument("--to", dest="stop", required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-
-    probe = actions("probe", "asymptotic, slope-growth and zeta probes", nx, ly)
-    p = leaf(probe.add_parser("asymptotic"), cmd_probe_asymptotic, precision=True)
-    p.add_argument("--N", action="append", type=int, required=True)
-    p = leaf(probe.add_parser("slope"), cmd_probe_slope, precision=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--side", choices=["plus", "minus"], default="plus")
-    p.add_argument("--halvings", type=int, default=8)
-    p = leaf(probe.add_parser("zeta"), cmd_probe_zeta)
-    p.add_argument("--s", type=float, default=0.25)
-    p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--variant", choices=["qumterval", "binary"], default="qumterval")
-    p.add_argument("--window", nargs=2, metavar=("LO", "HI"), default=None, help="keep intervals meeting (LO, HI)")
-
+    command("farey", "word lists and the slope bijection", (wd,), actions(
+        list=leaf(cmd_farey_list, _option("--level", type=int, required=True)),
+        word=leaf(cmd_farey_word, _option("--rational", required=True)),
+    ))
+    command("qumterval", "parameter intervals of the matching words", (bf,), actions(
+        info=leaf(cmd_qumterval_info, _one_of("--word", "--alpha"), decimals=True),
+        atlas=leaf(
+            cmd_qumterval_atlas,
+            _option("--max-len", type=int, required=True),
+            _option("--format", choices=["json", "csv"], default="json"),
+        ),
+    ))
+    command("ebif", "the doubling-map constraint set", (bf,), actions(
+        check=leaf(cmd_ebif_check, _option("--x", required=True)),
+        interval=leaf(cmd_ebif_interval, _option("--word", required=True)),
+    ))
+    command("cardioid", "angles of parameter rays on the main cardioid", (bf,), leaf(
+        cmd_cardioid, _option("--rational", required=True),
+    ))
+    command("orbit", "exact orbit of a point (CSV)", (kd,), leaf(
+        cmd_orbit,
+        _option("--alpha", required=True),
+        _option("--x", required=True),
+        _option("--steps", type=int, required=True),
+        decimals=True,
+    ))
+    command("match", "matching certificates", (kd,), actions(
+        verify=leaf(cmd_match_verify, _option("--word", required=True), _option("--alpha", action="append", required=True)),
+    ))
+    command("attractor", "exact rectangle decomposition", (nx,), leaf(
+        cmd_attractor, _option("--alpha", required=True), _option("--json", action="store_true"), decimals=True,
+    ))
+    command("entropy", "entropy at a point or along a curve", (nx,), actions(
+        point=leaf(cmd_entropy_point, _option("--alpha", required=True), precision=True),
+        curve=leaf(
+            cmd_entropy_curve,
+            _option("--from", dest="start", required=True),
+            _option("--to", dest="stop", required=True),
+            _option("--samples", type=int, required=True),
+            _option("--jobs", type=int, default=1),
+            _option("--format", choices=["csv", "json"], default="csv"),
+            precision=True,
+        ),
+    ))
+    command("probe", "asymptotic, slope-growth and zeta probes", (nx, ly), actions(
+        asymptotic=leaf(cmd_probe_asymptotic, _option("--N", action="append", type=int, required=True), precision=True),
+        slope=leaf(
+            cmd_probe_slope,
+            _option("--word", required=True),
+            _option("--side", choices=["plus", "minus"], default="plus"),
+            _option("--halvings", type=int, default=8),
+            precision=True,
+        ),
+        zeta=leaf(
+            cmd_probe_zeta,
+            _option("--s", type=float, default=0.25),
+            _option("--depth", type=int, default=12),
+            _option("--variant", choices=["qumterval", "binary"], default="qumterval"),
+            _option("--window", nargs=2, metavar=("LO", "HI"), default=None, help="keep intervals meeting (LO, HI)"),
+        ),
+    ))
     return parser
 
 

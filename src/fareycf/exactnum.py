@@ -5,7 +5,9 @@ freely in arithmetic and comparisons, always exactly.  A `QuadSurd` is
 irrational by construction (rational results collapse to `Fraction` inside
 `make_surd`), so cross-type equality is always False and ordering is decided
 by integer sign computations, never by floating point.  Long products of
-integer matrices are one balanced tree (`matrix_product`).
+integer matrices are one balanced tree (`matrix_product`).  The module, which
+every other one imports, also holds `Frozen`, the mixin that keeps the
+package's records with a `__dict__` immutable.
 """
 
 from __future__ import annotations
@@ -13,11 +15,8 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import Union
 
 import mpmath
-
-Exact = Union[int, Fraction, "QuadSurd"]
 
 
 class Infinity:
@@ -30,6 +29,21 @@ class Infinity:
 
 
 INF = Infinity()
+
+
+class Frozen:
+    """Mixin of the package's immutable records (`collections.namedtuple`
+    subclasses) that keep a `__dict__`, for a `functools.cached_property` or a
+    companion outside the value: no attribute is set or deleted after
+    construction.  A cached_property writes the `__dict__` directly."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is frozen")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is frozen")
 
 
 def _sgn(n) -> int:
@@ -81,8 +95,18 @@ def _primes_below(n: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-_PRIMES = _primes_below(16000)  # 16000**3 > _FULL_FACTOR_BOUND
-_SMALL_PRIMES = [p for p in _PRIMES if p < _PARTIAL_PRIME_BOUND]
+_PRIME_TABLES: tuple[list[int], list[int]] | None = None
+
+
+def _prime_tables() -> tuple[list[int], list[int]]:
+    """The primes below 16000 (16000**3 > _FULL_FACTOR_BOUND) and those below
+    `_PARTIAL_PRIME_BOUND`: constant tables, built on first use and kept for
+    the life of the process."""
+    global _PRIME_TABLES
+    if _PRIME_TABLES is None:
+        primes = _primes_below(16000)
+        _PRIME_TABLES = primes, [p for p in primes if p < _PARTIAL_PRIME_BOUND]
+    return _PRIME_TABLES
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -98,7 +122,8 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     """
     if n == 0:
         return 1, 0
-    primes, power = (_PRIMES, 3) if n < _FULL_FACTOR_BOUND else (_SMALL_PRIMES, 2)
+    full, small = _prime_tables()
+    primes, power = (full, 3) if n < _FULL_FACTOR_BOUND else (small, 2)
     s = d = 1
     for p in primes:
         if p**power > n:
@@ -393,6 +418,9 @@ class QuadSurd:
         raise ArithmeticError("period not found (max_digits exceeded)")
 
 
+Exact = int | Fraction | QuadSurd  # the values of the package
+
+
 def floor_exact(x: Exact) -> int:
     """Greatest integer <= x, exact (integer square-root bracketing for surds)."""
     if isinstance(x, QuadSurd):
@@ -581,11 +609,12 @@ def to_mpf(x: Exact) -> mpmath.mpf:
 
 def parse_fraction(text: str) -> Fraction:
     """Parse "p/q" or a plain integer/decimal string into a Fraction."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(text)
+    num, slash, den = text.strip().partition("/")
+    if not slash:
+        return Fraction(num)
+    if int(den) == 0:
+        raise ValueError(f"{text!r} has a zero denominator")
+    return Fraction(int(num), int(den))
 
 
 def selftest() -> list[tuple[str, bool]]:

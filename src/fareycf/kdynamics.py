@@ -12,14 +12,15 @@ digit form throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 
 from . import cfstrings as cfs
 from . import words
 from .bifurcation import qumterval_of
-from .exactnum import E, Exact, Mobius, S, T, coprime_fraction, floor_exact, matrix_product
+from .exactnum import E, Exact, Frozen, Mobius, S, T, coprime_fraction, floor_exact, matrix_product
 
 ZERO = Fraction(0)
 _SLOW_MAX_STEPS = 10_000  # translations `slow_first_return` takes before giving up
@@ -47,19 +48,13 @@ def _check_in_interval(alpha, x) -> None:
         raise ValueError(f"point {x} outside [alpha-1, alpha] for alpha={alpha}")
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(Frozen, namedtuple("OrbitRecord", "start points digits hit_zero")):
     """Exact orbit with its digits.
 
     Once the orbit hits 0 it stays there and digits become None.  The
     cumulative inverse matrices are derived from the digits on first access:
     matrices[k] recovers the start from points[k+1], and they stop extending
     at 0."""
-
-    start: Exact
-    points: tuple[Exact, ...]
-    digits: tuple[int | None, ...]
-    hit_zero: bool
 
     @cached_property
     def matrices(self) -> tuple[Mobius, ...]:
@@ -154,16 +149,11 @@ def orbit(alpha, x, steps: int) -> OrbitRecord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatchingCertificate:
+class MatchingCertificate(namedtuple("MatchingCertificate", "word M M_prime m0 m1")):
     """Digit-matrix products of the two endpoint orbits over a qumterval and
     the group identity tying them together."""
 
-    word: str
-    M: Mobius
-    M_prime: Mobius
-    m0: int
-    m1: int
+    __slots__ = ()
 
     def identity_holds(self) -> bool:
         return T * self.M == self.M_prime * S * (T**-1) * S
@@ -191,16 +181,31 @@ def matching_matrices(w: str) -> MatchingCertificate:
     """The constant inverse-branch products M (orbit of alpha-1, m0 steps)
     and M' (orbit of alpha, m1 steps) attached to a word: the branches
     (0, -1, 1, c) over the word's digit pattern (`expected_digits_low`,
-    `_high`).  Side-1 words are obtained from their mirror by conjugating
-    with x -> -x.  The word's check, run-length string and digit counts are
-    those of its qumterval (`qumterval_of`)."""
+    `_high`), multiplied by `_branch_product`.  Side-1 words are obtained
+    from their mirror by conjugating with x -> -x.  The word's check,
+    run-length string and digit counts are those of its qumterval
+    (`qumterval_of`)."""
     q = qumterval_of(w)
     if q.m1 > q.m0:
         mirror = matching_matrices(words.transpose(words.negate(w)))
         return MatchingCertificate(w, E * mirror.M_prime * E, E * mirror.M * E, q.m0, q.m1)
-    M = matrix_product((0, -1, 1, c) for c in expected_digits_low(q.S))
-    M_prime = matrix_product((0, -1, 1, c) for c in expected_digits_high(q.S))
+    M = _branch_product(expected_digits_low(q.S))
+    M_prime = _branch_product(expected_digits_high(q.S))
     return MatchingCertificate(w, M, M_prime, q.m0, q.m1)
+
+
+def _branch_product(digits) -> Mobius:
+    """The product of the inverse branches (0, -1, 1, c) over `digits`, left
+    to right (`matrix_product`); a run of equal digits enters as one power."""
+    return matrix_product(_branch_power(c, len(list(run))) for c, run in groupby(digits))
+
+
+def _branch_power(c: int, k: int) -> tuple[int, int, int, int]:
+    """The entries of the inverse branch (0, -1, 1, c) to the power k >= 1."""
+    if k == 1:
+        return 0, -1, 1, c
+    m = Mobius(0, -1, 1, c) ** k
+    return m.a, m.b, m.c, m.d
 
 
 def verify_matching(w: str, alphas) -> dict:
@@ -222,11 +227,12 @@ def verify_matching(w: str, alphas) -> dict:
         low = orbit(alpha, alpha - 1, cert.m0 + 1)
         high = orbit(alpha, alpha, cert.m1 + 1)
         collision = low.points[-1] == high.points[-1]
+        low_digits, high_digits = low.digits[: cert.m0], high.digits[: cert.m1]
         constant = (
-            len(low.matrices) >= cert.m0
-            and len(high.matrices) >= cert.m1
-            and low.matrices[cert.m0 - 1] == cert.M
-            and high.matrices[cert.m1 - 1] == cert.M_prime
+            None not in low_digits
+            and None not in high_digits
+            and _branch_product(low_digits) == cert.M
+            and _branch_product(high_digits) == cert.M_prime
         )
         ok = collision and constant
         all_exact = all_exact and ok

@@ -67,7 +67,7 @@ for bit.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, groupby, pairwise
@@ -97,6 +97,7 @@ from .bifurcation import (
 )
 from .exactnum import (
     Exact,
+    Frozen,
     QuadSurd,
     S,
     T,
@@ -125,21 +126,18 @@ class AttractorError(AssertionError):
     """A seam or corner condition failed; the construction data are wrong."""
 
 
-@dataclass(frozen=True)
-class Rect:
-    x_lo: Exact
-    x_hi: Exact
-    y_lo: Exact
-    y_hi: Exact
+class Rect(namedtuple("Rect", "x_lo x_hi y_lo y_hi")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, x_lo: Exact, x_hi: Exact, y_lo: Exact, y_hi: Exact):
         """Refuse an empty box, or a corner where 1 + x y <= 0, so x y < 0.  A negative
         product on a box is most negative at opposite signs and the largest magnitudes,
         at (x_lo, y_hi) or (x_hi, y_lo): these two give the four-corner verdict on any box."""
-        if not (self.x_lo < self.x_hi and self.y_lo < self.y_hi):
+        if not (x_lo < x_hi and y_lo < y_hi):
             raise ValueError("degenerate rectangle")
-        if not (_pole_free(self.x_lo, self.y_hi) and _pole_free(self.x_hi, self.y_lo)):
+        if not (_pole_free(x_lo, y_hi) and _pole_free(x_hi, y_lo)):
             raise ValueError("density pole inside rectangle")
+        return super().__new__(cls, x_lo, x_hi, y_lo, y_hi)
 
 
 def _below(left, right, X_left: int, X_right: int, slack: int, value) -> bool:
@@ -161,18 +159,25 @@ def _pole_free(x: Exact, y: Exact) -> bool:
     return 1 + x * y > 0
 
 
-@dataclass(frozen=True)
-class Attractor:
-    word: str
-    alpha: Fraction
-    rects: tuple[Rect, ...]
-    corner_x: Exact
-    corner_y: Exact
-    h_levels_low: tuple[Exact, ...]
-    h_levels_high: tuple[Exact, ...]
-    v_levels: tuple[Exact, ...]  # the distinct ends of the boundary segments, ascending
-    skeleton: _Skeleton = field(compare=False, repr=False)  # the mass's boundaries (`attractor_mass`)
-    masses: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # (A, err) by bits (`attractor_mass`)
+class Attractor(
+    Frozen,
+    namedtuple("Attractor", "word alpha rects corner_x corner_y h_levels_low h_levels_high v_levels"),
+):
+    """The rectangles of an attractor and its exact levels; `v_levels` are the
+    distinct ends of the boundary segments, ascending.  Outside the value
+    (not compared, hashed or printed) it keeps the skeleton it was built
+    from, the mass's boundaries, and `masses`, its (A, err) by bits
+    (`attractor_mass`)."""
+
+    def __new__(cls, word, alpha, rects, corner_x, corner_y, h_levels_low, h_levels_high, v_levels, skeleton):
+        self = super().__new__(
+            cls, word, alpha, rects, corner_x, corner_y, h_levels_low, h_levels_high, v_levels
+        )
+        self.__dict__.update(skeleton=skeleton, masses={})
+        return self
+
+    def __getnewargs__(self):  # pickle and copy build an attractor with its skeleton
+        return (*self, self.skeleton)
 
 
 @lru_cache(maxsize=1024)
@@ -237,7 +242,6 @@ def _abscissae(xi: QuadSurd, digits, Q: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(eq=False)
 class _Skeleton:
     """The exact data of the attractor shared by every rational parameter of
     one qumterval, a function of its word (`_skeleton`).
@@ -256,17 +260,19 @@ class _Skeleton:
     factors.
     """
 
-    word: str
-    low_digits: tuple[int, ...]
-    high_digits: tuple[int, ...]
-    low_order: tuple[int, ...]  # orbit indices of the lower segments, levels ascending
-    high_order: tuple[int, ...]  # orbit indices of the upper segments, levels ascending
-    rights: tuple[tuple[int, int], ...]  # right end of each lower segment, in low_order; the last is corner x
-    lefts: tuple[tuple[int, int], ...]  # left end of each upper segment, in high_order; the first is corner y
-    Q: int  # the ends' common coefficient of sqrt d
-    d: int
-    # (rights, lefts) scaled, and their slack, by scale
-    ends_cache: dict = field(default_factory=dict, init=False, repr=False)
+    __slots__ = (
+        "word", "low_digits", "high_digits", "low_order", "high_order", "rights", "lefts", "Q", "d", "ends_cache"
+    )
+
+    def __init__(self, word, low_digits, high_digits, low_order, high_order, rights, lefts, Q, d):
+        self.word = word
+        self.low_digits, self.high_digits = low_digits, high_digits  # tuples of ints
+        self.low_order = low_order  # orbit indices of the lower segments, levels ascending
+        self.high_order = high_order  # orbit indices of the upper segments, levels ascending
+        self.rights = rights  # right end (P, R) of each lower segment, in low_order; the last is corner x
+        self.lefts = lefts  # left end (P, R) of each upper segment, in high_order; the first is corner y
+        self.Q, self.d = Q, d  # the ends' common coefficient of sqrt d, and d
+        self.ends_cache = {}  # (rights, lefts) scaled, and their slack, by scale
 
     def value(self, end: tuple[int, int]) -> Exact:
         """The exact value of the end `end`."""
@@ -547,15 +553,8 @@ def attractor_mass(attr: Attractor, precision: int | None = None):
     return got
 
 
-@dataclass(frozen=True)
-class EntropySample:
-    alpha: Fraction
-    word: str
-    m0: int
-    m1: int
-    A: mpmath.mpf
-    h: mpmath.mpf
-    err_bound: mpmath.mpf
+class EntropySample(namedtuple("EntropySample", "alpha word m0 m1 A h err_bound")):
+    __slots__ = ()
 
 
 _HALF = Fraction(1, 2)

@@ -203,6 +203,11 @@ class TestBehaviour:
             (("qumterval", "atlas", "--max-len", "0"), "max_len must lie in [1, 20]"),
             (("qumterval", "atlas", "--max-len", "-3"), "max_len must lie in [1, 20]"),
             (("qumterval", "atlas", "--max-len", "21"), "max_len must lie in [1, 20]"),
+            (("entropy", "point", "--alpha", "1/0"), "error: '1/0' has a zero denominator\n"),
+            (("farey", "word", "--rational", "1/0"), "error: '1/0' has a zero denominator\n"),
+            (("cardioid", "--rational", " 1/0 "), "error: ' 1/0 ' has a zero denominator\n"),
+            (("ebif", "check", "--x", "1/0"), "error: '1/0' has a zero denominator\n"),
+            (("orbit", "--alpha", "1/3", "--x=-2/0", "--steps", "2"), "error: '-2/0' has a zero denominator\n"),
         ],
     )
     def test_library_checks_exit_2(self, capsys, argv, message):
@@ -353,3 +358,78 @@ class TestRegressionPins:
         env = child_env()
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+# sha256 of `--help` at every level at 80 columns, as Python 3.11's argparse
+# prints the parser with every level built: a level declared only when it
+# is reached prints the same bytes
+HELP_PINS = {
+    "": "c4196b658b59f316c072ca860edb81f27e60f287f8fd645ea51db4a0aae3b83a",
+    "farey": "783ee1e767735d1183f391be34b2ce2a77454a6509f01826b02d2b195a5d6fdc",
+    "farey list": "1cae47f56cb7422feeaece780600f13972d998d7018aa424049be5250430f597",
+    "farey word": "102e3d81a17236b6dc83529c66ed662f7a7f92bab7efb2ac37e8b3c490f110e7",
+    "qumterval": "20bc10d8a8f22eabf758df19d290783c7674ff62493cdbac3642daecbbe6ff38",
+    "qumterval info": "5f90b1bca8c1cdc9ffa43d255b3486a6a0a0cef9b5d126f7e5f9c41fc3994d93",
+    "qumterval atlas": "4bed2a194b9219980fb58b807d1eda0cb389072cd85efb786860aee60ab6fb7b",
+    "ebif": "34ac688d3eea111a60d16a086b233baa8eea8d8cc614c2ddd92be81981bdfc56",
+    "ebif check": "d9ab798ed4d65436b693fc4e16c381e74726693afd057ba64dcb415eda47da9b",
+    "ebif interval": "4830bf8512ac52ee0ec8bdee82c7d83b9c4461bfbf126d240bbc8a61affa73d1",
+    "cardioid": "0cd46d2571ad23027f343becfa2680511eb8c6c673b02abaffe23b462d24a4ca",
+    "orbit": "3e2bae045e6cd8d61e3218d3c090d3d3c61ec18c511bfe9bdc70eab05fd50243",
+    "match": "c2f3cc99856c707d8ff242fc09e82be746c6148a82fec223f534015822f983fc",
+    "match verify": "b210b7a1b455f8848d9c2f7f94b1c6ace9f1feb3313b09412a038e20b13b3727",
+    "attractor": "3e42ff2e92132d56536a77e8350c14aa4e5da30d987d919aff80bd829e0899eb",
+    "entropy": "36422fc4553760fd74001526e23481760f5d2096e7bf9d000e787765047ab7a0",
+    "entropy point": "5f19a48748d418b242d8f948a5a39cce9d7eccbb4ac8058fc4f4da5ac1298110",
+    "entropy curve": "91b28468641a39c02dfb77a9e0f28e76b99eb8407e0732b7e4b4419336e19bd0",
+    "probe": "132d219c977d8a84571aafc8a6d3bde551e1252318327c073a05071eceb08bc0",
+    "probe asymptotic": "f8c4ebce0d48d9882611b0981ba6a111100b1e9998d59bfa4e99de0c3f040813",
+    "probe slope": "362c3cca937b71cc541665c04cf9e65d4feeb97903cc3d9594795dc4c56367b4",
+    "probe zeta": "87e4cacb00c9adb40ff6f974977d5b759138899f5f4c608e93f037ffb51fb8da",
+}
+
+
+class TestColdStart:
+    def child_output(self, code):
+        out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True)
+        return out.stdout.strip()
+
+    def test_import_loads_no_dataclasses_inspect_or_json(self):
+        code = (
+            "import sys; before = set(sys.modules); import fareycf; "
+            "print(sorted({'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before)))"
+        )
+        assert self.child_output(code) == "[]"
+
+    def test_json_loaded_only_where_json_is_printed(self):
+        code = (
+            "import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "before = set(sys.modules)\n"
+            "from fareycf import cli\n"
+            "for argv in (['entropy', 'point', '--alpha', '9/20'], ['attractor', '--alpha', '1/3', '--json']):\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        code = cli.main(argv)\n"
+            "    print(code, 'json' in set(sys.modules) - before)\n"
+        )
+        assert self.child_output(code).splitlines() == ["0 False", "0 True"]
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help pins recorded with the argparse of Python 3.11")
+    @pytest.mark.parametrize("level", list(HELP_PINS))
+    def test_help_bytes(self, capsys, monkeypatch, level):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setenv("LINES", "24")
+        code, out, err = run(capsys, *level.split(), "--help")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == HELP_PINS[level]
+
+    def test_usage_errors_name_their_level(self, capsys):
+        # a missing action or option is reported by the parser of its own level
+        for argv, usage in (
+            ((), "usage: fareycf [-h]"),
+            (("entropy",), "usage: fareycf entropy [-h] [--selftest] {point,curve} ..."),
+            (("entropy", "point"), "usage: fareycf entropy point [-h] [--out OUT] [--precision PRECISION]"),
+            (("probe", "zeta", "--depth", "x"), "usage: fareycf probe zeta [-h]"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "") and err.startswith(usage), argv

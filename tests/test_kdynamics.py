@@ -250,10 +250,10 @@ class TestMatchingCertificates:
     def test_certificate_is_the_closed_form(self):
         # the paper's closed form over the zero runs a0, ..., an of the word:
         # M = (S T^2)^a0 prod T (S T^2)^ak and M' = S T^(-a0-1) prod S T^(-ak-2),
-        # entry for entry
+        # entry for entry; 0^N 1 has one run of N digits 2 in its pattern
         side0 = [w for w in wd.words_of_length_up_to(16) if wd.farey_side(w) == 0]
         assert len(side0) == 40
-        for w in side0:
+        for w in side0 + ["0" * N + "1" for N in (17, 1000, 10**5)]:
             a = [len(run) for run in w.split("1") if run]
             M, M_prime = (S * T**2) ** a[0], S * T ** (-a[0] - 1)
             for ak in a[1:]:
@@ -299,6 +299,21 @@ class TestVerifyMatching:
             q = bf.qumterval_of(w)
             report = kd.verify_matching(w, alphas_inside(q, per_side=2))
             assert report["all_exact"], w
+
+    def test_constancy_is_the_orbits_prefix_product(self, monkeypatch):
+        # one product over each orbit's first m0 or m1 digits, against the
+        # prefix products of OrbitRecord.matrices; a wrong M is not constant
+        for w in wd.words_of_length_up_to(8):
+            q, cert = bf.qumterval_of(w), kd.matching_matrices(w)
+            for alpha in alphas_inside(q, per_side=1):
+                low, high = kd.orbit(alpha, alpha - 1, q.m0 + 1), kd.orbit(alpha, alpha, q.m1 + 1)
+                want = low.matrices[q.m0 - 1] == cert.M and high.matrices[q.m1 - 1] == cert.M_prime
+                [entry] = kd.verify_matching(w, [alpha])["alphas_checked"]
+                assert entry["matrices_constant"] is want is True, (w, alpha)
+        wrong = cert._replace(M=cert.M * T)
+        monkeypatch.setattr(kd, "matching_matrices", lambda word: wrong)
+        [entry] = kd.verify_matching(w, [alpha])["alphas_checked"]
+        assert (entry["collision"], entry["matrices_constant"], entry["status"]) == (True, False, "failed")
 
     def test_collision_values_are_reduced_rationals(self):
         rep = kd.verify_matching("001", [Fraction(1, 3), Fraction(7, 20)])

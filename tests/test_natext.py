@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, pairwise
@@ -568,6 +569,13 @@ class TestCheckedConstruction:
             run()
 
 
+def replaced(skel, **changes):
+    """A new skeleton with the fields of `skel` but `changes`, and an empty
+    ends_cache: no scale of `skel` is kept."""
+    kept = {name: getattr(skel, name) for name in nx._Skeleton.__slots__ if name != "ends_cache"}
+    return nx._Skeleton(**{**kept, **changes})
+
+
 class TestSkeletonChecks:
     # a skeleton that does not belong to a sample is refused, never used
     alpha = Fraction(337, 1000)  # word 001: two lower levels above alpha - 1
@@ -582,7 +590,7 @@ class TestSkeletonChecks:
     def test_changed_order_is_refused(self):
         def swap(skel):
             o = skel.low_order
-            return dataclasses.replace(skel, low_order=(o[0], o[2], o[1]))
+            return replaced(skel, low_order=(o[0], o[2], o[1]))
 
         refused = r"orbit of alpha - 1 leaves the word's level order \(word 001, alpha = 337/1000\)"
         with pytest.raises(nx.AttractorError, match=refused):
@@ -590,7 +598,7 @@ class TestSkeletonChecks:
 
     def test_changed_digits_are_refused(self):
         def bump(skel):
-            return dataclasses.replace(skel, high_digits=(skel.high_digits[0] + 1,) + skel.high_digits[1:])
+            return replaced(skel, high_digits=(skel.high_digits[0] + 1,) + skel.high_digits[1:])
 
         refused = r"orbit of alpha leaves the word's digits \(word 001, alpha = 337/1000\)"
         with pytest.raises(nx.AttractorError, match=refused):
@@ -599,7 +607,7 @@ class TestSkeletonChecks:
     def test_empty_rectangle_is_refused(self):
         # the lowest rectangle's left end is the corner y: a right end at y empties it
         def shrink(skel):
-            return dataclasses.replace(skel, rights=(skel.lefts[0], *skel.rights[1:]))
+            return replaced(skel, rights=(skel.lefts[0], *skel.rights[1:]))
 
         with pytest.raises(nx.AttractorError, match="empty rectangle"):
             self.sample_with(shrink)
@@ -611,8 +619,8 @@ class TestSkeletonChecks:
         # rectangle only widens
         def widen(skel):
             if side == "lower":
-                return dataclasses.replace(skel, rights=(shifted(skel.rights[0], 10**6), *skel.rights[1:]))
-            return dataclasses.replace(skel, lefts=(*skel.lefts[:-1], shifted(skel.lefts[-1], -(10**6))))
+                return replaced(skel, rights=(shifted(skel.rights[0], 10**6), *skel.rights[1:]))
+            return replaced(skel, lefts=(*skel.lefts[:-1], shifted(skel.lefts[-1], -(10**6))))
 
         with pytest.raises(nx.AttractorError, match="density pole"):
             self.sample_with(widen)
@@ -626,8 +634,8 @@ class TestSkeletonChecks:
         def changed(*args):
             skel = build(*args)
             if fault == "empty rectangle":
-                return dataclasses.replace(skel, rights=(skel.lefts[0], *skel.rights[1:]))
-            return dataclasses.replace(skel, lefts=(*skel.lefts[:-1], shifted(skel.lefts[-1], -(10**6))))
+                return replaced(skel, rights=(skel.lefts[0], *skel.rights[1:]))
+            return replaced(skel, lefts=(*skel.lefts[:-1], shifted(skel.lefts[-1], -(10**6))))
 
         monkeypatch.setattr(nx, "_skeleton", changed)
         with pytest.raises(nx.AttractorError, match=fault):
@@ -990,6 +998,20 @@ class TestMasses:
         assert nx.attractor_mass(attr) is first
         second = nx.attractor_mass(twin)
         assert second == first and second is not first
+
+    def test_records_stay_frozen_and_copyable(self):
+        # no field, cached value or kept companion is reassigned after construction
+        attr = nx.build_attractor(Fraction(337, 1000))
+        q = bf.qumterval_of(attr.word)
+        assert attr.alpha in q and "_bounds" in vars(q)
+        sample = nx.entropy_at(attr.alpha)
+        for record, name in ((attr, "skeleton"), (attr, "masses"), (attr, "word"), (q, "m0"), (q, "_bounds"), (sample, "A")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        # a copy keeps the skeleton and the masses taken so far
+        A = nx.attractor_mass(attr)
+        for copied in (pickle.loads(pickle.dumps(attr)), copy.deepcopy(attr)):
+            assert copied == attr and copied.masses == attr.masses and nx.attractor_mass(copied) == A
 
     @pytest.mark.parametrize("alpha", [Fraction(9, 20), Fraction(337, 1000), Fraction(1, 40)])
     @pytest.mark.parametrize("bits", [64, 128, 300])
