@@ -13,8 +13,6 @@ import os
 import sys
 from fractions import Fraction
 
-import mpmath
-
 from . import bifurcation as bf
 from . import cfstrings as cfs
 from . import exactnum as ex
@@ -43,8 +41,10 @@ def _emit_json(args, payload) -> None:
 
 
 def _nstr(x, digits: int) -> str:
-    with prec.working_precision(max(prec.checked_precision(None), int(digits * 3.4) + 16)):
-        return mpmath.nstr(ex.to_mpf(x), digits, strip_zeros=False)
+    """`digits` significant digits of an exact value, rounded to a binary
+    float of max(default precision, 3.4 digits + 16) bits first."""
+    bits = max(prec.checked_precision(None), int(digits * 3.4) + 16)
+    return ex.decimal_text(ex.to_raw(x, bits), digits, strip_zeros=False)
 
 
 def _mobius_json(m: ex.Mobius) -> list[list[int]]:
@@ -169,7 +169,7 @@ def cmd_orbit(args) -> int:
     alpha = ex.parse_fraction(args.alpha)
     rec = kd.orbit(alpha, ex.parse_fraction(args.x), args.steps)
     digits = args.decimals or 50
-    zero = "0" + _nstr(1, digits)[1:]  # mpmath prints an exact 0 as 0.0 at any digits
+    zero = "0" + _nstr(1, digits)[1:]  # `decimal_text` prints an exact 0 as 0.0 at any digits
     lines = [f"step,point_exact,point_decimal{digits},digit"]
     for k, pt in enumerate(rec.points):
         digit = "" if k == 0 or rec.digits[k - 1] is None else str(rec.digits[k - 1])
@@ -249,9 +249,9 @@ def _sample_fields(s: nx.EntropySample) -> dict:
         "word": s.word,
         "m0": s.m0,
         "m1": s.m1,
-        "A": mpmath.nstr(s.A, 30, strip_zeros=False),
-        "h": mpmath.nstr(s.h, 30, strip_zeros=False),
-        "err_bound": mpmath.nstr(s.err_bound, 5),
+        "A": ex.decimal_text(s.raw_A, 30, strip_zeros=False),
+        "h": ex.decimal_text(s.raw_h, 30, strip_zeros=False),
+        "err_bound": ex.decimal_text(s.raw_err, 5),
     }
 
 
@@ -286,8 +286,8 @@ def cmd_probe_asymptotic(args) -> int:
     for r in rows:
         lines.append(
             f"{r['N']},{ex.format_exact(r['alpha'])},"
-            f"{mpmath.nstr(r['h'], 20)},{mpmath.nstr(r['target'], 20)},"
-            f"{r['ratio']:.12f},{mpmath.nstr(r['A'], 20)},{r['A_minus_log']:.12f}"
+            f"{ex.decimal_text(r['h']._mpf_, 20)},{ex.decimal_text(r['target']._mpf_, 20)},"
+            f"{r['ratio']:.12f},{ex.decimal_text(r['A']._mpf_, 20)},{r['A_minus_log']:.12f}"
         )
     _emit(args, "\n".join(lines))
     return 0
@@ -326,17 +326,21 @@ def cmd_probe_zeta(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that declares its arguments when it first parses:
-    `declare(parser)` adds them.  A command's actions and an action's
-    options are built only when argparse reaches that command or action."""
+    """The parser of a command or an action, built when argparse first
+    reaches it: `add_parser` makes one per name, but `__init__` only keeps
+    its arguments, and the first `parse_known_args` runs
+    ArgumentParser.__init__ on them and then `declare(parser)`, which adds
+    its options, actions or both.  argparse reads nothing else of a parser
+    it has not reached: the parent's help and usage list the names."""
 
-    def __init__(self, *args, declare=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._declare = declare
+    def __init__(self, *args, declare, **kwargs):
+        self._pending = args, kwargs, declare
 
     def parse_known_args(self, args=None, namespace=None):
-        declare, self._declare = self._declare, None
-        if declare is not None:
+        pending = vars(self).pop("_pending", None)
+        if pending is not None:
+            init_args, init_kwargs, declare = pending
+            super().__init__(*init_args, **init_kwargs)
             declare(self)
         return super().parse_known_args(args, namespace)
 
@@ -362,11 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
     its handler reads and names that handler as `run`.  The commands are
     declared here; the rest of each is declared when it is parsed
     (`_Parser`), so a call builds the parsers and options of its own path."""
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="fareycf",
         description="Exact Farey-word combinatorics, matching intervals and entropy",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def command(name, help, modules, declare):
         """A subcommand: its --selftest runs the suites of `modules`, then

@@ -7,7 +7,11 @@ irrational by construction (rational results collapse to `Fraction` inside
 by integer sign computations, never by floating point.  Long products of
 integer matrices are one balanced tree (`matrix_product`).  The module, which
 every other one imports, also holds `Frozen`, the mixin that keeps the
-package's records with a `__dict__` immutable.
+package's records with a `__dict__` immutable, and the package's binary
+floats: mpmath's raw (sign, man, exp, bc) tuples, rounded in integers as
+mpmath rounds them, with a correctly rounded log (`raw_log`), pi^2
+(`pi_squared`) and mpmath's decimal printing (`decimal_text`), so that no
+printed float needs mpmath.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-
-import mpmath
+from functools import lru_cache
 
 
 class Infinity:
@@ -380,12 +383,13 @@ class QuadSurd:
 
     # -- conversions ---------------------------------------------------------
 
-    def to_mpf(self) -> mpmath.mpf:
-        """Value at the current mpmath working precision."""
-        root = mpmath.sqrt(mpmath.mpf(self.d))
-        return (mpmath.mpf(self.p) + mpmath.mpf(self.q) * root) / mpmath.mpf(self.r)
+    def to_mpf(self):
+        """Value at the current mpmath working precision (`to_mpf`)."""
+        return to_mpf(self)
 
     def __float__(self):
+        import mpmath
+
         with mpmath.workprec(80):
             return float(self.to_mpf())
 
@@ -598,13 +602,12 @@ def format_exact(x: Exact | Infinity) -> str:
     return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
-def to_mpf(x: Exact) -> mpmath.mpf:
-    """Exact value rounded once at the current mpmath working precision."""
-    if isinstance(x, QuadSurd):
-        return x.to_mpf()
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-    return mpmath.mpf(x)
+def to_mpf(x: Exact):
+    """Exact value at the current mpmath working precision, rounded as
+    `to_raw` rounds it."""
+    import mpmath  # the library's mpf results only; printing needs none
+
+    return mpmath.mp.make_mpf(to_raw(x, mpmath.mp.prec))
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -612,9 +615,358 @@ def parse_fraction(text: str) -> Fraction:
     num, slash, den = text.strip().partition("/")
     if not slash:
         return Fraction(num)
-    if int(den) == 0:
+    try:
+        num, den = int(num), int(den)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a fraction p/q of two integers") from None
+    if den == 0:
         raise ValueError(f"{text!r} has a zero denominator")
-    return Fraction(int(num), int(den))
+    return Fraction(num, den)
+
+
+# ---------------------------------------------------------------------------
+# binary floats in integers
+# ---------------------------------------------------------------------------
+#
+# A raw float is mpmath's tuple (sign, man, exp, bc): the value
+# (-1)^sign man 2^exp with man odd, or ZERO, and bc the bit length of man.
+# Each operation below is exact and then rounded once, as its `mpmath.libmp`
+# namesake rounds, so a raw float is the `_mpf_` of the mpf that mpmath would
+# compute, wraps into it (`raw_mpf`) and prints as mpmath prints it
+# (`decimal_text`), and the printed floats of a CLI call need no mpmath.
+
+Raw = tuple  # (sign, man, exp, bc)
+ZERO = (0, 0, 0, 0)
+ONE = (0, 1, 0, 1)
+
+
+def _round(sign: int, man: int, exp: int, prec: int, mode: str = "n") -> Raw:
+    """(-1)^sign man 2^exp, man >= 0, rounded to `prec` bits: to nearest
+    with ties to even ("n"), toward zero ("d") or away from zero ("u"), with
+    its trailing zero bits stripped (mpmath's `normalize`)."""
+    excess = man.bit_length() - prec
+    if excess > 0:
+        if mode == "n":
+            t = man >> (excess - 1)
+            man = (t >> 1) + (t & 1 and bool(t & 2 or man & ((1 << (excess - 1)) - 1)))
+        elif mode == "d":
+            man >>= excess
+        else:
+            man = -(-man >> excess)
+        exp += excess
+    if not man:
+        return ZERO
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return sign, man, exp + zeros, man.bit_length()
+
+
+def raw_int(n: int, prec: int = 0) -> Raw:
+    """The integer n, rounded to nearest at `prec` bits, or exact for prec 0."""
+    return _round(int(n < 0), abs(n), 0, prec or abs(n).bit_length())
+
+
+def raw_shift(x: Raw, n: int) -> Raw:
+    """x 2^n, exact."""
+    return (x[0], x[1], x[2] + n, x[3]) if x[1] else x
+
+
+def raw_add(x: Raw, y: Raw, prec: int) -> Raw:
+    """x + y rounded to nearest at `prec` bits."""
+    e = min(x[2], y[2])
+    m = ((-x[1] if x[0] else x[1]) << (x[2] - e)) + ((-y[1] if y[0] else y[1]) << (y[2] - e))
+    return _round(int(m < 0), abs(m), e, prec)
+
+
+def raw_mul(x: Raw, y: Raw, prec: int) -> Raw:
+    """x y rounded to nearest at `prec` bits."""
+    return _round(x[0] ^ y[0], x[1] * y[1], x[2] + y[2], prec)
+
+
+def raw_div(x: Raw, y: Raw, prec: int, mode: str = "n") -> Raw:
+    """x / y rounded at `prec` bits (`_round`'s modes): a quotient of at
+    least prec + 5 bits and a sticky bit for a nonzero remainder."""
+    if not y[1]:
+        raise ZeroDivisionError("division by a zero raw float")
+    extra = max(prec - x[3] + y[3] + 5, 5)
+    q, r = divmod(x[1] << extra, y[1])
+    if r:
+        q, extra = (q << 1) | 1, extra + 1
+    return _round(x[0] ^ y[0], q, x[2] - y[2] - extra, prec, mode)
+
+
+def raw_sqrt(x: Raw, prec: int) -> Raw:
+    """sqrt x of x >= 0 rounded to nearest at `prec` bits: an integer root
+    of at least prec + 2 bits and a sticky bit (mpmath's `mpf_sqrt`)."""
+    _, man, exp, bc = x
+    if not man:
+        return x
+    if exp & 1:
+        man, exp, bc = man << 1, exp - 1, bc + 1
+    elif man == 1:
+        return _round(0, 1, exp // 2, prec)
+    shift = max(4, 2 * prec - bc + 4)
+    shift += shift & 1
+    root = math.isqrt(man << shift)
+    if root * root != man << shift:
+        root, shift = (root << 1) | 1, shift + 2
+    return _round(0, root, (exp - shift) // 2, prec)
+
+
+def to_raw(x: Exact, prec: int) -> Raw:
+    """An exact value as a raw float at `prec` bits, each step rounded to
+    nearest in the order of mpmath's mpf expressions: n/m as
+    mpf(n) / mpf(m), and (p + q sqrt d)/r as (mpf(p) + mpf(q) sqrt(mpf(d))) / mpf(r)."""
+    if isinstance(x, QuadSurd):
+        p, q, r, d = (raw_int(v, prec) for v in (x.p, x.q, x.r, x.d))
+        return raw_div(raw_add(p, raw_mul(q, raw_sqrt(d, prec), prec), prec), r, prec)
+    if isinstance(x, Fraction):
+        return raw_div(raw_int(x.numerator, prec), raw_int(x.denominator, prec), prec)
+    return raw_int(x, prec)
+
+
+def raw_mpf(x: Raw):
+    """The mpmath.mpf of a raw float, for library callers of mpf results."""
+    import mpmath
+
+    return mpmath.mp.make_mpf(x)
+
+
+def _atanh_fixed(num: int, den: int, wp: int) -> tuple[int, int]:
+    """(S, E): atanh(num/den) 2^wp within E units, for 0 <= num/den <= 1/3.
+
+    The first term z is rounded to nearest (1/2 unit, at most 0.57 after
+    atanh' <= 9/8); the powers z^(4i+1) step by a truncated z^4 and stay
+    within 1.5 units; the terms z^(4i+1)/(4i+1) and z^(4i+3)/(4i+3) (the
+    latter summed, then times z^2) are truncated, so each of the N terms
+    costs at most 1 unit plus 1.5/(2j+1), at most N + 12 in all, and the
+    tail after the first zero power less than 1 unit: E = N + 14."""
+    z = ((num << (wp + 1)) // den + 1) >> 1
+    z2 = z * z >> wp
+    z4 = z2 * z2 >> wp
+    odd, rest = z, z // 3
+    t = z * z4 >> wp
+    k = 5
+    while t:
+        odd += t // k
+        rest += t // (k + 2)
+        t = t * z4 >> wp
+        k += 4
+    return odd + (rest * z2 >> wp), k // 2 + 14
+
+
+def _atan_inv_fixed(m: int, wp: int) -> tuple[int, int]:
+    """(S, E): atan(1/m) 2^wp within E units, for m >= 2: each of the N
+    truncated powers within 1.34 units, each term within 2, the
+    alternating tail within 1; E = 2 N + 3."""
+    t = s = (1 << wp) // m
+    k, m2 = 1, m * m
+    while t:
+        t //= m2
+        k += 2
+        s += -(t // k) if k & 2 else t // k
+    return s, k + 2
+
+
+def _ln_fixed(wp: int, p: int, q: int) -> tuple[int, int]:
+    """ln(p/q) = 2 atanh((p - q)/(p + q)) for 1/2 <= p/q <= 2, scaled by
+    2^wp, within the second entry (`_atanh_fixed`)."""
+    s, e = _atanh_fixed(abs(p - q), p + q, wp)
+    return (2 * s if p > q else -2 * s), 2 * e
+
+
+def _ln10_fixed(wp: int) -> tuple[int, int]:
+    """ln 10 = 3 ln 2 + ln(5/4)."""
+    l2, e2 = _ln_fixed(wp, 2, 1)
+    l5, e5 = _ln_fixed(wp, 5, 4)
+    return 3 * l2 + l5, 3 * e2 + e5
+
+
+def _pi_fixed(wp: int) -> tuple[int, int]:
+    """pi = 16 atan(1/5) - 4 atan(1/239) (Machin)."""
+    a, ea = _atan_inv_fixed(5, wp)
+    b, eb = _atan_inv_fixed(239, wp)
+    return 16 * a - 4 * b, 16 * ea + 4 * eb
+
+
+@lru_cache(maxsize=1024)
+def _floor_const(fixed, wp: int, *args) -> int:
+    """floor(c 2^wp) of a constant c that is not dyadic, from `fixed`
+    ((p, *args) -> (V, E) with |V - c 2^p| <= E): guard bits double until
+    V - E and V + E have one floor (Ziv's test), as mpmath floors its
+    constants.  Cached per precision."""
+    guard = 16
+    while True:
+        v, e = fixed(wp + guard, *args)
+        lo = (v - e) >> guard
+        if lo == (v + e) >> guard:
+            return lo
+        guard *= 2
+
+
+_LOG_GUARD = 24  # guard bits of `raw_log` past the result's leading bit
+_LOG_GRID = 9  # ln c is cached for the multiples c of 2^-_LOG_GRID in [45/64, 90/64]
+_LOG_ONE = 1 << _LOG_GRID
+
+
+def _log_parts(x: Raw) -> tuple[int, int, int, int]:
+    """(k, c, num, den) of a positive raw float x = 2^k y, y in
+    [45/64, 90/64): c 2^-g, g = `_LOG_GRID`, is the nearest multiple of
+    2^-g to y and z = num/den = (y - c 2^-g)/(y + c 2^-g), |z| < 2^-(g+1),
+    so log x = k ln 2 + ln(c 2^-g) + 2 atanh(z)."""
+    _, man, exp, bc = x
+    k, s = exp + bc, bc  # x = 2^k man/2^s, man/2^s in [1/2, 1)
+    if (man >> (bc - 6) if bc > 6 else man << (6 - bc)) < 45:
+        k, s = k - 1, s - 1
+    c = ((man << (_LOG_GRID + 1) >> s) + 1) >> 1
+    return k, c, (man << _LOG_GRID) - (c << s), (man << _LOG_GRID) + (c << s)
+
+
+def _log_fixed(parts: tuple[int, int, int, int], wp: int) -> tuple[int, int]:
+    """(R, E): log x 2^wp within E units, from `_log_parts(x)`: the series
+    within N + 14 units, doubled (`_atanh_fixed`), ln 2 floored (within 1
+    unit, times |k|) and ln(c 2^-g) floored (within 1 unit), both cached
+    per precision (`_floor_const`): E = 2 (N + 14) + |k| + 1."""
+    k, c, num, den = parts
+    S, E = _atanh_fixed(abs(num), den, wp)
+    R = 2 * S if num >= 0 else -2 * S
+    if k:
+        R += k * _floor_const(_ln_fixed, wp, 2, 1)
+    if c != _LOG_ONE:
+        R += _floor_const(_ln_fixed, wp, c, _LOG_ONE)
+    return R, 2 * E + abs(k) + 1
+
+
+def raw_log(x: Raw, prec: int) -> Raw:
+    """log x of a positive raw float, correctly rounded to nearest at
+    `prec` bits (mpmath's `mpf_log` rounds the same on every input tried).
+
+    The sum R of `_log_fixed` at the scale 2^wp, wp `_LOG_GUARD` bits past
+    prec and the result's leading bit, is within E units of log x 2^wp.
+    Ziv's test: when R - E and R + E round alike, so does log x; else wp
+    grows by half and the sum is redone.  log x of x != 1 is
+    transcendental, never a rounding midpoint, so the loop ends."""
+    sign, man, exp, _ = x
+    if sign or not man:
+        raise ValueError("log of a value <= 0")
+    if man == 1 and not exp:
+        return ZERO
+    parts = k, c, num, den = _log_parts(x)
+    # |log x| >= 2^-2 for k != 0, >= 2^-(g+2) for c != 2^g, else >= 2 |z|
+    if k:
+        lead = max(4, abs(k).bit_length())
+    else:
+        lead = _LOG_GRID + 2 if c != _LOG_ONE else den.bit_length() - abs(num).bit_length()
+    wp = prec + _LOG_GUARD + lead
+    while True:
+        R, E = _log_fixed(parts, wp)
+        r = abs(R)
+        size = r.bit_length()
+        n = size - prec
+        half = 1 << (n - 1)
+        m = (r - E + half) >> n
+        if m == (r + E + half) >> n and (r - E).bit_length() == size:
+            zeros = (m & -m).bit_length() - 1
+            m >>= zeros
+            return int(R < 0), m, n - wp + zeros, m.bit_length()
+        wp += wp // 2
+
+
+@lru_cache(maxsize=32)
+def pi_squared(prec: int) -> Raw:
+    """pi^2 at `prec` bits: pi from its floor at prec + 20 bits rounded to
+    nearest (mpmath's `mpf_pi`), then squared and rounded to nearest."""
+    _, man, exp, _ = _round(0, _floor_const(_pi_fixed, prec + 20), -(prec + 20), prec)
+    return _round(0, man * man, 2 * exp, prec)
+
+
+def _pow10(n: int, prec: int, mode: str) -> Raw:
+    """10^n at `prec` bits, rounded toward zero ("d") or away ("u"), step
+    for step as mpmath's `mpf_pow_int`: exact below 334, else squarings
+    truncated (or raised) to prec + 4 bitlen(n) + 4 bits."""
+    if n < 0:
+        return raw_div(ONE, _pow10(-n, prec + 5, "u" if mode == "d" else "d"), prec, mode)
+    if 3 * n < 1000:
+        return _round(0, 5**n, n, prec, mode)
+    work = prec + 4 * n.bit_length() + 4
+
+    def cut(m, e):
+        excess = m.bit_length() - work
+        if excess <= 0:
+            return m, e
+        return (m >> excess if mode == "d" else -(-m >> excess)), e + excess
+
+    pm, pe, man, exp = 1, 0, 5, 1
+    while True:
+        if n & 1:
+            pm, pe = cut(pm * man, pe + exp)
+            n -= 1
+            if not n:
+                return _round(0, pm, pe, prec, mode)
+        man, exp = cut(man * man, 2 * exp)
+        n //= 2
+
+
+def _decimal_digits(man: int, exp: int, bc: int, dps: int) -> tuple[str, int]:
+    """(digits, exponent) of man 2^exp > 0, truncated to about `dps`
+    digits (mpmath's `to_digits_exp`): a value beyond 2^±3500 is first
+    divided by a power of ten, both rounded toward zero as mpmath does."""
+    bitprec = int(dps * math.log(10, 2)) + 10
+    exponent = 0
+    if abs(exp + bc) > 3500:
+        expprec = abs(exp).bit_length() + 5
+        ln2, ln10 = (
+            _round(0, _floor_const(fixed, expprec + 20, *args), -(expprec + 20), expprec, "d")
+            for fixed, *args in ((_ln_fixed, 2, 1), (_ln10_fixed,))
+        )
+        m = abs(exp) * ln2[1]
+        _, m, e, _ = raw_div(_round(int(exp < 0), m, ln2[2], m.bit_length()), ln10, expprec, "d")
+        exponent = (m << e if e >= 0 else m >> -e) * (-1 if exp < 0 else 1)
+        _, man, exp, bc = raw_div((0, man, exp, bc), _pow10(exponent, bitprec, "d"), bitprec, "d")
+    fixprec = max(bitprec - exp - bc, 0)
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    shift = exp + fixprec
+    fixed = man << shift if shift >= 0 else man >> -shift
+    digits = _decimal(fixed * 10**fixdps >> fixprec)
+    return digits, exponent + len(digits) - fixdps - 1
+
+
+def decimal_text(x: Raw, dps: int, strip_zeros: bool = True) -> str:
+    """A raw float as `mpmath.nstr(mpf, dps, strip_zeros=...)` prints it,
+    byte for byte, for dps >= 1: its first dps + 3 digits truncated
+    (`_decimal_digits`), rounded at digit dps (a run of 9s carries into
+    the exponent); fixed notation while the leading digit's exponent lies
+    strictly between min(-(dps // 3), -5) and dps, else "d.ddd" and an
+    exponent ("e+7", "e-36").  An exact 0 prints as "0.0"."""
+    sign, man, exp, bc = x
+    if not man:
+        return "0.0"
+    digits, exponent = _decimal_digits(man, exp, bc, dps + 3)
+    if len(digits) > dps and digits[dps] in "56789":
+        head = digits[:dps].rstrip("9")
+        if head:
+            digits = head[:-1] + str(int(head[-1]) + 1) + "0" * (dps - len(head))
+        else:
+            digits, exponent = "1" + "0" * (dps - 1), exponent + 1
+    else:
+        digits = digits[:dps]
+    split = 1
+    if min(-(dps // 3), -5) < exponent < dps:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+        else:
+            split = exponent + 1
+            digits += "0" * (split - dps)
+        exponent = 0
+    digits = digits[:split] + "." + digits[split:]
+    if strip_zeros:
+        digits = digits.rstrip("0")
+        if digits.endswith("."):
+            digits += "0"
+    text = "-" + digits if sign else digits
+    if not exponent:
+        return text
+    return f"{text}e{'+' if exponent > 0 else ''}{exponent}"
 
 
 def selftest() -> list[tuple[str, bool]]:

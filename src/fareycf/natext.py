@@ -53,15 +53,20 @@ entropy's, taken once per precision and kept on it (`attractor_mass`),
 which the density and the measure divide by.  The sum of the rectangles'
 closed-form masses is only the tests' oracle.
 
-The float tail of a sample is a few operations on raw `mpmath.libmp`
-values at the working precision, each rounded to nearest, with no
-precision context and no intermediate mpf: A = log(num / den) of the
-boundary product and its bound err = 2^-bits (32 rects + 8 A)
+The float tail of a sample is a few operations on raw floats
+(sign, man, exp, bc) at the working precision, each exact and then
+rounded to nearest in integers (`exactnum.raw_add`, `raw_div`, ...):
+A = log(num / den) of the boundary product, its log correctly rounded
+(`exactnum.raw_log`), and its bound err = 2^-bits (32 rects + 8 A)
 (`_mass_of`), then h = pi^2 / (3 A) and its bound h (err / A) + 2^(8 - bits)
-(`_entropy_of`, shared by `_entropy_run` and `asymptotic_probe`).  Each
-result is wrapped as an mpf once.  The operations and their order are
-those of the mpf expressions written out, so every value is theirs bit
-for bit.
+(`_entropy_of`, shared by `_entropy_run` and `asymptotic_probe`).  The
+operations and their order are those of the mpf expressions written out,
+so every raw value is theirs bit for bit, and the CLI prints them without
+mpmath (`exactnum.decimal_text`).  An `EntropySample` keeps the raw
+values and wraps each into an mpmath.mpf for library callers on first
+read; mpmath itself is imported only where a special function or an mpf
+result is asked for (the probes, `density_slice`, `measure_interval`,
+`plateau_entropy`, `attractor_mass`).
 """
 
 from __future__ import annotations
@@ -69,24 +74,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, groupby, pairwise
 from math import gcd, isqrt, lcm
-
-import mpmath
-from mpmath.libmp import (
-    fone,
-    from_int,
-    mpf_add,
-    mpf_div,
-    mpf_log,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_pi,
-    mpf_pow_int,
-    mpf_shift,
-    round_nearest,
-)
 
 from . import words
 from .bifurcation import (
@@ -99,11 +89,20 @@ from .exactnum import (
     Exact,
     Frozen,
     QuadSurd,
+    Raw,
     S,
     T,
     _scaled,
     _sign_single,
     mobius_apply,
+    pi_squared,
+    raw_add,
+    raw_div,
+    raw_int,
+    raw_log,
+    raw_mpf,
+    raw_mul,
+    raw_shift,
     surd_from_periodic_cf,
     to_mpf,
 )
@@ -542,19 +541,34 @@ def corner_system_residues(w: str):
 
 
 def attractor_mass(attr: Attractor, precision: int | None = None):
-    """(area integral, error bound): the entropy's own mass at the
-    attractor's parameter and skeleton (`_sample_mass`), so
+    """(area integral, error bound) as mpmath.mpf: the entropy's own mass at
+    the attractor's parameter and skeleton (`_sample_mass`), so
     `entropy_at(attr.alpha, precision).A` bit for bit; taken once per
     precision and kept on the attractor (`Attractor.masses`)."""
     bits = checked_precision(precision)
     got = attr.masses.get(bits)
     if got is None:
-        got = attr.masses[bits] = _sample_mass(attr.alpha, attr.skeleton, bits)
+        got = attr.masses[bits] = tuple(map(raw_mpf, _sample_mass(attr.alpha, attr.skeleton, bits)))
     return got
 
 
-class EntropySample(namedtuple("EntropySample", "alpha word m0 m1 A h err_bound")):
-    __slots__ = ()
+class EntropySample(Frozen, namedtuple("EntropySample", "alpha word m0 m1 raw_A raw_h raw_err")):
+    """An entropy sample: the mass A, the entropy h and h's error bound as
+    raw floats (sign, man, exp, bc) of the working precision (`_mass_of`,
+    `_entropy_of`), which the CLI prints (`exactnum.decimal_text`); `A`,
+    `h` and `err_bound` are their mpmath.mpf, wrapped on first read."""
+
+    @cached_property
+    def A(self):
+        return raw_mpf(self.raw_A)
+
+    @cached_property
+    def h(self):
+        return raw_mpf(self.raw_h)
+
+    @cached_property
+    def err_bound(self):
+        return raw_mpf(self.raw_err)
 
 
 _HALF = Fraction(1, 2)
@@ -568,49 +582,44 @@ def entropy_at(alpha, precision: int | None = None) -> EntropySample:
     return _entropy_run([alpha], precision)[0]
 
 
-def _sample_mass(alpha: Fraction, skel: _Skeleton, bits: int) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """(area integral, error bound) at a parameter alpha <= 1/2 of the
-    skeleton's qumterval: the boundary product of its fit (`_fitted`,
-    `_Skeleton.product`) at the scale W = bits + _GUARD, its levels rounded
-    from their order keys, and one log of its ratio (`_mass_of`).  The log
-    of the product is the sum of the rectangle masses; the error estimate is
-    theirs, summed in closed form."""
+def _sample_mass(alpha: Fraction, skel: _Skeleton, bits: int) -> tuple[Raw, Raw]:
+    """(area integral, error bound) as raw floats at a parameter
+    alpha <= 1/2 of the skeleton's qumterval: the boundary product of its
+    fit (`_fitted`, `_Skeleton.product`) at the scale W = bits + _GUARD,
+    its levels rounded from their order keys, and one log of its ratio
+    (`_mass_of`).  The log of the product is the sum of the rectangle
+    masses; the error estimate is theirs, summed in closed form."""
     scale = bits + _GUARD
     lo, hi, rects = _fitted(alpha, skel, scale)
     num, den = skel.product(lo, hi, scale, _key_scale(alpha, scale) - scale)
     return _mass_of(num, den, rects, bits)
 
 
-def _mass_of(num: int, den: int, rects: int, bits: int) -> tuple[mpmath.mpf, mpmath.mpf]:
+def _mass_of(num: int, den: int, rects: int, bits: int) -> tuple[Raw, Raw]:
     """The mass A = log(num / den) of a boundary product and its bound
-    err = 2^-bits (32 rects + 8 A): num and den rounded to `bits`, then
-    each operation rounded to nearest at `bits`, in the order of these
-    expressions."""
-    n, d = from_int(num, bits, round_nearest), from_int(den, bits, round_nearest)
-    A = mpf_log(mpf_div(n, d, bits, round_nearest), bits, round_nearest)
-    err = mpf_shift(mpf_add(mpf_shift(A, 3), from_int(32 * rects), bits, round_nearest), -bits)
-    return mpmath.mp.make_mpf(A), mpmath.mp.make_mpf(err)
+    err = 2^-bits (32 rects + 8 A), as raw floats: num and den rounded to
+    `bits`, then each operation rounded to nearest at `bits`, in the order
+    of these expressions, the log correctly rounded (`exactnum.raw_log`)."""
+    A = raw_log(raw_div(raw_int(num, bits), raw_int(den, bits), bits), bits)
+    err = raw_shift(raw_add(raw_shift(A, 3), raw_int(32 * rects), bits), -bits)
+    return A, err
 
 
-@lru_cache(maxsize=32)
-def _pi_squared(bits: int):
-    """pi^2 as a raw mpf: pi and its square each rounded to nearest at `bits`."""
-    return mpf_pow_int(mpf_pi(bits, round_nearest), 2, bits, round_nearest)
+_THREE = raw_int(3)
 
 
-def _entropy_of(A: mpmath.mpf, err: mpmath.mpf, bits: int) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """h = pi^2 / (3 A) and its bound h (err / A) + 2^(8 - bits), from the
-    mass A and its bound err (`_sample_mass`): each operation rounded to
-    nearest at `bits`, in the order of these expressions."""
-    a = A._mpf_
-    h = mpf_div(_pi_squared(bits), mpf_mul_int(a, 3, bits, round_nearest), bits, round_nearest)
-    rel = mpf_div(err._mpf_, a, bits, round_nearest)
-    h_err = mpf_add(mpf_mul(h, rel, bits, round_nearest), mpf_shift(fone, 8 - bits), bits, round_nearest)
-    return mpmath.mp.make_mpf(h), mpmath.mp.make_mpf(h_err)
+def _entropy_of(A: Raw, err: Raw, bits: int) -> tuple[Raw, Raw]:
+    """h = pi^2 / (3 A) and its bound h (err / A) + 2^(8 - bits), as raw
+    floats, from the raw mass A and its bound err (`_sample_mass`): each
+    operation rounded to nearest at `bits`, in the order of these
+    expressions, and pi^2 from pi rounded to nearest (`exactnum.pi_squared`)."""
+    h = raw_div(pi_squared(bits), raw_mul(A, _THREE, bits), bits)
+    rel = raw_div(err, A, bits)
+    return h, raw_add(raw_mul(h, rel, bits), (0, 1, 8 - bits, 1), bits)
 
 
-def density_slice(attr: Attractor, t, precision: int | None = None) -> mpmath.mpf:
-    """Invariant density at height t: the exact antiderivative
+def density_slice(attr: Attractor, t, precision: int | None = None):
+    """Invariant density at height t, an mpmath.mpf: the exact antiderivative
     (x_hi - x_lo)/((1+x_lo t)(1+x_hi t)) of the one rectangle with
     y_lo <= t < y_hi, found by bisection (the top one at t = alpha), over
     `attractor_mass`, kept on the attractor."""
@@ -628,17 +637,17 @@ def density_slice(attr: Attractor, t, precision: int | None = None) -> mpmath.mp
         return (xh - xl) / ((1 + xl * tm) * (1 + xh * tm)) / A
 
 
-def measure_interval(attr: Attractor, lo, hi, precision: int | None = None) -> mpmath.mpf:
+def measure_interval(attr: Attractor, lo, hi, precision: int | None = None):
     """Invariant measure of [lo, hi], for rational bounds inside the map's
-    interval: the boundary product of the attractor's fit over its keys
-    clamped into [lo, hi] (`_fitted`, `_Skeleton.product`), over the mass
-    (`attractor_mass`), rounded to nearest at the working precision.
-    Clamped, a segment's span is its part of the band; a segment outside
-    the band has y0 = y1 and a pair of equal factors.  The bounds are
-    rounded down at the keys' scale S (`_key_scale`) and the product shifts
-    the clamped keys to the mass's scale, as the entropy's does: a floor
-    shift is monotone, so it commutes with the clamp, and no two exact
-    values are compared."""
+    interval, an mpmath.mpf: the boundary product of the attractor's fit
+    over its keys clamped into [lo, hi] (`_fitted`, `_Skeleton.product`),
+    over the mass (`attractor_mass`), rounded to nearest at the working
+    precision.  Clamped, a segment's span is its part of the band; a
+    segment outside the band has y0 = y1 and a pair of equal factors.  The
+    bounds are rounded down at the keys' scale S (`_key_scale`) and the
+    product shifts the clamped keys to the mass's scale, as the entropy's
+    does: a floor shift is monotone, so it commutes with the clamp, and no
+    two exact values are compared."""
     for bound in (lo, hi):
         if not isinstance(bound, (int, Fraction)):
             raise ValueError(f"measure bounds must be rational, got {bound!r}")
@@ -651,7 +660,7 @@ def measure_interval(attr: Attractor, lo, hi, precision: int | None = None) -> m
     bottom, top = _scaled([lo, hi], key_scale)
     band = [[min(max(K, bottom), top) for K in keys] for keys in _fitted(attr.alpha, skel, scale)[:2]]
     B, _ = _mass_of(*skel.product(*band, scale, key_scale - scale), 0, bits)
-    return mpmath.mp.make_mpf(mpf_div(B._mpf_, A._mpf_, bits, round_nearest))
+    return raw_mpf(raw_div(B, A._mpf_, bits))
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +748,7 @@ def _entropy_run(grid, precision: int | None) -> list[EntropySample]:
         word, m0, m1 = q.word, q.m0, q.m1
         if alpha != base:
             word, m0, m1 = words.transpose(words.negate(word)), m1, m0
-        out.append(EntropySample(alpha=alpha, word=word, m0=m0, m1=m1, A=A, h=h, err_bound=h_err))
+        out.append(EntropySample(alpha, word, m0, m1, A, h, h_err))
     return out
 
 
@@ -749,6 +758,8 @@ def asymptotic_probe(n_values, precision: int | None = None) -> list[dict]:
 
     A and its error bound come from the fit's boundary product
     (`_sample_mass`), so A is that of `entropy_at`."""
+    import mpmath
+
     bits = checked_precision(precision)
     rows = []
     for n in n_values:
@@ -756,7 +767,8 @@ def asymptotic_probe(n_values, precision: int | None = None) -> list[dict]:
             raise ValueError("N must be at least 2")
         q = qumterval_of("0" * n + "1")
         A, err = _sample_mass(q.pseudocenter, _skeleton(q), bits)
-        h, _ = _entropy_of(A, err, bits)
+        h = raw_mpf(_entropy_of(A, err, bits)[0])
+        A, err = raw_mpf(A), raw_mpf(err)
         with working_precision(bits):
             log_n1 = mpmath.log(n + 1)
             target = mpmath.pi**2 / (3 * log_n1)
@@ -783,6 +795,8 @@ def qumterval_slope(q: Qumterval, precision: int | None = None) -> dict:
     differ by rounding only: ValueError, naming the precision.  Without one
     given it works at 2 b + 64 bits, if above the default, for a qumterval
     about 2^-2b wide, b the bit length of its pseudocenter's denominator."""
+    import mpmath
+
     if precision is None:
         precision = max(checked_precision(None), 2 * q.pseudocenter.denominator.bit_length() + 64)
     width = q.alpha_plus - q.alpha_minus
@@ -852,15 +866,19 @@ def slope_growth_probe(
     return rows
 
 
-def plateau_entropy(precision: int | None = None) -> mpmath.mpf:
-    """pi^2 / (6 log(1+g)) with g the golden mean: the constant value of the
-    entropy on the middle qumterval."""
+def plateau_entropy(precision: int | None = None):
+    """pi^2 / (6 log(1+g)) with g the golden mean, an mpmath.mpf: the
+    constant value of the entropy on the middle qumterval."""
+    import mpmath
+
     with working_precision(precision):
         g = (mpmath.sqrt(5) - 1) / 2
         return mpmath.pi**2 / (6 * mpmath.log(1 + g))
 
 
 def selftest() -> list[tuple[str, bool]]:
+    import mpmath
+
     checks = []
     x, y = attractor_corners("01")
     g = surd_from_periodic_cf((), (1,))

@@ -12,8 +12,6 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 
-import mpmath
-
 MIN_PRECISION = 64
 DEFAULT_PRECISION = 128  # without FAREYCF_PRECISION
 
@@ -37,5 +35,9 @@ def checked_precision(bits: int | None) -> int:
 
 @contextmanager
 def working_precision(bits: int | None = None):
+    """mpmath's context at `bits` (`checked_precision`), for the library's
+    mpf results; printing needs no mpmath."""
+    import mpmath
+
     with mpmath.workprec(checked_precision(bits)):
         yield mpmath.mp

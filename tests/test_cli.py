@@ -193,6 +193,8 @@ class TestBehaviour:
             ("probe", "slope", "--word", "001", "--halvings", "-1"),
             ("farey", "list", "--level", "2", "--out", str(tmp_path / "missing" / "x")),
             ("farey", "list", "--level", "2", "--out", str(tmp_path)),
+            ("entropy", "point", "--alpha", "9/20x"),
+            ("entropy", "point", "--alpha", "1//2"),
         ):
             assert run(capsys, *argv)[:2] == (2, ""), argv
 
@@ -208,6 +210,9 @@ class TestBehaviour:
             (("cardioid", "--rational", " 1/0 "), "error: ' 1/0 ' has a zero denominator\n"),
             (("ebif", "check", "--x", "1/0"), "error: '1/0' has a zero denominator\n"),
             (("orbit", "--alpha", "1/3", "--x=-2/0", "--steps", "2"), "error: '-2/0' has a zero denominator\n"),
+            # a malformed fraction is named as given, not by int()'s message on one part
+            (("entropy", "point", "--alpha", "9/20x"), "error: '9/20x' is not a fraction p/q of two integers\n"),
+            (("entropy", "point", "--alpha", "1//2"), "error: '1//2' is not a fraction p/q of two integers\n"),
         ],
     )
     def test_library_checks_exit_2(self, capsys, argv, message):
@@ -413,6 +418,28 @@ class TestColdStart:
             "    print(code, 'json' in set(sys.modules) - before)\n"
         )
         assert self.child_output(code).splitlines() == ["0 False", "0 True"]
+
+    def test_cli_floats_load_no_mpmath(self):
+        # the package and the CLI's printed floats (the entropy tail, the
+        # decimals of exact values, exact zeros) are integer arithmetic
+        code = (
+            "import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "import fareycf\n"
+            "print('mpmath' in sys.modules)\n"
+            "from fareycf import cli\n"
+            "for argv in (\n"
+            "    ['entropy', 'point', '--alpha', '9/20'],\n"
+            "    ['entropy', 'point', '--alpha', '9/20', '--precision', '512'],\n"
+            "    ['attractor', '--alpha', '1/7', '--json'],\n"
+            "    ['entropy', 'curve', '--from', '1/50', '--to', '49/50', '--samples', '20'],\n"
+            "    ['qumterval', 'info', '--word', '001'],\n"
+            "):\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        code = cli.main(argv)\n"
+            "    print(code, 'mpmath' in sys.modules)\n"
+        )
+        assert self.child_output(code).splitlines() == ["False"] + ["0 False"] * 5
 
     @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help pins recorded with the argparse of Python 3.11")
     @pytest.mark.parametrize("level", list(HELP_PINS))

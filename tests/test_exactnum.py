@@ -6,8 +6,11 @@ from functools import reduce
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, mpf_log, mpf_pi, mpf_pos, mpf_pow_int, round_nearest, to_str
+
+from fareycf import exactnum as ex
 
 from fareycf.exactnum import (
     INF,
@@ -308,3 +311,118 @@ class TestDigitsMatrix:
                 y = mobius_apply(Mobius(0, 1, 1, a), y)
             x = surd_from_periodic_cf(pre, period)
             assert x == y and str(x) == str(y)
+
+
+# ---------------------------------------------------------------------------
+# binary floats in integers, against mpmath.libmp as the oracle
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def raw_values(draw, positive=False, max_bits=400, max_exp=600):
+    """A raw float (sign, man, exp, bc) with up to `max_bits` bits of
+    mantissa and an exponent up to `max_exp` in size, or 0."""
+    man = draw(st.integers(0, 2**max_bits - 1))
+    if positive:
+        man = man or 1
+    exp = draw(st.integers(-max_exp, max_exp))
+    sign = 0 if positive else draw(st.integers(0, 1))
+    return from_man_exp(-man if sign else man, exp)
+
+
+def mpf_expression(x, bits):
+    """`to_raw`'s reference: the exact value as mpf expressions at `bits`."""
+    with mpmath.workprec(bits):
+        if isinstance(x, QuadSurd):
+            v = (mpmath.mpf(x.p) + mpmath.mpf(x.q) * mpmath.sqrt(mpmath.mpf(x.d))) / mpmath.mpf(x.r)
+        else:
+            v = mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+    return v._mpf_
+
+
+class TestIntegerFloats:
+    @settings(max_examples=200, deadline=None)
+    @given(raw_values(positive=True, max_bits=300, max_exp=400), st.integers(60, 900))
+    @example(from_man_exp(2**200 + 1, -200), 128)  # 1 + 2^-200: the series' leading bits cancel
+    @example(from_man_exp(2**200 - 1, -201), 128)  # just below 1/2 ... below 1
+    @example(from_man_exp(1, 3), 64)  # a power of two: k ln 2 alone
+    def test_log_within_its_bound(self, x, wp):
+        # the fixed-point sum of `raw_log` is within its stated E units of a 1024-bit log
+        if x == ex.ONE:
+            return
+        R, E = ex._log_fixed(ex._log_parts(x), wp)
+        with mpmath.workprec(1024):
+            exact = mpmath.log(mpmath.mp.make_mpf(x)) * mpmath.mpf(2) ** wp
+            assert abs(R - exact) <= E
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(53, 3000))
+    def test_log_rounds_as_mpf_log(self, data, bits):
+        x = data.draw(raw_values(positive=True, max_bits=bits + 64, max_exp=2 * bits))
+        assert ex.raw_log(x, bits) == mpf_log(x, bits, round_nearest)
+
+    def test_log_of_one_and_of_nonpositive_values(self):
+        assert ex.raw_log(ex.ONE, 128) == ex.ZERO
+        for x in (ex.ZERO, ex.raw_int(-3)):
+            with pytest.raises(ValueError):
+                ex.raw_log(x, 128)
+
+    def test_log_refines_an_undecided_rounding(self, monkeypatch):
+        # x = exp(m) for a midpoint m of the 64-bit grid, rounded at 400
+        # bits: log x lies within 2^-390 of m, inside the first sum's error
+        # interval, so Ziv's test fails once and the sum is redone wider
+        bits = 64
+        calls = []
+        fixed = ex._log_fixed
+        monkeypatch.setattr(ex, "_log_fixed", lambda parts, wp: calls.append(wp) or fixed(parts, wp))
+        rng = random.Random(12)
+        for _ in range(5):
+            midpoint = (2 * rng.getrandbits(bits - 1) + 2**bits + 1, -bits - 1)  # in (1, 2)
+            with mpmath.workprec(400):
+                x = mpmath.exp(mpmath.mp.make_mpf(from_man_exp(*midpoint)))._mpf_
+            calls.clear()
+            got = ex.raw_log(x, bits)
+            assert len(calls) >= 2 and calls[1] > calls[0]
+            with mpmath.workprec(1024):
+                want = mpf_pos(mpmath.log(mpmath.mp.make_mpf(x))._mpf_, bits, round_nearest)
+            assert got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(53, 3000))
+    @example(53)
+    @example(128)
+    def test_pi_squared_as_mpmath(self, bits):
+        assert ex.pi_squared(bits) == mpf_pow_int(mpf_pi(bits, round_nearest), 2, bits, round_nearest)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(raw_values(), raw_values(max_exp=20000), raw_values(max_bits=4000, max_exp=10)),
+        st.integers(1, 200),
+        st.booleans(),
+    )
+    @example(ex.ZERO, 30, False)  # an exact zero prints as 0.0
+    @example(from_man_exp(-7, -3), 30, False)  # -0.875
+    @example(mpmath.mpf("1.8347e-36")._mpf_, 5, True)  # scientific notation
+    @example(mpmath.mpf("0.99999999")._mpf_, 5, False)  # the carry of a run of 9s
+    @example(mpmath.mpf("9.9999999e5")._mpf_, 5, True)  # ... into the exponent
+    def test_decimal_text_as_nstr(self, x, dps, strip_zeros):
+        want = mpmath.nstr(mpmath.mp.make_mpf(x), dps, strip_zeros=strip_zeros)
+        assert ex.decimal_text(x, dps, strip_zeros) == to_str(x, dps, strip_zeros) == want
+
+    def test_decimal_text_pins(self):
+        assert ex.decimal_text(ex.ZERO, 50) == "0.0"
+        assert ex.decimal_text(mpmath.mpf("1.8347e-36")._mpf_, 5) == "1.8347e-36"
+        assert ex.decimal_text(mpmath.mpf("0.99999999")._mpf_, 5, strip_zeros=False) == "1.0000"
+        assert ex.decimal_text(mpmath.mpf("9.9999999e5")._mpf_, 5) == "1.0e+6"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(-(10**80), 10**80),
+        st.integers(1, 10**80),
+        st.integers(1, 10**12),
+        st.sampled_from([2, 3, 5, 13, 10**15 + 37]),
+        st.integers(64, 2000),
+    )
+    def test_to_raw_as_mpf_expressions(self, p, q, r, d, bits):
+        for x in (Fraction(p, q), make_surd(p, q, r, d)):
+            assert ex.to_raw(x, bits) == mpf_expression(x, bits)

@@ -721,7 +721,7 @@ def boundary_mass(alpha, bits):
     skel = nx._skeleton(q)
     lo, hi, rects = skel.fit(alpha, digits, keys, scale)
     num, den = skel.product(lo, hi, scale, nx._key_scale(alpha, scale) - scale)
-    return nx._mass_of(num, den, rects, bits)
+    return tuple(map(mpmath.mp.make_mpf, nx._mass_of(num, den, rects, bits)))
 
 
 def rect_mass(r, bits=None):
@@ -1315,7 +1315,7 @@ class TestLeanSample:
         num, den, rects, bits = tail
         A, err = nx._mass_of(num, den, rects, bits)
         h, h_err = nx._entropy_of(A, err, bits)
-        got = [v._mpf_ for v in (A, err, h, h_err)]
+        got = [A, err, h, h_err]  # raw (sign, man, exp, bc) tuples
         assert got == [v._mpf_ for v in tail_oracle(num, den, rects, bits)]
 
     @settings(max_examples=300, deadline=None)
