@@ -611,10 +611,16 @@ def to_mpf(x: Exact):
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse "p/q" or a plain integer/decimal string into a Fraction."""
+    """Parse "p/q" or a plain integer/decimal string into a Fraction; text
+    that is not one is refused naming it as given."""
     num, slash, den = text.strip().partition("/")
     if not slash:
-        return Fraction(num)
+        try:
+            return Fraction(num)
+        except ValueError as exc:
+            if not str(exc).startswith("Invalid literal"):
+                raise  # Python's limit on the digits of an integer names itself
+            raise ValueError(f"{text!r} is not a fraction p/q, an integer or a decimal") from None
     try:
         num, den = int(num), int(den)
     except ValueError:

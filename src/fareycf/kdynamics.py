@@ -71,10 +71,11 @@ _POINT_SCALE = 64  # the scale s of `rational_orbit` when it returns exact point
 
 
 def rational_orbit(alpha: Fraction | int, x: Fraction | int, steps: int, shift: int | None = None):
-    """(digits, levels) of a rational orbit, stepped in integers (an int is
-    its own numerator over 1): the digit of each step, then each point from
-    the start on, exactly as a `Fraction` or, with `shift` = s, as its key
-    floor(y 2^s).  This is the orbit's one step; asked for keys, it makes no
+    """(digits, levels, end) of a rational orbit, stepped in integers (an int
+    is its own numerator over 1): the digit of each step, then each point
+    from the start on, exactly as a `Fraction` or, with `shift` = s, as its
+    key floor(y 2^s), and the last point as the pair (a, b) of a/b in lowest
+    terms, b > 0.  This is the orbit's one step; asked for keys, it makes no
     `Fraction` per point.
 
     With alpha = P/Q = k + F/Q (k = floor(alpha)) and the point x = a/b
@@ -86,10 +87,11 @@ def rational_orbit(alpha: Fraction | int, x: Fraction | int, steps: int, shift: 
     terms: that numerator is -b mod a, and gcd(b, a) = 1) and key T + e 2^s.
     With A = floor(2^s F/Q), T > A proves t > F/Q and T < A proves t < F/Q;
     only T = A, t within 2^-s of F/Q, takes the exact comparison of t = r/a
-    with F/Q, for r = -b - f a.  So the digit is exact at any scale; at the
-    separating scale of `natext._key_scale` the keys of distinct points
-    differ and T = A only at t = F/Q.  Exact points are stepped at s =
-    `_POINT_SCALE`.
+    with F/Q, for r = -b - f a.  So the digit is exact at any scale.  A step
+    divides b 2^s by a, so its cost grows with s: the fit steps at the
+    mass's scale, where the keys of two distinct points may tie, and orders
+    such points by their itineraries (`natext._Itineraries`).  Exact points
+    are stepped at s = `_POINT_SCALE`.
 
     The start is checked once, in integers: (P - Q) b <= a Q <= P b.  Every
     later point needs no check.  Once the orbit hits 0 it stays there, with
@@ -117,7 +119,7 @@ def rational_orbit(alpha: Fraction | int, x: Fraction | int, steps: int, shift: 
         a, b = (r, a) if a > 0 else (-r, -a)
         digits.append(f - e)
         levels.append(coprime_fraction(a, b) if shift is None else T + e * one)
-    return digits, levels
+    return digits, levels, (a, b)
 
 
 def orbit(alpha, x, steps: int) -> OrbitRecord:
@@ -130,7 +132,7 @@ def orbit(alpha, x, steps: int) -> OrbitRecord:
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if isinstance(alpha, (int, Fraction)) and isinstance(x, (int, Fraction)):
-        digits, points = rational_orbit(alpha, x, steps)
+        digits, points, _ = rational_orbit(alpha, x, steps)
         del points[0]
     else:
         _check_in_interval(alpha, x)
@@ -210,7 +212,9 @@ def _branch_power(c: int, k: int) -> tuple[int, int, int, int]:
 
 def verify_matching(w: str, alphas) -> dict:
     """Run both endpoint orbits at each parameter and check the exact orbit
-    collision and the constancy of the digit-matrix products.
+    collision and the constancy of the digit-matrix products.  The orbits
+    are stepped in integers to their digits and last points
+    (`rational_orbit`), with no exact point on the way.
 
     Parameters outside the qumterval are reported, never skipped silently.
     """
@@ -224,10 +228,10 @@ def verify_matching(w: str, alphas) -> dict:
             results.append({"alpha": alpha, "status": "outside"})
             all_exact = False
             continue
-        low = orbit(alpha, alpha - 1, cert.m0 + 1)
-        high = orbit(alpha, alpha, cert.m1 + 1)
-        collision = low.points[-1] == high.points[-1]
-        low_digits, high_digits = low.digits[: cert.m0], high.digits[: cert.m1]
+        low_digits, _, low_end = rational_orbit(alpha, alpha - 1, cert.m0 + 1, _POINT_SCALE)
+        high_digits, _, high_end = rational_orbit(alpha, alpha, cert.m1 + 1, _POINT_SCALE)
+        collision = low_end == high_end  # both in lowest terms
+        low_digits, high_digits = low_digits[: cert.m0], high_digits[: cert.m1]
         constant = (
             None not in low_digits
             and None not in high_digits
@@ -242,7 +246,7 @@ def verify_matching(w: str, alphas) -> dict:
                 "status": "exact" if ok else "failed",
                 "collision": collision,
                 "matrices_constant": constant,
-                "meet_point": low.points[-1],
+                "meet_point": coprime_fraction(*low_end),
             }
         )
     return {

@@ -27,22 +27,28 @@ of each orbit (`kdynamics.rotation_orders`) and one end of each boundary
 segment (both pushed, every seam and the closure checked, then each
 staircase corner kept once as an integer pair, made exact only where
 read); it checks the square once per scale.  Every parameter takes one
-path to it (`_fitted`): the digits and order keys of its endpoint orbits
-and the skeleton's fit, which refuses orbits whose digits or level order
-differ from the skeleton's and checks that no rectangle is empty as it
-merges the staircase.  Exact levels are made only where they are read:
-`build_attractor` merges the exact levels, in the order the fit checked,
-into rectangles, and an error message names a level by its orbit index.
+path to it (`_fitted`): the digits, order keys and last points of its
+endpoint orbits and the skeleton's fit, which refuses orbits whose digits
+or level order differ from the skeleton's and checks that no rectangle is
+empty as it merges the staircase.  Exact levels are made only where they
+are read: `build_attractor` merges the exact levels, in the order the fit
+checked, into rectangles, and an error message names a level by its orbit
+index.
 
 The entropy then follows from the identity  h * area = pi^2 / 3  where
 "area" is the mass of the attractor under dx dy / (1 + x y)^2.  That mass has
 one path: it builds no rectangles and integrates along the two staircase
 boundaries, one log of a product of boundary factors per parameter.  Each
-level is an integer, its order key, at a scale fine enough to separate any
-two distinct levels (`_key_scale`): the sort, the order check and the merge
-compare integers only, never two exact levels, and a key shifted down to
-the mass's scale is the level rounded for its boundary factors.  One helper
-builds the factors and multiplies them as it forms them
+level is an integer, its order key floor(y 2^W) at the mass's scale W,
+which is the level rounded for its boundary factors; the orbits step at W
+alone.  Keys that differ order their levels, since the floor is monotone.
+Keys that tie are ordered by the two points' itineraries (`_Itineraries`):
+each branch is increasing and the digits' cylinders lie in order, so the
+first offset where the keys or the digits differ decides, and the two
+points are compared exactly only where an itinerary runs out.  The order
+check and the merge compare integers only, never two exact levels, and a
+sample with no tie makes no itinerary.  One helper builds the factors and
+multiplies them as it forms them
 (`_Skeleton.product`), for the entropy (`_sample_mass`) and the band
 masses of `measure_interval` (the same product over the fit's keys
 clamped into the band) alike.  `entropy_at`, `entropy_curve` and
@@ -265,7 +271,7 @@ class _Skeleton:
 
     def __init__(self, word, low_digits, high_digits, low_order, high_order, rights, lefts, Q, d):
         self.word = word
-        self.low_digits, self.high_digits = low_digits, high_digits  # tuples of ints
+        self.low_digits, self.high_digits = low_digits, high_digits  # lists of ints, as the kernel gives them
         self.low_order = low_order  # orbit indices of the lower segments, levels ascending
         self.high_order = high_order  # orbit indices of the upper segments, levels ascending
         self.rights = rights  # right end (P, R) of each lower segment, in low_order; the last is corner x
@@ -278,46 +284,65 @@ class _Skeleton:
         P, R = end
         return QuadSurd._reduced(P, self.Q, R, self.d)
 
-    def fit(self, alpha: Fraction, digits, keys, scale: int):
+    def fit(self, alpha: Fraction, low, high, scale: int):
         """Check one parameter's endpoint orbits against the skeleton.
 
-        `digits` holds the digit tuples of the orbits of alpha - 1 and alpha,
-        and `keys` the order keys of their points (`kdynamics.rational_orbit`
-        at the separating scale `_key_scale(alpha, scale)`).  Returns the
-        keys of the lower and of the upper segments' levels, both ascending,
-        and the number of rectangles.  Raises AttractorError, naming the
-        word and the orbit, when an orbit's digits differ from the
-        skeleton's (an orbit that hits zero has the digit None) or its keys
-        do not ascend in the skeleton's order (a changed order, a start that
-        is not extremal, a repeated level); and when a rectangle of the
-        staircase would be empty or an end lies outside (-1, 1)
+        `low` and `high` are the orbits of alpha - 1 and alpha as the kernel
+        steps them at W = `scale` (`kdynamics.rational_orbit`): digits, the
+        order keys floor(y 2^W) of their points and the last point.  Returns
+        the keys of the lower and of the upper segments' levels, both
+        ascending, and the number of rectangles.  Raises AttractorError,
+        naming the word and the orbit, when an orbit's digits differ from
+        the skeleton's (an orbit that hits zero has the digit None) or its
+        levels do not ascend in the skeleton's order (a changed order, a
+        start that is not extremal, a repeated level); and when a rectangle
+        of the staircase would be empty or an end lies outside (-1, 1)
         (`rounded_ends`).  With every level in [alpha - 1, alpha], inside
         (-1, 1), an end in (-1, 1) gives 1 + x y > 0: no rectangle reaches a
         pole of the density.
 
+        The floor is monotone, so keys that differ order their levels; two
+        levels whose keys tie are ordered by their itineraries
+        (`_Itineraries`), made only at the first tie: the order check, and
+        the merge of the staircase, which takes equal levels once.
+
         The left end L of an upper segment must lie below the right end R of
         a lower one, on each rectangle of the staircase (`_staircase`).
-        With the ends X = `rounded_ends(W)` at W = scale, each within s
-        units of its value times 2^W, (R - L) 2^W exceeds X_R - X_L - 2s,
-        so X_R - X_L >= 2s proves L < R (`_below`); only where the integers
-        cannot decide is the test exact.
+        With the ends X = `rounded_ends(W)`, each within s units of its
+        value times 2^W, (R - L) 2^W exceeds X_R - X_L - 2s, so X_R - X_L >=
+        2s proves L < R (`_below`); only where the integers cannot decide is
+        the test exact.
         """
-        lo, hi = [keys[0][k] for k in self.low_order], [keys[1][k] for k in self.high_order]
-        orbits = zip(("alpha - 1", "alpha"), digits, (self.low_digits, self.high_digits), (lo, hi))
-        for start, got, want, levels in orbits:
-            if got != want:
-                fault = "hits zero before the matching time" if None in got else "leaves the word's digits"
-            elif not all(a < b for a, b in pairwise(levels)):
-                fault = "leaves the word's level order"
-            else:
+        lo, hi = [low[1][k] for k in self.low_order], [high[1][k] for k in self.high_order]
+        ties = None
+
+        def tie(i, j, u=0, v=1):
+            """The sign of level i of orbit u minus level j of orbit v (0: lower,
+            1: upper), each by its position in the skeleton's order."""
+            nonlocal ties
+            if ties is None:
+                ties = _Itineraries(alpha, low, high, scale)
+            orders = self.low_order, self.high_order
+            return ties.order(u, orders[u][i], v, orders[v][j])
+
+        orbits = zip(("alpha - 1", "alpha"), (low, high), (self.low_digits, self.high_digits), (lo, hi))
+        for u, (start, (digits, _, _), want, levels) in enumerate(orbits):
+            if digits != want:
+                fault = "hits zero before the matching time" if None in digits else "leaves the word's digits"
+            elif all(a < b for a, b in pairwise(levels)):
                 continue
+            elif all(a < b or a == b and tie(p, p + 1, u, u) < 0 for p, (a, b) in enumerate(pairwise(levels))):
+                continue
+            else:
+                fault = "leaves the word's level order"
             raise AttractorError(f"the orbit of {start} {fault} (word {self.word}, alpha = {alpha})")
+
         X_rights, X_lefts, slack = self.rounded_ends(scale)
         rects = 0
-        for _, y_hi, i, j in _staircase(lo, hi):
+        for _, _, i, j in _staircase(lo, hi, tie):
             if not _below(self.lefts[j], self.rights[i], X_lefts[j], X_rights[i], slack, self.value):
-                # the key is that of the next upper level, or else of the next lower one
-                if j < len(hi) and hi[j] == y_hi:
+                # the top level is the next upper one, unless the next lower one lies below it
+                if j < len(hi) and (i + 1 == len(lo) or lo[i + 1] > hi[j] or lo[i + 1] == hi[j] and tie(i + 1, j) >= 0):
                     top = f"index {self.high_order[j]} of the orbit of alpha"
                 else:
                     top = f"index {self.low_order[i + 1]} of the orbit of alpha - 1"
@@ -325,11 +350,10 @@ class _Skeleton:
             rects += 1
         return lo, hi, rects
 
-    def product(self, lo, hi, scale: int, shift: int) -> tuple[int, int]:
+    def product(self, lo, hi, scale: int) -> tuple[int, int]:
         """The boundary product (num, den) at W = `scale` over the ascending
-        level keys `lo` and `hi` of the lower and the upper segments
-        (`fit`), taken at the scale W + `shift`: Y = K >> shift is the
-        level times 2^W, rounded down, exactly.
+        level keys Y = floor(y 2^W) of the lower and the upper segments
+        (`fit`).
 
         The integral of dx/(1+xy)^2 from L to R is R/(1+Ry) - L/(1+Ly), whose
         integral in y is a log, so a lower segment with right end R over
@@ -344,8 +368,6 @@ class _Skeleton:
         """
         rights, lefts, _ = self.rounded_ends(scale)
         one = 1 << scale
-        if shift:
-            lo, hi = [K >> shift for K in lo], [K >> shift for K in hi]
         ys_lo, ys_hi = lo + [hi[-1]], [lo[0]] + hi
         num = den = 1
         for X, y_num, y_den in chain(zip(rights, ys_lo[1:], ys_lo), zip(lefts, ys_hi, ys_hi[1:])):
@@ -388,24 +410,65 @@ class _Skeleton:
         return got
 
 
-def _key_scale(start: Fraction, scale: int) -> int:
-    """The separating scale S = max(scale, 2 b + 2) of the order keys
-    floor(y 2^S) of an orbit from `start`, b the bit length of its
-    denominator.
+class _Itineraries:
+    """The order of two levels of one parameter's endpoint orbits whose keys
+    tie (`_Skeleton.fit`).  Orbit 0 starts at alpha - 1 and orbit 1 at
+    alpha, each given as the kernel steps it at one scale
+    (`kdynamics.rational_orbit`): its digits, the keys floor(y 2^scale) of
+    its points and its last point.
 
-    With alpha = P/Q the start, alpha - 1 or alpha, has denominator Q, and
-    along the orbit the next denominator is |a| < b for the point a/b
-    (`kdynamics.rational_orbit`), since |a/b| < 1: every level has
-    denominator at most Q.  Two distinct levels then differ by at least
-    1/Q^2 > 4 / 2^S, so their keys differ, and equal levels have equal
-    keys: keys of both orbits compare as their levels do, with no tie.
-    K >> (S - scale) is floor(y 2^scale) exactly, at the entropy's scale
-    the level rounded for the boundary factors (`_Skeleton.product`), for
-    the mass and the measure alike: the measure rounds its bounds at S too.
-    Where S = scale, as at every grid point of `entropy_curve` and every
-    denominator below 2^((scale - 2) / 2), the keys are those integers.
+    Each branch x -> -1/x - c is increasing, so two points of one digit are
+    in the order of their images; and the cylinders of the digits lie in
+    order, c >= 2 ascending left of 0, then c <= -2 ascending right of 0,
+    so two points of different digits are in the order of their digits.
+    `order` walks the two itineraries forward to the first offset where the
+    keys or the digits differ; where an itinerary runs out it compares the
+    two points exactly, the last point as the kernel keeps it and an
+    interior one stepped again, which is rare.  Every tied pair a walk
+    passes is in the order it finds, and is kept.
     """
-    return max(scale, 2 * start.denominator.bit_length() + 2)
+
+    __slots__ = ("alpha", "orbits", "scale", "known")
+
+    def __init__(self, alpha: Fraction, low, high, scale: int):
+        self.alpha, self.orbits, self.scale = alpha, (low, high), scale
+        self.known = {}  # (u, i, v, j) -> order, for the tied pairs walked
+
+    def order(self, u: int, i: int, v: int, j: int) -> int:
+        """The sign of level i of orbit u minus level j of orbit v."""
+        (du, ku, _), (dv, kv, _) = self.orbits[u], self.orbits[v]
+        nu, nv = len(du), len(dv)
+        known = self.known
+        walked = []
+        while True:
+            if ku[i] != kv[j]:
+                sign = -1 if ku[i] < kv[j] else 1
+                break
+            pair = u, i, v, j
+            sign = known.get(pair)
+            if sign is not None:
+                break
+            walked.append(pair)
+            if i == nu or j == nv:
+                (a, b), (c, d) = self.point(u, i), self.point(v, j)
+                sign = (a * d > c * b) - (a * d < c * b)
+                break
+            cu, cv = du[i], dv[j]
+            if cu != cv:  # the cylinders: c >= 2 left of 0, then c <= -2, each ascending
+                sign = -1 if (cu < 0, cu) < (cv < 0, cv) else 1
+                break
+            i, j = i + 1, j + 1
+        for pair in walked:
+            known[pair] = sign
+        return sign
+
+    def point(self, u: int, i: int) -> tuple[int, int]:
+        """Point i of orbit u as the pair (a, b) of a/b, b > 0."""
+        digits, _, end = self.orbits[u]
+        if i == len(digits):
+            return end
+        start = self.alpha - 1 if u == 0 else self.alpha
+        return rational_orbit(self.alpha, start, i, self.scale)[2]
 
 
 def _skeleton(q: Qumterval) -> _Skeleton:
@@ -419,7 +482,7 @@ def _skeleton(q: Qumterval) -> _Skeleton:
     x, y = attractor_corners(word)
     if x.d != y.d:
         raise AttractorError(f"corners {x} and {y} lie in two quadratic fields")
-    low_digits, high_digits = expected_digits_low(q.S), expected_digits_high(q.S)
+    low_digits, high_digits = list(expected_digits_low(q.S)), list(expected_digits_high(q.S))
     low_order, high_order = rotation_orders(q.m0, q.m1)
     # (left, right) ends of the segment at each orbit index, in level order; the map is increasing
     starts = y, x / (1 + x), y / (1 - y), x
@@ -447,12 +510,11 @@ def _skeleton(q: Qumterval) -> _Skeleton:
 def _fitted(alpha: Fraction, skel: _Skeleton, scale: int):
     """The fit of a parameter alpha <= 1/2 of the skeleton's qumterval
     (`_Skeleton.fit`), with the boundary factors' scale `scale`: the
-    endpoint orbits are stepped once, in integers, to their digits and order
-    keys (`kdynamics.rational_orbit` at `_key_scale(alpha, scale)`)."""
-    shift = _key_scale(alpha, scale)
-    low_digits, low_keys = rational_orbit(alpha, alpha - 1, len(skel.low_digits), shift)
-    high_digits, high_keys = rational_orbit(alpha, alpha, len(skel.high_digits), shift)
-    return skel.fit(alpha, (tuple(low_digits), tuple(high_digits)), (low_keys, high_keys), scale)
+    endpoint orbits are stepped once, in integers, to their digits and
+    order keys at that scale (`kdynamics.rational_orbit`)."""
+    low = rational_orbit(alpha, alpha - 1, len(skel.low_digits), scale)
+    high = rational_orbit(alpha, alpha, len(skel.high_digits), scale)
+    return skel.fit(alpha, low, high, scale)
 
 
 def build_attractor(alpha) -> Attractor:
@@ -489,10 +551,12 @@ def build_attractor(alpha) -> Attractor:
     )
 
 
-def _staircase(lo: list, hi: list):
-    """Merge the ascending levels of the lower and the upper boundary into
-    the rectangles between them; the levels may be given by their order
-    keys (integers), which the merge then yields.
+def _staircase(lo: list, hi: list, tie=None):
+    """Merge the strictly ascending levels of the lower and the upper
+    boundary into the rectangles between them; the levels may be given by
+    their order keys (integers), which the merge then yields, with
+    `tie(i, j)` the sign of lo[i] - hi[j] where their keys are equal
+    (`_Skeleton.fit`).  Without `tie`, equal values are one level.
 
     Yields (y_lo, y_hi, i, j) for each pair of consecutive distinct levels:
     the rectangle's right end is that of lower segment i, the last at or
@@ -505,15 +569,19 @@ def _staircase(lo: list, hi: list):
     n_lo, n_hi = len(lo), len(hi)
     below = None
     while i < n_lo or j < n_hi:
-        if j == n_hi or (i < n_lo and lo[i] < hi[j]):
-            level = lo[i]
+        if j == n_hi:
+            side = -1
+        elif i == n_lo:
+            side = 1
         else:
-            level = hi[j]
+            a, b = lo[i], hi[j]
+            side = -1 if a < b else 1 if a > b else tie(i, j) if tie else 0
+        level = lo[i] if side <= 0 else hi[j]
         if below is not None:
             yield below, level, i_below, j
-        while i < n_lo and lo[i] == level:
+        if side <= 0:
             i += 1
-        while j < n_hi and hi[j] == level:
+        if side >= 0:
             j += 1
         below, i_below = level, i - 1
 
@@ -591,8 +659,7 @@ def _sample_mass(alpha: Fraction, skel: _Skeleton, bits: int) -> tuple[Raw, Raw]
     masses; the error estimate is theirs, summed in closed form."""
     scale = bits + _GUARD
     lo, hi, rects = _fitted(alpha, skel, scale)
-    num, den = skel.product(lo, hi, scale, _key_scale(alpha, scale) - scale)
-    return _mass_of(num, den, rects, bits)
+    return _mass_of(*skel.product(lo, hi, scale), rects, bits)
 
 
 def _mass_of(num: int, den: int, rects: int, bits: int) -> tuple[Raw, Raw]:
@@ -644,10 +711,9 @@ def measure_interval(attr: Attractor, lo, hi, precision: int | None = None):
     over the mass (`attractor_mass`), rounded to nearest at the working
     precision.  Clamped, a segment's span is its part of the band; a
     segment outside the band has y0 = y1 and a pair of equal factors.  The
-    bounds are rounded down at the keys' scale S (`_key_scale`) and the
-    product shifts the clamped keys to the mass's scale, as the entropy's
-    does: a floor shift is monotone, so it commutes with the clamp, and no
-    two exact values are compared."""
+    bounds are rounded down at the mass's scale, as the levels are in their
+    keys: the floor is monotone, so the clamped keys are the clamped levels
+    rounded down, and no two exact values are compared."""
     for bound in (lo, hi):
         if not isinstance(bound, (int, Fraction)):
             raise ValueError(f"measure bounds must be rational, got {bound!r}")
@@ -656,10 +722,9 @@ def measure_interval(attr: Attractor, lo, hi, precision: int | None = None):
     bits = checked_precision(precision)
     scale, skel = bits + _GUARD, attr.skeleton
     A = attractor_mass(attr, bits)[0]
-    key_scale = _key_scale(attr.alpha, scale)
-    bottom, top = _scaled([lo, hi], key_scale)
+    bottom, top = _scaled([lo, hi], scale)
     band = [[min(max(K, bottom), top) for K in keys] for keys in _fitted(attr.alpha, skel, scale)[:2]]
-    B, _ = _mass_of(*skel.product(*band, scale, key_scale - scale), 0, bits)
+    B, _ = _mass_of(*skel.product(*band, scale), 0, bits)
     return raw_mpf(raw_div(B, A._mpf_, bits))
 
 

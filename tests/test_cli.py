@@ -213,6 +213,11 @@ class TestBehaviour:
             # a malformed fraction is named as given, not by int()'s message on one part
             (("entropy", "point", "--alpha", "9/20x"), "error: '9/20x' is not a fraction p/q of two integers\n"),
             (("entropy", "point", "--alpha", "1//2"), "error: '1//2' is not a fraction p/q of two integers\n"),
+            # so is text without a slash, which Fraction reads
+            (("entropy", "point", "--alpha", " abc "), "error: ' abc ' is not a fraction p/q, an integer or a decimal\n"),
+            (("entropy", "point", "--alpha", "0.4.5"), "error: '0.4.5' is not a fraction p/q, an integer or a decimal\n"),
+            (("farey", "word", "--rational", ""), "error: '' is not a fraction p/q, an integer or a decimal\n"),
+            (("orbit", "--alpha", "1/3", "--x=nan", "--steps", "2"), "error: 'nan' is not a fraction p/q, an integer or a decimal\n"),
         ],
     )
     def test_library_checks_exit_2(self, capsys, argv, message):

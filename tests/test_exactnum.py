@@ -222,13 +222,15 @@ class TestTextForms:
         assert format_exact(Fraction(big, 3)) == digits + "/3"
         assert format_exact(make_surd(big, 1, 2, 5)) == f"({digits}+1*sqrt(5))/2"
         assert sys.get_int_max_str_digits() == limit
-        with pytest.raises(ValueError):  # parsing keeps the limit
+        with pytest.raises(ValueError, match="Exceeds the limit"):  # parsing keeps the limit, and says so
             parse_fraction("1" * (limit + 1))
 
     def test_parse_fraction(self):
         assert parse_fraction("4/15") == Fraction(4, 15)
         assert parse_fraction(" 3 ") == Fraction(3)
         assert parse_fraction("0.45") == Fraction(9, 20)
+        assert parse_fraction("1e-3") == Fraction(1, 1000)
+        assert parse_fraction(" 2/5 ") == Fraction(2, 5)
 
 
 class TestConversions:

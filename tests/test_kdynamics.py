@@ -2,6 +2,7 @@ import functools
 import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -123,19 +124,22 @@ class TestOrbit:
         rec = kd.orbit(alpha, x, steps)
         points, digits, _, hit_zero = k_step_fold(alpha, x, steps)
         assert (rec.points, rec.digits, rec.hit_zero) == (points, digits, hit_zero)
-        got_digits, levels = kd.rational_orbit(alpha, x, steps, shift)
+        got_digits, levels, end = kd.rational_orbit(alpha, x, steps, shift)
         assert tuple(got_digits) == digits
+        assert end == (points[-1].numerator, points[-1].denominator)
         if shift is not None:
             assert levels == [(y.numerator << shift) // y.denominator for y in points]
 
     @given(rational_start(), st.integers(0, 40), st.one_of(st.none(), st.integers(0, 300)))
     def test_integer_kernel_equals_orbit(self, start, steps, shift):
-        # the kernel's digits are the orbit's, and its levels the orbit's
-        # points or their keys floor(y 2^shift), exact at every shift
+        # the kernel's digits are the orbit's, its levels the orbit's points
+        # or their keys floor(y 2^shift), exact at every shift, and its end
+        # the last point in lowest terms
         alpha, x = start
         rec = kd.orbit(alpha, x, steps)
-        digits, levels = kd.rational_orbit(alpha, x, steps, shift)
+        digits, levels, end = kd.rational_orbit(alpha, x, steps, shift)
         assert tuple(digits) == rec.digits and len(levels) == steps + 1
+        assert end == (rec.points[-1].numerator, rec.points[-1].denominator)
         if shift is None:
             assert levels == list(rec.points)
             assert [(y.numerator, y.denominator) for y in levels] == [
@@ -314,6 +318,43 @@ class TestVerifyMatching:
         monkeypatch.setattr(kd, "matching_matrices", lambda word: wrong)
         [entry] = kd.verify_matching(w, [alpha])["alphas_checked"]
         assert (entry["collision"], entry["matrices_constant"], entry["status"]) == (True, False, "failed")
+
+    def test_report_equals_the_exact_orbits(self):
+        # the kernel's digits and last points give the report that the
+        # exact orbits give, meet point included, on the side-0 atlas up to
+        # 14 letters: at the pseudocenter, both ends' neighbours and 1/2
+        for q in bf.atlas(14):
+            if wd.farey_side(q.word) != 0:
+                continue
+            alphas = alphas_inside(q, per_side=1) + [Fraction(1, 2)]
+            cert = kd.matching_matrices(q.word)
+            want = []
+            for alpha in alphas:
+                if alpha not in q:
+                    want.append({"alpha": alpha, "status": "outside"})
+                    continue
+                low, high = kd.orbit(alpha, alpha - 1, q.m0 + 1), kd.orbit(alpha, alpha, q.m1 + 1)
+                collision = low.points[-1] == high.points[-1]
+                constant = (
+                    None not in low.digits[: q.m0] + high.digits[: q.m1]
+                    and kd._branch_product(low.digits[: q.m0]) == cert.M
+                    and kd._branch_product(high.digits[: q.m1]) == cert.M_prime
+                )
+                want.append(
+                    {
+                        "alpha": alpha,
+                        "status": "exact" if collision and constant else "failed",
+                        "collision": collision,
+                        "matrices_constant": constant,
+                        "meet_point": low.points[-1],
+                    }
+                )
+            got = kd.verify_matching(q.word, alphas)["alphas_checked"]
+            assert got == want, q.word
+            for entry in got:
+                if "meet_point" in entry:
+                    y = entry["meet_point"]
+                    assert type(y) is Fraction and gcd(y.numerator, y.denominator) == 1 and y.denominator > 0
 
     def test_collision_values_are_reduced_rationals(self):
         rep = kd.verify_matching("001", [Fraction(1, 3), Fraction(7, 20)])

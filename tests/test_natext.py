@@ -2,6 +2,7 @@ import copy
 import hashlib
 import pickle
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, pairwise
 from math import gcd, isqrt, lcm
@@ -64,21 +65,41 @@ def pushed(xi, digits):
     return [fields(QuadSurd._reduced(P, Q, R, xi.d)) for P, R in nx._abscissae(xi, digits, Q)]
 
 
+def separating_scale(start, scale):
+    """The oracle's key scale S = max(scale, 2 b + 2), b the bit length of
+    the denominator of `start`.  With alpha = P/Q, every level of its
+    endpoint orbits has denominator at most Q (the next denominator is
+    |a| < b for the point a/b, as |a/b| < 1), so two distinct levels differ
+    by at least 1/Q^2 > 4 / 2^S: their keys floor(y 2^S) differ, equal
+    levels key alike, and keys of both orbits compare as their levels do."""
+    return max(scale, 2 * start.denominator.bit_length() + 2)
+
+
+def keys_at(points, scale):
+    """floor(y 2^scale) for each exact level y."""
+    return [(y.numerator << scale) // y.denominator for y in points]
+
+
 def level_keys(points, scale):
-    """The order keys floor(y 2^S) of exact levels, at the separating scale
-    S of the first (`nx._key_scale`)."""
-    S = nx._key_scale(points[0], scale)
-    return [(y.numerator << S) // y.denominator for y in points]
+    """The order keys of exact levels at the separating scale of the first:
+    the oracle of the order the fit finds at the scale itself."""
+    return keys_at(points, separating_scale(points[0], scale))
 
 
 def kernel_orbits(alpha, q, scale):
-    """The digits and order keys of both endpoint orbits at alpha in q, as
-    `nx._fitted` takes them from the integer kernel."""
-    S = nx._key_scale(alpha, scale)
-    (low_digits, low_keys), (high_digits, high_keys) = (
-        kd.rational_orbit(alpha, start, steps, S) for start, steps in ((alpha - 1, q.m0), (alpha, q.m1))
-    )
-    return (tuple(low_digits), tuple(high_digits)), (low_keys, high_keys)
+    """Both endpoint orbits at alpha in q as `nx._fitted` takes them from
+    the integer kernel: digits, order keys at `scale` and last point."""
+    return tuple(kd.rational_orbit(alpha, start, steps, scale) for start, steps in ((alpha - 1, q.m0), (alpha, q.m1)))
+
+
+def fit_staircase(skel, alpha, low, high, scale):
+    """The fit's keys and its staircase, merged with the fit's tie rule:
+    tied keys ordered by the itineraries (`nx._Itineraries`)."""
+    lo, hi, rects = skel.fit(alpha, low, high, scale)
+    ties = nx._Itineraries(alpha, low, high, scale)
+    run = list(nx._staircase(lo, hi, lambda i, j: ties.order(0, skel.low_order[i], 1, skel.high_order[j])))
+    assert rects == len(run)
+    return lo, hi, run
 
 
 class TestRewrittenSteps:
@@ -152,10 +173,6 @@ class TestAbscissaChain:
         assert_pushes_field_identical(word())
 
 
-def scaled_key(y, scale):
-    return level_keys([y], scale)[0]
-
-
 def near(value, j, d, scale):
     """value + (j + sqrt(d) - isqrt(d)) / 2^scale: an irrational within
     j to j + 1 units of 2^-scale of value."""
@@ -183,9 +200,9 @@ def pole_decision(x, y, scale):
     2^scale, exactly where the integers cannot decide."""
     end, Q, d = end_pair(x)
     skel = nx._Skeleton("", (), (), (0,), (0,), rights=(end,), lefts=(end,), Q=Q, d=d)
-    key = scaled_key(y, scale)
+    orbit = (), keys_at([y], scale), (y.numerator, y.denominator)
     try:
-        return skel.fit(y, ((), ()), ([key], [key]), scale) is not None
+        return skel.fit(y, orbit, orbit, scale) is not None
     except nx.AttractorError:
         return False
 
@@ -241,7 +258,7 @@ class TestFilteredPredicates:
         # decide every test of the fit and the square; at scale 0 none
         alpha = bf.qumterval_of(wd.word_from_rational(Fraction(853, 2048))).pseudocenter
         q = bf.locate_qumterval(alpha)
-        digits, keys = kernel_orbits(alpha, q, scale)
+        low, high = kernel_orbits(alpha, q, scale)
         skel = nx._skeleton(q)
         calls = []
         for name in ("__lt__", "__gt__"):
@@ -253,7 +270,7 @@ class TestFilteredPredicates:
                 return compare(a, b)
 
             monkeypatch.setattr(QuadSurd, name, record)
-        _, _, rects = skel.fit(alpha, digits, keys, scale)
+        _, _, rects = skel.fit(alpha, low, high, scale)
         if scale:
             assert calls == []
         else:  # -1 < x < 1 for every end and one `_below` per rectangle
@@ -286,10 +303,10 @@ class TestEndPairs:
         word = wd.word_from_rational(r)
         q = bf.qumterval_of(word)
         x, y = nx.attractor_corners(word)
-        digits, _ = kernel_orbits(q.pseudocenter, q, 0)
+        orbits = kernel_orbits(q.pseudocenter, q, 0)
         starts = y, x / (1 + x), y / (1 - y), x  # two lower, then two upper chains
         Q = lcm(*map(nx._lift, starts))
-        ends = [end for k, v in enumerate(starts) for end in nx._abscissae(v, digits[k // 2], Q)]
+        ends = [end for k, v in enumerate(starts) for end in nx._abscissae(v, orbits[k // 2][0], Q)]
         skel = nx._Skeleton("", (), (), (), (), rights=tuple(ends), lefts=(), Q=Q, d=x.d)
         values = [make_surd(P, Q, R, x.d) for P, R in ends]
         for scale in (0, 168, 552):
@@ -309,13 +326,13 @@ class TestEndPairs:
             alpha = bf.qumterval_of(wd.word_from_rational(r)).pseudocenter
             q = bf.locate_qumterval(alpha)
             nx.attractor_corners(q.word)
-            digits, keys = kernel_orbits(alpha, q, scale)
+            low, high = kernel_orbits(alpha, q, scale)
             made.clear()
             skel = nx._skeleton(q)
             counts.append(len(made))
         made.clear()
-        lo, hi, rects = skel.fit(alpha, digits, keys, scale)
-        skel.product(lo, hi, scale, nx._key_scale(alpha, scale) - scale)
+        lo, hi, rects = skel.fit(alpha, low, high, scale)
+        skel.product(lo, hi, scale)
         assert made == [] and rects == 2048 and counts[0] == counts[1] < 10
 
 
@@ -345,7 +362,7 @@ class TestRotationOrders:
             assert alpha in q
             orders = []
             for start, steps in ((alpha - 1, q.m0), (alpha, q.m1)):
-                _, keys = kd.rational_orbit(alpha, start, steps, nx._key_scale(alpha, 0))
+                _, keys, _ = kd.rational_orbit(alpha, start, steps, separating_scale(alpha, 0))
                 orders.append(tuple(sorted(range(len(keys)), key=keys.__getitem__)))
             assert tuple(orders) == kd.rotation_orders(q.m0, q.m1)
 
@@ -598,7 +615,7 @@ class TestSkeletonChecks:
 
     def test_changed_digits_are_refused(self):
         def bump(skel):
-            return replaced(skel, high_digits=(skel.high_digits[0] + 1,) + skel.high_digits[1:])
+            return replaced(skel, high_digits=[skel.high_digits[0] + 1, *skel.high_digits[1:]])
 
         refused = r"orbit of alpha leaves the word's digits \(word 001, alpha = 337/1000\)"
         with pytest.raises(nx.AttractorError, match=refused):
@@ -611,6 +628,26 @@ class TestSkeletonChecks:
 
         with pytest.raises(nx.AttractorError, match="empty rectangle"):
             self.sample_with(shrink)
+
+    @pytest.mark.parametrize("alpha", [Fraction(337, 1000), Fraction(8, 21), Fraction(4, 15)], ids=str)
+    def test_empty_rectangle_names_its_top_level(self, alpha):
+        # each rectangle emptied in turn (its right end moved onto its left
+        # end); at scales 0 to 8, where keys tie, the message names the
+        # rectangle's top level as the exact levels do
+        q = bf.locate_qumterval(alpha)
+        skel = nx._skeleton(q)
+        low, high = kd.orbit(alpha, alpha - 1, q.m0).points, kd.orbit(alpha, alpha, q.m1).points
+        lo, hi = sorted(low), sorted(high)
+        for _, y_hi, i, j in nx._staircase(lo, hi):
+            if j < len(hi) and hi[j] == y_hi:
+                top = f"index {skel.high_order[j]} of the orbit of alpha"
+            else:
+                top = f"index {skel.low_order[i + 1]} of the orbit of alpha - 1"
+            emptied = replaced(skel, rights=(*skel.rights[:i], skel.lefts[j], *skel.rights[i + 1 :]))
+            refused = re.escape(f"empty rectangle below the level at {top} (word {q.word}, alpha = {alpha})")
+            for scale in range(9):
+                with pytest.raises(nx.AttractorError, match=refused):
+                    emptied.fit(alpha, *kernel_orbits(alpha, q, scale), scale)
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
     def test_pole_on_the_boundary_is_refused(self, side):
@@ -653,30 +690,32 @@ class TestConstructionChecks:
 
     def build_with(self, monkeypatch, change):
         """`build_attractor` at alpha with the kernel's orbit of alpha - 1
-        replaced by change(digits, levels)."""
+        replaced by change(digits, levels, end)."""
         kernel = nx.rational_orbit
 
         def changed(alpha, x, steps, shift=None):
-            digits, levels = kernel(alpha, x, steps, shift)
-            return change(digits, levels) if x == alpha - 1 else (digits, levels)
+            orbit = kernel(alpha, x, steps, shift)
+            return change(*orbit) if x == alpha - 1 else orbit
 
         monkeypatch.setattr(nx, "rational_orbit", changed)
         return nx.build_attractor(self.alpha)
 
     def test_orbit_hitting_zero_is_refused(self, monkeypatch):
         with pytest.raises(nx.AttractorError, match="orbit of alpha - 1 hits zero"):
-            self.build_with(monkeypatch, lambda digits, levels: ([*digits[:-1], None], levels))
+            self.build_with(monkeypatch, lambda digits, levels, end: ([*digits[:-1], None], levels, end))
 
     def test_endpoint_level_not_extremal_is_refused(self, monkeypatch):
         # the start alpha - 1 raised above every other lower level
         with pytest.raises(nx.AttractorError, match="orbit of alpha - 1 leaves the word's level order"):
-            self.build_with(monkeypatch, lambda digits, levels: (digits, [max(levels) + 1, *levels[1:]]))
+            self.build_with(monkeypatch, lambda digits, levels, end: (digits, [max(levels) + 1, *levels[1:]], end))
 
     def test_repeated_level_is_refused(self, monkeypatch):
-        # the second lower level set to alpha - 1: the digits hold, but the
+        # every lower level set to alpha - 1, the end too: the digits hold,
+        # the keys tie and the itineraries run out on equal points, so the
         # fit cannot order the levels
+        start = (self.alpha - 1).as_integer_ratio()
         with pytest.raises(nx.AttractorError, match="orbit of alpha - 1 leaves the word's level order"):
-            self.build_with(monkeypatch, lambda digits, levels: (digits, [levels[0], levels[0], *levels[2:]]))
+            self.build_with(monkeypatch, lambda digits, levels, end: (digits, [levels[0]] * len(levels), start))
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
     def test_open_seam_is_refused(self, monkeypatch, side):
@@ -717,10 +756,14 @@ def boundary_mass(alpha, bits):
     """(A, error bound) of the entropy path at a parameter up to 1/2."""
     q = bf.locate_qumterval(alpha)
     scale = bits + nx._GUARD
-    digits, keys = kernel_orbits(alpha, q, scale)
+    low, high = kernel_orbits(alpha, q, scale)
+    # the keys are those of the separating scale, rounded down to the mass's
+    S = separating_scale(alpha, scale)
+    for orbit, (digits, keys, end) in zip((low, high), kernel_orbits(alpha, q, S)):
+        assert orbit == (digits, [K >> (S - scale) for K in keys], end)
     skel = nx._skeleton(q)
-    lo, hi, rects = skel.fit(alpha, digits, keys, scale)
-    num, den = skel.product(lo, hi, scale, nx._key_scale(alpha, scale) - scale)
+    lo, hi, rects = skel.fit(alpha, low, high, scale)
+    num, den = skel.product(lo, hi, scale)
     return tuple(map(mpmath.mp.make_mpf, nx._mass_of(num, den, rects, bits)))
 
 
@@ -834,66 +877,84 @@ class TestBoundaryMass:
 
 
 class TestLevelKeys:
-    # at scale 0 a level in [-1, 1) rounds to -1 or 0, yet the keys, taken at
-    # the orbits' separating scale, order and merge every level on integers
+    # at scale 0 a level in [-1, 1) rounds to -1 or 0, yet the keys at the
+    # scale itself, with ties ordered by the itineraries, order and merge
+    # every level as the exact levels and their keys at the separating scale
+    # (the oracle) do
     @staticmethod
     def orbits(alpha):
         q = bf.locate_qumterval(alpha)
         return q, kd.orbit(alpha, alpha - 1, q.m0), kd.orbit(alpha, alpha, q.m1)
-
-    @staticmethod
-    def merged(lo, hi, level):
-        return [(level[yl], level[yh], i, j) for yl, yh, i, j in nx._staircase(lo, hi)]
 
     def test_tied_keys_order_and_merge_as_fractions(self):
         alpha = bf.qumterval_of(wd.word_from_rational(Fraction(107, 259))).pseudocenter
         q, low, high = self.orbits(alpha)
         lo_f, hi_f = sorted(low.points), sorted(high.points)
         fraction_run = list(nx._staircase(lo_f, hi_f))
+        skel = nx._skeleton(q)
         for scale in (0, 168):
-            digits, keys = kernel_orbits(alpha, q, scale)
-            # the kernel's keys are those of the exact levels
-            assert keys == (level_keys(low.points, scale), level_keys(high.points, scale))
+            orbits = kernel_orbits(alpha, q, scale)
+            keys = tuple(keys for _, keys, _ in orbits)
+            # the kernel's keys are those of the exact levels, and the
+            # separating keys rounded down to the scale
+            assert keys == (keys_at(low.points, scale), keys_at(high.points, scale))
+            S = separating_scale(alpha, scale)
+            oracle = level_keys(low.points, scale), level_keys(high.points, scale)
+            assert keys == tuple([K >> (S - scale) for K in ks] for ks in oracle)
             if scale == 0:
                 # the integers at scale 0 tie; the separating keys do not
-                shift = nx._key_scale(alpha, scale) - scale
-                assert len({K >> shift for K in keys[0]}) <= 2 < len(keys[0]) == len(set(keys[0]))
-            level = dict(zip(keys[0] + keys[1], low.points + high.points))
-            skel = nx._skeleton(q)
-            lo, hi, rects = skel.fit(alpha, digits, keys, scale)
-            assert [level[K] for K in lo] == lo_f and [level[K] for K in hi] == hi_f
-            assert self.merged(lo, hi, level) == fraction_run and rects == len(fraction_run)
+                assert len(set(keys[0])) <= 2 < len(keys[0]) == len(set(oracle[0]))
+            lo, hi, run = fit_staircase(skel, alpha, *orbits, scale)
+            # the fit's order is the oracle's, and its keys those of the sorted levels
+            assert [oracle[0][k] for k in skel.low_order] == sorted(oracle[0])
+            assert [oracle[1][k] for k in skel.high_order] == sorted(oracle[1])
+            assert lo == keys_at(lo_f, scale) and hi == keys_at(hi_f, scale)
+            assert run == [(*keys_at([yl, yh], scale), i, j) for yl, yh, i, j in fraction_run]
 
     def test_shared_level_taken_once(self):
         lo = [Fraction(-1, 2), Fraction(1, 5), Fraction(1, 3)]
         hi = [Fraction(1, 5), Fraction(1, 4), Fraction(1, 2)]
-        # both lists keyed at the separating scale of the largest denominator
-        scale = nx._key_scale(Fraction(1, 5), 0)
-        lo_keys, hi_keys = level_keys(lo, scale), level_keys(hi, scale)
-        got = self.merged(lo_keys, hi_keys, dict(zip(lo_keys + hi_keys, lo + hi)))
-        assert got == list(nx._staircase(lo, hi))
-        assert [(yl, yh) for yl, yh, _, _ in got] == list(pairwise(sorted(set(lo + hi))))
+        want = list(nx._staircase(lo, hi))
+        assert [(yl, yh) for yl, yh, _, _ in want] == list(pairwise(sorted(set(lo + hi))))
+        # keyed at the separating scale of the largest denominator no keys tie
+        scale = separating_scale(Fraction(1, 5), 0)
+        lo_keys, hi_keys = keys_at(lo, scale), keys_at(hi, scale)
+        assert len(set(lo_keys + hi_keys)) == len(set(lo + hi))
+        assert list(nx._staircase(lo_keys, hi_keys)) == [(*keys_at([yl, yh], scale), i, j) for yl, yh, i, j in want]
+        # at scale 0 every key is -1 or 0, and the tie rule orders them
+        lo_keys, hi_keys = keys_at(lo, 0), keys_at(hi, 0)
 
-    def test_equal_levels_refused(self):
+        def tie(i, j):
+            return (lo[i] > hi[j]) - (lo[i] < hi[j])
+
+        assert list(nx._staircase(lo_keys, hi_keys, tie)) == [(*keys_at([yl, yh], 0), i, j) for yl, yh, i, j in want]
+
+    def test_equal_levels_refused(self, monkeypatch):
         alpha = Fraction(337, 1000)
         q, low, _ = self.orbits(alpha)
-        digits, keys = kernel_orbits(alpha, q, 0)
+        orbits = kernel_orbits(alpha, q, 0)
         skel = nx._skeleton(q)
-        assert skel.fit(alpha, digits, keys, 0) is not None
-        # the second-lowest lower level repeated, as an equal but distinct Fraction
-        points = list(low.points)
+        assert skel.fit(alpha, *orbits, 0) is not None
+        # the top lower level, the orbit's last point, set equal to the one
+        # below it: the keys tie, and the walk compares the kept end with
+        # that interior point, stepped again
         first, second = skel.low_order[1], skel.low_order[2]
-        y = points[first]
-        points[second] = Fraction(y.numerator, y.denominator)
-        low_keys = level_keys(points, 0)
+        assert second == q.m0
+        y = low.points[first]
+        digits, keys, _ = orbits[0]
+        keys = [*keys[:second], keys[first]]
+        stepped = []
+        kernel = nx.rational_orbit
+        monkeypatch.setattr(nx, "rational_orbit", lambda *args: stepped.append(args) or kernel(*args))
         with pytest.raises(nx.AttractorError, match="orbit of alpha - 1 leaves the word's level order"):
-            skel.fit(alpha, digits, (low_keys, keys[1]), 0)
+            skel.fit(alpha, (digits, keys, (y.numerator, y.denominator)), orbits[1], 0)
+        assert stepped == [(alpha, alpha - 1, first, 0)]
 
     @pytest.mark.parametrize("scale", [0, 128 + nx._GUARD], ids=["scale-0", "entropy-scale"])
     def test_no_two_fractions_are_ordered(self, monkeypatch, scale):
         # a 2048-letter short-run word, whose levels lie closer than 2^-168:
-        # the kernel's keys, the fit's order check and the merge compare
-        # integers only
+        # the kernel's keys, the fit's order check, its itineraries and the
+        # merge compare integers only
         alpha = bf.qumterval_of(wd.word_from_rational(Fraction(853, 2048))).pseudocenter
         q = bf.locate_qumterval(alpha)
         calls = []
@@ -905,10 +966,80 @@ class TestLevelKeys:
                 return compare(a, b)
 
             monkeypatch.setattr(Fraction, name, record)
-        digits, keys = kernel_orbits(alpha, q, scale)
+        orbits = kernel_orbits(alpha, q, scale)
         skel = nx._skeleton(q)
-        assert skel.fit(alpha, digits, keys, scale) is not None
+        assert skel.fit(alpha, *orbits, scale) is not None
         assert calls == []
+
+
+def fibonacci_slopes(max_len):
+    """F(k-2)/F(k) for the Fibonacci numbers 5 <= F(k) <= max_len: the
+    slopes of the Fibonacci words, whose levels cluster the most."""
+    a, b, c = 1, 2, 3
+    out = []
+    while c <= max_len:
+        if c >= 5:
+            out.append(Fraction(a, c))
+        a, b, c = b, c, b + c
+    return out
+
+
+class TestItineraryOrder:
+    # at scales 0 to 8 keys tie almost everywhere: the fit orders and merges
+    # the levels by their itineraries as the sorted exact levels are
+    scales = range(9)
+
+    @staticmethod
+    def check(alpha, q, all_pairs):
+        """The fit's orders and staircase at each scale against the sorted
+        exact levels; with `all_pairs`, the tie rule on every pair of levels
+        against their exact order."""
+        low, high = kd.orbit(alpha, alpha - 1, q.m0), kd.orbit(alpha, alpha, q.m1)
+        lo_f, hi_f = sorted(low.points), sorted(high.points)
+        want = [(i, j) for _, _, i, j in nx._staircase(lo_f, hi_f)]
+        skel = nx._skeleton(q)
+        assert [low.points[k] for k in skel.low_order] == lo_f
+        assert [high.points[k] for k in skel.high_order] == hi_f
+        for scale in TestItineraryOrder.scales:
+            orbits = kernel_orbits(alpha, q, scale)
+            lo, hi, run = fit_staircase(skel, alpha, *orbits, scale)
+            assert lo == keys_at(lo_f, scale) and hi == keys_at(hi_f, scale)
+            assert [(i, j) for _, _, i, j in run] == want, (alpha, scale)
+            if all_pairs:
+                ties = nx._Itineraries(alpha, *orbits, scale)
+                points = low.points, high.points
+                for (u, k), (v, l) in combinations([(u, k) for u in (0, 1) for k in range(len(points[u]))], 2):
+                    y, z = points[u][k], points[v][l]
+                    assert ties.order(u, k, v, l) == (y > z) - (y < z), (alpha, scale, u, k, v, l)
+
+    @pytest.mark.parametrize("word", side0_words(12))
+    def test_short_words(self, word):
+        # the pseudocenter and a rational within 2^-100 of the width of each end
+        q = bf.qumterval_of(word)
+        eps = (q.alpha_plus - q.alpha_minus) / 2**100
+        ends = (q.alpha_minus, q.alpha_minus + eps), (q.alpha_plus - eps, q.alpha_plus)
+        for alpha in (q.pseudocenter, *(bf.simplest_rational_between(*end) for end in ends)):
+            assert alpha in q
+            self.check(alpha, q, all_pairs=True)
+
+    @pytest.mark.parametrize("slope", fibonacci_slopes(2584), ids=str)
+    def test_fibonacci_words(self, slope):
+        q = bf.qumterval_of(wd.word_from_rational(slope))
+        self.check(q.pseudocenter, q, all_pairs=False)
+
+    def test_interior_point_stepped_again(self, monkeypatch):
+        # at 8/21, scale 0, a walk of the fit runs out on the orbit of alpha - 1
+        # and compares its kept end with point 2 of the orbit of alpha, which
+        # the kernel steps again
+        alpha = Fraction(8, 21)
+        q = bf.locate_qumterval(alpha)
+        skel = nx._skeleton(q)
+        stepped = []
+        kernel = nx.rational_orbit
+        monkeypatch.setattr(nx, "rational_orbit", lambda *args: stepped.append(args) or kernel(*args))
+        nx._fitted(alpha, skel, 0)
+        assert stepped == [(alpha, alpha - 1, q.m0, 0), (alpha, alpha, q.m1, 0), (alpha, alpha, 2, 0)]
+        assert 2 < q.m1
 
 
 class TestPins:
