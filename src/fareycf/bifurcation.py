@@ -191,26 +191,30 @@ class Qumterval(Frozen, namedtuple("Qumterval", "word S alpha_minus alpha_plus p
     attractor's corner x, `natext.attractor_corners`)."""
 
     def __contains__(self, alpha) -> bool:
-        """alpha_minus < alpha < alpha_plus.  A rational is decided on the
-        integers of its floor at `_CONTAINS_SCALE` against the endpoints'
-        (`_bounds`): with every value within s units, a gap of 2 s decides
-        either way; only a rational closer to an endpoint is compared
-        exactly."""
+        """alpha_minus < alpha < alpha_plus; a rational is decided by `holds`."""
         if not isinstance(alpha, (int, Fraction)):
             return self.alpha_minus < alpha < self.alpha_plus
+        return self.holds(alpha.numerator, alpha.denominator)
+
+    def holds(self, n: int, d: int) -> bool:
+        """alpha_minus < n/d < alpha_plus for a rational n/d, d > 0, decided
+        on the integers of its floor at `_CONTAINS_SCALE` against the
+        endpoints' (`_bounds`): with every value within s units, a gap of 2 s
+        decides either way; only a rational closer to an endpoint is
+        compared exactly."""
         X_minus, X_plus, slack = self._bounds
-        A = (alpha.numerator << _CONTAINS_SCALE) // alpha.denominator
+        A = (n << _CONTAINS_SCALE) // d
         if A - X_minus >= slack:
             above = True
         elif X_minus - A >= slack:
             return False
         else:
-            above = self.alpha_minus < alpha
+            above = self.alpha_minus < Fraction(n, d)
         if X_plus - A >= slack:
             return above
         if A - X_plus >= slack:
             return False
-        return above and alpha < self.alpha_plus
+        return above and Fraction(n, d) < self.alpha_plus
 
     @cached_property
     def _bounds(self) -> tuple[int, int, int]:

@@ -612,18 +612,21 @@ def to_mpf(x: Exact):
 
 def parse_fraction(text: str) -> Fraction:
     """Parse "p/q" or a plain integer/decimal string into a Fraction; text
-    that is not one is refused naming it as given."""
+    that is not one is refused naming it as given.  Python's limit on the
+    digits of an integer names itself, without the text."""
     num, slash, den = text.strip().partition("/")
     if not slash:
         try:
             return Fraction(num)
         except ValueError as exc:
             if not str(exc).startswith("Invalid literal"):
-                raise  # Python's limit on the digits of an integer names itself
+                raise
             raise ValueError(f"{text!r} is not a fraction p/q, an integer or a decimal") from None
     try:
         num, den = int(num), int(den)
-    except ValueError:
+    except ValueError as exc:
+        if not str(exc).startswith("invalid literal"):
+            raise
         raise ValueError(f"{text!r} is not a fraction p/q of two integers") from None
     if den == 0:
         raise ValueError(f"{text!r} has a zero denominator")
@@ -640,36 +643,83 @@ def parse_fraction(text: str) -> Fraction:
 # namesake rounds, so a raw float is the `_mpf_` of the mpf that mpmath would
 # compute, wraps into it (`raw_mpf`) and prints as mpmath prints it
 # (`decimal_text`), and the printed floats of a CLI call need no mpmath.
+# The operations work on pairs (m, e) of a signed mantissa and an exponent,
+# with one rounding to nearest (`_near`) and one quotient (`_quotient`);
+# the raw_* functions wrap them, and a caller that chains operations (the
+# entropy's float tail) keeps the pairs and makes raw floats of its results.
 
 Raw = tuple  # (sign, man, exp, bc)
 ZERO = (0, 0, 0, 0)
 ONE = (0, 1, 0, 1)
 
 
+def _near(m: int, e: int, prec: int) -> tuple[int, int]:
+    """m 2^e rounded to nearest at `prec` bits, ties to even, as a pair
+    (m, e) of a signed mantissa and an exponent, not normalized: the one
+    rounding to nearest of the raw floats (`_round`, `raw_add`, `raw_mul`,
+    `raw_div`, and the float tail of `natext`).  A carry may leave the
+    mantissa at 2^prec."""
+    a = -m if m < 0 else m
+    excess = a.bit_length() - prec
+    if excess <= 0:
+        return m, e
+    t = a >> (excess - 1)  # the kept bits and the rounding bit
+    if t & 1 and (t & 2 or t << (excess - 1) != a):  # above half, or half and odd
+        t += 2
+    return (-(t >> 1) if m < 0 else t >> 1), e + excess
+
+
+def _raw(m: int, e: int) -> Raw:
+    """The raw float of m 2^e: its sign, its trailing zero bits stripped
+    (mpmath's `normalize`)."""
+    a = -m if m < 0 else m
+    if not a & 1:
+        if not a:
+            return ZERO
+        zeros = (a & -a).bit_length() - 1
+        a >>= zeros
+        e += zeros
+    return int(m < 0), a, e, a.bit_length()
+
+
 def _round(sign: int, man: int, exp: int, prec: int, mode: str = "n") -> Raw:
     """(-1)^sign man 2^exp, man >= 0, rounded to `prec` bits: to nearest
-    with ties to even ("n"), toward zero ("d") or away from zero ("u"), with
-    its trailing zero bits stripped (mpmath's `normalize`)."""
-    excess = man.bit_length() - prec
-    if excess > 0:
-        if mode == "n":
-            t = man >> (excess - 1)
-            man = (t >> 1) + (t & 1 and bool(t & 2 or man & ((1 << (excess - 1)) - 1)))
-        elif mode == "d":
-            man >>= excess
-        else:
-            man = -(-man >> excess)
-        exp += excess
-    if not man:
-        return ZERO
-    zeros = (man & -man).bit_length() - 1
-    man >>= zeros
-    return sign, man, exp + zeros, man.bit_length()
+    with ties to even ("n", `_near`), toward zero ("d") or away from zero
+    ("u"), as a raw float (`_raw`)."""
+    if mode == "n":
+        man, exp = _near(man, exp, prec)
+    else:
+        excess = man.bit_length() - prec
+        if excess > 0:
+            man = man >> excess if mode == "d" else -(-man >> excess)
+            exp += excess
+    return _raw(-man if sign else man, exp)
+
+
+def _quotient(xm: int, xe: int, ym: int, ye: int, prec: int) -> tuple[int, int]:
+    """xm 2^xe / ym 2^ye, not yet rounded: a signed quotient of at least
+    prec + 4 bits with a sticky last bit for a nonzero remainder, which
+    every rounding at `prec` bits reads as the exact quotient."""
+    if not ym:
+        raise ZeroDivisionError("division by a zero raw float")
+    xa, ya = -xm if xm < 0 else xm, -ym if ym < 0 else ym
+    extra = prec - xa.bit_length() + ya.bit_length() + 5
+    if extra < 5:
+        extra = 5
+    q, r = divmod(xa << extra, ya)
+    if r:
+        q, extra = (q << 1) | 1, extra + 1
+    return (-q if (xm < 0) != (ym < 0) else q), xe - ye - extra
+
+
+def _signed(x: Raw) -> int:
+    """The signed mantissa of a raw float."""
+    return -x[1] if x[0] else x[1]
 
 
 def raw_int(n: int, prec: int = 0) -> Raw:
     """The integer n, rounded to nearest at `prec` bits, or exact for prec 0."""
-    return _round(int(n < 0), abs(n), 0, prec or abs(n).bit_length())
+    return _raw(*_near(n, 0, prec)) if prec else _raw(n, 0)
 
 
 def raw_shift(x: Raw, n: int) -> Raw:
@@ -678,27 +728,20 @@ def raw_shift(x: Raw, n: int) -> Raw:
 
 
 def raw_add(x: Raw, y: Raw, prec: int) -> Raw:
-    """x + y rounded to nearest at `prec` bits."""
+    """x + y rounded to nearest at `prec` bits: the exact sum, then `_near`."""
     e = min(x[2], y[2])
-    m = ((-x[1] if x[0] else x[1]) << (x[2] - e)) + ((-y[1] if y[0] else y[1]) << (y[2] - e))
-    return _round(int(m < 0), abs(m), e, prec)
+    return _raw(*_near((_signed(x) << (x[2] - e)) + (_signed(y) << (y[2] - e)), e, prec))
 
 
 def raw_mul(x: Raw, y: Raw, prec: int) -> Raw:
-    """x y rounded to nearest at `prec` bits."""
-    return _round(x[0] ^ y[0], x[1] * y[1], x[2] + y[2], prec)
+    """x y rounded to nearest at `prec` bits: the exact product, then `_near`."""
+    return _raw(*_near(_signed(x) * _signed(y), x[2] + y[2], prec))
 
 
 def raw_div(x: Raw, y: Raw, prec: int, mode: str = "n") -> Raw:
-    """x / y rounded at `prec` bits (`_round`'s modes): a quotient of at
-    least prec + 5 bits and a sticky bit for a nonzero remainder."""
-    if not y[1]:
-        raise ZeroDivisionError("division by a zero raw float")
-    extra = max(prec - x[3] + y[3] + 5, 5)
-    q, r = divmod(x[1] << extra, y[1])
-    if r:
-        q, extra = (q << 1) | 1, extra + 1
-    return _round(x[0] ^ y[0], q, x[2] - y[2] - extra, prec, mode)
+    """x / y rounded at `prec` bits, in `_round`'s modes: `_quotient`, then `_round`."""
+    q, e = _quotient(_signed(x), x[2], _signed(y), y[2], prec)
+    return _round(int(q < 0), abs(q), e, prec, mode)
 
 
 def raw_sqrt(x: Raw, prec: int) -> Raw:
@@ -813,14 +856,34 @@ def _floor_const(fixed, wp: int, *args) -> int:
 _LOG_GUARD = 24  # guard bits of `raw_log` past the result's leading bit
 _LOG_GRID = 9  # ln c is cached for the multiples c of 2^-_LOG_GRID in [45/64, 90/64]
 _LOG_ONE = 1 << _LOG_GRID
+_LOG_COARSE = 5  # ln(c 2^-g) is made from ln of the nearest multiple of 2^-_LOG_COARSE
 
 
-def _log_parts(x: Raw) -> tuple[int, int, int, int]:
-    """(k, c, num, den) of a positive raw float x = 2^k y, y in
-    [45/64, 90/64): c 2^-g, g = `_LOG_GRID`, is the nearest multiple of
-    2^-g to y and z = num/den = (y - c 2^-g)/(y + c 2^-g), |z| < 2^-(g+1),
-    so log x = k ln 2 + ln(c 2^-g) + 2 atanh(z)."""
-    _, man, exp, bc = x
+def _ln_grid_fixed(wp: int, c: int) -> tuple[int, int]:
+    """(V, E): ln(c 2^-g) 2^wp within E units, g = `_LOG_GRID`, for a
+    multiple c 2^-g of the grid in [45/64, 90/64]: ln(c1 2^-h) of the
+    nearest multiple c1 2^-h of the coarse grid, h = `_LOG_COARSE`, floored
+    (within 1 unit, cached per precision, `_floor_const`), plus 2 atanh(z)
+    for z = (c - c1 2^(g-h)) / (c + c1 2^(g-h)), |z| <= 1/89, a short series
+    (`_atanh_fixed`): E = 2 (N + 14) + 1.  At a cold precision a grid
+    point so costs one short series, and each of the 24 coarse points one
+    slow one, where each grid point took a slow series of its own."""
+    shift = _LOG_GRID - _LOG_COARSE
+    c1 = (c + (1 << shift - 1)) >> shift
+    near = c1 << shift
+    S, E = _atanh_fixed(abs(c - near), c + near, wp)
+    V = 2 * S if c >= near else -2 * S
+    if c1 != 1 << _LOG_COARSE:
+        V += _floor_const(_ln_fixed, wp, c1, 1 << _LOG_COARSE)
+    return V, 2 * E + 1
+
+
+def _log_parts(man: int, exp: int) -> tuple[int, int, int, int]:
+    """(k, c, num, den) of x = man 2^exp > 0, man not necessarily odd:
+    x = 2^k y with y in [45/64, 90/64), c 2^-g, g = `_LOG_GRID`, the
+    nearest multiple of 2^-g to y and z = num/den = (y - c 2^-g)/(y + c
+    2^-g), |z| < 2^-(g+1), so log x = k ln 2 + ln(c 2^-g) + 2 atanh(z)."""
+    bc = man.bit_length()
     k, s = exp + bc, bc  # x = 2^k man/2^s, man/2^s in [1/2, 1)
     if (man >> (bc - 6) if bc > 6 else man << (6 - bc)) < 45:
         k, s = k - 1, s - 1
@@ -829,40 +892,41 @@ def _log_parts(x: Raw) -> tuple[int, int, int, int]:
 
 
 def _log_fixed(parts: tuple[int, int, int, int], wp: int) -> tuple[int, int]:
-    """(R, E): log x 2^wp within E units, from `_log_parts(x)`: the series
-    within N + 14 units, doubled (`_atanh_fixed`), ln 2 floored (within 1
-    unit, times |k|) and ln(c 2^-g) floored (within 1 unit), both cached
-    per precision (`_floor_const`): E = 2 (N + 14) + |k| + 1."""
+    """(R, E): log x 2^wp within E units, from `_log_parts` of x: the
+    series within N + 14 units, doubled (`_atanh_fixed`), ln 2 floored
+    (within 1 unit, times |k|) and ln(c 2^-g) floored (within 1 unit), both
+    cached per precision (`_floor_const`, `_ln_grid_fixed`): E = 2 (N + 14)
+    + |k| + 1."""
     k, c, num, den = parts
     S, E = _atanh_fixed(abs(num), den, wp)
     R = 2 * S if num >= 0 else -2 * S
     if k:
         R += k * _floor_const(_ln_fixed, wp, 2, 1)
     if c != _LOG_ONE:
-        R += _floor_const(_ln_fixed, wp, c, _LOG_ONE)
+        R += _floor_const(_ln_grid_fixed, wp, c)
     return R, 2 * E + abs(k) + 1
 
 
-def raw_log(x: Raw, prec: int) -> Raw:
-    """log x of a positive raw float, correctly rounded to nearest at
-    `prec` bits (mpmath's `mpf_log` rounds the same on every input tried).
+def _log(man: int, exp: int, prec: int) -> tuple[int, int]:
+    """log x of x = man 2^exp > 0, correctly rounded to nearest at `prec`
+    bits, as a normalized pair (m, e) (mpmath's `mpf_log` rounds the same
+    on every input tried); man need not be odd.
 
     The sum R of `_log_fixed` at the scale 2^wp, wp `_LOG_GUARD` bits past
     prec and the result's leading bit, is within E units of log x 2^wp.
     Ziv's test: when R - E and R + E round alike, so does log x; else wp
     grows by half and the sum is redone.  log x of x != 1 is
     transcendental, never a rounding midpoint, so the loop ends."""
-    sign, man, exp, _ = x
-    if sign or not man:
-        raise ValueError("log of a value <= 0")
-    if man == 1 and not exp:
-        return ZERO
-    parts = k, c, num, den = _log_parts(x)
+    parts = k, c, num, den = _log_parts(man, exp)
     # |log x| >= 2^-2 for k != 0, >= 2^-(g+2) for c != 2^g, else >= 2 |z|
     if k:
         lead = max(4, abs(k).bit_length())
+    elif c != _LOG_ONE:
+        lead = _LOG_GRID + 2
+    elif num:
+        lead = den.bit_length() - abs(num).bit_length()
     else:
-        lead = _LOG_GRID + 2 if c != _LOG_ONE else den.bit_length() - abs(num).bit_length()
+        return 0, 0  # x = 1
     wp = prec + _LOG_GUARD + lead
     while True:
         R, E = _log_fixed(parts, wp)
@@ -874,8 +938,17 @@ def raw_log(x: Raw, prec: int) -> Raw:
         if m == (r + E + half) >> n and (r - E).bit_length() == size:
             zeros = (m & -m).bit_length() - 1
             m >>= zeros
-            return int(R < 0), m, n - wp + zeros, m.bit_length()
+            return (-m if R < 0 else m), n - wp + zeros
         wp += wp // 2
+
+
+def raw_log(x: Raw, prec: int) -> Raw:
+    """log x of a positive raw float, correctly rounded to nearest at
+    `prec` bits (`_log`)."""
+    sign, man, exp, _ = x
+    if sign or not man:
+        raise ValueError("log of a value <= 0")
+    return _raw(*_log(man, exp, prec))
 
 
 @lru_cache(maxsize=32)

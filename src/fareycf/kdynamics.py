@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import groupby
 
 from . import cfstrings as cfs
@@ -70,13 +70,14 @@ class OrbitRecord(Frozen, namedtuple("OrbitRecord", "start points digits hit_zer
 _POINT_SCALE = 64  # the scale s of `rational_orbit` when it returns exact points
 
 
-def rational_orbit(alpha: Fraction | int, x: Fraction | int, steps: int, shift: int | None = None):
-    """(digits, levels, end) of a rational orbit, stepped in integers (an int
-    is its own numerator over 1): the digit of each step, then each point
-    from the start on, exactly as a `Fraction` or, with `shift` = s, as its
-    key floor(y 2^s), and the last point as the pair (a, b) of a/b in lowest
+def rational_orbit(alpha: tuple[int, int], x: tuple[int, int], steps: int, shift: int | None = None):
+    """(digits, levels, end) of a rational orbit, stepped in integers from
+    the parameter alpha and the start x, each given as the pair (p, q) of
+    p/q in lowest terms, q > 0: the digit of each step, then each point from
+    the start on, exactly as a `Fraction` or, with `shift` = s, as its key
+    floor(y 2^s), and the last point as the pair (a, b) of a/b in lowest
     terms, b > 0.  This is the orbit's one step; asked for keys, it makes no
-    `Fraction` per point.
+    `Fraction` at all.
 
     With alpha = P/Q = k + F/Q (k = floor(alpha)) and the point x = a/b
     (b > 0), one division gives floor(-b 2^s / a) = f 2^s + T: f =
@@ -96,14 +97,14 @@ def rational_orbit(alpha: Fraction | int, x: Fraction | int, steps: int, shift: 
     The start is checked once, in integers: (P - Q) b <= a Q <= P b.  Every
     later point needs no check.  Once the orbit hits 0 it stays there, with
     digit None."""
-    P, Q = alpha.numerator, alpha.denominator
-    a, b = x.numerator, x.denominator
+    (P, Q), (a, b) = alpha, x
     if not ((P - Q) * b <= a * Q <= P * b):
-        raise ValueError(f"point {x} outside [alpha-1, alpha] for alpha={alpha}")
+        raise ValueError(f"point {Fraction(a, b)} outside [alpha-1, alpha] for alpha={Fraction(P, Q)}")
     k, F = divmod(P, Q)
     s = _POINT_SCALE if shift is None else shift
     one = 1 << s
     mask, A = one - 1, (F << s) // Q
+    above, below = (k - 1) * one, k * one  # e 2^s of the key, for t >= F/Q and t < F/Q
     digits: list[int | None] = []
     levels: list = [coprime_fraction(a, b) if shift is None else (a << s) // b]
     for _ in range(steps):
@@ -113,12 +114,14 @@ def rational_orbit(alpha: Fraction | int, x: Fraction | int, steps: int, shift: 
             continue
         T = (-b << s) // a
         f, T = T >> s, T & mask
-        r = -b - f * a
-        e = k - 1 if T > A or (T == A and (r * Q >= F * a if a > 0 else r * Q <= F * a)) else k
-        r += e * a
+        if T > A or T == A and ((-b - f * a) * Q >= F * a if a > 0 else (-b - f * a) * Q <= F * a):
+            c, T = f - k + 1, T + above
+        else:
+            c, T = f - k, T + below
+        r = -b - c * a
         a, b = (r, a) if a > 0 else (-r, -a)
-        digits.append(f - e)
-        levels.append(coprime_fraction(a, b) if shift is None else T + e * one)
+        digits.append(c)
+        levels.append(coprime_fraction(a, b) if shift is None else T)
     return digits, levels, (a, b)
 
 
@@ -132,7 +135,7 @@ def orbit(alpha, x, steps: int) -> OrbitRecord:
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if isinstance(alpha, (int, Fraction)) and isinstance(x, (int, Fraction)):
-        digits, points, _ = rational_orbit(alpha, x, steps)
+        digits, points, _ = rational_orbit((alpha.numerator, alpha.denominator), (x.numerator, x.denominator), steps)
         del points[0]
     else:
         _check_in_interval(alpha, x)
@@ -182,18 +185,30 @@ def expected_digits_high(S_rl: cfs.CFString) -> tuple[int, ...]:
 def matching_matrices(w: str) -> MatchingCertificate:
     """The constant inverse-branch products M (orbit of alpha-1, m0 steps)
     and M' (orbit of alpha, m1 steps) attached to a word: the branches
-    (0, -1, 1, c) over the word's digit pattern (`expected_digits_low`,
-    `_high`), multiplied by `_branch_product`.  Side-1 words are obtained
-    from their mirror by conjugating with x -> -x.  The word's check,
-    run-length string and digit counts are those of its qumterval
-    (`qumterval_of`)."""
+    (0, -1, 1, c) over the word's digit pattern (`_word_pattern`).  The
+    word's check, run-length string and digit counts are those of its
+    qumterval (`qumterval_of`)."""
+    q = qumterval_of(w)
+    _, _, M, M_prime = _word_pattern(w)
+    return MatchingCertificate(w, M, M_prime, q.m0, q.m1)
+
+
+@lru_cache(maxsize=256)
+def _word_pattern(w: str) -> tuple[tuple[int, ...], tuple[int, ...], Mobius, Mobius]:
+    """(low, high, M, M'): the digits of the orbits of alpha - 1 (m0 steps)
+    and of alpha (m1 steps) on the qumterval of w, the word's digit pattern
+    (`expected_digits_low`, `_high`), and their inverse-branch products
+    (`_branch_product`), the certificate of `matching_matrices`.  A side-1
+    word takes its mirror's, conjugated by x -> -x: the conjugation (alpha,
+    x) -> (1 - alpha, -x) maps the orbit of alpha - 1 to that of 1 - alpha
+    and negates every digit, so the patterns are the mirror's negated and
+    swapped and the products E M'_mirror E and E M_mirror E."""
     q = qumterval_of(w)
     if q.m1 > q.m0:
-        mirror = matching_matrices(words.transpose(words.negate(w)))
-        return MatchingCertificate(w, E * mirror.M_prime * E, E * mirror.M * E, q.m0, q.m1)
-    M = _branch_product(expected_digits_low(q.S))
-    M_prime = _branch_product(expected_digits_high(q.S))
-    return MatchingCertificate(w, M, M_prime, q.m0, q.m1)
+        low, high, M, M_prime = _word_pattern(words.transpose(words.negate(w)))
+        return tuple(-c for c in high), tuple(-c for c in low), E * M_prime * E, E * M * E
+    low, high = expected_digits_low(q.S), expected_digits_high(q.S)
+    return low, high, _branch_product(low), _branch_product(high)
 
 
 def _branch_product(digits) -> Mobius:
@@ -214,12 +229,17 @@ def verify_matching(w: str, alphas) -> dict:
     """Run both endpoint orbits at each parameter and check the exact orbit
     collision and the constancy of the digit-matrix products.  The orbits
     are stepped in integers to their digits and last points
-    (`rational_orbit`), with no exact point on the way.
+    (`rational_orbit`), with no exact point on the way.  An orbit whose
+    digits are the word's digit pattern (`_word_pattern`) has the pattern's
+    product, so where that is the certificate's no product is taken; only
+    other digits are multiplied out (`_branch_product`).
 
     Parameters outside the qumterval are reported, never skipped silently.
     """
     cert = matching_matrices(w)
     q = qumterval_of(w)
+    want_low, want_high, M, M_prime = _word_pattern(w)
+    low_known, high_known = M == cert.M, M_prime == cert.M_prime
     results = []
     all_exact = True
     for alpha in alphas:
@@ -228,15 +248,16 @@ def verify_matching(w: str, alphas) -> dict:
             results.append({"alpha": alpha, "status": "outside"})
             all_exact = False
             continue
-        low_digits, _, low_end = rational_orbit(alpha, alpha - 1, cert.m0 + 1, _POINT_SCALE)
-        high_digits, _, high_end = rational_orbit(alpha, alpha, cert.m1 + 1, _POINT_SCALE)
+        P, Q = alpha.numerator, alpha.denominator
+        low_digits, _, low_end = rational_orbit((P, Q), (P - Q, Q), cert.m0 + 1, _POINT_SCALE)
+        high_digits, _, high_end = rational_orbit((P, Q), (P, Q), cert.m1 + 1, _POINT_SCALE)
         collision = low_end == high_end  # both in lowest terms
         low_digits, high_digits = low_digits[: cert.m0], high_digits[: cert.m1]
         constant = (
             None not in low_digits
             and None not in high_digits
-            and _branch_product(low_digits) == cert.M
-            and _branch_product(high_digits) == cert.M_prime
+            and (low_known and tuple(low_digits) == want_low or _branch_product(low_digits) == cert.M)
+            and (high_known and tuple(high_digits) == want_high or _branch_product(high_digits) == cert.M_prime)
         )
         ok = collision and constant
         all_exact = all_exact and ok

@@ -52,23 +52,29 @@ multiplies them as it forms them
 (`_Skeleton.product`), for the entropy (`_sample_mass`) and the band
 masses of `measure_interval` (the same product over the fit's keys
 clamped into the band) alike.  `entropy_at`, `entropy_curve` and
-`qumterval_slope` share one sample loop (`_entropy_run`), which keeps one
-skeleton per word for the length of the call; `asymptotic_probe` builds its
-own, and an attractor keeps the one it was built from.  Its mass is the
+`qumterval_slope` share one sample loop (`_entropy_run`).  It carries each
+parameter p/q as its integer pair (p, q) through the reflection above 1/2
+and both orbit starts, (p - q, q) and (p, q), so a sample makes no
+`Fraction`; it binds once per qumterval the skeleton and the word's labels
+with its mirror's, keeps them for the length of the call, and takes pi^2
+once; `asymptotic_probe` builds its own skeleton, and an attractor keeps
+the one it was built from.  Its mass is the
 entropy's, taken once per precision and kept on it (`attractor_mass`),
 which the density and the measure divide by.  The sum of the rectangles'
 closed-form masses is only the tests' oracle.
 
-The float tail of a sample is a few operations on raw floats
-(sign, man, exp, bc) at the working precision, each exact and then
-rounded to nearest in integers (`exactnum.raw_add`, `raw_div`, ...):
-A = log(num / den) of the boundary product, its log correctly rounded
-(`exactnum.raw_log`), and its bound err = 2^-bits (32 rects + 8 A)
-(`_mass_of`), then h = pi^2 / (3 A) and its bound h (err / A) + 2^(8 - bits)
-(`_entropy_of`, shared by `_entropy_run` and `asymptotic_probe`).  The
-operations and their order are those of the mpf expressions written out,
-so every raw value is theirs bit for bit, and the CLI prints them without
-mpmath (`exactnum.decimal_text`).  An `EntropySample` keeps the raw
+The float tail of a sample is a few operations on mantissa/exponent
+pairs of integers at the working precision, each exact and then rounded
+to nearest by the one rounding of the raw floats (`exactnum._near`, with
+`_quotient` for a division): A = log(num / den) of the boundary product,
+its log correctly rounded (`exactnum._log`), and its bound err = 2^-bits
+(32 rects + 8 A) (`_mass_of`), then h = pi^2 / (3 A) and its bound
+h (err / A) + 2^(8 - bits) (`_entropy_of`, shared by `_entropy_run` and
+`asymptotic_probe`).  Only the results become raw floats (sign, man, exp,
+bc).  The operations and their order are those of the mpf expressions
+written out, and of the chain of `exactnum.raw_*` calls the tests keep as
+the oracle, so every raw value is theirs bit for bit, and the CLI prints
+them without mpmath (`exactnum.decimal_text`).  An `EntropySample` keeps the raw
 values and wraps each into an mpmath.mpf for library callers on first
 read; mpmath itself is imported only where a special function or an mpf
 result is asked for (the probes, `density_slice`, `measure_interval`,
@@ -83,6 +89,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, groupby, pairwise
 from math import gcd, isqrt, lcm
+from operator import lt
 
 from . import words
 from .bifurcation import (
@@ -98,17 +105,17 @@ from .exactnum import (
     Raw,
     S,
     T,
+    _log,
+    _near,
+    _quotient,
+    _raw,
     _scaled,
     _sign_single,
+    _signed,
     mobius_apply,
     pi_squared,
-    raw_add,
     raw_div,
-    raw_int,
-    raw_log,
     raw_mpf,
-    raw_mul,
-    raw_shift,
     surd_from_periodic_cf,
     to_mpf,
 )
@@ -284,11 +291,12 @@ class _Skeleton:
         P, R = end
         return QuadSurd._reduced(P, self.Q, R, self.d)
 
-    def fit(self, alpha: Fraction, low, high, scale: int):
+    def fit(self, alpha: tuple[int, int], low, high, scale: int):
         """Check one parameter's endpoint orbits against the skeleton.
 
-        `low` and `high` are the orbits of alpha - 1 and alpha as the kernel
-        steps them at W = `scale` (`kdynamics.rational_orbit`): digits, the
+        `alpha` is the pair (p, q) of p/q, and `low` and `high` are the
+        orbits of alpha - 1 and alpha as the kernel steps them at W =
+        `scale` (`kdynamics.rational_orbit`): digits, the
         order keys floor(y 2^W) of their points and the last point.  Returns
         the keys of the lower and of the upper segments' levels, both
         ascending, and the number of rectangles.  Raises AttractorError,
@@ -325,17 +333,17 @@ class _Skeleton:
             orders = self.low_order, self.high_order
             return ties.order(u, orders[u][i], v, orders[v][j])
 
-        orbits = zip(("alpha - 1", "alpha"), (low, high), (self.low_digits, self.high_digits), (lo, hi))
-        for u, (start, (digits, _, _), want, levels) in enumerate(orbits):
+        orbits = ("alpha - 1", low[0], self.low_digits, lo), ("alpha", high[0], self.high_digits, hi)
+        for u, (start, digits, want, levels) in enumerate(orbits):
             if digits != want:
                 fault = "hits zero before the matching time" if None in digits else "leaves the word's digits"
-            elif all(a < b for a, b in pairwise(levels)):
+            elif all(map(lt, levels, levels[1:])):
                 continue
             elif all(a < b or a == b and tie(p, p + 1, u, u) < 0 for p, (a, b) in enumerate(pairwise(levels))):
                 continue
             else:
                 fault = "leaves the word's level order"
-            raise AttractorError(f"the orbit of {start} {fault} (word {self.word}, alpha = {alpha})")
+            raise AttractorError(f"the orbit of {start} {fault} (word {self.word}, alpha = {Fraction(*alpha)})")
 
         X_rights, X_lefts, slack = self.rounded_ends(scale)
         rects = 0
@@ -346,7 +354,7 @@ class _Skeleton:
                     top = f"index {self.high_order[j]} of the orbit of alpha"
                 else:
                     top = f"index {self.low_order[i + 1]} of the orbit of alpha - 1"
-                raise AttractorError(f"empty rectangle below the level at {top} (word {self.word}, alpha = {alpha})")
+                raise AttractorError(f"empty rectangle below the level at {top} (word {self.word}, alpha = {Fraction(*alpha)})")
             rects += 1
         return lo, hi, rects
 
@@ -364,17 +372,18 @@ class _Skeleton:
         above; lo[0] (alpha - 1) opens the upper boundary and hi[-1] (alpha)
         closes the lower one.  Each factor is multiplied in as it is formed,
         lower boundary first, and numerator and denominator shift right
-        together once both pass 2W bits, which keeps the smaller at W bits.
+        together once both pass 2W bits (both at least 2^(2W)), which keeps
+        the smaller at W bits.
         """
         rights, lefts, _ = self.rounded_ends(scale)
-        one = 1 << scale
-        ys_lo, ys_hi = lo + [hi[-1]], [lo[0]] + hi
+        one, full = 1 << scale, 1 << 2 * scale
+        ys_lo, ys_hi = lo + hi[-1:], lo[:1] + hi
         num = den = 1
         for X, y_num, y_den in chain(zip(rights, ys_lo[1:], ys_lo), zip(lefts, ys_hi, ys_hi[1:])):
             num *= one + (X * y_num >> scale)
             den *= one + (X * y_den >> scale)
-            extra = min(num.bit_length(), den.bit_length()) - scale
-            if extra > scale:
+            if num >= full and den >= full:
+                extra = min(num.bit_length(), den.bit_length()) - scale
                 num >>= extra
                 den >>= extra
         return num, den
@@ -412,10 +421,10 @@ class _Skeleton:
 
 class _Itineraries:
     """The order of two levels of one parameter's endpoint orbits whose keys
-    tie (`_Skeleton.fit`).  Orbit 0 starts at alpha - 1 and orbit 1 at
-    alpha, each given as the kernel steps it at one scale
-    (`kdynamics.rational_orbit`): its digits, the keys floor(y 2^scale) of
-    its points and its last point.
+    tie (`_Skeleton.fit`), with alpha given as the pair (p, q) of p/q.
+    Orbit 0 starts at alpha - 1 and orbit 1 at alpha, each given as the
+    kernel steps it at one scale (`kdynamics.rational_orbit`): its digits,
+    the keys floor(y 2^scale) of its points and its last point.
 
     Each branch x -> -1/x - c is increasing, so two points of one digit are
     in the order of their images; and the cylinders of the digits lie in
@@ -430,7 +439,7 @@ class _Itineraries:
 
     __slots__ = ("alpha", "orbits", "scale", "known")
 
-    def __init__(self, alpha: Fraction, low, high, scale: int):
+    def __init__(self, alpha: tuple[int, int], low, high, scale: int):
         self.alpha, self.orbits, self.scale = alpha, (low, high), scale
         self.known = {}  # (u, i, v, j) -> order, for the tied pairs walked
 
@@ -467,8 +476,8 @@ class _Itineraries:
         digits, _, end = self.orbits[u]
         if i == len(digits):
             return end
-        start = self.alpha - 1 if u == 0 else self.alpha
-        return rational_orbit(self.alpha, start, i, self.scale)[2]
+        P, Q = alpha = self.alpha
+        return rational_orbit(alpha, (P - Q, Q) if u == 0 else alpha, i, self.scale)[2]
 
 
 def _skeleton(q: Qumterval) -> _Skeleton:
@@ -507,12 +516,14 @@ def _skeleton(q: Qumterval) -> _Skeleton:
     return skel
 
 
-def _fitted(alpha: Fraction, skel: _Skeleton, scale: int):
-    """The fit of a parameter alpha <= 1/2 of the skeleton's qumterval
-    (`_Skeleton.fit`), with the boundary factors' scale `scale`: the
-    endpoint orbits are stepped once, in integers, to their digits and
-    order keys at that scale (`kdynamics.rational_orbit`)."""
-    low = rational_orbit(alpha, alpha - 1, len(skel.low_digits), scale)
+def _fitted(alpha: tuple[int, int], skel: _Skeleton, scale: int):
+    """The fit of a parameter p/q <= 1/2 of the skeleton's qumterval, given
+    as the pair alpha = (p, q) (`_Skeleton.fit`), with the boundary factors'
+    scale `scale`: the endpoint orbits are stepped once, in integers, from
+    (p - q, q) and (p, q) to their digits and order keys at that scale
+    (`kdynamics.rational_orbit`)."""
+    P, Q = alpha
+    low = rational_orbit(alpha, (P - Q, Q), len(skel.low_digits), scale)
     high = rational_orbit(alpha, alpha, len(skel.high_digits), scale)
     return skel.fit(alpha, low, high, scale)
 
@@ -531,7 +542,7 @@ def build_attractor(alpha) -> Attractor:
         raise ValueError("parameters above 1/2: reflect with alpha -> 1 - alpha")
     skel = _skeleton(q)
     # the checks only: the keys order the levels at any scale, this one sets the integers of the rectangle tests
-    _fitted(alpha, skel, MIN_PRECISION)
+    _fitted((alpha.numerator, alpha.denominator), skel, MIN_PRECISION)
     low, high = orbit(alpha, alpha - 1, q.m0), orbit(alpha, alpha, q.m1)
     rights, lefts = [skel.value(end) for end in skel.rights], [skel.value(end) for end in skel.lefts]
     # the fit found each orbit's levels ascending in the skeleton's order
@@ -616,7 +627,8 @@ def attractor_mass(attr: Attractor, precision: int | None = None):
     bits = checked_precision(precision)
     got = attr.masses.get(bits)
     if got is None:
-        got = attr.masses[bits] = tuple(map(raw_mpf, _sample_mass(attr.alpha, attr.skeleton, bits)))
+        alpha = attr.alpha.numerator, attr.alpha.denominator
+        got = attr.masses[bits] = tuple(map(raw_mpf, _sample_mass(alpha, attr.skeleton, bits)))
     return got
 
 
@@ -639,9 +651,6 @@ class EntropySample(Frozen, namedtuple("EntropySample", "alpha word m0 m1 raw_A 
         return raw_mpf(self.raw_err)
 
 
-_HALF = Fraction(1, 2)
-
-
 def entropy_at(alpha, precision: int | None = None) -> EntropySample:
     """Metric entropy at a rational parameter in (0, 1) (`_entropy_run`)."""
     alpha = Fraction(alpha)
@@ -650,13 +659,14 @@ def entropy_at(alpha, precision: int | None = None) -> EntropySample:
     return _entropy_run([alpha], precision)[0]
 
 
-def _sample_mass(alpha: Fraction, skel: _Skeleton, bits: int) -> tuple[Raw, Raw]:
-    """(area integral, error bound) as raw floats at a parameter
-    alpha <= 1/2 of the skeleton's qumterval: the boundary product of its
-    fit (`_fitted`, `_Skeleton.product`) at the scale W = bits + _GUARD,
-    its levels rounded from their order keys, and one log of its ratio
-    (`_mass_of`).  The log of the product is the sum of the rectangle
-    masses; the error estimate is theirs, summed in closed form."""
+def _sample_mass(alpha: tuple[int, int], skel: _Skeleton, bits: int) -> tuple[Raw, Raw]:
+    """(area integral, error bound) as raw floats at a parameter p/q <= 1/2
+    of the skeleton's qumterval, given as the pair alpha = (p, q): the
+    boundary product of its fit (`_fitted`, `_Skeleton.product`) at the
+    scale W = bits + _GUARD, its levels rounded from their order keys, and
+    one log of its ratio (`_mass_of`).  The log of the product is the sum of
+    the rectangle masses; the error estimate is theirs, summed in closed
+    form."""
     scale = bits + _GUARD
     lo, hi, rects = _fitted(alpha, skel, scale)
     return _mass_of(*skel.product(lo, hi, scale), rects, bits)
@@ -666,23 +676,37 @@ def _mass_of(num: int, den: int, rects: int, bits: int) -> tuple[Raw, Raw]:
     """The mass A = log(num / den) of a boundary product and its bound
     err = 2^-bits (32 rects + 8 A), as raw floats: num and den rounded to
     `bits`, then each operation rounded to nearest at `bits`, in the order
-    of these expressions, the log correctly rounded (`exactnum.raw_log`)."""
-    A = raw_log(raw_div(raw_int(num, bits), raw_int(den, bits), bits), bits)
-    err = raw_shift(raw_add(raw_shift(A, 3), raw_int(32 * rects), bits), -bits)
-    return A, err
+    of these expressions, the log correctly rounded (`exactnum._log`).  The
+    operations run on mantissa/exponent pairs, each exact and then rounded
+    (`exactnum._near`, `_quotient`), as `raw_int`, `raw_div`, `raw_log`,
+    `raw_add` and `raw_shift` compute them, and only the results become
+    raw floats."""
+    n_m, n_e = _near(num, 0, bits)
+    d_m, d_e = _near(den, 0, bits)
+    q_m, q_e = _quotient(n_m, n_e, d_m, d_e, bits)
+    q_m, q_e = _near(q_m, q_e, bits)
+    A_m, A_e = _log(q_m, q_e, bits)
+    e = min(A_e + 3, 0)
+    err_m, err_e = _near((A_m << (A_e + 3 - e)) + (32 * rects << -e), e, bits)
+    return _raw(A_m, A_e), _raw(err_m, err_e - bits)
 
 
-_THREE = raw_int(3)
-
-
-def _entropy_of(A: Raw, err: Raw, bits: int) -> tuple[Raw, Raw]:
+def _entropy_of(A: Raw, err: Raw, pi2: Raw, bits: int) -> tuple[Raw, Raw]:
     """h = pi^2 / (3 A) and its bound h (err / A) + 2^(8 - bits), as raw
-    floats, from the raw mass A and its bound err (`_sample_mass`): each
-    operation rounded to nearest at `bits`, in the order of these
-    expressions, and pi^2 from pi rounded to nearest (`exactnum.pi_squared`)."""
-    h = raw_div(pi_squared(bits), raw_mul(A, _THREE, bits), bits)
-    rel = raw_div(err, A, bits)
-    return h, raw_add(raw_mul(h, rel, bits), (0, 1, 8 - bits, 1), bits)
+    floats, from the raw mass A and its bound err (`_sample_mass`), with
+    pi^2 = `exactnum.pi_squared(bits)`: each operation exact and then
+    rounded to nearest at `bits`, in the order of these expressions, on
+    mantissa/exponent pairs (`exactnum._near`, `_quotient`)."""
+    A_m, A_e, err_m = _signed(A), A[2], _signed(err)
+    t_m, t_e = _near(3 * A_m, A_e, bits)
+    h_m, h_e = _quotient(pi2[1], pi2[2], t_m, t_e, bits)
+    h_m, h_e = _near(h_m, h_e, bits)
+    r_m, r_e = _quotient(err_m, err[2], A_m, A_e, bits)
+    r_m, r_e = _near(r_m, r_e, bits)
+    u_m, u_e = _near(h_m * r_m, h_e + r_e, bits)
+    e = min(u_e, 8 - bits)
+    u_m, u_e = _near((u_m << (u_e - e)) + (1 << (8 - bits - e)), e, bits)
+    return _raw(h_m, h_e), _raw(u_m, u_e)
 
 
 def density_slice(attr: Attractor, t, precision: int | None = None):
@@ -723,7 +747,8 @@ def measure_interval(attr: Attractor, lo, hi, precision: int | None = None):
     scale, skel = bits + _GUARD, attr.skeleton
     A = attractor_mass(attr, bits)[0]
     bottom, top = _scaled([lo, hi], scale)
-    band = [[min(max(K, bottom), top) for K in keys] for keys in _fitted(attr.alpha, skel, scale)[:2]]
+    alpha = attr.alpha.numerator, attr.alpha.denominator
+    band = [[min(max(K, bottom), top) for K in keys] for keys in _fitted(alpha, skel, scale)[:2]]
     B, _ = _mass_of(*skel.product(*band, scale), 0, bits)
     return raw_mpf(raw_div(B, A._mpf_, bits))
 
@@ -793,27 +818,33 @@ def entropy_curve(
 def _entropy_run(grid, precision: int | None) -> list[EntropySample]:
     """The entropy at each parameter of the grid, in (0, 1), through the
     exact attractor: h = pi^2 / (3 A) from the mass A (`_sample_mass`,
-    `_entropy_of`).  Parameters above 1/2 are reflected (measurable
-    conjugation), with the containing word reported on the original side:
-    the mirror word, the counts swapped.  Parameters of one qumterval share
-    a skeleton, kept for this call only, and the qumterval of the previous
-    parameter is tried before a descent."""
+    `_entropy_of`).  A parameter p/q above 1/2 is reflected (measurable
+    conjugation) to (q - p)/q, with the containing word reported on the
+    original side: the mirror word, the counts swapped.  The loop carries
+    each parameter as its pair (p, q) and makes no `Fraction` but for a
+    descent.  Parameters of one qumterval share a skeleton and both labels,
+    bound for this call only, and the qumterval of the previous parameter is
+    tried before a descent (`Qumterval.holds`)."""
     bits = checked_precision(precision)
-    skeletons: dict[str, _Skeleton] = {}
+    pi2 = pi_squared(bits)
+    bound: dict[str, tuple] = {}  # word -> (skeleton, (word, m0, m1), the mirror's)
     q = None
     out = []
     for alpha in grid:
-        base = alpha if alpha <= _HALF else 1 - alpha
-        if q is None or base not in q:
-            q = locate_qumterval(base)
-            if q.word not in skeletons:
-                skeletons[q.word] = _skeleton(q)
-        A, err = _sample_mass(base, skeletons[q.word], bits)
-        h, h_err = _entropy_of(A, err, bits)
-        word, m0, m1 = q.word, q.m0, q.m1
-        if alpha != base:
-            word, m0, m1 = words.transpose(words.negate(word)), m1, m0
-        out.append(EntropySample(alpha, word, m0, m1, A, h, h_err))
+        P, Q = alpha.numerator, alpha.denominator
+        mirrored = 2 * P > Q
+        if mirrored:
+            P = Q - P
+        if q is None or not q.holds(P, Q):
+            q = locate_qumterval(Fraction(P, Q))
+            got = bound.get(q.word)
+            if got is None:
+                mirror = words.transpose(words.negate(q.word)), q.m1, q.m0
+                got = bound[q.word] = _skeleton(q), (q.word, q.m0, q.m1), mirror
+            skel, labels, mirror = got
+        A, err = _sample_mass((P, Q), skel, bits)
+        h, h_err = _entropy_of(A, err, pi2, bits)
+        out.append(EntropySample(alpha, *(mirror if mirrored else labels), A, h, h_err))
     return out
 
 
@@ -831,8 +862,9 @@ def asymptotic_probe(n_values, precision: int | None = None) -> list[dict]:
         if n < 2:
             raise ValueError("N must be at least 2")
         q = qumterval_of("0" * n + "1")
-        A, err = _sample_mass(q.pseudocenter, _skeleton(q), bits)
-        h = raw_mpf(_entropy_of(A, err, bits)[0])
+        alpha = q.pseudocenter
+        A, err = _sample_mass((alpha.numerator, alpha.denominator), _skeleton(q), bits)
+        h = raw_mpf(_entropy_of(A, err, pi_squared(bits), bits)[0])
         A, err = raw_mpf(A), raw_mpf(err)
         with working_precision(bits):
             log_n1 = mpmath.log(n + 1)

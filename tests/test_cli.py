@@ -195,8 +195,12 @@ class TestBehaviour:
             ("farey", "list", "--level", "2", "--out", str(tmp_path)),
             ("entropy", "point", "--alpha", "9/20x"),
             ("entropy", "point", "--alpha", "1//2"),
+            ("entropy", "point", "--alpha", "1" * 4301 + "/3"),
+            ("entropy", "point", "--alpha", "1/" + "3" * 4301),
         ):
-            assert run(capsys, *argv)[:2] == (2, ""), argv
+            code, out, err = run(capsys, *argv)
+            # a refusal names the text or its fault in a line, never echoes 4301 digits
+            assert (code, out) == (2, "") and len(err) < 300, argv
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -218,11 +222,16 @@ class TestBehaviour:
             (("entropy", "point", "--alpha", "0.4.5"), "error: '0.4.5' is not a fraction p/q, an integer or a decimal\n"),
             (("farey", "word", "--rational", ""), "error: '' is not a fraction p/q, an integer or a decimal\n"),
             (("orbit", "--alpha", "1/3", "--x=nan", "--steps", "2"), "error: 'nan' is not a fraction p/q, an integer or a decimal\n"),
+            # Python's limit on the digits of an integer names itself, in a p/q as without a slash
+            (("entropy", "point", "--alpha", "1" * 4301 + "/3"), "error: Exceeds the limit (4300"),
+            (("entropy", "point", "--alpha", "1/" + "3" * 4301), "error: Exceeds the limit (4300"),
+            (("entropy", "point", "--alpha", "1" * 4301), "error: Exceeds the limit (4300"),
         ],
     )
     def test_library_checks_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and message in err
+        assert len(err) < 300  # one line, whatever the length of the text
 
     def test_descent_over_its_step_budget_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(bf, "_LOCATE_LIMIT", 50)

@@ -8,7 +8,21 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, mpf_log, mpf_pi, mpf_pos, mpf_pow_int, round_nearest, to_str
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    mpf_add,
+    mpf_div,
+    mpf_log,
+    mpf_mul,
+    mpf_pi,
+    mpf_pos,
+    mpf_pow_int,
+    round_down,
+    round_nearest,
+    round_up,
+    to_str,
+)
 
 from fareycf import exactnum as ex
 
@@ -352,7 +366,7 @@ class TestIntegerFloats:
         # the fixed-point sum of `raw_log` is within its stated E units of a 1024-bit log
         if x == ex.ONE:
             return
-        R, E = ex._log_fixed(ex._log_parts(x), wp)
+        R, E = ex._log_fixed(ex._log_parts(x[1], x[2]), wp)
         with mpmath.workprec(1024):
             exact = mpmath.log(mpmath.mp.make_mpf(x)) * mpmath.mpf(2) ** wp
             assert abs(R - exact) <= E
@@ -395,6 +409,33 @@ class TestIntegerFloats:
     @example(128)
     def test_pi_squared_as_mpmath(self, bits):
         assert ex.pi_squared(bits) == mpf_pow_int(mpf_pi(bits, round_nearest), 2, bits, round_nearest)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_values(max_bits=3100), raw_values(max_bits=3100), st.integers(2, 3000), st.integers(-(2**3100), 2**3100))
+    @example(ex.ZERO, from_man_exp(3, -2), 53, 0)
+    @example(from_man_exp(2**60 - 1, 0), from_man_exp(1, -1), 53, 2**54 + 3)  # ties and carries
+    def test_raw_operations_as_libmp(self, x, y, prec, n):
+        # each operation exact and then rounded once (`_near`, `_quotient`, `_round`)
+        # is mpmath's own, bit for bit
+        assert ex.raw_add(x, y, prec) == mpf_add(x, y, prec, round_nearest)
+        assert ex.raw_mul(x, y, prec) == mpf_mul(x, y, prec, round_nearest)
+        assert ex.raw_int(n, prec) == from_int(n, prec, round_nearest)
+        if y[1]:
+            for mode, rnd in (("n", round_nearest), ("d", round_down), ("u", round_up)):
+                assert ex.raw_div(x, y, prec, mode) == mpf_div(x, y, prec, rnd)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(100, 3100))
+    @example(100)
+    @example(156)  # the working precision of a 128-bit log
+    @example(3100)
+    def test_grid_logs_from_the_coarse_table(self, wp):
+        # ln(c 2^-9) of every grid point, made cold from the coarse table and
+        # a short series, is the floor of the direct slow series
+        ex._floor_const.cache_clear()
+        for c in range(360, 721):
+            if c != ex._LOG_ONE:
+                assert ex._floor_const(ex._ln_grid_fixed, wp, c) == ex._floor_const(ex._ln_fixed, wp, c, ex._LOG_ONE), c
 
     @settings(max_examples=500, deadline=None)
     @given(

@@ -124,7 +124,7 @@ class TestOrbit:
         rec = kd.orbit(alpha, x, steps)
         points, digits, _, hit_zero = k_step_fold(alpha, x, steps)
         assert (rec.points, rec.digits, rec.hit_zero) == (points, digits, hit_zero)
-        got_digits, levels, end = kd.rational_orbit(alpha, x, steps, shift)
+        got_digits, levels, end = kd.rational_orbit((alpha.numerator, alpha.denominator), (x.numerator, x.denominator), steps, shift)
         assert tuple(got_digits) == digits
         assert end == (points[-1].numerator, points[-1].denominator)
         if shift is not None:
@@ -137,7 +137,7 @@ class TestOrbit:
         # the last point in lowest terms
         alpha, x = start
         rec = kd.orbit(alpha, x, steps)
-        digits, levels, end = kd.rational_orbit(alpha, x, steps, shift)
+        digits, levels, end = kd.rational_orbit((alpha.numerator, alpha.denominator), (x.numerator, x.denominator), steps, shift)
         assert tuple(digits) == rec.digits and len(levels) == steps + 1
         assert end == (rec.points[-1].numerator, rec.points[-1].denominator)
         if shift is None:
@@ -305,15 +305,52 @@ class TestVerifyMatching:
             assert report["all_exact"], w
 
     def test_constancy_is_the_orbits_prefix_product(self, monkeypatch):
-        # one product over each orbit's first m0 or m1 digits, against the
-        # prefix products of OrbitRecord.matrices; a wrong M is not constant
+        # the constancy verdict against the prefix products of
+        # OrbitRecord.matrices, on side-0 and side-1 words: an orbit on the
+        # word's digit pattern takes no product, and a mutated digit is
+        # multiplied out; a wrong M is not constant (on 0110111, of side 1)
+        products, certificates = [], {}
+        product, matching = kd._branch_product, kd.matching_matrices
+        monkeypatch.setattr(kd, "_branch_product", lambda digits: products.append(digits) or product(digits))
+        # the certificate's own products are taken once, outside the count
+        monkeypatch.setattr(kd, "matching_matrices", lambda word: certificates.get(word) or matching(word))
+        sides = set()
         for w in wd.words_of_length_up_to(8):
             q, cert = bf.qumterval_of(w), kd.matching_matrices(w)
+            certificates[w] = cert
+            sides.add(wd.farey_side(w))
             for alpha in alphas_inside(q, per_side=1):
                 low, high = kd.orbit(alpha, alpha - 1, q.m0 + 1), kd.orbit(alpha, alpha, q.m1 + 1)
                 want = low.matrices[q.m0 - 1] == cert.M and high.matrices[q.m1 - 1] == cert.M_prime
+                products.clear()
                 [entry] = kd.verify_matching(w, [alpha])["alphas_checked"]
                 assert entry["matrices_constant"] is want is True, (w, alpha)
+                assert products == [], (w, alpha)
+        assert sides == {0, 1}
+        # one digit of one orbit changed, its last point kept: that orbit alone
+        # is multiplied out, and its prefix product is not the certificate's
+        kernel = kd.rational_orbit
+        for w in ("001", "00101", "0001001", "011", "01011", "0110111"):
+            q, cert = bf.qumterval_of(w), kd.matching_matrices(w)
+            for orbit in (0, 1):
+
+                def mutated(alpha, x, steps, shift=None):
+                    digits, levels, end = kernel(alpha, x, steps, shift)
+                    if (x == alpha) == bool(orbit):
+                        digits[0] += 1 if digits[0] > 0 else -1
+                    return digits, levels, end
+
+                steps = (q.m0, q.m1)[orbit]
+                for alpha in alphas_inside(q, per_side=1):
+                    start = alpha if orbit else alpha - 1
+                    with monkeypatch.context() as m:
+                        m.setattr(kd, "rational_orbit", mutated)
+                        rec = kd.orbit(alpha, start, steps)
+                        products.clear()
+                        [entry] = kd.verify_matching(w, [alpha])["alphas_checked"]
+                    assert products == [list(rec.digits)], (w, orbit, alpha)
+                    assert entry["matrices_constant"] is (rec.matrices[steps - 1] == (cert.M, cert.M_prime)[orbit]) is False
+                    assert (entry["collision"], entry["status"]) == (True, "failed")
         wrong = cert._replace(M=cert.M * T)
         monkeypatch.setattr(kd, "matching_matrices", lambda word: wrong)
         [entry] = kd.verify_matching(w, [alpha])["alphas_checked"]

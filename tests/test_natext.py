@@ -14,10 +14,22 @@ from hypothesis import strategies as st
 
 from fareycf import bifurcation as bf
 from fareycf import cfstrings as cfs
+from fareycf import exactnum as ex
 from fareycf import kdynamics as kd
 from fareycf import natext as nx
 from fareycf import words as wd
-from fareycf.exactnum import QuadSurd, S, T, _slack, format_exact, make_surd, mobius_apply, surd_from_periodic_cf, to_mpf
+from fareycf.exactnum import (
+    QuadSurd,
+    S,
+    T,
+    _slack,
+    format_exact,
+    make_surd,
+    mobius_apply,
+    pi_squared,
+    surd_from_periodic_cf,
+    to_mpf,
+)
 from fareycf.lyapunov import lyapunov_estimate
 from fareycf.precision import DEFAULT_PRECISION, checked_precision, working_precision
 
@@ -75,6 +87,11 @@ def separating_scale(start, scale):
     return max(scale, 2 * start.denominator.bit_length() + 2)
 
 
+def pair(x):
+    """The pair (p, q) of a rational p/q, as the integer kernel takes it."""
+    return x.numerator, x.denominator
+
+
 def keys_at(points, scale):
     """floor(y 2^scale) for each exact level y."""
     return [(y.numerator << scale) // y.denominator for y in points]
@@ -89,14 +106,14 @@ def level_keys(points, scale):
 def kernel_orbits(alpha, q, scale):
     """Both endpoint orbits at alpha in q as `nx._fitted` takes them from
     the integer kernel: digits, order keys at `scale` and last point."""
-    return tuple(kd.rational_orbit(alpha, start, steps, scale) for start, steps in ((alpha - 1, q.m0), (alpha, q.m1)))
+    return tuple(kd.rational_orbit(pair(alpha), pair(start), steps, scale) for start, steps in ((alpha - 1, q.m0), (alpha, q.m1)))
 
 
 def fit_staircase(skel, alpha, low, high, scale):
     """The fit's keys and its staircase, merged with the fit's tie rule:
     tied keys ordered by the itineraries (`nx._Itineraries`)."""
-    lo, hi, rects = skel.fit(alpha, low, high, scale)
-    ties = nx._Itineraries(alpha, low, high, scale)
+    lo, hi, rects = skel.fit(pair(alpha), low, high, scale)
+    ties = nx._Itineraries(pair(alpha), low, high, scale)
     run = list(nx._staircase(lo, hi, lambda i, j: ties.order(0, skel.low_order[i], 1, skel.high_order[j])))
     assert rects == len(run)
     return lo, hi, run
@@ -202,7 +219,7 @@ def pole_decision(x, y, scale):
     skel = nx._Skeleton("", (), (), (0,), (0,), rights=(end,), lefts=(end,), Q=Q, d=d)
     orbit = (), keys_at([y], scale), (y.numerator, y.denominator)
     try:
-        return skel.fit(y, orbit, orbit, scale) is not None
+        return skel.fit(pair(y), orbit, orbit, scale) is not None
     except nx.AttractorError:
         return False
 
@@ -270,7 +287,7 @@ class TestFilteredPredicates:
                 return compare(a, b)
 
             monkeypatch.setattr(QuadSurd, name, record)
-        _, _, rects = skel.fit(alpha, low, high, scale)
+        _, _, rects = skel.fit(pair(alpha), low, high, scale)
         if scale:
             assert calls == []
         else:  # -1 < x < 1 for every end and one `_below` per rectangle
@@ -331,7 +348,7 @@ class TestEndPairs:
             skel = nx._skeleton(q)
             counts.append(len(made))
         made.clear()
-        lo, hi, rects = skel.fit(alpha, low, high, scale)
+        lo, hi, rects = skel.fit(pair(alpha), low, high, scale)
         skel.product(lo, hi, scale)
         assert made == [] and rects == 2048 and counts[0] == counts[1] < 10
 
@@ -362,7 +379,7 @@ class TestRotationOrders:
             assert alpha in q
             orders = []
             for start, steps in ((alpha - 1, q.m0), (alpha, q.m1)):
-                _, keys, _ = kd.rational_orbit(alpha, start, steps, separating_scale(alpha, 0))
+                _, keys, _ = kd.rational_orbit(pair(alpha), pair(start), steps, separating_scale(alpha, 0))
                 orders.append(tuple(sorted(range(len(keys)), key=keys.__getitem__)))
             assert tuple(orders) == kd.rotation_orders(q.m0, q.m1)
 
@@ -601,8 +618,8 @@ class TestSkeletonChecks:
         """The sample mass at alpha with its own skeleton, which fits, then
         with that skeleton changed."""
         skel = nx._skeleton(bf.locate_qumterval(self.alpha))
-        nx._sample_mass(self.alpha, skel, 128)
-        return nx._sample_mass(self.alpha, change(skel), 128)
+        nx._sample_mass(pair(self.alpha), skel, 128)
+        return nx._sample_mass(pair(self.alpha), change(skel), 128)
 
     def test_changed_order_is_refused(self):
         def swap(skel):
@@ -647,7 +664,7 @@ class TestSkeletonChecks:
             refused = re.escape(f"empty rectangle below the level at {top} (word {q.word}, alpha = {alpha})")
             for scale in range(9):
                 with pytest.raises(nx.AttractorError, match=refused):
-                    emptied.fit(alpha, *kernel_orbits(alpha, q, scale), scale)
+                    emptied.fit(pair(alpha), *kernel_orbits(alpha, q, scale), scale)
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
     def test_pole_on_the_boundary_is_refused(self, side):
@@ -695,7 +712,7 @@ class TestConstructionChecks:
 
         def changed(alpha, x, steps, shift=None):
             orbit = kernel(alpha, x, steps, shift)
-            return change(*orbit) if x == alpha - 1 else orbit
+            return change(*orbit) if x != alpha else orbit  # the start (p - q, q): the orbit of alpha - 1
 
         monkeypatch.setattr(nx, "rational_orbit", changed)
         return nx.build_attractor(self.alpha)
@@ -762,7 +779,7 @@ def boundary_mass(alpha, bits):
     for orbit, (digits, keys, end) in zip((low, high), kernel_orbits(alpha, q, S)):
         assert orbit == (digits, [K >> (S - scale) for K in keys], end)
     skel = nx._skeleton(q)
-    lo, hi, rects = skel.fit(alpha, low, high, scale)
+    lo, hi, rects = skel.fit(pair(alpha), low, high, scale)
     num, den = skel.product(lo, hi, scale)
     return tuple(map(mpmath.mp.make_mpf, nx._mass_of(num, den, rects, bits)))
 
@@ -934,7 +951,7 @@ class TestLevelKeys:
         q, low, _ = self.orbits(alpha)
         orbits = kernel_orbits(alpha, q, 0)
         skel = nx._skeleton(q)
-        assert skel.fit(alpha, *orbits, 0) is not None
+        assert skel.fit(pair(alpha), *orbits, 0) is not None
         # the top lower level, the orbit's last point, set equal to the one
         # below it: the keys tie, and the walk compares the kept end with
         # that interior point, stepped again
@@ -947,8 +964,8 @@ class TestLevelKeys:
         kernel = nx.rational_orbit
         monkeypatch.setattr(nx, "rational_orbit", lambda *args: stepped.append(args) or kernel(*args))
         with pytest.raises(nx.AttractorError, match="orbit of alpha - 1 leaves the word's level order"):
-            skel.fit(alpha, (digits, keys, (y.numerator, y.denominator)), orbits[1], 0)
-        assert stepped == [(alpha, alpha - 1, first, 0)]
+            skel.fit(pair(alpha), (digits, keys, (y.numerator, y.denominator)), orbits[1], 0)
+        assert stepped == [(pair(alpha), pair(alpha - 1), first, 0)]
 
     @pytest.mark.parametrize("scale", [0, 128 + nx._GUARD], ids=["scale-0", "entropy-scale"])
     def test_no_two_fractions_are_ordered(self, monkeypatch, scale):
@@ -968,7 +985,7 @@ class TestLevelKeys:
             monkeypatch.setattr(Fraction, name, record)
         orbits = kernel_orbits(alpha, q, scale)
         skel = nx._skeleton(q)
-        assert skel.fit(alpha, *orbits, scale) is not None
+        assert skel.fit(pair(alpha), *orbits, scale) is not None
         assert calls == []
 
 
@@ -1006,7 +1023,7 @@ class TestItineraryOrder:
             assert lo == keys_at(lo_f, scale) and hi == keys_at(hi_f, scale)
             assert [(i, j) for _, _, i, j in run] == want, (alpha, scale)
             if all_pairs:
-                ties = nx._Itineraries(alpha, *orbits, scale)
+                ties = nx._Itineraries(pair(alpha), *orbits, scale)
                 points = low.points, high.points
                 for (u, k), (v, l) in combinations([(u, k) for u in (0, 1) for k in range(len(points[u]))], 2):
                     y, z = points[u][k], points[v][l]
@@ -1037,8 +1054,9 @@ class TestItineraryOrder:
         stepped = []
         kernel = nx.rational_orbit
         monkeypatch.setattr(nx, "rational_orbit", lambda *args: stepped.append(args) or kernel(*args))
-        nx._fitted(alpha, skel, 0)
-        assert stepped == [(alpha, alpha - 1, q.m0, 0), (alpha, alpha, q.m1, 0), (alpha, alpha, 2, 0)]
+        nx._fitted(pair(alpha), skel, 0)
+        a, a_1 = pair(alpha), pair(alpha - 1)
+        assert stepped == [(a, a_1, q.m0, 0), (a, a, q.m1, 0), (a, a, 2, 0)]
         assert 2 < q.m1
 
 
@@ -1424,6 +1442,39 @@ def raw_tails(draw):
     return num, den, draw(st.integers(1, 10**4)), bits
 
 
+def raw_op_chain(num, den, rects, bits):
+    """A, err, h and h_err by the raw-op chain, one `exactnum.raw_*` call per
+    operation on raw floats: the reference of the float tail on
+    mantissa/exponent pairs (`_mass_of`, `_entropy_of`); h and h_err are
+    None for A = 0."""
+    A = ex.raw_log(ex.raw_div(ex.raw_int(num, bits), ex.raw_int(den, bits), bits), bits)
+    err = ex.raw_shift(ex.raw_add(ex.raw_shift(A, 3), ex.raw_int(32 * rects), bits), -bits)
+    if not A[1]:
+        return A, err, None, None
+    h = ex.raw_div(pi_squared(bits), ex.raw_mul(A, ex.raw_int(3), bits), bits)
+    rel = ex.raw_div(err, A, bits)
+    return A, err, h, ex.raw_add(ex.raw_mul(h, rel, bits), (0, 1, 8 - bits, 1), bits)
+
+
+@st.composite
+def wide_tails(draw):
+    """(num, den, rects, bits) at 53 to 3000 bits, num and den at the scale
+    W = bits + _GUARD: num = den (A = 0), num within a few units of den (A
+    near 0, of either sign), or A up to about 2000 log 2; rects from 0."""
+    bits = draw(st.integers(53, 3000))
+    scale = bits + nx._GUARD
+    den = draw(st.integers(1 << scale, 1 << 2 * scale))
+    num = draw(
+        st.one_of(
+            st.just(den),
+            st.integers(den - 8, den + 8),
+            st.integers(den + 1, den << 8),
+            st.integers(den << 8, den << 2000),
+        )
+    )
+    return num, den, draw(st.one_of(st.just(0), st.integers(0, 10**6))), bits
+
+
 def fraction_grid(start, stop, samples):
     """`entropy_grid` as `Fraction` arithmetic per point: the reference of
     its integer loop."""
@@ -1445,9 +1496,57 @@ class TestLeanSample:
     def test_float_tail_bit_identical_to_mpf_expressions(self, tail):
         num, den, rects, bits = tail
         A, err = nx._mass_of(num, den, rects, bits)
-        h, h_err = nx._entropy_of(A, err, bits)
+        h, h_err = nx._entropy_of(A, err, pi_squared(bits), bits)
         got = [A, err, h, h_err]  # raw (sign, man, exp, bc) tuples
         assert got == [v._mpf_ for v in tail_oracle(num, den, rects, bits)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(wide_tails())
+    @example((1 << 200, 1 << 200, 0, 64))  # num = den: A = 0 and err = 0
+    @example(((1 << 200) + 1, 1 << 200, 0, 64))  # A rounds to 2^-200
+    @example(((1 << 3040) + 1, (1 << 3040) - 1, 7, 3000))
+    @example(((5 << 93) + 3, 3 << 93, 0, 53))
+    def test_float_tail_equals_the_raw_op_chain(self, tail):
+        num, den, rects, bits = tail
+        A, err = nx._mass_of(num, den, rects, bits)
+        got = [A, err, *(nx._entropy_of(A, err, pi_squared(bits), bits) if A[1] else (None, None))]
+        assert got == list(raw_op_chain(num, den, rects, bits))
+
+    @pytest.mark.parametrize("alpha", [Fraction(337, 1000), Fraction(4, 15), Fraction(9, 20)], ids=str)
+    @pytest.mark.parametrize("bits", [64, 128, 3000])
+    def test_zero_width_band_is_the_raw_op_chain(self, monkeypatch, alpha, bits):
+        # the band [y, y] clamps every level to one key: each factor pair is
+        # equal, num = den, and the measure is 0 as the raw-op chain gives it
+        attr = nx.build_attractor(alpha)
+        logged = []
+        mass_of = nx._mass_of
+        monkeypatch.setattr(nx, "_mass_of", lambda *args: logged.append(args) or mass_of(*args))
+        y = alpha - Fraction(1, 3)
+        assert nx.measure_interval(attr, y, y, bits) == 0
+        num, den, rects, _ = logged[-1]  # after the mass A, taken first
+        assert num == den and rects == 0
+        assert mass_of(num, den, 0, bits) == raw_op_chain(num, den, 0, bits)[:2] == (ex.ZERO, ex.ZERO)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.fractions(Fraction(1, 100), Fraction(49, 100), max_denominator=10**4),
+        st.fractions(Fraction(51, 100), Fraction(99, 100), max_denominator=10**4),
+        st.integers(2, 12),
+    )
+    @example(Fraction(9, 20), Fraction(11, 20), 3)  # 1/2 itself, on the plateau
+    @example(Fraction(1, 3), Fraction(2, 3), 4)
+    def test_run_across_one_half_equals_entropy_at(self, start, stop, samples):
+        # the loop's integer reflection p/q -> (q - p)/q, its reuse of the
+        # qumterval, skeleton and labels, against a fresh call per point and
+        # against the reflection taken in Fractions
+        grid = nx.entropy_grid(start, stop, samples)
+        got = nx._entropy_run(grid, None)
+        assert got == [nx.entropy_at(a) for a in grid]
+        for s in got:
+            if s.alpha > Fraction(1, 2):
+                mirror = nx.entropy_at(1 - s.alpha)
+                assert (s.word, s.m0, s.m1) == (wd.transpose(wd.negate(mirror.word)), mirror.m1, mirror.m0)
+                assert (s.raw_A, s.raw_h, s.raw_err) == (mirror.raw_A, mirror.raw_h, mirror.raw_err)
 
     @settings(max_examples=300, deadline=None)
     @given(
