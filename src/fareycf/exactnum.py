@@ -7,11 +7,12 @@ irrational by construction (rational results collapse to `Fraction` inside
 by integer sign computations, never by floating point.  Long products of
 integer matrices are one balanced tree (`matrix_product`).  The module, which
 every other one imports, also holds `Frozen`, the mixin that keeps the
-package's records with a `__dict__` immutable, and the package's binary
-floats: mpmath's raw (sign, man, exp, bc) tuples, rounded in integers as
+package's records with a `__dict__` immutable, and the package's one float
+system: mpmath's raw (sign, man, exp, bc) tuples, rounded in integers as
 mpmath rounds them, with a correctly rounded log (`raw_log`), pi^2
-(`pi_squared`) and mpmath's decimal printing (`decimal_text`), so that no
-printed float needs mpmath.
+(`pi_squared`), the nearest double (`raw_float`) and mpmath's decimal
+printing (`decimal_text`).  mpmath computes none of the package's floats:
+`raw_mpf`, its one import, only wraps a result for library callers.
 """
 
 from __future__ import annotations
@@ -383,15 +384,8 @@ class QuadSurd:
 
     # -- conversions ---------------------------------------------------------
 
-    def to_mpf(self):
-        """Value at the current mpmath working precision (`to_mpf`)."""
-        return to_mpf(self)
-
     def __float__(self):
-        import mpmath
-
-        with mpmath.workprec(80):
-            return float(self.to_mpf())
+        return raw_float(to_raw(self, 80))
 
     def __str__(self):
         sign = "+" if self.q >= 0 else "-"
@@ -602,14 +596,6 @@ def format_exact(x: Exact | Infinity) -> str:
     return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
-def to_mpf(x: Exact):
-    """Exact value at the current mpmath working precision, rounded as
-    `to_raw` rounds it."""
-    import mpmath  # the library's mpf results only; printing needs none
-
-    return mpmath.mp.make_mpf(to_raw(x, mpmath.mp.prec))
-
-
 def parse_fraction(text: str) -> Fraction:
     """Parse "p/q" or a plain integer/decimal string into a Fraction; text
     that is not one is refused naming it as given.  Python's limit on the
@@ -727,6 +713,11 @@ def raw_shift(x: Raw, n: int) -> Raw:
     return (x[0], x[1], x[2] + n, x[3]) if x[1] else x
 
 
+def raw_neg(x: Raw) -> Raw:
+    """-x, exact."""
+    return (1 - x[0], *x[1:]) if x[1] else x
+
+
 def raw_add(x: Raw, y: Raw, prec: int) -> Raw:
     """x + y rounded to nearest at `prec` bits: the exact sum, then `_near`."""
     e = min(x[2], y[2])
@@ -774,8 +765,20 @@ def to_raw(x: Exact, prec: int) -> Raw:
     return raw_int(x, prec)
 
 
+def raw_float(x: Raw) -> float:
+    """The double of a raw float, as mpmath's `to_float` makes it: rounded
+    to nearest at 53 bits (`_near`), then `math.ldexp`, and +-inf past the
+    largest double."""
+    m, e = _near(_signed(x), x[2], 53)
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return -math.inf if m < 0 else math.inf
+
+
 def raw_mpf(x: Raw):
-    """The mpmath.mpf of a raw float, for library callers of mpf results."""
+    """The mpmath.mpf of a raw float, for library callers of mpf results:
+    the package's one import of mpmath, which computes nothing here."""
     import mpmath
 
     return mpmath.mp.make_mpf(x)
@@ -856,26 +859,6 @@ def _floor_const(fixed, wp: int, *args) -> int:
 _LOG_GUARD = 24  # guard bits of `raw_log` past the result's leading bit
 _LOG_GRID = 9  # ln c is cached for the multiples c of 2^-_LOG_GRID in [45/64, 90/64]
 _LOG_ONE = 1 << _LOG_GRID
-_LOG_COARSE = 5  # ln(c 2^-g) is made from ln of the nearest multiple of 2^-_LOG_COARSE
-
-
-def _ln_grid_fixed(wp: int, c: int) -> tuple[int, int]:
-    """(V, E): ln(c 2^-g) 2^wp within E units, g = `_LOG_GRID`, for a
-    multiple c 2^-g of the grid in [45/64, 90/64]: ln(c1 2^-h) of the
-    nearest multiple c1 2^-h of the coarse grid, h = `_LOG_COARSE`, floored
-    (within 1 unit, cached per precision, `_floor_const`), plus 2 atanh(z)
-    for z = (c - c1 2^(g-h)) / (c + c1 2^(g-h)), |z| <= 1/89, a short series
-    (`_atanh_fixed`): E = 2 (N + 14) + 1.  At a cold precision a grid
-    point so costs one short series, and each of the 24 coarse points one
-    slow one, where each grid point took a slow series of its own."""
-    shift = _LOG_GRID - _LOG_COARSE
-    c1 = (c + (1 << shift - 1)) >> shift
-    near = c1 << shift
-    S, E = _atanh_fixed(abs(c - near), c + near, wp)
-    V = 2 * S if c >= near else -2 * S
-    if c1 != 1 << _LOG_COARSE:
-        V += _floor_const(_ln_fixed, wp, c1, 1 << _LOG_COARSE)
-    return V, 2 * E + 1
 
 
 def _log_parts(man: int, exp: int) -> tuple[int, int, int, int]:
@@ -895,15 +878,14 @@ def _log_fixed(parts: tuple[int, int, int, int], wp: int) -> tuple[int, int]:
     """(R, E): log x 2^wp within E units, from `_log_parts` of x: the
     series within N + 14 units, doubled (`_atanh_fixed`), ln 2 floored
     (within 1 unit, times |k|) and ln(c 2^-g) floored (within 1 unit), both
-    cached per precision (`_floor_const`, `_ln_grid_fixed`): E = 2 (N + 14)
-    + |k| + 1."""
+    cached per precision (`_floor_const`): E = 2 (N + 14) + |k| + 1."""
     k, c, num, den = parts
     S, E = _atanh_fixed(abs(num), den, wp)
     R = 2 * S if num >= 0 else -2 * S
     if k:
         R += k * _floor_const(_ln_fixed, wp, 2, 1)
     if c != _LOG_ONE:
-        R += _floor_const(_ln_grid_fixed, wp, c)
+        R += _floor_const(_ln_fixed, wp, c, _LOG_ONE)
     return R, 2 * E + abs(k) + 1
 
 

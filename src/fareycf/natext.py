@@ -59,7 +59,7 @@ and both orbit starts, (p - q, q) and (p, q), so a sample makes no
 with its mirror's, keeps them for the length of the call, and takes pi^2
 once; `asymptotic_probe` builds its own skeleton, and an attractor keeps
 the one it was built from.  Its mass is the
-entropy's, taken once per precision and kept on it (`attractor_mass`),
+entropy's, taken once per precision and kept on it (`_raw_mass`),
 which the density and the measure divide by.  The sum of the rectangles'
 closed-form masses is only the tests' oracle.
 
@@ -74,11 +74,13 @@ h (err / A) + 2^(8 - bits) (`_entropy_of`, shared by `_entropy_run` and
 bc).  The operations and their order are those of the mpf expressions
 written out, and of the chain of `exactnum.raw_*` calls the tests keep as
 the oracle, so every raw value is theirs bit for bit, and the CLI prints
-them without mpmath (`exactnum.decimal_text`).  An `EntropySample` keeps the raw
-values and wraps each into an mpmath.mpf for library callers on first
-read; mpmath itself is imported only where a special function or an mpf
-result is asked for (the probes, `density_slice`, `measure_interval`,
-`plateau_entropy`, `attractor_mass`).
+them without mpmath (`exactnum.decimal_text`).  The other floats (the
+density, the measure, the probes' columns, the plateau value) are chains
+of `exactnum.raw_*` calls in the order of their mpf expressions, and the
+slope is one rounding of an exact quotient (`qumterval_slope`).  An
+`EntropySample` keeps the raw values and wraps each into an mpmath.mpf
+for library callers on first read; the library's other mpf results are
+wrapped as they are returned (`exactnum.raw_mpf`).
 """
 
 from __future__ import annotations
@@ -99,6 +101,8 @@ from .bifurcation import (
     simplest_rational_between,
 )
 from .exactnum import (
+    ONE,
+    ZERO,
     Exact,
     Frozen,
     QuadSurd,
@@ -114,10 +118,18 @@ from .exactnum import (
     _signed,
     mobius_apply,
     pi_squared,
+    raw_add,
     raw_div,
+    raw_float,
+    raw_int,
+    raw_log,
     raw_mpf,
+    raw_mul,
+    raw_neg,
+    raw_shift,
+    raw_sqrt,
     surd_from_periodic_cf,
-    to_mpf,
+    to_raw,
 )
 from .kdynamics import (
     expected_digits_high,
@@ -127,7 +139,7 @@ from .kdynamics import (
     rational_orbit,
     rotation_orders,
 )
-from .precision import MIN_PRECISION, checked_precision, working_precision
+from .precision import MIN_PRECISION, checked_precision
 
 
 # guard bits of the entropy path's integer scale W = bits + _GUARD (`_sample_mass`)
@@ -622,13 +634,17 @@ def corner_system_residues(w: str):
 def attractor_mass(attr: Attractor, precision: int | None = None):
     """(area integral, error bound) as mpmath.mpf: the entropy's own mass at
     the attractor's parameter and skeleton (`_sample_mass`), so
-    `entropy_at(attr.alpha, precision).A` bit for bit; taken once per
-    precision and kept on the attractor (`Attractor.masses`)."""
-    bits = checked_precision(precision)
+    `entropy_at(attr.alpha, precision).A` bit for bit (`_raw_mass`)."""
+    return tuple(map(raw_mpf, _raw_mass(attr, checked_precision(precision))))
+
+
+def _raw_mass(attr: Attractor, bits: int) -> tuple[Raw, Raw]:
+    """The raw (A, err) of `attractor_mass`, taken once per precision and
+    kept on the attractor (`Attractor.masses`)."""
     got = attr.masses.get(bits)
     if got is None:
         alpha = attr.alpha.numerator, attr.alpha.denominator
-        got = attr.masses[bits] = tuple(map(raw_mpf, _sample_mass(alpha, attr.skeleton, bits)))
+        got = attr.masses[bits] = _sample_mass(alpha, attr.skeleton, bits)
     return got
 
 
@@ -713,19 +729,20 @@ def density_slice(attr: Attractor, t, precision: int | None = None):
     """Invariant density at height t, an mpmath.mpf: the exact antiderivative
     (x_hi - x_lo)/((1+x_lo t)(1+x_hi t)) of the one rectangle with
     y_lo <= t < y_hi, found by bisection (the top one at t = alpha), over
-    `attractor_mass`, kept on the attractor."""
+    `attractor_mass`, kept on the attractor.  Each operation is rounded to
+    nearest at the working precision, in the order of these expressions,
+    the three values as `exactnum.to_raw` rounds them."""
     if not isinstance(t, (int, Fraction, QuadSurd)):
         # quadrature callers pass floats; clamp their rounding slack
         t = min(max(Fraction(float(t)), attr.alpha - 1), attr.alpha)
     if not attr.alpha - 1 <= t <= attr.alpha:
         raise ValueError("height outside the interval")
     bits = checked_precision(precision)
-    A = attractor_mass(attr, bits)[0]
+    A = _raw_mass(attr, bits)[0]
     rect = attr.rects[bisect_right(attr.rects, t, key=lambda r: r.y_lo) - 1]
-    with working_precision(bits):
-        tm = to_mpf(t)
-        xl, xh = to_mpf(rect.x_lo), to_mpf(rect.x_hi)
-        return (xh - xl) / ((1 + xl * tm) * (1 + xh * tm)) / A
+    tm, xl, xh = (to_raw(v, bits) for v in (t, rect.x_lo, rect.x_hi))
+    lo, hi = (raw_add(ONE, raw_mul(x, tm, bits), bits) for x in (xl, xh))
+    return raw_mpf(raw_div(raw_div(raw_add(xh, raw_neg(xl), bits), raw_mul(lo, hi, bits), bits), A, bits))
 
 
 def measure_interval(attr: Attractor, lo, hi, precision: int | None = None):
@@ -745,12 +762,12 @@ def measure_interval(attr: Attractor, lo, hi, precision: int | None = None):
         raise ValueError("interval must sit inside [alpha-1, alpha]")
     bits = checked_precision(precision)
     scale, skel = bits + _GUARD, attr.skeleton
-    A = attractor_mass(attr, bits)[0]
+    A = _raw_mass(attr, bits)[0]
     bottom, top = _scaled([lo, hi], scale)
     alpha = attr.alpha.numerator, attr.alpha.denominator
     band = [[min(max(K, bottom), top) for K in keys] for keys in _fitted(alpha, skel, scale)[:2]]
     B, _ = _mass_of(*skel.product(*band, scale), 0, bits)
-    return raw_mpf(raw_div(B, A._mpf_, bits))
+    return raw_mpf(raw_div(B, A, bits))
 
 
 # ---------------------------------------------------------------------------
@@ -853,10 +870,13 @@ def asymptotic_probe(n_values, precision: int | None = None) -> list[dict]:
     qumtervals have runlength (N, 1); the attractor mass grows like log N.
 
     A and its error bound come from the fit's boundary product
-    (`_sample_mass`), so A is that of `entropy_at`."""
-    import mpmath
-
+    (`_sample_mass`), so A is that of `entropy_at`; the target is the
+    entropy's own h of the mass log(N+1) (`_entropy_of`).  h, the target, A
+    and the error bound are mpmath.mpf, `ratio` and `A_minus_log` the
+    doubles of h / target and A - log(N+1), each rounded to nearest at the
+    working precision first."""
     bits = checked_precision(precision)
+    pi2 = pi_squared(bits)
     rows = []
     for n in n_values:
         if n < 2:
@@ -864,23 +884,21 @@ def asymptotic_probe(n_values, precision: int | None = None) -> list[dict]:
         q = qumterval_of("0" * n + "1")
         alpha = q.pseudocenter
         A, err = _sample_mass((alpha.numerator, alpha.denominator), _skeleton(q), bits)
-        h = raw_mpf(_entropy_of(A, err, pi_squared(bits), bits)[0])
-        A, err = raw_mpf(A), raw_mpf(err)
-        with working_precision(bits):
-            log_n1 = mpmath.log(n + 1)
-            target = mpmath.pi**2 / (3 * log_n1)
-            rows.append(
-                {
-                    "N": n,
-                    "alpha": q.pseudocenter,
-                    "h": h,
-                    "target": target,
-                    "ratio": float(h / target),
-                    "A": A,
-                    "A_minus_log": float(A - log_n1),
-                    "err_bound": err,
-                }
-            )
+        h = _entropy_of(A, err, pi2, bits)[0]
+        log_n1 = raw_log(raw_int(n + 1), bits)
+        target = _entropy_of(log_n1, ZERO, pi2, bits)[0]
+        rows.append(
+            {
+                "N": n,
+                "alpha": alpha,
+                "h": raw_mpf(h),
+                "target": raw_mpf(target),
+                "ratio": raw_float(raw_div(h, target, bits)),
+                "A": raw_mpf(A),
+                "A_minus_log": raw_float(raw_add(A, raw_neg(log_n1), bits)),
+                "err_bound": raw_mpf(err),
+            }
+        )
     return rows
 
 
@@ -888,26 +906,30 @@ def qumterval_slope(q: Qumterval, precision: int | None = None) -> dict:
     """Difference quotient of the entropy across the inner 3/4 of a qumterval.
 
     Off the plateau (m0 != m1) the entropy is strictly monotone on q, so two
-    entropies within their error bounds of each other (compared exactly)
-    differ by rounding only: ValueError, naming the precision.  Without one
-    given it works at 2 b + 64 bits, if above the default, for a qumterval
-    about 2^-2b wide, b the bit length of its pseudocenter's denominator."""
-    import mpmath
-
+    entropies within their error bounds of each other differ by rounding
+    only: ValueError, naming the precision.  Without one given it works at
+    2 b + 64 bits, if above the default, for a qumterval about 2^-2b wide,
+    b the bit length of its pseudocenter's denominator.  The raw entropies
+    and bounds are compared exactly, as integers at their least exponent,
+    and the slope is the correctly rounded double of the exact quotient."""
     if precision is None:
         precision = max(checked_precision(None), 2 * q.pseudocenter.denominator.bit_length() + 64)
     width = q.alpha_plus - q.alpha_minus
     p1 = simplest_rational_between(q.alpha_minus, q.alpha_minus + width / 8)
     p2 = simplest_rational_between(q.alpha_plus - width / 8, q.alpha_plus)
     s1, s2 = _entropy_run([p1, p2], precision)
-    if q.m0 != q.m1 and abs(mpmath.fsub(s2.h, s1.h, exact=True)) <= mpmath.fadd(s1.err_bound, s2.err_bound, exact=True):
+    raws = s1.raw_h, s2.raw_h, s1.raw_err, s2.raw_err
+    e = min(x[2] for x in raws)
+    h1, h2, err1, err2 = (_signed(x) << (x[2] - e) for x in raws)
+    if q.m0 != q.m1 and abs(h2 - h1) <= err1 + err2:
         bits = checked_precision(precision)
         raise ValueError(f"entropy difference below its error bound at {bits} bits: raise the precision")
+    num, den = (h2 - h1) * (p2 - p1).denominator, (p2 - p1).numerator
     return {
         "word": q.word,
         "a": p1,
         "b": p2,
-        "slope": float((s2.h - s1.h) / (p2 - p1)),
+        "slope": (num << e) / den if e >= 0 else num / (den << -e),  # int / int rounds correctly
         "excess_zeros": q.m0 - q.m1,
     }
 
@@ -965,17 +987,18 @@ def slope_growth_probe(
 
 def plateau_entropy(precision: int | None = None):
     """pi^2 / (6 log(1+g)) with g the golden mean, an mpmath.mpf: the
-    constant value of the entropy on the middle qumterval."""
-    import mpmath
+    constant value of the entropy on the middle qumterval (`_plateau`)."""
+    return raw_mpf(_plateau(checked_precision(precision)))
 
-    with working_precision(precision):
-        g = (mpmath.sqrt(5) - 1) / 2
-        return mpmath.pi**2 / (6 * mpmath.log(1 + g))
+
+def _plateau(bits: int) -> Raw:
+    """The raw pi^2 / (6 log(1+g)), g = (sqrt(5) - 1) / 2: each operation
+    rounded to nearest at `bits`, in the order of these expressions."""
+    g = raw_shift(raw_add(raw_sqrt(raw_int(5), bits), raw_int(-1), bits), -1)
+    return raw_div(pi_squared(bits), raw_mul(raw_int(6), raw_log(raw_add(ONE, g, bits), bits), bits), bits)
 
 
 def selftest() -> list[tuple[str, bool]]:
-    import mpmath
-
     checks = []
     x, y = attractor_corners("01")
     g = surd_from_periodic_cf((), (1,))
@@ -988,11 +1011,10 @@ def selftest() -> list[tuple[str, bool]]:
             all(r.x_lo <= 0 and r.x_hi >= Fraction(1, 3) for r in attr.rects),
         )
     )
-    with working_precision(None):
-        h = entropy_at(Fraction(9, 20)).h
-        checks.append(("plateau value", abs(h - plateau_entropy()) < mpmath.mpf(10) ** -20))
-        sym = entropy_at(Fraction(11, 20)).h
-        checks.append(("reflection", abs(h - sym) == 0))
+    bits = checked_precision(None)
+    h = entropy_at(Fraction(9, 20), bits).raw_h
+    checks.append(("plateau value", abs(raw_float(raw_add(h, raw_neg(_plateau(bits)), bits))) < 1e-20))
+    checks.append(("reflection", entropy_at(Fraction(11, 20), bits).raw_h == h))
     (l1, r1), (l2, r2) = corner_system_residues("00101")
     checks.append(("corner system", l1 == r1 and l2 == r2))
     return checks

@@ -1,16 +1,16 @@
 """Working precision for the floating outputs.
 
 All geometry upstream is exact; floats appear only in final log and pi^2
-evaluations and in decimal output columns.  Precision is in bits (mpmath
-semantics), at least 64, default 128, overridable through the
-FAREYCF_PRECISION environment variable, which is read when a default
-precision is needed, never at import.
+evaluations and in decimal output columns, as the package's own binary
+floats (`exactnum`).  Precision is in bits of mantissa, at least 64,
+default 128, overridable through the FAREYCF_PRECISION environment
+variable, which is read when a default precision is needed, never at
+import.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 
 MIN_PRECISION = 64
 DEFAULT_PRECISION = 128  # without FAREYCF_PRECISION
@@ -31,13 +31,3 @@ def checked_precision(bits: int | None) -> int:
     if bits < MIN_PRECISION:
         raise ValueError(f"{name} must be >= {MIN_PRECISION}")
     return bits
-
-
-@contextmanager
-def working_precision(bits: int | None = None):
-    """mpmath's context at `bits` (`checked_precision`), for the library's
-    mpf results; printing needs no mpmath."""
-    import mpmath
-
-    with mpmath.workprec(checked_precision(bits)):
-        yield mpmath.mp

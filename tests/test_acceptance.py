@@ -29,7 +29,7 @@ from fareycf import natext as nx
 from fareycf import words as wd
 from fareycf.exactnum import surd_from_periodic_cf
 from fareycf.lyapunov import lyapunov_estimate
-from fareycf.precision import working_precision
+from mpf_oracle import working_precision
 
 _G = surd_from_periodic_cf((), (1,))
 G2 = _G * _G  # left edge of the plateau window

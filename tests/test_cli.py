@@ -435,7 +435,8 @@ class TestColdStart:
 
     def test_cli_floats_load_no_mpmath(self):
         # the package and the CLI's printed floats (the entropy tail, the
-        # decimals of exact values, exact zeros) are integer arithmetic
+        # decimals of exact values, exact zeros, the zeta sum of surd
+        # lengths, the slope, the selftests) are integer arithmetic
         code = (
             "import io, sys\n"
             "from contextlib import redirect_stdout\n"
@@ -448,12 +449,15 @@ class TestColdStart:
             "    ['attractor', '--alpha', '1/7', '--json'],\n"
             "    ['entropy', 'curve', '--from', '1/50', '--to', '49/50', '--samples', '20'],\n"
             "    ['qumterval', 'info', '--word', '001'],\n"
+            "    ['probe', 'zeta', '--s', '0.25', '--depth', '8'],\n"
+            "    ['probe', 'slope', '--word', '001', '--halvings', '1'],\n"
+            "    ['entropy', '--selftest'],\n"
             "):\n"
             "    with redirect_stdout(io.StringIO()):\n"
             "        code = cli.main(argv)\n"
             "    print(code, 'mpmath' in sys.modules)\n"
         )
-        assert self.child_output(code).splitlines() == ["False"] + ["0 False"] * 5
+        assert self.child_output(code).splitlines() == ["False"] + ["0 False"] * 8
 
     @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help pins recorded with the argparse of Python 3.11")
     @pytest.mark.parametrize("level", list(HELP_PINS))

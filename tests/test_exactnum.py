@@ -15,12 +15,14 @@ from mpmath.libmp import (
     mpf_div,
     mpf_log,
     mpf_mul,
+    mpf_neg,
     mpf_pi,
     mpf_pos,
     mpf_pow_int,
     round_down,
     round_nearest,
     round_up,
+    to_float,
     to_str,
 )
 
@@ -424,18 +426,15 @@ class TestIntegerFloats:
             for mode, rnd in (("n", round_nearest), ("d", round_down), ("u", round_up)):
                 assert ex.raw_div(x, y, prec, mode) == mpf_div(x, y, prec, rnd)
 
-    @settings(max_examples=12, deadline=None)
-    @given(st.integers(100, 3100))
-    @example(100)
-    @example(156)  # the working precision of a 128-bit log
-    @example(3100)
-    def test_grid_logs_from_the_coarse_table(self, wp):
-        # ln(c 2^-9) of every grid point, made cold from the coarse table and
-        # a short series, is the floor of the direct slow series
-        ex._floor_const.cache_clear()
-        for c in range(360, 721):
-            if c != ex._LOG_ONE:
-                assert ex._floor_const(ex._ln_grid_fixed, wp, c) == ex._floor_const(ex._ln_fixed, wp, c, ex._LOG_ONE), c
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(raw_values(), raw_values(max_exp=1200), raw_values(max_bits=60, max_exp=1100)))
+    @example(from_man_exp(2**54 - 1, 970))  # rounds up past the largest double: inf
+    @example(from_man_exp(-(2**53 - 1), 971))  # the largest double, negated
+    @example(from_man_exp(3, -1076))  # below the least normal double
+    def test_float_and_negation_as_libmp(self, x):
+        assert ex.raw_neg(x) == mpf_neg(x)
+        got, want = ex.raw_float(x), to_float(x, rnd=round_nearest)  # as float(mpf) calls it
+        assert got == want and math.copysign(1, got) == math.copysign(1, want)
 
     @settings(max_examples=500, deadline=None)
     @given(

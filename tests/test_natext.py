@@ -28,10 +28,11 @@ from fareycf.exactnum import (
     mobius_apply,
     pi_squared,
     surd_from_periodic_cf,
-    to_mpf,
 )
 from fareycf.lyapunov import lyapunov_estimate
-from fareycf.precision import DEFAULT_PRECISION, checked_precision, working_precision
+from fareycf.precision import DEFAULT_PRECISION, checked_precision
+import mpf_oracle as oracle
+from mpf_oracle import to_mpf, working_precision
 
 G = surd_from_periodic_cf((), (1,))  # golden mean
 
@@ -1137,16 +1138,17 @@ class TestPins:
 class TestMasses:
     def test_skeleton_is_not_part_of_the_value(self):
         # two builds keep two skeletons; they compare, hash and print alike,
-        # and each keeps the mass it gives from its own
+        # and each keeps the raw mass it gives from its own
         attr = nx.build_attractor(Fraction(337, 1000))
         twin = nx.build_attractor(Fraction(337, 1000))
         assert attr.skeleton is not twin.skeleton
         assert attr == twin and hash(attr) == hash(twin) and repr(attr) == repr(twin)
         assert "skeleton" not in repr(attr)
         first = nx.attractor_mass(attr)
-        assert nx.attractor_mass(attr) is first
+        kept = attr.masses[DEFAULT_PRECISION]
+        assert nx.attractor_mass(attr) == first and attr.masses[DEFAULT_PRECISION] is kept
         second = nx.attractor_mass(twin)
-        assert second == first and second is not first
+        assert second == first and twin.masses[DEFAULT_PRECISION] is not kept
 
     def test_records_stay_frozen_and_copyable(self):
         # no field, cached value or kept companion is reassigned after construction
@@ -1284,7 +1286,8 @@ class TestDensityAndMeasure:
             nx.attractor_mass(attr, bits)
         assert calls == [80, 128]
         twin = nx.build_attractor(Fraction(337, 1000))
-        assert {bits: attr.masses[bits] for bits in (80, 128)} == {bits: nx.attractor_mass(twin, bits) for bits in (80, 128)}
+        kept = {bits: tuple(v._mpf_ for v in nx.attractor_mass(twin, bits)) for bits in (80, 128)}
+        assert {bits: attr.masses[bits] for bits in (80, 128)} == kept
 
     def test_density_rounds_as_to_mpf_once_per_precision(self):
         # at alpha - 1, every level, 1/7 and alpha: bit for bit the scan of
@@ -1656,3 +1659,69 @@ class TestCurveAndProbes:
         assert all(r["excess_zeros"] == 1 for r in rows)
         assert all(r["slope"] > 0.5 for r in rows)
         assert abs(rows[-1]["slope"]) < 4 * abs(rows[0]["slope"])
+
+
+def slope_samples(q):
+    """The two entropy samples of `qumterval_slope` at its default precision."""
+    info = nx.qumterval_slope(q)
+    bits = max(DEFAULT_PRECISION, 2 * q.pseudocenter.denominator.bit_length() + 64)
+    return info, nx.entropy_at(info["a"], bits), nx.entropy_at(info["b"], bits)
+
+
+class TestMpfOracles:
+    # the library's float paths, computed on raw floats, against the mpf
+    # expressions they repeat (`mpf_oracle`), bit for bit
+
+    @pytest.mark.parametrize("bits", [64, 128, 300])
+    def test_density_slice(self, bits):
+        # at every level, every midpoint of two levels, 0 and random
+        # rationals of the attractors at the pseudocenters of side-0 words
+        rng = random.Random(bits)
+        for w in side0_words(8):
+            attr = nx.build_attractor(bf.qumterval_of(w).pseudocenter)
+            levels = sorted({r.y_lo for r in attr.rects} | {r.y_hi for r in attr.rects})
+            ts = levels + [(a + b) / 2 for a, b in pairwise(levels)] + [Fraction(0)]
+            ts += [attr.alpha - Fraction(rng.randint(0, 10**6), 10**6) for _ in range(5)]
+            for t in ts:
+                assert nx.density_slice(attr, t, bits)._mpf_ == oracle.density_slice(attr, t, bits)._mpf_, (w, t)
+
+    @pytest.mark.parametrize("bits", [64, 128, 512])
+    def test_asymptotic_probe(self, bits):
+        for row in nx.asymptotic_probe([*range(2, 41), 1000], bits):
+            target, ratio, A_minus_log = oracle.asymptotic_row(row, bits)
+            assert row["target"]._mpf_ == target._mpf_
+            assert (row["ratio"], row["A_minus_log"]) == (ratio, A_minus_log)
+
+    @pytest.mark.parametrize("bits", [64, 80, 128, 200, 256, 512, 1000])
+    def test_plateau_entropy(self, bits):
+        assert nx.plateau_entropy(bits)._mpf_ == oracle.plateau_entropy(bits)._mpf_
+
+    @settings(max_examples=200, deadline=None)
+    @given(surds)
+    def test_surd_float(self, x):
+        assert float(x) == oracle.surd_float(x)
+
+    def test_float_of_atlas_lengths(self):
+        for q in bf.atlas(12):
+            assert float(q.length) == oracle.surd_float(q.length), q.word
+
+    def test_selftest(self):
+        checks = dict(nx.selftest())
+        assert {name: checks[name] for name in ("plateau value", "reflection")} == oracle.selftest_checks()
+
+    def test_slope_is_the_correctly_rounded_quotient(self):
+        # on the side-0 qumtervals of up to 11 letters; the former quotient,
+        # each step rounded at 53 bits, prints the same 9 decimals
+        for w in side0_words(11):
+            info, s1, s2 = slope_samples(bf.qumterval_of(w))
+            assert info["slope"] == oracle.slope(s1, s2), w
+            assert f"{info['slope']:.9f}" == f"{oracle.slope_at_53_bits(s1, s2):.9f}", w
+
+    @pytest.mark.parametrize("word", ["00101", "001", "0001001"])
+    def test_slope_ignores_the_mpmath_context(self, word):
+        # the slope once divided at whatever mpmath.mp.prec its caller had set
+        q = bf.qumterval_of(word)
+        want = nx.qumterval_slope(q)["slope"]
+        for prec in (12, 300):
+            with mpmath.workprec(prec):
+                assert nx.qumterval_slope(q)["slope"] == want, prec
