@@ -281,13 +281,13 @@ def cmd_entropy_curve(args) -> int:
 
 
 def cmd_probe_asymptotic(args) -> int:
-    rows = nx.asymptotic_probe(args.N, args.precision)
+    rows = nx._asymptotic_rows(args.N, args.precision)
     lines = ["N,alpha,h,target,ratio,A,A_minus_log"]
     for r in rows:
         lines.append(
             f"{r['N']},{ex.format_exact(r['alpha'])},"
-            f"{ex.decimal_text(r['h']._mpf_, 20)},{ex.decimal_text(r['target']._mpf_, 20)},"
-            f"{r['ratio']:.12f},{ex.decimal_text(r['A']._mpf_, 20)},{r['A_minus_log']:.12f}"
+            f"{ex.decimal_text(r['h'], 20)},{ex.decimal_text(r['target'], 20)},"
+            f"{r['ratio']:.12f},{ex.decimal_text(r['A'], 20)},{r['A_minus_log']:.12f}"
         )
     _emit(args, "\n".join(lines))
     return 0

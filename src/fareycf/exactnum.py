@@ -630,9 +630,10 @@ def parse_fraction(text: str) -> Fraction:
 # compute, wraps into it (`raw_mpf`) and prints as mpmath prints it
 # (`decimal_text`), and the printed floats of a CLI call need no mpmath.
 # The operations work on pairs (m, e) of a signed mantissa and an exponent,
-# with one rounding to nearest (`_near`) and one quotient (`_quotient`);
-# the raw_* functions wrap them, and a caller that chains operations (the
-# entropy's float tail) keeps the pairs and makes raw floats of its results.
+# with one rounding to nearest (`_near`), one directed truncation (`_cut`)
+# and one quotient (`_quotient`); the raw_* functions wrap them, and a
+# caller that chains operations (the entropy's float tail) keeps the pairs
+# and makes raw floats of its results.
 
 Raw = tuple  # (sign, man, exp, bc)
 ZERO = (0, 0, 0, 0)
@@ -668,17 +669,22 @@ def _raw(m: int, e: int) -> Raw:
     return int(m < 0), a, e, a.bit_length()
 
 
+def _cut(m: int, e: int, prec: int, mode: str) -> tuple[int, int]:
+    """m 2^e, m >= 0, cut to `prec` bits toward zero ("d") or away from
+    zero ("u"), as a pair (m, e), not normalized: the one directed
+    truncation of the raw floats (`_round`, `_pow10`).  Rounding up may
+    leave the mantissa at 2^prec."""
+    excess = m.bit_length() - prec
+    if excess <= 0:
+        return m, e
+    return (m >> excess if mode == "d" else -(-m >> excess)), e + excess
+
+
 def _round(sign: int, man: int, exp: int, prec: int, mode: str = "n") -> Raw:
     """(-1)^sign man 2^exp, man >= 0, rounded to `prec` bits: to nearest
     with ties to even ("n", `_near`), toward zero ("d") or away from zero
-    ("u"), as a raw float (`_raw`)."""
-    if mode == "n":
-        man, exp = _near(man, exp, prec)
-    else:
-        excess = man.bit_length() - prec
-        if excess > 0:
-            man = man >> excess if mode == "d" else -(-man >> excess)
-            exp += excess
+    ("u", `_cut`), as a raw float (`_raw`)."""
+    man, exp = _near(man, exp, prec) if mode == "n" else _cut(man, exp, prec, mode)
     return _raw(-man if sign else man, exp)
 
 
@@ -950,21 +956,14 @@ def _pow10(n: int, prec: int, mode: str) -> Raw:
     if 3 * n < 1000:
         return _round(0, 5**n, n, prec, mode)
     work = prec + 4 * n.bit_length() + 4
-
-    def cut(m, e):
-        excess = m.bit_length() - work
-        if excess <= 0:
-            return m, e
-        return (m >> excess if mode == "d" else -(-m >> excess)), e + excess
-
     pm, pe, man, exp = 1, 0, 5, 1
     while True:
         if n & 1:
-            pm, pe = cut(pm * man, pe + exp)
+            pm, pe = _cut(pm * man, pe + exp, work, mode)
             n -= 1
             if not n:
                 return _round(0, pm, pe, prec, mode)
-        man, exp = cut(man * man, 2 * exp)
+        man, exp = _cut(man * man, 2 * exp, work, mode)
         n //= 2
 
 

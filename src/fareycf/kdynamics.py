@@ -3,7 +3,8 @@
 For a parameter alpha in (0, 1) the map sends [alpha-1, alpha] to itself,
 choosing the unique integer digit that lands the image in [alpha-1, alpha).
 Digits and orbit points are exact (rationals, or surds of one quadratic
-field); the running digit-matrix products invert the dynamics step by step.
+field); the product of the inverse branches over the first k digits
+(`branch_product`) inverts the first k steps.
 
 Sign dictionary: a branch written as x -> T^k S x in matrix form corresponds
 to digit c = -k in the digit form x -> -1/x - c; digits are reported in the
@@ -14,13 +15,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import groupby
 
 from . import cfstrings as cfs
 from . import words
 from .bifurcation import qumterval_of
-from .exactnum import E, Exact, Frozen, Mobius, S, T, coprime_fraction, floor_exact, matrix_product
+from .exactnum import E, Exact, Mobius, S, T, coprime_fraction, floor_exact, matrix_product
 
 ZERO = Fraction(0)
 _SLOW_MAX_STEPS = 10_000  # translations `slow_first_return` takes before giving up
@@ -48,23 +49,12 @@ def _check_in_interval(alpha, x) -> None:
         raise ValueError(f"point {x} outside [alpha-1, alpha] for alpha={alpha}")
 
 
-class OrbitRecord(Frozen, namedtuple("OrbitRecord", "start points digits hit_zero")):
-    """Exact orbit with its digits.
+class OrbitRecord(namedtuple("OrbitRecord", "start points digits hit_zero")):
+    """Exact orbit with its digits.  Once the orbit hits 0 it stays there
+    and digits become None.  The level map of points[k] is the adjugate of
+    `branch_product(digits[:k])`."""
 
-    Once the orbit hits 0 it stays there and digits become None.  The
-    cumulative inverse matrices are derived from the digits on first access:
-    matrices[k] recovers the start from points[k+1], and they stop extending
-    at 0."""
-
-    @cached_property
-    def matrices(self) -> tuple[Mobius, ...]:
-        out: list[Mobius] = []
-        for c in self.digits:
-            if c is None:
-                break
-            step_m = Mobius(0, -1, 1, c)
-            out.append(out[-1] * step_m if out else step_m)
-        return tuple(out)
+    __slots__ = ()
 
 
 _POINT_SCALE = 64  # the scale s of `rational_orbit` when it returns exact points
@@ -198,7 +188,7 @@ def _word_pattern(w: str) -> tuple[tuple[int, ...], tuple[int, ...], Mobius, Mob
     """(low, high, M, M'): the digits of the orbits of alpha - 1 (m0 steps)
     and of alpha (m1 steps) on the qumterval of w, the word's digit pattern
     (`expected_digits_low`, `_high`), and their inverse-branch products
-    (`_branch_product`), the certificate of `matching_matrices`.  A side-1
+    (`branch_product`), the certificate of `matching_matrices`.  A side-1
     word takes its mirror's, conjugated by x -> -x: the conjugation (alpha,
     x) -> (1 - alpha, -x) maps the orbit of alpha - 1 to that of 1 - alpha
     and negates every digit, so the patterns are the mirror's negated and
@@ -208,12 +198,18 @@ def _word_pattern(w: str) -> tuple[tuple[int, ...], tuple[int, ...], Mobius, Mob
         low, high, M, M_prime = _word_pattern(words.transpose(words.negate(w)))
         return tuple(-c for c in high), tuple(-c for c in low), E * M_prime * E, E * M * E
     low, high = expected_digits_low(q.S), expected_digits_high(q.S)
-    return low, high, _branch_product(low), _branch_product(high)
+    return low, high, branch_product(low), branch_product(high)
 
 
-def _branch_product(digits) -> Mobius:
+def branch_product(digits) -> Mobius:
     """The product of the inverse branches (0, -1, 1, c) over `digits`, left
-    to right (`matrix_product`); a run of equal digits enters as one power."""
+    to right (`matrix_product`); a run of equal digits enters as one power.
+
+    It inverts the level map: over an orbit's first k digits it sends
+    point k back to the start, and its adjugate (`Mobius.inverse`), the
+    branches x -> -1/x - c composed in step order, sends the start to
+    point k.  Over the word's digit pattern it is the certificate's M or
+    M' (`_word_pattern`)."""
     return matrix_product(_branch_power(c, len(list(run))) for c, run in groupby(digits))
 
 
@@ -232,7 +228,7 @@ def verify_matching(w: str, alphas) -> dict:
     (`rational_orbit`), with no exact point on the way.  An orbit whose
     digits are the word's digit pattern (`_word_pattern`) has the pattern's
     product, so where that is the certificate's no product is taken; only
-    other digits are multiplied out (`_branch_product`).
+    other digits are multiplied out (`branch_product`).
 
     Parameters outside the qumterval are reported, never skipped silently.
     """
@@ -256,8 +252,8 @@ def verify_matching(w: str, alphas) -> dict:
         constant = (
             None not in low_digits
             and None not in high_digits
-            and (low_known and tuple(low_digits) == want_low or _branch_product(low_digits) == cert.M)
-            and (high_known and tuple(high_digits) == want_high or _branch_product(high_digits) == cert.M_prime)
+            and (low_known and tuple(low_digits) == want_low or branch_product(low_digits) == cert.M)
+            and (high_known and tuple(high_digits) == want_high or branch_product(high_digits) == cert.M_prime)
         )
         ok = collision and constant
         all_exact = all_exact and ok

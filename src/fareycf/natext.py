@@ -785,7 +785,10 @@ def entropy_grid(start, stop, samples: int) -> list[Fraction]:
     With start = sn/sd and stop = tn/td the numerator of point i is the
     rounded quotient of (sn td (samples+1) + (tn sd - sn td) i) 2^19 by
     sd td (samples+1), taken in integers; only a kept point becomes a
-    `Fraction`.
+    `Fraction`.  Once (stop - start) 2^19 < samples + 1, points lie less
+    than a step apart and round at most a step apart: the kept points are
+    then every multiple of 2^-19 inside (start, stop) from the rounding of
+    point 1 to that of point `samples`, taken with no loop.
     """
     start, stop = Fraction(start), Fraction(stop)
     if not 0 < start < stop < 1:
@@ -797,16 +800,16 @@ def entropy_grid(start, stop, samples: int) -> list[Fraction]:
     den = sd * td * parts
     base, step = sn * td * parts, tn * sd - sn * td
     lo, hi = sn * _GRID_DEN, tn * _GRID_DEN
-    grid = []
-    last = None
-    for i in range(1, parts):
+
+    def rounded(i):
         k, rem = divmod((base + step * i) * _GRID_DEN, den)
-        if 2 * rem > den or (2 * rem == den and k & 1):
-            k += 1
-        if k * sd > lo and k * td < hi and k != last:
-            grid.append(Fraction(k, _GRID_DEN))
-            last = k
-    return grid
+        return k + 1 if 2 * rem > den or (2 * rem == den and k & 1) else k
+
+    if step * _GRID_DEN < den:
+        kept = range(max(rounded(1), lo // sd + 1), min(rounded(samples), -(-hi // td) - 1) + 1)
+    else:
+        kept = dict.fromkeys(k for k in map(rounded, range(1, parts)) if k * sd > lo and k * td < hi)
+    return [Fraction(k, _GRID_DEN) for k in kept]
 
 
 def entropy_curve(
@@ -815,18 +818,21 @@ def entropy_curve(
     """Entropy along a rational grid in (start, stop), endpoints avoided.
 
     The samples equal those of `entropy_at`.  With jobs > 1 contiguous chunks
-    of the grid go to worker processes, each through the same loop.
+    of the grid, about four per worker, go to worker processes, each through
+    the same loop; the pool has at most one worker per chunk and per CPU.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     grid = entropy_grid(start, stop, samples)
-    if jobs > 1:
+    if jobs > 1 and grid:
         # imported here: it pulls in multiprocessing, which every cold start would pay
         from concurrent.futures import ProcessPoolExecutor
+        from os import cpu_count
 
-        size = -(-len(grid) // (4 * jobs))
+        workers = min(jobs, cpu_count() or 1)
+        size = -(-len(grid) // (4 * workers))
         chunks = [grid[k : k + size] for k in range(0, len(grid), size)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             parts = pool.map(_entropy_run, chunks, [precision] * len(chunks))
             return [s for part in parts for s in part]
     return _entropy_run(grid, precision)
@@ -868,13 +874,19 @@ def _entropy_run(grid, precision: int | None) -> list[EntropySample]:
 def asymptotic_probe(n_values, precision: int | None = None) -> list[dict]:
     """Entropy against pi^2/(3 log(N+1)) at the parameters 1/(N+1) whose
     qumtervals have runlength (N, 1); the attractor mass grows like log N.
+    The rows of `_asymptotic_rows`, h, the target, A and the error bound
+    wrapped into mpmath.mpf."""
+    wrapped = ("h", "target", "A", "err_bound")
+    return [{**row, **{key: raw_mpf(row[key]) for key in wrapped}} for row in _asymptotic_rows(n_values, precision)]
 
-    A and its error bound come from the fit's boundary product
-    (`_sample_mass`), so A is that of `entropy_at`; the target is the
-    entropy's own h of the mass log(N+1) (`_entropy_of`).  h, the target, A
-    and the error bound are mpmath.mpf, `ratio` and `A_minus_log` the
-    doubles of h / target and A - log(N+1), each rounded to nearest at the
-    working precision first."""
+
+def _asymptotic_rows(n_values, precision: int | None) -> list[dict]:
+    """The rows of the probe, which `probe asymptotic` prints: A and its
+    error bound come from the fit's boundary product (`_sample_mass`), so A
+    is that of `entropy_at`; the target is the entropy's own h of the mass
+    log(N+1) (`_entropy_of`); h, the target, A and the bound are raw floats,
+    `ratio` and `A_minus_log` the doubles of h / target and A - log(N+1),
+    each rounded to nearest at the working precision first."""
     bits = checked_precision(precision)
     pi2 = pi_squared(bits)
     rows = []
@@ -887,18 +899,10 @@ def asymptotic_probe(n_values, precision: int | None = None) -> list[dict]:
         h = _entropy_of(A, err, pi2, bits)[0]
         log_n1 = raw_log(raw_int(n + 1), bits)
         target = _entropy_of(log_n1, ZERO, pi2, bits)[0]
-        rows.append(
-            {
-                "N": n,
-                "alpha": alpha,
-                "h": raw_mpf(h),
-                "target": raw_mpf(target),
-                "ratio": raw_float(raw_div(h, target, bits)),
-                "A": raw_mpf(A),
-                "A_minus_log": raw_float(raw_add(A, raw_neg(log_n1), bits)),
-                "err_bound": raw_mpf(err),
-            }
-        )
+        rows.append(dict(
+            N=n, alpha=alpha, h=h, target=target, ratio=raw_float(raw_div(h, target, bits)),
+            A=A, A_minus_log=raw_float(raw_add(A, raw_neg(log_n1), bits)), err_bound=err,
+        ))
     return rows
 
 

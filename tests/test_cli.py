@@ -131,6 +131,14 @@ class TestSubcommands:
         assert lines[0] == "alpha,word,m0,m1,A,h,err_bound"
         assert len(lines) == 6
 
+    def test_entropy_curve_of_an_empty_grid(self, capsys):
+        # both points round onto the same grid point outside the range: the
+        # header alone, with or without worker processes
+        argv = ("entropy", "curve", "--from", "1000000/3000001", "--to", "1000001/3000001", "--samples", "2")
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, "alpha,word,m0,m1,A,h,err_bound\n", "")
+        assert run(capsys, *argv, "--jobs", "2") == (code, out, err)
+
     def test_probe_asymptotic(self, capsys):
         code, out, _ = run(capsys, "probe", "asymptotic", "--N", "10", "--N", "20")
         lines = out.strip().splitlines()
@@ -436,7 +444,8 @@ class TestColdStart:
     def test_cli_floats_load_no_mpmath(self):
         # the package and the CLI's printed floats (the entropy tail, the
         # decimals of exact values, exact zeros, the zeta sum of surd
-        # lengths, the slope, the selftests) are integer arithmetic
+        # lengths, the slope, the selftests, the asymptotic probe) are
+        # integer arithmetic
         code = (
             "import io, sys\n"
             "from contextlib import redirect_stdout\n"
@@ -452,12 +461,13 @@ class TestColdStart:
             "    ['probe', 'zeta', '--s', '0.25', '--depth', '8'],\n"
             "    ['probe', 'slope', '--word', '001', '--halvings', '1'],\n"
             "    ['entropy', '--selftest'],\n"
+            "    ['probe', 'asymptotic', '--N', '3'],\n"
             "):\n"
             "    with redirect_stdout(io.StringIO()):\n"
             "        code = cli.main(argv)\n"
             "    print(code, 'mpmath' in sys.modules)\n"
         )
-        assert self.child_output(code).splitlines() == ["False"] + ["0 False"] * 8
+        assert self.child_output(code).splitlines() == ["False"] + ["0 False"] * 9
 
     @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help pins recorded with the argparse of Python 3.11")
     @pytest.mark.parametrize("level", list(HELP_PINS))

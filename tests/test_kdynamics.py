@@ -35,19 +35,34 @@ def alphas_inside(q, per_side=2):
     return sorted(set(out))
 
 
+def prefix_products(digits):
+    """The running products of the inverse branches (0, -1, 1, c), one
+    `Mobius` product per digit, up to the first None: the reference of
+    `branch_product` over each prefix."""
+    out = []
+    for c in digits:
+        if c is None:
+            break
+        m = Mobius(0, -1, 1, c)
+        out.append(out[-1] * m if out else m)
+    return tuple(out)
+
+
 def k_step_fold(alpha, x, steps):
     """Reference orbit: `k_step` applied `steps` times, with the running
     product of the digit matrices and whether the start or a point stepped
     from was 0."""
-    points, digits, matrices = [x], [], []
+    points, digits = [x], []
     for _ in range(steps):
         nxt, c = kd.k_step(alpha, points[-1])
         points.append(nxt)
         digits.append(c)
-        if c is not None:
-            m = Mobius(0, -1, 1, c)
-            matrices.append(matrices[-1] * m if matrices else m)
-    return tuple(points), tuple(digits), tuple(matrices), x == 0 or 0 in points[:-1]
+    return tuple(points), tuple(digits), prefix_products(digits), x == 0 or 0 in points[:-1]
+
+
+def prefix_branch_products(digits, count):
+    """`branch_product` over the first 1, ..., count digits."""
+    return tuple(kd.branch_product(digits[:k]) for k in range(1, count + 1))
 
 
 @st.composite
@@ -109,7 +124,7 @@ class TestOrbit:
         ]
         assert rec.digits == digits
         assert rec.hit_zero == hit_zero
-        assert rec.matrices == matrices
+        assert prefix_branch_products(rec.digits, len(matrices)) == matrices
 
     @given(
         st.fractions(-4, 4, max_denominator=60),
@@ -151,9 +166,9 @@ class TestOrbit:
     def test_orbits_reaching_zero(self):
         rec = kd.orbit(Fraction(2, 5), Fraction(-3, 5), 6)
         assert rec.hit_zero and rec.points[-1] == 0 and rec.digits[-1] is None
-        assert (rec.points, rec.digits, rec.matrices, True) == k_step_fold(
-            Fraction(2, 5), Fraction(-3, 5), 6
-        )
+        points, digits, matrices, hit_zero = k_step_fold(Fraction(2, 5), Fraction(-3, 5), 6)
+        assert (rec.points, rec.digits, hit_zero) == (points, digits, True)
+        assert prefix_branch_products(rec.digits, len(matrices)) == matrices
         assert kd.orbit(Fraction(1, 3), 0, 2).hit_zero
         assert kd.orbit(Fraction(1, 3), Fraction(0), 0).hit_zero
         assert not kd.orbit(Fraction(1, 2), Fraction(1, 2), 1).hit_zero
@@ -161,7 +176,9 @@ class TestOrbit:
     def test_quadratic_orbit_equals_k_step_fold(self):
         alpha = bf.qumterval_of("001").alpha_plus
         rec = kd.orbit(alpha, alpha - 1, 6)
-        assert (rec.points, rec.digits, rec.matrices, rec.hit_zero) == k_step_fold(alpha, alpha - 1, 6)
+        points, digits, matrices, hit_zero = k_step_fold(alpha, alpha - 1, 6)
+        assert (rec.points, rec.digits, rec.hit_zero) == (points, digits, hit_zero)
+        assert prefix_branch_products(rec.digits, 6) == matrices
 
     def test_point_outside_rejected(self):
         # one start check per orbit, with the same text for Fraction and int
@@ -187,8 +204,33 @@ class TestOrbit:
             if x == 0:
                 continue
             rec = kd.orbit(alpha, x, 12)
-            for k, m in enumerate(rec.matrices, start=1):
+            for k, m in enumerate(k_step_fold(alpha, x, 12)[2], start=1):
                 assert mobius_apply(m, rec.points[k]) == x
+
+    def test_level_maps_send_the_start_to_each_level(self):
+        # the adjugate of the inverse-branch product over the first k digits
+        # is the level map M_k: it sends each endpoint orbit's start to its
+        # point k, at every k on the side-0 atlas up to 14 letters (three
+        # parameters each), and at each power of two and the last k on the
+        # Fibonacci words up to 2584 letters at their pseudocenters
+        cases = [
+            (alpha, q.m0, q.m1, range(max(q.m0, q.m1) + 1))
+            for q in bf.atlas(14)
+            if wd.farey_side(q.word) == 0
+            for alpha in alphas_inside(q, per_side=1)
+        ]
+        assert len(cases) == 32 * 3
+        a, b = 1, 1
+        while a + b <= 2584:
+            q = bf.qumterval_of(wd.word_from_rational(Fraction(a, a + b)))
+            cases.append((q.pseudocenter, q.m0, q.m1, [1 << j for j in range(q.m0.bit_length())]))
+            a, b = b, a + b
+        assert len(q.word) == 2584
+        for alpha, m0, m1, ks in cases:
+            for start, steps in ((alpha - 1, m0), (alpha, m1)):
+                rec = kd.orbit(alpha, start, steps)
+                for k in [k for k in ks if k < steps] + [steps]:
+                    assert mobius_apply(kd.branch_product(rec.digits[:k]).inverse(), start) == rec.points[k]
 
     def test_zero_truncation_flag(self):
         rec = kd.orbit(Fraction(1, 2), Fraction(1, 2), 4)
@@ -305,13 +347,13 @@ class TestVerifyMatching:
             assert report["all_exact"], w
 
     def test_constancy_is_the_orbits_prefix_product(self, monkeypatch):
-        # the constancy verdict against the prefix products of
-        # OrbitRecord.matrices, on side-0 and side-1 words: an orbit on the
+        # the constancy verdict against the orbits' prefix products
+        # (`prefix_products`), on side-0 and side-1 words: an orbit on the
         # word's digit pattern takes no product, and a mutated digit is
         # multiplied out; a wrong M is not constant (on 0110111, of side 1)
         products, certificates = [], {}
-        product, matching = kd._branch_product, kd.matching_matrices
-        monkeypatch.setattr(kd, "_branch_product", lambda digits: products.append(digits) or product(digits))
+        product, matching = kd.branch_product, kd.matching_matrices
+        monkeypatch.setattr(kd, "branch_product", lambda digits: products.append(digits) or product(digits))
         # the certificate's own products are taken once, outside the count
         monkeypatch.setattr(kd, "matching_matrices", lambda word: certificates.get(word) or matching(word))
         sides = set()
@@ -320,8 +362,9 @@ class TestVerifyMatching:
             certificates[w] = cert
             sides.add(wd.farey_side(w))
             for alpha in alphas_inside(q, per_side=1):
-                low, high = kd.orbit(alpha, alpha - 1, q.m0 + 1), kd.orbit(alpha, alpha, q.m1 + 1)
-                want = low.matrices[q.m0 - 1] == cert.M and high.matrices[q.m1 - 1] == cert.M_prime
+                low = k_step_fold(alpha, alpha - 1, q.m0 + 1)[2][q.m0 - 1]
+                high = k_step_fold(alpha, alpha, q.m1 + 1)[2][q.m1 - 1]
+                want = low == cert.M and high == cert.M_prime
                 products.clear()
                 [entry] = kd.verify_matching(w, [alpha])["alphas_checked"]
                 assert entry["matrices_constant"] is want is True, (w, alpha)
@@ -349,7 +392,7 @@ class TestVerifyMatching:
                         products.clear()
                         [entry] = kd.verify_matching(w, [alpha])["alphas_checked"]
                     assert products == [list(rec.digits)], (w, orbit, alpha)
-                    assert entry["matrices_constant"] is (rec.matrices[steps - 1] == (cert.M, cert.M_prime)[orbit]) is False
+                    assert entry["matrices_constant"] is (prefix_products(rec.digits)[-1] == (cert.M, cert.M_prime)[orbit]) is False
                     assert (entry["collision"], entry["status"]) == (True, "failed")
         wrong = cert._replace(M=cert.M * T)
         monkeypatch.setattr(kd, "matching_matrices", lambda word: wrong)
@@ -374,8 +417,8 @@ class TestVerifyMatching:
                 collision = low.points[-1] == high.points[-1]
                 constant = (
                     None not in low.digits[: q.m0] + high.digits[: q.m1]
-                    and kd._branch_product(low.digits[: q.m0]) == cert.M
-                    and kd._branch_product(high.digits[: q.m1]) == cert.M_prime
+                    and kd.branch_product(low.digits[: q.m0]) == cert.M
+                    and kd.branch_product(high.digits[: q.m1]) == cert.M_prime
                 )
                 want.append(
                     {

@@ -1,8 +1,11 @@
+import concurrent.futures
 import copy
 import hashlib
+import os
 import pickle
 import random
 import re
+import signal
 from fractions import Fraction
 from itertools import combinations, pairwise
 from math import gcd, isqrt, lcm
@@ -1156,9 +1159,14 @@ class TestMasses:
         q = bf.qumterval_of(attr.word)
         assert attr.alpha in q and "_bounds" in vars(q)
         sample = nx.entropy_at(attr.alpha)
-        for record, name in ((attr, "skeleton"), (attr, "masses"), (attr, "word"), (q, "m0"), (q, "_bounds"), (sample, "A")):
+        orbit = kd.orbit(attr.alpha, attr.alpha - 1, q.m0)
+        assert not hasattr(orbit, "__dict__") and not hasattr(orbit, "matrices")
+        pairs = ((attr, "skeleton"), (attr, "masses"), (attr, "word"), (q, "m0"), (q, "_bounds"), (sample, "A"))
+        for record, name in (*pairs, (orbit, "points"), (orbit, "matrices")):
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
+        for copied in (pickle.loads(pickle.dumps(orbit)), copy.deepcopy(orbit)):
+            assert copied == orbit and type(copied) is kd.OrbitRecord
         # a copy keeps the skeleton and the masses taken so far
         A = nx.attractor_mass(attr)
         for copied in (pickle.loads(pickle.dumps(attr)), copy.deepcopy(attr)):
@@ -1578,6 +1586,42 @@ class TestLeanSample:
         assert grid == fraction_grid(start, stop, 50)
         assert len(grid) == 4 and all(a < b for a, b in pairwise(grid))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.fractions(Fraction(1, 100), Fraction(99, 100), max_denominator=10**9),
+        st.fractions(Fraction(1, 2**19), Fraction(1, 2**10), max_denominator=10**9),
+        st.integers(-3, 300),
+    )
+    @example(Fraction(1, 3), Fraction(7, 2**19), 6)  # (stop - start) 2^19 = samples + 1: the loop
+    @example(Fraction(1, 3), Fraction(7, 2**19), 7)  # one sample more: no loop
+    @example(Fraction(1, 4), Fraction(3, 2**19), 2)  # both ends on the grid
+    def test_grid_past_its_step_equals_fraction_loop(self, start, span, extra):
+        # near and past (stop - start) 2^19 = samples + 1, where the kept
+        # points are one range of grid steps, taken with no loop
+        stop = start + span
+        samples = max(2, int(span * 2**19) + extra)
+        assert nx.entropy_grid(start, stop, samples) == fraction_grid(start, stop, samples)
+
+    def test_grid_of_10_11_samples_takes_no_loop(self):
+        # 10^11 samples on (1/50, 49/50) are every grid point from the
+        # rounding of the first point to that of the last; a loop over the
+        # samples would not end within the alarm
+        def expire(*_):
+            raise TimeoutError("entropy_grid stepped through the samples")
+
+        timer = getattr(signal, "setitimer", None)
+        if timer:
+            previous = signal.signal(signal.SIGALRM, expire)
+            timer(signal.ITIMER_REAL, 30)
+        try:
+            grid = nx.entropy_grid(Fraction(1, 50), Fraction(49, 50), 10**11)
+        finally:
+            if timer:
+                timer(signal.ITIMER_REAL, 0)
+                signal.signal(signal.SIGALRM, previous)
+        assert len(grid) == 503_317
+        assert [g.numerator * (2**19 // g.denominator) for g in grid] == list(range(10_486, 513_803))
+
     def test_grid_drops_endpoints(self):
         # the first and last points round onto the dyadic endpoints
         unit = Fraction(1, 2**19)
@@ -1601,6 +1645,40 @@ class TestCurveAndProbes:
         serial = nx.entropy_curve(Fraction(1, 5), Fraction(3, 10), 8)
         parallel = nx.entropy_curve(Fraction(1, 5), Fraction(3, 10), 8, jobs=2)
         assert [(s.alpha, s.h) for s in serial] == [(s.alpha, s.h) for s in parallel]
+
+    def test_pool_has_at_most_one_worker_per_chunk_and_cpu(self, monkeypatch):
+        # a forked pool starts every worker it is allowed at its first
+        # submit: it gets min(jobs, chunks, CPUs) workers, the grid about
+        # four chunks per worker, and the samples stay the serial loop's;
+        # the stub pool maps serially
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks, *rest):
+                asked.append(len(chunks))
+                return map(fn, chunks, *rest)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        serial = nx.entropy_curve(Fraction(1, 5), Fraction(3, 10), 8)
+        assert len(serial) == 8  # so at most 8 chunks
+        for cpus, jobs, workers, chunks in ((3, 2, 2, 8), (3, 10**5, 3, 8), (64, 10**5, 8, 8), (None, 10**5, 1, 4)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            asked.clear()
+            assert nx.entropy_curve(Fraction(1, 5), Fraction(3, 10), 8, jobs=jobs) == serial
+            assert asked == [workers, chunks], (cpus, jobs)
+        # an empty grid takes no pool and gives what one job gives
+        asked.clear()
+        empty = Fraction(1000000, 3000001), Fraction(1000001, 3000001)
+        assert nx.entropy_curve(*empty, 2, jobs=2) == nx.entropy_curve(*empty, 2) == [] and asked == []
 
     def test_asymptotic_rows(self):
         rows = nx.asymptotic_probe([2, 10, 40])
