@@ -1592,9 +1592,9 @@ class TestLeanSample:
         st.fractions(Fraction(1, 2**19), Fraction(1, 2**10), max_denominator=10**9),
         st.integers(-3, 300),
     )
-    @example(Fraction(1, 3), Fraction(7, 2**19), 6)  # (stop - start) 2^19 = samples + 1: the loop
-    @example(Fraction(1, 3), Fraction(7, 2**19), 7)  # one sample more: no loop
-    @example(Fraction(1, 4), Fraction(3, 2**19), 2)  # both ends on the grid
+    @example(Fraction(1, 3), Fraction(7, 2**19), -1)  # (stop - start) 2^19 = samples + 1: the loop
+    @example(Fraction(1, 3), Fraction(7, 2**19), 0)  # one sample more: no loop
+    @example(Fraction(1, 4), Fraction(3, 2**19), 0)  # both ends on the grid, no loop
     def test_grid_past_its_step_equals_fraction_loop(self, start, span, extra):
         # near and past (stop - start) 2^19 = samples + 1, where the kept
         # points are one range of grid steps, taken with no loop
