@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -325,6 +326,9 @@ def cmd_probe_zeta(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
 class _Parser(argparse.ArgumentParser):
     """The parser of a command or an action, built when argparse first
     reaches it: `add_parser` makes one per name, but `__init__` only keeps
@@ -335,6 +339,13 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, declare, **kwargs):
         self._pending = args, kwargs, declare
+
+    def _parse_optional(self, arg_string):
+        # a minus and a digit open a value, such as the fraction -6/7 that
+        # argparse would take for an option: no option here starts so
+        if _NEGATIVE_VALUE.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
     def parse_known_args(self, args=None, namespace=None):
         pending = vars(self).pop("_pending", None)
@@ -476,6 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """One call of the command line on `argv` (default: the process's
+    arguments); returns its exit code and leaves the process running."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -498,5 +511,30 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """The process entry of `python -m fareycf` and the `fareycf` script:
+    `main()`, then flush stdout and stderr and leave by `os._exit`, which
+    skips the interpreter's teardown.  Nothing is lost: `--out` files are
+    closed by `_emit`, a `--jobs` pool is joined before `main` returns, and
+    the package registers no atexit handler.  An exception that escapes
+    `main` exits as Python exits on it.  A closed stdout at the flush exits
+    141 quietly; any other failed flush is left to the interpreter's exit,
+    which reports it."""
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        code = 141  # the reader left before the end: the buffer is dropped
+    except OSError:
+        sys.exit(code)  # the interpreter's exit reports the failed flush
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -88,29 +88,23 @@ else:
 
 _FULL_FACTOR_BOUND = 4 * 10**12  # covers discriminants of qumtervals with q(S) <= 10^6
 _PARTIAL_PRIME_BOUND = 2048  # square factors looked for at and above the bound
+_FULL_PRIME_BOUND = 16000  # 16000**3 > _FULL_FACTOR_BOUND
+
+_PRIME_TABLES: dict[int, list[int]] = {}
 
 
 def _primes_below(n: int) -> list[int]:
-    sieve = bytearray([1]) * n
-    sieve[:2] = b"\0\0"
-    for i in range(2, math.isqrt(n - 1) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, n, i)))
-    return [i for i, flag in enumerate(sieve) if flag]
-
-
-_PRIME_TABLES: tuple[list[int], list[int]] | None = None
-
-
-def _prime_tables() -> tuple[list[int], list[int]]:
-    """The primes below 16000 (16000**3 > _FULL_FACTOR_BOUND) and those below
-    `_PARTIAL_PRIME_BOUND`: constant tables, built on first use and kept for
-    the life of the process."""
-    global _PRIME_TABLES
-    if _PRIME_TABLES is None:
-        primes = _primes_below(16000)
-        _PRIME_TABLES = primes, [p for p in primes if p < _PARTIAL_PRIME_BOUND]
-    return _PRIME_TABLES
+    """The primes below n, for n one of the two bounds above: a constant
+    table, built on first use and kept for the life of the process."""
+    primes = _PRIME_TABLES.get(n)
+    if primes is None:
+        sieve = bytearray([1]) * n
+        sieve[:2] = b"\0\0"
+        for i in range(2, math.isqrt(n - 1) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = bytes(len(range(i * i, n, i)))
+        primes = _PRIME_TABLES[n] = [i for i, flag in enumerate(sieve) if flag]
+    return primes
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -126,8 +120,10 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     """
     if n == 0:
         return 1, 0
-    full, small = _prime_tables()
-    primes, power = (full, 3) if n < _FULL_FACTOR_BOUND else (small, 2)
+    power = 3 if n < _FULL_FACTOR_BOUND else 2
+    # p**3 <= n < 2048**3 takes no prime above 2048: only [2048**3, bound) needs the full table
+    full = _PARTIAL_PRIME_BOUND**3 <= n < _FULL_FACTOR_BOUND
+    primes = _primes_below(_FULL_PRIME_BOUND if full else _PARTIAL_PRIME_BOUND)
     s = d = 1
     for p in primes:
         if p**power > n:

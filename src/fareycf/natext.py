@@ -844,27 +844,36 @@ def _entropy_run(grid, precision: int | None) -> list[EntropySample]:
     `_entropy_of`).  A parameter p/q above 1/2 is reflected (measurable
     conjugation) to (q - p)/q, with the containing word reported on the
     original side: the mirror word, the counts swapped.  The loop carries
-    each parameter as its pair (p, q) and makes no `Fraction` but for a
-    descent.  Parameters of one qumterval share a skeleton and both labels,
-    bound for this call only, and the qumterval of the previous parameter is
-    tried before a descent (`Qumterval.holds`)."""
+    each parameter as its pair (p, q) and makes no `Fraction` but where the
+    previous parameter's qumterval does not hold it.  Parameters of one
+    qumterval share a skeleton and both labels, bound for this call only.
+    Before a descent the qumtervals located in the call are searched: the
+    previous parameter's, then the two whose pseudocenters bracket the
+    parameter (the qumtervals are disjoint and each holds its pseudocenter,
+    so no other can hold it)."""
     bits = checked_precision(precision)
     pi2 = pi_squared(bits)
-    bound: dict[str, tuple] = {}  # word -> (skeleton, (word, m0, m1), the mirror's)
-    q = None
+    centers: list[Fraction] = []  # the pseudocenters of the located qumtervals, ascending
+    located: list[tuple] = []  # theirs: (qumterval, skeleton, (word, m0, m1), the mirror's)
+    got = None
     out = []
     for alpha in grid:
         P, Q = alpha.numerator, alpha.denominator
         mirrored = 2 * P > Q
         if mirrored:
             P = Q - P
-        if q is None or not q.holds(P, Q):
-            q = locate_qumterval(Fraction(P, Q))
-            got = bound.get(q.word)
+        if got is None or not got[0].holds(P, Q):
+            x = Fraction(P, Q)
+            i = bisect_right(centers, x)
+            got = next((near for near in located[max(i - 1, 0) : i + 1] if near[0].holds(P, Q)), None)
             if got is None:
+                q = locate_qumterval(x)
                 mirror = words.transpose(words.negate(q.word)), q.m1, q.m0
-                got = bound[q.word] = _skeleton(q), (q.word, q.m0, q.m1), mirror
-            skel, labels, mirror = got
+                got = q, _skeleton(q), (q.word, q.m0, q.m1), mirror
+                i = bisect_right(centers, q.pseudocenter)
+                centers.insert(i, q.pseudocenter)
+                located.insert(i, got)
+            _, skel, labels, mirror = got
         A, err = _sample_mass((P, Q), skel, bits)
         h, h_err = _entropy_of(A, err, pi2, bits)
         out.append(EntropySample(alpha, *(mirror if mirrored else labels), A, h, h_err))

@@ -78,6 +78,14 @@ class TestSubcommands:
             "2,0/1,0.00,2",  # an exact zero takes the column's digits
         ]
 
+    def test_negative_fraction_as_an_option_value(self, capsys):
+        # argparse reads a leading minus as an option; a minus and a digit are a value
+        joined = run(capsys, "orbit", "--alpha", "1/7", "--x=-6/7", "--steps", "3")
+        assert joined[0] == 0 and joined[1].splitlines()[1].startswith("0,-6/7,")
+        assert run(capsys, "orbit", "--alpha", "1/7", "--x", "-6/7", "--steps", "3") == joined
+        code, out, err = run(capsys, "orbit", "--alpha", "1/7", "--x", "--steps", "3")
+        assert (code, out) == (2, "") and "argument --x: expected one argument" in err
+
     def test_qumterval_info_and_locate(self, capsys):
         _, out, _ = run(capsys, "qumterval", "info", "--word", "001")
         assert "alpha_plus=(-1+1*sqrt(3))/2" in out
@@ -488,3 +496,76 @@ class TestColdStart:
         ):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, "") and err.startswith(usage), argv
+
+
+def fareycf_process(*argv):
+    """`python -m fareycf ARGV` in a child interpreter, through the process
+    entry `cli.run`; its bytes are captured."""
+    env = child_env(COLUMNS="80", LINES="24")
+    return subprocess.run([sys.executable, "-m", "fareycf", *argv], env=env, capture_output=True)
+
+
+class TestProcessEntry:
+    # a call through `python -m fareycf` ends at `os._exit` after one flush:
+    # every byte and exit code is that of `main()` in-process
+
+    def test_a_long_stdout_is_complete_through_a_pipe(self, capsys):
+        argv = ("farey", "list", "--level", "12")  # about 242 KB, many pipe buffers
+        child = fareycf_process(*argv)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and len(out) > 200_000
+        assert (child.returncode, child.stdout, child.stderr) == (0, out.encode(), b"")
+
+    def test_an_out_file_is_complete(self, capsys, tmp_path):
+        argv = ("entropy", "curve", "--from", "1/50", "--to", "49/50", "--samples", "200")
+        target = tmp_path / "curve.csv"
+        child = fareycf_process(*argv, "--out", str(target))
+        assert (child.returncode, child.stdout, child.stderr) == (0, b"", b"")
+        assert target.read_bytes() == run(capsys, *argv)[1].encode()
+
+    def test_a_usage_error_exits_2_with_its_message(self, capsys):
+        argv = ("entropy", "point", "--precision", "80")
+        child = fareycf_process(*argv)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "the following arguments are required: --alpha" in err
+        assert (child.returncode, child.stdout, child.stderr) == (2, b"", err.encode())
+
+    @pytest.mark.parametrize("level", ["", "entropy", "entropy curve"])
+    def test_help_is_complete(self, capsys, monkeypatch, level):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setenv("LINES", "24")
+        child = fareycf_process(*level.split(), "--help")
+        code, out, err = run(capsys, *level.split(), "--help")
+        assert (code, err) == (0, "")
+        assert (child.returncode, child.stdout, child.stderr) == (0, out.encode(), b"")
+
+    def test_a_pool_prints_what_one_job_prints(self):
+        argv = ("entropy", "curve", "--from", "1/50", "--to", "49/50", "--samples", "60")
+        serial = fareycf_process(*argv, "--jobs", "1")
+        pooled = fareycf_process(*argv, "--jobs", "2")
+        assert (serial.returncode, serial.stderr) == (pooled.returncode, pooled.stderr) == (0, b"")
+        assert pooled.stdout == serial.stdout and serial.stdout.count(b"\n") == 61
+
+    def test_teardown_is_skipped(self):
+        # an atexit handler of the interpreter never runs: the process leaves by os._exit
+        code = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(print, 'teardown', file=sys.stderr)\n"
+            "sys.argv = ['fareycf', 'farey', 'list', '--level', '2']\n"
+            "runpy.run_module('fareycf', run_name='__main__')\n"
+        )
+        child = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True)
+        assert (child.returncode, child.stdout, child.stderr) == (0, b"0 001 01 011 1\n", b"")
+
+    def test_an_escaping_exception_exits_as_python_does(self):
+        # `run` takes the fast exit only with a code that main() returned
+        code = (
+            "import sys\n"
+            "from fareycf import cli\n"
+            "def fail(argv=None): raise RuntimeError('boom')\n"
+            "cli.main = fail\n"
+            "cli.run()\n"
+        )
+        child = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True)
+        assert child.returncode == 1 and child.stderr.rstrip().endswith(b"RuntimeError: boom")
+

@@ -55,6 +55,29 @@ def _is_prime(n):
 
 
 _SMALL_PRIMES = [p for p in range(2, _PARTIAL_PRIME_BOUND) if _is_prime(p)]
+_ALL_PRIMES = _SMALL_PRIMES + [p for p in range(_PARTIAL_PRIME_BOUND, 16000) if _is_prime(p)]
+
+
+def _split_by_the_full_table(n):
+    """n = s*s*d as `_squarefree_split` splits it, by trial division over
+    every prime below 16000 with p**3 <= the cofactor below
+    `_FULL_FACTOR_BOUND`, and over the primes below `_PARTIAL_PRIME_BOUND`
+    with p**2 <= the cofactor at and above it."""
+    if n == 0:
+        return 1, 0
+    primes, power = (_ALL_PRIMES, 3) if n < _FULL_FACTOR_BOUND else (_SMALL_PRIMES, 2)
+    s = d = 1
+    for p in primes:
+        if p**power > n:
+            break
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        s *= p ** (e // 2)
+        d *= p ** (e % 2)
+    root = math.isqrt(n)
+    return (s * root, d) if root * root == n else (s, d * n)
 
 
 def mpf_value(p, q, r, d, dps=100):
@@ -299,6 +322,37 @@ class TestSquarefreeSplit:
             # p^2 r is past the bound, where only squares of small primes go
             assert p * p * r >= _FULL_FACTOR_BOUND
             assert _squarefree_split(p * p * r) == (1, p * p * r)
+
+    _CUBE = _PARTIAL_PRIME_BOUND**3  # below it no prime past the small table divides out
+
+    @given(
+        st.one_of(
+            st.integers(0, _CUBE - 1),
+            st.integers(_CUBE, _FULL_FACTOR_BOUND - 1),
+            st.integers(_FULL_FACTOR_BOUND, 10**40),
+            # a square or a cube of a prime past the small table, in every regime
+            st.builds(lambda p, e, m: p**e * m, st.sampled_from(_ALL_PRIMES[-200:] + _ALL_PRIMES[300:320]),
+                      st.integers(1, 3), st.integers(1, 10**9)),
+        )
+    )
+    @example(_CUBE - 1)
+    @example(_CUBE)
+    @example(_FULL_FACTOR_BOUND - 1)
+    @example(_FULL_FACTOR_BOUND)
+    @example(2053**3)  # the cube of the least prime past the small table
+    @example(15859**3)  # the cube of the largest prime that the full table must hold
+    def test_split_equals_trial_division_by_the_full_table(self, n):
+        # the tables are sized to the radicand; the split is that of the full table
+        assert _squarefree_split(n) == _split_by_the_full_table(n)
+
+    def test_a_small_radicand_builds_the_small_table_only(self, monkeypatch):
+        monkeypatch.setattr(ex, "_PRIME_TABLES", {})
+        assert _squarefree_split(5) == (1, 5)  # the radicand of word 01
+        assert _squarefree_split(self._CUBE - 1) == _split_by_the_full_table(self._CUBE - 1)
+        assert list(ex._PRIME_TABLES) == [_PARTIAL_PRIME_BOUND]
+        assert _squarefree_split(self._CUBE) == _split_by_the_full_table(self._CUBE)
+        assert sorted(ex._PRIME_TABLES) == [_PARTIAL_PRIME_BOUND, 16000]
+        assert ex._PRIME_TABLES[16000] == _ALL_PRIMES
 
     @given(st.integers(_FULL_FACTOR_BOUND, 10**400), st.integers(1, 10**6))
     def test_small_prime_squares_removed_above_the_bound(self, m, k):

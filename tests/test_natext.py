@@ -896,6 +896,27 @@ class TestBoundaryMass:
         grid = nx.entropy_grid(start, stop, samples)
         assert nx.entropy_curve(start, stop, samples) == [nx.entropy_at(a) for a in grid]
 
+    def test_figure_pass_descends_once_per_qumterval_and_call(self, monkeypatch):
+        # the figure job of scripts/entropy_figure.py: the full curve, whose
+        # reflection above 1/2 re-enters the qumtervals of its first half,
+        # and three zooms at alpha+ of 001 (79 descents when only the
+        # previous parameter's qumterval was tried)
+        words = []  # the words located, per call
+
+        def descend(alpha):
+            q = bf.locate_qumterval(alpha)
+            words[-1].append(q.word)
+            return q
+
+        monkeypatch.setattr(nx, "locate_qumterval", descend)
+        jobs = [(Fraction(1, 50), Fraction(49, 50), 400)]
+        jobs += [(Fraction(36603 - 160 // w, 100000), Fraction(36603 + 160 // w, 100000), 100) for w in (1, 4, 16)]
+        for start, stop, samples in jobs:
+            words.append([])
+            nx.entropy_curve(start, stop, samples)
+        assert all(len(set(call)) == len(call) for call in words)
+        assert sum(map(len, words)) <= 46
+
 
 class TestLevelKeys:
     # at scale 0 a level in [-1, 1) rounds to -1 or 0, yet the keys at the
