@@ -330,7 +330,7 @@ class TestSquarefreeSplit:
             st.integers(0, _CUBE - 1),
             st.integers(_CUBE, _FULL_FACTOR_BOUND - 1),
             st.integers(_FULL_FACTOR_BOUND, 10**40),
-            # a square or a cube of a prime past the small table, in every regime
+            # a power of a prime about the end of the small table or of the full one
             st.builds(lambda p, e, m: p**e * m, st.sampled_from(_ALL_PRIMES[-200:] + _ALL_PRIMES[300:320]),
                       st.integers(1, 3), st.integers(1, 10**9)),
         )
