@@ -421,11 +421,11 @@ def zeta_partial(
 
     For the qumterval variant without a window the sum diverges with depth
     for every s <= 1/2: the gaps of the cusp words 0^k 1 and 0 1^k shrink
-    only like 1/k^2.  A window keeps only the words whose interval meets it;
-    it must stay away from 0 and 1 for the sum to converge (inside
-    [1/(N+1), 1/N] the gaps decay like N^(-2|w|/(N+1))).  The binary gaps
-    1/(2(2^n - 1)) decay exponentially everywhere.  `depth` runs from 1 to
-    `words.FAREY_LIST_CAP`."""
+    only like 1/k^2.  A window (lo, hi), 0 <= lo < hi <= 1, keeps only the
+    words whose interval meets it; it must stay away from 0 and 1 for the
+    sum to converge (inside [1/(N+1), 1/N] the gaps decay like
+    N^(-2|w|/(N+1))).  The binary gaps 1/(2(2^n - 1)) decay exponentially
+    everywhere.  `depth` runs from 1 to `words.FAREY_LIST_CAP`."""
     if not 0 < s < math.inf:  # also refuses nan
         raise ValueError("exponent must be positive and finite")
     if depth < 1:
@@ -434,6 +434,8 @@ def zeta_partial(
         raise ValueError(f"depth above cap {words.FAREY_LIST_CAP}")
     if variant not in ("qumterval", "binary"):
         raise ValueError("variant must be 'qumterval' or 'binary'")
+    if window is not None and not 0 <= window[0] < window[1] <= 1:
+        raise ValueError("window needs 0 <= LO < HI <= 1")
     total = 0.0
     for w in words.words_of_length_up_to(depth):
         if variant == "qumterval":

@@ -311,10 +311,7 @@ def cmd_probe_slope(args) -> int:
 def cmd_probe_zeta(args) -> int:
     window, label = None, args.variant
     if args.window is not None:
-        lo, hi = (ex.parse_fraction(t) for t in args.window)
-        if not 0 <= lo < hi <= 1:
-            raise ValueError("--window needs 0 <= LO < HI <= 1")
-        window = (lo, hi)
+        lo, hi = window = tuple(ex.parse_fraction(t) for t in args.window)
         label += f", window=[{ex.format_exact(lo)}, {ex.format_exact(hi)}]"
     total = bf.zeta_partial(args.s, args.depth, window, variant=args.variant)
     _emit(args, f"zeta_partial(s={args.s}, depth={args.depth}, {label})={total!r}")

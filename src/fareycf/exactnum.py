@@ -11,8 +11,9 @@ package's records with a `__dict__` immutable, and the package's one float
 system: mpmath's raw (sign, man, exp, bc) tuples, rounded in integers as
 mpmath rounds them, with a correctly rounded log (`raw_log`), pi^2
 (`pi_squared`), the nearest double (`raw_float`) and mpmath's decimal
-printing (`decimal_text`).  mpmath computes none of the package's floats:
-`raw_mpf`, its one import, only wraps a result for library callers.
+printing (`decimal_text`).  mpmath computes none of the package's floats
+and is not a requirement: `raw_mpf`, its one import, only wraps a result for
+library callers, and raises ImportError where mpmath is not installed.
 """
 
 from __future__ import annotations
@@ -780,9 +781,12 @@ def raw_float(x: Raw) -> float:
 
 def raw_mpf(x: Raw):
     """The mpmath.mpf of a raw float, for library callers of mpf results:
-    the package's one import of mpmath, which computes nothing here."""
-    import mpmath
-
+    the package's one import of mpmath, which computes nothing here.
+    Without mpmath it raises ImportError; the raw floats need nothing."""
+    try:
+        import mpmath
+    except ImportError as exc:
+        raise ImportError("this result is an mpmath.mpf: pip install mpmath (the raw_* fields need nothing)") from exc
     return mpmath.mp.make_mpf(x)
 
 

@@ -230,7 +230,8 @@ def verify_matching(w: str, alphas) -> dict:
     product, so where that is the certificate's no product is taken; only
     other digits are multiplied out (`branch_product`).
 
-    Parameters outside the qumterval are reported, never skipped silently.
+    Parameters outside the qumterval are reported, never skipped silently,
+    and no parameter at all is refused: nothing would have been checked.
     """
     cert = matching_matrices(w)
     q = qumterval_of(w)
@@ -266,6 +267,8 @@ def verify_matching(w: str, alphas) -> dict:
                 "meet_point": coprime_fraction(*low_end),
             }
         )
+    if not results:
+        raise ValueError("no parameter to check")
     return {
         "word": w,
         "M": cert.M,

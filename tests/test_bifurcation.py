@@ -428,10 +428,16 @@ class TestZeta:
         with pytest.raises(ValueError, match="exponent"):
             bf.zeta_partial(s, 3)
 
-    def test_unknown_variant_raises_before_any_word(self):
-        # depth 1 has no words, so a check inside the loop would never run
-        with pytest.raises(ValueError, match="variant"):
-            bf.zeta_partial(1.0, 1, variant="bogus")
+    def test_bad_variant_or_window_raises_before_any_word(self):
+        # depth 1 has no words, so a check inside the loop would never run;
+        # a reversed window is empty and would sum to 0.0
+        for option, match in (
+            ({"variant": "bogus"}, "variant"),
+            ({"window": (Fraction(1, 2), Fraction(1, 3))}, "window"),
+            ({"window": (Fraction(0), Fraction(3, 2))}, "window"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                bf.zeta_partial(1.0, 1, **option)
 
 
 class TestSimplestRational:

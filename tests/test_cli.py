@@ -12,6 +12,7 @@ import pytest
 
 import fareycf
 from fareycf import bifurcation as bf
+from fareycf import natext as nx
 from fareycf import words as wd
 from fareycf.cli import build_parser, main
 from fareycf.exactnum import format_exact
@@ -424,6 +425,28 @@ HELP_PINS = {
 }
 
 
+# one call per action of the parser, run with and without mpmath
+NO_MPMATH_CALLS = (
+    ("farey", "list", "--level", "3"),
+    ("farey", "word", "--rational", "2/5"),
+    ("qumterval", "info", "--word", "001", "--decimals", "20"),
+    ("qumterval", "atlas", "--max-len", "6", "--format", "csv"),
+    ("ebif", "check", "--x", "5/31"),
+    ("ebif", "interval", "--word", "00101"),
+    ("cardioid", "--rational", "2/5"),
+    ("orbit", "--alpha", "1/3", "--x", "-2/3", "--steps", "5"),
+    ("match", "verify", "--word", "01", "--alpha", "1/2"),
+    ("attractor", "--alpha", "1/7", "--json"),
+    ("attractor", "--alpha", "67/199", "--json", "--decimals", "30"),
+    ("entropy", "point", "--alpha", "9/20"),
+    ("entropy", "point", "--alpha", "9/20", "--precision", "512"),
+    ("entropy", "curve", "--from", "1/50", "--to", "49/50", "--samples", "20"),
+    ("probe", "asymptotic", "--N", "3"),
+    ("probe", "slope", "--word", "001", "--halvings", "1"),
+    ("probe", "zeta", "--s", "0.25", "--depth", "8", "--window", "1/3", "1/2"),
+)
+
+
 class TestColdStart:
     def child_output(self, code):
         out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True)
@@ -449,33 +472,44 @@ class TestColdStart:
         )
         assert self.child_output(code).splitlines() == ["0 False", "0 True"]
 
-    def test_cli_floats_load_no_mpmath(self):
-        # the package and the CLI's printed floats (the entropy tail, the
-        # decimals of exact values, exact zeros, the zeta sum of surd
-        # lengths, the slope, the selftests, the asymptotic probe) are
-        # integer arithmetic
+    def test_cli_floats_load_no_mpmath(self, capsys):
+        # mpmath is not a requirement: with its import blocked, every action
+        # and every --selftest prints what it prints here, where mpmath is
+        # installed (the entropy tail, the decimals of exact values, the
+        # zeta sum, the slope and the asymptotic probe are integer
+        # arithmetic); only the library's mpf results need it.  The actions
+        # are the help levels with no level below them: each has a call.
+        leaves = {level for level in HELP_PINS if level and not any(o.startswith(level + " ") for o in HELP_PINS)}
+        assert {level for level in leaves for argv in NO_MPMATH_CALLS if " ".join(argv).startswith(level + " ")} == leaves
+        commands = sorted({level.split()[0] for level in leaves})
+        calls = list(NO_MPMATH_CALLS) + [(command, "--selftest") for command in commands]
         code = (
-            "import io, sys\n"
+            "import io, json, sys\n"
             "from contextlib import redirect_stdout\n"
-            "import fareycf\n"
-            "print('mpmath' in sys.modules)\n"
-            "from fareycf import cli\n"
-            "for argv in (\n"
-            "    ['entropy', 'point', '--alpha', '9/20'],\n"
-            "    ['entropy', 'point', '--alpha', '9/20', '--precision', '512'],\n"
-            "    ['attractor', '--alpha', '1/7', '--json'],\n"
-            "    ['entropy', 'curve', '--from', '1/50', '--to', '49/50', '--samples', '20'],\n"
-            "    ['qumterval', 'info', '--word', '001'],\n"
-            "    ['probe', 'zeta', '--s', '0.25', '--depth', '8'],\n"
-            "    ['probe', 'slope', '--word', '001', '--halvings', '1'],\n"
-            "    ['entropy', '--selftest'],\n"
-            "    ['probe', 'asymptotic', '--N', '3'],\n"
-            "):\n"
-            "    with redirect_stdout(io.StringIO()):\n"
-            "        code = cli.main(argv)\n"
-            "    print(code, 'mpmath' in sys.modules)\n"
+            "sys.modules['mpmath'] = None  # as if mpmath were not installed\n"
+            "from fareycf import cli, natext\n"
+            "results = []\n"
+            f"for argv in {calls!r}:\n"
+            "    out = io.StringIO()\n"
+            "    with redirect_stdout(out):\n"
+            "        code = cli.main(list(argv))\n"
+            "    results.append([code, out.getvalue()])\n"
+            "sample = natext.entropy_at('9/20')\n"
+            "errors = []\n"
+            "for result in (lambda: sample.h, lambda: natext.attractor_mass(natext.build_attractor('9/20')), natext.plateau_entropy):\n"
+            "    try:\n"
+            "        result()\n"
+            "    except ImportError as exc:\n"
+            "        errors.append(str(exc))\n"
+            "print(json.dumps([results, repr(sample.raw_h), errors]))\n"
         )
-        assert self.child_output(code).splitlines() == ["False"] + ["0 False"] * 9
+        results, raw_h, errors = json.loads(self.child_output(code))
+        for argv, (got_code, got_out) in zip(calls, results, strict=True):
+            want_code, want_out, _ = run(capsys, *argv)
+            assert (got_code, got_out) == (want_code, want_out), argv
+            assert want_code == 0, argv
+        assert raw_h == repr(nx.entropy_at("9/20").raw_h)
+        assert len(errors) == 3 and all("pip install mpmath" in e for e in errors), errors
 
     @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help pins recorded with the argparse of Python 3.11")
     @pytest.mark.parametrize("level", list(HELP_PINS))

@@ -445,6 +445,9 @@ class TestVerifyMatching:
         rep = kd.verify_matching("01", [Fraction(1, 5)])
         assert rep["alphas_checked"][0]["status"] == "outside"
         assert not rep["all_exact"]
+        # no parameter checks nothing: refused, not reported as all exact
+        with pytest.raises(ValueError, match="no parameter"):
+            kd.verify_matching("01", [])
 
     def test_figure_parameter(self):
         # 4/15 sits in the qumterval of 0001001 (not of 00101)
