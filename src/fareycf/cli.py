@@ -20,7 +20,6 @@ from . import exactnum as ex
 from . import kdynamics as kd
 from . import lyapunov as ly
 from . import natext as nx
-from . import precision as prec
 from . import words as wd
 
 
@@ -43,8 +42,8 @@ def _emit_json(args, payload) -> None:
 
 def _nstr(x, digits: int) -> str:
     """`digits` significant digits of an exact value, rounded to a binary
-    float of max(default precision, 3.4 digits + 16) bits first."""
-    bits = max(prec.checked_precision(None), int(digits * 3.4) + 16)
+    float of max(DEFAULT_PRECISION, 3.4 digits + 16) bits first."""
+    bits = max(ex.DEFAULT_PRECISION, int(digits * 3.4) + 16)
     return ex.decimal_text(ex.to_raw(x, bits), digits, strip_zeros=False)
 
 
@@ -69,8 +68,8 @@ class _Selftest(argparse.Action):
 def precision_bits(text: str) -> int:
     """The type of `--precision`: whole bits, at least `MIN_PRECISION`."""
     bits = int(text)
-    if bits < prec.MIN_PRECISION:
-        raise argparse.ArgumentTypeError(f"precision must be >= {prec.MIN_PRECISION}")
+    if bits < ex.MIN_PRECISION:
+        raise argparse.ArgumentTypeError(f"precision must be >= {ex.MIN_PRECISION}")
     return bits
 
 

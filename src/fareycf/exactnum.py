@@ -11,9 +11,13 @@ package's records with a `__dict__` immutable, and the package's one float
 system: mpmath's raw (sign, man, exp, bc) tuples, rounded in integers as
 mpmath rounds them, with a correctly rounded log (`raw_log`), pi^2
 (`pi_squared`), the nearest double (`raw_float`) and mpmath's decimal
-printing (`decimal_text`).  mpmath computes none of the package's floats
-and is not a requirement: `raw_mpf`, its one import, only wraps a result for
-library callers, and raises ImportError where mpmath is not installed.
+printing (`decimal_text`).  All geometry is exact; floats appear only in
+the final logs and pi^2 and in decimal output, at a working precision in
+bits of mantissa that comes from the call alone: at least MIN_PRECISION,
+DEFAULT_PRECISION when none is given (`checked_precision`).  mpmath
+computes none of the package's floats and is not a requirement: `raw_mpf`,
+its one import, only wraps a result for library callers, and raises
+ImportError where mpmath is not installed.
 """
 
 from __future__ import annotations
@@ -635,6 +639,14 @@ def parse_fraction(text: str) -> Fraction:
 Raw = tuple  # (sign, man, exp, bc)
 ZERO = (0, 0, 0, 0)
 ONE = (0, 1, 0, 1)
+MIN_PRECISION, DEFAULT_PRECISION = 64, 128  # bits of a working precision
+
+
+def checked_precision(bits: int | None) -> int:
+    """`bits`, or DEFAULT_PRECISION when None, checked against MIN_PRECISION."""
+    if bits is not None and bits < MIN_PRECISION:
+        raise ValueError(f"precision_bits must be >= {MIN_PRECISION}")
+    return DEFAULT_PRECISION if bits is None else bits
 
 
 def _near(m: int, e: int, prec: int) -> tuple[int, int]:

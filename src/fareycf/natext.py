@@ -101,6 +101,8 @@ from .bifurcation import (
     simplest_rational_between,
 )
 from .exactnum import (
+    DEFAULT_PRECISION,
+    MIN_PRECISION,
     ONE,
     ZERO,
     Exact,
@@ -116,6 +118,7 @@ from .exactnum import (
     _scaled,
     _sign_single,
     _signed,
+    checked_precision,
     mobius_apply,
     pi_squared,
     raw_add,
@@ -139,7 +142,6 @@ from .kdynamics import (
     rational_orbit,
     rotation_orders,
 )
-from .precision import MIN_PRECISION, checked_precision
 
 
 # guard bits of the entropy path's integer scale W = bits + _GUARD (`_sample_mass`)
@@ -926,7 +928,7 @@ def qumterval_slope(q: Qumterval, precision: int | None = None) -> dict:
     and bounds are compared exactly, as integers at their least exponent,
     and the slope is the correctly rounded double of the exact quotient."""
     if precision is None:
-        precision = max(checked_precision(None), 2 * q.pseudocenter.denominator.bit_length() + 64)
+        precision = max(DEFAULT_PRECISION, 2 * q.pseudocenter.denominator.bit_length() + 64)
     width = q.alpha_plus - q.alpha_minus
     p1 = simplest_rational_between(q.alpha_minus, q.alpha_minus + width / 8)
     p2 = simplest_rational_between(q.alpha_plus - width / 8, q.alpha_plus)
@@ -935,8 +937,7 @@ def qumterval_slope(q: Qumterval, precision: int | None = None) -> dict:
     e = min(x[2] for x in raws)
     h1, h2, err1, err2 = (_signed(x) << (x[2] - e) for x in raws)
     if q.m0 != q.m1 and abs(h2 - h1) <= err1 + err2:
-        bits = checked_precision(precision)
-        raise ValueError(f"entropy difference below its error bound at {bits} bits: raise the precision")
+        raise ValueError(f"entropy difference below its error bound at {precision} bits: raise the precision")
     num, den = (h2 - h1) * (p2 - p1).denominator, (p2 - p1).numerator
     return {
         "word": q.word,
@@ -1024,7 +1025,7 @@ def selftest() -> list[tuple[str, bool]]:
             all(r.x_lo <= 0 and r.x_hi >= Fraction(1, 3) for r in attr.rects),
         )
     )
-    bits = checked_precision(None)
+    bits = DEFAULT_PRECISION
     h = entropy_at(Fraction(9, 20), bits).raw_h
     checks.append(("plateau value", abs(raw_float(raw_add(h, raw_neg(_plateau(bits)), bits))) < 1e-20))
     checks.append(("reflection", entropy_at(Fraction(11, 20), bits).raw_h == h))

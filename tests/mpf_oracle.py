@@ -15,8 +15,7 @@ import mpmath
 from mpmath.libmp import from_rational, mpf_shift, round_nearest, to_float
 
 from fareycf import natext as nx
-from fareycf.exactnum import QuadSurd
-from fareycf.precision import checked_precision
+from fareycf.exactnum import QuadSurd, checked_precision
 
 
 @contextmanager

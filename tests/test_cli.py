@@ -260,19 +260,39 @@ class TestBehaviour:
         assert run(capsys, "entropy", "point", "--alpha", "1/2", "--precision", "32")[0] == 2
 
     @pytest.mark.parametrize(
-        "value, message",
-        [("abc", "FAREYCF_PRECISION must be a whole number of bits, not 'abc'"), ("32", "FAREYCF_PRECISION must be >= 64")],
+        "argv",
+        [
+            ("entropy", "point", "--alpha", "9/20"),
+            ("entropy", "curve", "--from", "1/3", "--to", "1/2", "--samples", "3"),
+            ("attractor", "--alpha", "9/20", "--json"),
+            ("orbit", "--alpha", "1/3", "--x", "1/4", "--steps", "2"),
+            ("qumterval", "info", "--word", "001", "--decimals", "5"),
+            ("probe", "slope", "--word", "001", "--halvings", "0"),
+            ("attractor", "--selftest"),
+            ("entropy", "--selftest"),
+            ("probe", "--selftest"),
+        ],
+        ids=" ".join,
     )
-    def test_precision_variable_checked(self, value, message):
-        # a bad default precision is a validation error of the call, not a crash at import
-        env = child_env(FAREYCF_PRECISION=value)
-        out = subprocess.run(
-            [sys.executable, "-m", "fareycf", "entropy", "point", "--alpha", "1/3"],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {message}\n")
+    def test_environment_does_not_change_a_call(self, argv):
+        # a call's precision comes from its arguments alone: a FAREYCF_PRECISION
+        # that is malformed, below the floor or wider changes no byte and no exit code
+        plain = child_env()
+        plain.pop("FAREYCF_PRECISION", None)
+        envs = [plain] + [dict(plain, FAREYCF_PRECISION=value) for value in ("abc", "32", "256")]
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-m", "fareycf", *argv],
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for env in envs
+        ]
+        results = [(child.communicate(timeout=120), child.returncode) for child in children]
+        assert results[0][1] == 0, results[0]
+        assert results[1:] == results[:1] * 3
 
     def test_selftests(self, capsys):
         for cmd in ("farey", "qumterval", "ebif", "cardioid", "orbit", "match", "attractor", "entropy", "probe"):

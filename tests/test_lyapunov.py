@@ -51,7 +51,7 @@ def per_step_oracle(alpha, x0, steps, burn_in, rng=None):
         x = ly._random_start(rng, alpha)
 
 
-def test_kernel_and_fallback_agree_exactly():
+def test_block_kernel_equals_the_per_step_oracle():
     # the inputs of acceptance criterion 12: none of these orbits restarts
     for k in range(2, 12):
         alpha = Fraction(k, 23)

@@ -22,10 +22,12 @@ from fareycf import kdynamics as kd
 from fareycf import natext as nx
 from fareycf import words as wd
 from fareycf.exactnum import (
+    DEFAULT_PRECISION,
     QuadSurd,
     S,
     T,
     _slack,
+    checked_precision,
     format_exact,
     make_surd,
     mobius_apply,
@@ -33,7 +35,6 @@ from fareycf.exactnum import (
     surd_from_periodic_cf,
 )
 from fareycf.lyapunov import lyapunov_estimate
-from fareycf.precision import DEFAULT_PRECISION, checked_precision
 import mpf_oracle as oracle
 from mpf_oracle import to_mpf, working_precision
 
