@@ -22,7 +22,6 @@ from .exactnum import (
     QuadSurd,
     _scaled,
     _slack,
-    coprime_fraction,
     digits_matrix,
     floor_exact,
     make_surd,
@@ -255,7 +254,7 @@ def qumterval_of(w: str) -> Qumterval:
         S=S,
         alpha_minus=mobius_apply(Mobius(b - a, b, d - c, d), tail),
         alpha_plus=root / (2 * c),
-        pseudocenter=coprime_fraction(b, d),
+        pseudocenter=Fraction(b, d),
         m0=w.count("0"),
         m1=w.count("1"),
         tail=tail,
@@ -368,9 +367,9 @@ def locate_qumterval(alpha) -> Qumterval:
 
 def atlas(max_len: int) -> list[Qumterval]:
     """All qumtervals with |word| <= max_len, ordered by pseudocenter;
-    `max_len` runs from 1 to `words.FAREY_LIST_CAP`."""
-    if not 1 <= max_len <= words.FAREY_LIST_CAP:
-        raise ValueError(f"max_len must lie in [1, {words.FAREY_LIST_CAP}]")
+    `max_len` runs from 1 to `words.WORD_LENGTH_CAP`."""
+    if not 1 <= max_len <= words.WORD_LENGTH_CAP:
+        raise ValueError(f"max_len must lie in [1, {words.WORD_LENGTH_CAP}]")
     out = [qumterval_of(w) for w in words.words_of_length_up_to(max_len)]
     out.sort(key=lambda q: q.pseudocenter)
     return out
@@ -425,13 +424,13 @@ def zeta_partial(
     words whose interval meets it; it must stay away from 0 and 1 for the
     sum to converge (inside [1/(N+1), 1/N] the gaps decay like
     N^(-2|w|/(N+1))).  The binary gaps 1/(2(2^n - 1)) decay exponentially
-    everywhere.  `depth` runs from 1 to `words.FAREY_LIST_CAP`."""
+    everywhere.  `depth` runs from 1 to `words.WORD_LENGTH_CAP`."""
     if not 0 < s < math.inf:  # also refuses nan
         raise ValueError("exponent must be positive and finite")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if depth > words.FAREY_LIST_CAP:
-        raise ValueError(f"depth above cap {words.FAREY_LIST_CAP}")
+    if depth > words.WORD_LENGTH_CAP:
+        raise ValueError(f"depth above cap {words.WORD_LENGTH_CAP}")
     if variant not in ("qumterval", "binary"):
         raise ValueError("variant must be 'qumterval' or 'binary'")
     if window is not None and not 0 <= window[0] < window[1] <= 1:

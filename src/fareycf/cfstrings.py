@@ -153,7 +153,7 @@ def runlength_inverse(S, first_digit: str = "0") -> str:
 
 def cf_of_fraction(x, even_length: bool = False) -> CFString:
     """Digits of [0; ...] for a rational x in [0, 1]; optionally normalized to
-    even length by splitting or merging the final digit."""
+    even length by splitting an odd expansion's final digit a into a - 1, 1."""
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise ValueError("expects a rational in [0, 1]")
@@ -164,14 +164,10 @@ def cf_of_fraction(x, even_length: bool = False) -> CFString:
         S.append(a)
         q, p = p, rem
     if even_length and len(S) % 2:
-        if S[-1] >= 2:
-            S[-1] -= 1
-            S.append(1)
-        elif len(S) >= 2:
-            S[-2] += 1
-            S.pop()
-        else:
+        if S[-1] == 1:  # Euclid's last digit is at least 2, except for x = 1, whose digits are (1,)
             raise ValueError("1 has no even-length expansion")
+        S[-1] -= 1
+        S.append(1)
     return tuple(S)
 
 
@@ -238,19 +234,3 @@ def farey_structure(S) -> FareyStructure:
 
 def format_cfstring(S) -> str:
     return "[" + ",".join(str(a) for a in _check(S, nonempty=False)) + "]"
-
-
-def selftest() -> list[tuple[str, bool]]:
-    checks = []
-    checks.append(("right conjugate", right_conjugate((3, 1, 3)) == (3, 1, 2, 1)))
-    checks.append(("left conjugate", left_conjugate((3, 1, 3)) == (1, 2, 1, 3)))
-    checks.append(("conjugates preserve value", value_of((3, 1, 3)) == value_of((3, 1, 2, 1))))
-    checks.append(("sigma identity", value_of(left_conjugate((3, 1, 3))) == 1 - value_of((3, 1, 3))))
-    checks.append(("shift twice", partial_shift(partial_shift((2, 1))) == (1,)))
-    checks.append(("denominator", denominator((2, 1)) == 3 and value_of((2, 1)) == Fraction(1, 3)))
-    checks.append(("runlength", runlength("0001001001") == (3, 1, 2, 1, 2, 1)))
-    checks.append(("runlength inverse", runlength_inverse((2, 1, 1, 1)) == "00101"))
-    fs = farey_structure((2, 1, 1, 1))
-    checks.append(("structure of 00101", (fs.a, fs.skeleton, fs.side) == (1, "01", 0) and fs.reassemble() == (2, 1, 1, 1)))
-    checks.append(("alt lex", alt_lex_lt((1, 2), (1, 3)) and not alt_lex_lt((2, 1), (3, 1))))
-    return checks

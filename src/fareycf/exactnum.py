@@ -78,19 +78,6 @@ def _decimal(n: int) -> str:
             sys.set_int_max_str_digits(limit)
 
 
-if hasattr(Fraction, "_from_coprime_ints"):  # Python >= 3.12
-
-    def coprime_fraction(n: int, d: int) -> Fraction:
-        """n/d for coprime integers with d > 0, built without a gcd."""
-        return Fraction._from_coprime_ints(n, d)
-
-else:
-
-    def coprime_fraction(n: int, d: int) -> Fraction:
-        """n/d for coprime integers with d > 0, built without a gcd."""
-        return Fraction(n, d, _normalize=False)
-
-
 _FULL_FACTOR_BOUND = 4 * 10**12  # covers discriminants of qumtervals with q(S) <= 10^6
 _PARTIAL_PRIME_BOUND = 2048  # square factors looked for at and above the bound
 _FULL_PRIME_BOUND = 16000  # 16000**3 > _FULL_FACTOR_BOUND
@@ -1039,17 +1026,3 @@ def decimal_text(x: Raw, dps: int, strip_zeros: bool = True) -> str:
     if not exponent:
         return text
     return f"{text}e{'+' if exponent > 0 else ''}{exponent}"
-
-
-def selftest() -> list[tuple[str, bool]]:
-    """Small invariant suite (used by the CLI --selftest flags)."""
-    checks = []
-    g = make_surd(-1, 1, 2, 5)
-    checks.append(("golden mean from sqrt(5)", 0 < g < 1 and g * g + g == 1))
-    checks.append(("periodic cf (2,1)", surd_from_periodic_cf((), (2, 1)) == make_surd(-1, 1, 2, 3)))
-    checks.append(("periodic cf (3),(1,2)", surd_from_periodic_cf((3,), (1, 2)) == make_surd(2, -1, 1, 3)))
-    checks.append(("floor of -g", floor_exact(-g) == -1))
-    m = Mobius(1, 1, 1, 2)
-    checks.append(("projective equality", m == Mobius(-1, -1, -1, -2)))
-    checks.append(("mobius inverse", m * m.inverse() == IDENTITY))
-    return checks

@@ -21,7 +21,7 @@ from itertools import groupby
 from . import cfstrings as cfs
 from . import words
 from .bifurcation import qumterval_of
-from .exactnum import E, Exact, Mobius, S, T, coprime_fraction, floor_exact, matrix_product
+from .exactnum import E, Exact, Mobius, S, T, floor_exact, matrix_product
 
 ZERO = Fraction(0)
 _SLOW_MAX_STEPS = 10_000  # translations `slow_first_return` takes before giving up
@@ -96,7 +96,7 @@ def rational_orbit(alpha: tuple[int, int], x: tuple[int, int], steps: int, shift
     mask, A = one - 1, (F << s) // Q
     above, below = (k - 1) * one, k * one  # e 2^s of the key, for t >= F/Q and t < F/Q
     digits: list[int | None] = []
-    levels: list = [coprime_fraction(a, b) if shift is None else (a << s) // b]
+    levels: list = [Fraction(a, b) if shift is None else (a << s) // b]
     for _ in range(steps):
         if a == 0:
             digits.append(None)
@@ -111,7 +111,7 @@ def rational_orbit(alpha: tuple[int, int], x: tuple[int, int], steps: int, shift
         r = -b - c * a
         a, b = (r, a) if a > 0 else (-r, -a)
         digits.append(c)
-        levels.append(coprime_fraction(a, b) if shift is None else T)
+        levels.append(Fraction(a, b) if shift is None else T)
     return digits, levels, (a, b)
 
 
@@ -264,7 +264,7 @@ def verify_matching(w: str, alphas) -> dict:
                 "status": "exact" if ok else "failed",
                 "collision": collision,
                 "matrices_constant": constant,
-                "meet_point": coprime_fraction(*low_end),
+                "meet_point": Fraction(*low_end),
             }
         )
     if not results:

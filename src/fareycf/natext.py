@@ -27,13 +27,13 @@ of each orbit (`kdynamics.rotation_orders`) and one end of each boundary
 segment (both pushed, every seam and the closure checked, then each
 staircase corner kept once as an integer pair, made exact only where
 read); it checks the square once per scale.  Every parameter takes one
-path to it (`_fitted`): the digits, order keys and last points of its
-endpoint orbits and the skeleton's fit, which refuses orbits whose digits
-or level order differ from the skeleton's and checks that no rectangle is
-empty as it merges the staircase.  Exact levels are made only where they
-are read: `build_attractor` merges the exact levels, in the order the fit
-checked, into rectangles, and an error message names a level by its orbit
-index.
+path to it, the skeleton's fit of its endpoint orbits, stepped once
+(`kdynamics.rational_orbit`), which refuses orbits whose digits or level
+order differ from the skeleton's and checks that no rectangle is empty as
+it merges the staircase.  A sample fits the orbits' order keys (`_fitted`);
+`build_attractor` fits their exact points, the only exact levels made, and
+merges the levels the fit ordered into rectangles.  An error message names
+a level by its orbit index.
 
 The entropy then follows from the identity  h * area = pi^2 / 3  where
 "area" is the mass of the attractor under dx dy / (1 + x y)^2.  That mass has
@@ -137,7 +137,6 @@ from .exactnum import (
 from .kdynamics import (
     expected_digits_high,
     expected_digits_low,
-    orbit,
     orbit_order_extremes,
     rational_orbit,
     rotation_orders,
@@ -309,19 +308,21 @@ class _Skeleton:
         """Check one parameter's endpoint orbits against the skeleton.
 
         `alpha` is the pair (p, q) of p/q, and `low` and `high` are the
-        orbits of alpha - 1 and alpha as the kernel steps them at W =
-        `scale` (`kdynamics.rational_orbit`): digits, the
-        order keys floor(y 2^W) of their points and the last point.  Returns
-        the keys of the lower and of the upper segments' levels, both
-        ascending, and the number of rectangles.  Raises AttractorError,
-        naming the word and the orbit, when an orbit's digits differ from
-        the skeleton's (an orbit that hits zero has the digit None) or its
-        levels do not ascend in the skeleton's order (a changed order, a
-        start that is not extremal, a repeated level); and when a rectangle
-        of the staircase would be empty or an end lies outside (-1, 1)
-        (`rounded_ends`).  With every level in [alpha - 1, alpha], inside
-        (-1, 1), an end in (-1, 1) gives 1 + x y > 0: no rectangle reaches a
-        pole of the density.
+        orbits of alpha - 1 and alpha as the kernel steps them
+        (`kdynamics.rational_orbit`): digits, levels and the last point.
+        The levels are the order keys floor(y 2^W) of the points at W =
+        `scale` (`_fitted`), or the exact points themselves
+        (`build_attractor`): keys that tie only where two points are equal.
+        W also sets the integers of the rectangle tests.  Returns the lower
+        and the upper segments' levels, both ascending, and the number of
+        rectangles.  Raises AttractorError, naming the word and the orbit,
+        when an orbit's digits differ from the skeleton's (an orbit that
+        hits zero has the digit None) or its levels do not ascend in the
+        skeleton's order (a changed order, a start that is not extremal, a
+        repeated level); and when a rectangle of the staircase would be
+        empty or an end lies outside (-1, 1) (`rounded_ends`).  With every
+        level in [alpha - 1, alpha], inside (-1, 1), an end in (-1, 1) gives
+        1 + x y > 0: no rectangle reaches a pole of the density.
 
         The floor is monotone, so keys that differ order their levels; two
         levels whose keys tie are ordered by their itineraries
@@ -555,20 +556,19 @@ def build_attractor(alpha) -> Attractor:
     if q.m1 > q.m0:
         raise ValueError("parameters above 1/2: reflect with alpha -> 1 - alpha")
     skel = _skeleton(q)
-    # the checks only: the keys order the levels at any scale, this one sets the integers of the rectangle tests
-    _fitted((alpha.numerator, alpha.denominator), skel, MIN_PRECISION)
-    low, high = orbit(alpha, alpha - 1, q.m0), orbit(alpha, alpha, q.m1)
+    P, Q = pair = alpha.as_integer_ratio()
+    low, high = rational_orbit(pair, (P - Q, Q), q.m0), rational_orbit(pair, pair, q.m1)
+    # the fit orders the exact levels as it orders keys; its scale sets the integers of the rectangle tests
+    lo, hi, _ = skel.fit(pair, low, high, MIN_PRECISION)
     rights, lefts = [skel.value(end) for end in skel.rights], [skel.value(end) for end in skel.lefts]
-    # the fit found each orbit's levels ascending in the skeleton's order
-    lo, hi = [low.points[k] for k in skel.low_order], [high.points[k] for k in skel.high_order]
     return Attractor(
         word=q.word,
         alpha=alpha,
         rects=tuple(Rect(lefts[j], rights[i], y_lo, y_hi) for y_lo, y_hi, i, j in _staircase(lo, hi)),
         corner_x=rights[-1],
         corner_y=lefts[0],
-        h_levels_low=tuple(low.points),
-        h_levels_high=tuple(high.points),
+        h_levels_low=tuple(low[1]),
+        h_levels_high=tuple(high[1]),
         # every segment end is in rights or lefts, each strictly ascending (increasing pushes
         # from y < x/(1 + x) and y/(1 - y) < x, chained by the seams): sorted merges two runs
         v_levels=tuple(v for v, _ in groupby(sorted(rights + lefts))),
@@ -617,11 +617,10 @@ def corner_system_residues(w: str):
     q = qumterval_of(w)
     x, y = attractor_corners(w)
     j0, j1 = orbit_order_extremes(w)
-    alpha = q.pseudocenter
-    low = orbit(alpha, alpha - 1, j0)
-    high = orbit(alpha, alpha, j1)
+    p, r = alpha = q.pseudocenter.as_integer_ratio()
+    low_digits, high_digits = rational_orbit(alpha, (p - r, r), j0)[0], rational_orbit(alpha, alpha, j1)[0]
     Q = lcm(_lift(x), _lift(y))
-    (P, R), (P_, R_) = _abscissae(x, high.digits, Q)[-1], _abscissae(y, low.digits, Q)[-1]
+    (P, R), (P_, R_) = _abscissae(x, high_digits, Q)[-1], _abscissae(y, low_digits, Q)[-1]
     xi, eta = QuadSurd._reduced(P, Q, R, x.d), QuadSurd._reduced(P_, Q, R_, y.d)
     lhs1 = mobius_apply(S * T * S, y)
     lhs2 = mobius_apply(S * T**-1 * S, x)

@@ -15,7 +15,8 @@ Word = str
 
 _NEG = str.maketrans("01", "10")
 
-FAREY_LIST_CAP = 20  # 2^n + 1 words; total text grows like 3^n
+WORD_LENGTH_CAP = 20  # longest word of `bifurcation.atlas` and `zeta_partial`: 127 words up to 20 letters
+FAREY_LEVEL_CAP = 16  # the level-n list holds 2^n + 1 words of 3^n + 1 letters in all
 
 
 def _check_binary(w: Word) -> None:
@@ -123,11 +124,12 @@ def farey_side(w: Word) -> int:
 
 
 def farey_list(n: int) -> list[Word]:
-    """Level-n list: 2^n + 1 words, built by mediant insertion from ('0', '1')."""
+    """Level-n list: 2^n + 1 words, built by mediant insertion from ('0', '1'),
+    for n from 0 to `FAREY_LEVEL_CAP`."""
     if n < 0:
         raise ValueError("level must be nonnegative")
-    if n > FAREY_LIST_CAP:
-        raise ValueError(f"level {n} above cap {FAREY_LIST_CAP} (exponential size)")
+    if n > FAREY_LEVEL_CAP:
+        raise ValueError(f"level {n} above cap {FAREY_LEVEL_CAP}: its list would hold 3^{n} + 1 letters")
     level = ["0", "1"]
     for _ in range(n):
         nxt = []

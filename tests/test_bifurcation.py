@@ -169,7 +169,7 @@ class TestQumtervals:
             assert a.pseudocenter < b.pseudocenter
             assert a.alpha_plus < b.alpha_minus  # cross-field exact comparison
 
-    @pytest.mark.parametrize("max_len", [0, -3, wd.FAREY_LIST_CAP + 1])
+    @pytest.mark.parametrize("max_len", [0, -3, wd.WORD_LENGTH_CAP + 1])
     def test_atlas_length_range(self, max_len):
         with pytest.raises(ValueError, match="max_len must lie in"):
             bf.atlas(max_len)
@@ -455,3 +455,23 @@ class TestSimplestRational:
             if isinstance(a, QuadSurd):
                 r = bf.simplest_rational_between(a, a + width)
                 assert a < r < a + width
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            pytest.param(lambda: bf.eb_membership(Fraction(2, 3)), ValueError, r"rationals in \[0, 1/2\]", id="eb_membership-range"),
+            pytest.param(lambda: bf.binary_expansion(1), ValueError, r"rational in \[0, 1\)", id="binary_expansion-range"),
+            pytest.param(lambda: bf.phi_map(Fraction(3, 4)), ValueError, r"rational in \[0, 1/2\]", id="phi_map-range"),
+            pytest.param(lambda: bf.minkowski_q(make_surd(1, 1, 1, 2)), ValueError, r"value in \[0, 1\]", id="minkowski_q-surd-range"),
+            pytest.param(lambda: bf.minkowski_q(Fraction(3, 2)), ValueError, r"value in \[0, 1\]", id="minkowski_q-rational-range"),
+            pytest.param(lambda: bf.beta_thickening(1), ValueError, "strictly between 0 and 1", id="beta_thickening-range"),
+            pytest.param(lambda: bf.cardioid_angles(0), ValueError, "strictly between 0 and 1", id="cardioid_angles-range"),
+            pytest.param(lambda: bf.zeta_partial(0.25, wd.WORD_LENGTH_CAP + 1), ValueError, "depth above cap 20", id="zeta_partial-depth-cap"),
+            pytest.param(lambda: bf.simplest_rational_between(Fraction(1, 2), Fraction(1, 3)), ValueError, "empty interval", id="simplest_rational_between-empty"),
+        ],
+    )
+    def test_refused(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()

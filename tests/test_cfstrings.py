@@ -40,7 +40,7 @@ class TestConjugates:
 
 class TestDenominators:
     def test_examples(self):
-        assert cfs.denominator((2, 1)) == 3
+        assert cfs.denominator((2, 1)) == 3 and cfs.value_of((2, 1)) == Fraction(1, 3)
         assert cfs.denominator((1,)) == 1
         # oracle: evaluate the fraction directly
         s = (3, 1, 2, 1, 2, 1)
@@ -153,6 +153,7 @@ class TestRunlength:
         assert cfs.runlength("1110110110") == (3, 1, 2, 1, 2, 1)
         assert cfs.runlength("01") == (1, 1)
         assert cfs.runlength("00101") == (2, 1, 1, 1)
+        assert cfs.runlength_inverse((2, 1, 1, 1)) == "00101"
 
     def test_inverse(self):
         rng = random.Random(12)
@@ -234,3 +235,22 @@ class TestEvenNormalization:
                     continue
                 s = cfs.cf_of_fraction(r, even_length=True)
                 assert len(s) % 2 == 0 and cfs.value_of(s) == r
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            pytest.param(lambda: cfs.denominator(()), ValueError, "string must be nonempty", id="check-empty"),
+            pytest.param(lambda: cfs.value_of((2, 0)), ValueError, "digits must be positive integers", id="check-nonpositive"),
+            pytest.param(lambda: cfs.right_conjugate((1,)), ValueError, "no distinct conjugate", id="right_conjugate-1"),
+            pytest.param(lambda: cfs.left_conjugate((1,)), ValueError, "no left conjugate", id="left_conjugate-1"),
+            pytest.param(lambda: cfs.runlength_inverse((1,), "2"), ValueError, "first_digit must be", id="runlength_inverse-first_digit"),
+            pytest.param(lambda: cfs.cf_of_fraction(Fraction(3, 2)), ValueError, r"expects a rational in \[0, 1\]", id="cf_of_fraction-range"),
+            pytest.param(lambda: cfs.cf_of_fraction(1, even_length=True), ValueError, "1 has no even-length expansion", id="cf_of_fraction-even-1"),
+            pytest.param(lambda: cfs.farey_structure((2, 1, 1)), ValueError, "have even length", id="farey_structure-odd"),
+        ],
+    )
+    def test_refused(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()

@@ -1,6 +1,9 @@
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
+import re
 import shlex
 import subprocess
 import sys
@@ -185,6 +188,11 @@ class TestBehaviour:
         b = run(capsys, "entropy", "point", "--alpha", "4/15")
         assert a == b
 
+    def test_farey_list_above_its_cap_exits_2(self, capsys):
+        # level 17 would print 3^17 + 1 letters; the cap is checked before any word is built
+        code, out, err = run(capsys, "farey", "list", "--level", "17")
+        assert (code, out) == (2, "") and "level 17 above cap 16" in err
+
     def test_validation_errors_exit_2(self, capsys, tmp_path):
         assert run(capsys, "farey", "list", "--level", "99")[0] == 2
         assert run(capsys, "entropy", "point", "--alpha", "3/2")[0] == 2
@@ -295,10 +303,15 @@ class TestBehaviour:
         assert results[1:] == results[:1] * 3
 
     def test_selftests(self, capsys):
+        # together the commands run the suite of every module that defines one
+        reached = set()
         for cmd in ("farey", "qumterval", "ebif", "cardioid", "orbit", "match", "attractor", "entropy", "probe"):
             code, out, _ = run(capsys, cmd, "--selftest")
             assert code == 0, (cmd, out)
             assert "FAIL" not in out
+            reached |= set(re.findall(r"^\[ok\] (\w+):", out, re.M))
+        modules = (importlib.import_module(f"fareycf.{m.name}") for m in pkgutil.iter_modules(fareycf.__path__) if m.name != "__main__")
+        assert reached == {module.__name__.split(".")[-1] for module in modules if hasattr(module, "selftest")}
 
     def test_closed_stdout_exits_141_quietly(self):
         # the JSON at 1/300 (about 240 KB) is larger than a pipe buffer, so

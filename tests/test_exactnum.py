@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 
@@ -39,7 +40,6 @@ from fareycf.exactnum import (
     _FULL_FACTOR_BOUND,
     _PARTIAL_PRIME_BOUND,
     _squarefree_split,
-    coprime_fraction,
     digits_matrix,
     floor_exact,
     format_exact,
@@ -96,6 +96,7 @@ class TestSurdConstruction:
         g = QuadSurd.from_quadratic(1, 1, -1)
         assert surd_from_periodic_cf((), (1, 1)) == g
         assert g == make_surd(-1, 1, 2, 5)
+        assert 0 < g < 1 and g * g + g == 1
 
     def test_rational_collapse(self):
         assert make_surd(3, 0, 6, 7) == Fraction(1, 2)
@@ -197,6 +198,7 @@ class TestMobius:
         assert (S * T) ** 3 == IDENTITY
         assert S * S == IDENTITY
         assert T * S * T == S * T**-1 * S
+        assert all(m * m.inverse() == IDENTITY for m in (S, T, Mobius(1, 1, 1, 2), Mobius(2, -1, 3, -1)))
 
     def test_projective_equality_and_hash(self):
         m = Mobius(2, -1, 3, -1)
@@ -272,14 +274,38 @@ class TestTextForms:
         assert parse_fraction(" 2/5 ") == Fraction(2, 5)
 
 
-class TestConversions:
-    @given(st.integers(-10**60, 10**60), st.integers(1, 10**60))
-    def test_coprime_fraction_equals_fraction(self, n, d):
-        g = math.gcd(n, d)
-        n, d = n // g, d // g
-        f = coprime_fraction(n, d)
-        assert f == Fraction(n, d) and hash(f) == hash(Fraction(n, d))
-        assert (f.numerator, f.denominator) == (n, d)
+class _Record(ex.Frozen, namedtuple("_Record", "value")):
+    """A frozen record as the package declares one."""
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            pytest.param(lambda: delattr(_Record(1), "value"), AttributeError, "cannot delete 'value'", id="frozen-delete"),
+            pytest.param(lambda: make_surd(0, 1, 1, -2), ValueError, "negative radicand", id="make_surd-radicand"),
+            pytest.param(lambda: QuadSurd(1, 0, 1, 2), ValueError, "not a normalized irrational surd", id="QuadSurd-q"),
+            pytest.param(lambda: QuadSurd(0, 1, 1, 1), ValueError, "not a normalized irrational surd", id="QuadSurd-d"),
+            pytest.param(lambda: QuadSurd(0, 1, -1, 2), ValueError, "not a normalized irrational surd", id="QuadSurd-r"),
+            pytest.param(lambda: make_surd(1, 1, 1, 2).cf_expansion(), ValueError, r"expects a value in \(0, 1\)", id="cf_expansion-range"),
+            pytest.param(lambda: ex.checked_precision(63), ValueError, "must be >= 64", id="checked_precision-63"),
+            pytest.param(lambda: ex._quotient(1, 0, 0, 0, 64), ZeroDivisionError, "zero raw float", id="quotient-by-zero"),
+        ],
+    )
+    def test_refused(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
+    @pytest.mark.parametrize(
+        "value, want",
+        [
+            pytest.param(lambda: mobius_apply(S, 2), Fraction(-1, 2), id="mobius_apply-int"),
+            pytest.param(lambda: QuadSurd(0, 1, 1, 8), QuadSurd(0, 2, 1, 2), id="QuadSurd-eq-across-radicands"),
+        ],
+    )
+    def test_value(self, value, want):
+        got = value()
+        assert got == want and type(got) is type(want)
 
 
 class TestSquarefreeSplit:

@@ -523,3 +523,19 @@ class TestSlowMap:
             y += -1 if y >= alpha else 1
             count += 1
         assert count == abs(kd.k_step(alpha, x)[1])
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            pytest.param(lambda: kd.digit_of(Fraction(1, 3), 0), ZeroDivisionError, "fixed point 0", id="digit_of-zero"),
+            pytest.param(lambda: kd.orbit(Fraction(1, 3), Fraction(0), -1), ValueError, "steps must be nonnegative", id="orbit-negative-steps"),
+            pytest.param(lambda: kd.orbit_order_extremes("011"), ValueError, "defined on side-0 words", id="orbit_order_extremes-side-1"),
+            # 1/x + alpha = 11/3 + 1/3 = 4
+            pytest.param(lambda: kd.symmetry_conjugate(Fraction(1, 3), Fraction(3, 11)), ValueError, "exceptional point: .* k = 4", id="symmetry_conjugate-exceptional"),
+        ],
+    )
+    def test_refused(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()

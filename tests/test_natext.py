@@ -558,6 +558,16 @@ class TestLeanBuild:
         attr = nx.build_attractor(Fraction(1, 3001))
         assert len(calls) == 2 * len(attr.rects) == 2 * 3001
 
+    @pytest.mark.parametrize("alpha", [Fraction(9, 20), Fraction(67, 199)], ids=str)
+    def test_each_endpoint_orbit_stepped_once(self, monkeypatch, alpha):
+        # the fit reads the exact orbits that the rectangles are made of
+        calls = []
+        for module in (kd, nx):
+            kernel = module.rational_orbit
+            monkeypatch.setattr(module, "rational_orbit", lambda *args, kernel=kernel: calls.append(args) or kernel(*args))
+        nx.build_attractor(alpha)
+        assert len(calls) == 2
+
     def test_surd_comparisons_linear(self, monkeypatch):
         alpha = Fraction(1, 3001)
         nx.build_attractor(alpha)  # the word's qumterval and corners are cached
@@ -1825,3 +1835,20 @@ class TestMpfOracles:
         for prec in (12, 300):
             with mpmath.workprec(prec):
                 assert nx.qumterval_slope(q)["slope"] == want, prec
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            pytest.param(lambda: nx.Rect(Fraction(1, 2), Fraction(1, 2), 0, Fraction(1, 2)), ValueError, "degenerate rectangle", id="Rect-degenerate"),
+            pytest.param(lambda: nx.attractor_corners("011"), ValueError, "built for side-0 words", id="attractor_corners-side-1"),
+            pytest.param(lambda: nx.density_slice(nx.build_attractor(Fraction(1, 3)), 1), ValueError, "height outside the interval", id="density_slice-height"),
+            pytest.param(lambda: nx.entropy_grid(Fraction(1, 2), Fraction(1, 3), 5), ValueError, "need 0 < start < stop < 1", id="entropy_grid-range"),
+            pytest.param(lambda: nx._asymptotic_rows([1], None), ValueError, "N must be at least 2", id="asymptotic_rows-1"),
+            pytest.param(lambda: nx.slope_growth_probe("001", side="up"), ValueError, "side must be 'plus' or 'minus'", id="slope_growth_probe-side"),
+        ],
+    )
+    def test_refused(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()

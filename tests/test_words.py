@@ -57,8 +57,8 @@ class TestFareyLists:
 
     def test_sizes_and_cap(self):
         assert len(wd.farey_list(6)) == 2**6 + 1
-        with pytest.raises(ValueError):
-            wd.farey_list(wd.FAREY_LIST_CAP + 1)
+        with pytest.raises(ValueError, match=r"level 17 above cap 16: its list would hold 3\^17 \+ 1 letters"):
+            wd.farey_list(wd.FAREY_LEVEL_CAP + 1)
 
     def test_lists_strictly_increasing_up_to_12(self):
         for n in range(13):
@@ -277,3 +277,19 @@ class TestSubstitutions:
             assert wd.farey_side(wd.substitute(w, *wd.U1)) in (0, 1)
             if w != "0":
                 assert wd.substitute(w, *wd.U1).count("1") >= wd.substitute(w, *wd.U1).count("0")
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            pytest.param(lambda: wd.rho("0120"), ValueError, "not a nonempty binary word", id="check_binary"),
+            pytest.param(lambda: wd.phi_r_coding(1), ValueError, "strictly between 0 and 1", id="phi_r_coding-range"),
+            pytest.param(lambda: wd.phi_r_coding(Fraction(2, 5), "x"), ValueError, "side must be", id="phi_r_coding-side"),
+            pytest.param(lambda: wd.farey_list(-1), ValueError, "level must be nonnegative", id="farey_list-negative"),
+            pytest.param(lambda: wd.rotation_set("0011"), ValueError, "nondegenerate word of the family", id="rotation_set-outside"),
+        ],
+    )
+    def test_refused(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
