@@ -30,10 +30,10 @@ read); it checks the square once per scale.  Every parameter takes one
 path to it, the skeleton's fit of its endpoint orbits, stepped once
 (`kdynamics.rational_orbit`), which refuses orbits whose digits or level
 order differ from the skeleton's and checks that no rectangle is empty as
-it merges the staircase.  A sample fits the orbits' order keys (`_fitted`);
-`build_attractor` fits their exact points, the only exact levels made, and
-merges the levels the fit ordered into rectangles.  An error message names
-a level by its orbit index.
+it merges the staircase, and returns its steps.  A sample fits the orbits'
+order keys (`_fitted`) and counts the steps; `build_attractor` fits their
+exact points, the only exact levels made, and makes a rectangle of each
+step.  An error message names a level by its orbit index.
 
 The entropy then follows from the identity  h * area = pi^2 / 3  where
 "area" is the mass of the attractor under dx dy / (1 + x y)^2.  That mass has
@@ -314,8 +314,8 @@ class _Skeleton:
         `scale` (`_fitted`), or the exact points themselves
         (`build_attractor`): keys that tie only where two points are equal.
         W also sets the integers of the rectangle tests.  Returns the lower
-        and the upper segments' levels, both ascending, and the number of
-        rectangles.  Raises AttractorError, naming the word and the orbit,
+        and the upper segments' levels, both ascending, and the steps of
+        the staircase.  Raises AttractorError, naming the word and the orbit,
         when an orbit's digits differ from the skeleton's (an orbit that
         hits zero has the digit None) or its levels do not ascend in the
         skeleton's order (a changed order, a start that is not extremal, a
@@ -361,17 +361,15 @@ class _Skeleton:
             raise AttractorError(f"the orbit of {start} {fault} (word {self.word}, alpha = {Fraction(*alpha)})")
 
         X_rights, X_lefts, slack = self.rounded_ends(scale)
-        rects = 0
-        for _, _, i, j in _staircase(lo, hi, tie):
+        steps = list(_staircase(lo, hi, tie))
+        for _, _, i, j, upper in steps:
             if not _below(self.lefts[j], self.rights[i], X_lefts[j], X_rights[i], slack, self.value):
-                # the top level is the next upper one, unless the next lower one lies below it
-                if j < len(hi) and (i + 1 == len(lo) or lo[i + 1] > hi[j] or lo[i + 1] == hi[j] and tie(i + 1, j) >= 0):
+                if upper:
                     top = f"index {self.high_order[j]} of the orbit of alpha"
                 else:
                     top = f"index {self.low_order[i + 1]} of the orbit of alpha - 1"
                 raise AttractorError(f"empty rectangle below the level at {top} (word {self.word}, alpha = {Fraction(*alpha)})")
-            rects += 1
-        return lo, hi, rects
+        return lo, hi, steps
 
     def product(self, lo, hi, scale: int) -> tuple[int, int]:
         """The boundary product (num, den) at W = `scale` over the ascending
@@ -526,7 +524,8 @@ def _skeleton(q: Qumterval) -> _Skeleton:
             f"upper seam open at index {high_order[k]} of the orbit of alpha (word {word}): "
             f"{skel.value(high_rights[k])} != {skel.value(lefts[k + 1])}"
         )
-    if rights[-1] != _abscissae(x, (), Q)[0] or lefts[0] != _abscissae(y, (), Q)[0]:
+    # index 0 (alpha - 1 and alpha) is the lowest and the highest level: y's pair and x's
+    if rights[-1] != high_rights[-1] or lefts[0] != low_lefts[0]:
         raise AttractorError(f"staircase does not close at the far corner (word {word})")
     return skel
 
@@ -559,12 +558,12 @@ def build_attractor(alpha) -> Attractor:
     P, Q = pair = alpha.as_integer_ratio()
     low, high = rational_orbit(pair, (P - Q, Q), q.m0), rational_orbit(pair, pair, q.m1)
     # the fit orders the exact levels as it orders keys; its scale sets the integers of the rectangle tests
-    lo, hi, _ = skel.fit(pair, low, high, MIN_PRECISION)
+    _, _, steps = skel.fit(pair, low, high, MIN_PRECISION)
     rights, lefts = [skel.value(end) for end in skel.rights], [skel.value(end) for end in skel.lefts]
     return Attractor(
         word=q.word,
         alpha=alpha,
-        rects=tuple(Rect(lefts[j], rights[i], y_lo, y_hi) for y_lo, y_hi, i, j in _staircase(lo, hi)),
+        rects=tuple(Rect(lefts[j], rights[i], y_lo, y_hi) for y_lo, y_hi, i, j, _ in steps),
         corner_x=rights[-1],
         corner_y=lefts[0],
         h_levels_low=tuple(low[1]),
@@ -576,39 +575,38 @@ def build_attractor(alpha) -> Attractor:
     )
 
 
-def _staircase(lo: list, hi: list, tie=None):
+def _staircase(lo: list, hi: list, tie):
     """Merge the strictly ascending levels of the lower and the upper
-    boundary into the rectangles between them; the levels may be given by
-    their order keys (integers), which the merge then yields, with
-    `tie(i, j)` the sign of lo[i] - hi[j] where their keys are equal
-    (`_Skeleton.fit`).  Without `tie`, equal values are one level.
+    boundary into the rectangles between them (`_Skeleton.fit`); the levels
+    may be given by their order keys (integers), which the merge then
+    yields, with `tie(i, j)` the sign of lo[i] - hi[j] where they are equal.
 
-    Yields (y_lo, y_hi, i, j) for each pair of consecutive distinct levels:
-    the rectangle's right end is that of lower segment i, the last at or
-    below y_lo, and its left end that of upper segment j, the first at or
-    above y_hi.  A level in both lists is taken once.  Both segments exist
+    Yields (y_lo, y_hi, i, j, upper) for each pair of consecutive distinct
+    levels: the rectangle's right end is that of lower segment i, the last
+    at or below y_lo, and its left end that of upper segment j, the first at
+    or above y_hi; `upper` tells that y_hi is hi[j], else it is lo[i + 1].
+    A level in both lists is taken once, as hi[j].  Both segments exist
     because lo[0] = alpha - 1 is the lowest level and hi[-1] = alpha the
-    highest (the fit's order check, `_Skeleton.fit`).
+    highest (the fit's order check; every orbit point lies below alpha), so
+    the lower list ends first.
     """
     i = j = 0
     n_lo, n_hi = len(lo), len(hi)
     below = None
-    while i < n_lo or j < n_hi:
-        if j == n_hi:
-            side = -1
-        elif i == n_lo:
+    while j < n_hi:
+        if i == n_lo:
             side = 1
         else:
             a, b = lo[i], hi[j]
-            side = -1 if a < b else 1 if a > b else tie(i, j) if tie else 0
-        level = lo[i] if side <= 0 else hi[j]
+            side = -1 if a < b else 1 if a > b else tie(i, j)
+        level = lo[i] if side < 0 else hi[j]
         if below is not None:
-            yield below, level, i_below, j
+            yield below, level, i - 1, j, side >= 0
         if side <= 0:
             i += 1
         if side >= 0:
             j += 1
-        below, i_below = level, i - 1
+        below = level
 
 
 def corner_system_residues(w: str):
@@ -685,8 +683,8 @@ def _sample_mass(alpha: tuple[int, int], skel: _Skeleton, bits: int) -> tuple[Ra
     the rectangle masses; the error estimate is theirs, summed in closed
     form."""
     scale = bits + _GUARD
-    lo, hi, rects = _fitted(alpha, skel, scale)
-    return _mass_of(*skel.product(lo, hi, scale), rects, bits)
+    lo, hi, steps = _fitted(alpha, skel, scale)
+    return _mass_of(*skel.product(lo, hi, scale), len(steps), bits)
 
 
 def _mass_of(num: int, den: int, rects: int, bits: int) -> tuple[Raw, Raw]:
@@ -896,14 +894,16 @@ def _asymptotic_rows(n_values, precision: int | None) -> list[dict]:
     is that of `entropy_at`; the target is the entropy's own h of the mass
     log(N+1) (`_entropy_of`); h, the target, A and the bound are raw floats,
     `ratio` and `A_minus_log` the doubles of h / target and A - log(N+1),
-    each rounded to nearest at the working precision first."""
+    each rounded to nearest at the working precision first.  The qumterval
+    of 0^N 1 is the descent's at 1/(N+1) (`locate_qumterval`), so N above
+    its step budget raises ValueError."""
     bits = checked_precision(precision)
     pi2 = pi_squared(bits)
     rows = []
     for n in n_values:
         if n < 2:
             raise ValueError("N must be at least 2")
-        q = qumterval_of("0" * n + "1")
+        q = locate_qumterval(Fraction(1, n + 1))
         alpha = q.pseudocenter
         A, err = _sample_mass((alpha.numerator, alpha.denominator), _skeleton(q), bits)
         h = _entropy_of(A, err, pi2, bits)[0]

@@ -350,16 +350,15 @@ class TestVerifyMatching:
         # the constancy verdict against the orbits' prefix products
         # (`prefix_products`), on side-0 and side-1 words: an orbit on the
         # word's digit pattern takes no product, and a mutated digit is
-        # multiplied out; a wrong M is not constant (on 0110111, of side 1)
-        products, certificates = [], {}
-        product, matching = kd.branch_product, kd.matching_matrices
+        # multiplied out; a wrong M in the pattern fails the certificate's
+        # identity (on 0110111, of side 1)
+        products = []
+        product = kd.branch_product
         monkeypatch.setattr(kd, "branch_product", lambda digits: products.append(digits) or product(digits))
-        # the certificate's own products are taken once, outside the count
-        monkeypatch.setattr(kd, "matching_matrices", lambda word: certificates.get(word) or matching(word))
         sides = set()
         for w in wd.words_of_length_up_to(8):
+            # the certificate's own products are taken once, outside the count (`_word_pattern` is cached)
             q, cert = bf.qumterval_of(w), kd.matching_matrices(w)
-            certificates[w] = cert
             sides.add(wd.farey_side(w))
             for alpha in alphas_inside(q, per_side=1):
                 low = k_step_fold(alpha, alpha - 1, q.m0 + 1)[2][q.m0 - 1]
@@ -394,10 +393,10 @@ class TestVerifyMatching:
                     assert products == [list(rec.digits)], (w, orbit, alpha)
                     assert entry["matrices_constant"] is (prefix_products(rec.digits)[-1] == (cert.M, cert.M_prime)[orbit]) is False
                     assert (entry["collision"], entry["status"]) == (True, "failed")
-        wrong = cert._replace(M=cert.M * T)
-        monkeypatch.setattr(kd, "matching_matrices", lambda word: wrong)
-        [entry] = kd.verify_matching(w, [alpha])["alphas_checked"]
-        assert (entry["collision"], entry["matrices_constant"], entry["status"]) == (True, False, "failed")
+        low, high, M, M_prime = kd._word_pattern(w)
+        monkeypatch.setattr(kd, "_word_pattern", lambda word: (low, high, M * T, M_prime))
+        report = kd.verify_matching(w, [alpha])
+        assert (report["M"], report["identity_holds"]) == (M * T, False)
 
     def test_report_equals_the_exact_orbits(self):
         # the kernel's digits and last points give the report that the

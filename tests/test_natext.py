@@ -6,6 +6,7 @@ import pickle
 import random
 import re
 import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, pairwise
 from math import gcd, isqrt, lcm
@@ -115,13 +116,17 @@ def kernel_orbits(alpha, q, scale):
 
 
 def fit_staircase(skel, alpha, low, high, scale):
-    """The fit's keys and its staircase, merged with the fit's tie rule:
-    tied keys ordered by the itineraries (`nx._Itineraries`)."""
-    lo, hi, rects = skel.fit(pair(alpha), low, high, scale)
+    """The fit's keys and its steps, which are its keys merged with the
+    fit's tie rule: tied keys ordered by the itineraries (`nx._Itineraries`)."""
+    lo, hi, steps = skel.fit(pair(alpha), low, high, scale)
     ties = nx._Itineraries(pair(alpha), low, high, scale)
-    run = list(nx._staircase(lo, hi, lambda i, j: ties.order(0, skel.low_order[i], 1, skel.high_order[j])))
-    assert rects == len(run)
-    return lo, hi, run
+    assert steps == list(nx._staircase(lo, hi, lambda i, j: ties.order(0, skel.low_order[i], 1, skel.high_order[j])))
+    return lo, hi, steps
+
+
+def equal(i, j):
+    """The tie rule of exact levels, which tie only where they are equal."""
+    return 0
 
 
 class TestRewrittenSteps:
@@ -292,12 +297,12 @@ class TestFilteredPredicates:
                 return compare(a, b)
 
             monkeypatch.setattr(QuadSurd, name, record)
-        _, _, rects = skel.fit(pair(alpha), low, high, scale)
+        _, _, steps = skel.fit(pair(alpha), low, high, scale)
         if scale:
             assert calls == []
         else:  # -1 < x < 1 for every end and one `_below` per rectangle
             ends = len(skel.rights) + len(skel.lefts)
-            assert calls.count(-1) == calls.count(1) == ends and calls.count("below") == rects
+            assert calls.count(-1) == calls.count(1) == ends and calls.count("below") == len(steps)
 
 
 def corners_by_blocks(w):
@@ -353,9 +358,9 @@ class TestEndPairs:
             skel = nx._skeleton(q)
             counts.append(len(made))
         made.clear()
-        lo, hi, rects = skel.fit(pair(alpha), low, high, scale)
+        lo, hi, steps = skel.fit(pair(alpha), low, high, scale)
         skel.product(lo, hi, scale)
-        assert made == [] and rects == 2048 and counts[0] == counts[1] < 10
+        assert made == [] and len(steps) == 2048 and counts[0] == counts[1] < 10
 
 
 class TestRotationOrders:
@@ -568,6 +573,19 @@ class TestLeanBuild:
         nx.build_attractor(alpha)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("alpha", [Fraction(9, 20), Fraction(67, 199), Fraction(1, 3001)], ids=str)
+    def test_one_staircase_merge_per_build(self, monkeypatch, alpha):
+        # the rectangles are the steps the fit merged and checked, one per step
+        merges, fits = [], []
+        merge, fit = nx._staircase, nx._Skeleton.fit
+        monkeypatch.setattr(nx, "_staircase", lambda *args: merges.append(args) or merge(*args))
+        monkeypatch.setattr(nx._Skeleton, "fit", lambda *args: fits.append(fit(*args)) or fits[-1])
+        attr = nx.build_attractor(alpha)
+        assert len(merges) == len(fits) == 1
+        (_, _, steps), skel = fits[0], attr.skeleton
+        want = [(skel.value(skel.lefts[j]), skel.value(skel.rights[i]), y_lo, y_hi) for y_lo, y_hi, i, j, _ in steps]
+        assert list(attr.rects) == want and len(steps) == len(attr.rects)
+
     def test_surd_comparisons_linear(self, monkeypatch):
         alpha = Fraction(1, 3001)
         nx.build_attractor(alpha)  # the word's qumterval and corners are cached
@@ -670,8 +688,8 @@ class TestSkeletonChecks:
         skel = nx._skeleton(q)
         low, high = kd.orbit(alpha, alpha - 1, q.m0).points, kd.orbit(alpha, alpha, q.m1).points
         lo, hi = sorted(low), sorted(high)
-        for _, y_hi, i, j in nx._staircase(lo, hi):
-            if j < len(hi) and hi[j] == y_hi:
+        for _, y_hi, i, j, _ in nx._staircase(lo, hi, equal):
+            if hi[j] == y_hi:
                 top = f"index {skel.high_order[j]} of the orbit of alpha"
             else:
                 top = f"index {skel.low_order[i + 1]} of the orbit of alpha - 1"
@@ -794,9 +812,9 @@ def boundary_mass(alpha, bits):
     for orbit, (digits, keys, end) in zip((low, high), kernel_orbits(alpha, q, S)):
         assert orbit == (digits, [K >> (S - scale) for K in keys], end)
     skel = nx._skeleton(q)
-    lo, hi, rects = skel.fit(pair(alpha), low, high, scale)
+    lo, hi, steps = skel.fit(pair(alpha), low, high, scale)
     num, den = skel.product(lo, hi, scale)
-    return tuple(map(mpmath.mp.make_mpf, nx._mass_of(num, den, rects, bits)))
+    return tuple(map(mpmath.mp.make_mpf, nx._mass_of(num, den, len(steps), bits)))
 
 
 def rect_mass(r, bits=None):
@@ -943,7 +961,7 @@ class TestLevelKeys:
         alpha = bf.qumterval_of(wd.word_from_rational(Fraction(107, 259))).pseudocenter
         q, low, high = self.orbits(alpha)
         lo_f, hi_f = sorted(low.points), sorted(high.points)
-        fraction_run = list(nx._staircase(lo_f, hi_f))
+        fraction_run = list(nx._staircase(lo_f, hi_f, equal))
         skel = nx._skeleton(q)
         for scale in (0, 168):
             orbits = kernel_orbits(alpha, q, scale)
@@ -962,25 +980,25 @@ class TestLevelKeys:
             assert [oracle[0][k] for k in skel.low_order] == sorted(oracle[0])
             assert [oracle[1][k] for k in skel.high_order] == sorted(oracle[1])
             assert lo == keys_at(lo_f, scale) and hi == keys_at(hi_f, scale)
-            assert run == [(*keys_at([yl, yh], scale), i, j) for yl, yh, i, j in fraction_run]
+            assert run == [(*keys_at([yl, yh], scale), i, j, up) for yl, yh, i, j, up in fraction_run]
 
     def test_shared_level_taken_once(self):
         lo = [Fraction(-1, 2), Fraction(1, 5), Fraction(1, 3)]
         hi = [Fraction(1, 5), Fraction(1, 4), Fraction(1, 2)]
-        want = list(nx._staircase(lo, hi))
-        assert [(yl, yh) for yl, yh, _, _ in want] == list(pairwise(sorted(set(lo + hi))))
+        want = list(nx._staircase(lo, hi, equal))
+        assert [(yl, yh) for yl, yh, *_ in want] == list(pairwise(sorted(set(lo + hi))))
         # keyed at the separating scale of the largest denominator no keys tie
         scale = separating_scale(Fraction(1, 5), 0)
         lo_keys, hi_keys = keys_at(lo, scale), keys_at(hi, scale)
         assert len(set(lo_keys + hi_keys)) == len(set(lo + hi))
-        assert list(nx._staircase(lo_keys, hi_keys)) == [(*keys_at([yl, yh], scale), i, j) for yl, yh, i, j in want]
+        assert list(nx._staircase(lo_keys, hi_keys, equal)) == [(*keys_at([yl, yh], scale), *rest) for yl, yh, *rest in want]
         # at scale 0 every key is -1 or 0, and the tie rule orders them
         lo_keys, hi_keys = keys_at(lo, 0), keys_at(hi, 0)
 
         def tie(i, j):
             return (lo[i] > hi[j]) - (lo[i] < hi[j])
 
-        assert list(nx._staircase(lo_keys, hi_keys, tie)) == [(*keys_at([yl, yh], 0), i, j) for yl, yh, i, j in want]
+        assert list(nx._staircase(lo_keys, hi_keys, tie)) == [(*keys_at([yl, yh], 0), *rest) for yl, yh, *rest in want]
 
     def test_equal_levels_refused(self, monkeypatch):
         alpha = Fraction(337, 1000)
@@ -1025,6 +1043,27 @@ class TestLevelKeys:
         assert calls == []
 
 
+@contextmanager
+def alarm(seconds, message):
+    """Raise TimeoutError(message) in the block after `seconds` of wall time,
+    where the platform has an interval timer."""
+    timer = getattr(signal, "setitimer", None)
+    if not timer:
+        yield
+        return
+
+    def expire(*_):
+        raise TimeoutError(message)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    timer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        timer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def fibonacci_slopes(max_len):
     """F(k-2)/F(k) for the Fibonacci numbers 5 <= F(k) <= max_len: the
     slopes of the Fibonacci words, whose levels cluster the most."""
@@ -1049,7 +1088,7 @@ class TestItineraryOrder:
         against their exact order."""
         low, high = kd.orbit(alpha, alpha - 1, q.m0), kd.orbit(alpha, alpha, q.m1)
         lo_f, hi_f = sorted(low.points), sorted(high.points)
-        want = [(i, j) for _, _, i, j in nx._staircase(lo_f, hi_f)]
+        want = [(i, j) for _, _, i, j, _ in nx._staircase(lo_f, hi_f, equal)]
         skel = nx._skeleton(q)
         assert [low.points[k] for k in skel.low_order] == lo_f
         assert [high.points[k] for k in skel.high_order] == hi_f
@@ -1057,7 +1096,7 @@ class TestItineraryOrder:
             orbits = kernel_orbits(alpha, q, scale)
             lo, hi, run = fit_staircase(skel, alpha, *orbits, scale)
             assert lo == keys_at(lo_f, scale) and hi == keys_at(hi_f, scale)
-            assert [(i, j) for _, _, i, j in run] == want, (alpha, scale)
+            assert [(i, j) for _, _, i, j, _ in run] == want, (alpha, scale)
             if all_pairs:
                 ties = nx._Itineraries(pair(alpha), *orbits, scale)
                 points = low.points, high.points
@@ -1638,19 +1677,8 @@ class TestLeanSample:
         # 10^11 samples on (1/50, 49/50) are every grid point from the
         # rounding of the first point to that of the last; a loop over the
         # samples would not end within the alarm
-        def expire(*_):
-            raise TimeoutError("entropy_grid stepped through the samples")
-
-        timer = getattr(signal, "setitimer", None)
-        if timer:
-            previous = signal.signal(signal.SIGALRM, expire)
-            timer(signal.ITIMER_REAL, 30)
-        try:
+        with alarm(30, "entropy_grid stepped through the samples"):
             grid = nx.entropy_grid(Fraction(1, 50), Fraction(49, 50), 10**11)
-        finally:
-            if timer:
-                timer(signal.ITIMER_REAL, 0)
-                signal.signal(signal.SIGALRM, previous)
         assert len(grid) == 503_317
         assert [g.numerator * (2**19 // g.denominator) for g in grid] == list(range(10_486, 513_803))
 
@@ -1732,6 +1760,13 @@ class TestCurveAndProbes:
             A_rects, err_rects = rect_sum(nx.build_attractor(alpha))
             with working_precision(None):
                 assert abs(row["A"] - A_rects) <= row["err_bound"] + err_rects
+
+    @pytest.mark.parametrize("n", [10**6 + 1, 10**8])
+    def test_asymptotic_rows_keep_to_the_step_budget(self, n):
+        # 1/(N+1) is located by the descent, which refuses N above its budget at once
+        with alarm(1, "the probe ran past the descent's step budget"):
+            with pytest.raises(ValueError, match="step budget of 1000000 mediant steps"):
+                nx._asymptotic_rows([n], None)
 
     def test_slope_probe_monotone_data(self):
         rows = nx.slope_growth_probe("001", "plus", 4)
