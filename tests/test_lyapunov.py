@@ -106,6 +106,77 @@ def test_restart_after_an_exact_hit_of_zero():
     assert ly.birkhoff_log_deriv(0.5, 0.25, n, 0) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize(
+    "x0, before",
+    [
+        pytest.param(0.25, [0.25], id="offset_1"),
+        pytest.param(-0.4444444444444445, [-0.4444444444444445, 0.25], id="offset_2"),
+    ],
+)
+@pytest.mark.parametrize("n", [5, 16, 17, 1000])
+def test_points_before_a_hit_inside_a_block_are_counted(x0, before, n):
+    # at alpha = 1/2 these starts reach 0 after 1 and 2 steps, at that offset of the
+    # first counted block (the tail when n < 16); the points before the hit count,
+    # and the restart draws its start, and any later restart, from the same rng
+    k = len(before)
+    rng = random.Random(0)
+    restarted = per_step_oracle(0.5, ly._random_start(rng, 0.5), n - k, 0, rng=rng)
+    assert restarted is not None
+    expected = (sum(-2.0 * math.log(abs(y)) for y in before) + (n - k) * restarted) / n
+    assert ly.birkhoff_log_deriv(0.5, x0, n, 0) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+# float.hex() of estimates recorded with the kernel that ran one loop iteration per step
+# (before the 16 steps of a block were written out); every estimate must keep these bits
+PINNED_ESTIMATES = {
+    ("39/44", 0): "0x1.1384962f8ab41p+1",
+    ("39/44", 1): "0x1.1197a3688c5aep+1",
+    ("39/44", 2): "0x1.13663e87e01fcp+1",
+    ("39/44", 3): "0x1.132f8b76c5932p+1",
+    ("3/10", 0): "0x1.982852ad3797ep+1",
+    ("3/10", 1): "0x1.95eefcc934981p+1",
+    ("3/10", 2): "0x1.96f6b3352d059p+1",
+    ("3/10", 3): "0x1.974ccaf0eed5ep+1",
+    ("49/115", 0): "0x1.b675907a15014p+1",
+    ("49/115", 1): "0x1.b5db84fef95a2p+1",
+    ("49/115", 2): "0x1.b734fd6187bb2p+1",
+    ("49/115", 3): "0x1.b5d041cca9e20p+1",
+    ("4/11", 0): "0x1.aecac012e5ce3p+1",
+    ("4/11", 1): "0x1.afdec922aaa5ap+1",
+    ("4/11", 2): "0x1.ae9412f612917p+1",
+    ("4/11", 3): "0x1.ae27cde0039c2p+1",
+}
+PINNED_HITS_OF_ZERO = {
+    (0.25, 1): "0x1.62e42fefa39efp+1",
+    (0.25, 15): "0x1.950d4a7659b75p+1",
+    (0.25, 16): "0x1.8d20ab96e9250p+1",
+    (0.25, 17): "0x1.a85d135b915d8p+1",
+    (0.25, 1023): "0x1.b21a634398910p+1",
+    (0.25, 1025): "0x1.b1bb665cd09e5p+1",
+    (0.25, 1040): "0x1.b1da01c064dfep+1",
+    (-0.4444444444444445, 1): "0x1.9f323ecbf984bp+0",
+    (-0.4444444444444445, 15): "0x1.922d64afaa097p+1",
+    (-0.4444444444444445, 16): "0x1.88b607c553e80p+1",
+    (-0.4444444444444445, 17): "0x1.81fa9448bd1f3p+1",
+    (-0.4444444444444445, 1023): "0x1.b21592803c250p+1",
+    (-0.4444444444444445, 1025): "0x1.b1ac02397f26ep+1",
+    (-0.4444444444444445, 1040): "0x1.b1a97ac8381cdp+1",
+}
+
+
+def test_estimates_keep_their_pinned_bits():
+    # the four alphas of the benchmark's crosscheck workload at seed 0, at 10^5 steps
+    for (alpha, seed), bits in PINNED_ESTIMATES.items():
+        est = ly.lyapunov_estimate(Fraction(alpha), steps=10**5, seed=seed)
+        assert est.hex() == bits, (alpha, seed)
+    # the restart out of a float cycle
+    est = ly.lyapunov_estimate(Fraction(23, 146), steps=10**6, seed=200045)
+    assert est.hex() == "0x1.3d8588984d640p+1"
+    # hits of 0 at offsets 1 and 2, with runs that end in, at and past the first blocks
+    for (x0, n), bits in PINNED_HITS_OF_ZERO.items():
+        assert ly.birkhoff_log_deriv(0.5, x0, n, 0).hex() == bits, (x0, n)
+
+
 def test_deterministic_under_seed():
     a = ly.lyapunov_estimate(Fraction(2, 5), steps=50_000, seed=3)
     b = ly.lyapunov_estimate(Fraction(2, 5), steps=50_000, seed=3)
@@ -129,11 +200,18 @@ def test_rejects_bad_alpha():
         ly.lyapunov_estimate(Fraction(3, 2))
 
 
-@pytest.mark.parametrize("steps, burn_in", [(0, 10), (-3, 10), (100, -5)])
+@pytest.mark.parametrize(
+    "steps, burn_in",
+    [(0, 10), (-3, 10), (100, -5), (1e5, 10), (1000.5, 10), (True, 10), (100, 5.0), (100, False)],
+)
 def test_rejects_bad_counts(steps, burn_in):
-    with pytest.raises(ValueError):
+    # a count that is not an int is refused before any step, naming the argument
+    bad_steps = type(steps) is not int or steps < 1
+    name, value = ("steps", steps) if bad_steps else ("burn_in", burn_in)
+    error = ValueError if type(value) is int else TypeError
+    with pytest.raises(error, match=name):
         ly.lyapunov_estimate(Fraction(1, 3), steps=steps, burn_in=burn_in)
-    with pytest.raises(ValueError):
+    with pytest.raises(error, match=name):
         ly.birkhoff_log_deriv(0.3, 0.12345, steps, burn_in)
 
 
