@@ -64,8 +64,11 @@ def birkhoff_log_deriv(
 
     Restarts (see the module docstring) draw their start from `rng`
     (default ``random.Random(0)``).  A start closer to 0 than 2^-53 is
-    treated like a hit of 0.
+    treated like a hit of 0.  An alpha outside (0, 1), or NaN, raises
+    ValueError before any step.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
     steps = _count(steps, "steps")
     burn_in = _count(burn_in, "burn_in")
     if steps < 1:

@@ -30,10 +30,11 @@ read); it checks the square once per scale.  Every parameter takes one
 path to it, the skeleton's fit of its endpoint orbits, stepped once
 (`kdynamics.rational_orbit`), which refuses orbits whose digits or level
 order differ from the skeleton's and checks that no rectangle is empty as
-it merges the staircase, and returns its steps.  A sample fits the orbits'
-order keys (`_fitted`) and counts the steps; `build_attractor` fits their
-exact points, the only exact levels made, and makes a rectangle of each
-step.  An error message names a level by its orbit index.
+it merges the staircase, and returns one byte per rectangle, the side of
+its top level.  A sample fits the orbits' order keys (`_fitted`) and
+counts the bytes; `build_attractor` fits their exact points, the only
+exact levels made, and replays the bytes over them into its rectangles
+(`_steps`).  An error message names a level by its orbit index.
 
 The entropy then follows from the identity  h * area = pi^2 / 3  where
 "area" is the mass of the attractor under dx dy / (1 + x y)^2.  That mass has
@@ -48,20 +49,18 @@ first offset where the keys or the digits differ decides, and the two
 points are compared exactly only where an itinerary runs out.  The order
 check and the merge compare integers only, never two exact levels, and a
 sample with no tie makes no itinerary.  One helper builds the factors and
-multiplies them as it forms them
-(`_Skeleton.product`), for the entropy (`_sample_mass`) and the band
-masses of `measure_interval` (the same product over the fit's keys
-clamped into the band) alike.  `entropy_at`, `entropy_curve` and
-`qumterval_slope` share one sample loop (`_entropy_run`).  It carries each
-parameter p/q as its integer pair (p, q) through the reflection above 1/2
-and both orbit starts, (p - q, q) and (p, q), so a sample makes no
-`Fraction`; it binds once per qumterval the skeleton and the word's labels
-with its mirror's, keeps them for the length of the call, and takes pi^2
-once; `asymptotic_probe` builds its own skeleton, and an attractor keeps
-the one it was built from.  Its mass is the
-entropy's, taken once per precision and kept on it (`_raw_mass`),
-which the density and the measure divide by.  The sum of the rectangles'
-closed-form masses is only the tests' oracle.
+multiplies them as it forms them (`_Skeleton.product`), for the entropy
+(`_sample_mass`) and the band masses of `measure_interval` (the same
+product over the fit's keys clamped into the band) alike.  `entropy_at`,
+`entropy_curve`, `qumterval_slope` and `probe asymptotic` share one sample
+loop (`_entropy_run`).  It carries each parameter p/q as its integer pair
+(p, q) through the reflection above 1/2 and both orbit starts, (p - q, q)
+and (p, q), so a sample makes no `Fraction`; it binds once per qumterval
+the skeleton and the word's labels with its mirror's, keeps them for the
+length of the call, and takes pi^2 once.  An attractor keeps the skeleton
+it was built from, and its mass is the entropy's, taken once per precision
+and kept on it (`_raw_mass`), which the density and the measure divide by.
+The sum of the rectangles' closed-form masses is only the tests' oracle.
 
 The float tail of a sample is a few operations on mantissa/exponent
 pairs of integers at the working precision, each exact and then rounded
@@ -69,18 +68,19 @@ to nearest by the one rounding of the raw floats (`exactnum._near`, with
 `_quotient` for a division): A = log(num / den) of the boundary product,
 its log correctly rounded (`exactnum._log`), and its bound err = 2^-bits
 (32 rects + 8 A) (`_mass_of`), then h = pi^2 / (3 A) and its bound
-h (err / A) + 2^(8 - bits) (`_entropy_of`, shared by `_entropy_run` and
-`asymptotic_probe`).  Only the results become raw floats (sign, man, exp,
-bc).  The operations and their order are those of the mpf expressions
-written out, and of the chain of `exactnum.raw_*` calls the tests keep as
-the oracle, so every raw value is theirs bit for bit, and the CLI prints
-them without mpmath (`exactnum.decimal_text`).  The other floats (the
-density, the measure, the probes' columns, the plateau value) are chains
-of `exactnum.raw_*` calls in the order of their mpf expressions, and the
+h (err / A) + 2^(8 - bits) (`_entropy_of`, which also makes the probe's
+target).  Only the results become raw floats (sign, man, exp, bc).  The
+operations and their order are those of the mpf expressions written out,
+and of the chain of `exactnum.raw_*` calls the tests keep as the oracle,
+so every raw value is theirs bit for bit, and the CLI prints them without
+mpmath (`exactnum.decimal_text`).  The other floats (the density, the
+measure, the probes' columns, the plateau value) are chains of
+`exactnum.raw_*` calls in the order of their mpf expressions, and the
 slope is one rounding of an exact quotient (`qumterval_slope`).  An
-`EntropySample` keeps the raw values and wraps each into an mpmath.mpf
-for library callers on first read; the library's other mpf results are
-wrapped as they are returned (`exactnum.raw_mpf`).
+`EntropySample` keeps the raw values, A's bound among them, and wraps A, h
+and h's bound into mpmath.mpf for library callers on first read; the
+library's other mpf results are wrapped as they are returned
+(`exactnum.raw_mpf`).
 """
 
 from __future__ import annotations
@@ -314,27 +314,29 @@ class _Skeleton:
         `scale` (`_fitted`), or the exact points themselves
         (`build_attractor`): keys that tie only where two points are equal.
         W also sets the integers of the rectangle tests.  Returns the lower
-        and the upper segments' levels, both ascending, and the steps of
-        the staircase.  Raises AttractorError, naming the word and the orbit,
-        when an orbit's digits differ from the skeleton's (an orbit that
-        hits zero has the digit None) or its levels do not ascend in the
-        skeleton's order (a changed order, a start that is not extremal, a
-        repeated level); and when a rectangle of the staircase would be
-        empty or an end lies outside (-1, 1) (`rounded_ends`).  With every
-        level in [alpha - 1, alpha], inside (-1, 1), an end in (-1, 1) gives
-        1 + x y > 0: no rectangle reaches a pole of the density.
+        and the upper segments' levels, both ascending, and `sides`, one
+        byte per rectangle of the staircase: 0, 1 or 2 as its top level is
+        the next lower level, one in both (taken once) or the next upper
+        one (`_steps` replays them).  Raises AttractorError, naming the word
+        and the orbit, when an orbit's digits differ from the skeleton's (an
+        orbit that hits zero has the digit None) or its levels do not ascend
+        in the skeleton's order (a changed order, a start that is not
+        extremal, a repeated level); and when a rectangle would be empty or
+        an end lies outside (-1, 1) (`rounded_ends`).  With every level in
+        [alpha - 1, alpha], inside (-1, 1), an end in (-1, 1) gives 1 + x y
+        > 0: no rectangle reaches a pole of the density.
 
         The floor is monotone, so keys that differ order their levels; two
         levels whose keys tie are ordered by their itineraries
         (`_Itineraries`), made only at the first tie: the order check, and
-        the merge of the staircase, which takes equal levels once.
-
-        The left end L of an upper segment must lie below the right end R of
-        a lower one, on each rectangle of the staircase (`_staircase`).
-        With the ends X = `rounded_ends(W)`, each within s units of its
-        value times 2^W, (R - L) 2^W exceeds X_R - X_L - 2s, so X_R - X_L >=
-        2s proves L < R (`_below`); only where the integers cannot decide is
-        the test exact.
+        the merge, which starts above lo[0] = alpha - 1 (past alpha the
+        orbit's denominators fall below q, as |a/b| < 1) and ends at hi[-1]
+        = alpha.  It checks each rectangle as it is merged: the left end L
+        of its upper segment must lie below the right end R of its lower
+        one.  With the ends X = `rounded_ends(W)`, each within s units of
+        its value times 2^W, (R - L) 2^W exceeds X_R - X_L - 2s, so X_R -
+        X_L >= 2s proves L < R (`_below`); only where the integers cannot
+        decide is the test exact.
         """
         lo, hi = [low[1][k] for k in self.low_order], [high[1][k] for k in self.high_order]
         ties = None
@@ -361,15 +363,25 @@ class _Skeleton:
             raise AttractorError(f"the orbit of {start} {fault} (word {self.word}, alpha = {Fraction(*alpha)})")
 
         X_rights, X_lefts, slack = self.rounded_ends(scale)
-        steps = list(_staircase(lo, hi, tie))
-        for _, _, i, j, upper in steps:
-            if not _below(self.lefts[j], self.rights[i], X_lefts[j], X_rights[i], slack, self.value):
-                if upper:
-                    top = f"index {self.high_order[j]} of the orbit of alpha"
+        rights, lefts, value = self.rights, self.lefts, self.value
+        sides = bytearray()
+        i, j, n_lo, n_hi = 1, 0, len(lo), len(hi)
+        while j < n_hi:
+            if i == n_lo:
+                side = 1
+            else:
+                a, b = lo[i], hi[j]
+                side = -1 if a < b else 1 if a > b else tie(i, j)
+            if not _below(lefts[j], rights[i - 1], X_lefts[j], X_rights[i - 1], slack, value):
+                if side < 0:
+                    top = f"index {self.low_order[i]} of the orbit of alpha - 1"
                 else:
-                    top = f"index {self.low_order[i + 1]} of the orbit of alpha - 1"
+                    top = f"index {self.high_order[j]} of the orbit of alpha"
                 raise AttractorError(f"empty rectangle below the level at {top} (word {self.word}, alpha = {Fraction(*alpha)})")
-        return lo, hi, steps
+            sides.append(side + 1)
+            i += side <= 0
+            j += side >= 0
+        return lo, hi, sides
 
     def product(self, lo, hi, scale: int) -> tuple[int, int]:
         """The boundary product (num, den) at W = `scale` over the ascending
@@ -558,12 +570,12 @@ def build_attractor(alpha) -> Attractor:
     P, Q = pair = alpha.as_integer_ratio()
     low, high = rational_orbit(pair, (P - Q, Q), q.m0), rational_orbit(pair, pair, q.m1)
     # the fit orders the exact levels as it orders keys; its scale sets the integers of the rectangle tests
-    _, _, steps = skel.fit(pair, low, high, MIN_PRECISION)
+    lo, hi, sides = skel.fit(pair, low, high, MIN_PRECISION)
     rights, lefts = [skel.value(end) for end in skel.rights], [skel.value(end) for end in skel.lefts]
     return Attractor(
         word=q.word,
         alpha=alpha,
-        rects=tuple(Rect(lefts[j], rights[i], y_lo, y_hi) for y_lo, y_hi, i, j, _ in steps),
+        rects=tuple(Rect(lefts[j], rights[i], y_lo, y_hi) for y_lo, y_hi, i, j in _steps(lo, hi, sides)),
         corner_x=rights[-1],
         corner_y=lefts[0],
         h_levels_low=tuple(low[1]),
@@ -575,37 +587,16 @@ def build_attractor(alpha) -> Attractor:
     )
 
 
-def _staircase(lo: list, hi: list, tie):
-    """Merge the strictly ascending levels of the lower and the upper
-    boundary into the rectangles between them (`_Skeleton.fit`); the levels
-    may be given by their order keys (integers), which the merge then
-    yields, with `tie(i, j)` the sign of lo[i] - hi[j] where they are equal.
-
-    Yields (y_lo, y_hi, i, j, upper) for each pair of consecutive distinct
-    levels: the rectangle's right end is that of lower segment i, the last
-    at or below y_lo, and its left end that of upper segment j, the first at
-    or above y_hi; `upper` tells that y_hi is hi[j], else it is lo[i + 1].
-    A level in both lists is taken once, as hi[j].  Both segments exist
-    because lo[0] = alpha - 1 is the lowest level and hi[-1] = alpha the
-    highest (the fit's order check; every orbit point lies below alpha), so
-    the lower list ends first.
-    """
-    i = j = 0
-    n_lo, n_hi = len(lo), len(hi)
-    below = None
-    while j < n_hi:
-        if i == n_lo:
-            side = 1
-        else:
-            a, b = lo[i], hi[j]
-            side = -1 if a < b else 1 if a > b else tie(i, j)
-        level = lo[i] if side < 0 else hi[j]
-        if below is not None:
-            yield below, level, i - 1, j, side >= 0
-        if side <= 0:
-            i += 1
-        if side >= 0:
-            j += 1
+def _steps(lo: list, hi: list, sides):
+    """The rectangles of a fit (`_Skeleton.fit`), replayed from its `sides`
+    over its levels: (y_lo, y_hi, i, j) for each, whose right end is that
+    of lower segment i and left end that of upper segment j."""
+    i, j, below = 1, 0, lo[0]
+    for side in sides:
+        level = lo[i] if side == 0 else hi[j]
+        yield below, level, i - 1, j
+        i += side < 2
+        j += side > 0
         below = level
 
 
@@ -647,11 +638,12 @@ def _raw_mass(attr: Attractor, bits: int) -> tuple[Raw, Raw]:
     return got
 
 
-class EntropySample(Frozen, namedtuple("EntropySample", "alpha word m0 m1 raw_A raw_h raw_err")):
-    """An entropy sample: the mass A, the entropy h and h's error bound as
-    raw floats (sign, man, exp, bc) of the working precision (`_mass_of`,
-    `_entropy_of`), which the CLI prints (`exactnum.decimal_text`); `A`,
-    `h` and `err_bound` are their mpmath.mpf, wrapped on first read."""
+class EntropySample(Frozen, namedtuple("EntropySample", "alpha word m0 m1 raw_A raw_h raw_err raw_A_err")):
+    """An entropy sample: the mass A, the entropy h, h's error bound and
+    A's as raw floats (sign, man, exp, bc) of the working precision
+    (`_mass_of`, `_entropy_of`), which the CLI and `probe asymptotic` print
+    (`exactnum.decimal_text`); `A`, `h` and `err_bound` are the first three
+    as mpmath.mpf, wrapped on first read."""
 
     @cached_property
     def A(self):
@@ -683,8 +675,8 @@ def _sample_mass(alpha: tuple[int, int], skel: _Skeleton, bits: int) -> tuple[Ra
     the rectangle masses; the error estimate is theirs, summed in closed
     form."""
     scale = bits + _GUARD
-    lo, hi, steps = _fitted(alpha, skel, scale)
-    return _mass_of(*skel.product(lo, hi, scale), len(steps), bits)
+    lo, hi, sides = _fitted(alpha, skel, scale)
+    return _mass_of(*skel.product(lo, hi, scale), len(sides), bits)
 
 
 def _mass_of(num: int, den: int, rects: int, bits: int) -> tuple[Raw, Raw]:
@@ -875,7 +867,7 @@ def _entropy_run(grid, precision: int | None) -> list[EntropySample]:
             _, skel, labels, mirror = got
         A, err = _sample_mass((P, Q), skel, bits)
         h, h_err = _entropy_of(A, err, pi2, bits)
-        out.append(EntropySample(alpha, *(mirror if mirrored else labels), A, h, h_err))
+        out.append(EntropySample(alpha, *(mirror if mirrored else labels), A, h, h_err, err))
     return out
 
 
@@ -889,29 +881,26 @@ def asymptotic_probe(n_values, precision: int | None = None) -> list[dict]:
 
 
 def _asymptotic_rows(n_values, precision: int | None) -> list[dict]:
-    """The rows of the probe, which `probe asymptotic` prints: A and its
-    error bound come from the fit's boundary product (`_sample_mass`), so A
-    is that of `entropy_at`; the target is the entropy's own h of the mass
-    log(N+1) (`_entropy_of`); h, the target, A and the bound are raw floats,
-    `ratio` and `A_minus_log` the doubles of h / target and A - log(N+1),
-    each rounded to nearest at the working precision first.  The qumterval
-    of 0^N 1 is the descent's at 1/(N+1) (`locate_qumterval`), so N above
-    its step budget raises ValueError."""
+    """The rows of `probe asymptotic`: h, A and A's bound (`raw_A_err`) of
+    `entropy_at` at 1/(N+1), the pseudocenter of 0^N 1, and the target,
+    the entropy's own h of the mass log(N+1) (`_entropy_of`), as raw
+    floats; `ratio` and `A_minus_log` are the doubles of h / target and A -
+    log(N+1), each rounded to nearest at the working precision first.  N
+    below 2 raises ValueError before any sample, and N above the descent's
+    step budget when it is reached."""
     bits = checked_precision(precision)
+    n_values = list(n_values)
+    if any(n < 2 for n in n_values):
+        raise ValueError("N must be at least 2")
     pi2 = pi_squared(bits)
     rows = []
     for n in n_values:
-        if n < 2:
-            raise ValueError("N must be at least 2")
-        q = locate_qumterval(Fraction(1, n + 1))
-        alpha = q.pseudocenter
-        A, err = _sample_mass((alpha.numerator, alpha.denominator), _skeleton(q), bits)
-        h = _entropy_of(A, err, pi2, bits)[0]
+        s = _entropy_run([Fraction(1, n + 1)], bits)[0]  # one call per N: a call keeps each skeleton it makes
         log_n1 = raw_log(raw_int(n + 1), bits)
         target = _entropy_of(log_n1, ZERO, pi2, bits)[0]
         rows.append(dict(
-            N=n, alpha=alpha, h=h, target=target, ratio=raw_float(raw_div(h, target, bits)),
-            A=A, A_minus_log=raw_float(raw_add(A, raw_neg(log_n1), bits)), err_bound=err,
+            N=n, alpha=s.alpha, h=s.raw_h, target=target, ratio=raw_float(raw_div(s.raw_h, target, bits)),
+            A=s.raw_A, A_minus_log=raw_float(raw_add(s.raw_A, raw_neg(log_n1), bits)), err_bound=s.raw_A_err,
         ))
     return rows
 

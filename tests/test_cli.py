@@ -404,6 +404,35 @@ class TestRegressionPins:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "aa18bffbdaf02bc09886d10330cf65ffa3354fbbe7d6c8dc69fb086333e2c0f1"
 
+    # sha256 of `probe asymptotic` stdout by --N values and --precision (None: the default),
+    # recorded while the probe ran its own copy of the sample loop
+    ASYMPTOTIC_PINS = {
+        (("2",), None): "d865051c8db1fdb0f4f51cd8e7ff54ee40f2bfb259562843edecd8dab4cdafb1",
+        (("10",), None): "89cdcc66de5e3af2bd1f38e93df39db62cf1b1f0b58c64a749a2fa22b6bc336e",
+        (("1000",), None): "100633679f3e7ca5602ab3034c23929cc0e0c3cc09493207cbc8ea1a056a289c",
+        (("7", "7"), None): "41653f55492178562f5dfe34cc2f69347482ffb35dd2f002e12bd96b318dc3b0",
+        (("2",), "64"): "ad47c744ee055104bdab28c764ef0f5b960c411ce695f04db1183637abb9067f",
+        (("10",), "64"): "742c433d0fd2e31fa7d0ff6b2a26885c454461b24af34a92b1df7fad91d1fd54",
+        (("1000",), "64"): "f9cea99f88abb6a65d85b2882d5e2e0da8f3366c8af3d3317c217d74ff3392ff",
+        (("7", "7"), "64"): "0bb6667b05e778286537f36eb7c834aecab9157c6a84297ed2bb68f5502b079f",
+        (("2",), "512"): "d865051c8db1fdb0f4f51cd8e7ff54ee40f2bfb259562843edecd8dab4cdafb1",
+        (("10",), "512"): "89cdcc66de5e3af2bd1f38e93df39db62cf1b1f0b58c64a749a2fa22b6bc336e",
+        (("1000",), "512"): "100633679f3e7ca5602ab3034c23929cc0e0c3cc09493207cbc8ea1a056a289c",
+        (("7", "7"), "512"): "41653f55492178562f5dfe34cc2f69347482ffb35dd2f002e12bd96b318dc3b0",
+    }
+
+    @pytest.mark.parametrize("precision", [None, "64", "512"], ids=["default", "64", "512"])
+    @pytest.mark.parametrize("ns", [("2",), ("10",), ("1000",), ("7", "7")], ids="-".join)
+    def test_probe_asymptotic_bytes(self, capsys, ns, precision):
+        argv = [arg for n in ns for arg in ("--N", n)] + (["--precision", precision] if precision else [])
+        code, out, err = run(capsys, "probe", "asymptotic", *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.ASYMPTOTIC_PINS[ns, precision]
+
+    def test_probe_asymptotic_refuses_n_below_2(self, capsys):
+        code, out, err = run(capsys, "probe", "asymptotic", "--N", "10", "--N", "1")
+        assert (code, out) == (2, "") and "N must be at least 2" in err
+
     def test_endpoints_beyond_the_int_digit_limit(self):
         # the endpoints of the word of slope 4181/10946 have more than 4300 digits
         w = wd.word_from_rational(Fraction(4181, 10946))

@@ -219,3 +219,29 @@ def test_rejects_a_start_that_is_not_finite():
     for x0 in (math.nan, math.inf):
         with pytest.raises(ValueError):
             ly.birkhoff_log_deriv(0.3, x0, 100, 10)
+
+
+class NoDraws(random.Random):
+    """An rng that fails the test if a start is drawn from it."""
+
+    def uniform(self, a, b):
+        raise AssertionError("a start was drawn")
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            pytest.param(lambda: ly.birkhoff_log_deriv(5.0, 0.3, 1000, 10), ValueError, "alpha must lie strictly between 0 and 1", id="birkhoff_log_deriv-alpha-5"),
+            pytest.param(lambda: ly.birkhoff_log_deriv(-0.5, 0.3, 1000, 10), ValueError, "alpha must lie strictly between 0 and 1", id="birkhoff_log_deriv-alpha-negative"),
+            pytest.param(lambda: ly.birkhoff_log_deriv(0.0, 0.3, 1000, 10), ValueError, "alpha must lie strictly between 0 and 1", id="birkhoff_log_deriv-alpha-0"),
+            pytest.param(lambda: ly.birkhoff_log_deriv(1.0, 0.3, 1000, 10), ValueError, "alpha must lie strictly between 0 and 1", id="birkhoff_log_deriv-alpha-1"),
+            pytest.param(lambda: ly.birkhoff_log_deriv(math.nan, 0.3, 1000, 10), ValueError, "alpha must lie strictly between 0 and 1", id="birkhoff_log_deriv-alpha-nan"),
+            pytest.param(lambda: ly.birkhoff_log_deriv(math.inf, 0.3, 1000, 10), ValueError, "alpha must lie strictly between 0 and 1", id="birkhoff_log_deriv-alpha-inf"),
+            # a start at 0 draws a new one first: the refusal comes before it
+            pytest.param(lambda: ly.birkhoff_log_deriv(1.5, 0.0, 10, 0, rng=NoDraws()), ValueError, "alpha must lie strictly between 0 and 1", id="birkhoff_log_deriv-alpha-before-any-draw"),
+        ],
+    )
+    def test_refused(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()

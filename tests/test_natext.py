@@ -6,6 +6,7 @@ import pickle
 import random
 import re
 import signal
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, pairwise
@@ -115,12 +116,50 @@ def kernel_orbits(alpha, q, scale):
     return tuple(kd.rational_orbit(pair(alpha), pair(start), steps, scale) for start, steps in ((alpha - 1, q.m0), (alpha, q.m1)))
 
 
+def staircase(lo: list, hi: list, tie):
+    """The merge oracle: the strictly ascending levels of the lower and the
+    upper boundary merged into the rectangles between them; the levels may
+    be given by their order keys (integers), with `tie(i, j)` the sign of
+    lo[i] - hi[j] where they are equal.
+
+    Yields (y_lo, y_hi, i, j, upper) for each pair of consecutive distinct
+    levels: the rectangle's right end is that of lower segment i, the last
+    at or below y_lo, and its left end that of upper segment j, the first at
+    or above y_hi; `upper` tells that y_hi is hi[j], else it is lo[i + 1].
+    A level in both lists is taken once, as hi[j]."""
+    i = j = 0
+    n_lo, n_hi = len(lo), len(hi)
+    below = None
+    while j < n_hi:
+        if i == n_lo:
+            side = 1
+        else:
+            a, b = lo[i], hi[j]
+            side = -1 if a < b else 1 if a > b else tie(i, j)
+        level = lo[i] if side < 0 else hi[j]
+        if below is not None:
+            yield below, level, i - 1, j, side >= 0
+        if side <= 0:
+            i += 1
+        if side >= 0:
+            j += 1
+        below = level
+
+
+def replayed(lo, hi, sides):
+    """The steps of a fit (`nx._steps` over its sides), each with `upper`,
+    that its top level is hi[j] (side 1 or 2), as `staircase` yields them."""
+    return [(*step, side > 0) for step, side in zip(nx._steps(lo, hi, sides), sides, strict=True)]
+
+
 def fit_staircase(skel, alpha, low, high, scale):
-    """The fit's keys and its steps, which are its keys merged with the
-    fit's tie rule: tied keys ordered by the itineraries (`nx._Itineraries`)."""
-    lo, hi, steps = skel.fit(pair(alpha), low, high, scale)
+    """The fit's keys and its steps replayed from its sides, which are its
+    keys merged with the fit's tie rule: tied keys ordered by the
+    itineraries (`nx._Itineraries`)."""
+    lo, hi, sides = skel.fit(pair(alpha), low, high, scale)
+    steps = replayed(lo, hi, sides)
     ties = nx._Itineraries(pair(alpha), low, high, scale)
-    assert steps == list(nx._staircase(lo, hi, lambda i, j: ties.order(0, skel.low_order[i], 1, skel.high_order[j])))
+    assert steps == list(staircase(lo, hi, lambda i, j: ties.order(0, skel.low_order[i], 1, skel.high_order[j])))
     return lo, hi, steps
 
 
@@ -224,14 +263,16 @@ def shifted(end, k):
 def pole_decision(x, y, scale):
     """The fit's square test of an end x at `scale`, on a one-segment
     skeleton whose two boundaries are x over the level y: |X| + slack against
-    2^scale, exactly where the integers cannot decide."""
+    2^scale, exactly where the integers cannot decide.  The test runs before
+    the merge, which then finds the one rectangle, from y to y, empty."""
     end, Q, d = end_pair(x)
     skel = nx._Skeleton("", (), (), (0,), (0,), rights=(end,), lefts=(end,), Q=Q, d=d)
     orbit = (), keys_at([y], scale), (y.numerator, y.denominator)
     try:
-        return skel.fit(pair(y), orbit, orbit, scale) is not None
-    except nx.AttractorError:
-        return False
+        skel.fit(pair(y), orbit, orbit, scale)
+    except nx.AttractorError as exc:
+        return "density pole" not in str(exc)
+    raise AssertionError("the fit accepted an empty rectangle")
 
 
 levels = st.fractions(-1, 1, max_denominator=10**12)
@@ -297,12 +338,12 @@ class TestFilteredPredicates:
                 return compare(a, b)
 
             monkeypatch.setattr(QuadSurd, name, record)
-        _, _, steps = skel.fit(pair(alpha), low, high, scale)
+        _, _, sides = skel.fit(pair(alpha), low, high, scale)
         if scale:
             assert calls == []
         else:  # -1 < x < 1 for every end and one `_below` per rectangle
             ends = len(skel.rights) + len(skel.lefts)
-            assert calls.count(-1) == calls.count(1) == ends and calls.count("below") == len(steps)
+            assert calls.count(-1) == calls.count(1) == ends and calls.count("below") == len(sides)
 
 
 def corners_by_blocks(w):
@@ -358,9 +399,9 @@ class TestEndPairs:
             skel = nx._skeleton(q)
             counts.append(len(made))
         made.clear()
-        lo, hi, steps = skel.fit(pair(alpha), low, high, scale)
+        lo, hi, sides = skel.fit(pair(alpha), low, high, scale)
         skel.product(lo, hi, scale)
-        assert made == [] and len(steps) == 2048 and counts[0] == counts[1] < 10
+        assert made == [] and len(sides) == 2048 and counts[0] == counts[1] < 10
 
 
 class TestRotationOrders:
@@ -575,16 +616,29 @@ class TestLeanBuild:
 
     @pytest.mark.parametrize("alpha", [Fraction(9, 20), Fraction(67, 199), Fraction(1, 3001)], ids=str)
     def test_one_staircase_merge_per_build(self, monkeypatch, alpha):
-        # the rectangles are the steps the fit merged and checked, one per step
-        merges, fits = [], []
-        merge, fit = nx._staircase, nx._Skeleton.fit
-        monkeypatch.setattr(nx, "_staircase", lambda *args: merges.append(args) or merge(*args))
+        # the rectangles are the steps the fit merged and checked, replayed
+        # from its sides: once the fit is done, no two levels are compared
+        # but by each Rect's own check y_lo < y_hi
+        fits, compared = [], []
+        fit = nx._Skeleton.fit
         monkeypatch.setattr(nx._Skeleton, "fit", lambda *args: fits.append(fit(*args)) or fits[-1])
+        for name in ("__lt__", "__gt__", "__le__", "__ge__"):
+            compare = getattr(Fraction, name)
+
+            def record(a, b, compare=compare):
+                if fits:  # the fit has returned
+                    compared.append((a, b))
+                return compare(a, b)
+
+            monkeypatch.setattr(Fraction, name, record)
         attr = nx.build_attractor(alpha)
-        assert len(merges) == len(fits) == 1
-        (_, _, steps), skel = fits[0], attr.skeleton
+        after_fit = len(compared)
+        monkeypatch.undo()
+        assert len(fits) == 1 and after_fit == len(attr.rects)
+        (lo, hi, sides), skel = fits[0], attr.skeleton
+        steps = list(staircase(lo, hi, equal))
         want = [(skel.value(skel.lefts[j]), skel.value(skel.rights[i]), y_lo, y_hi) for y_lo, y_hi, i, j, _ in steps]
-        assert list(attr.rects) == want and len(steps) == len(attr.rects)
+        assert list(attr.rects) == want and replayed(lo, hi, sides) == steps
 
     def test_surd_comparisons_linear(self, monkeypatch):
         alpha = Fraction(1, 3001)
@@ -688,7 +742,7 @@ class TestSkeletonChecks:
         skel = nx._skeleton(q)
         low, high = kd.orbit(alpha, alpha - 1, q.m0).points, kd.orbit(alpha, alpha, q.m1).points
         lo, hi = sorted(low), sorted(high)
-        for _, y_hi, i, j, _ in nx._staircase(lo, hi, equal):
+        for _, y_hi, i, j, _ in staircase(lo, hi, equal):
             if hi[j] == y_hi:
                 top = f"index {skel.high_order[j]} of the orbit of alpha"
             else:
@@ -812,9 +866,9 @@ def boundary_mass(alpha, bits):
     for orbit, (digits, keys, end) in zip((low, high), kernel_orbits(alpha, q, S)):
         assert orbit == (digits, [K >> (S - scale) for K in keys], end)
     skel = nx._skeleton(q)
-    lo, hi, steps = skel.fit(pair(alpha), low, high, scale)
+    lo, hi, sides = skel.fit(pair(alpha), low, high, scale)
     num, den = skel.product(lo, hi, scale)
-    return tuple(map(mpmath.mp.make_mpf, nx._mass_of(num, den, len(steps), bits)))
+    return tuple(map(mpmath.mp.make_mpf, nx._mass_of(num, den, len(sides), bits)))
 
 
 def rect_mass(r, bits=None):
@@ -961,7 +1015,7 @@ class TestLevelKeys:
         alpha = bf.qumterval_of(wd.word_from_rational(Fraction(107, 259))).pseudocenter
         q, low, high = self.orbits(alpha)
         lo_f, hi_f = sorted(low.points), sorted(high.points)
-        fraction_run = list(nx._staircase(lo_f, hi_f, equal))
+        fraction_run = list(staircase(lo_f, hi_f, equal))
         skel = nx._skeleton(q)
         for scale in (0, 168):
             orbits = kernel_orbits(alpha, q, scale)
@@ -985,20 +1039,20 @@ class TestLevelKeys:
     def test_shared_level_taken_once(self):
         lo = [Fraction(-1, 2), Fraction(1, 5), Fraction(1, 3)]
         hi = [Fraction(1, 5), Fraction(1, 4), Fraction(1, 2)]
-        want = list(nx._staircase(lo, hi, equal))
+        want = list(staircase(lo, hi, equal))
         assert [(yl, yh) for yl, yh, *_ in want] == list(pairwise(sorted(set(lo + hi))))
         # keyed at the separating scale of the largest denominator no keys tie
         scale = separating_scale(Fraction(1, 5), 0)
         lo_keys, hi_keys = keys_at(lo, scale), keys_at(hi, scale)
         assert len(set(lo_keys + hi_keys)) == len(set(lo + hi))
-        assert list(nx._staircase(lo_keys, hi_keys, equal)) == [(*keys_at([yl, yh], scale), *rest) for yl, yh, *rest in want]
+        assert list(staircase(lo_keys, hi_keys, equal)) == [(*keys_at([yl, yh], scale), *rest) for yl, yh, *rest in want]
         # at scale 0 every key is -1 or 0, and the tie rule orders them
         lo_keys, hi_keys = keys_at(lo, 0), keys_at(hi, 0)
 
         def tie(i, j):
             return (lo[i] > hi[j]) - (lo[i] < hi[j])
 
-        assert list(nx._staircase(lo_keys, hi_keys, tie)) == [(*keys_at([yl, yh], 0), *rest) for yl, yh, *rest in want]
+        assert list(staircase(lo_keys, hi_keys, tie)) == [(*keys_at([yl, yh], 0), *rest) for yl, yh, *rest in want]
 
     def test_equal_levels_refused(self, monkeypatch):
         alpha = Fraction(337, 1000)
@@ -1088,7 +1142,7 @@ class TestItineraryOrder:
         against their exact order."""
         low, high = kd.orbit(alpha, alpha - 1, q.m0), kd.orbit(alpha, alpha, q.m1)
         lo_f, hi_f = sorted(low.points), sorted(high.points)
-        want = [(i, j) for _, _, i, j, _ in nx._staircase(lo_f, hi_f, equal)]
+        want = [(i, j) for _, _, i, j, _ in staircase(lo_f, hi_f, equal)]
         skel = nx._skeleton(q)
         assert [low.points[k] for k in skel.low_order] == lo_f
         assert [high.points[k] for k in skel.high_order] == hi_f
@@ -1760,6 +1814,20 @@ class TestCurveAndProbes:
             A_rects, err_rects = rect_sum(nx.build_attractor(alpha))
             with working_precision(None):
                 assert abs(row["A"] - A_rects) <= row["err_bound"] + err_rects
+
+    def test_asymptotic_rows_hold_one_skeleton_at_a_time(self):
+        # a row's skeleton and fit are dropped before the next N is sampled,
+        # so three N cost the peak of one (about 3 times as much if kept)
+        peaks = []
+        nx._asymptotic_rows([5], None)
+        for ns in ([5000], [5000, 5001, 5002]):
+            tracemalloc.start()
+            try:
+                nx._asymptotic_rows(ns, None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0], peaks
 
     @pytest.mark.parametrize("n", [10**6 + 1, 10**8])
     def test_asymptotic_rows_keep_to_the_step_budget(self, n):
