@@ -1,6 +1,7 @@
 """Bifurcation combinatorics: the doubling-map constraint set, its intervals,
-the runlength homeomorphism to continued fractions, qumtervals, exterior-ray
-angles of the main cardioid, and the geometric zeta partial sums.
+the runlength homeomorphism to continued fractions, qumtervals and their
+location by a descent on continued-fraction digits, exterior-ray angles of
+the main cardioid, and the geometric zeta partial sums.
 
 Everything except the zeta sums is exact: interval endpoints are rationals
 over 2^n - 1 on the binary side and quadratic surds on the parameter side.
@@ -12,8 +13,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain, cycle
 
-from . import cfstrings as cfs
 from . import words
 from .exactnum import (
     Exact,
@@ -116,7 +117,7 @@ def _eventually_periodic_runs(pre, cyc):
     assert i0 is not None, "constant cycle has no periodic run structure"
     head = [bit(i) for i in range(i0)]
     window = [bit(i) for i in range(i0, i0 + n_cyc)]
-    return cfs.runlength(_bits_str(head)), cfs.runlength(_bits_str(window))
+    return words.runlength(_bits_str(head)), words.runlength(_bits_str(window))
 
 
 def phi_map(x) -> Exact:
@@ -132,10 +133,10 @@ def phi_map(x) -> Exact:
     pre, cyc = binary_expansion(x)
     if all(b == 0 for b in cyc):  # dyadic: terminating expansion
         bits = _bits_str(pre).rstrip("0")
-        v1 = cfs.value_of(cfs.runlength(bits))
+        v1 = mobius_apply(digits_matrix(words.runlength(bits)), 0)  # [0; S] is M(S) applied to 0
         # the other expansion ends 0111...; the infinite block truncates away
         alt = bits[:-1] + "0"
-        v2 = cfs.value_of(cfs.runlength(alt))
+        v2 = mobius_apply(digits_matrix(words.runlength(alt)), 0)
         assert v1 == v2, "the two dyadic expansions must agree"
         return v1
     pre_runs, cyc_runs = _eventually_periodic_runs(pre, cyc)
@@ -168,7 +169,7 @@ def minkowski_q(x) -> Fraction:
         raise ValueError("expects a value in [0, 1]")
     total = Fraction(0)
     exponent = 0
-    for k, a in enumerate(cfs.cf_of_fraction(x), start=1):
+    for k, a in enumerate(words.cf_of_fraction(x), start=1):
         exponent += a
         term = Fraction(1, 2**exponent)
         total += term if k % 2 else -term
@@ -231,34 +232,74 @@ class Qumterval(Frozen, namedtuple("Qumterval", "word S alpha_minus alpha_plus p
 @lru_cache(maxsize=1024)
 def qumterval_of(w: str) -> Qumterval:
     """The qumterval of a nondegenerate word of the family: the one place
-    where a word is checked and its run-length string, endpoint surds and
-    digit counts are derived; consumers read them from here.
+    where a word from outside is checked; `_qumterval` builds it from the
+    word's run-length string."""
+    if not words.is_nondegenerate_farey(w):
+        raise ValueError(f"degenerate or invalid word: {w!r}")
+    return _qumterval(words.runlength(w))
 
-    One digit-matrix product M = M(S) = [[a, b], [c, d]] gives them all:
+
+def _qumterval(S: words.CFString) -> Qumterval:
+    """The qumterval of the nondegenerate family word whose run-length
+    string is S, the one place where its word, endpoint surds and digit
+    counts are made; consumers read them from here.  The word starts with 0
+    and ends with 1, so S has even length, the word is spelled once, and
+    m0 and m1 are the sums of the even and of the odd runs.
+
+    One digit-matrix product M = M(S) = [[a, b], [c, d]] gives the rest:
     alpha_plus = [0; S, S, ...] is the fixed point of M in (0, 1), the root
     (a - d + sqrt D)/(2 c) of c y^2 + (d - a) y - b, and the pseudocenter
     [0; S] is b/d.  Digit matrices are symmetric, so M(S^T) = M^T and the
     tail x = [0; S^T, S^T, ...] is (a - d + sqrt D)/(2 b), D = (d - a)^2 +
     4 b c for both.  alpha_minus = [0; S', S^T, S^T, ...], with S' the right
-    conjugate of S (`cfstrings.right_conjugate`), is M(S') applied to x, and
+    conjugate of S (`_right_conjugate`), is M(S') applied to x, and
     M(S') = M [[-1, 0], [1, 1]] whichever way S ends."""
-    if not words.is_nondegenerate_farey(w):
-        raise ValueError(f"degenerate or invalid word: {w!r}")
-    S = cfs.runlength(w)
     M = digits_matrix(S)
     a, b, c, d = M.a, M.b, M.c, M.d
     root = make_surd(a - d, 1, 1, (d - a) ** 2 + 4 * b * c)
     tail = root / (2 * b)
+    zeros, ones = S[0::2], S[1::2]
     return Qumterval(
-        word=w,
+        word="".join("0" * k + "1" * n for k, n in zip(zeros, ones)),
         S=S,
         alpha_minus=mobius_apply(Mobius(b - a, b, d - c, d), tail),
         alpha_plus=root / (2 * c),
         pseudocenter=Fraction(b, d),
-        m0=w.count("0"),
-        m1=w.count("1"),
+        m0=sum(zeros),
+        m1=sum(ones),
         tail=tail,
     )
+
+
+def _right_conjugate(S: words.CFString) -> words.CFString:
+    """The other string with the value of S, for S other than (1,): swaps a
+    final (..., a) and (..., a - 1, 1)."""
+    if S[-1] >= 2:
+        return S[:-1] + (S[-1] - 1, 1)
+    return S[:-2] + (S[-2] + 1,)
+
+
+def _first_difference(S, T) -> int:
+    """The alternate order read at the first differing digit: -1 when S is
+    below T there, +1 when above (a larger digit lowers the value at even,
+    0-based, positions and raises it at odd ones); 0 when one digit sequence
+    is a prefix of the other."""
+    for i, (a, b) in enumerate(zip(S, T)):
+        if a != b:
+            return -1 if (a > b) == (i % 2 == 0) else 1
+    return 0
+
+
+def compare_periodic(S, pre, period) -> int:
+    """Sign of [0; S] - [0; pre, period, period, ...] for a finite string S.
+
+    Never 0, because the periodic value is irrational.  If S ends first, its
+    value is the limit of a digit growing without bound at index len(S), so
+    it lies below the periodic value when len(S) is even and above it when
+    len(S) is odd."""
+    if not period:
+        raise ValueError("period must be nonempty")
+    return _first_difference(S, chain(pre, cycle(period))) or (1 if len(S) % 2 else -1)
 
 
 def _concat_runs(u, v):
@@ -320,8 +361,9 @@ def locate_qumterval(alpha) -> Qumterval:
     always an interior point.  The search descends the mediant tree from
     the Farey neighbours u = 0 and v = 1 and compares the digits of alpha
     with those of the candidate u v's endpoints alpha_plus = [0; S, S, ...]
-    and alpha_minus = [0; S', S^T, S^T, ...] (`cfstrings.compare_periodic`);
-    only the answer builds its surds.  Moves in one direction come in runs:
+    and alpha_minus = [0; S', S^T, S^T, ...] (`compare_periodic`); only the
+    answer builds its surds, from the run tuple the descent holds
+    (`_qumterval`).  Moves in one direction come in runs:
     moving right visits u v^k and moving left u^k v, monotone in k, so each
     run ends where an exponential and then a binary search on k find it
     (`_run_end`), with the powers as run repetitions (`_power`).  The steps
@@ -331,16 +373,14 @@ def locate_qumterval(alpha) -> Qumterval:
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError("0 and 1 belong to the bifurcation set, not to any qumterval")
-    digits = cfs.cf_of_fraction(alpha)
+    digits = words.cf_of_fraction(alpha)
 
     def above(w) -> bool:  # alpha above the qumterval of w
-        return cfs.compare_periodic(digits, (), w[0]) > 0
+        return compare_periodic(digits, (), w[0]) > 0
 
-    def below(w) -> bool:  # alpha below the qumterval of w
-        # alpha_minus = [0; S', S^T, ...] with S' the right conjugate of S; the run
-        # tuple is the descent's own, so the public operators' checks are skipped
+    def below(w) -> bool:  # alpha below the qumterval of w: alpha_minus = [0; S', S^T, ...]
         S = w[0]
-        return cfs.compare_periodic(digits, cfs._right_conjugate(S), S[::-1]) < 0
+        return compare_periodic(digits, _right_conjugate(S), S[::-1]) < 0
 
     u = ((1,), "0")
     v = ((1,), "1")
@@ -354,12 +394,12 @@ def locate_qumterval(alpha) -> Qumterval:
             run = _run_end(lambda k: _concat_runs(_power(u, k), v), below, mid, _LOCATE_LIMIT - steps)
             turn = above
         else:
-            return qumterval_of(cfs.runlength_inverse(mid[0], "0"))
+            return _qumterval(mid[0])
         if run is None:
             break
         k, prev, mid = run
         if not turn(mid):
-            return qumterval_of(cfs.runlength_inverse(mid[0], "0"))
+            return _qumterval(mid[0])
         u, v = (prev, mid) if turn is below else (mid, prev)
         steps += k
     raise ValueError(f"locating alpha={alpha} needs more than the step budget of {_LOCATE_LIMIT} mediant steps")
@@ -373,17 +413,6 @@ def atlas(max_len: int) -> list[Qumterval]:
     out = [qumterval_of(w) for w in words.words_of_length_up_to(max_len)]
     out.sort(key=lambda q: q.pseudocenter)
     return out
-
-
-def beta_thickening(r) -> tuple[Exact, Exact]:
-    """The quadratic interval around a rational r: (sigma beta(sigma r), beta(r))
-    where beta repeats the even-length expansion."""
-    r = Fraction(r)
-    if not 0 < r < 1:
-        raise ValueError("expects a rational strictly between 0 and 1")
-    right = surd_from_periodic_cf((), cfs.cf_of_fraction(r, even_length=True))
-    left = 1 - surd_from_periodic_cf((), cfs.cf_of_fraction(1 - r, even_length=True))
-    return left, right
 
 
 # ---------------------------------------------------------------------------

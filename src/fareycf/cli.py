@@ -15,7 +15,6 @@ import sys
 from fractions import Fraction
 
 from . import bifurcation as bf
-from . import cfstrings as cfs
 from . import exactnum as ex
 from . import kdynamics as kd
 from . import lyapunov as ly
@@ -102,7 +101,7 @@ def cmd_qumterval_atlas(args) -> int:
         payload = [
             {
                 "word": q.word,
-                "S": cfs.format_cfstring(q.S),
+                "S": wd.format_cfstring(q.S),
                 "alpha_minus": ex.format_exact(q.alpha_minus),
                 "alpha_plus": ex.format_exact(q.alpha_plus),
                 "pseudocenter": ex.format_exact(q.pseudocenter),
@@ -116,7 +115,7 @@ def cmd_qumterval_atlas(args) -> int:
         lines = ["word,S,alpha_minus,alpha_plus,pseudocenter,m0,m1"]
         for q in rows:
             lines.append(
-                f'{q.word},"{cfs.format_cfstring(q.S)}",{_nstr(q.alpha_minus, 50)},{_nstr(q.alpha_plus, 50)},'
+                f'{q.word},"{wd.format_cfstring(q.S)}",{_nstr(q.alpha_minus, 50)},{_nstr(q.alpha_plus, 50)},'
                 f"{ex.format_exact(q.pseudocenter)},{q.m0},{q.m1}"
             )
         _emit(args, "\n".join(lines))
@@ -130,7 +129,7 @@ def cmd_qumterval_info(args) -> int:
         q = bf.locate_qumterval(ex.parse_fraction(args.alpha))
     lines = [
         f"word={q.word}",
-        f"S={cfs.format_cfstring(q.S)}",
+        f"S={wd.format_cfstring(q.S)}",
         f"alpha_minus={ex.format_exact(q.alpha_minus)}",
         f"alpha_plus={ex.format_exact(q.alpha_plus)}",
         f"pseudocenter={ex.format_exact(q.pseudocenter)}",

@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 
-from . import cfstrings as cfs
 from . import words
 from .bifurcation import qumterval_of
 from .exactnum import E, Exact, Mobius, S, T, floor_exact, matrix_product
@@ -154,7 +153,7 @@ class MatchingCertificate(namedtuple("MatchingCertificate", "word M M_prime m0 m
         return T * self.M == self.M_prime * S * (T**-1) * S
 
 
-def expected_digits_low(S_rl: cfs.CFString) -> tuple[int, ...]:
+def expected_digits_low(S_rl: words.CFString) -> tuple[int, ...]:
     """Digit pattern of the alpha-1 orbit on a side-0 qumterval: blocks of
     (a_k - 1) twos followed by a three, closing with a_n twos."""
     a = S_rl[0::2]
@@ -166,7 +165,7 @@ def expected_digits_low(S_rl: cfs.CFString) -> tuple[int, ...]:
     return tuple(out)
 
 
-def expected_digits_high(S_rl: cfs.CFString) -> tuple[int, ...]:
+def expected_digits_high(S_rl: words.CFString) -> tuple[int, ...]:
     """Digit pattern of the alpha orbit on a side-0 qumterval."""
     a = S_rl[0::2]
     return (-a[0] - 1,) + tuple(-ak - 2 for ak in a[1:])

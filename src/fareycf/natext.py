@@ -513,7 +513,7 @@ def _skeleton(q: Qumterval) -> _Skeleton:
     (`_abscissae`), each seam and the closure are checked on them exactly,
     then one end per segment is kept.  No orbit is stepped here."""
     word = q.word
-    x, y = attractor_corners(word)
+    x, y = q.tail, -q.alpha_plus  # the corners (`attractor_corners`)
     if x.d != y.d:
         raise AttractorError(f"corners {x} and {y} lie in two quadratic fields")
     low_digits, high_digits = list(expected_digits_low(q.S)), list(expected_digits_high(q.S))

@@ -1,17 +1,21 @@
-"""Binary-word combinatorics for the mediant-insertion word family.
+"""Binary-word combinatorics for the mediant-insertion word family, and
+the run-length bridge to continued-fraction strings.
 
 Words are plain str over the alphabet {'0', '1'}.  The family is generated
 by inserting the concatenation of neighbours into successive lists, which
 puts it in bijection with the rationals of [0, 1] through the slope
 (ones count) / (length); these are the Christoffel/standard words and every
-one of them is Lyndon.
+one of them is Lyndon.  Strings are tuples of positive integers, read as the
+digits of [0; a1, a2, ...]; the run lengths of a word are its string.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 
 Word = str
+CFString = tuple[int, ...]
 
 _NEG = str.maketrans("01", "10")
 
@@ -52,25 +56,6 @@ def rho(w: Word) -> Fraction:
     """Slope of the word: (number of ones) / length."""
     _check_binary(w)
     return Fraction(w.count("1"), len(w))
-
-
-def word_order_lt(u: Word, v: Word) -> bool:
-    """Strict order: u < v iff the concatenation uv precedes vu; equivalently
-    the infinite repetitions satisfy 0.uuu... < 0.vvv..."""
-    _check_binary(u)
-    _check_binary(v)
-    return u + v < v + u
-
-
-def strong_order_ll(u: Word, v: Word) -> bool:
-    """u << v: some equal-length prefixes already differ in u's favour, so
-    every extension of u precedes every extension of v."""
-    _check_binary(u)
-    _check_binary(v)
-    for a, b in zip(u, v):
-        if a != b:
-            return a < b
-    return False
 
 
 def word_from_rational(r) -> Word:
@@ -174,13 +159,6 @@ def standard_factorization(w: Word) -> tuple[Word, Word]:
     return w1, w2
 
 
-def cyclic_extremes(w: Word) -> tuple[Word, Word, Word]:
-    """(min, second smallest, max) of the cyclic shifts of w: the word itself,
-    the swapped standard factorization, and the transpose."""
-    w1, w2 = standard_factorization(w)
-    return w, w2 + w1, transpose(w)
-
-
 def rotation_set(w: Word) -> tuple[Fraction, ...]:
     """Angles 0.(shift of w repeated) for all cyclic shifts, sorted.
 
@@ -199,11 +177,6 @@ def substitute(w: Word, u0: Word, u1: Word) -> Word:
 
 U0 = ("0", "01")
 U1 = ("01", "1")
-
-
-def compose_substitutions(U: tuple[Word, Word], V: tuple[Word, Word]) -> tuple[Word, Word]:
-    """Pair composition: applying the result equals applying U then V."""
-    return substitute(U[0], *V), substitute(U[1], *V)
 
 
 def word_by_tree(r) -> Word:
@@ -226,6 +199,30 @@ def word_by_tree(r) -> Word:
             left = a, b, w
         else:
             right = a, b, w
+
+
+def runlength(w: Word) -> CFString:
+    """Sizes of the maximal blocks of equal digits of a binary word."""
+    _check_binary(w)
+    return tuple(len(list(grp)) for _, grp in groupby(w))
+
+
+def cf_of_fraction(x) -> CFString:
+    """Digits of [0; ...] for a rational x in [0, 1]."""
+    x = Fraction(x)
+    if not 0 <= x <= 1:
+        raise ValueError("expects a rational in [0, 1]")
+    p, q = x.numerator, x.denominator
+    S: list[int] = []
+    while p:
+        a, rem = divmod(q, p)
+        S.append(a)
+        q, p = p, rem
+    return tuple(S)
+
+
+def format_cfstring(S: CFString) -> str:
+    return "[" + ",".join(map(str, S)) + "]"
 
 
 def selftest() -> list[tuple[str, bool]]:

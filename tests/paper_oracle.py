@@ -1,25 +1,20 @@
-"""Continued-fraction string calculus.
-
-Strings are tuples of positive integers, read as the digits of [0; a1, a2,
-...].  The module provides the conjugation and shift operators on strings,
-exact denominators through digit-matrix products, the alternate
-lexicographic orders that mirror value comparison, and the runlength bridge
-between binary words and strings.
-"""
+"""The lemmas of arXiv:1312.6845 that the package does not run, kept as the
+oracles of the tests that check them: the steps by which E_KU is
+parametrized by Farey words through the run-length bridge to
+continued-fraction strings (`fareycf.words.runlength`).  Strings are tuples
+of positive integers, the digits of [0; a1, a2, ...]."""
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain, cycle, groupby
 
-from . import words
-from .exactnum import Mobius, digits_matrix
-
-CFString = tuple[int, ...]
+from fareycf import words
+from fareycf.bifurcation import _first_difference, _right_conjugate
+from fareycf.exactnum import digits_matrix, surd_from_periodic_cf
 
 
-def _check(S, nonempty: bool = True) -> CFString:
+def _check(S, nonempty: bool = True):
     S = tuple(S)
     if nonempty and not S:
         raise ValueError("string must be nonempty")
@@ -28,23 +23,18 @@ def _check(S, nonempty: bool = True) -> CFString:
     return S
 
 
-def matrix_of(S) -> Mobius:
-    """Product of the digit matrices [[0,1],[1,a]]; identity for the empty string."""
-    return digits_matrix(_check(S, nonempty=False))
-
-
 def value_of(S) -> Fraction:
     """[0; S] as an exact rational (empty string gives 0)."""
-    m = matrix_of(S)  # [0; S] is m applied to 0; det +-1 keeps b/d reduced
+    m = digits_matrix(_check(S, nonempty=False))  # [0; S] is m applied to 0; det +-1 keeps b/d reduced
     return Fraction(m.b, m.d)
 
 
 def denominator(S) -> int:
     """q(S): the reduced denominator of [0; S]."""
-    return matrix_of(_check(S)).d
+    return digits_matrix(_check(S)).d
 
 
-def right_conjugate(S) -> CFString:
+def right_conjugate(S):
     """The other string with the same value; swaps final (..., a) and (..., a-1, 1)."""
     S = _check(S)
     if S == (1,):
@@ -52,14 +42,7 @@ def right_conjugate(S) -> CFString:
     return _right_conjugate(S)
 
 
-def _right_conjugate(S: CFString) -> CFString:
-    """`right_conjugate` of a checked string other than (1,)."""
-    if S[-1] >= 2:
-        return S[:-1] + (S[-1] - 1, 1)
-    return S[:-2] + (S[-2] + 1,)
-
-
-def left_conjugate(S) -> CFString:
+def left_conjugate(S):
     """Acts on the leading digits; sends the value x to 1 - x."""
     S = _check(S)
     if S[0] >= 2:
@@ -69,14 +52,20 @@ def left_conjugate(S) -> CFString:
     return (1 + S[1],) + S[2:]
 
 
-def partial_shift(S) -> CFString:
+def partial_shift(S):
     """Decrement the first digit, dropping it when it reaches zero."""
     S = _check(S)
     return (S[0] - 1,) + S[1:] if S[0] > 1 else S[1:]
 
 
-def transpose_string(S) -> CFString:
+def transpose_string(S):
     return tuple(reversed(_check(S)))
+
+
+def string_ll(S, T) -> bool:
+    """Partial order through truncations: some equal-length prefixes already
+    compare strictly, so appending anything preserves the value order."""
+    return _first_difference(_check(S), _check(T)) < 0
 
 
 def alt_lex_lt(S, T) -> bool:
@@ -88,38 +77,9 @@ def alt_lex_lt(S, T) -> bool:
     return string_ll(S, T)
 
 
-def _first_difference(S, T) -> int:
-    """The alternate order read at the first differing digit: -1 when S is
-    below T there, +1 when above (a larger digit lowers the value at even,
-    0-based, positions and raises it at odd ones); 0 when one digit sequence
-    is a prefix of the other."""
-    for i, (a, b) in enumerate(zip(S, T)):
-        if a != b:
-            return -1 if (a > b) == (i % 2 == 0) else 1
-    return 0
-
-
-def string_ll(S, T) -> bool:
-    """Partial order through truncations: some equal-length prefixes already
-    compare strictly, so appending anything preserves the value order."""
-    return _first_difference(_check(S), _check(T)) < 0
-
-
-def compare_periodic(S, pre, period) -> int:
-    """Sign of [0; S] - [0; pre, period, period, ...] for a finite string S.
-
-    Never 0, because the periodic value is irrational.  If S ends first, its
-    value is the limit of a digit growing without bound at index len(S), so
-    it lies below the periodic value when len(S) is even and above it when
-    len(S) is odd."""
-    if not period:
-        raise ValueError("period must be nonempty")
-    return _first_difference(S, chain(pre, cycle(period))) or (1 if len(S) % 2 else -1)
-
-
 def string_lemma_check(S, T) -> bool:
-    """Whether ST < TS in the alternate order (equivalent to comparing the
-    two purely periodic values)."""
+    """The string lemma: whether ST < TS in the alternate order (equivalent
+    to comparing the two purely periodic values)."""
     S, T = _check(S), _check(T)
     return alt_lex_lt(S + T, T + S)
 
@@ -130,12 +90,6 @@ def cylinder_interval(S) -> tuple[Fraction, Fraction]:
     a = value_of(S)
     b = value_of(S[:-1] + (S[-1] + 1,))
     return (a, b) if a <= b else (b, a)
-
-
-def runlength(w: str) -> CFString:
-    """Sizes of the maximal blocks of equal digits of a binary word."""
-    words._check_binary(w)
-    return tuple(len(list(grp)) for _, grp in groupby(w))
 
 
 def runlength_inverse(S, first_digit: str = "0") -> str:
@@ -151,24 +105,13 @@ def runlength_inverse(S, first_digit: str = "0") -> str:
     return "".join(out)
 
 
-def cf_of_fraction(x, even_length: bool = False) -> CFString:
-    """Digits of [0; ...] for a rational x in [0, 1]; optionally normalized to
-    even length by splitting an odd expansion's final digit a into a - 1, 1."""
-    x = Fraction(x)
-    if not 0 <= x <= 1:
-        raise ValueError("expects a rational in [0, 1]")
-    p, q = x.numerator, x.denominator
-    S: list[int] = []
-    while p:
-        a, rem = divmod(q, p)
-        S.append(a)
-        q, p = p, rem
-    if even_length and len(S) % 2:
-        if S[-1] == 1:  # Euclid's last digit is at least 2, except for x = 1, whose digits are (1,)
-            raise ValueError("1 has no even-length expansion")
-        S[-1] -= 1
-        S.append(1)
-    return tuple(S)
+def even_length_cf(x):
+    """Digits of [0; ...] for a rational x in [0, 1), of even length: an odd
+    expansion ends in a digit a >= 2, which splits into a - 1, 1."""
+    S = words.cf_of_fraction(x)
+    if S == (1,):  # Euclid's last digit is at least 2, except for x = 1
+        raise ValueError("1 has no even-length expansion")
+    return S if len(S) % 2 == 0 else _right_conjugate(S)
 
 
 class FareyStructure(namedtuple("FareyStructure", "a skeleton side unique")):
@@ -178,12 +121,12 @@ class FareyStructure(namedtuple("FareyStructure", "a skeleton side unique")):
     __slots__ = ()
 
     @property
-    def blocks(self) -> tuple[CFString, CFString]:
+    def blocks(self):
         if self.side == 0:
             return (self.a + 1, 1), (self.a, 1)
         return (1, self.a), (1, self.a + 1)
 
-    def reassemble(self) -> CFString:
+    def reassemble(self):
         b0, b1 = self.blocks
         out: list[int] = []
         for ch in self.skeleton:
@@ -232,5 +175,43 @@ def farey_structure(S) -> FareyStructure:
     raise ValueError(f"no block decomposition: {S!r}")
 
 
-def format_cfstring(S) -> str:
-    return "[" + ",".join(str(a) for a in _check(S, nonempty=False)) + "]"
+def word_order_lt(u, v) -> bool:
+    """Strict order: u < v iff the concatenation uv precedes vu; equivalently
+    the infinite repetitions satisfy 0.uuu... < 0.vvv..."""
+    words._check_binary(u)
+    words._check_binary(v)
+    return u + v < v + u
+
+
+def strong_order_ll(u, v) -> bool:
+    """u << v: some equal-length prefixes already differ in u's favour, so
+    every extension of u precedes every extension of v."""
+    words._check_binary(u)
+    words._check_binary(v)
+    for a, b in zip(u, v):
+        if a != b:
+            return a < b
+    return False
+
+
+def cyclic_extremes(w):
+    """(min, second smallest, max) of the cyclic shifts of w: the word itself,
+    the swapped standard factorization, and the transpose."""
+    w1, w2 = words.standard_factorization(w)
+    return w, w2 + w1, words.transpose(w)
+
+
+def compose_substitutions(U, V):
+    """Pair composition: applying the result equals applying U then V."""
+    return words.substitute(U[0], *V), words.substitute(U[1], *V)
+
+
+def beta_thickening(r):
+    """The quadratic interval around a rational r: (sigma beta(sigma r), beta(r))
+    where beta repeats the even-length expansion."""
+    r = Fraction(r)
+    if not 0 < r < 1:
+        raise ValueError("expects a rational strictly between 0 and 1")
+    right = surd_from_periodic_cf((), even_length_cf(r))
+    left = 1 - surd_from_periodic_cf((), even_length_cf(1 - r))
+    return left, right

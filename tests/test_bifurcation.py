@@ -3,13 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fareycf import bifurcation as bf
-from fareycf import cfstrings as cfs
 from fareycf import words as wd
 from fareycf.exactnum import QuadSurd, make_surd, surd_from_periodic_cf
+import paper_oracle as po
 
 _WORDS_UP_TO_11 = list(wd.words_of_length_up_to(11))
 
@@ -95,17 +95,17 @@ class TestPhiAndQuestionMark:
 def per_step_descent(alpha, limit=None):
     """The former descent, one mediant per step: the word of the qumterval
     of alpha, or None past `limit` steps (default `bf._LOCATE_LIMIT`)."""
-    digits = cfs.cf_of_fraction(alpha)
+    digits = wd.cf_of_fraction(alpha)
     u, v = ((1,), "0"), ((1,), "1")
     for _ in range(bf._LOCATE_LIMIT if limit is None else limit):
         mid = bf._concat_runs(u, v)
         S = mid[0]
-        if cfs.compare_periodic(digits, (), S) > 0:
+        if bf.compare_periodic(digits, (), S) > 0:
             u = mid
-        elif cfs.compare_periodic(digits, cfs.right_conjugate(S), cfs.transpose_string(S)) < 0:
+        elif bf.compare_periodic(digits, po.right_conjugate(S), po.transpose_string(S)) < 0:
             v = mid
         else:
-            return cfs.runlength_inverse(S, "0")
+            return po.runlength_inverse(S, "0")
     return None
 
 
@@ -132,12 +132,12 @@ class TestQumtervals:
         S = q.S
         want = (
             surd_from_periodic_cf((), S),
-            surd_from_periodic_cf(cfs.right_conjugate(S), cfs.transpose_string(S)),
-            surd_from_periodic_cf((), cfs.transpose_string(S)),
+            surd_from_periodic_cf(po.right_conjugate(S), po.transpose_string(S)),
+            surd_from_periodic_cf((), po.transpose_string(S)),
         )
         for got, v in zip((q.alpha_plus, q.alpha_minus, q.tail), want):
             assert isinstance(got, QuadSurd) and (got.p, got.q, got.r, got.d) == (v.p, v.q, v.r, v.d)
-        p = cfs.value_of(S)
+        p = po.value_of(S)
         assert (q.pseudocenter.numerator, q.pseudocenter.denominator) == (p.numerator, p.denominator)
 
     def test_one_product_per_word_on_the_farey_list(self):
@@ -155,7 +155,7 @@ class TestQumtervals:
     def test_left_endpoint_reflection(self):
         for w in wd.words_of_length_up_to(10):
             q = bf.qumterval_of(w)
-            assert 1 - q.alpha_minus == surd_from_periodic_cf((), cfs.transpose_string(q.S))
+            assert 1 - q.alpha_minus == surd_from_periodic_cf((), po.transpose_string(q.S))
 
     def test_pseudocenter_is_simplest(self):
         for w in wd.words_of_length_up_to(10):
@@ -227,7 +227,7 @@ class TestQumtervals:
             bf.locate_qumterval(Fraction(1, 100))
 
     def test_word_checked_binary_once_beyond_the_family_check(self, monkeypatch):
-        # the family check strips the word itself; only `cfs.runlength`, a
+        # the family check strips the word itself; only `wd.runlength`, a
         # public function, checks its input again
         calls = []
         check = wd._check_binary
@@ -235,6 +235,19 @@ class TestQumtervals:
         w = wd.word_from_rational(Fraction(37, 1001))
         q = bf.qumterval_of.__wrapped__(w)  # a cold call, past the cache
         assert q.word == w and calls == [w]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fractions(0, 1, max_denominator=10**4).filter(lambda x: 0 < x < 1))
+    @example(Fraction(1, 259))  # the long-run and the short-run 256-letter rung of the seed-0 `deep` benchmark
+    @example(Fraction("2558211997996751098631242859837758125077741899063613/6735751276583987121998828910203031785614683891743592"))
+    def test_descent_answer_is_the_qumterval_of_its_word(self, alpha):
+        # the descent builds its answer from its own run tuple, unchecked: its
+        # word is in the family, spells those runs and counts, and gives the
+        # same qumterval, field for field
+        q = bf.locate_qumterval(alpha)
+        assert wd.is_nondegenerate_farey(q.word) and alpha in q
+        assert (q.S, q.m0, q.m1) == (wd.runlength(q.word), q.word.count("0"), q.word.count("1"))
+        assert [(type(v), v) for v in q] == [(type(v), v) for v in bf.qumterval_of(q.word)]
 
     def test_run_descent_equals_one_step_descent(self):
         # every reduced p/q with q <= 300
@@ -271,8 +284,8 @@ class TestQumtervals:
     @staticmethod
     def _endpoint_digits(w):
         """(pre, period) of the digits of alpha_plus and of alpha_minus."""
-        s = cfs.runlength(w)
-        return ((), s), (cfs.right_conjugate(s), cfs.transpose_string(s))
+        s = wd.runlength(w)
+        return ((), s), (po.right_conjugate(s), po.transpose_string(s))
 
     @staticmethod
     def _sign_of_difference(x, surd):
@@ -281,9 +294,9 @@ class TestQumtervals:
     def _assert_digit_signs(self, w, x):
         q = bf.qumterval_of(w)
         plus, minus = self._endpoint_digits(w)
-        digits = cfs.cf_of_fraction(x)
-        assert cfs.compare_periodic(digits, *plus) == self._sign_of_difference(x, q.alpha_plus)
-        assert cfs.compare_periodic(digits, *minus) == self._sign_of_difference(x, q.alpha_minus)
+        digits = wd.cf_of_fraction(x)
+        assert bf.compare_periodic(digits, *plus) == self._sign_of_difference(x, q.alpha_plus)
+        assert bf.compare_periodic(digits, *minus) == self._sign_of_difference(x, q.alpha_minus)
 
     def test_digit_comparison_matches_endpoints(self):
         # the tree descent compares digits; the signs must agree with the
@@ -302,13 +315,13 @@ class TestQumtervals:
                 stream = pre + period * 4
                 for n in range(1, len(pre) + 2 * len(period) + 2):
                     head = stream[:n]
-                    x = cfs.value_of(head)
+                    x = po.value_of(head)
                     if x == 1:
                         continue
                     want = self._sign_of_difference(x, surd)
                     assert want == (1 if n % 2 else -1)
-                    assert cfs.compare_periodic(head, pre, period) == want
-                    assert cfs.compare_periodic(cfs.cf_of_fraction(x), pre, period) == want
+                    assert bf.compare_periodic(head, pre, period) == want
+                    assert bf.compare_periodic(wd.cf_of_fraction(x), pre, period) == want
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -332,7 +345,7 @@ class TestQumtervals:
         rng = random.Random(23)
         for _ in range(200):
             r = Fraction(rng.randint(1, 499), 500)
-            left, right = bf.beta_thickening(r)
+            left, right = po.beta_thickening(r)
             q = bf.locate_qumterval(r)
             assert left < right
             assert q.alpha_minus <= left and right <= q.alpha_plus
@@ -466,7 +479,7 @@ class TestRefusals:
             pytest.param(lambda: bf.phi_map(Fraction(3, 4)), ValueError, r"rational in \[0, 1/2\]", id="phi_map-range"),
             pytest.param(lambda: bf.minkowski_q(make_surd(1, 1, 1, 2)), ValueError, r"value in \[0, 1\]", id="minkowski_q-surd-range"),
             pytest.param(lambda: bf.minkowski_q(Fraction(3, 2)), ValueError, r"value in \[0, 1\]", id="minkowski_q-rational-range"),
-            pytest.param(lambda: bf.beta_thickening(1), ValueError, "strictly between 0 and 1", id="beta_thickening-range"),
+            pytest.param(lambda: po.beta_thickening(1), ValueError, "strictly between 0 and 1", id="beta_thickening-range"),
             pytest.param(lambda: bf.cardioid_angles(0), ValueError, "strictly between 0 and 1", id="cardioid_angles-range"),
             pytest.param(lambda: bf.zeta_partial(0.25, wd.WORD_LENGTH_CAP + 1), ValueError, "depth above cap 20", id="zeta_partial-depth-cap"),
             pytest.param(lambda: bf.simplest_rational_between(Fraction(1, 2), Fraction(1, 3)), ValueError, "empty interval", id="simplest_rational_between-empty"),

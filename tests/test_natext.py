@@ -18,7 +18,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fareycf import bifurcation as bf
-from fareycf import cfstrings as cfs
 from fareycf import exactnum as ex
 from fareycf import kdynamics as kd
 from fareycf import natext as nx
@@ -349,7 +348,7 @@ class TestFilteredPredicates:
 def corners_by_blocks(w):
     """The corners rebuilt from the word's own runs: x repeats the reversed
     block pattern (1, a_n, ..., 1, a_1), -y repeats the run-length string."""
-    S_rl = cfs.runlength(w)
+    S_rl = wd.runlength(w)
     assert all(d == 1 for d in S_rl[1::2])
     period_x = tuple(v for ak in reversed(S_rl[0::2]) for v in (1, ak))
     return surd_from_periodic_cf((), period_x), -surd_from_periodic_cf((), S_rl)
@@ -651,19 +650,24 @@ class TestLeanBuild:
         assert len(calls) <= 3 * (len(attr.rects) + ends)
 
 
+def move_corner(monkeypatch, corner):
+    """Move corner x (0) or y (1) up by 1e-6 in every qumterval natext
+    locates: the skeleton reads x = q.tail and y = -q.alpha_plus."""
+    locate, shift = nx.locate_qumterval, Fraction(1, 10**6)
+
+    def moved(alpha):
+        q = locate(alpha)
+        return q._replace(tail=q.tail + shift) if corner == 0 else q._replace(alpha_plus=q.alpha_plus - shift)
+
+    monkeypatch.setattr(nx, "locate_qumterval", moved)
+
+
 class TestCheckedConstruction:
     @pytest.mark.parametrize("corner", [0, 1])
     def test_corrupted_corner_is_caught(self, monkeypatch, corner):
         # the seam and closure checks must see a corner moved by 1e-6
-        corners = nx.attractor_corners
-
-        def shifted(w):
-            xy = list(corners(w))
-            xy[corner] += Fraction(1, 10**6)
-            return tuple(xy)
-
         nx.build_attractor(Fraction(337, 1000))  # the intact corners pass
-        monkeypatch.setattr(nx, "attractor_corners", shifted)
+        move_corner(monkeypatch, corner)
         with pytest.raises(nx.AttractorError):
             nx.build_attractor(Fraction(337, 1000))
 
@@ -677,15 +681,8 @@ class TestCheckedConstruction:
         ids=["entropy_at", "entropy_curve"],
     )
     def test_corrupted_corner_is_caught_on_the_entropy_path(self, monkeypatch, corner, run):
-        corners = nx.attractor_corners
-
-        def shifted(w):
-            xy = list(corners(w))
-            xy[corner] += Fraction(1, 10**6)
-            return tuple(xy)
-
         run()  # the intact corners pass
-        monkeypatch.setattr(nx, "attractor_corners", shifted)
+        move_corner(monkeypatch, corner)
         with pytest.raises(nx.AttractorError):
             run()
 
@@ -847,13 +844,12 @@ class TestConstructionChecks:
         with pytest.raises(nx.AttractorError, match="does not close"):
             self.skeleton()
 
-    def test_corners_of_two_fields_are_refused(self, monkeypatch):
+    def test_corners_of_two_fields_are_refused(self):
         # the seams compare triples, which only one field makes comparable
-        x, _ = nx.attractor_corners("001")
-        y = make_surd(-1, 1, 2, 5 if x.d != 5 else 13) - 1  # in (-1, 0)
-        monkeypatch.setattr(nx, "attractor_corners", lambda w: (x, y))
+        q = bf.locate_qumterval(self.alpha)
+        y = make_surd(-1, 1, 2, 5 if q.tail.d != 5 else 13) - 1  # in (-1, 0)
         with pytest.raises(nx.AttractorError, match="two quadratic fields"):
-            self.skeleton()
+            nx._skeleton(q._replace(alpha_plus=-y))
 
 
 def boundary_mass(alpha, bits):
