@@ -834,18 +834,22 @@ def _entropy_run(grid, precision: int | None) -> list[EntropySample]:
     exact attractor: h = pi^2 / (3 A) from the mass A (`_sample_mass`,
     `_entropy_of`).  A parameter p/q above 1/2 is reflected (measurable
     conjugation) to (q - p)/q, with the containing word reported on the
-    original side: the mirror word, the counts swapped.  The loop carries
-    each parameter as its pair (p, q) and makes no `Fraction` but where the
-    previous parameter's qumterval does not hold it.  Parameters of one
-    qumterval share a skeleton and both labels, bound for this call only.
-    Before a descent the qumtervals located in the call are searched: the
-    previous parameter's, then the two whose pseudocenters bracket the
-    parameter (the qumtervals are disjoint and each holds its pseudocenter,
-    so no other can hold it)."""
+    original side: the mirror word, the counts swapped.  Each reflected
+    pair is sampled once per call: a parameter whose pair the call has
+    sampled takes that pair's A, h and bounds, and the labels of its side,
+    with no search and no mass.  The loop carries each parameter as its
+    pair (p, q) and makes no `Fraction` but where the previous parameter's
+    qumterval does not hold it.  Parameters of one qumterval share a
+    skeleton and both labels, bound for this call only.  Before a descent
+    the qumtervals located in the call are searched: the previous
+    parameter's, then the two whose pseudocenters bracket the parameter
+    (the qumtervals are disjoint and each holds its pseudocenter, so no
+    other can hold it)."""
     bits = checked_precision(precision)
     pi2 = pi_squared(bits)
     centers: list[Fraction] = []  # the pseudocenters of the located qumtervals, ascending
     located: list[tuple] = []  # theirs: (qumterval, skeleton, (word, m0, m1), the mirror's)
+    sampled: dict[tuple[int, int], tuple] = {}  # per reflected pair: (its located entry, A, h, h_err, A_err)
     got = None
     out = []
     for alpha in grid:
@@ -853,21 +857,23 @@ def _entropy_run(grid, precision: int | None) -> list[EntropySample]:
         mirrored = 2 * P > Q
         if mirrored:
             P = Q - P
-        if got is None or not got[0].holds(P, Q):
-            x = Fraction(P, Q)
-            i = bisect_right(centers, x)
-            got = next((near for near in located[max(i - 1, 0) : i + 1] if near[0].holds(P, Q)), None)
-            if got is None:
-                q = locate_qumterval(x)
-                mirror = words.transpose(words.negate(q.word)), q.m1, q.m0
-                got = q, _skeleton(q), (q.word, q.m0, q.m1), mirror
-                i = bisect_right(centers, q.pseudocenter)
-                centers.insert(i, q.pseudocenter)
-                located.insert(i, got)
-            _, skel, labels, mirror = got
-        A, err = _sample_mass((P, Q), skel, bits)
-        h, h_err = _entropy_of(A, err, pi2, bits)
-        out.append(EntropySample(alpha, *(mirror if mirrored else labels), A, h, h_err, err))
+        seen = sampled.get((P, Q))
+        if seen is None:
+            if got is None or not got[0].holds(P, Q):
+                x = Fraction(P, Q)
+                i = bisect_right(centers, x)
+                got = next((near for near in located[max(i - 1, 0) : i + 1] if near[0].holds(P, Q)), None)
+                if got is None:
+                    q = locate_qumterval(x)
+                    mirror = words.transpose(words.negate(q.word)), q.m1, q.m0
+                    got = q, _skeleton(q), (q.word, q.m0, q.m1), mirror
+                    i = bisect_right(centers, q.pseudocenter)
+                    centers.insert(i, q.pseudocenter)
+                    located.insert(i, got)
+            A, err = _sample_mass((P, Q), got[1], bits)
+            seen = sampled[P, Q] = (got, A, *_entropy_of(A, err, pi2, bits), err)
+        got, A, h, h_err, err = seen
+        out.append(EntropySample(alpha, *got[3 if mirrored else 2], A, h, h_err, err))
     return out
 
 

@@ -969,18 +969,42 @@ class TestBoundaryMass:
             (Fraction(36443, 100000), Fraction(36763, 100000), 100),  # zooms at alpha+ of 001
             (Fraction(36593, 100000), Fraction(36613, 100000), 100),
             (Fraction(63387, 100000), Fraction(63407, 100000), 100),  # and at its mirror image
+            (Fraction(1, 50), Fraction(49, 50), 401),  # holds 1/2, its own mirror
         ],
     )
     def test_curve_equals_pointwise_entropy(self, start, stop, samples):
         grid = nx.entropy_grid(start, stop, samples)
         assert nx.entropy_curve(start, stop, samples) == [nx.entropy_at(a) for a in grid]
 
+    @pytest.mark.parametrize(
+        "start, stop, samples",
+        [
+            (Fraction(1, 50), Fraction(49, 50), 400),  # symmetric: every point has its mirror
+            (Fraction(1, 3), Fraction(3, 4), 301),  # across 1/2, no point has its mirror
+            (Fraction(1, 3), Fraction(3, 4), 299),  # 119 points with their mirrors, 61 without, 1/2
+        ],
+    )
+    def test_curve_samples_each_reflected_pair_once(self, monkeypatch, start, stop, samples):
+        # a parameter above 1/2 whose reflection the call has sampled takes
+        # that sample's mass and entropy: one mass per reflected pair
+        calls = []
+        sample = nx._sample_mass
+        monkeypatch.setattr(nx, "_sample_mass", lambda a, skel, bits: calls.append(a) or sample(a, skel, bits))
+        grid = nx.entropy_grid(start, stop, samples)
+        nx.entropy_curve(start, stop, samples)
+        pairs = {(min(a.numerator, a.denominator - a.numerator), a.denominator) for a in grid}
+        assert len(calls) == len(set(calls)) == len(pairs)
+        assert len(calls) == {400: 200, 301: 301, 299: 180}[samples]
+
     def test_figure_pass_descends_once_per_qumterval_and_call(self, monkeypatch):
         # the figure job of scripts/entropy_figure.py: the full curve, whose
         # reflection above 1/2 re-enters the qumtervals of its first half,
         # and three zooms at alpha+ of 001 (79 descents when only the
-        # previous parameter's qumterval was tried)
+        # previous parameter's qumterval was tried), with one mass per
+        # reflected pair and call: 500 for its 700 samples
         words = []  # the words located, per call
+        masses = []
+        sample = nx._sample_mass
 
         def descend(alpha):
             q = bf.locate_qumterval(alpha)
@@ -988,6 +1012,7 @@ class TestBoundaryMass:
             return q
 
         monkeypatch.setattr(nx, "locate_qumterval", descend)
+        monkeypatch.setattr(nx, "_sample_mass", lambda a, skel, bits: masses.append(a) or sample(a, skel, bits))
         jobs = [(Fraction(1, 50), Fraction(49, 50), 400)]
         jobs += [(Fraction(36603 - 160 // w, 100000), Fraction(36603 + 160 // w, 100000), 100) for w in (1, 4, 16)]
         for start, stop, samples in jobs:
@@ -995,6 +1020,7 @@ class TestBoundaryMass:
             nx.entropy_curve(start, stop, samples)
         assert all(len(set(call)) == len(call) for call in words)
         assert sum(map(len, words)) <= 46
+        assert len(masses) == 500
 
 
 class TestLevelKeys:
@@ -1752,9 +1778,12 @@ class TestCurveAndProbes:
         assert all(b > a for a, b in zip(hs, hs[1:]))
 
     def test_curve_parallel_matches_serial(self):
-        serial = nx.entropy_curve(Fraction(1, 5), Fraction(3, 10), 8)
-        parallel = nx.entropy_curve(Fraction(1, 5), Fraction(3, 10), 8, jobs=2)
-        assert [(s.alpha, s.h) for s in serial] == [(s.alpha, s.h) for s in parallel]
+        # whole samples, all eight fields; the second grid crosses 1/2, so
+        # the chunks split mirror pairs that the serial loop samples once
+        for start, stop, samples in [(Fraction(1, 5), Fraction(3, 10), 8), (Fraction(1, 5), Fraction(4, 5), 41)]:
+            serial = nx.entropy_curve(start, stop, samples)
+            parallel = nx.entropy_curve(start, stop, samples, jobs=2)
+            assert [tuple(s) for s in serial] == [tuple(s) for s in parallel]
 
     def test_pool_has_at_most_one_worker_per_chunk_and_cpu(self, monkeypatch):
         # a forked pool starts every worker it is allowed at its first
