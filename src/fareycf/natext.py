@@ -24,9 +24,10 @@ rectangles come from one merge of the two level-sorted boundaries.  What
 depends on the qumterval alone is one `_Skeleton`, built from its word
 (`_skeleton`): the digits of the word's block pattern, the rotation order
 of each orbit (`kdynamics.rotation_orders`) and one end of each boundary
-segment (both pushed, every seam and the closure checked, then each
-staircase corner kept once as an integer pair, made exact only where
-read); it checks the square once per scale.  Every parameter takes one
+segment (the kept ends pushed from the corners, every seam proved by
+induction on the orbit index from a few compared ones and the closure
+checked, each staircase corner kept once as an integer pair, made exact
+only where read); it checks the square once per scale.  Every parameter takes one
 path to it, the skeleton's fit of its endpoint orbits, stepped once
 (`kdynamics.rational_orbit`), which refuses orbits whose digits or level
 order differ from the skeleton's and checks that no rectangle is empty as
@@ -46,7 +47,9 @@ alone.  Keys that differ order their levels, since the floor is monotone.
 Keys that tie are ordered by the two points' itineraries (`_Itineraries`):
 each branch is increasing and the digits' cylinders lie in order, so the
 first offset where the keys or the digits differ decides, and the two
-points are compared exactly only where an itinerary runs out.  The order
+points are compared exactly only where an itinerary runs out.  A tied
+pair of neighbour levels whose predecessors are neighbours with one digit
+is in their order, so the order check walks only the others.  The order
 check and the merge compare integers only, never two exact levels, and a
 sample with no tie makes no itinerary.  One helper builds the factors and
 multiplies them as it forms them (`_Skeleton.product`), for the entropy
@@ -89,9 +92,9 @@ from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, groupby, pairwise
+from itertools import chain, compress, count, groupby
 from math import gcd, isqrt, lcm
-from operator import lt
+from operator import eq, gt, le, lt, ne, not_, sub
 
 from . import words
 from .bifurcation import (
@@ -267,6 +270,38 @@ def _abscissae(xi: QuadSurd, digits, Q: int) -> list[tuple[int, int]]:
     return out
 
 
+def _follows(order, digits) -> bytes:
+    """The table `follows` of one boundary whose levels are listed from its
+    start's up (`_Skeleton`): entry p is 1 when the neighbour pair (j, i) =
+    (order[p], order[p + 1]) follows from its predecessors' pair, that is
+    when j - 1 and i - 1 are neighbours too, in that order, and digits[j -
+    1] == digits[i - 1].
+
+    It is taken from the rotation's arithmetic.  The order of a rotation
+    by s on the m = len(digits) points before the last one is order[p] = p
+    s mod m for p < m, then m (`kdynamics.rotation_orders`): it starts at
+    0, and each step adds s, or s - m where it wraps.  Index k < m has rank
+    k h mod m, h = s^-1 mod m, and neighbours (j, i) have i - 1 = j - 1 + s
+    mod m, the last point m included.  So (j - 1, i - 1) are neighbours
+    too unless j = 0, the start, which has no predecessor, or i = 1, whose
+    predecessor is the start, the lowest level; the other pairs follow
+    where digits[k] == digits[(k + s) mod m], k = j - 1, one comparison of
+    the digits with their rotation, and the pair whose lower index is j
+    sits at p = j h mod m.  An order that is not a rotation has no pair
+    that follows."""
+    m = len(digits)
+    table = bytearray(m)
+    if m > 1:
+        s = order[1]
+        if order[0] == 0 and order[m] == m and gcd(s, m) == 1 and set(map(sub, order[1:m], order[: m - 1])) <= {s, s - m}:
+            h = pow(s, -1, m)
+            table = bytearray(b"\1") * m
+            table[0] = table[h - 1] = 0
+            for k in compress(range(m - 1), map(ne, digits, digits[s:] + digits[:s])):
+                table[(k + 1) * h % m] = 0
+    return bytes(table)
+
+
 class _Skeleton:
     """The exact data of the attractor shared by every rational parameter of
     one qumterval, a function of its word (`_skeleton`).
@@ -282,11 +317,15 @@ class _Skeleton:
     lies in (-1, 1) is checked once per scale (`rounded_ends`); `fit` checks
     a parameter's orbits against the digits and orders and runs the checks
     that need the levels, and `product` is the one builder of the boundary
-    factors.
+    factors.  Derived from the digits and orders, each boundary has one
+    table `follows` (`_follows`), whose pairs of neighbour levels hold by
+    induction from their predecessors' pair, in `_skeleton`'s seams and in
+    `fit`'s order check alike.
     """
 
     __slots__ = (
-        "word", "low_digits", "high_digits", "low_order", "high_order", "rights", "lefts", "Q", "d", "ends_cache"
+        "word", "low_digits", "high_digits", "low_order", "high_order", "rights", "lefts", "Q", "d", "ends_cache",
+        "low_follows", "high_follows",
     )
 
     def __init__(self, word, low_digits, high_digits, low_order, high_order, rights, lefts, Q, d):
@@ -298,6 +337,10 @@ class _Skeleton:
         self.lefts = lefts  # left end (P, R) of each upper segment, in high_order; the first is corner y
         self.Q, self.d = Q, d  # the ends' common coefficient of sqrt d, and d
         self.ends_cache = {}  # (rights, lefts) scaled, and their slack, by scale
+        # per neighbour pair of each order, 1 where it follows from its predecessors' pair;
+        # the upper orbit's start is its highest level, so its table is taken top down
+        self.low_follows = _follows(low_order, low_digits)
+        self.high_follows = _follows(high_order[::-1], high_digits)[::-1]
 
     def value(self, end: tuple[int, int]) -> Exact:
         """The exact value of the end `end`."""
@@ -331,7 +374,16 @@ class _Skeleton:
         (`_Itineraries`), made only at the first tie: the order check, and
         the merge, which starts above lo[0] = alpha - 1 (past alpha the
         orbit's denominators fall below q, as |a/b| < 1) and ends at hi[-1]
-        = alpha.  It checks each rectangle as it is merged: the left end L
+        = alpha.  The order check walks only the tied neighbour pairs that
+        do not follow (`follows`); a tied pair (j, i) that follows is in
+        order by induction on the index, backward along the orbit the walk
+        runs forward on.  Its predecessors j - 1 and i - 1 are a
+        neighbour pair too, in order by its keys, its walk or this same
+        induction, and they share the digit c, which the digit check
+        made the orbit's; the branch x -> -1/x - c increases on the
+        cylinder of c, so point j = K(point j - 1) lies below point i =
+        K(point i - 1).  Every neighbour pair is still decided, so the
+        levels ascend.  It checks each rectangle as it is merged: the left end L
         of its upper segment must lie below the right end R of its lower
         one.  With the ends X = `rounded_ends(W)`, each within s units of
         its value times 2^W, (R - L) 2^W exceeds X_R - X_L - 2s, so X_R -
@@ -350,13 +402,18 @@ class _Skeleton:
             orders = self.low_order, self.high_order
             return ties.order(u, orders[u][i], v, orders[v][j])
 
-        orbits = ("alpha - 1", low[0], self.low_digits, lo), ("alpha", high[0], self.high_digits, hi)
-        for u, (start, digits, want, levels) in enumerate(orbits):
+        orbits = (
+            ("alpha - 1", low[0], self.low_digits, lo, self.low_follows),
+            ("alpha", high[0], self.high_digits, hi, self.high_follows),
+        )
+        for u, (start, digits, want, levels, follows) in enumerate(orbits):
             if digits != want:
                 fault = "hits zero before the matching time" if None in digits else "leaves the word's digits"
             elif all(map(lt, levels, levels[1:])):
                 continue
-            elif all(a < b or a == b and tie(p, p + 1, u, u) < 0 for p, (a, b) in enumerate(pairwise(levels))):
+            elif all(map(le, levels, levels[1:])) and all(
+                tie(p, p + 1, u, u) < 0 for p in compress(count(), map(gt, map(eq, levels, levels[1:]), follows))
+            ):
                 continue
             else:
                 fault = "leaves the word's level order"
@@ -508,36 +565,85 @@ class _Itineraries:
 def _skeleton(q: Qumterval) -> _Skeleton:
     """The skeleton of a side-0 qumterval, from its word alone: the digits of
     the word's block pattern (`kdynamics.expected_digits_low` and `_high`)
-    and the rotation orders (`kdynamics.rotation_orders`).  Both ends of
-    every segment are pushed as integer pairs over one Q in one field
-    (`_abscissae`), each seam and the closure are checked on them exactly,
-    then one end per segment is kept.  No orbit is stepped here."""
+    and the rotation orders (`kdynamics.rotation_orders`).  No orbit is
+    stepped here.
+
+    Lower segment k runs from L_k to R_k, the images of y and of x/(1 + x)
+    under the first k lower digits, and upper segment k from L'_k to R'_k,
+    those of y/(1 - y) and of x under the upper digits.  Only the chains
+    of the kept ends are pushed, as integer pairs over one Q in one field
+    (`_abscissae`): R below, L' above, each run on from its corner, x or
+    y, by two pushes (x/(1 + x) = 1/(1 - (-1/x)), y/(1 - y) = 1/(-1 -
+    (-1/y))).  A push and its inverse keep a pair over Q integral, so a Q
+    that lifts both corners lifts both chains.  The seams say that R_j =
+    L_i and R'_j = L'_i for each neighbour pair (j, i), j below i, and the
+    closure that the highest lower segment ends at x and the lowest upper
+    one starts at y; index 0, whose segments start at y and end at x, must
+    be the lowest lower and the highest upper level.  The seams are proved
+    by induction on the index, as the fit proves the level order
+    (`_Skeleton.fit`):
+
+    - below, L_i is the push of L_(i-1) by c = digits[i - 1].  Where the
+      pair follows (`follows`), (j - 1, i - 1) are neighbours too and
+      digits[j - 1] = c, so the seam below segment i - 1 gives R_(j-1) =
+      L_(i-1), and one push by c gives R_j = L_i: nothing is compared.
+      At every other ("base") pair, L_(i-1) is y when i = 1 and else, by
+      the seam below segment i - 1, the kept right end of its lower
+      neighbour, so R_j is compared with one push of a kept pair;
+    - above, mirrored: R'_j is the push of R'_(j-1), which is x when j = 1
+      and else, by the seam above segment j - 1, the kept left end of its
+      upper neighbour, so a base pair compares L'_i with one push.
+
+    A push needs the previous denominator R_ of its pair, which the value
+    alone fixes (R R_ = P^2 - Q^2 d, `_abscissae`): it is the previous R
+    of the chain the pair is kept from, and at a corner, where a chain
+    starts, the quotient itself.  Each base seam is checked in the order
+    of its index, so when one fails every seam of a lower index holds and
+    the message shows the true end.  A word has at most a few base pairs per
+    boundary (two on every word measured), so the seams cost a few pushes
+    over the two chains.
+    """
     word = q.word
     x, y = q.tail, -q.alpha_plus  # the corners (`attractor_corners`)
     if x.d != y.d:
         raise AttractorError(f"corners {x} and {y} lie in two quadratic fields")
     low_digits, high_digits = list(expected_digits_low(q.S)), list(expected_digits_high(q.S))
     low_order, high_order = rotation_orders(q.m0, q.m1)
-    # (left, right) ends of the segment at each orbit index, in level order; the map is increasing
-    starts = y, x / (1 + x), y / (1 - y), x
-    Q, d = lcm(*map(_lift, starts)), x.d
-    low_lefts, rights = ([ends[k] for k in low_order] for ends in (_abscissae(v, low_digits, Q) for v in starts[:2]))
-    lefts, high_rights = ([ends[k] for k in high_order] for ends in (_abscissae(v, high_digits, Q) for v in starts[2:]))
-    skel = _Skeleton(word, low_digits, high_digits, low_order, high_order, tuple(rights), tuple(lefts), Q, d)
-    if rights[:-1] != low_lefts[1:]:
-        k = next(k for k in range(1, len(rights)) if rights[k - 1] != low_lefts[k])
-        raise AttractorError(
-            f"lower seam open at index {low_order[k]} of the orbit of alpha - 1 (word {word}): "
-            f"{skel.value(low_lefts[k])} != {skel.value(rights[k - 1])}"
-        )
-    if high_rights[:-1] != lefts[1:]:
-        k = next(k for k in range(len(lefts) - 1) if high_rights[k] != lefts[k + 1])
-        raise AttractorError(
-            f"upper seam open at index {high_order[k]} of the orbit of alpha (word {word}): "
-            f"{skel.value(high_rights[k])} != {skel.value(lefts[k + 1])}"
-        )
-    # index 0 (alpha - 1 and alpha) is the lowest and the highest level: y's pair and x's
-    if rights[-1] != high_rights[-1] or lefts[0] != low_lefts[0]:
+    # the kept chains from the corners, each past its two first pushes (by 0, then 1 or -1)
+    Q, d = lcm(_lift(x), _lift(y)), x.d
+    right_ends, left_ends = _abscissae(x, [0, 1, *low_digits], Q), _abscissae(y, [0, -1, *high_digits], Q)
+    rights, lefts = tuple(map(right_ends[2:].__getitem__, low_order)), tuple(map(left_ends[2:].__getitem__, high_order))
+    skel = _Skeleton(word, low_digits, high_digits, low_order, high_order, rights, lefts, Q, d)
+    # index 0 (alpha - 1 and alpha) is the lowest and the highest level, where the induction starts
+    if low_order[0] or high_order[-1]:
+        raise AttractorError(f"staircase does not close at the far corner (word {word})")
+
+    def pushed(ends, k, c):
+        """End k of a chain pushed by the digit c, one step of `_abscissae`."""
+        P, R = ends[k]
+        R_ = ends[k - 1][1] if k else (P * P - Q * Q * d) // R
+        P_ = c * R - P
+        return P_, c * (P_ - P) + R_
+
+    for p in sorted(compress(count(), map(not_, skel.low_follows)), key=low_order[1:].__getitem__):
+        i = low_order[p + 1]
+        c = low_digits[i - 1]
+        left = pushed(right_ends, low_order[low_order.index(i - 1) - 1] + 2, c) if i > 1 else pushed(left_ends, 0, c)
+        if left != rights[p]:
+            raise AttractorError(
+                f"lower seam open at index {i} of the orbit of alpha - 1 (word {word}): "
+                f"{skel.value(left)} != {skel.value(rights[p])}"
+            )
+    for p in sorted(compress(count(), map(not_, skel.high_follows)), key=high_order.__getitem__):
+        j = high_order[p]
+        c = high_digits[j - 1]
+        right = pushed(left_ends, high_order[high_order.index(j - 1) + 1] + 2, c) if j > 1 else pushed(right_ends, 0, c)
+        if right != lefts[p + 1]:
+            raise AttractorError(
+                f"upper seam open at index {j} of the orbit of alpha (word {word}): "
+                f"{skel.value(right)} != {skel.value(lefts[p + 1])}"
+            )
+    if rights[-1] != right_ends[0] or lefts[0] != left_ends[0]:
         raise AttractorError(f"staircase does not close at the far corner (word {word})")
     return skel
 
@@ -808,9 +914,12 @@ def entropy_curve(
 ) -> list[EntropySample]:
     """Entropy along a rational grid in (start, stop), endpoints avoided.
 
-    The samples equal those of `entropy_at`.  With jobs > 1 contiguous chunks
-    of the grid, about four per worker, go to worker processes, each through
-    the same loop; the pool has at most one worker per chunk and per CPU.
+    The samples equal those of `entropy_at`.  With jobs > 1 the grid goes
+    to worker processes in chunks of about a quarter of a worker's share,
+    each through the same loop, and the samples come back in grid order;
+    the pool has at most one worker per chunk and per CPU.  A chunk holds
+    whole reflected pairs: p/q and (q - p)/q share one mass (`_entropy_run`),
+    so they go to one worker.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -822,10 +931,22 @@ def entropy_curve(
 
         workers = min(jobs, cpu_count() or 1)
         size = -(-len(grid) // (4 * workers))
-        chunks = [grid[k : k + size] for k in range(0, len(grid), size)]
+        pairs: dict[tuple[int, int], list[int]] = {}  # grid positions per reflected pair (P, Q)
+        for k, alpha in enumerate(grid):
+            P, Q = alpha.numerator, alpha.denominator
+            pairs.setdefault((min(P, Q - P), Q), []).append(k)
+        chunks = [[]]
+        for ks in pairs.values():
+            if len(chunks[-1]) >= size:
+                chunks.append([])
+            chunks[-1] += ks
+        out = [None] * len(grid)
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            parts = pool.map(_entropy_run, chunks, [precision] * len(chunks))
-            return [s for part in parts for s in part]
+            parts = pool.map(_entropy_run, [[grid[k] for k in ks] for ks in chunks], [precision] * len(chunks))
+            for ks, part in zip(chunks, parts):
+                for k, sample in zip(ks, part):
+                    out[k] = sample
+        return out
     return _entropy_run(grid, precision)
 
 

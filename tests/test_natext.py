@@ -11,6 +11,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, pairwise
 from math import gcd, isqrt, lcm
+from operator import le
 
 import mpmath
 import pytest
@@ -688,9 +689,11 @@ class TestCheckedConstruction:
 
 
 def replaced(skel, **changes):
-    """A new skeleton with the fields of `skel` but `changes`, and an empty
-    ends_cache: no scale of `skel` is kept."""
-    kept = {name: getattr(skel, name) for name in nx._Skeleton.__slots__ if name != "ends_cache"}
+    """A new skeleton with the fields of `skel` but `changes`, an empty
+    ends_cache and its own `follows` tables: no scale of `skel` is kept,
+    and nothing derived from its orders and digits."""
+    derived = {"ends_cache", "low_follows", "high_follows"}
+    kept = {name: getattr(skel, name) for name in nx._Skeleton.__slots__ if name not in derived}
     return nx._Skeleton(**{**kept, **changes})
 
 
@@ -828,20 +831,29 @@ class TestConstructionChecks:
             self.skeleton()
 
     def test_open_closure_is_refused(self, monkeypatch):
-        # only the right end of the top lower segment moves, so every seam holds
+        # only the right end of the top lower segment moves, so every seam holds;
+        # the chain of right ends runs from x, two pushes before x/(1 + x)
         top = self.skeleton().low_order[-1]
         x, _ = nx.attractor_corners("001")
         abscissae = nx._abscissae
 
         def moved(xi, digits, Q):
             chain = abscissae(xi, digits, Q)
-            if xi == x / (1 + x):
-                P, R = chain[top]
-                chain[top] = P + 1, R  # the end moved by 1/R
+            if xi == x:
+                P, R = chain[top + 2]
+                chain[top + 2] = P + 1, R  # the end moved by 1/R
             return chain
 
         monkeypatch.setattr(nx, "_abscissae", moved)
         with pytest.raises(nx.AttractorError, match="does not close"):
+            self.skeleton()
+
+    @pytest.mark.parametrize("orders", [((1, 0, 2), (1, 0)), ((0, 1, 2), (0, 1))], ids=["lower", "upper"])
+    def test_start_off_the_corner_is_refused(self, monkeypatch, orders):
+        # the segments of index 0 start at y and end at x: alpha - 1 must be
+        # the lowest level and alpha the highest
+        monkeypatch.setattr(nx, "rotation_orders", lambda m0, m1: orders)
+        with pytest.raises(nx.AttractorError, match="does not close at the far corner"):
             self.skeleton()
 
     def test_corners_of_two_fields_are_refused(self):
@@ -1209,6 +1221,139 @@ class TestItineraryOrder:
         a, a_1 = pair(alpha), pair(alpha - 1)
         assert stepped == [(a, a_1, q.m0, 0), (a, a, q.m1, 0), (a, a, 2, 0)]
         assert 2 < q.m1
+
+
+def four_chain_skeleton(q):
+    """The seam check without the induction, the oracle of `nx._skeleton`:
+    both ends of every segment pushed from x/(1 + x), y, y/(1 - y) and x,
+    four chains over one Q (`nx._abscissae`), and every seam and the
+    closure compared on them.  Returns the kept ends (rights, lefts) and Q,
+    or raises AttractorError naming the open seam or the closure.  It reads
+    the digits and orders through `nx`, as `nx._skeleton` does."""
+    x, y = q.tail, -q.alpha_plus
+    low_digits, high_digits = list(nx.expected_digits_low(q.S)), list(nx.expected_digits_high(q.S))
+    low_order, high_order = nx.rotation_orders(q.m0, q.m1)
+    starts = y, x / (1 + x), y / (1 - y), x
+    Q = lcm(*map(nx._lift, starts))
+    low_lefts, rights = ([ends[k] for k in low_order] for ends in (nx._abscissae(v, low_digits, Q) for v in starts[:2]))
+    lefts, high_rights = ([ends[k] for k in high_order] for ends in (nx._abscissae(v, high_digits, Q) for v in starts[2:]))
+    if rights[:-1] != low_lefts[1:]:
+        raise nx.AttractorError("lower seam open")
+    if high_rights[:-1] != lefts[1:]:
+        raise nx.AttractorError("upper seam open")
+    if rights[-1] != high_rights[-1] or lefts[0] != low_lefts[0]:
+        raise nx.AttractorError("staircase does not close at the far corner")
+    return tuple(rights), tuple(lefts), Q
+
+
+def follows_by_definition(order, digits):
+    """The table `follows` of one boundary, pair by pair from its definition:
+    (j, i) = (order[p], order[p + 1]) follows when (j - 1, i - 1) are
+    neighbours in that order and digits[j - 1] == digits[i - 1]."""
+    rank = {k: p for p, k in enumerate(order)}
+    return bytes(
+        j > 0 and i > 0 and rank[i - 1] == rank[j - 1] + 1 and digits[j - 1] == digits[i - 1]
+        for j, i in pairwise(order)
+    )
+
+
+def refused(build, q):
+    """Whether build(q) raises AttractorError."""
+    try:
+        build(q)
+    except nx.AttractorError:
+        return True
+    return False
+
+
+def induction_words():
+    """Every side-0 word of up to 12 letters, and longer words: Fibonacci
+    words, the words of 853/2048 and 1031/2069 and long-run words 0^n 1."""
+    long_words = [wd.word_from_rational(r) for r in [*fibonacci_slopes(2584), Fraction(853, 2048), Fraction(1031, 2069)]]
+    return side0_words(12) + long_words + ["0" * n + "1" for n in (2, 7, 300)]
+
+
+class TestSeamInduction:
+    # `_skeleton` pushes two chains and compares only the base seams, the
+    # pairs of neighbours that do not follow from their predecessors' pair; the
+    # fit walks only the tied pairs that do not follow
+
+    @pytest.mark.parametrize("word", induction_words(), ids=lambda w: w if len(w) <= 12 else f"len{len(w)}")
+    def test_skeleton_is_the_four_chain_skeleton(self, word):
+        q = bf.qumterval_of(word)
+        skel = nx._skeleton(q)
+        assert (skel.rights, skel.lefts, skel.Q) == four_chain_skeleton(q)
+        # the tables are their definition, with at most two base pairs per boundary
+        for order, digits, follows in (
+            (skel.low_order, skel.low_digits, skel.low_follows),
+            (skel.high_order, skel.high_digits, skel.high_follows),
+        ):
+            assert follows == follows_by_definition(order, digits)
+            assert follows.count(0) <= 2
+
+    def test_follows_on_changed_digits_and_orders(self):
+        # 0^5 1: the lower order is 0, 1, ..., 5, and every pair but the first
+        # follows; a changed digit breaks the two pairs whose predecessors'
+        # digits it makes differ, and an order that is not a rotation has no
+        # pair that follows
+        order = (0, 1, 2, 3, 4, 5)
+        assert nx._follows(order, [2] * 5) == bytes([0, 1, 1, 1, 1])
+        assert nx._follows(order, [2, 2, 3, 2, 2]) == follows_by_definition(order, [2, 2, 3, 2, 2]) == bytes([0, 1, 0, 0, 1])
+        assert nx._follows((0, 2, 1, 3, 4, 5), [2] * 5) == bytes(5)
+        assert nx._follows((0, 1, 2, 3, 5, 4), [2] * 5) == bytes(5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_refuses_where_the_four_chains_refuse(self, data):
+        # a side-0 word of up to 512 letters with one lower or upper digit
+        # moved by one (the sign and |c| >= 2 kept), or one neighbour pair
+        # of an order swapped
+        L = data.draw(st.integers(3, 512), label="length")
+        p = data.draw(st.integers(1, (L - 1) // 2).filter(lambda p: gcd(p, L) == 1), label="ones")
+        q = bf.qumterval_of(wd.word_from_rational(Fraction(p, L)))
+        change = data.draw(st.sampled_from(["low digit", "high digit", "low order", "high order"]), label="change")
+        if change.endswith("digit"):
+            name = "expected_digits_" + change.split()[0]
+            digits = list(getattr(nx, name)(q.S))
+            k = data.draw(st.integers(0, len(digits) - 1), label="position")
+            step = data.draw(st.sampled_from([1, -1] if abs(digits[k]) > 2 else [1]), label="step")
+            digits[k] += step if digits[k] > 0 else -step
+            target, value = name, lambda S: tuple(digits)
+        else:
+            orders = [list(o) for o in nx.rotation_orders(q.m0, q.m1)]
+            order = orders[change == "high order"]
+            k = data.draw(st.integers(0, len(order) - 2), label="position")
+            order[k], order[k + 1] = order[k + 1], order[k]
+            target, value = "rotation_orders", lambda m0, m1: tuple(map(tuple, orders))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nx, target, value)
+            want = refused(four_chain_skeleton, q)
+            assert refused(nx._skeleton, q) == want, (q.word, change, k)
+            if not want:
+                skel = nx._skeleton(q)
+                assert (skel.rights, skel.lefts, skel.Q) == four_chain_skeleton(q)
+            # the tables never claim a pair that does not follow, and on a
+            # rotation order they are their definition
+            digits = list(nx.expected_digits_low(q.S)), list(nx.expected_digits_high(q.S))
+            skel = nx._Skeleton(q.word, *digits, *nx.rotation_orders(q.m0, q.m1), (), (), 0, 1)
+            for follows, order, digits in (
+                (skel.low_follows, skel.low_order, skel.low_digits),
+                (skel.high_follows, skel.high_order, skel.high_digits),
+            ):
+                oracle = follows_by_definition(order, digits)
+                assert follows == oracle if change.endswith("digit") else all(map(le, follows, oracle))
+
+    def test_deep_short_run_word_walks_few_ties(self, monkeypatch):
+        # the pseudocenter of the 2069-letter word of 1031/2069: 1827 tied
+        # neighbour pairs were walked before the tables, and four chains pushed
+        q = bf.qumterval_of(wd.word_from_rational(Fraction(1031, 2069)))
+        walks, chains = [], []
+        order, abscissae = nx._Itineraries.order, nx._abscissae
+        monkeypatch.setattr(nx._Itineraries, "order", lambda self, *args: walks.append(args) or order(self, *args))
+        monkeypatch.setattr(nx, "_abscissae", lambda xi, digits, Q: chains.append(len(digits)) or abscissae(xi, digits, Q))
+        nx.entropy_at(q.pseudocenter)
+        assert len(walks) <= 8
+        assert chains == [q.m0 + 2, q.m1 + 2]
 
 
 class TestPins:
@@ -1818,6 +1963,42 @@ class TestCurveAndProbes:
         asked.clear()
         empty = Fraction(1000000, 3000001), Fraction(1000001, 3000001)
         assert nx.entropy_curve(*empty, 2, jobs=2) == nx.entropy_curve(*empty, 2) == [] and asked == []
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize(
+        "start, stop, samples", [(Fraction(1, 50), Fraction(49, 50), 400), (Fraction(1, 3), Fraction(3, 4), 299)], ids=str
+    )
+    def test_chunks_hold_whole_reflected_pairs(self, monkeypatch, start, stop, samples, jobs):
+        # each reflected pair p/q, (q - p)/q goes to one chunk, and the
+        # samples come back in grid order; the stub pool maps serially and
+        # keeps the chunks
+        chunks = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, parts, *rest):
+                chunks.extend(parts)
+                return map(fn, parts, *rest)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert nx.entropy_curve(start, stop, samples, jobs=jobs) == nx.entropy_curve(start, stop, samples)
+        assert len(chunks) == 4 * jobs
+        grid = nx.entropy_grid(start, stop, samples)
+        assert sorted(alpha for chunk in chunks for alpha in chunk) == grid
+        owner = {}
+        for n, chunk in enumerate(chunks):
+            for alpha in chunk:
+                assert owner.setdefault(min(alpha, 1 - alpha), n) == n
+        assert len(owner) < len(grid)  # the grid holds pairs
 
     def test_asymptotic_rows(self):
         rows = nx.asymptotic_probe([2, 10, 40])
